@@ -63,6 +63,22 @@ func (s *snapCache) Put(key string, val []byte) bool {
 	return inserted
 }
 
+// GetAppend and PutBytes are the byte-key surface proto.ServeConn
+// prefers (proto.ByteBackend). They must be overridden alongside
+// Get/Put: the embedded cache's own would be promoted and served
+// without ticking.
+func (s *snapCache) GetAppend(dst, key []byte) ([]byte, bool, bool) {
+	out, hit, found := s.Cache.GetAppend(dst, key)
+	s.tick()
+	return out, hit, found
+}
+
+func (s *snapCache) PutBytes(key, val []byte) bool {
+	inserted := s.Cache.PutBytes(key, val)
+	s.tick()
+	return inserted
+}
+
 // tick counts one data op and launches a checkpoint at every interval
 // boundary. Checkpoints are single-flight: if the previous write is
 // still running when the next boundary passes, the boundary is skipped

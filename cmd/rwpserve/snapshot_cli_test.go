@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"rwp/internal/live"
+	"rwp/internal/live/proto"
 	"rwp/internal/snap"
 )
 
@@ -233,5 +237,40 @@ func TestSnapshotFlagErrors(t *testing.T) {
 		if _, _, code := runCLI(t, tc.args...); code != 2 {
 			t.Errorf("%s: run = %d, want 2", tc.name, code)
 		}
+	}
+}
+
+// TestSnapCacheCountsWireOps: ServeConn reaches a *live.Cache through
+// its byte-key entry points, which snapCache's embedded cache would
+// promote past the wrapper. Every data op over the binary protocol —
+// single or batched — must still tick the checkpoint clock.
+func TestSnapCacheCountsWireOps(t *testing.T) {
+	c, err := live.New(live.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newSnapCache(c, filepath.Join(t.TempDir(), "never.snap"), 1<<62, io.Discard)
+	cliEnd, srvEnd := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- proto.ServeConn(srvEnd, sc) }()
+	cli := proto.NewClient(cliEnd)
+	if _, err := cli.Put("a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Get("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.MGet([]string{"a", "b", "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.MPut([]proto.KV{{Key: "b", Value: []byte("2")}, {Key: "c", Value: nil}}); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.ops.Load(); got != 7 {
+		t.Errorf("snapCache counted %d data ops over the wire, want 7", got)
 	}
 }

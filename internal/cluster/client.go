@@ -15,6 +15,10 @@ import (
 // in-process cache — the differential tests run both and demand
 // identical merged stats, which is the transport-equivalence contract
 // extended to the cluster layer.
+//
+// A Queue* call must be done with its arguments when it returns (encode
+// or execute them, never keep the slice): the router reuses its batch
+// slices from call to call.
 type NodeConn interface {
 	QueueGet(key string) error
 	QueuePut(key string, val []byte) error
@@ -121,6 +125,13 @@ type Client struct {
 	nodeLoad  []uint64         // per node: ops routed this window (cost proxy)
 	sinceFlsh int              // ops queued since the last flushAll
 
+	// Per-node batch scratch for MGet/MPut, truncated and refilled by
+	// every call: the keys or pairs bound for each node, and each one's
+	// index in the caller's request.
+	nodeKeys [][]string
+	nodeKVs  [][]proto.KV
+	nodeIdx  [][]int
+
 	// Run log.
 	windows    []probe.ShardWindow
 	applied    []Command
@@ -173,6 +184,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		writes:    make([]uint64, cfg.Ring.Shards()),
 		costs:     make([]probe.CostHist, cfg.Ring.Shards()),
 		nodeLoad:  make([]uint64, len(cfg.Conns)),
+		nodeKeys:  make([][]string, len(cfg.Conns)),
+		nodeKVs:   make([][]proto.KV, len(cfg.Conns)),
+		nodeIdx:   make([][]int, len(cfg.Conns)),
 	}
 	return c, nil
 }
@@ -351,7 +365,7 @@ func (c *Client) queueRead(key string) (node int, err error) {
 // queueWrite routes one write to every replica and queues it.
 func (c *Client) queueWrite(key string, val []byte) (primary int, err error) {
 	s := c.ring.KeyShard(key)
-	ns := c.ring.Replicas(s)
+	ns := c.ring.replicas[s] // read in place: the set only changes at a window boundary
 	for _, n := range ns {
 		if err := c.conns[n].QueuePut(key, val); err != nil {
 			return ns[0], err
@@ -417,7 +431,7 @@ func (c *Client) Put(key string, val []byte) (bool, error) {
 		return false, err
 	}
 	var inserted bool
-	for _, n := range c.ring.Replicas(c.ring.KeyShard(key)) {
+	for _, n := range c.ring.replicas[c.ring.KeyShard(key)] {
 		replies, err := c.conns[n].Flush()
 		if err != nil {
 			return false, err
@@ -436,18 +450,19 @@ func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 	if err := c.flushAll(); err != nil {
 		return nil, err
 	}
-	batchKeys := make([][]string, len(c.conns))
-	batchIdx := make([][]int, len(c.conns))
+	for n := range c.conns {
+		c.nodeKeys[n], c.nodeIdx[n] = c.nodeKeys[n][:0], c.nodeIdx[n][:0]
+	}
 	for i, key := range keys {
 		h := live.HashKey(key)
 		s := c.ring.Shard(h)
 		n := c.ring.ReadNode(s, h)
-		batchKeys[n] = append(batchKeys[n], key)
-		batchIdx[n] = append(batchIdx[n], i)
+		c.nodeKeys[n] = append(c.nodeKeys[n], key)
+		c.nodeIdx[n] = append(c.nodeIdx[n], i)
 		c.accountRead(s, n)
 	}
 	out := make([]proto.GetResult, len(keys))
-	for n, ks := range batchKeys {
+	for n, ks := range c.nodeKeys {
 		if len(ks) == 0 {
 			continue
 		}
@@ -463,7 +478,7 @@ func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 			return nil, fmt.Errorf("cluster: node %d returned %d results for %d keys", n, len(gets), len(ks))
 		}
 		for j, g := range gets {
-			out[batchIdx[n][j]] = g
+			out[c.nodeIdx[n][j]] = g
 		}
 	}
 	return out, c.boundary()
@@ -476,23 +491,24 @@ func (c *Client) MPut(kvs []proto.KV) ([]bool, error) {
 	if err := c.flushAll(); err != nil {
 		return nil, err
 	}
-	batch := make([][]proto.KV, len(c.conns))
-	primIdx := make([][]int, len(c.conns)) // orig index when this node is the key's primary, else -1
+	for n := range c.conns {
+		c.nodeKVs[n], c.nodeIdx[n] = c.nodeKVs[n][:0], c.nodeIdx[n][:0]
+	}
 	for i, kv := range kvs {
 		s := c.ring.KeyShard(kv.Key)
-		ns := c.ring.Replicas(s)
+		ns := c.ring.replicas[s]
 		for _, n := range ns {
-			batch[n] = append(batch[n], kv)
-			orig := -1
+			c.nodeKVs[n] = append(c.nodeKVs[n], kv)
+			orig := -1 // the request index when this node is the key's primary
 			if n == ns[0] {
 				orig = i
 			}
-			primIdx[n] = append(primIdx[n], orig)
+			c.nodeIdx[n] = append(c.nodeIdx[n], orig)
 		}
 		c.accountWrite(s, ns)
 	}
 	out := make([]bool, len(kvs))
-	for n, b := range batch {
+	for n, b := range c.nodeKVs {
 		if len(b) == 0 {
 			continue
 		}
@@ -508,7 +524,7 @@ func (c *Client) MPut(kvs []proto.KV) ([]bool, error) {
 			return nil, fmt.Errorf("cluster: node %d returned %d inserts for %d pairs", n, len(ins), len(b))
 		}
 		for j, flag := range ins {
-			if orig := primIdx[n][j]; orig >= 0 {
+			if orig := c.nodeIdx[n][j]; orig >= 0 {
 				out[orig] = flag
 			}
 		}

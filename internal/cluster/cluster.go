@@ -298,7 +298,7 @@ func (d *directConn) QueueMPut(kvs []proto.KV) error {
 	return nil
 }
 
-// get mirrors proto's backendGet status mapping exactly.
+// get mirrors the server's (proto.ServeConn) status mapping exactly.
 func (d *directConn) get(key string) proto.GetResult {
 	val, hit := d.cache.Get(key)
 	switch {

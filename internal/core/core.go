@@ -224,16 +224,17 @@ func BestDirtyWays(cleanHist, dirtyHist []uint64) int {
 	if len(dirtyHist) != ways {
 		panic("rwp: histogram length mismatch")
 	}
-	// Prefix sums: cleanPfx[k] = hits with distance < k.
-	cleanPfx := make([]uint64, ways+1)
-	dirtyPfx := make([]uint64, ways+1)
-	for i := 0; i < ways; i++ {
-		cleanPfx[i+1] = cleanPfx[i] + cleanHist[i]
-		dirtyPfx[i+1] = dirtyPfx[i] + dirtyHist[i]
+	// h walks hits(d) = Σ clean[0, ways-d) + Σ dirty[0, d) from d = 0
+	// up: each step gives one way from the clean partition's far end to
+	// the dirty partition's. No scratch arrays — a retarget runs under
+	// the live cache's shard lock.
+	var h uint64
+	for _, n := range cleanHist {
+		h += n
 	}
-	best, bestHits := 0, uint64(0)
-	for d := 0; d <= ways; d++ {
-		h := cleanPfx[ways-d] + dirtyPfx[d]
+	best, bestHits := 0, h
+	for d := 1; d <= ways; d++ {
+		h += dirtyHist[d-1] - cleanHist[ways-d]
 		if h > bestHits {
 			best, bestHits = d, h
 		}

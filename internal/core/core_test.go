@@ -7,6 +7,7 @@ import (
 	"rwp/internal/cache"
 	"rwp/internal/mem"
 	"rwp/internal/policy"
+	"rwp/internal/xrand"
 )
 
 func newRWPCache(t *testing.T, sizeBytes, ways int, cfg Config) (*cache.Cache, *RWP) {
@@ -86,6 +87,52 @@ func TestBestDirtyWaysExhaustive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bestDirtyWaysPrefix is the prefix-sum form BestDirtyWays had before
+// it was rewritten with running sums (no per-retarget scratch arrays);
+// kept as the reference the rewrite is compared against.
+func bestDirtyWaysPrefix(cleanHist, dirtyHist []uint64) int {
+	ways := len(cleanHist)
+	// cleanPfx[k] = hits with distance < k.
+	cleanPfx := make([]uint64, ways+1)
+	dirtyPfx := make([]uint64, ways+1)
+	for i := 0; i < ways; i++ {
+		cleanPfx[i+1] = cleanPfx[i] + cleanHist[i]
+		dirtyPfx[i+1] = dirtyPfx[i] + dirtyHist[i]
+	}
+	best, bestHits := 0, uint64(0)
+	for d := 0; d <= ways; d++ {
+		if h := cleanPfx[ways-d] + dirtyPfx[d]; h > bestHits {
+			best, bestHits = d, h
+		}
+	}
+	return best
+}
+
+// TestBestDirtyWaysMatchesPrefixSums compares the running-sum form to
+// the reference on random histograms of every width up to 32 ways:
+// sparse ones (most buckets zero, so ties are common and the smaller-d
+// tie-break is exercised) and dense ones.
+func TestBestDirtyWaysMatchesPrefixSums(t *testing.T) {
+	rng := xrand.New(0x5eed)
+	for trial := 0; trial < 20000; trial++ {
+		ways := rng.Intn(33)
+		clean := make([]uint64, ways)
+		dirty := make([]uint64, ways)
+		sparse := trial%2 == 0
+		for i := 0; i < ways; i++ {
+			if !sparse || rng.Uint64()%4 == 0 {
+				clean[i] = rng.Uint64() % 8
+			}
+			if !sparse || rng.Uint64()%4 == 0 {
+				dirty[i] = rng.Uint64() % 8
+			}
+		}
+		if got, want := BestDirtyWays(clean, dirty), bestDirtyWaysPrefix(clean, dirty); got != want {
+			t.Fatalf("clean %v dirty %v: BestDirtyWays = %d, prefix-sum reference = %d", clean, dirty, got, want)
+		}
 	}
 }
 

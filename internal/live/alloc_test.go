@@ -31,6 +31,54 @@ func TestGetHitAllocs(t *testing.T) {
 	}
 }
 
+// TestByteKeyAllocs pins the entry points the wire server uses: with a
+// borrowed key and a destination buffer that already has room, a hit
+// copies the value under the lock and allocates nothing, and so does an
+// overwrite that fits the entry's buffer. Same implementation as Get
+// and Put — the allocation TestGetHitAllocs counts is only the copy-out
+// into no buffer.
+func TestByteKeyAllocs(t *testing.T) {
+	for _, pol := range []string{"lru", "rwp"} {
+		c := mustNew(t, tinyConfig(pol))
+		key, val := []byte("k"), []byte("value-bytes")
+		c.PutBytes(key, val)
+		dst := make([]byte, 0, 64)
+		allocs := testing.AllocsPerRun(200, func() {
+			out, hit, found := c.GetAppend(dst[:0], key)
+			if !hit || !found || !bytes.Equal(out, val) {
+				t.Fatalf("GetAppend = (%q, %v, %v)", out, hit, found)
+			}
+			if c.PutBytes(key, val) {
+				t.Fatal("PutBytes of a resident key reported an insert")
+			}
+		})
+		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
+		if allocs != 0 {
+			t.Errorf("%s: GetAppend hit + PutBytes overwrite allocate %.1f objects, want 0", pol, allocs)
+		}
+	}
+}
+
+// TestGetAppendNeverReturnsLoaderSlice: Get hands a fill back as the
+// Loader's own slice (no defensive copy), but GetAppend's result is a
+// buffer its caller reuses — even with a nil dst it must be a copy, or
+// the next request on a connection would overwrite a value a coalesced
+// fill's waiters are still reading.
+func TestGetAppendNeverReturnsLoaderSlice(t *testing.T) {
+	fetched := []byte("from-loader")
+	cfg := tinyConfig("rwp")
+	cfg.Loader = func(string) []byte { return fetched }
+	c := mustNew(t, cfg)
+	out, hit, found := c.GetAppend(nil, []byte("k"))
+	if hit || !found || !bytes.Equal(out, fetched) {
+		t.Fatalf("GetAppend fill = (%q, %v, %v)", out, hit, found)
+	}
+	out[0] = 'X'
+	if fetched[0] != 'f' {
+		t.Fatal("GetAppend(nil, …) returned the Loader's own slice")
+	}
+}
+
 // TestGetMissNoLoaderAllocs pins the other cheap path: a miss without a
 // Loader returns (nil, false) and must not allocate at all.
 func TestGetMissNoLoaderAllocs(t *testing.T) {

@@ -132,8 +132,10 @@ func (s *lset) negDelete(key string) {
 // event) and released the shard lock; this function owns the rest of
 // the operation — it takes and releases the lock itself and does all
 // remaining cost/telemetry accounting. Exactly one of the six
-// conservation counters is incremented on every path.
-func (c *Cache) missDefended(sh *shard, ls *lset, key string, set int, h uint64, ai cache.AccessInfo) ([]byte, bool) {
+// conservation counters is incremented on every path. key is already
+// owned (get copied a borrowed one before coming here); values are
+// handed back through dst exactly as on get's own paths.
+func (c *Cache) missDefended(dst []byte, sh *shard, ls *lset, key string, set int, h uint64, ai cache.AccessInfo) (out []byte, hit, found bool) {
 	sh.mu.Lock()
 	if way := ls.find(key); way >= 0 {
 		// The key landed between Get's miss probe and here — a writer
@@ -146,19 +148,18 @@ func (c *Cache) missDefended(sh *shard, ls *lset, key string, set int, h uint64,
 		ls.ops.CoalescedLoads++
 		ls.costs.Observe(CostCoalesced)
 		ls.costsClean.Observe(CostCoalesced)
-		//rwplint:allow hotalloc — copy-out is the Get API contract, as on the hit path
-		v := append([]byte(nil), e.val...)
+		dst = append(dst, e.val...)
 		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeFill, CostCoalesced)
-		return v, false
+		c.logGet(key, false, set, probe.OutcomeFill, CostCoalesced)
+		return dst, false, true
 	}
 	if c.cfg.NegOps > 0 && ls.negLookup(key) {
 		ls.ops.NegHits++
 		ls.costs.Observe(CostNegHit)
 		ls.costsClean.Observe(CostNegHit)
 		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeMiss, CostNegHit)
-		return nil, false
+		c.logGet(key, false, set, probe.OutcomeMiss, CostNegHit)
+		return dst, false, false
 	}
 	if c.cfg.Coalesce {
 		if fc, ok := sh.fills[key]; ok {
@@ -169,17 +170,21 @@ func (c *Cache) missDefended(sh *shard, ls *lset, key string, set int, h uint64,
 				ls.ops.CoalescedLoads++
 				sh.mu.Unlock()
 				<-fc.done
-				v := cloneBytes(fc.val)
 				outcome := probe.OutcomeFill
-				if v == nil {
+				if fc.val == nil {
 					outcome = probe.OutcomeMiss
 				}
 				sh.mu.Lock()
 				ls.costs.Observe(CostCoalesced)
 				ls.costsClean.Observe(CostCoalesced)
 				sh.mu.Unlock()
-				c.logGet(key, set, outcome, CostCoalesced)
-				return v, false
+				c.logGet(key, false, set, outcome, CostCoalesced)
+				if fc.val == nil {
+					return dst, false, false // absent for the leader, absent for every waiter
+				}
+				// The leader's value is shared by every waiter: copy, never
+				// hand out fc.val itself.
+				return append(dst, fc.val...), false, true
 			}
 			// The leader's lease ran out: depose it so a stuck or dead
 			// fill cannot park the key forever. Our fresh fillCall
@@ -215,8 +220,8 @@ func (c *Cache) missDefended(sh *shard, ls *lset, key string, set int, h uint64,
 		ls.costs.Observe(CostMiss)
 		ls.costsClean.Observe(CostMiss)
 		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeFill, CostMiss)
-		return v, false
+		c.logGet(key, false, set, probe.OutcomeFill, CostMiss)
+		return loaded(dst, v)
 	}
 	if v == nil {
 		// The backend says absent: nothing installs (absence is not a
@@ -232,8 +237,8 @@ func (c *Cache) missDefended(sh *shard, ls *lset, key string, set int, h uint64,
 		ls.costs.Observe(CostMiss)
 		ls.costsClean.Observe(CostMiss)
 		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeMiss, CostMiss)
-		return nil, false
+		c.logGet(key, false, set, probe.OutcomeMiss, CostMiss)
+		return dst, false, false
 	}
 	ls.ops.Loads++
 	ls.negDelete(key)
@@ -244,15 +249,6 @@ func (c *Cache) missDefended(sh *shard, ls *lset, key string, set int, h uint64,
 	ls.costs.Observe(cost)
 	ls.costsClean.Observe(cost)
 	sh.mu.Unlock()
-	c.logGet(key, set, probe.OutcomeFill, cost)
-	return v, false
-}
-
-// cloneBytes copies a waiter's view of the leader's value (nil stays
-// nil: an absent key is absent for every waiter).
-func cloneBytes(v []byte) []byte {
-	if v == nil {
-		return nil
-	}
-	return append([]byte(nil), v...)
+	c.logGet(key, false, set, probe.OutcomeFill, cost)
+	return loaded(dst, v)
 }

@@ -38,7 +38,9 @@ package live
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"unsafe"
 
 	"rwp/internal/cache"
 	"rwp/internal/core"
@@ -423,8 +425,72 @@ func (c *Cache) locate(h uint64) (*shard, *lset) {
 // miss-with-Loader path, and only collapses genuinely concurrent
 // fills, so hit-path cost and single-goroutine behavior are untouched.
 //
-//rwplint:hotpath — the serving read path; every allocation here is a written-down decision
+// Get is get with no destination buffer: the one allocation of a hit is
+// the copy-out (pinned by TestGetHitAllocs).
 func (c *Cache) Get(key string) (val []byte, hit bool) {
+	val, hit, found := c.get(nil, key, false)
+	if found && val == nil {
+		// A zero-length value copied into no buffer: keep "non-nil iff a
+		// value was served" for callers that tell fill from miss by it.
+		val = []byte{}
+	}
+	return val, hit
+}
+
+// GetAppend is Get for callers that bring their own buffers — the wire
+// server. The value is appended to dst under the shard lock and the
+// extended slice returned; found reports whether a value was appended
+// (a hit, or a Loader backfill with hit false). key is only borrowed:
+// the cache reads it for the duration of the call and keeps a copy of
+// its own wherever it retains the key (see borrowString), so the caller
+// may overwrite the bytes as soon as GetAppend returns. A hit into a
+// dst with room allocates nothing.
+//
+//rwplint:hotpath — the wire server's read entry point
+func (c *Cache) GetAppend(dst, key []byte) (out []byte, hit, found bool) {
+	if dst == nil {
+		// nil means "no buffer" to get, which then hands a fill back as
+		// the Loader's own slice. out is a buffer this caller will
+		// append into again; it must never be that slice (a coalesced
+		// fill's waiters are still reading it).
+		dst = []byte{}
+	}
+	return c.get(dst, borrowString(key), true)
+}
+
+// PutBytes is Put with a borrowed byte key, under GetAppend's lifetime
+// rule. An overwrite that fits the entry's buffer allocates nothing.
+//
+//rwplint:hotpath — the wire server's write entry point
+func (c *Cache) PutBytes(key, val []byte) (inserted bool) {
+	return c.put(borrowString(key), val, true)
+}
+
+// borrowString views b as a string without copying it. The string is
+// valid only while b's bytes are unchanged — the current call, for
+// GetAppend and PutBytes. It may be hashed, compared and used as a map
+// lookup key; anything that outlives the call (an entry, a negs or
+// fills key, the Loader argument, a ReqLog event) takes ownedKey's
+// copy instead. This is the package's only use of unsafe.
+func borrowString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// ownedKey returns key in a form that may be retained: a private copy
+// when it is a borrowString view, key itself otherwise.
+func ownedKey(key string, borrowed bool) string {
+	if borrowed {
+		return strings.Clone(key)
+	}
+	return key
+}
+
+// get is the one Get implementation, behind Get (dst nil, key owned by
+// the caller's string) and GetAppend (key borrowed from a request
+// buffer). found reports whether a value was appended to dst.
+//
+//rwplint:hotpath — the serving read path; every allocation here is a written-down decision
+func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, found bool) {
 	h := HashKey(key)
 	set := int(h & c.mask)
 	sh, ls := c.locate(h)
@@ -451,11 +517,12 @@ func (c *Cache) Get(key string) (val []byte, hit bool) {
 		ls.pol.OnHit(0, way, ai)
 		// Copy while the entry is stable, then release before returning:
 		// the caller must never see bytes a later Put could overwrite.
-		//rwplint:allow hotalloc — copy-out is the Get API contract (one alloc, pinned by TestGetHitAllocs)
-		v := append([]byte(nil), e.val...)
+		// With dst nil this is Get's copy-out, the hit path's one
+		// allocation; GetAppend's callers reuse dst and pay none.
+		dst = append(dst, e.val...)
 		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeHit, CostHit)
-		return v, true
+		c.logGet(key, borrowed, set, probe.OutcomeHit, CostHit)
+		return dst, true, true
 	}
 	ls.ops.GetMisses++
 	if sh.rec != nil {
@@ -465,22 +532,25 @@ func (c *Cache) Get(key string) (val []byte, hit bool) {
 		ls.costs.Observe(CostMiss)
 		ls.costsClean.Observe(CostMiss)
 		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeMiss, CostMiss)
-		return nil, false
+		c.logGet(key, borrowed, set, probe.OutcomeMiss, CostMiss)
+		return dst, false, false
 	}
+	sh.mu.Unlock()
+	// Everything past this point may retain the key — the Loader, the
+	// fills map, negs, the installed entry — so a borrowed key is copied
+	// once here, on the path that is about to pay a backend round trip.
+	key = ownedKey(key, borrowed)
 	if c.stampede {
 		// Stampede defenses are on: the rest of this miss — negative
 		// cache, singleflight coalescing, lease bookkeeping, the Loader
 		// call, all cost accounting — lives in missDefended (fill.go),
 		// which takes the lock back itself (no helper ever inherits a
 		// held lock across the call boundary).
-		sh.mu.Unlock()
-		return c.missDefended(sh, ls, key, set, h, ai)
+		return c.missDefended(dst, sh, ls, key, set, h, ai)
 	}
 	// The backing-store fetch runs outside the lock: a slow Loader
 	// stalls only this Get, not every key in the shard (and a reentrant
 	// Loader does not self-deadlock).
-	sh.mu.Unlock()
 	v := c.cfg.Loader(key)
 	sh.mu.Lock()
 	if ls.find(key) >= 0 {
@@ -492,8 +562,8 @@ func (c *Cache) Get(key string) (val []byte, hit bool) {
 		ls.costs.Observe(CostMiss)
 		ls.costsClean.Observe(CostMiss)
 		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeFill, CostMiss)
-		return v, false
+		c.logGet(key, false, set, probe.OutcomeFill, CostMiss)
+		return loaded(dst, v)
 	}
 	if v == nil {
 		// The backing store has no such key. A look-aside cache stores
@@ -504,8 +574,8 @@ func (c *Cache) Get(key string) (val []byte, hit bool) {
 		ls.costs.Observe(CostMiss)
 		ls.costsClean.Observe(CostMiss)
 		sh.mu.Unlock()
-		c.logGet(key, set, probe.OutcomeMiss, CostMiss)
-		return nil, false
+		c.logGet(key, false, set, probe.OutcomeMiss, CostMiss)
+		return dst, false, false
 	}
 	ls.ops.Loads++
 	cost := CostMiss
@@ -515,25 +585,38 @@ func (c *Cache) Get(key string) (val []byte, hit bool) {
 	ls.costs.Observe(cost)
 	ls.costsClean.Observe(cost)
 	sh.mu.Unlock()
-	c.logGet(key, set, probe.OutcomeFill, cost)
-	// No defensive copy on the way out: the Loader handed us a fresh
-	// value and fill stored its own copy, so the caller owns v.
-	return v, false
+	c.logGet(key, false, set, probe.OutcomeFill, cost)
+	return loaded(dst, v)
+}
+
+// loaded returns a Loader result the way get hands back a fill: v
+// itself when the caller brought no buffer (the Loader handed us a
+// fresh value and fill stored its own copy, so the caller owns v — no
+// defensive copy), appended to dst otherwise. A nil v is a miss.
+func loaded(dst, v []byte) (out []byte, hit, found bool) {
+	if v == nil {
+		return dst, false, false
+	}
+	if dst == nil {
+		return v, false, true
+	}
+	return append(dst, v...), false, true
 }
 
 // logGet emits one Get capture event; a no-op without a recorder. It
-// runs with no shard lock held (the reqlog sink does its own I/O).
-func (c *Cache) logGet(key string, set int, outcome string, cost int) {
+// runs with no shard lock held (the reqlog sink does its own I/O). The
+// event outlives the call, so a borrowed key is copied for it.
+func (c *Cache) logGet(key string, borrowed bool, set int, outcome string, cost int) {
 	if c.cfg.ReqLog != nil {
-		c.cfg.ReqLog.ReqEvent(probe.ReqEvent{Key: key, Set: set, Outcome: outcome, Cost: cost})
+		c.cfg.ReqLog.ReqEvent(probe.ReqEvent{Key: ownedKey(key, borrowed), Set: set, Outcome: outcome, Cost: cost})
 	}
 }
 
 // logPut is logGet's Put twin; val is the caller's payload (the sink
 // must not retain it).
-func (c *Cache) logPut(key string, val []byte, set int, outcome string, cost int) {
+func (c *Cache) logPut(key string, borrowed bool, val []byte, set int, outcome string, cost int) {
 	if c.cfg.ReqLog != nil {
-		c.cfg.ReqLog.ReqEvent(probe.ReqEvent{Put: true, Key: key, Value: val, Set: set, Outcome: outcome, Cost: cost})
+		c.cfg.ReqLog.ReqEvent(probe.ReqEvent{Put: true, Key: ownedKey(key, borrowed), Value: val, Set: set, Outcome: outcome, Cost: cost})
 	}
 }
 
@@ -541,6 +624,13 @@ func (c *Cache) logPut(key string, val []byte, set int, outcome string, cost int
 // dirty fill otherwise (write-allocate). It reports whether the key
 // was newly inserted.
 func (c *Cache) Put(key string, val []byte) (inserted bool) {
+	return c.put(key, val, false)
+}
+
+// put is the one Put implementation, behind Put and PutBytes.
+//
+//rwplint:hotpath — the serving write path; an overwrite must stay allocation-free
+func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	h := HashKey(key)
 	set := int(h & c.mask)
 	sh, ls := c.locate(h)
@@ -567,10 +657,12 @@ func (c *Cache) Put(key string, val []byte) (inserted bool) {
 		ls.costsDirty.Observe(CostHit)
 		ls.pol.OnHit(0, way, ai)
 		sh.mu.Unlock()
-		c.logPut(key, val, set, probe.OutcomeOverwrite, CostHit)
+		c.logPut(key, borrowed, val, set, probe.OutcomeOverwrite, CostHit)
 		return false
 	}
 	ls.ops.PutInserts++
+	// The entry about to be installed retains the key.
+	key = ownedKey(key, borrowed)
 	// A write proves the key exists now: drop any negative-cache entry
 	// before the fill installs it (no-op unless NegOps is configured).
 	ls.negDelete(key)
@@ -584,7 +676,7 @@ func (c *Cache) Put(key string, val []byte) (inserted bool) {
 	ls.costs.Observe(cost)
 	ls.costsDirty.Observe(cost)
 	sh.mu.Unlock()
-	c.logPut(key, val, set, probe.OutcomeInsert, cost)
+	c.logPut(key, false, val, set, probe.OutcomeInsert, cost)
 	return true
 }
 

@@ -36,6 +36,11 @@ type Client struct {
 	queued  int   // request bytes framed since the last Flush
 	err     error // first write failure; poisons the client (see Flush)
 	closed  bool
+	// payload and frame are the request scratch every Queue* call
+	// builds into and queue copies out of (into bw) before returning.
+	payload, frame []byte
+	// vals is the tail of the current value chunk (see keep).
+	vals []byte
 }
 
 // NewClient wraps conn.
@@ -75,6 +80,12 @@ func (c *Client) check() error {
 
 // Reply is one response in Flush order. Exactly the fields implied by
 // Op are meaningful.
+//
+// Every byte slice in a Reply is the caller's: it is never written or
+// reused by the client afterwards. Values are copied out of the frame
+// scratch into shared backing chunks of about valueChunk bytes, so
+// retaining one small value keeps its whole chunk reachable — copy a
+// value that must outlive its neighbours by much.
 type Reply struct {
 	Op       Op
 	Get      GetResult   // OpGet
@@ -93,59 +104,82 @@ func (c *Client) queue(op Op, payload []byte) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	frame := AppendFrame(nil, op, payload)
-	if _, err := c.bw.Write(frame); err != nil {
+	c.frame = AppendFrame(c.frame[:0], op, payload)
+	if _, err := c.bw.Write(c.frame); err != nil {
 		c.err = err
 		return err
 	}
 	c.pending = append(c.pending, op)
-	c.queued += len(frame)
+	c.queued += len(c.frame)
 	return nil
+}
+
+// queueBuilt frames the request payload a builder appended to the
+// client's scratch, keeping the (possibly grown) scratch for the next
+// request. A builder that refused its input returns err and no payload.
+func (c *Client) queueBuilt(op Op, payload []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	c.payload = payload[:0]
+	return c.queue(op, payload)
+}
+
+// valueChunk is the size of the backing buffers reply values are copied
+// into: one allocation per chunk instead of one per value.
+const valueChunk = 4 << 10
+
+// keep copies v out of the reader's frame scratch into memory the
+// caller of Flush owns. nil stays nil and a zero-length value stays
+// non-nil (the Value-nil-iff-miss rule). Small values share a chunk;
+// a chunk is never reused, and each value's capacity ends where its
+// bytes do, so appending to one cannot reach its neighbour.
+func (c *Client) keep(v []byte) []byte {
+	switch {
+	case v == nil:
+		return nil
+	case len(v) == 0:
+		return []byte{}
+	case len(v) >= valueChunk/4:
+		// Large enough that sharing would waste the chunk's tail.
+		return append(make([]byte, 0, len(v)), v...)
+	}
+	if len(v) > cap(c.vals)-len(c.vals) {
+		c.vals = make([]byte, 0, valueChunk)
+	}
+	n := len(c.vals)
+	c.vals = append(c.vals, v...)
+	return c.vals[n:len(c.vals):len(c.vals)]
 }
 
 // QueueGet pipelines a GET.
 func (c *Client) QueueGet(key string) error {
-	p, err := AppendGetReq(nil, key)
-	if err != nil {
-		return err
-	}
-	return c.queue(OpGet, p)
+	p, err := AppendGetReq(c.payload[:0], key)
+	return c.queueBuilt(OpGet, p, err)
 }
 
 // QueuePut pipelines a PUT.
 func (c *Client) QueuePut(key string, val []byte) error {
-	p, err := AppendPutReq(nil, key, val)
-	if err != nil {
-		return err
-	}
-	return c.queue(OpPut, p)
+	p, err := AppendPutReq(c.payload[:0], key, val)
+	return c.queueBuilt(OpPut, p, err)
 }
 
 // QueueMGet pipelines a batch GET.
 func (c *Client) QueueMGet(keys []string) error {
-	p, err := AppendMGetReq(nil, keys)
-	if err != nil {
-		return err
-	}
-	return c.queue(OpMGet, p)
+	p, err := AppendMGetReq(c.payload[:0], keys)
+	return c.queueBuilt(OpMGet, p, err)
 }
 
 // QueueMPut pipelines a batch PUT.
 func (c *Client) QueueMPut(kvs []KV) error {
-	p, err := AppendMPutReq(nil, kvs)
-	if err != nil {
-		return err
-	}
-	return c.queue(OpMPut, p)
+	p, err := AppendMPutReq(c.payload[:0], kvs)
+	return c.queueBuilt(OpMPut, p, err)
 }
 
 // QueueReset pipelines a RESET of the global sets [lo, hi).
 func (c *Client) QueueReset(lo, hi int) error {
-	p, err := AppendRangeReq(nil, lo, hi)
-	if err != nil {
-		return err
-	}
-	return c.queue(OpReset, p)
+	p, err := AppendRangeReq(c.payload[:0], lo, hi)
+	return c.queueBuilt(OpReset, p, err)
 }
 
 // QueueStats pipelines a STATS request.
@@ -202,11 +236,15 @@ func (c *Client) Flush() ([]Reply, error) {
 		rep := Reply{Op: op}
 		switch op {
 		case OpGet:
-			rep.Get, err = ParseGetResp(payload)
+			rep.Get, err = parseGetResp(payload)
+			rep.Get.Value = c.keep(rep.Get.Value)
 		case OpPut:
 			rep.Inserted, err = ParsePutResp(payload)
 		case OpMGet:
-			rep.Gets, err = ParseMGetResp(payload)
+			rep.Gets, err = parseMGetResp(payload)
+			for i := range rep.Gets {
+				rep.Gets[i].Value = c.keep(rep.Gets[i].Value)
+			}
 		case OpMPut:
 			rep.Inserts, err = ParseMPutResp(payload)
 		case OpStats, OpPing:

@@ -24,6 +24,10 @@ func frameSeeds(f *testing.F) {
 	add(proto.AppendFrame(nil, proto.OpMGet, mg))
 	mp, _ := proto.AppendMPutReq(nil, []proto.KV{{Key: "a", Value: []byte("1")}})
 	add(proto.AppendFrame(nil, proto.OpMPut, mp))
+	// Good frames around batches whose second element is cut short: the
+	// whole-batch validation pass must refuse them before applying any.
+	add(truncatedBatch(proto.OpMPut))
+	add(truncatedBatch(proto.OpMGet))
 	// Two frames back to back: resync behavior after a good frame.
 	add(proto.AppendFrame(proto.AppendFrame(nil, proto.OpPing, []byte("x")), proto.OpStats, nil))
 	// Corruptions.

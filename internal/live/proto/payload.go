@@ -30,9 +30,9 @@ func (s GetStatus) String() string {
 }
 
 // GetResult is one key's Get outcome: the decoded form of a GET
-// response element. In results decoded by the Parse* functions, Value
-// is nil exactly when Status is StatusMiss — a zero-length value on a
-// hit or fill decodes as a non-nil empty slice. (On the encode side
+// response element. In results a Client returns, Value is nil exactly
+// when Status is StatusMiss — a zero-length value on a hit or fill
+// decodes as a non-nil empty slice. (On the encode side
 // nil and empty are interchangeable: both frame as length 0.)
 type GetResult struct {
 	Status GetStatus
@@ -75,12 +75,14 @@ func (p *parser) uvarint(what string) (uint64, error) {
 }
 
 // chunk decodes one length-prefixed byte string of at most max bytes.
-// The returned slice aliases the payload.
+// The returned slice aliases the payload. It runs once per key and per
+// value on the serving path, so error text is built only on error.
 func (p *parser) chunk(what string, max int) ([]byte, error) {
-	n, err := p.uvarint(what + " length")
-	if err != nil {
-		return nil, err
+	n, w := binary.Uvarint(p.buf)
+	if w <= 0 {
+		return nil, wireErrf(ErrPayload, "truncated %s length uvarint", what)
 	}
+	p.buf = p.buf[w:]
 	if n > uint64(max) {
 		return nil, wireErrf(ErrTooLarge, "%s length %d > max %d", what, n, max)
 	}
@@ -132,18 +134,15 @@ func AppendGetReq(dst []byte, key string) ([]byte, error) {
 	return appendString(dst, key), nil
 }
 
-// ParseGetReq decodes a GET request payload. The key is copied (it
-// must outlive the reader's scratch buffer on the server side).
-func ParseGetReq(payload []byte) (key string, err error) {
+// parseGetReq decodes a GET request payload. The key aliases the
+// payload: the server hands it to the backend borrowed and never
+// retains it (see ByteBackend).
+func parseGetReq(payload []byte) (key []byte, err error) {
 	p := parser{payload}
-	k, err := p.chunk("key", MaxKey)
-	if err != nil {
-		return "", err
+	if key, err = p.chunk("key", MaxKey); err != nil {
+		return nil, err
 	}
-	if err := p.done(); err != nil {
-		return "", err
-	}
-	return string(k), nil
+	return key, p.done()
 }
 
 // appendGetItem appends one Get outcome (status, then value unless
@@ -179,8 +178,9 @@ func (p *parser) parseGetItem() (GetResult, error) {
 // AppendGetResp appends a GET response payload.
 func AppendGetResp(dst []byte, res GetResult) []byte { return appendGetItem(dst, res) }
 
-// ParseGetResp decodes a GET response payload; the value is copied.
-func ParseGetResp(payload []byte) (GetResult, error) {
+// parseGetResp decodes a GET response payload; the value aliases the
+// payload.
+func parseGetResp(payload []byte) (GetResult, error) {
 	p := parser{payload}
 	res, err := p.parseGetItem()
 	if err != nil {
@@ -189,7 +189,6 @@ func ParseGetResp(payload []byte) (GetResult, error) {
 	if err := p.done(); err != nil {
 		return GetResult{}, err
 	}
-	res.Value = cloneBytes(res.Value)
 	return res, nil
 }
 
@@ -206,22 +205,17 @@ func AppendPutReq(dst []byte, key string, val []byte) ([]byte, error) {
 	return appendBytes(appendString(dst, key), val), nil
 }
 
-// ParsePutReq decodes a PUT request payload. The key is copied; the
-// value aliases the payload (the cache copies on store).
-func ParsePutReq(payload []byte) (key string, val []byte, err error) {
+// parsePutReq decodes a PUT request payload; key and value alias the
+// payload (the cache copies both on store).
+func parsePutReq(payload []byte) (key, val []byte, err error) {
 	p := parser{payload}
-	k, err := p.chunk("key", MaxKey)
-	if err != nil {
-		return "", nil, err
+	if key, err = p.chunk("key", MaxKey); err != nil {
+		return nil, nil, err
 	}
-	v, err := p.chunk("value", MaxValue)
-	if err != nil {
-		return "", nil, err
+	if val, err = p.chunk("value", MaxValue); err != nil {
+		return nil, nil, err
 	}
-	if err := p.done(); err != nil {
-		return "", nil, err
-	}
-	return string(k), v, nil
+	return key, val, p.done()
 }
 
 // AppendPutResp appends a PUT response payload (1 = inserted,
@@ -266,27 +260,6 @@ func AppendMGetReq(dst []byte, keys []string) ([]byte, error) {
 	return dst, nil
 }
 
-// ParseMGetReq decodes an MGET request payload; keys are copied.
-func ParseMGetReq(payload []byte) ([]string, error) {
-	p := parser{payload}
-	n, err := p.count()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		k, err := p.chunk("key", MaxKey)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, string(k))
-	}
-	if err := p.done(); err != nil {
-		return nil, err
-	}
-	return keys, nil
-}
-
 // AppendMGetResp appends an MGET response payload (count, then
 // per-key Get outcomes in request order).
 func AppendMGetResp(dst []byte, results []GetResult) []byte {
@@ -297,8 +270,9 @@ func AppendMGetResp(dst []byte, results []GetResult) []byte {
 	return dst
 }
 
-// ParseMGetResp decodes an MGET response payload; values are copied.
-func ParseMGetResp(payload []byte) ([]GetResult, error) {
+// parseMGetResp decodes an MGET response payload; values alias the
+// payload.
+func parseMGetResp(payload []byte) ([]GetResult, error) {
 	p := parser{payload}
 	n, err := p.count()
 	if err != nil {
@@ -310,7 +284,6 @@ func ParseMGetResp(payload []byte) ([]GetResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Value = cloneBytes(r.Value)
 		results = append(results, r)
 	}
 	if err := p.done(); err != nil {
@@ -338,32 +311,6 @@ func AppendMPutReq(dst []byte, kvs []KV) ([]byte, error) {
 		dst = appendBytes(appendString(dst, kv.Key), kv.Value)
 	}
 	return dst, nil
-}
-
-// ParseMPutReq decodes an MPUT request payload; keys are copied,
-// values alias the payload.
-func ParseMPutReq(payload []byte) ([]KV, error) {
-	p := parser{payload}
-	n, err := p.count()
-	if err != nil {
-		return nil, err
-	}
-	kvs := make([]KV, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		k, err := p.chunk("key", MaxKey)
-		if err != nil {
-			return nil, err
-		}
-		v, err := p.chunk("value", MaxValue)
-		if err != nil {
-			return nil, err
-		}
-		kvs = append(kvs, KV{Key: string(k), Value: v})
-	}
-	if err := p.done(); err != nil {
-		return nil, err
-	}
-	return kvs, nil
 }
 
 // AppendMPutResp appends an MPUT response payload (count, then per-key

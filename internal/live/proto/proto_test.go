@@ -100,6 +100,33 @@ func TestReaderScratchReuse(t *testing.T) {
 	}
 }
 
+// batchRecorder is a ByteBackend that records what the server's batch
+// walk hands it, copying — key and val are only borrowed.
+type batchRecorder struct{ keys, vals []string }
+
+func (r *batchRecorder) GetAppend(dst, key []byte) ([]byte, bool, bool) {
+	r.keys = append(r.keys, string(key))
+	return dst, false, false
+}
+
+func (r *batchRecorder) PutBytes(key, val []byte) bool {
+	r.keys = append(r.keys, string(key))
+	r.vals = append(r.vals, string(val))
+	return true
+}
+
+// decodeBatch decodes an MGET/MPUT request payload the way ServeConn
+// does: one validating pass of the server's in-place walk, then one
+// applying pass.
+func decodeBatch(op Op, payload []byte) (keys, vals []string, err error) {
+	rec := &batchRecorder{}
+	s := &connServer{b: rec}
+	if err = s.batch(op, payload, false); err == nil {
+		err = s.batch(op, payload, true)
+	}
+	return rec.keys, rec.vals, err
+}
+
 // TestPayloadRoundTrips round-trips every op-specific payload codec.
 func TestPayloadRoundTrips(t *testing.T) {
 	// GET
@@ -107,7 +134,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k, err := ParseGetReq(gp); err != nil || k != "key-1" {
+	if k, err := parseGetReq(gp); err != nil || string(k) != "key-1" {
 		t.Fatalf("get req: %q, %v", k, err)
 	}
 	for _, res := range []GetResult{
@@ -115,7 +142,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 		{Status: StatusHit, Value: []byte("v")},
 		{Status: StatusFill, Value: []byte{}},
 	} {
-		got, err := ParseGetResp(AppendGetResp(nil, res))
+		got, err := parseGetResp(AppendGetResp(nil, res))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +155,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k, v, err := ParsePutReq(pp); err != nil || k != "k" || string(v) != "val" {
+	if k, v, err := parsePutReq(pp); err != nil || string(k) != "k" || string(v) != "val" {
 		t.Fatalf("put req: %q %q %v", k, v, err)
 	}
 	for _, ins := range []bool{true, false} {
@@ -143,7 +170,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotKeys, err := ParseMGetReq(mp)
+	gotKeys, _, err := decodeBatch(OpMGet, mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +183,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 		}
 	}
 	results := []GetResult{{Status: StatusHit, Value: []byte("x")}, {Status: StatusMiss}}
-	gotRes, err := ParseMGetResp(AppendMGetResp(nil, results))
+	gotRes, err := parseMGetResp(AppendMGetResp(nil, results))
 	if err != nil || len(gotRes) != 2 || gotRes[0].Status != StatusHit || gotRes[1].Status != StatusMiss {
 		t.Fatalf("mget resp: %+v, %v", gotRes, err)
 	}
@@ -166,9 +193,9 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotKVs, err := ParseMPutReq(mpp)
-	if err != nil || len(gotKVs) != 2 || gotKVs[0].Key != "a" || string(gotKVs[0].Value) != "1" || gotKVs[1].Key != "b" {
-		t.Fatalf("mput req: %+v, %v", gotKVs, err)
+	gotKeys, gotVals, err := decodeBatch(OpMPut, mpp)
+	if err != nil || len(gotKeys) != 2 || gotKeys[0] != "a" || gotVals[0] != "1" || gotKeys[1] != "b" || gotVals[1] != "" {
+		t.Fatalf("mput req: %q %q, %v", gotKeys, gotVals, err)
 	}
 	gotIns, err := ParseMPutResp(AppendMPutResp(nil, []bool{true, false, true}))
 	if err != nil || len(gotIns) != 3 || !gotIns[0] || gotIns[1] || !gotIns[2] {
@@ -193,24 +220,24 @@ func TestPayloadLimits(t *testing.T) {
 		t.Errorf("oversized mput batch encode: %v", err)
 	}
 	// Decode side: a declared key length larger than the payload.
-	if _, err := ParseGetReq([]byte{0x05, 'a'}); !errors.Is(err, ErrPayload) {
+	if _, err := parseGetReq([]byte{0x05, 'a'}); !errors.Is(err, ErrPayload) {
 		t.Errorf("short key decode: %v", err)
 	}
 	// Declared length over the limit (uvarint for MaxKey+1).
-	if _, err := ParseGetReq([]byte{0x81, 0x80, 0x04}); !errors.Is(err, ErrTooLarge) {
+	if _, err := parseGetReq([]byte{0x81, 0x80, 0x04}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("over-limit key decode: %v", err)
 	}
 	// Trailing garbage.
 	gp, _ := AppendGetReq(nil, "k")
-	if _, err := ParseGetReq(append(gp, 0x00)); !errors.Is(err, ErrPayload) {
+	if _, err := parseGetReq(append(gp, 0x00)); !errors.Is(err, ErrPayload) {
 		t.Errorf("trailing bytes decode: %v", err)
 	}
 	// Batch count over the limit.
-	if _, err := ParseMGetReq([]byte{0xff, 0xff, 0x7f}); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := decodeBatch(OpMGet, []byte{0xff, 0xff, 0x7f}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("over-limit batch count: %v", err)
 	}
 	// Invalid status bytes.
-	if _, err := ParseGetResp([]byte{9}); !errors.Is(err, ErrPayload) {
+	if _, err := parseGetResp([]byte{9}); !errors.Is(err, ErrPayload) {
 		t.Errorf("bad get status: %v", err)
 	}
 	if _, err := ParsePutResp([]byte{7}); !errors.Is(err, ErrPayload) {
@@ -220,16 +247,16 @@ func TestPayloadLimits(t *testing.T) {
 		t.Errorf("bad mput status: %v", err)
 	}
 	// Empty payloads where content is mandatory.
-	if _, err := ParseGetResp(nil); !errors.Is(err, ErrPayload) {
+	if _, err := parseGetResp(nil); !errors.Is(err, ErrPayload) {
 		t.Errorf("empty get resp: %v", err)
 	}
-	if _, _, err := ParsePutReq(nil); !errors.Is(err, ErrPayload) {
+	if _, _, err := parsePutReq(nil); !errors.Is(err, ErrPayload) {
 		t.Errorf("empty put req: %v", err)
 	}
-	if _, err := ParseMPutReq([]byte{0x02, 0x01, 'a'}); !errors.Is(err, ErrPayload) {
-		t.Errorf("truncated mput req: %v", err)
+	if keys, _, err := decodeBatch(OpMPut, []byte{0x02, 0x01, 'a'}); !errors.Is(err, ErrPayload) || len(keys) != 0 {
+		t.Errorf("truncated mput req: %v (applied %q)", err, keys)
 	}
-	if _, err := ParseMGetResp([]byte{0x01}); !errors.Is(err, ErrPayload) {
+	if _, err := parseMGetResp([]byte{0x01}); !errors.Is(err, ErrPayload) {
 		t.Errorf("truncated mget resp: %v", err)
 	}
 	if _, err := ParseMPutResp([]byte{0x02, 0x01}); !errors.Is(err, ErrPayload) {

@@ -10,13 +10,14 @@ import (
 	"rwp/internal/live/proto"
 )
 
-// bareBackend implements only Backend — no range surface — to pin the
-// refusal paths for minimal backends.
+// bareBackend exposes only Backend's three methods of a real cache —
+// no range surface, no byte-key surface — to pin the refusal paths for
+// minimal backends and ServeConn's string-key adapter.
 type bareBackend struct{ c *live.Cache }
 
 func (b bareBackend) Get(key string) ([]byte, bool)   { return b.c.Get(key) }
 func (b bareBackend) Put(key string, val []byte) bool { return b.c.Put(key, val) }
-func (b bareBackend) StatsJSON() ([]byte, error)      { return []byte("{}\n"), nil }
+func (b bareBackend) StatsJSON() ([]byte, error)      { return b.c.StatsJSON() }
 
 // TestRangeOpsOverWire round-trips a multi-chunk snapshot between two
 // real caches over the wire: SNAP on a warm node, RESTORE onto a cold

@@ -46,6 +46,117 @@ type RangeBackend interface {
 	RestoreBytes(data []byte) (int, error)
 }
 
+// ByteBackend is the optional allocation-free data surface: the same
+// two operations as Backend's Get and Put, with borrowed byte keys and a
+// caller-supplied value buffer. *live.Cache satisfies it directly.
+// ServeConn discovers it by type assertion, exactly as RangeBackend; a
+// Backend without it is served by the same loop through stringBackend.
+//
+// Key lifetime: key (and val) are slices of the connection's frame
+// scratch, valid only until the call returns — the next ReadFrame
+// overwrites them. An implementation that retains a key must copy it.
+//
+// A decorator that embeds a ByteBackend (a struct embedding *live.Cache,
+// say) and overrides Get/Put must override these two as well, or the
+// promoted methods bypass it.
+type ByteBackend interface {
+	// GetAppend appends key's value to dst. found reports whether a
+	// value was appended; hit=false with found=true is a loader
+	// backfill (StatusFill).
+	GetAppend(dst, key []byte) (out []byte, hit, found bool)
+	// PutBytes stores val under key, reporting whether it was newly
+	// inserted. val must be copied on store.
+	PutBytes(key, val []byte) (inserted bool)
+}
+
+// stringBackend serves a plain Backend through the loop's byte-key
+// calls, at the cost the string-keyed interface implies: one key copy
+// per operation, plus whatever the Backend's Get allocates.
+type stringBackend struct{ Backend }
+
+func (a stringBackend) GetAppend(dst, key []byte) ([]byte, bool, bool) {
+	val, hit := a.Get(string(key))
+	return append(dst, val...), hit, hit || val != nil
+}
+
+func (a stringBackend) PutBytes(key, val []byte) bool { return a.Put(string(key), val) }
+
+// errMGetTooLarge refuses an MGET whose response outgrew a frame.
+var errMGetTooLarge = wireErrf(ErrTooLarge, "mget response exceeds max payload %d", MaxPayload)
+
+// connServer is one connection's serving state: the data backend and
+// the scratch buffers every request reuses, so a request that fits them
+// allocates nothing.
+type connServer struct {
+	b       ByteBackend
+	val     []byte // the value GetAppend just produced
+	payload []byte // the response payload being built
+	frame   []byte // the response frame being built
+}
+
+// get serves one key, appending its outcome element (status, then the
+// value unless miss) to the response payload.
+//
+//rwplint:hotpath — once per GET and per MGET key
+func (s *connServer) get(key []byte) {
+	var hit, found bool
+	s.val, hit, found = s.b.GetAppend(s.val[:0], key)
+	res := GetResult{Status: StatusMiss}
+	switch {
+	case hit:
+		res = GetResult{Status: StatusHit, Value: s.val}
+	case found:
+		res = GetResult{Status: StatusFill, Value: s.val}
+	}
+	s.payload = appendGetItem(s.payload, res)
+}
+
+// batch walks one MGET or MPUT request payload in place — no key, pair
+// or flag slice is built. With apply false it only validates; ServeConn
+// runs that pass to the end before the applying pass, so a batch with a
+// malformed element anywhere applies nothing. With apply true it issues
+// the per-key Gets/Puts in request order (the semantics contract),
+// encoding each outcome as it goes.
+//
+//rwplint:hotpath — once per batch element, twice over
+func (s *connServer) batch(op Op, req []byte, apply bool) error {
+	p := parser{req}
+	n, err := p.count()
+	if err != nil {
+		return err
+	}
+	if apply {
+		s.payload = binary.AppendUvarint(s.payload, uint64(n))
+	}
+	for i := 0; i < n; i++ {
+		key, err := p.chunk("key", MaxKey)
+		if err != nil {
+			return err
+		}
+		var val []byte
+		if op == OpMPut {
+			if val, err = p.chunk("value", MaxValue); err != nil {
+				return err
+			}
+		}
+		switch {
+		case !apply:
+		case op == OpMPut:
+			s.payload = AppendPutResp(s.payload, s.b.PutBytes(key, val))
+		default:
+			// Bound the growing response: a batch of large values can
+			// push the payload past MaxPayload even when every
+			// per-element limit holds, and AppendFrame panics rather than
+			// frame it. Refusing mid-batch leaves the remaining Gets
+			// unissued, which is fine — the connection is closing anyway.
+			if s.get(key); len(s.payload) > MaxPayload {
+				return errMGetTooLarge
+			}
+		}
+	}
+	return p.done()
+}
+
 // ServeConn runs the pipelined request loop for one connection until
 // the peer closes it (clean: returns nil) or violates the protocol
 // (writes one ERR frame with the reason, then returns the error — the
@@ -56,13 +167,23 @@ type RangeBackend interface {
 // Pipelining: responses are buffered and flushed only when the read
 // side has no complete buffered request left, so a burst of n requests
 // costs one writev, not n.
+//
+// The server never retains request bytes: keys and values reach the
+// backend as slices of the frame scratch (see ByteBackend), and a GET
+// hit, an MGET of resident keys and a PUT overwrite against a
+// ByteBackend allocate nothing (pinned by TestServeConnAllocs).
 func ServeConn(conn io.ReadWriter, b Backend) error {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	r := NewReader(br)
 	rb, _ := b.(RangeBackend) // nil: management ops are refused
 	var restoreBuf []byte     // RESTORE chunks accumulated so far
-	var payload, frame []byte // response scratch, reused across requests
+	s := &connServer{}
+	if bb, ok := b.(ByteBackend); ok {
+		s.b = bb
+	} else {
+		s.b = stringBackend{b}
+	}
 	for {
 		// Flush before a read that would block: everything the peer
 		// pipelined has been answered.
@@ -89,49 +210,28 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 			bw.Flush()
 			return err
 		}
-		payload = payload[:0]
+		s.payload = s.payload[:0]
 		switch op {
 		case OpGet:
-			key, perr := ParseGetReq(req)
+			key, perr := parseGetReq(req)
 			if perr != nil {
 				return refuse(bw, perr)
 			}
-			payload = AppendGetResp(payload, backendGet(b, key))
+			s.get(key)
 		case OpPut:
-			key, val, perr := ParsePutReq(req)
+			key, val, perr := parsePutReq(req)
 			if perr != nil {
 				return refuse(bw, perr)
 			}
-			payload = AppendPutResp(payload, b.Put(key, val))
-		case OpMGet:
-			keys, perr := ParseMGetReq(req)
+			s.payload = AppendPutResp(s.payload, s.b.PutBytes(key, val))
+		case OpMGet, OpMPut:
+			perr := s.batch(op, req, false)
+			if perr == nil {
+				perr = s.batch(op, req, true)
+			}
 			if perr != nil {
 				return refuse(bw, perr)
 			}
-			// Encode each outcome as its Get is issued (request order:
-			// the semantics contract) and bound the growing response: a
-			// batch of large values can push the payload past
-			// MaxPayload even when every per-element limit holds, and
-			// AppendFrame panics rather than frame it. Refusing
-			// mid-batch leaves the remaining Gets unissued, which is
-			// fine — the connection is closing anyway.
-			payload = binary.AppendUvarint(payload, uint64(len(keys)))
-			for _, k := range keys {
-				payload = appendGetItem(payload, backendGet(b, k))
-				if len(payload) > MaxPayload {
-					return refuse(bw, wireErrf(ErrTooLarge, "mget response exceeds max payload %d", MaxPayload))
-				}
-			}
-		case OpMPut:
-			kvs, perr := ParseMPutReq(req)
-			if perr != nil {
-				return refuse(bw, perr)
-			}
-			inserted := make([]bool, len(kvs))
-			for i, kv := range kvs {
-				inserted[i] = b.Put(kv.Key, kv.Value)
-			}
-			payload = AppendMPutResp(payload, inserted)
 		case OpStats:
 			doc, serr := b.StatsJSON()
 			if serr != nil {
@@ -140,9 +240,9 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 			if len(doc) > MaxPayload {
 				return refuse(bw, wireErrf(ErrTooLarge, "stats document %d bytes", len(doc)))
 			}
-			payload = append(payload, doc...)
+			s.payload = append(s.payload, doc...)
 		case OpPing:
-			payload = append(payload, req...)
+			s.payload = append(s.payload, req...)
 		case OpReset:
 			lo, hi, perr := ParseRangeReq(req)
 			if perr != nil {
@@ -154,7 +254,7 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 			if hi > rb.Sets() {
 				return refuse(bw, wireErrf(ErrPayload, "reset range [%d,%d) out of bounds (sets %d)", lo, hi, rb.Sets()))
 			}
-			payload = AppendResetResp(payload, rb.ResetRange(lo, hi))
+			s.payload = AppendResetResp(s.payload, rb.ResetRange(lo, hi))
 		case OpSnap:
 			// Chunked response: write the frames here and skip the
 			// single-frame tail. Refusals travel as a ChunkErr frame, not
@@ -185,12 +285,12 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 			}
 			data := restoreBuf
 			restoreBuf = nil
-			payload = appendRestoreOutcome(payload, rb, data)
+			s.payload = appendRestoreOutcome(s.payload, rb, data)
 		default: // OpErr from a peer is itself a protocol violation
 			return refuse(bw, wireErrf(ErrOp, "unexpected %v request", op))
 		}
-		frame = AppendFrame(frame[:0], op, payload)
-		if _, err := bw.Write(frame); err != nil {
+		s.frame = AppendFrame(s.frame[:0], op, s.payload)
+		if _, err := bw.Write(s.frame); err != nil {
 			return err
 		}
 	}
@@ -247,19 +347,6 @@ func appendRestoreOutcome(payload []byte, rb RangeBackend, data []byte) []byte {
 		return AppendRestoreResp(payload, 0, err.Error())
 	}
 	return AppendRestoreResp(payload, purged, "")
-}
-
-// backendGet maps the cache's (val, hit) pair onto the wire status.
-func backendGet(b Backend, key string) GetResult {
-	val, hit := b.Get(key)
-	switch {
-	case hit:
-		return GetResult{Status: StatusHit, Value: val}
-	case val != nil:
-		return GetResult{Status: StatusFill, Value: val}
-	default:
-		return GetResult{Status: StatusMiss}
-	}
 }
 
 // refuse reports err to the peer as an ERR frame and returns it.

@@ -38,16 +38,18 @@ awk '/^binary\/http throughput ratio:/ { if ($4 + 0 < 2.0) bad = 1; seen = 1 }
     exit 1
 }
 
-# Allocation baselines for the zero-alloc read-path work. The direct
-# get-hit and frame-read numbers are deterministic, so they are pinned
-# exactly (they mirror the AllocsPerRun tests in internal/live and
-# internal/live/proto); the end-to-end TCP number spans client, server
-# goroutine, and codecs, so only its presence is asserted here — it is
-# recorded for trend.
+# Allocation gates for the zero-alloc read path. The direct get-hit and
+# frame-read numbers are deterministic, so they are pinned exactly (they
+# mirror the AllocsPerRun tests in internal/live and
+# internal/live/proto). The end-to-end TCP number spans client, server
+# goroutine and codecs; the server side is zero and the client's is the
+# replies slice plus a share of a value chunk, so it is gated at
+# ROADMAP 2b's bar of 2 (it was 11 before the wire path stopped
+# allocating per request).
 awk '/^allocs\/op live get-hit \(direct\):/  { direct = $5; seen_d = 1 }
      /^allocs\/op proto frame read:/         { fread = $5;  seen_f = 1 }
-     /^allocs\/op tcp get-hit \(e2e\):/      { seen_e = 1 }
-     END { exit !(seen_d && seen_f && seen_e && direct == "1.0" && fread == "0.0") }' "$out" || {
-    echo 'bench_proto.sh: FAIL: allocs/op lines missing or off baseline (want direct=1.0, frame read=0.0)' >&2
+     /^allocs\/op tcp get-hit \(e2e\):/      { e2e = $5;    seen_e = 1 }
+     END { exit !(seen_d && seen_f && seen_e && direct == "1.0" && fread == "0.0" && e2e + 0 <= 2.0) }' "$out" || {
+    echo 'bench_proto.sh: FAIL: allocs/op lines missing or off baseline (want direct=1.0, frame read=0.0, tcp e2e<=2.0)' >&2
     exit 1
 }

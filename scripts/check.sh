@@ -4,7 +4,8 @@
 # inside `go test` via internal/analysis/selfcheck_test.go).
 #
 #   tier-1:  go build ./... && go test ./...
-#   extras:  go vet, rwplint (explicit, for readable output), -race
+#   extras:  go vet, rwplint (explicit, for readable output), -race,
+#            the benchmark module's own vet + tests
 #
 # Usage: scripts/check.sh [-short]   (-short skips the -race pass)
 set -eu
@@ -25,6 +26,13 @@ go run ./cmd/rwplint ./...
 
 echo '>> go test ./...'
 go test ./...
+
+# The benchmark is a module of its own (bench/go.mod), outside tier-1,
+# and is built from this tree by the pipeline: a change under internal/
+# that breaks its build or its self-tests must fail here, not there.
+echo '>> go vet -C bench . && go test -C bench .'
+go vet -C bench .
+go test -C bench .
 
 # Fuzz seed corpora: replay every checked-in seed (testdata/fuzz/ plus
 # the F.Add seeds) through the wire-protocol fuzz targets so a corpus
