@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	interval := fs.Uint64("interval", 0, "RWP repartition interval in per-set ops (0: default)")
 	valueSize := fs.Int("value-size", 0, "loader value size in bytes (0: default); match the recorded run")
 	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store")
-	probeOn := fs.Bool("probe", true, "attach probe recorders (probe section of /stats)")
+	probeOn := fs.Bool("probe", true, "include the probe section in /stats (derived from the counters)")
 	batch := fs.Int("batch", 64, "max ops per binary MGET/MPUT frame (tcp transport)")
 	pipeline := fs.Int("pipeline", 8, "frames per pipelined flush (tcp/cluster transport)")
 	rate := fs.Int("rate", 0, "target replay rate in ops/sec (0: full speed)")

@@ -212,11 +212,18 @@ func TestServeShutdownSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shutdown snapshot: %v", err)
 	}
-	var gets uint64
-	for i := range s.Records {
-		gets += s.Records[i].Ops.Gets
+	// The counter vector is opaque outside internal/live: read it back
+	// by restoring into a cache of the snapshot's own geometry.
+	cfg := live.DefaultConfig()
+	cfg.Sets, cfg.Ways, cfg.Policy, cfg.RWP = s.Sets, s.Ways, s.Policy, s.RWP
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gets != 40 {
+	if err := c.RestoreSnapshot(s); err != nil {
+		t.Fatalf("restore shutdown snapshot: %v", err)
+	}
+	if gets := c.Stats().Gets; gets != 40 {
 		t.Errorf("shutdown snapshot records %d gets, want 40", gets)
 	}
 }

@@ -108,10 +108,6 @@ type RWP struct {
 	retargetDown uint64
 	retargetSame uint64
 
-	// history records the target chosen at each interval boundary, for
-	// the partition-dynamics experiment (E8).
-	history []int
-
 	// probe receives retarget events; nil disables them.
 	probe probe.Probe
 }
@@ -162,9 +158,6 @@ func (p *RWP) Attach(r cache.StateReader) {
 // TargetDirty returns the current dirty-partition target in ways.
 func (p *RWP) TargetDirty() int { return p.targetDirty }
 
-// History returns the target chosen at every interval boundary so far.
-func (p *RWP) History() []int { return p.history }
-
 // Intervals returns how many repartitionings have happened.
 func (p *RWP) Intervals() uint64 { return p.intervals }
 
@@ -202,7 +195,6 @@ func (p *RWP) repartition() {
 		p.retargetSame++
 	}
 	p.intervals++
-	p.history = append(p.history, p.targetDirty)
 	if p.probe != nil {
 		p.probe.Retarget(probe.RetargetEvent{Interval: p.intervals, Target: p.targetDirty, Accesses: p.accesses})
 	}

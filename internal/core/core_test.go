@@ -7,6 +7,7 @@ import (
 	"rwp/internal/cache"
 	"rwp/internal/mem"
 	"rwp/internal/policy"
+	"rwp/internal/probe"
 	"rwp/internal/xrand"
 )
 
@@ -158,6 +159,8 @@ func TestBestDirtyWaysCorners(t *testing.T) {
 func TestTargetWithinRangeAlways(t *testing.T) {
 	cfg := smallCfg()
 	c, p := newRWPCache(t, 8192, 4, cfg) // 32 sets
+	rec := probe.NewRecorder(0)
+	p.SetProbe(rec)
 	for i := 0; i < 50000; i++ {
 		line := mem.LineAddr(i * 31 % 4096)
 		class := cache.Class(i % 3)
@@ -169,18 +172,20 @@ func TestTargetWithinRangeAlways(t *testing.T) {
 	if p.Intervals() == 0 {
 		t.Fatal("no repartitionings happened")
 	}
-	if uint64(len(p.History())) != p.Intervals() {
-		t.Fatal("history length disagrees with interval count")
+	if uint64(len(rec.Retargets)) != p.Intervals() {
+		t.Fatal("retarget event count disagrees with interval count")
 	}
 }
 
 // TestRetargetDirsConserved: every repartitioning is classified as
-// exactly one of up/down/same, the counts agree with the recorded
-// history, and they sum to the interval count — the conservation law
+// exactly one of up/down/same, the counts agree with the Retarget
+// event stream, and they sum to the interval count — the conservation law
 // the live telemetry's per-set aggregation relies on.
 func TestRetargetDirsConserved(t *testing.T) {
 	cfg := smallCfg()
 	c, p := newRWPCache(t, 8192, 4, cfg)
+	rec := probe.NewRecorder(0)
+	p.SetProbe(rec)
 	for i := 0; i < 50000; i++ {
 		c.Access(mem.LineAddr(i*31%4096), mem.Addr(i), cache.Class(i%3), 0)
 	}
@@ -190,7 +195,8 @@ func TestRetargetDirsConserved(t *testing.T) {
 	}
 	var wantUp, wantDown, wantSame uint64
 	prev := 4 / 2 // Attach's initial target: ways/2
-	for _, d := range p.History() {
+	for _, ev := range rec.Retargets {
+		d := ev.Target
 		switch {
 		case d > prev:
 			wantUp++

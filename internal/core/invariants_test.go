@@ -6,6 +6,7 @@ import (
 
 	"rwp/internal/cache"
 	"rwp/internal/mem"
+	"rwp/internal/probe"
 )
 
 func TestWrittenFlagsMatchCountsQuick(t *testing.T) {
@@ -69,11 +70,13 @@ func TestWrittenLeadsDirtyBitUnderRFO(t *testing.T) {
 	}
 }
 
-func TestHistoryGrowsOnlyAtIntervals(t *testing.T) {
+func TestRetargetsFireOnlyAtIntervals(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Interval = 1000
 	cfg.SamplerSets = 2
 	p := New(cfg)
+	rec := probe.NewRecorder(0)
+	p.SetProbe(rec)
 	c, err := cache.New(cache.Config{Name: "llc", SizeBytes: 8192, Ways: 4, LineSize: 64}, p)
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +84,8 @@ func TestHistoryGrowsOnlyAtIntervals(t *testing.T) {
 	for i := 0; i < 5500; i++ {
 		c.Access(mem.LineAddr(i%300), 0, cache.DemandLoad, 0)
 	}
-	if got := len(p.History()); got != 5 {
-		t.Fatalf("history has %d entries after 5.5 intervals, want 5", got)
+	if got := len(rec.Retargets); got != 5 {
+		t.Fatalf("%d retarget events after 5.5 intervals, want 5", got)
 	}
 }
 

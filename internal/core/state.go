@@ -21,14 +21,13 @@ type State struct {
 	// Accesses is the interval clock (observe() calls so far).
 	Accesses uint64
 	// Intervals counts completed repartitionings; the three Retarget*
-	// counters always sum to it, and History has exactly one entry per
-	// interval.
+	// counters always sum to it. The per-interval target trajectory is
+	// deliberately not state (it would grow with uptime): it is the
+	// Retarget probe event stream, kept by whoever attaches a probe.
 	Intervals    uint64
 	RetargetUp   uint64
 	RetargetDown uint64
 	RetargetSame uint64
-	// History is the target chosen at each interval boundary.
-	History []int
 	// CleanHist and DirtyHist are the decayed read-hit stack-distance
 	// histograms, one bucket per way.
 	CleanHist []uint64
@@ -65,14 +64,6 @@ func (st *State) Validate(ways, samplers int) error {
 		return fmt.Errorf("rwp: state retarget directions sum %d, want %d intervals",
 			st.RetargetUp+st.RetargetDown+st.RetargetSame, st.Intervals)
 	}
-	if uint64(len(st.History)) != st.Intervals {
-		return fmt.Errorf("rwp: state history length %d, want %d intervals", len(st.History), st.Intervals)
-	}
-	for i, t := range st.History {
-		if t < 0 || t > ways {
-			return fmt.Errorf("rwp: state history[%d] = %d outside [0,%d]", i, t, ways)
-		}
-	}
 	if len(st.Samplers) != samplers {
 		return fmt.Errorf("rwp: state has %d samplers, want %d", len(st.Samplers), samplers)
 	}
@@ -97,7 +88,6 @@ func (p *RWP) ExportState() State {
 		RetargetUp:   p.retargetUp,
 		RetargetDown: p.retargetDown,
 		RetargetSame: p.retargetSame,
-		History:      append([]int(nil), p.history...),
 		CleanHist:    append([]uint64(nil), p.cleanHist...),
 		DirtyHist:    append([]uint64(nil), p.dirtyHist...),
 	}
@@ -130,7 +120,6 @@ func (p *RWP) RestoreState(st State) error {
 	p.retargetUp = st.RetargetUp
 	p.retargetDown = st.RetargetDown
 	p.retargetSame = st.RetargetSame
-	p.history = append([]int(nil), st.History...)
 	copy(p.cleanHist, st.CleanHist)
 	copy(p.dirtyHist, st.DirtyHist)
 	i := 0

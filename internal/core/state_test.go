@@ -101,9 +101,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 
 	// And the export is a deep copy: mutating it must not touch p.
 	before := p.TargetDirty()
-	st.History = append(st.History, 99)
 	st.CleanHist[0] += 100
-	if p.TargetDirty() != before || uint64(len(p.History())) != p.Intervals() {
+	if again := p.ExportState(); p.TargetDirty() != before || again.CleanHist[0] == st.CleanHist[0] {
 		t.Fatal("export aliases live state")
 	}
 }
@@ -183,15 +182,6 @@ func TestRestoreStateRejects(t *testing.T) {
 		{"short clean hist", func(st *State) { st.CleanHist = st.CleanHist[:3] }},
 		{"long dirty hist", func(st *State) { st.DirtyHist = append(st.DirtyHist, 0) }},
 		{"direction sum broken", func(st *State) { st.RetargetUp++ }},
-		{"history length mismatch", func(st *State) { st.History = append(st.History, 1) }},
-		{"history out of range", func(st *State) {
-			st.History = append(st.History[:0:0], st.History...)
-			if len(st.History) > 0 {
-				st.History[0] = 9
-			} else {
-				st.History = nil
-			}
-		}},
 		{"sampler count mismatch", func(st *State) { st.Samplers = st.Samplers[:1] }},
 		{"sampler stack overflow", func(st *State) {
 			ss := make([]SamplerEntry, 5)
@@ -202,14 +192,10 @@ func TestRestoreStateRejects(t *testing.T) {
 	for _, tc := range cases {
 		st := good
 		// Deep-enough copies so mutations don't leak between cases.
-		st.History = append([]int(nil), good.History...)
 		st.CleanHist = append([]uint64(nil), good.CleanHist...)
 		st.DirtyHist = append([]uint64(nil), good.DirtyHist...)
 		st.Samplers = append([]SamplerState(nil), good.Samplers...)
 		tc.mut(&st)
-		if tc.name == "history out of range" && len(st.History) == 0 {
-			continue // no intervals elapsed; nothing to corrupt
-		}
 		q := fresh()
 		if err := q.RestoreState(st); err == nil {
 			t.Errorf("%s: RestoreState accepted a corrupt state", tc.name)

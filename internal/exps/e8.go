@@ -6,6 +6,7 @@ import (
 
 	"rwp/internal/core"
 	"rwp/internal/hier"
+	"rwp/internal/probe"
 	"rwp/internal/report"
 	"rwp/internal/runner"
 	"rwp/internal/workload"
@@ -79,6 +80,11 @@ func (s *Suite) planE8Feed(cfg hier.Config, phases []string, n uint64) *runner.F
 		if !ok {
 			return e8FeedOut{}, fmt.Errorf("exps: LLC policy is not RWP")
 		}
+		// The trajectory is the policy's Retarget event stream; the
+		// recorder is wired to the policy alone, so the LLC's per-access
+		// events stay off.
+		rec := probe.NewRecorder(0)
+		rwp.SetProbe(rec)
 		var out e8FeedOut
 		now := uint64(0)
 		for i, name := range phases {
@@ -90,10 +96,12 @@ func (s *Suite) planE8Feed(cfg hier.Config, phases []string, n uint64) *runner.F
 				return e8FeedOut{}, err
 			}
 			if i == 0 {
-				out.Cut = len(rwp.History())
+				out.Cut = len(rec.Retargets)
 			}
 		}
-		out.History = rwp.History()
+		for _, ev := range rec.Retargets {
+			out.History = append(out.History, ev.Target)
+		}
 		out.Target = rwp.TargetDirty()
 		return out, nil
 	})

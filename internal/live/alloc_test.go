@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 )
 
@@ -56,6 +57,40 @@ func TestByteKeyAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: GetAppend hit + PutBytes overwrite allocate %.1f objects, want 0", pol, allocs)
 		}
+	}
+}
+
+// TestFillAcrossRetargetAllocs: a direct Get fill allocates only the
+// stored copy of the value, retarget or not — the policy keeps no
+// per-retarget record. A batch is 128 Loader fills of fresh keys into a
+// 2x2 cache repartitioning every 4 set-ops, so it crosses ~32 retarget
+// boundaries; the batch is measured whole (AllocsPerRun's per-run
+// average truncates, which would hide an amortized slice growth).
+func TestFillAcrossRetargetAllocs(t *testing.T) {
+	const batch = 128
+	cfg := tinyConfig("rwp")
+	cfg.RWP.Interval = 4
+	val := []byte("value-bytes")
+	cfg.Loader = func(string) []byte { return val }
+	c := mustNew(t, cfg)
+	keys := make([]string, 2*batch) // the warm-up run, then the measured one
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, k := range keys[next : next+batch] {
+			if _, hit := c.Get(k); hit {
+				t.Fatal("fill stream hit")
+			}
+		}
+		next += batch
+	})
+	if got := int(allocs); got != batch {
+		t.Errorf("%d Get fills allocate %d objects across retargets, want exactly %d (the stored copies)", batch, got, batch)
+	}
+	if s := c.Stats(); s.Retargets < 32 || s.Loads != uint64(len(keys)) {
+		t.Fatalf("stream did not fill across retargets: %+v", s)
 	}
 }
 

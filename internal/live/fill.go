@@ -6,9 +6,9 @@ import (
 	"rwp/internal/probe"
 )
 
-// This file is the live cache's stampede defense: what happens on a
-// Get miss when Config.Coalesce and/or Config.NegOps are set. The
-// look-aside design's classic failure mode is a miss storm — many
+// This file is the live cache's Get-miss path and its stampede
+// defenses: what Config.Coalesce and/or Config.NegOps put in front of
+// the Loader call. The look-aside design's classic failure mode is a miss storm — many
 // clients miss on one key at once and fan out as that many concurrent
 // Loader calls, overloading the very backend the cache exists to
 // shield. Three mechanisms close it:
@@ -19,7 +19,8 @@ import (
 //     arrive while the call is in flight block on the fillCall's done
 //     channel and share its result (counted CoalescedLoads). A miss
 //     that relocks and finds the key already resident joins the
-//     just-landed fill the same way — the storm's tail.
+//     just-landed fill the same way — the storm's tail (without the
+//     defenses that miss fetches anyway and is counted a LoadRace).
 //   - Negative caching (NegOps): when the Loader reports a key absent
 //     (nil), the set remembers that verdict for NegOps operations on
 //     the set's own op-count clock (counted NegInserts); Gets inside
@@ -34,19 +35,22 @@ import (
 //     fetches itself; the deposed leader's install is then demoted to
 //     a LoadRace by the ordinary resident-recheck.
 //
-// Counter conservation: with a Loader configured, every Get miss
-// resolves to exactly one of Loads, LoadRaces, LoadAbsents,
-// CoalescedLoads, NegHits, or NegInserts, so at rest
+// Counter conservation: with a Loader configured, every Get miss runs
+// miss below, and every path through it increments exactly one of
+// Loads, LoadRaces, LoadAbsents, CoalescedLoads, NegHits, or
+// NegInserts — the prelude's three early returns, or the one switch
+// after the Loader call — so at rest
 //
 //	GetMisses == Loads + LoadRaces + LoadAbsents
 //	           + CoalescedLoads + NegHits + NegInserts
 //
-// — the law the stress tests assert and CheckInvariants bounds (while
-// a fill is in flight its miss is counted but not yet resolved, so the
-// right side may trail, never lead).
+// holds by construction, defenses on or off. The stress tests assert
+// it and CheckInvariants bounds it (while a fill is in flight its miss
+// is counted but not yet resolved, so the right side may trail, never
+// lead).
 //
-// Determinism: all of this engages only on the miss-with-Loader path
-// and only collapses genuinely concurrent work, so a single-goroutine
+// Determinism: the defenses engage only on the miss-with-Loader path
+// and only collapse genuinely concurrent work, so a single-goroutine
 // run with Coalesce on is bit-identical to one with it off; negative
 // caching changes behavior (that is its job) but deterministically —
 // same stream in, same counters out, at any shard count.
@@ -127,80 +131,75 @@ func (s *lset) negDelete(key string) {
 	}
 }
 
-// missDefended finishes a Get miss with the stampede defenses engaged.
-// Get has already counted the miss (Gets, GetMisses, the probe miss
-// event) and released the shard lock; this function owns the rest of
-// the operation — it takes and releases the lock itself and does all
-// remaining cost/telemetry accounting. Exactly one of the six
-// conservation counters is incremented on every path. key is already
-// owned (get copied a borrowed one before coming here); values are
-// handed back through dst exactly as on get's own paths.
-func (c *Cache) missDefended(dst []byte, sh *shard, ls *lset, key string, set int, h uint64, ai cache.AccessInfo) (out []byte, hit, found bool) {
-	sh.mu.Lock()
-	if way := ls.find(key); way >= 0 {
-		// The key landed between Get's miss probe and here — a writer
-		// or another miss's fill. Join the just-landed fill instead of
-		// fetching again: this is the tail of a storm, and exactly the
-		// duplicate Loader call the undefended path issues (then counts
-		// as a LoadRace). Unreachable single-goroutine: the window
-		// between unlock and relock is empty without concurrency.
-		e := &ls.entries[way]
-		ls.ops.CoalescedLoads++
-		ls.costs.Observe(CostCoalesced)
-		ls.costsClean.Observe(CostCoalesced)
-		dst = append(dst, e.val...)
-		sh.mu.Unlock()
-		c.logGet(key, false, set, probe.OutcomeFill, CostCoalesced)
-		return dst, false, true
-	}
-	if c.cfg.NegOps > 0 && ls.negLookup(key) {
-		ls.ops.NegHits++
-		ls.costs.Observe(CostNegHit)
-		ls.costsClean.Observe(CostNegHit)
-		sh.mu.Unlock()
-		c.logGet(key, false, set, probe.OutcomeMiss, CostNegHit)
-		return dst, false, false
-	}
-	if c.cfg.Coalesce {
-		if fc, ok := sh.fills[key]; ok {
-			if c.cfg.LeaseOps == 0 || ls.opCount()-fc.born < c.cfg.LeaseOps {
-				// A fill for this key is in flight and its lease is
-				// live: wait for the leader's result instead of issuing
-				// a second backend call.
-				ls.ops.CoalescedLoads++
-				sh.mu.Unlock()
-				<-fc.done
-				outcome := probe.OutcomeFill
-				if fc.val == nil {
-					outcome = probe.OutcomeMiss
-				}
-				sh.mu.Lock()
-				ls.costs.Observe(CostCoalesced)
-				ls.costsClean.Observe(CostCoalesced)
-				sh.mu.Unlock()
-				c.logGet(key, false, set, outcome, CostCoalesced)
-				if fc.val == nil {
-					return dst, false, false // absent for the leader, absent for every waiter
-				}
-				// The leader's value is shared by every waiter: copy, never
-				// hand out fc.val itself.
-				return append(dst, fc.val...), false, true
-			}
-			// The leader's lease ran out: depose it so a stuck or dead
-			// fill cannot park the key forever. Our fresh fillCall
-			// replaces the map entry; the old leader's install guard
-			// (fills[key] == fc) keeps it from deleting ours, and the
-			// resident-recheck demotes whichever fetch lands second to
-			// a LoadRace.
-			ls.ops.LeaseExpires++
-		}
-	}
+// miss finishes a Get miss when a Loader is configured. get has already
+// counted the miss (Gets, GetMisses) and released the shard lock; this
+// function owns the rest of the operation — it takes and releases the
+// lock itself and does all remaining accounting. key is already owned
+// (get copied a borrowed one before coming here); values are handed
+// back through dst exactly as on get's own paths.
+//
+// The Loader call runs outside the lock: a slow backing store stalls
+// only this Get, not every key in the shard (and a reentrant Loader
+// does not self-deadlock).
+func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, h uint64, ai cache.AccessInfo) (out []byte, hit, found bool) {
 	var fc *fillCall
-	if c.cfg.Coalesce {
-		fc = &fillCall{born: ls.opCount(), done: make(chan struct{})}
-		sh.fills[key] = fc
+	if c.cfg.Coalesce || c.cfg.NegOps > 0 {
+		sh.mu.Lock()
+		if way := ls.find(key); way >= 0 {
+			// The key landed between get's miss probe and here — a writer
+			// or another miss's fill. Join the just-landed fill instead of
+			// fetching again: this is the tail of a storm. Unreachable
+			// single-goroutine: the window between unlock and relock is
+			// empty without concurrency.
+			ls.ops.CoalescedLoads++
+			ls.costs[partClean][classHit]++
+			dst = append(dst, ls.entries[way].val...)
+			sh.mu.Unlock()
+			c.logGet(key, false, set, probe.OutcomeFill, CostCoalesced)
+			return dst, false, true
+		}
+		if c.cfg.NegOps > 0 && ls.negLookup(key) {
+			ls.ops.NegHits++
+			ls.costs[partClean][classHit]++
+			sh.mu.Unlock()
+			c.logGet(key, false, set, probe.OutcomeMiss, CostNegHit)
+			return dst, false, false
+		}
+		if c.cfg.Coalesce {
+			if lead, ok := sh.fills[key]; ok {
+				if c.cfg.LeaseOps == 0 || ls.opCount()-lead.born < c.cfg.LeaseOps {
+					// A fill for this key is in flight and its lease is
+					// live: wait for the leader's result instead of issuing
+					// a second backend call.
+					ls.ops.CoalescedLoads++
+					sh.mu.Unlock()
+					<-lead.done
+					sh.mu.Lock()
+					ls.costs[partClean][classHit]++
+					sh.mu.Unlock()
+					if lead.val == nil {
+						// Absent for the leader, absent for every waiter.
+						c.logGet(key, false, set, probe.OutcomeMiss, CostCoalesced)
+						return dst, false, false
+					}
+					c.logGet(key, false, set, probe.OutcomeFill, CostCoalesced)
+					// The leader's value is shared by every waiter: copy,
+					// never hand out lead.val itself.
+					return append(dst, lead.val...), false, true
+				}
+				// The leader's lease ran out: depose it so a stuck or dead
+				// fill cannot park the key forever. Our fresh fillCall
+				// replaces the map entry; the old leader's publish guard
+				// (fills[key] == fc) keeps it from deleting ours, and the
+				// resident-recheck demotes whichever fetch lands second to
+				// a LoadRace.
+				ls.ops.LeaseExpires++
+			}
+			fc = &fillCall{born: ls.opCount(), done: make(chan struct{})}
+			sh.fills[key] = fc
+		}
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
 	v := c.cfg.Loader(key)
 	sh.mu.Lock()
 	if fc != nil {
@@ -212,43 +211,37 @@ func (c *Cache) missDefended(dst []byte, sh *shard, ls *lset, key string, set in
 		}
 		close(fc.done)
 	}
-	if ls.find(key) >= 0 {
-		// Lost the install race to a concurrent writer (or to the
-		// leader that replaced an expired lease of ours): the resident
-		// entry wins, exactly as on the undefended path.
+	class, outcome := classMiss, probe.OutcomeFill
+	switch {
+	case ls.find(key) >= 0:
+		// Lost the install race: a concurrent writer (or the leader that
+		// replaced an expired lease of ours) installed the key while we
+		// were loading. Keep the resident entry (it may hold a newer
+		// Put); return the value this miss actually fetched. The cost is
+		// the round trip alone — no fill, no eviction.
 		ls.ops.LoadRaces++
-		ls.costs.Observe(CostMiss)
-		ls.costsClean.Observe(CostMiss)
-		sh.mu.Unlock()
-		c.logGet(key, false, set, probe.OutcomeFill, CostMiss)
-		return loaded(dst, v)
-	}
-	if v == nil {
-		// The backend says absent: nothing installs (absence is not a
-		// value). With NegOps the verdict is remembered, so the next
-		// NegOps ops on this set answer locally; without it this is an
-		// ordinary absent fetch, same as the undefended path.
+	case v == nil:
+		// The backing store has no such key. A look-aside cache stores
+		// values, not absences — nothing installs and the miss stands.
+		// With NegOps the verdict is remembered, so the next NegOps ops
+		// on this set answer locally; without it the next Get pays
+		// another round trip.
 		if c.cfg.NegOps > 0 {
 			ls.ops.NegInserts++
 			ls.negInsert(key, ls.opCount()+c.cfg.NegOps, c.cfg.Ways)
 		} else {
 			ls.ops.LoadAbsents++
 		}
-		ls.costs.Observe(CostMiss)
-		ls.costsClean.Observe(CostMiss)
-		sh.mu.Unlock()
-		c.logGet(key, false, set, probe.OutcomeMiss, CostMiss)
-		return dst, false, false
+		outcome = probe.OutcomeMiss
+	default:
+		ls.ops.Loads++
+		ls.negDelete(key)
+		if ls.fill(key, mem.LineAddr(h), v, ai, false) {
+			class = classMissEvict
+		}
 	}
-	ls.ops.Loads++
-	ls.negDelete(key)
-	cost := CostMiss
-	if ls.fill(sh, key, mem.LineAddr(h), v, ai, false) {
-		cost += CostDirtyEvict
-	}
-	ls.costs.Observe(cost)
-	ls.costsClean.Observe(cost)
+	ls.costs[partClean][class]++
 	sh.mu.Unlock()
-	c.logGet(key, false, set, probe.OutcomeFill, cost)
+	c.logGet(key, false, set, outcome, classCost[class])
 	return loaded(dst, v)
 }

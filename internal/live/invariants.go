@@ -53,35 +53,12 @@ func (c *Cache) CheckInvariants() error {
 	return nil
 }
 
-// checkSetCounters verifies one set's counter conservation and its
-// negative-cache structure, under the shard lock. Each asserted pair
-// is updated inside a single lock hold on the operation paths, so the
-// equalities hold at every observable instant, concurrent load or not;
-// the miss-resolution law alone is an inequality, because a miss is
-// counted when it probes but resolved (Loads / LoadRaces /
-// LoadAbsents / CoalescedLoads / NegHits / NegInserts) only after its unlocked
-// Loader window closes.
+// checkSetCounters verifies one set's counter conservation (the shared
+// Counters.check) and its negative-cache structure, under the shard
+// lock.
 func checkSetCounters(global int, ls *lset, resident map[string]bool, ways int, mask uint64) error {
-	o, sp := &ls.ops, &ls.splits
-	switch {
-	case o.GetHits+o.GetMisses != o.Gets:
-		return fmt.Errorf("set %d: get split %d+%d != %d", global, o.GetHits, o.GetMisses, o.Gets)
-	case o.PutHits+o.PutInserts != o.Puts:
-		return fmt.Errorf("set %d: put split %d+%d != %d", global, o.PutHits, o.PutInserts, o.Puts)
-	case sp.GetHitsClean+sp.GetHitsDirty != o.GetHits:
-		return fmt.Errorf("set %d: get-hit partition split does not sum to GetHits", global)
-	case sp.PutHitsClean+sp.PutHitsDirty != o.PutHits:
-		return fmt.Errorf("set %d: put-hit partition split does not sum to PutHits", global)
-	case sp.BypassLoads+sp.BypassStores != o.Bypasses:
-		return fmt.Errorf("set %d: bypass split does not sum to Bypasses", global)
-	case o.Fills+o.Bypasses != o.PutInserts+o.Loads:
-		return fmt.Errorf("set %d: fills %d + bypasses %d != put-inserts %d + loads %d",
-			global, o.Fills, o.Bypasses, o.PutInserts, o.Loads)
-	case o.DirtyEvictions > o.Evictions:
-		return fmt.Errorf("set %d: more dirty evictions than evictions", global)
-	case o.Loads+o.LoadRaces+o.LoadAbsents+o.CoalescedLoads+o.NegHits+o.NegInserts > o.GetMisses:
-		return fmt.Errorf("set %d: resolved misses %d+%d+%d+%d+%d+%d exceed GetMisses %d",
-			global, o.Loads, o.LoadRaces, o.LoadAbsents, o.CoalescedLoads, o.NegHits, o.NegInserts, o.GetMisses)
+	if err := ls.ops.check(); err != nil {
+		return fmt.Errorf("set %d: %w", global, err)
 	}
 	if len(ls.negs) > ways {
 		return fmt.Errorf("set %d: negative cache holds %d entries, cap is %d ways", global, len(ls.negs), ways)

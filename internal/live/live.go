@@ -27,17 +27,18 @@
 // -race); only the interleaving — and therefore the exact counter
 // values — is scheduling-dependent, as for any concurrent cache.
 //
-// Observability reuses internal/probe: with Config.Record set, each
-// shard owns a probe.Recorder (guarded by the shard mutex) that
-// receives the same AccessEvent/FillEvent/EvictEvent stream the
-// simulator's cache model emits, plus RWP retarget events from the
-// per-set policies. ProbeStats merges them order-independently, so
-// the /stats payload served by cmd/rwpserve is also shard-count
-// invariant.
+// Accounting is one ledger: an operation writes its set's Counters
+// block and charges one cell of the set's cost table, under the shard
+// lock, and nothing else. Every reported view — Stats, the probe
+// section (Config.Record), merged cluster documents, snapshots — is
+// derived from those per-set sums when somebody reads, so all of them
+// are order-independent and the /stats payload served by cmd/rwpserve
+// is shard-count invariant.
 package live
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -76,8 +77,9 @@ type Config struct {
 	RWP core.Config
 	// Loader, when non-nil, backfills Get misses with a clean fill.
 	Loader Loader
-	// Record attaches one probe.Recorder per shard; ProbeStats merges
-	// them. Off by default: the disabled path is a nil check per event.
+	// Record adds the probe section to the stats document (ProbeStats).
+	// It is derived from the counters at read time, so it costs the
+	// operation paths nothing either way.
 	Record bool
 	// ReqLog, when non-nil, receives one probe.ReqEvent per completed
 	// Get/Put — the request-stream recorder behind rwpserve -record.
@@ -137,6 +139,76 @@ const (
 	// is where that shows up.
 	CostNegHit = 1
 )
+
+// costClass indexes the closed set of costs an operation can be
+// charged, in ascending cost order (which makes a table row already a
+// sorted sparse histogram). Coalesced and negative-cache answers cost
+// CostHit and share its class. TestCostClasses pins both properties.
+type costClass uint8
+
+const (
+	classHit costClass = iota
+	classInsert
+	classInsertEvict
+	classMiss
+	classMissEvict
+	numCostClasses
+)
+
+// classCost is the modeled cost of each class.
+var classCost = [numCostClasses]int{
+	classHit:         CostHit,
+	classInsert:      CostInsert,
+	classInsertEvict: CostInsert + CostDirtyEvict,
+	classMiss:        CostMiss,
+	classMissEvict:   CostMiss + CostDirtyEvict,
+}
+
+// The partition that served or received an op's line: a Get hit goes by
+// the entry's dirty bit, every other Get (miss, loader fill, race) is
+// clean service — a read miss is or would be a clean fill — and every
+// Put is dirty service, since a write dirties the line.
+const (
+	partClean = iota
+	partDirty
+)
+
+// costTable is a set's service-cost ledger: completed operations by
+// partition and cost class. The sparse sorted probe.CostHist form
+// exists only where it is read (Stats, snapshots).
+type costTable [2][numCostClasses]uint64
+
+func (t *costTable) add(o *costTable) {
+	for part := range t {
+		for class := range t[part] {
+			t[part][class] += o[part][class]
+		}
+	}
+}
+
+// hist renders one partition's row as a sparse histogram.
+func (t *costTable) hist(part int) probe.CostHist {
+	var h probe.CostHist
+	for class, n := range t[part] {
+		if n > 0 {
+			h.Buckets = append(h.Buckets, probe.CostBucket{Cost: classCost[class], Count: n})
+		}
+	}
+	return h
+}
+
+// rowFromHist is hist's inverse, for restores; ok is false when h holds
+// a cost no operation can be charged.
+func rowFromHist(h probe.CostHist) (row [numCostClasses]uint64, ok bool) {
+	for _, b := range h.Buckets {
+		class := slices.Index(classCost[:], b.Cost)
+		if class < 0 {
+			return row, false
+		}
+		row[class] += b.Count
+	}
+	return row, true
+}
 
 // DefaultRWPConfig returns the per-set predictor configuration: the
 // set itself is the (only) sampler set, and the repartition interval
@@ -206,43 +278,19 @@ type lset struct {
 	rwp        *core.RWP // non-nil iff the policy is RWP
 	validCount int
 	dirtyCount int
-	ops        Counters
-	// splits are the partition-attribution counters (hit splits by the
-	// line's dirty bit, bypass splits by access class). They exist so a
-	// snapshot restore can rebuild the probe recorders exactly, and are
-	// maintained unconditionally — like ops, they are cumulative
-	// history: ResetRange preserves them, ResetStats clears them.
-	splits splitCounters
-	// costs is the set's service-cost histogram (one observation per
-	// completed Get/Put). Per-set — not per-shard — so StatsRange can
-	// attribute costs to ring-shard set ranges and the cluster's merged
-	// document stays exact. Like ops, it is cumulative history:
-	// ResetRange preserves it, ResetStats clears it.
-	costs probe.CostHist
-	// costsClean and costsDirty split costs by the partition that
-	// served or received the op's line: a Get hit goes by the entry's
-	// dirty bit, every other Get (miss, loader fill, race) is clean
-	// service — a read miss is or would be a clean fill — and every Put
-	// is dirty service, since a write dirties the line. The three
-	// histograms conserve: costs == costsClean + costsDirty.
-	costsClean probe.CostHist
-	costsDirty probe.CostHist
+	// ops and costs are the set's ledger — all an operation writes
+	// besides the entries themselves: ops once per event, costs one cell
+	// per completed Get/Put. Per-set — not per-shard — so StatsRange can
+	// attribute them to ring-shard set ranges and the cluster's merged
+	// document stays exact. Both are cumulative history: ResetRange
+	// preserves them, ResetStats clears them.
+	ops   Counters
+	costs costTable
 	// negs is the set's negative cache (fill.go): keys the Loader
 	// recently reported absent, with op-count expiry deadlines. A
 	// bounded slice, not a map — lookups are linear like find, and
 	// nothing ever iterates it in map order. Nil unless Config.NegOps.
 	negs []negEntry
-}
-
-// splitCounters refine the Counters hit/bypass totals by partition.
-// Each pair sums to its Counters total (GetHits, PutHits, Bypasses).
-type splitCounters struct {
-	GetHitsClean uint64 // Get hits on a clean line
-	GetHitsDirty uint64 // Get hits on a dirty line
-	PutHitsClean uint64 // Put overwrites of a clean line (pre-write state)
-	PutHitsDirty uint64 // Put overwrites of an already-dirty line
-	BypassLoads  uint64 // bypassed read-allocate fills
-	BypassStores uint64 // bypassed write-allocate fills
 }
 
 // NumSets implements cache.StateReader.
@@ -275,12 +323,11 @@ func (s *lset) find(key string) int {
 	return -1
 }
 
-// shard is one lock domain: a contiguous run of sets plus an optional
-// probe recorder, all guarded by mu.
+// shard is one lock domain: a contiguous run of sets, all guarded by
+// mu.
 type shard struct {
 	mu   sync.Mutex
 	sets []lset
-	rec  *probe.Recorder // nil unless Config.Record
 	// fills tracks in-flight coalesced Loader calls by key (fill.go).
 	// Guarded by mu like everything else; nil unless Config.Coalesce.
 	// Per shard, not per set: entries are keyed lookups only (never
@@ -294,9 +341,6 @@ type Cache struct {
 	mask     uint64
 	perShard int
 	shards   []*shard
-	// stampede is true when any miss-storm defense is configured; the
-	// Get miss path then detours through missDefended (fill.go).
-	stampede bool
 }
 
 // New builds a cache from cfg.
@@ -310,17 +354,13 @@ func New(cfg Config) (*Cache, error) {
 		perShard: cfg.Sets / cfg.Shards,
 		shards:   make([]*shard, cfg.Shards),
 	}
-	c.stampede = cfg.Loader != nil && (cfg.Coalesce || cfg.NegOps > 0)
 	for si := range c.shards {
 		sh := &shard{sets: make([]lset, c.perShard)}
-		if cfg.Record {
-			sh.rec = probe.NewRecorder(0)
-		}
 		if cfg.Coalesce {
 			sh.fills = make(map[string]*fillCall)
 		}
 		for i := range sh.sets {
-			initSet(&sh.sets[i], cfg, sh.rec)
+			initSet(&sh.sets[i], cfg)
 		}
 		c.shards[si] = sh
 	}
@@ -328,12 +368,11 @@ func New(cfg Config) (*Cache, error) {
 }
 
 // initSet (re)builds one set to its freshly-constructed state: empty
-// entries, zero occupancy, a brand-new policy instance wired to rec.
-// The entries backing array is reused when already allocated. The
-// operation counters are deliberately left untouched — they are
-// cumulative history, and ResetRange must not un-count work that
-// happened.
-func initSet(ls *lset, cfg Config, rec *probe.Recorder) {
+// entries, zero occupancy, a brand-new policy instance. The entries
+// backing array is reused when already allocated. The ledger is
+// deliberately left untouched — it is cumulative history, and
+// ResetRange must not un-count work that happened.
+func initSet(ls *lset, cfg Config) {
 	if ls.entries == nil {
 		ls.entries = make([]entry, cfg.Ways)
 	} else {
@@ -349,12 +388,8 @@ func initSet(ls *lset, cfg Config, rec *probe.Recorder) {
 	ls.rwp = nil
 	switch cfg.Policy {
 	case "rwp":
-		p := core.New(cfg.RWP)
-		if rec != nil {
-			p.SetProbe(rec)
-		}
-		ls.rwp = p
-		ls.pol = p
+		ls.rwp = core.New(cfg.RWP)
+		ls.pol = ls.rwp
 	default: // "lru", by Validate
 		ls.pol = policy.NewLRU()
 	}
@@ -386,7 +421,7 @@ func (c *Cache) ResetRange(lo, hi int) (purged int) {
 		for i := range sh.sets {
 			if g := base + i; g >= lo && g < hi {
 				purged += sh.sets[i].validCount
-				initSet(&sh.sets[i], c.cfg, sh.rec)
+				initSet(&sh.sets[i], c.cfg)
 			}
 		}
 		sh.mu.Unlock()
@@ -418,12 +453,11 @@ func (c *Cache) locate(h uint64) (*shard, *lset) {
 // non-reentrant Loader never race, so their behavior and counters are
 // bit-identical across runs and shard counts.
 //
-// With any stampede defense configured (Config.Coalesce / NegOps) the
-// miss detours through missDefended in fill.go: concurrent misses on
-// one key share a single Loader call, and Loader-reported absences are
-// remembered for an op-count window. The detour engages only on the
-// miss-with-Loader path, and only collapses genuinely concurrent
-// fills, so hit-path cost and single-goroutine behavior are untouched.
+// The miss-with-Loader path is miss (fill.go), with or without the
+// stampede defenses (Config.Coalesce / NegOps): they only add a prelude
+// in front of the one Loader call, and only collapse genuinely
+// concurrent fills, so hit-path cost and single-goroutine behavior are
+// untouched.
 //
 // Get is get with no destination buffer: the one allocation of a hit is
 // the copy-out (pinned by TestGetHitAllocs).
@@ -501,18 +535,11 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 		e := &ls.entries[way]
 		ls.ops.GetHits++
 		if e.dirty {
-			ls.splits.GetHitsDirty++
+			ls.ops.GetHitsDirty++
+			ls.costs[partDirty][classHit]++
 		} else {
-			ls.splits.GetHitsClean++
-		}
-		if sh.rec != nil {
-			sh.rec.CacheAccess(probe.AccessEvent{Level: LevelName, Class: probe.Load, Hit: true, LineDirty: e.dirty})
-		}
-		ls.costs.Observe(CostHit)
-		if e.dirty {
-			ls.costsDirty.Observe(CostHit)
-		} else {
-			ls.costsClean.Observe(CostHit)
+			ls.ops.GetHitsClean++
+			ls.costs[partClean][classHit]++
 		}
 		ls.pol.OnHit(0, way, ai)
 		// Copy while the entry is stable, then release before returning:
@@ -525,68 +552,20 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 		return dst, true, true
 	}
 	ls.ops.GetMisses++
-	if sh.rec != nil {
-		sh.rec.CacheAccess(probe.AccessEvent{Level: LevelName, Class: probe.Load, Hit: false})
-	}
 	if c.cfg.Loader == nil {
-		ls.costs.Observe(CostMiss)
-		ls.costsClean.Observe(CostMiss)
+		ls.costs[partClean][classMiss]++
 		sh.mu.Unlock()
 		c.logGet(key, borrowed, set, probe.OutcomeMiss, CostMiss)
 		return dst, false, false
 	}
 	sh.mu.Unlock()
-	// Everything past this point may retain the key — the Loader, the
-	// fills map, negs, the installed entry — so a borrowed key is copied
-	// once here, on the path that is about to pay a backend round trip.
-	key = ownedKey(key, borrowed)
-	if c.stampede {
-		// Stampede defenses are on: the rest of this miss — negative
-		// cache, singleflight coalescing, lease bookkeeping, the Loader
-		// call, all cost accounting — lives in missDefended (fill.go),
-		// which takes the lock back itself (no helper ever inherits a
-		// held lock across the call boundary).
-		return c.missDefended(dst, sh, ls, key, set, h, ai)
-	}
-	// The backing-store fetch runs outside the lock: a slow Loader
-	// stalls only this Get, not every key in the shard (and a reentrant
-	// Loader does not self-deadlock).
-	v := c.cfg.Loader(key)
-	sh.mu.Lock()
-	if ls.find(key) >= 0 {
-		// Lost the race: someone installed the key while we were
-		// loading. Keep the resident entry (it may hold a newer Put);
-		// return the value this miss actually fetched. The cost is the
-		// round trip alone — no fill, no eviction.
-		ls.ops.LoadRaces++
-		ls.costs.Observe(CostMiss)
-		ls.costsClean.Observe(CostMiss)
-		sh.mu.Unlock()
-		c.logGet(key, false, set, probe.OutcomeFill, CostMiss)
-		return loaded(dst, v)
-	}
-	if v == nil {
-		// The backing store has no such key. A look-aside cache stores
-		// values, not absences — nothing installs, the miss stands, and
-		// the next Get pays another round trip (Config.NegOps bounds
-		// that with an explicit expiring verdict instead).
-		ls.ops.LoadAbsents++
-		ls.costs.Observe(CostMiss)
-		ls.costsClean.Observe(CostMiss)
-		sh.mu.Unlock()
-		c.logGet(key, false, set, probe.OutcomeMiss, CostMiss)
-		return dst, false, false
-	}
-	ls.ops.Loads++
-	cost := CostMiss
-	if ls.fill(sh, key, mem.LineAddr(h), v, ai, false) {
-		cost += CostDirtyEvict
-	}
-	ls.costs.Observe(cost)
-	ls.costsClean.Observe(cost)
-	sh.mu.Unlock()
-	c.logGet(key, false, set, probe.OutcomeFill, cost)
-	return loaded(dst, v)
+	// The rest of the miss — defenses, the Loader call, the install and
+	// its accounting — is miss (fill.go), which takes the lock back
+	// itself (no helper ever inherits a held lock across the call
+	// boundary). It may retain the key — the Loader, the fills map, negs,
+	// the installed entry — so a borrowed key is copied once here, on
+	// the path that is about to pay a backend round trip.
+	return c.miss(dst, sh, ls, ownedKey(key, borrowed), set, h, ai)
 }
 
 // loaded returns a Loader result the way get hands back a fill: v
@@ -641,20 +620,14 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 		e := &ls.entries[way]
 		ls.ops.PutHits++
 		if e.dirty {
-			ls.splits.PutHitsDirty++
+			ls.ops.PutHitsDirty++
 		} else {
-			ls.splits.PutHitsClean++
-		}
-		if sh.rec != nil {
-			sh.rec.CacheAccess(probe.AccessEvent{Level: LevelName, Class: probe.Store, Hit: true, LineDirty: e.dirty})
-		}
-		if !e.dirty {
+			ls.ops.PutHitsClean++
 			e.dirty = true
 			ls.dirtyCount++
 		}
 		e.val = append(e.val[:0], val...)
-		ls.costs.Observe(CostHit)
-		ls.costsDirty.Observe(CostHit)
+		ls.costs[partDirty][classHit]++
 		ls.pol.OnHit(0, way, ai)
 		sh.mu.Unlock()
 		c.logPut(key, borrowed, val, set, probe.OutcomeOverwrite, CostHit)
@@ -666,44 +639,23 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	// A write proves the key exists now: drop any negative-cache entry
 	// before the fill installs it (no-op unless NegOps is configured).
 	ls.negDelete(key)
-	if sh.rec != nil {
-		sh.rec.CacheAccess(probe.AccessEvent{Level: LevelName, Class: probe.Store, Hit: false})
+	class := classInsert
+	if ls.fill(key, mem.LineAddr(h), val, ai, true) {
+		class = classInsertEvict
 	}
-	cost := CostInsert
-	if ls.fill(sh, key, mem.LineAddr(h), val, ai, true) {
-		cost += CostDirtyEvict
-	}
-	ls.costs.Observe(cost)
-	ls.costsDirty.Observe(cost)
+	ls.costs[partDirty][class]++
 	sh.mu.Unlock()
-	c.logPut(key, false, val, set, probe.OutcomeInsert, cost)
+	c.logPut(key, false, val, set, probe.OutcomeInsert, classCost[class])
 	return true
 }
-
-// LevelName labels live-cache probe events (the simulator uses cache
-// level names like "LLC" here).
-const LevelName = "live"
 
 // fill installs (key, val) into the set, evicting the policy's victim
 // if the set is full. Called with the shard lock held. It reports
 // whether the fill evicted a dirty entry — the cost model's writeback
 // surcharge trigger.
-func (ls *lset) fill(sh *shard, key string, line mem.LineAddr, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
-	way, bypass := ls.pol.Victim(0, ai)
-	if bypass {
-		// Neither LRU nor RWP ever bypasses; kept for policy-interface
-		// completeness.
-		ls.ops.Bypasses++
-		if dirty {
-			ls.splits.BypassStores++
-		} else {
-			ls.splits.BypassLoads++
-		}
-		if sh.rec != nil {
-			sh.rec.CacheBypass(probe.BypassEvent{Level: LevelName, Class: probe.Class(ai.Class)})
-		}
-		return false
-	}
+func (ls *lset) fill(key string, line mem.LineAddr, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
+	// Neither LRU nor RWP ever asks to bypass a fill.
+	way, _ := ls.pol.Victim(0, ai)
 	e := &ls.entries[way]
 	if e.valid {
 		ls.ops.Evictions++
@@ -712,23 +664,15 @@ func (ls *lset) fill(sh *shard, key string, line mem.LineAddr, val []byte, ai ca
 			ls.ops.DirtyEvictions++
 			ls.dirtyCount--
 		}
-		if sh.rec != nil {
-			sh.rec.CacheEvict(probe.EvictEvent{Level: LevelName, Class: probe.Class(ai.Class), Dirty: e.dirty})
-		}
 		ls.pol.OnEvict(0, way, ai)
 	} else {
 		ls.validCount++
 	}
 	*e = entry{key: key, val: append([]byte(nil), val...), line: line, valid: true, dirty: dirty}
-	if dirty {
-		ls.dirtyCount++
-	}
 	ls.ops.Fills++
 	if dirty {
+		ls.dirtyCount++
 		ls.ops.FillsDirty++
-	}
-	if sh.rec != nil {
-		sh.rec.CacheFill(probe.FillEvent{Level: LevelName, Class: probe.Class(ai.Class), Dirty: dirty})
 	}
 	ls.pol.OnFill(0, way, ai)
 	return evictedDirty

@@ -217,44 +217,6 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 }
 
-func TestProbeStatsMirrorsCounters(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 16, 4, 4
-	cfg.Record = true
-	cfg.Loader = func(key string) []byte { return []byte(key) }
-	c := mustNew(t, cfg)
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("k%d", i%90)
-		if i%3 == 0 {
-			c.Put(key, []byte("v"))
-		} else {
-			c.Get(key)
-		}
-	}
-	s := c.Stats()
-	pr := c.ProbeStats()
-	if pr.Classes[0].Accesses != s.Gets || pr.Classes[0].Hits != s.GetHits {
-		t.Errorf("probe load counters %+v disagree with stats gets=%d hits=%d", pr.Classes[0], s.Gets, s.GetHits)
-	}
-	if pr.Classes[1].Accesses != s.Puts || pr.Classes[1].Hits != s.PutHits {
-		t.Errorf("probe store counters %+v disagree with stats puts=%d hits=%d", pr.Classes[1], s.Puts, s.PutHits)
-	}
-	if pr.Classes[0].Fills+pr.Classes[1].Fills != s.Fills {
-		t.Errorf("probe fills %d+%d != stats fills %d", pr.Classes[0].Fills, pr.Classes[1].Fills, s.Fills)
-	}
-	if pr.Evictions() != s.Evictions || pr.EvictDirty != s.DirtyEvictions {
-		t.Errorf("probe evictions %d/%d disagree with stats %d/%d",
-			pr.Evictions(), pr.EvictDirty, s.Evictions, s.DirtyEvictions)
-	}
-	if c.ProbeStats() == nil {
-		t.Error("ProbeStats became nil")
-	}
-	cNoRec := mustNew(t, tinyConfig("lru"))
-	if cNoRec.ProbeStats() != nil {
-		t.Error("ProbeStats non-nil without Record")
-	}
-}
-
 func TestHashKeyStable(t *testing.T) {
 	// Pin a few values: the hash decides set placement, so a silent
 	// change would reshuffle every deployment's key layout.

@@ -1,0 +1,145 @@
+package live_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"rwp/internal/live"
+	"rwp/internal/live/loadgen"
+	"rwp/internal/snap"
+)
+
+// The documents under testdata/ were printed by the commit BEFORE the
+// probe section became a derivation — when it was still recorded event
+// by event in per-shard probe.Recorders, and the cost histograms were
+// three observed ledgers — by
+//
+//	rwpserve -selftest 20000 -sets 256 -ways 8 -profile P [flags] -probe
+//
+// with the one `"Bypasses": 0,` line under "stats" removed (that
+// counter is gone). They are the derived-equals-recorded oracle: the
+// derivation must reproduce what the recorders counted.
+var oracleRuns = []struct {
+	file    string
+	profile string
+	cfg     func(*live.Config)
+	// restartExact: the run is bit-reproducible through a snapshot /
+	// restore at op 12000. Not so with NegOps: the negative cache is
+	// deliberately not snapshotted (DESIGN.md §16), so a restored run
+	// re-asks the backend for a few keys.
+	restartExact bool
+}{
+	{"selftest_mcf_lru.json", "mcf", func(c *live.Config) { c.Policy = "lru" }, true},
+	{"selftest_mcf_rwp.json", "mcf", func(*live.Config) {}, true},
+	{"selftest_advscan_neg.json", loadgen.AdvScan, func(c *live.Config) { c.Coalesce, c.NegOps = true, 64 }, false},
+}
+
+func TestDerivedEqualsRecorded(t *testing.T) {
+	const total, cut = 20_000, 12_000
+	for _, run := range oracleRuns {
+		want, err := os.ReadFile(filepath.Join("testdata", run.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newCache := func(shards int) *live.Cache {
+			cfg := live.DefaultConfig()
+			cfg.Sets, cfg.Ways, cfg.Shards = 256, 8, shards
+			cfg.Record = true
+			cfg.Loader = loadgen.AbsentLoader(0)
+			run.cfg(&cfg)
+			c, err := live.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		stream := func(skip int) loadgen.Stream {
+			s, err := loadgen.NewStream(run.profile, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < skip; i++ {
+				s.Next()
+			}
+			return s
+		}
+		for _, shards := range []int{1, 32} {
+			c := newCache(shards)
+			loadgen.RunStream(c, stream(0), total)
+			if got := statsJSON(t, c); !bytes.Equal(got, want) {
+				t.Errorf("%s at %d shards: derived document differs from the recorded one\ngot  %s\nwant %s", run.file, shards, got, want)
+			}
+		}
+		if !run.restartExact {
+			continue
+		}
+		warm := newCache(4)
+		loadgen.RunStream(warm, stream(0), cut)
+		s, err := snap.Decode(snap.Encode(warm.Snapshot()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newCache(32)
+		if err := c.RestoreSnapshot(s); err != nil {
+			t.Fatal(err)
+		}
+		loadgen.RunStream(c, stream(cut), total-cut)
+		if got := statsJSON(t, c); !bytes.Equal(got, want) {
+			t.Errorf("%s through a restore at op %d: derived document differs from the recorded one\ngot  %s\nwant %s", run.file, cut, got, want)
+		}
+	}
+}
+
+// TestProbeSectionNeedsRecord: the section is derived either way, so
+// Config.Record only decides whether the document shows it.
+func TestProbeSectionNeedsRecord(t *testing.T) {
+	cfg := snapTestConfig(4)
+	cfg.Record = false
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadgen.Run(c, skippedGen(t, 0), 1000)
+	if c.ProbeStats() != nil || bytes.Contains(statsJSON(t, c), []byte(`"probe"`)) {
+		t.Error("probe section present without Config.Record")
+	}
+}
+
+// TestSnapshotSizeIndependentOfUptime: a set's snapshot record holds
+// its residents, counters and predictor state, nothing that grows with
+// the number of retargets. Two caches reach the same resident state —
+// every set full of the same keys — one after 64x the operations and
+// retargets of the other; their snapshots differ only in counter and
+// histogram varint widths.
+func TestSnapshotSizeIndependentOfUptime(t *testing.T) {
+	run := func(rounds int) (*live.Cache, int) {
+		cfg := snapTestConfig(4)
+		cfg.Sets, cfg.Ways = 16, 4
+		c, err := live.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < 16*4*4; i++ {
+				c.Put(loadgen.BgKey(i), []byte("value"))
+				c.Get(loadgen.BgKey(i))
+			}
+		}
+		return c, len(snap.Encode(c.Snapshot()))
+	}
+	young, youngBytes := run(2)
+	old, oldBytes := run(128)
+	ys, olds := young.Stats(), old.Stats()
+	if ys.Entries != olds.Entries || olds.Retargets < 32*ys.Retargets || ys.Retargets == 0 {
+		t.Fatalf("runs not comparable: entries %d/%d, retargets %d/%d", ys.Entries, olds.Entries, ys.Retargets, olds.Retargets)
+	}
+	// 21 counters, two histograms and the predictor's own counters can
+	// each widen by a byte or two per set; a per-retarget record would
+	// add a byte per retarget (thousands).
+	if slack := 16 * 64; oldBytes > youngBytes+slack {
+		t.Errorf("snapshot grew from %d to %d bytes over %d more retargets; want uptime-independent (+%d slack for varint widths)",
+			youngBytes, oldBytes, olds.Retargets-ys.Retargets, slack)
+	}
+}

@@ -63,16 +63,10 @@ func frame(t *testing.T, op proto.Op) func([]byte, error) []byte {
 // the pin compares a connection serving the stream once with one
 // serving it twice: the second pass must add nothing. With 256 requests
 // in the stream, a single allocation per request — or per key — would
-// show as hundreds.
-//
-// The RWP interval is set past the test's op count: each retarget
-// appends to the predictor's target history, an amortized allocation
-// that belongs to the policy and would make the two counts differ by
-// where the history's capacity doublings happen to fall.
+// show as hundreds. The cache runs at the default RWP interval: the
+// streams cross retarget boundaries, and a retarget allocates nothing.
 func TestServeConnAllocs(t *testing.T) {
-	cfg := live.DefaultConfig()
-	cfg.RWP.Interval = 1 << 40
-	c := mustCache(t, cfg)
+	c := mustCache(t, live.DefaultConfig())
 	keys := make([]string, 64)
 	val := bytes.Repeat([]byte("v"), 64)
 	for i := range keys {

@@ -15,10 +15,11 @@ import (
 // (internal/snap holds the format). Two restore semantics exist on
 // purpose:
 //
-//   - RestoreSnapshot is the full warm restart: entries, policy state,
-//     op/cost counters, and a probe-recorder rebuild, so the restored
-//     server's /stats document and all future behavior are
-//     byte-identical to a never-restarted run.
+//   - RestoreSnapshot is the full warm restart: entries, policy state
+//     and the ledger (counters, cost tables), so the restored server's
+//     /stats document — probe section included, it is derived from the
+//     counters — and all future behavior are byte-identical to a
+//     never-restarted run.
 //   - RestoreRange is cluster replica catch-up: entries and policy
 //     state only, for the snapshot's set range. The target node keeps
 //     its own counters — they are its cumulative history, and the
@@ -30,11 +31,12 @@ import (
 // exactly as it was — never partially restored.
 //
 // Stampede-defense state: the defense counters (LoadAbsents,
-// CoalescedLoads, NegHits, NegInserts, LeaseExpires) travel in the Ops record (schema
-// v2). The negative cache and in-flight fillCalls deliberately do not
-// — both are transient op-clocked state, and starting them cold after
-// a restore only means re-consulting the backend for a few keys; a
-// stale absence verdict is never served. Consequently restart
+// CoalescedLoads, NegHits, NegInserts, LeaseExpires) travel in the
+// counter vector like every other counter. The negative cache and
+// in-flight fillCalls deliberately do not — both are transient
+// op-clocked state, and starting them cold after a restore only means
+// re-consulting the backend for a few keys; a stale absence verdict is
+// never served. Consequently restart
 // bit-equivalence is exact for NegOps == 0 configurations, and
 // counter-conserving (never stale) otherwise; see DESIGN.md §16.
 //
@@ -95,10 +97,9 @@ func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
 func snapSet(g int, ls *lset) snap.SetRecord {
 	r := snap.SetRecord{
 		Set:        g,
-		Ops:        opsToSnap(ls),
-		Costs:      cloneHist(ls.costs),
-		CostsClean: cloneHist(ls.costsClean),
-		CostsDirty: cloneHist(ls.costsDirty),
+		Ops:        ls.ops.vector(),
+		CostsClean: ls.costs.hist(partClean),
+		CostsDirty: ls.costs.hist(partDirty),
 	}
 	tab := ls.recencyOrder()
 	for pos := 0; pos < len(ls.entries); pos++ {
@@ -130,18 +131,12 @@ func (ls *lset) recencyOrder() *recency.Table {
 	return ls.pol.(*policy.LRU).Recency()
 }
 
-func cloneHist(h probe.CostHist) probe.CostHist {
-	var o probe.CostHist
-	o.Add(h)
-	return o
-}
-
 // RestoreSnapshot performs a full warm restart from a whole-cache
-// snapshot: entries, policy state, counters, cost histograms, and a
-// probe-recorder rebuild. The snapshot must cover [0, Sets) and match
-// the cache's policy, geometry, and RWP configuration exactly —
-// restart equivalence is only meaningful against the same
-// configuration. On error the cache is untouched.
+// snapshot: entries, policy state, counters and cost tables. The
+// snapshot must cover [0, Sets) and match the cache's policy, geometry,
+// and RWP configuration exactly — restart equivalence is only
+// meaningful against the same configuration. On error the cache is
+// untouched.
 func (c *Cache) RestoreSnapshot(s *snap.Snapshot) error {
 	if s.Lo != 0 || s.Hi != c.cfg.Sets {
 		return fmt.Errorf("live: restore covers sets [%d,%d), want the whole cache [0,%d)", s.Lo, s.Hi, c.cfg.Sets)
@@ -150,7 +145,6 @@ func (c *Cache) RestoreSnapshot(s *snap.Snapshot) error {
 		return err
 	}
 	c.applyRange(s, true)
-	c.rebuildRecorders()
 	return nil
 }
 
@@ -169,9 +163,13 @@ func (c *Cache) RestoreRange(s *snap.Snapshot) (purged int, err error) {
 
 // checkSnapshot validates s against this cache completely — config
 // match, record coverage, per-set entry counts, key-to-set hashing,
-// key uniqueness, RWP state shape — before any mutation. snap.Decode
-// already enforces the self-contained invariants for snapshots read
-// from bytes; in-memory snapshots get the same scrutiny here.
+// key uniqueness, the counter vector's length and conservation laws,
+// chargeable costs, RWP state shape — before any mutation. snap.Decode
+// already enforces the format's self-contained invariants for
+// snapshots read from bytes; in-memory snapshots get the same scrutiny
+// here. Every restore entry point runs it, counters-preserving
+// RestoreRange included: a record this cache could not have produced
+// is not trusted for its entries either.
 func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 	if s.Policy != c.cfg.Policy || s.Sets != c.cfg.Sets || s.Ways != c.cfg.Ways {
 		return fmt.Errorf("live: snapshot of %s %dx%d does not match cache %s %dx%d",
@@ -205,6 +203,18 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 				}
 			}
 		}
+		if len(r.Ops) != numCounters {
+			return fmt.Errorf("live: set %d carries %d counters, want %d", r.Set, len(r.Ops), numCounters)
+		}
+		ops := countersFromVector(r.Ops)
+		if err := ops.check(); err != nil {
+			return fmt.Errorf("live: set %d: %w", r.Set, err)
+		}
+		for _, h := range []probe.CostHist{r.CostsClean, r.CostsDirty} {
+			if _, ok := rowFromHist(h); !ok {
+				return fmt.Errorf("live: set %d: cost histogram %v holds a cost no op is charged", r.Set, h.Buckets)
+			}
+		}
 		if (r.RWP != nil) != (c.cfg.Policy == "rwp") {
 			return fmt.Errorf("live: set %d policy state does not match policy %q", r.Set, c.cfg.Policy)
 		}
@@ -232,7 +242,7 @@ func (c *Cache) applyRange(s *snap.Snapshot, full bool) (purged int) {
 			if g := base + i; g >= s.Lo && g < s.Hi {
 				ls := &sh.sets[i]
 				purged += ls.validCount
-				restoreSet(ls, c.cfg, sh.rec, &s.Records[g-s.Lo], full)
+				restoreSet(ls, c.cfg, &s.Records[g-s.Lo], full)
 			}
 		}
 		sh.mu.Unlock()
@@ -240,11 +250,11 @@ func (c *Cache) applyRange(s *snap.Snapshot, full bool) (purged int) {
 	return purged
 }
 
-// restoreSet rebuilds one set from its record: a fresh policy (wired
-// to the shard's current recorder), then the recorded entries replayed
-// as fills LRU-first into ways 0..K-1, then the policy state.
-func restoreSet(ls *lset, cfg Config, rec *probe.Recorder, r *snap.SetRecord, full bool) {
-	initSet(ls, cfg, rec)
+// restoreSet rebuilds one set from its record: a fresh policy, then the
+// recorded entries replayed as fills LRU-first into ways 0..K-1, then
+// the policy state.
+func restoreSet(ls *lset, cfg Config, r *snap.SetRecord, full bool) {
+	initSet(ls, cfg)
 	n := len(r.Entries)
 	for i := n - 1; i >= 0; i-- {
 		way := n - 1 - i
@@ -264,8 +274,8 @@ func restoreSet(ls *lset, cfg Config, rec *probe.Recorder, r *snap.SetRecord, fu
 			class = cache.DemandStore
 		}
 		// OnFill, not fill(): policy bookkeeping (recency touch, RWP
-		// written bits) without advancing the interval clock, emitting
-		// probe events, or counting ops — those all transfer as state.
+		// written bits) without advancing the interval clock or
+		// counting ops — those transfer as state.
 		ls.pol.OnFill(0, way, cache.AccessInfo{Line: mem.LineAddr(h), Class: class})
 	}
 	if ls.rwp != nil {
@@ -276,57 +286,9 @@ func restoreSet(ls *lset, cfg Config, rec *probe.Recorder, r *snap.SetRecord, fu
 		}
 	}
 	if full {
-		ls.ops = opsFromSnap(&r.Ops)
-		ls.splits = splitsFromSnap(&r.Ops)
-		ls.costs = cloneHist(r.Costs)
-		ls.costsClean = cloneHist(r.CostsClean)
-		ls.costsDirty = cloneHist(r.CostsDirty)
-	}
-}
-
-// rebuildRecorders reconstructs each shard's probe recorder from the
-// restored per-set counters. The mapping inverts exactly what the
-// Get/Put/fill paths emit: every Get is a Load access (hits split by
-// the line's dirty bit, fills are the Loader installs, all clean);
-// every Put is a Store access (fills are the write-allocates:
-// Fills-Loads, all dirty fills are Puts); evictions split by victim
-// dirty bit. Retarget event sequences are not reconstructable (they
-// are an event log, not a sum) and no stats document reads them; see
-// DESIGN.md §15.
-func (c *Cache) rebuildRecorders() {
-	if !c.cfg.Record {
-		return
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		rec := probe.NewRecorder(0)
-		for i := range sh.sets {
-			ls := &sh.sets[i]
-			load := &rec.Classes[probe.Load]
-			load.Accesses += ls.ops.Gets
-			load.Hits += ls.ops.GetHits
-			load.Misses += ls.ops.GetMisses
-			load.HitsClean += ls.splits.GetHitsClean
-			load.HitsDirty += ls.splits.GetHitsDirty
-			load.Fills += ls.ops.Loads
-			load.Bypasses += ls.splits.BypassLoads
-			store := &rec.Classes[probe.Store]
-			store.Accesses += ls.ops.Puts
-			store.Hits += ls.ops.PutHits
-			store.Misses += ls.ops.PutInserts
-			store.HitsClean += ls.splits.PutHitsClean
-			store.HitsDirty += ls.splits.PutHitsDirty
-			store.Fills += ls.ops.Fills - ls.ops.Loads
-			store.FillsDirty += ls.ops.FillsDirty
-			store.Bypasses += ls.splits.BypassStores
-			rec.EvictDirty += ls.ops.DirtyEvictions
-			rec.EvictClean += ls.ops.Evictions - ls.ops.DirtyEvictions
-			if ls.rwp != nil {
-				ls.rwp.SetProbe(rec)
-			}
-		}
-		sh.rec = rec
-		sh.mu.Unlock()
+		ls.ops = countersFromVector(r.Ops)
+		ls.costs[partClean], _ = rowFromHist(r.CostsClean)
+		ls.costs[partDirty], _ = rowFromHist(r.CostsDirty)
 	}
 }
 
@@ -348,40 +310,4 @@ func (c *Cache) RestoreBytes(data []byte) (int, error) {
 		return 0, err
 	}
 	return c.RestoreRange(s)
-}
-
-func opsToSnap(ls *lset) snap.Ops {
-	o, sp := ls.ops, ls.splits
-	return snap.Ops{
-		Gets: o.Gets, GetHits: o.GetHits, GetMisses: o.GetMisses,
-		Puts: o.Puts, PutHits: o.PutHits, PutInserts: o.PutInserts,
-		Loads: o.Loads, LoadRaces: o.LoadRaces, LoadAbsents: o.LoadAbsents,
-		CoalescedLoads: o.CoalescedLoads, NegHits: o.NegHits,
-		NegInserts: o.NegInserts, LeaseExpires: o.LeaseExpires,
-		Fills: o.Fills, FillsDirty: o.FillsDirty, Bypasses: o.Bypasses,
-		Evictions: o.Evictions, DirtyEvictions: o.DirtyEvictions,
-		GetHitsClean: sp.GetHitsClean, GetHitsDirty: sp.GetHitsDirty,
-		PutHitsClean: sp.PutHitsClean, PutHitsDirty: sp.PutHitsDirty,
-		BypassLoads: sp.BypassLoads, BypassStores: sp.BypassStores,
-	}
-}
-
-func opsFromSnap(o *snap.Ops) Counters {
-	return Counters{
-		Gets: o.Gets, GetHits: o.GetHits, GetMisses: o.GetMisses,
-		Puts: o.Puts, PutHits: o.PutHits, PutInserts: o.PutInserts,
-		Loads: o.Loads, LoadRaces: o.LoadRaces, LoadAbsents: o.LoadAbsents,
-		CoalescedLoads: o.CoalescedLoads, NegHits: o.NegHits,
-		NegInserts: o.NegInserts, LeaseExpires: o.LeaseExpires,
-		Fills: o.Fills, FillsDirty: o.FillsDirty, Bypasses: o.Bypasses,
-		Evictions: o.Evictions, DirtyEvictions: o.DirtyEvictions,
-	}
-}
-
-func splitsFromSnap(o *snap.Ops) splitCounters {
-	return splitCounters{
-		GetHitsClean: o.GetHitsClean, GetHitsDirty: o.GetHitsDirty,
-		PutHitsClean: o.PutHitsClean, PutHitsDirty: o.PutHitsDirty,
-		BypassLoads: o.BypassLoads, BypassStores: o.BypassStores,
-	}
 }

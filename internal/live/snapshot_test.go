@@ -135,15 +135,18 @@ func TestRestoreSnapshotRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(s *snap.Snapshot)
+		// wire: also refused by RestoreBytes (catch-up semantics), after
+		// a trip through the codec.
+		wire bool
 	}{
-		{"partial range", func(s *snap.Snapshot) { s.Hi = 128; s.Records = s.Records[:128] }},
-		{"wrong sets", func(s *snap.Snapshot) { s.Sets = 512 }},
-		{"wrong ways", func(s *snap.Snapshot) { s.Ways = 4 }},
-		{"wrong policy", func(s *snap.Snapshot) { s.Policy = "lru" }},
-		{"wrong rwp interval", func(s *snap.Snapshot) { s.RWP.Interval = 64 }},
-		{"missing record", func(s *snap.Snapshot) { s.Records = s.Records[:len(s.Records)-1] }},
-		{"misnumbered record", func(s *snap.Snapshot) { s.Records[7].Set = 9 }},
-		{"foreign key", func(s *snap.Snapshot) {
+		{name: "partial range", mut: func(s *snap.Snapshot) { s.Hi = 128; s.Records = s.Records[:128] }},
+		{name: "wrong sets", mut: func(s *snap.Snapshot) { s.Sets = 512 }},
+		{name: "wrong ways", mut: func(s *snap.Snapshot) { s.Ways = 4 }},
+		{name: "wrong policy", mut: func(s *snap.Snapshot) { s.Policy = "lru" }},
+		{name: "wrong rwp interval", mut: func(s *snap.Snapshot) { s.RWP.Interval = 64 }},
+		{name: "missing record", mut: func(s *snap.Snapshot) { s.Records = s.Records[:len(s.Records)-1] }},
+		{name: "misnumbered record", mut: func(s *snap.Snapshot) { s.Records[7].Set = 9 }},
+		{name: "foreign key", mut: func(s *snap.Snapshot) {
 			for i := range s.Records {
 				if len(s.Records[i].Entries) > 0 {
 					s.Records[i].Entries[0].Key = "not-in-this-set"
@@ -152,13 +155,29 @@ func TestRestoreSnapshotRejects(t *testing.T) {
 			}
 			t.Fatal("no resident entries to corrupt")
 		}},
-		{"corrupt rwp state", func(s *snap.Snapshot) { s.Records[3].RWP.RetargetUp++ }},
+		{name: "corrupt rwp state", mut: func(s *snap.Snapshot) { s.Records[3].RWP.RetargetUp++ }},
+		// The counter vector is opaque to the codec, so these arrive
+		// intact through snap.Decode and are this package's to refuse
+		// (every law, one by one: TestRestoreRejectsBrokenLaws).
+		{"short counter vector", func(s *snap.Snapshot) { r := &s.Records[5]; r.Ops = r.Ops[:len(r.Ops)-1] }, true},
+		{"long counter vector", func(s *snap.Snapshot) { r := &s.Records[5]; r.Ops = append(r.Ops, 0) }, true},
+		{"get split broken", func(s *snap.Snapshot) { s.Records[5].Ops[0]++ }, true},      // Gets
+		{"get-hit split broken", func(s *snap.Snapshot) { s.Records[5].Ops[17]++ }, true}, // GetHitsClean
+		{"put-hit split broken", func(s *snap.Snapshot) { s.Records[5].Ops[20]++ }, true}, // PutHitsDirty
+		{"dirty evictions exceed evictions", func(s *snap.Snapshot) { o := s.Records[5].Ops; o[16] = o[15] + 1 }, true},
+		{"loads exceed fills", func(s *snap.Snapshot) { o := s.Records[5].Ops; o[6] = o[13] + 1 }, true},
+		{"unchargeable cost", func(s *snap.Snapshot) { s.Records[5].CostsClean.Observe(3) }, true},
 	}
 	for _, tc := range cases {
 		s := warm.Snapshot() // fresh deep snapshot per case
 		tc.mut(s)
 		if err := target.RestoreSnapshot(s); err == nil {
 			t.Errorf("%s: RestoreSnapshot accepted a mismatched snapshot", tc.name)
+		}
+		if tc.wire {
+			if _, err := target.RestoreBytes(snap.Encode(s)); err == nil {
+				t.Errorf("%s: RestoreBytes accepted a mismatched snapshot", tc.name)
+			}
 		}
 		if got := statsJSON(t, target); !bytes.Equal(got, before) {
 			t.Errorf("%s: rejected restore mutated the cache", tc.name)

@@ -1,10 +1,23 @@
 package live
 
-import "rwp/internal/probe"
+import (
+	"errors"
+	"fmt"
 
-// Counters are the per-set operation counters. Every field is a sum
-// over events, so aggregating them across sets is order-independent —
-// the root of the shard-count invariance guarantee.
+	"rwp/internal/probe"
+)
+
+// Counters are the per-set operation counters: the one block a live
+// cache operation writes. Every field is a sum over events, so
+// aggregating them across sets is order-independent — the root of the
+// shard-count invariance guarantee. Everything else the cache reports
+// (the probe section, merged documents, snapshots) is derived from
+// these and the set's cost table when somebody reads.
+//
+// Adding a counter is one declaration here plus its row in fields and
+// numCounters (the compiler rejects a row beyond numCounters,
+// TestCountersEnumeration a field without a row); a counter that should
+// not appear in the stats document takes a `json:"-"` tag.
 type Counters struct {
 	Gets           uint64 // Get operations
 	GetHits        uint64
@@ -21,31 +34,93 @@ type Counters struct {
 	LeaseExpires   uint64 // fill leases deposed after LeaseOps set ops (waiter re-fetched)
 	Fills          uint64
 	FillsDirty     uint64
-	Bypasses       uint64
 	Evictions      uint64
 	DirtyEvictions uint64
+	// The hit totals split by the line's dirty bit before the op — the
+	// partition attribution the probe section reports. Each pair sums to
+	// its total (GetHits, PutHits).
+	GetHitsClean uint64 `json:"-"`
+	GetHitsDirty uint64 `json:"-"`
+	PutHitsClean uint64 `json:"-"`
+	PutHitsDirty uint64 `json:"-"`
+}
+
+// numCounters is the length of the snapshot counter vector.
+const numCounters = 21
+
+// fields enumerates every counter exactly once. The order is the
+// snapshot vector's (schema rwp-snap-v3): append new counters at the
+// end and bump the schema.
+func (c *Counters) fields() [numCounters]*uint64 {
+	return [numCounters]*uint64{
+		&c.Gets, &c.GetHits, &c.GetMisses,
+		&c.Puts, &c.PutHits, &c.PutInserts,
+		&c.Loads, &c.LoadRaces,
+		&c.LoadAbsents, &c.CoalescedLoads, &c.NegHits, &c.NegInserts, &c.LeaseExpires,
+		&c.Fills, &c.FillsDirty,
+		&c.Evictions, &c.DirtyEvictions,
+		&c.GetHitsClean, &c.GetHitsDirty,
+		&c.PutHitsClean, &c.PutHitsDirty,
+	}
 }
 
 // add accumulates o into c.
 func (c *Counters) add(o Counters) {
-	c.Gets += o.Gets
-	c.GetHits += o.GetHits
-	c.GetMisses += o.GetMisses
-	c.Puts += o.Puts
-	c.PutHits += o.PutHits
-	c.PutInserts += o.PutInserts
-	c.Loads += o.Loads
-	c.LoadRaces += o.LoadRaces
-	c.LoadAbsents += o.LoadAbsents
-	c.CoalescedLoads += o.CoalescedLoads
-	c.NegHits += o.NegHits
-	c.NegInserts += o.NegInserts
-	c.LeaseExpires += o.LeaseExpires
-	c.Fills += o.Fills
-	c.FillsDirty += o.FillsDirty
-	c.Bypasses += o.Bypasses
-	c.Evictions += o.Evictions
-	c.DirtyEvictions += o.DirtyEvictions
+	dst, src := c.fields(), o.fields()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
+}
+
+// vector renders the counters as the snapshot's opaque vector.
+func (c *Counters) vector() []uint64 {
+	v := make([]uint64, numCounters)
+	for i, f := range c.fields() {
+		v[i] = *f
+	}
+	return v
+}
+
+// countersFromVector is vector's inverse; the caller has checked the
+// length (checkSnapshot).
+func countersFromVector(v []uint64) Counters {
+	var c Counters
+	for i, f := range c.fields() {
+		*f = v[i]
+	}
+	return c
+}
+
+// check is the one statement of the counter conservation laws, shared
+// by CheckInvariants (live sets) and checkSnapshot (restore input).
+// Each asserted pair is updated inside a single lock hold on the
+// operation paths, so the equalities hold at every instant a set can
+// be observed under its lock, concurrent load or not; the
+// miss-resolution law alone is an inequality, because a miss is counted
+// when it probes but resolved (Loads / LoadRaces / LoadAbsents /
+// CoalescedLoads / NegHits / NegInserts) only after its unlocked Loader
+// window closes.
+func (c *Counters) check() error {
+	switch {
+	case c.GetHits+c.GetMisses != c.Gets:
+		return fmt.Errorf("get split %d+%d != %d", c.GetHits, c.GetMisses, c.Gets)
+	case c.PutHits+c.PutInserts != c.Puts:
+		return fmt.Errorf("put split %d+%d != %d", c.PutHits, c.PutInserts, c.Puts)
+	case c.GetHitsClean+c.GetHitsDirty != c.GetHits:
+		return errors.New("get-hit partition split does not sum to GetHits")
+	case c.PutHitsClean+c.PutHitsDirty != c.PutHits:
+		return errors.New("put-hit partition split does not sum to PutHits")
+	case c.Fills != c.PutInserts+c.Loads:
+		return fmt.Errorf("fills %d != put-inserts %d + loads %d", c.Fills, c.PutInserts, c.Loads)
+	case c.FillsDirty > c.Fills:
+		return errors.New("more dirty fills than fills")
+	case c.DirtyEvictions > c.Evictions:
+		return errors.New("more dirty evictions than evictions")
+	case c.Loads+c.LoadRaces+c.LoadAbsents+c.CoalescedLoads+c.NegHits+c.NegInserts > c.GetMisses:
+		return fmt.Errorf("resolved misses %d+%d+%d+%d+%d+%d exceed GetMisses %d",
+			c.Loads, c.LoadRaces, c.LoadAbsents, c.CoalescedLoads, c.NegHits, c.NegInserts, c.GetMisses)
+	}
+	return nil
 }
 
 // ReadHitRate returns GetHits/Gets (0 when no Gets) — the quantity RWP
@@ -75,18 +150,17 @@ type Stats struct {
 	RetargetUp   uint64
 	RetargetDown uint64
 	RetargetSame uint64
-	// CostHist is the histogram of modeled per-op service costs (see
-	// the Cost* constants), exact and sparse. Bucket-wise merging is
-	// commutative, so it aggregates order-independently like every
-	// other field; percentiles come from probe.CostHist.Percentile.
-	CostHist probe.CostHist
-	// CostHistClean and CostHistDirty split CostHist by the partition
-	// that served or received each op: Get hits by the line's dirty
-	// bit, all other Gets clean (a read miss is or would be a clean
-	// fill), all Puts dirty (a write dirties the line). They conserve:
-	// CostHist == CostHistClean + CostHistDirty bucket-wise, which is
+	// CostHistClean and CostHistDirty are the histograms of modeled
+	// per-op service costs (see the Cost* constants), exact and sparse,
+	// by the partition that served or received each op: Get hits by the
+	// line's dirty bit, all other Gets clean (a read miss is or would be
+	// a clean fill), all Puts dirty (a write dirties the line). This is
 	// what lets the restart benchmark show dirty-eviction cost recovery
-	// per partition.
+	// per partition. CostHist is their bucket-wise sum, computed when the
+	// aggregate is read. Bucket-wise merging is commutative, so all three
+	// aggregate order-independently like every other field; percentiles
+	// come from probe.CostHist.Percentile.
+	CostHist      probe.CostHist
 	CostHistClean probe.CostHist
 	CostHistDirty probe.CostHist
 }
@@ -131,28 +205,12 @@ func (s *Stats) addSet(ls *lset) {
 		s.RetargetDown += down
 		s.RetargetSame += same
 	}
-	s.CostHist.Add(ls.costs)
-	s.CostHistClean.Add(ls.costsClean)
-	s.CostHistDirty.Add(ls.costsDirty)
 }
 
 // Stats aggregates the per-set counters and policy state. It locks one
 // shard at a time, so under concurrent load the aggregate is a
 // consistent sum of per-set snapshots, not a global atomic snapshot.
-func (c *Cache) Stats() Stats {
-	var s Stats
-	if c.cfg.Policy == "rwp" {
-		s.TargetHist = make([]uint64, c.cfg.Ways+1)
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for i := range sh.sets {
-			s.addSet(&sh.sets[i])
-		}
-		sh.mu.Unlock()
-	}
-	return s
-}
+func (c *Cache) Stats() Stats { return c.StatsRange(0, c.cfg.Sets) }
 
 // StatsRange aggregates exactly the global sets in [lo, hi). The
 // cluster layer assigns each ring shard a contiguous set range, so a
@@ -170,6 +228,7 @@ func (c *Cache) StatsRange(lo, hi int) Stats {
 	if c.cfg.Policy == "rwp" {
 		s.TargetHist = make([]uint64, c.cfg.Ways+1)
 	}
+	var costs costTable
 	for si, sh := range c.shards {
 		base := si * c.perShard
 		if base+c.perShard <= lo || base >= hi {
@@ -179,62 +238,57 @@ func (c *Cache) StatsRange(lo, hi int) Stats {
 		for i := range sh.sets {
 			if g := base + i; g >= lo && g < hi {
 				s.addSet(&sh.sets[i])
+				costs.add(&sh.sets[i].costs)
 			}
 		}
 		sh.mu.Unlock()
 	}
+	s.CostHistClean = costs.hist(partClean)
+	s.CostHistDirty = costs.hist(partDirty)
+	s.CostHist.Add(s.CostHistClean)
+	s.CostHist.Add(s.CostHistDirty)
 	return s
 }
 
-// ProbeStats merges the per-shard probe recorders into one Recorder
-// holding the order-independent aggregates (class counters and the
-// eviction split; retarget sequences stay per-shard because their
-// interleaving depends on the shard layout). It returns nil when the
-// cache was built without Config.Record.
+// ProbeStats derives, from the counters, the probe recorder a run over
+// this cache would have accumulated: every Get is a Load access (hits
+// split by the line's dirty bit, fills are the Loader installs, all
+// clean); every Put is a Store access (fills are the write-allocates:
+// Fills-Loads, and every dirty fill is a Put's); evictions split by
+// the victim's dirty bit; Costs is the service-cost histogram, so node
+// journals (cluster.WriteNodeJournals) get a costs record. It returns
+// nil when the cache was built without Config.Record.
 func (c *Cache) ProbeStats() *probe.Recorder {
 	if !c.cfg.Record {
 		return nil
 	}
+	s := c.Stats()
 	m := probe.NewRecorder(0)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for cl := probe.Class(0); cl < probe.NumClasses; cl++ {
-			m.Classes[cl].Add(sh.rec.Classes[cl])
-		}
-		m.EvictClean += sh.rec.EvictClean
-		m.EvictDirty += sh.rec.EvictDirty
-		// Service costs live per set (so StatsRange can split them by
-		// ring shard); the merged recorder carries their union so node
-		// journals (cluster.WriteNodeJournals) get a costs record.
-		for i := range sh.sets {
-			m.Costs.Add(sh.sets[i].costs)
-		}
-		sh.mu.Unlock()
+	m.Classes[probe.Load] = probe.ClassCounters{
+		Accesses: s.Gets, Hits: s.GetHits, Misses: s.GetMisses,
+		HitsClean: s.GetHitsClean, HitsDirty: s.GetHitsDirty,
+		Fills: s.Loads,
 	}
+	m.Classes[probe.Store] = probe.ClassCounters{
+		Accesses: s.Puts, Hits: s.PutHits, Misses: s.PutInserts,
+		HitsClean: s.PutHitsClean, HitsDirty: s.PutHitsDirty,
+		Fills: s.Fills - s.Loads, FillsDirty: s.FillsDirty,
+	}
+	m.EvictDirty = s.DirtyEvictions
+	m.EvictClean = s.Evictions - s.DirtyEvictions
+	m.Costs = s.CostHist
 	return m
 }
 
-// ResetStats zeroes the operation counters and probe recorders (e.g.
-// after warmup), leaving cache contents and policy state untouched —
-// the same warmup/measure split the simulator uses.
+// ResetStats zeroes the operation counters and cost tables (e.g. after
+// warmup), leaving cache contents and policy state untouched — the
+// same warmup/measure split the simulator uses.
 func (c *Cache) ResetStats() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for i := range sh.sets {
 			sh.sets[i].ops = Counters{}
-			sh.sets[i].splits = splitCounters{}
-			sh.sets[i].costs.Reset()
-			sh.sets[i].costsClean.Reset()
-			sh.sets[i].costsDirty.Reset()
-		}
-		if sh.rec != nil {
-			rec := probe.NewRecorder(0)
-			sh.rec = rec
-			for i := range sh.sets {
-				if sh.sets[i].rwp != nil {
-					sh.sets[i].rwp.SetProbe(rec)
-				}
-			}
+			sh.sets[i].costs = costTable{}
 		}
 		sh.mu.Unlock()
 	}

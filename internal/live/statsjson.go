@@ -29,7 +29,8 @@ type StatsPayload struct {
 	Probe    *ProbeView `json:"probe,omitempty"`
 }
 
-// ProbeView is the merged probe-recorder section of the payload.
+// ProbeView is the probe section of the payload: the class counters
+// and eviction split, in the simulator recorder's shape.
 type ProbeView struct {
 	Load       probe.ClassCounters `json:"load"`
 	Store      probe.ClassCounters `json:"store"`
@@ -37,8 +38,9 @@ type ProbeView struct {
 	EvictDirty uint64              `json:"evictDirty"`
 }
 
-// NewProbeView extracts the payload's probe section from a merged
-// recorder; nil in, nil out (the section is omitted).
+// NewProbeView extracts the payload's probe section from a recorder
+// (Cache.ProbeStats derives one); nil in, nil out (the section is
+// omitted).
 func NewProbeView(r *probe.Recorder) *ProbeView {
 	if r == nil {
 		return nil

@@ -1,5 +1,5 @@
 // Package snap is the deterministic snapshot format for the live RWP
-// cache: schema rwp-snap-v2, a canonical binary encoding with a
+// cache: schema rwp-snap-v3, a canonical binary encoding with a
 // CRC-32C trailer, written atomically (fsatomic). A snapshot is
 // set-indexed, never shard-indexed — it records, per global set, the
 // resident entries in recency order plus the owning per-set RWP
@@ -15,9 +15,10 @@
 // makes re-snapshotting a restored cache a byte-exact fixed point.
 //
 // Decode validates everything it can see — schema, checksum, bounds,
-// ordering, counter conservation — before returning; geometry checks
-// that need the target cache (key-to-set hashing, config match) run in
-// live.RestoreSnapshot, also before any mutation. A corrupt snapshot
+// ordering — before returning; the checks that need the target cache
+// (key-to-set hashing, config match, the counter vector's length and
+// conservation laws, which only internal/live can name) run in live's
+// checkSnapshot, also before any mutation. A corrupt snapshot
 // therefore never installs partial state anywhere.
 package snap
 
@@ -31,15 +32,16 @@ import (
 	"rwp/internal/probe"
 )
 
-// Magic is the schema identifier leading every snapshot file. v2 added
-// the stampede-defense counters (LoadAbsents, CoalescedLoads, NegHits,
-// NegInserts, LeaseExpires) to every set record; v1 snapshots are rejected with
-// ErrSchema rather than silently restored with those counters zeroed.
-// Negative-cache contents and in-flight fill state are deliberately
-// NOT in the format: both are transient op-clocked state, and a
-// restored cache starting with them cold only re-consults the backend
-// — it never serves a stale absence verdict (see DESIGN.md §16).
-const Magic = "rwp-snap-v2\n"
+// Magic is the schema identifier leading every snapshot file; any
+// other version is rejected with ErrSchema rather than misread. A set
+// record's counters are an opaque length-prefixed vector, its total
+// cost histogram is not stored (it is clean + dirty), and nothing in it
+// grows with uptime — in particular no per-retarget history.
+// Negative-cache contents and in-flight fill state are
+// deliberately NOT in the format: both are transient op-clocked state,
+// and a restored cache starting with them cold only re-consults the
+// backend — it never serves a stale absence verdict (see DESIGN.md §16).
+const Magic = "rwp-snap-v3\n"
 
 // Limits mirror the wire protocol's: a snapshot holds the same keys
 // and values the transport carries.
@@ -53,9 +55,12 @@ const (
 	// MaxWays bounds associativity (recency tables hold way indices in
 	// a byte).
 	MaxWays = 256
+	// MaxCounters bounds the per-set counter vector a decoder will
+	// believe.
+	MaxCounters = 64
 )
 
-// ErrSchema reports a file that is not an rwp-snap-v2 snapshot at all.
+// ErrSchema reports a file that is not an rwp-snap-v3 snapshot at all.
 var ErrSchema = errors.New("snap: unrecognized snapshot schema")
 
 // ErrCorrupt reports a snapshot that declares the right schema but
@@ -83,11 +88,13 @@ type SetRecord struct {
 	Set int
 	// Entries are the resident lines in recency order, MRU first.
 	Entries []Entry
-	// Ops are the set's cumulative operation counters.
-	Ops Ops
-	// Costs, CostsClean, CostsDirty are the set's service-cost
-	// histograms: total and the clean/dirty partition split.
-	Costs, CostsClean, CostsDirty probe.CostHist
+	// Ops is the set's cumulative counter vector. The format carries it
+	// opaquely: its length, order and conservation laws belong to
+	// internal/live, whose restore paths check all three.
+	Ops []uint64
+	// CostsClean and CostsDirty are the set's service-cost histograms by
+	// the partition that served the op.
+	CostsClean, CostsDirty probe.CostHist
 	// RWP is the set's policy state; nil for non-RWP policies.
 	RWP *core.State
 }
@@ -99,25 +106,9 @@ type Entry struct {
 	Dirty bool
 }
 
-// Ops mirrors the live cache's per-set counters plus the partition
-// split counters the probe-recorder rebuild needs.
-type Ops struct {
-	Gets, GetHits, GetMisses    uint64
-	Puts, PutHits, PutInserts   uint64
-	Loads, LoadRaces            uint64
-	LoadAbsents, CoalescedLoads uint64
-	NegHits, NegInserts         uint64
-	LeaseExpires                uint64
-	Fills, FillsDirty, Bypasses uint64
-	Evictions, DirtyEvictions   uint64
-	GetHitsClean, GetHitsDirty  uint64
-	PutHitsClean, PutHitsDirty  uint64
-	BypassLoads, BypassStores   uint64
-}
-
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode renders s in the canonical rwp-snap-v2 byte form. The
+// Encode renders s in the canonical rwp-snap-v3 byte form. The
 // encoding is a pure function of s: identical snapshots encode to
 // identical bytes, which is what lets check.sh cmp-gate the
 // re-snapshot fixed point.
@@ -154,10 +145,10 @@ func appendRecord(b []byte, r *SetRecord) []byte {
 		b = append(b, e.Value...)
 		b = append(b, boolByte(e.Dirty))
 	}
-	for _, v := range opsFields(&r.Ops) {
-		b = binary.AppendUvarint(b, *v)
+	b = binary.AppendUvarint(b, uint64(len(r.Ops)))
+	for _, v := range r.Ops {
+		b = binary.AppendUvarint(b, v)
 	}
-	b = appendHist(b, r.Costs)
 	b = appendHist(b, r.CostsClean)
 	b = appendHist(b, r.CostsDirty)
 	if r.RWP == nil {
@@ -171,9 +162,6 @@ func appendRecord(b []byte, r *SetRecord) []byte {
 	b = binary.AppendUvarint(b, st.RetargetUp)
 	b = binary.AppendUvarint(b, st.RetargetDown)
 	b = binary.AppendUvarint(b, st.RetargetSame)
-	for _, t := range st.History {
-		b = binary.AppendUvarint(b, uint64(t))
-	}
 	for _, v := range st.CleanHist {
 		b = binary.AppendUvarint(b, v)
 	}
@@ -211,23 +199,6 @@ func boolByte(v bool) byte {
 		return 1
 	}
 	return 0
-}
-
-// opsFields enumerates the 24 counters in canonical encoding order
-// (the five stampede-defense counters slot in after LoadRaces, where
-// they sit in the conservation law).
-func opsFields(o *Ops) [24]*uint64 {
-	return [24]*uint64{
-		&o.Gets, &o.GetHits, &o.GetMisses,
-		&o.Puts, &o.PutHits, &o.PutInserts,
-		&o.Loads, &o.LoadRaces,
-		&o.LoadAbsents, &o.CoalescedLoads, &o.NegHits, &o.NegInserts, &o.LeaseExpires,
-		&o.Fills, &o.FillsDirty, &o.Bypasses,
-		&o.Evictions, &o.DirtyEvictions,
-		&o.GetHitsClean, &o.GetHitsDirty,
-		&o.PutHitsClean, &o.PutHitsDirty,
-		&o.BypassLoads, &o.BypassStores,
-	}
 }
 
 // decoder is a bounds-checked cursor over the snapshot body.
@@ -305,10 +276,9 @@ func (d *decoder) boolByte(what string) (bool, error) {
 
 // Decode parses and fully validates a canonical snapshot. Everything
 // self-contained is checked here: schema, CRC, bounds, strict set
-// ordering over exactly [Lo,Hi), histogram canonical order, counter
-// conservation, and RWP-state shape (core's State.Validate). On any
-// defect the error wraps ErrSchema or ErrCorrupt and no Snapshot is
-// returned.
+// ordering over exactly [Lo,Hi), histogram canonical order, and
+// RWP-state shape (core's State.Validate). On any defect the error
+// wraps ErrSchema or ErrCorrupt and no Snapshot is returned.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(Magic)+4 || string(data[:len(Magic)]) != Magic {
 		return nil, ErrSchema
@@ -411,16 +381,17 @@ func (d *decoder) record(s *Snapshot, want int) (SetRecord, error) {
 			}
 		}
 	}
-	for _, v := range opsFields(&r.Ops) {
-		if *v, err = d.uvarint("op counter"); err != nil {
+	n, err := d.count("counter count", MaxCounters, 1)
+	if err != nil {
+		return r, err
+	}
+	if n > 0 {
+		r.Ops = make([]uint64, n)
+	}
+	for i := range r.Ops {
+		if r.Ops[i], err = d.uvarint("op counter"); err != nil {
 			return r, err
 		}
-	}
-	if err := checkOps(&r.Ops); err != nil {
-		return r, d.fail("set %d: %v", want, err)
-	}
-	if r.Costs, err = d.hist("cost histogram"); err != nil {
-		return r, err
 	}
 	if r.CostsClean, err = d.hist("clean cost histogram"); err != nil {
 		return r, err
@@ -469,30 +440,6 @@ func (d *decoder) entry(e *Entry) error {
 	}
 	e.Dirty, err = d.boolByte("dirty")
 	return err
-}
-
-// checkOps rejects counter combinations the live cache can never
-// produce, so a recorder rebuilt from them would misreport.
-func checkOps(o *Ops) error {
-	switch {
-	case o.GetHitsClean+o.GetHitsDirty != o.GetHits:
-		return errors.New("get-hit split does not sum to GetHits")
-	case o.PutHitsClean+o.PutHitsDirty != o.PutHits:
-		return errors.New("put-hit split does not sum to PutHits")
-	case o.BypassLoads+o.BypassStores != o.Bypasses:
-		return errors.New("bypass split does not sum to Bypasses")
-	case o.DirtyEvictions > o.Evictions:
-		return errors.New("more dirty evictions than evictions")
-	case o.Loads > o.Fills:
-		return errors.New("more loader fills than fills")
-	case o.FillsDirty > o.Fills:
-		return errors.New("more dirty fills than fills")
-	case o.Loads+o.LoadRaces+o.LoadAbsents+o.CoalescedLoads+o.NegHits+o.NegInserts > o.GetMisses:
-		// An inequality, not an equality: a snapshot taken while fills
-		// are in flight has counted misses not yet resolved.
-		return errors.New("resolved misses exceed GetMisses")
-	}
-	return nil
 }
 
 func (d *decoder) hist(what string) (probe.CostHist, error) {
@@ -547,19 +494,6 @@ func (d *decoder) rwpState(s *Snapshot) (core.State, error) {
 	}
 	if st.RetargetSame, err = d.uvarint("retarget same"); err != nil {
 		return st, err
-	}
-	if st.Intervals > uint64(len(d.buf)-d.pos) {
-		return st, d.fail("history of %d intervals exceeds remaining input", st.Intervals)
-	}
-	if st.Intervals > 0 {
-		st.History = make([]int, st.Intervals)
-	}
-	for i := range st.History {
-		t, err := d.count("history target", s.Ways, 0)
-		if err != nil {
-			return st, err
-		}
-		st.History[i] = t
 	}
 	st.CleanHist = make([]uint64, s.Ways)
 	st.DirtyHist = make([]uint64, s.Ways)

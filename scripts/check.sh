@@ -195,6 +195,47 @@ grep -q 'starting cold' "$smoke/coldstart.err" || {
     exit 1
 }
 
+# Probe smoke: the probe section of /stats is derived from the per-set
+# counters when the document is rendered, so it must obey every
+# contract the counters do. The live smoke again with -probe spelled
+# out and a short RWP interval (so sets retarget — the default interval
+# never fires in 20k ops over 256 sets): byte-identical across shard
+# counts, over tcp, merged across a 3-node cluster, and through a
+# snapshot at op 12000 resumed at another shard count.
+echo '>> probe smoke: the derived probe section is shard, transport, cluster and restart invariant'
+probe_run() {
+    bin=$1; shift
+    go run "./cmd/$bin" -selftest 20000 -sets 256 -ways 8 -profile mcf \
+        -probe -interval 32 "$@"
+}
+probe_run rwpserve -shards 1 >"$smoke/probe1.json"
+grep -q '"probe": {' "$smoke/probe1.json" || {
+    echo 'check.sh: FAIL: -probe printed no probe section' >&2
+    exit 1
+}
+if grep -q '"Retargets": 0,' "$smoke/probe1.json"; then
+    echo 'check.sh: FAIL: probe smoke never retargeted' >&2
+    exit 1
+fi
+probe_run rwpserve -shards 32 >"$smoke/probe32.json"
+probe_run rwpserve -shards 1 -transport tcp -batch 64 -pipeline 8 >"$smoke/probetcp.json"
+probe_run rwpcluster -shards 1 -ring-shards 16 >"$smoke/probecluster.json"
+go run ./cmd/rwpserve -selftest 12000 -sets 256 -ways 8 -shards 4 -profile mcf \
+    -probe -interval 32 -snapshot "$smoke/probe.snap" >/dev/null
+probe_run rwpserve -shards 32 -restore "$smoke/probe.snap" -selftest-skip 12000 \
+    >"$smoke/proberesumed.json" 2>"$smoke/proberesumed.err"
+if grep -q 'starting cold' "$smoke/proberesumed.err"; then
+    echo 'check.sh: FAIL: probe smoke restore fell back to a cold start:' >&2
+    cat "$smoke/proberesumed.err" >&2
+    exit 1
+fi
+for leg in probe32 probetcp probecluster proberesumed; do
+    cmp "$smoke/probe1.json" "$smoke/$leg.json" || {
+        echo "check.sh: FAIL: probe smoke leg $leg differs from -shards 1" >&2
+        exit 1
+    }
+done
+
 # Cluster smoke: the 3-node merged stats document must be bit-identical
 # across runs, across ring-shard counts (the ring only moves whole set
 # ranges between nodes), AND to the single-node rwpserve run above at
