@@ -89,6 +89,7 @@ func TestRunErrors(t *testing.T) {
 		{"unknown policy", []string{"-workload", "mcf", "-policy", "nope", "-measure", "1000"}, 1},
 		{"missing trace", []string{"-trace", "/nonexistent/x.trace"}, 1},
 		{"bad mix", []string{"-mix", "mcf,nope", "-measure", "1000"}, 1},
+		{"over-wide llc", []string{"-workload", "mcf", "-ways", "512", "-llc", "4MiB", "-measure", "1000"}, 1},
 	} {
 		var out, errbuf bytes.Buffer
 		if code := run(tc.args, &out, &errbuf); code != tc.want {

@@ -15,6 +15,7 @@ import (
 
 	"rwp/internal/mem"
 	"rwp/internal/probe"
+	"rwp/internal/recency"
 )
 
 // Class is the kind of request arriving at a cache level.
@@ -93,6 +94,10 @@ type StateReader interface {
 	ValidWays(set int) int
 	// DirtyWays returns the number of valid dirty lines in set (O(1)).
 	DirtyWays(set int) int
+	// InvalidWay returns the lowest-numbered invalid way of set, or -1
+	// when the set is full (O(1) once a set is warm). It is the fill
+	// target every policy prefers over evicting a valid line.
+	InvalidWay(set int) int
 }
 
 // Policy is the replacement/insertion/bypass mechanism of a cache.
@@ -200,6 +205,9 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: ways %d must be positive", c.Name, c.Ways)
 	}
+	if c.Ways > recency.MaxWays {
+		return fmt.Errorf("cache %s: ways %d exceeds the supported maximum %d", c.Name, c.Ways, recency.MaxWays)
+	}
 	if c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("cache %s: line size %d must be a positive power of two", c.Name, c.LineSize)
 	}
@@ -228,14 +236,31 @@ type Result struct {
 	Writeback bool
 }
 
-// Cache is a single tag-store level.
+// Per-way flag bits of the packed tag store.
+const (
+	flagValid uint8 = 1 << iota
+	flagDirty
+)
+
+// lineMeta is the cold part of a way: read only when a dirty line is
+// evicted or a policy asks for the full LineState, never by Lookup.
+type lineMeta struct {
+	pc   mem.Addr
+	core int
+}
+
+// Cache is a single tag-store level. The ways are stored as three
+// parallel arrays (sets*ways, row-major by set) so the lookup scan
+// touches nothing but tags; see DESIGN.md "Simulator data layout".
 type Cache struct {
 	cfg    Config
 	shift  uint
 	mask   uint64
-	lines  []LineState // sets*ways, row-major by set
-	valid  []int16     // per-set valid-line count
-	dirty  []int16     // per-set dirty-line count
+	tags   []mem.LineAddr // zero for an invalid way
+	flags  []uint8        // flagValid|flagDirty; zero for an invalid way
+	meta   []lineMeta     // zero for an invalid way
+	valid  []int16        // per-set valid-line count
+	dirty  []int16        // per-set dirty-line count
 	policy Policy
 	stats  Stats
 	// probe receives instrumentation events; nil (the default) disables
@@ -256,11 +281,14 @@ func New(cfg Config, p Policy) (*Cache, error) {
 	for 1<<shift != cfg.LineSize {
 		shift++
 	}
+	lines := cfg.Sets() * cfg.Ways
 	c := &Cache{
 		cfg:   cfg,
 		shift: shift,
 		mask:  uint64(cfg.Sets() - 1),
-		lines: make([]LineState, cfg.Sets()*cfg.Ways),
+		tags:  make([]mem.LineAddr, lines),
+		flags: make([]uint8, lines),
+		meta:  make([]lineMeta, lines),
 		valid: make([]int16, cfg.Sets()),
 		dirty: make([]int16, cfg.Sets()),
 	}
@@ -281,8 +309,13 @@ func (c *Cache) NumSets() int { return int(c.mask) + 1 } //rwplint:allow ctrwidt
 // Ways implements StateReader.
 func (c *Cache) Ways() int { return c.cfg.Ways }
 
-// State implements StateReader.
-func (c *Cache) State(set, way int) LineState { return c.lines[set*c.cfg.Ways+way] }
+// State implements StateReader, rebuilding the way's LineState from the
+// three arrays.
+func (c *Cache) State(set, way int) LineState {
+	i := set*c.cfg.Ways + way
+	f, m := c.flags[i], c.meta[i]
+	return LineState{Tag: c.tags[i], Valid: f&flagValid != 0, Dirty: f&flagDirty != 0, Core: m.core, PC: m.pc}
+}
 
 // Stats returns a copy of the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -321,11 +354,16 @@ func (c *Cache) TotalValid() int {
 func (c *Cache) SetIndex(line mem.LineAddr) int { return int(uint64(line) & c.mask) } //rwplint:allow ctrwidth — bounded: masked to [0, NumSets)
 
 // Lookup reports whether line is present, without updating any state.
+// The scan reads tags only; a way's flag is consulted only when its tag
+// matches, which also keeps line 0 from hitting an invalid way's zero
+// tag.
+//
+//rwplint:hotpath — the tag scan of every simulated access at every level
 func (c *Cache) Lookup(line mem.LineAddr) (set, way int, ok bool) {
 	set = c.SetIndex(line)
 	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if ls := &c.lines[base+w]; ls.Valid && ls.Tag == line {
+	for w, tag := range c.tags[base : base+c.cfg.Ways] {
+		if tag == line && c.flags[base+w]&flagValid != 0 {
 			return set, w, true
 		}
 	}
@@ -336,6 +374,8 @@ func (c *Cache) Lookup(line mem.LineAddr) (set, way int, ok bool) {
 // applying write-allocate on demand-store misses and allocate-on-writeback
 // for writeback misses (non-inclusive victim-style handling: a writeback
 // that misses is installed dirty).
+//
+//rwplint:hotpath — one call per level per simulated access
 func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Result {
 	ai := AccessInfo{Line: line, PC: pc, Class: class, Core: core}
 	dirtying := class == Writeback || (class == DemandStore && !c.cfg.StoreFillsClean)
@@ -343,17 +383,16 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 	set, way, ok := c.Lookup(line)
 	if ok {
 		c.stats.Hits[class]++
-		ls := &c.lines[set*c.cfg.Ways+way]
+		i := set*c.cfg.Ways + way
 		if c.probe != nil {
-			c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: true, LineDirty: ls.Dirty})
+			c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: true, LineDirty: c.flags[i]&flagDirty != 0})
 		}
 		if dirtying {
-			if !ls.Dirty {
+			if c.flags[i]&flagDirty == 0 {
 				c.dirty[set]++
+				c.flags[i] |= flagDirty
 			}
-			ls.Dirty = true
-			ls.Core = core
-			ls.PC = pc
+			c.meta[i] = lineMeta{pc: pc, core: core}
 		}
 		c.policy.OnHit(set, way, ai)
 		return Result{Hit: true}
@@ -371,37 +410,46 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 		return Result{Bypassed: true}
 	}
 	if victim < 0 || victim >= c.cfg.Ways {
-		panic(fmt.Sprintf("cache %s: policy %s returned victim way %d (assoc %d)",
-			c.cfg.Name, c.policy.Name(), victim, c.cfg.Ways))
+		c.badVictim(victim)
 	}
 	var res Result
-	ls := &c.lines[set*c.cfg.Ways+victim]
-	if ls.Valid {
+	i := set*c.cfg.Ways + victim
+	if old := c.flags[i]; old&flagValid != 0 {
 		c.stats.Evictions++
 		if c.probe != nil {
-			c.probe.CacheEvict(probe.EvictEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: ls.Dirty})
+			c.probe.CacheEvict(probe.EvictEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: old&flagDirty != 0})
 		}
-		if ls.Dirty {
+		if old&flagDirty != 0 {
 			c.stats.DirtyEvict++
 			c.dirty[set]--
 			res.Writeback = true
-			res.WritebackLine = ls.Tag
-			res.WritebackPC = ls.PC
+			res.WritebackLine = c.tags[i]
+			res.WritebackPC = c.meta[i].pc
 		}
 		c.policy.OnEvict(set, victim, ai)
 	} else {
 		c.valid[set]++
 	}
-	*ls = LineState{Tag: line, Valid: true, Dirty: dirtying, Core: core, PC: pc}
-	if ls.Dirty {
+	c.tags[i] = line
+	c.meta[i] = lineMeta{pc: pc, core: core}
+	c.flags[i] = flagValid
+	if dirtying {
+		c.flags[i] |= flagDirty
 		c.dirty[set]++
 	}
 	c.stats.Fills++
 	if c.probe != nil {
-		c.probe.CacheFill(probe.FillEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: ls.Dirty})
+		c.probe.CacheFill(probe.FillEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: dirtying})
 	}
 	c.policy.OnFill(set, victim, ai)
 	return res
+}
+
+// badVictim is Access's crash path, kept out of line so the hot function
+// carries no formatting code.
+func (c *Cache) badVictim(victim int) {
+	panic(fmt.Sprintf("cache %s: policy %s returned victim way %d (assoc %d)",
+		c.cfg.Name, c.policy.Name(), victim, c.cfg.Ways))
 }
 
 // Invalidate removes the line if present, returning whether it was dirty.
@@ -411,8 +459,8 @@ func (c *Cache) Invalidate(line mem.LineAddr) (wasDirty, wasPresent bool) {
 	if !ok {
 		return false, false
 	}
-	ls := &c.lines[set*c.cfg.Ways+way]
-	dirty := ls.Dirty
+	i := set*c.cfg.Ways + way
+	dirty := c.flags[i]&flagDirty != 0
 	c.stats.Evictions++
 	if dirty {
 		c.stats.DirtyEvict++
@@ -420,7 +468,7 @@ func (c *Cache) Invalidate(line mem.LineAddr) (wasDirty, wasPresent bool) {
 	}
 	c.valid[set]--
 	c.policy.OnEvict(set, way, AccessInfo{Line: line})
-	*ls = LineState{}
+	c.tags[i], c.flags[i], c.meta[i] = 0, 0, lineMeta{}
 	return dirty, true
 }
 
@@ -432,3 +480,18 @@ func (c *Cache) DirtyWays(set int) int { return int(c.dirty[set]) }
 // ValidWays implements StateReader: the number of valid lines in set,
 // maintained incrementally (O(1)).
 func (c *Cache) ValidWays(set int) int { return int(c.valid[set]) }
+
+// InvalidWay implements StateReader over the packed flags; the valid
+// count makes it O(1) once the set is full.
+func (c *Cache) InvalidWay(set int) int {
+	if int(c.valid[set]) >= c.cfg.Ways {
+		return -1
+	}
+	base := set * c.cfg.Ways
+	for w, f := range c.flags[base : base+c.cfg.Ways] {
+		if f&flagValid == 0 {
+			return w
+		}
+	}
+	return -1
+}

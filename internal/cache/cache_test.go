@@ -22,10 +22,8 @@ func (p *fifoPolicy) Attach(r StateReader) {
 }
 func (p *fifoPolicy) OnHit(int, int, AccessInfo) {}
 func (p *fifoPolicy) Victim(set int, _ AccessInfo) (int, bool) {
-	for w := 0; w < p.r.Ways(); w++ {
-		if !p.r.State(set, w).Valid {
-			return w, false
-		}
+	if w := p.r.InvalidWay(set); w >= 0 {
+		return w, false
 	}
 	w := p.next[set]
 	p.next[set] = (w + 1) % p.r.Ways()
@@ -58,6 +56,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bad := []Config{
 		{SizeBytes: 4096, Ways: 0, LineSize: 64},
+		{SizeBytes: 512 * 64 * 4, Ways: 512, LineSize: 64}, // wider than a recency stack
 		{SizeBytes: 4096, Ways: 4, LineSize: 60},
 		{SizeBytes: 4000, Ways: 4, LineSize: 64},
 		{SizeBytes: 4096 * 3, Ways: 4, LineSize: 64}, // 48 sets, not a power of two

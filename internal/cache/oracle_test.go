@@ -1,0 +1,299 @@
+package cache_test
+
+import (
+	"fmt"
+	"testing"
+
+	"rwp/internal/cache"
+	"rwp/internal/core"
+	"rwp/internal/mem"
+	"rwp/internal/policy"
+	"rwp/internal/probe"
+	"rwp/internal/rrp"
+	"rwp/internal/xrand"
+)
+
+// refCache is the differential oracle for cache.Cache's packed tag store:
+// the model as it was before the layout was split, one LineState per way
+// and a scan that reads the whole struct. It is deliberately naive (no
+// shared helpers with the real cache) so that a layout bug in one cannot
+// hide in the other.
+type refCache struct {
+	cfg    cache.Config
+	lines  []cache.LineState // sets*ways, row-major by set
+	policy cache.Policy
+	stats  cache.Stats
+	probe  probe.Probe
+}
+
+func newRefCache(cfg cache.Config, p cache.Policy) *refCache {
+	c := &refCache{cfg: cfg, lines: make([]cache.LineState, cfg.Sets()*cfg.Ways), policy: p}
+	p.Attach(c)
+	return c
+}
+
+func (c *refCache) NumSets() int { return c.cfg.Sets() }
+func (c *refCache) Ways() int    { return c.cfg.Ways }
+func (c *refCache) State(set, way int) cache.LineState {
+	return c.lines[set*c.cfg.Ways+way]
+}
+
+func (c *refCache) count(set int, pred func(cache.LineState) bool) int {
+	n := 0
+	for w := 0; w < c.cfg.Ways; w++ {
+		if pred(c.State(set, w)) {
+			n++
+		}
+	}
+	return n
+}
+
+func (c *refCache) ValidWays(set int) int {
+	return c.count(set, func(ls cache.LineState) bool { return ls.Valid })
+}
+
+func (c *refCache) DirtyWays(set int) int {
+	return c.count(set, func(ls cache.LineState) bool { return ls.Valid && ls.Dirty })
+}
+
+func (c *refCache) InvalidWay(set int) int {
+	for w := 0; w < c.cfg.Ways; w++ {
+		if !c.State(set, w).Valid {
+			return w
+		}
+	}
+	return -1
+}
+
+// lookup scans set for line. The set index is the caller's (the mapping
+// from line to set is not part of the layout under test).
+func (c *refCache) lookup(set int, line mem.LineAddr) (way int, ok bool) {
+	for w := 0; w < c.cfg.Ways; w++ {
+		if ls := c.State(set, w); ls.Valid && ls.Tag == line {
+			return w, true
+		}
+	}
+	return -1, false
+}
+
+func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.Class, coreID int) cache.Result {
+	ai := cache.AccessInfo{Line: line, PC: pc, Class: class, Core: coreID}
+	dirtying := class == cache.Writeback || (class == cache.DemandStore && !c.cfg.StoreFillsClean)
+	c.stats.Accesses[class]++
+	way, ok := c.lookup(set, line)
+	if ok {
+		c.stats.Hits[class]++
+		ls := &c.lines[set*c.cfg.Ways+way]
+		if c.probe != nil {
+			c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: true, LineDirty: ls.Dirty})
+		}
+		if dirtying {
+			ls.Dirty, ls.Core, ls.PC = true, coreID, pc
+		}
+		c.policy.OnHit(set, way, ai)
+		return cache.Result{Hit: true}
+	}
+	c.stats.Misses[class]++
+	if c.probe != nil {
+		c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: false})
+	}
+	victim, bypass := c.policy.Victim(set, ai)
+	if bypass {
+		c.stats.Bypasses++
+		if c.probe != nil {
+			c.probe.CacheBypass(probe.BypassEvent{Level: c.cfg.Name, Class: probe.Class(class)})
+		}
+		return cache.Result{Bypassed: true}
+	}
+	var res cache.Result
+	ls := &c.lines[set*c.cfg.Ways+victim]
+	if ls.Valid {
+		c.stats.Evictions++
+		if c.probe != nil {
+			c.probe.CacheEvict(probe.EvictEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: ls.Dirty})
+		}
+		if ls.Dirty {
+			c.stats.DirtyEvict++
+			res = cache.Result{Writeback: true, WritebackLine: ls.Tag, WritebackPC: ls.PC}
+		}
+		c.policy.OnEvict(set, victim, ai)
+	}
+	*ls = cache.LineState{Tag: line, Valid: true, Dirty: dirtying, Core: coreID, PC: pc}
+	c.stats.Fills++
+	if c.probe != nil {
+		c.probe.CacheFill(probe.FillEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: dirtying})
+	}
+	c.policy.OnFill(set, victim, ai)
+	return res
+}
+
+func (c *refCache) invalidate(set int, line mem.LineAddr) (wasDirty, wasPresent bool) {
+	way, ok := c.lookup(set, line)
+	if !ok {
+		return false, false
+	}
+	ls := &c.lines[set*c.cfg.Ways+way]
+	dirty := ls.Dirty
+	c.stats.Evictions++
+	if dirty {
+		c.stats.DirtyEvict++
+	}
+	c.policy.OnEvict(set, way, cache.AccessInfo{Line: line})
+	*ls = cache.LineState{}
+	return dirty, true
+}
+
+// eventLog is a probe that keeps the exact event sequence.
+type eventLog struct{ events []string }
+
+func (l *eventLog) add(ev any)                         { l.events = append(l.events, fmt.Sprintf("%T%+v", ev, ev)) }
+func (l *eventLog) Window() uint64                     { return 0 }
+func (l *eventLog) CacheAccess(ev probe.AccessEvent)   { l.add(ev) }
+func (l *eventLog) CacheFill(ev probe.FillEvent)       { l.add(ev) }
+func (l *eventLog) CacheEvict(ev probe.EvictEvent)     { l.add(ev) }
+func (l *eventLog) CacheBypass(ev probe.BypassEvent)   { l.add(ev) }
+func (l *eventLog) Retarget(ev probe.RetargetEvent)    { l.add(ev) }
+func (l *eventLog) Policy(ev probe.PolicyEvent)        { l.add(ev) }
+func (l *eventLog) IntervalEnd(ev probe.IntervalEvent) { l.add(ev) }
+
+func attach(p cache.Policy, l *eventLog) {
+	if in, ok := p.(probe.Instrumentable); ok {
+		in.SetProbe(l)
+	}
+}
+
+// oraclePolicies builds a fresh instance of each policy under test. RWP
+// and RRP get short intervals so repartitioning and predictor training
+// happen many times within a test-sized stream.
+var oraclePolicies = map[string]func() cache.Policy{
+	"lru": func() cache.Policy { return policy.NewLRU() },
+	"rwp": func() cache.Policy {
+		cfg := core.DefaultConfig()
+		cfg.SamplerSets, cfg.Interval = 8, 512
+		return core.New(cfg)
+	},
+	"rrp": func() cache.Policy { return rrp.New(rrp.DefaultConfig()) },
+}
+
+// sameSet compares everything a policy can read about one set.
+func sameSet(t *testing.T, op int, got *cache.Cache, want *refCache, set int) {
+	t.Helper()
+	if g, w := got.ValidWays(set), want.ValidWays(set); g != w {
+		t.Fatalf("op %d set %d: ValidWays %d, reference %d", op, set, g, w)
+	}
+	if g, w := got.DirtyWays(set), want.DirtyWays(set); g != w {
+		t.Fatalf("op %d set %d: DirtyWays %d, reference %d", op, set, g, w)
+	}
+	if g, w := got.InvalidWay(set), want.InvalidWay(set); g != w {
+		t.Fatalf("op %d set %d: InvalidWay %d, reference %d", op, set, g, w)
+	}
+	for way := 0; way < want.Ways(); way++ {
+		if g, w := got.State(set, way), want.State(set, way); g != w {
+			t.Fatalf("op %d set %d way %d: State %+v, reference %+v", op, set, way, g, w)
+		}
+	}
+}
+
+// TestPackedTagStoreMatchesReference drives cache.Cache and refCache with
+// the same seeded stream of accesses and invalidations and demands they
+// never disagree: not in a Result, a counter, a probe event, nor in any
+// way's visible state.
+func TestPackedTagStoreMatchesReference(t *testing.T) {
+	const ops = 40_000
+	for _, name := range []string{"lru", "rwp", "rrp"} {
+		for _, storeFillsClean := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/storeFillsClean=%v", name, storeFillsClean), func(t *testing.T) {
+				cfg := cache.Config{Name: "LLC", SizeBytes: 16 * 8 * 64, Ways: 8, LineSize: 64, StoreFillsClean: storeFillsClean}
+				gotPol, wantPol := oraclePolicies[name](), oraclePolicies[name]()
+				got, err := cache.New(cfg, gotPol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := newRefCache(cfg, wantPol)
+				gotLog, wantLog := &eventLog{}, &eventLog{}
+				got.SetProbe(gotLog)
+				want.probe = wantLog
+				attach(gotPol, gotLog)
+				attach(wantPol, wantLog)
+
+				rng := xrand.New(0x16_0000 + uint64(len(name)))
+				// Three times the capacity, so sets fill, evict and refill;
+				// line 0 is in range and equals an invalid way's zero tag.
+				universe := 3 * cfg.Sets() * cfg.Ways
+				for op := 0; op < ops; op++ {
+					line := mem.LineAddr(rng.Intn(universe))
+					if op%7 == 0 {
+						line = 0
+					}
+					set := got.SetIndex(line)
+					if rng.Intn(16) == 0 {
+						gd, gp := got.Invalidate(line)
+						wd, wp := want.invalidate(set, line)
+						if gd != wd || gp != wp {
+							t.Fatalf("op %d: Invalidate(%v) = (%v,%v), reference (%v,%v)", op, line, gd, gp, wd, wp)
+						}
+					} else {
+						pc := mem.Addr(0x400000 + 4*rng.Intn(64))
+						class := cache.Class(rng.Intn(3))
+						coreID := rng.Intn(4)
+						g, w := got.Access(line, pc, class, coreID), want.access(set, line, pc, class, coreID)
+						if g != w {
+							t.Fatalf("op %d: Access(%v,%v,%v,%d) = %+v, reference %+v", op, line, pc, class, coreID, g, w)
+						}
+					}
+					if g, w := got.Stats(), want.stats; g != w {
+						t.Fatalf("op %d: Stats %+v, reference %+v", op, g, w)
+					}
+					sameSet(t, op, got, want, set)
+				}
+				for set := 0; set < cfg.Sets(); set++ {
+					sameSet(t, ops, got, want, set)
+				}
+				if len(gotLog.events) != len(wantLog.events) {
+					t.Fatalf("%d probe events, reference %d", len(gotLog.events), len(wantLog.events))
+				}
+				for i := range gotLog.events {
+					if gotLog.events[i] != wantLog.events[i] {
+						t.Fatalf("probe event %d: %s, reference %s", i, gotLog.events[i], wantLog.events[i])
+					}
+				}
+				st := got.Stats()
+				if st.Evictions == 0 || st.DirtyEvict == 0 || st.TotalHits() == 0 {
+					t.Fatalf("stream exercised too little: %+v", st)
+				}
+			})
+		}
+	}
+}
+
+// TestAccessDoesNotAllocate pins the layout's other promise: once a cache
+// is built, an access (hit, miss, eviction, writeback) allocates nothing,
+// under the baseline and under the paper's policy. The hotalloc lint
+// cannot see growth through `s = append(s, …)`, so this is the real guard.
+func TestAccessDoesNotAllocate(t *testing.T) {
+	for _, name := range []string{"lru", "rwp"} {
+		cfg := cache.Config{Name: "LLC", SizeBytes: 64 * 16 * 64, Ways: 16, LineSize: 64}
+		c, err := cache.New(cfg, oraclePolicies[name]())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.New(16)
+		hot, universe := cfg.Sets()*cfg.Ways/2, 3*cfg.Sets()*cfg.Ways
+		step := func() {
+			for n := 0; n < 10_000; n++ {
+				span := universe
+				if n%2 == 0 {
+					span = hot
+				}
+				c.Access(mem.LineAddr(rng.Intn(span)), mem.Addr(n%64)*4, cache.Class(n%3), 0)
+			}
+		}
+		step() // warm: every set full, RWP past its first retarget
+		if allocs := int(testing.AllocsPerRun(5, step)); allocs != 0 {
+			t.Errorf("%s: %d allocs per 10k warm accesses, want 0", name, allocs)
+		}
+		if st := c.Stats(); st.DirtyEvict == 0 || st.TotalHits() == 0 {
+			t.Fatalf("%s: stream exercised too little: %+v", name, st)
+		}
+	}
+}

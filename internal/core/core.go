@@ -250,14 +250,10 @@ func (p *RWP) OnHit(set, way int, ai cache.AccessInfo) {
 // Victim implements cache.Policy: evict from the over-quota partition.
 func (p *RWP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 	p.observe(set, ai)
-	ways := p.r.Ways()
-	if p.r.ValidWays(set) < ways {
-		for w := 0; w < ways; w++ {
-			if !p.r.State(set, w).Valid {
-				return w, false
-			}
-		}
+	if w := p.r.InvalidWay(set); w >= 0 {
+		return w, false
 	}
+	ways := p.r.Ways()
 	dirtyWays := int(p.writtenCount[set])
 	base := set * ways
 	dirty := func(w int) bool { return p.written[base+w] }

@@ -39,6 +39,14 @@ func (r *stateReader) DirtyWays(set int) int {
 	}
 	return n
 }
+func (r *stateReader) InvalidWay(set int) int {
+	for w := 0; w < r.ways; w++ {
+		if !r.valid[set*r.ways+w] {
+			return w
+		}
+	}
+	return -1
+}
 
 func newStateReader(sets, ways int) *stateReader {
 	return &stateReader{sets: sets, ways: ways, valid: make([]bool, sets*ways), dirty: make([]bool, sets*ways)}

@@ -53,10 +53,47 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// inflight is one outstanding load.
+// inflight is one outstanding load or buffered store.
 type inflight struct {
-	ic   uint64 // instruction count at issue
+	ic   uint64 // instruction count at issue (loads only)
 	done uint64 // completion cycle
+}
+
+// ring is a fixed-capacity FIFO of in-flight operations. Its buffer is
+// allocated once, at construction, and never grows: the callers bound
+// the occupancy (MSHRs, StoreBuffer) before every push, so steady-state
+// simulation allocates nothing.
+type ring struct {
+	buf  []inflight
+	head int // index of the oldest entry
+	n    int // live entries, 0 <= n <= len(buf)
+}
+
+func newRing(capacity int) ring { return ring{buf: make([]inflight, capacity)} }
+
+// front returns the oldest entry; the ring must not be empty.
+func (r *ring) front() inflight { return r.buf[r.head] }
+
+// pop drops the oldest entry; the ring must not be empty.
+func (r *ring) pop() {
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+}
+
+// push appends e behind the youngest entry.
+func (r *ring) push(e inflight) {
+	if r.n == len(r.buf) {
+		panic("cpu: push on a full ring")
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = e
+	r.n++
 }
 
 // Stats summarizes a core's execution.
@@ -81,13 +118,12 @@ func (s Stats) IPC() float64 {
 type Core struct {
 	cfg Config
 
-	cycle   uint64
-	issued  uint64 // instructions issued so far (IC high-water mark)
-	frac    uint64 // sub-cycle issue residue, in instructions
-	loads   []inflight
-	stores  []uint64 // completion cycles of buffered stores, FIFO
-	stats   Stats
-	started bool
+	cycle  uint64
+	issued uint64 // instructions issued so far (IC high-water mark)
+	frac   uint64 // sub-cycle issue residue, in instructions
+	loads  ring   // outstanding loads, oldest first; capacity MSHRs
+	stores ring   // buffered stores (done only), oldest first; capacity StoreBuffer
+	stats  Stats
 }
 
 // New returns a core at cycle zero.
@@ -95,7 +131,7 @@ func New(cfg Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Core{cfg: cfg}, nil
+	return &Core{cfg: cfg, loads: newRing(cfg.MSHRs), stores: newRing(cfg.StoreBuffer)}, nil
 }
 
 // Config returns the core configuration.
@@ -106,59 +142,60 @@ func (c *Core) Now() uint64 { return c.cycle }
 
 // advanceTo issues instructions up to dynamic count target, honoring the
 // issue width and the reorder window behind incomplete loads.
+//
+//rwplint:hotpath — runs once per simulated access; the rings never grow
 func (c *Core) advanceTo(target uint64) {
-	if target <= c.issued {
-		return
-	}
+	width, window := uint64(c.cfg.Width), uint64(c.cfg.Window)
 	for c.issued < target {
 		// The window bounds how far past the oldest incomplete load we
 		// may issue.
 		limit := target
-		if len(c.loads) > 0 {
-			winEnd := c.loads[0].ic + uint64(c.cfg.Window)
-			if winEnd < limit {
+		if c.loads.n > 0 {
+			if winEnd := c.loads.front().ic + window; winEnd < limit {
 				limit = winEnd
 			}
 		}
 		if limit <= c.issued {
 			// Window full: stall until the oldest load completes.
-			head := c.loads[0]
-			if head.done > c.cycle {
-				c.stats.LoadStalls += head.done - c.cycle
-				c.cycle = head.done
-			}
-			c.loads = c.loads[1:]
+			c.retireOldestLoad()
 			continue
 		}
 		n := limit - c.issued
 		c.issued = limit
 		// Issue n instructions at Width per cycle, with residue carry.
 		c.frac += n
-		c.cycle += c.frac / uint64(c.cfg.Width)
-		c.frac %= uint64(c.cfg.Width)
+		c.cycle += c.frac / width
+		c.frac %= width
 		// Retire any loads that completed in the meantime.
-		for len(c.loads) > 0 && c.loads[0].done <= c.cycle {
-			c.loads = c.loads[1:]
+		for c.loads.n > 0 && c.loads.front().done <= c.cycle {
+			c.loads.pop()
 		}
 	}
+}
+
+// retireOldestLoad waits out the oldest outstanding load, charging the
+// wait as a load stall, and frees its MSHR.
+func (c *Core) retireOldestLoad() {
+	if done := c.loads.front().done; done > c.cycle {
+		c.stats.LoadStalls += done - c.cycle
+		c.cycle = done
+	}
+	c.loads.pop()
 }
 
 // Load records a demand load at dynamic instruction ic whose data arrives
 // `latency` cycles after issue. The caller obtains latency from the
 // memory hierarchy using the cycle returned by Now *after* calling
 // AdvanceTo(ic) — see Run in internal/sim for the canonical sequence.
+//
+//rwplint:hotpath — once per simulated load
 func (c *Core) Load(ic uint64, latency uint64) {
 	c.advanceTo(ic)
 	// MSHR full: the miss cannot even be issued until one frees up.
-	if len(c.loads) >= c.cfg.MSHRs {
-		head := c.loads[0]
-		if head.done > c.cycle {
-			c.stats.LoadStalls += head.done - c.cycle
-			c.cycle = head.done
-		}
-		c.loads = c.loads[1:]
+	if c.loads.n >= c.cfg.MSHRs {
+		c.retireOldestLoad()
 	}
-	c.loads = append(c.loads, inflight{ic: ic, done: c.cycle + latency})
+	c.loads.push(inflight{ic: ic, done: c.cycle + latency})
 	c.stats.Loads++
 }
 
@@ -169,45 +206,42 @@ func (c *Core) AdvanceTo(ic uint64) { c.advanceTo(ic) }
 // Store records a store at instruction ic that completes (leaves the
 // store buffer) `latency` cycles after issue. Stores only stall when the
 // buffer is full.
+//
+//rwplint:hotpath — once per simulated store
 func (c *Core) Store(ic uint64, latency uint64) {
 	c.advanceTo(ic)
-	if len(c.stores) >= c.cfg.StoreBuffer {
-		head := c.stores[0]
-		if head > c.cycle {
+	if c.stores.n >= c.cfg.StoreBuffer {
+		if head := c.stores.front().done; head > c.cycle {
 			c.stats.StoreStalls += head - c.cycle
 			c.cycle = head
 		}
-		c.stores = c.stores[1:]
+		c.stores.pop()
 	} else {
 		// Lazily retire any stores that already completed.
-		for len(c.stores) > 0 && c.stores[0] <= c.cycle {
-			c.stores = c.stores[1:]
+		for c.stores.n > 0 && c.stores.front().done <= c.cycle {
+			c.stores.pop()
 		}
 	}
-	c.stores = append(c.stores, c.cycle+latency)
+	c.stores.push(inflight{done: c.cycle + latency})
 	c.stats.Stores++
 }
 
 // Finish drains all in-flight work and finalizes the cycle count for
 // `totalInstructions` retired instructions. It returns the final stats.
+// Both rings are left empty with their buffers intact.
 func (c *Core) Finish(totalInstructions uint64) Stats {
 	c.advanceTo(totalInstructions)
-	for _, l := range c.loads {
-		if l.done > c.cycle {
-			c.stats.LoadStalls += l.done - c.cycle
-			c.cycle = l.done
-		}
+	for c.loads.n > 0 {
+		c.retireOldestLoad()
 	}
-	c.loads = nil
 	// Stores drain in the background; the last one bounds completion.
-	for _, s := range c.stores {
-		if s > c.cycle {
+	for ; c.stores.n > 0; c.stores.pop() {
+		if done := c.stores.front().done; done > c.cycle {
 			// Not a stall charged to stores: the core is done, the
 			// machine just finishes the drain.
-			c.cycle = s
+			c.cycle = done
 		}
 	}
-	c.stores = nil
 	c.stats.Instructions = totalInstructions
 	c.stats.Cycles = c.cycle
 	return c.stats

@@ -311,6 +311,19 @@ func (s *lset) ValidWays(int) int { return s.validCount }
 // DirtyWays implements cache.StateReader.
 func (s *lset) DirtyWays(int) int { return s.dirtyCount }
 
+// InvalidWay implements cache.StateReader.
+func (s *lset) InvalidWay(int) int {
+	if s.validCount >= len(s.entries) {
+		return -1
+	}
+	for w := range s.entries {
+		if !s.entries[w].valid {
+			return w
+		}
+	}
+	return -1
+}
+
 // find returns the way holding key, or -1.
 //
 //rwplint:hotpath — linear probe on every Get/Put; must stay allocation-free

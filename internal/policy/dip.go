@@ -36,7 +36,7 @@ func (p *LIP) OnHit(set, way int, _ cache.AccessInfo) { p.tab.Touch(set, way) }
 
 // Victim implements cache.Policy.
 func (p *LIP) Victim(set int, _ cache.AccessInfo) (int, bool) {
-	if w := invalidWay(p.r, set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	return p.tab.LRU(set), false
@@ -118,7 +118,7 @@ func (p *DIP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 	if ai.Class != cache.Writeback {
 		p.duel.Miss(set)
 	}
-	if w := invalidWay(p.r, set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	return p.tab.LRU(set), false

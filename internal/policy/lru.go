@@ -30,7 +30,7 @@ func (p *LRU) OnHit(set, way int, _ cache.AccessInfo) { p.tab.Touch(set, way) }
 
 // Victim implements cache.Policy: an invalid way first, else the LRU way.
 func (p *LRU) Victim(set int, _ cache.AccessInfo) (int, bool) {
-	if w := invalidWay(p.r, set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	return p.tab.LRU(set), false
@@ -44,20 +44,6 @@ func (p *LRU) OnFill(set, way int, _ cache.AccessInfo) { p.tab.Touch(set, way) }
 
 // Recency exposes the recency table for samplers and tests.
 func (p *LRU) Recency() *recency.Table { return p.tab }
-
-// invalidWay returns the lowest-numbered invalid way of set, or -1. The
-// O(1) ValidWays check makes this free once a set is warm.
-func invalidWay(r cache.StateReader, set int) int {
-	if r.ValidWays(set) >= r.Ways() {
-		return -1
-	}
-	for w := 0; w < r.Ways(); w++ {
-		if !r.State(set, w).Valid {
-			return w
-		}
-	}
-	return -1
-}
 
 // Random evicts a uniformly random way. It is the simplest baseline and a
 // useful lower bound in sanity experiments.
@@ -80,7 +66,7 @@ func (p *Random) OnHit(int, int, cache.AccessInfo) {}
 
 // Victim implements cache.Policy.
 func (p *Random) Victim(set int, _ cache.AccessInfo) (int, bool) {
-	if w := invalidWay(p.r, set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	return p.rng.Intn(p.r.Ways()), false
@@ -132,7 +118,7 @@ func (p *NRU) OnHit(set, way int, _ cache.AccessInfo) { p.mark(set, way) }
 
 // Victim implements cache.Policy.
 func (p *NRU) Victim(set int, _ cache.AccessInfo) (int, bool) {
-	if w := invalidWay(p.r, set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	ways := p.r.Ways()

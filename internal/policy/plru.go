@@ -79,7 +79,7 @@ func (p *PLRU) OnHit(set, way int, _ cache.AccessInfo) { p.touch(set, way) }
 
 // Victim implements cache.Policy.
 func (p *PLRU) Victim(set int, _ cache.AccessInfo) (int, bool) {
-	if w := invalidWay(p.r, set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	return p.victimWay(set), false
@@ -115,7 +115,7 @@ func (p *FIFO) OnHit(int, int, cache.AccessInfo) {}
 
 // Victim implements cache.Policy.
 func (p *FIFO) Victim(set int, _ cache.AccessInfo) (int, bool) {
-	if w := invalidWay(p.r, set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	w := int(p.next[set])

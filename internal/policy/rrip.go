@@ -32,7 +32,7 @@ func (b *rripBase) idx(set, way int) int { return set*b.r.Ways() + way }
 // victim finds the first way with RRPV == max, aging the whole set until
 // one exists. Invalid ways win immediately.
 func (b *rripBase) victim(set int) int {
-	if w := invalidWay(b.r, set); w >= 0 {
+	if w := b.r.InvalidWay(set); w >= 0 {
 		return w
 	}
 	ways := b.r.Ways()

@@ -97,7 +97,7 @@ func (p *TADIP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 			}
 		}
 	}
-	if w := invalidWay(p.r, set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	return p.tab.LRU(set), false

@@ -54,24 +54,34 @@ func (t *Table) Dist(set, way int) int {
 			return i
 		}
 	}
-	panic(fmt.Sprintf("recency: way %d not in set %d", way, set))
+	missing(set, way)
+	return -1
 }
 
 // Touch promotes way to MRU, preserving the relative order of the others.
+// A way that is already MRU (the common case on L1/L2 hits) returns at
+// once.
+//
+//rwplint:hotpath — every hit and fill of every recency-ordered policy
 func (t *Table) Touch(set, way int) {
 	row := t.row(set)
-	pos := -1
-	for i, w := range row {
-		if int(w) == way {
-			pos = i
-			break
+	if int(row[0]) == way {
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		if int(row[i]) == way {
+			copy(row[1:i+1], row[:i])
+			row[0] = uint8(way)
+			return
 		}
 	}
-	if pos < 0 {
-		panic(fmt.Sprintf("recency: way %d not in set %d", way, set))
-	}
-	copy(row[1:pos+1], row[:pos])
-	row[0] = uint8(way)
+	missing(set, way)
+}
+
+// missing is the crash path of the position searches, out of line so the
+// hot functions carry no formatting code.
+func missing(set, way int) {
+	panic(fmt.Sprintf("recency: way %d not in set %d", way, set))
 }
 
 // InsertLRU demotes way to the LRU position, preserving the relative
@@ -86,7 +96,7 @@ func (t *Table) InsertLRU(set, way int) {
 		}
 	}
 	if pos < 0 {
-		panic(fmt.Sprintf("recency: way %d not in set %d", way, set))
+		missing(set, way)
 	}
 	copy(row[pos:], row[pos+1:])
 	row[t.ways-1] = uint8(way)

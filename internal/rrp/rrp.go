@@ -177,22 +177,10 @@ func (p *RRP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 		}
 		return 0, true
 	}
-	if w := p.invalidWay(set); w >= 0 {
+	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
 	return p.tab.LRU(set), false
-}
-
-func (p *RRP) invalidWay(set int) int {
-	if p.r.ValidWays(set) >= p.r.Ways() {
-		return -1
-	}
-	for w := 0; w < p.r.Ways(); w++ {
-		if !p.r.State(set, w).Valid {
-			return w
-		}
-	}
-	return -1
 }
 
 // OnEvict implements cache.Policy: a line dying unread trains its

@@ -185,14 +185,10 @@ func (p *UCP) OnHit(set, way int, ai cache.AccessInfo) {
 // fall back to global LRU.
 func (p *UCP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 	p.observe(set, ai)
-	ways := p.r.Ways()
-	if p.r.ValidWays(set) < ways {
-		for w := 0; w < ways; w++ {
-			if !p.r.State(set, w).Valid {
-				return w, false
-			}
-		}
+	if w := p.r.InvalidWay(set); w >= 0 {
+		return w, false
 	}
+	ways := p.r.Ways()
 	occ := make([]int, p.cfg.Cores)
 	for w := 0; w < ways; w++ {
 		ls := p.r.State(set, w)

@@ -37,6 +37,53 @@ func TestRunUnknownPolicy(t *testing.T) {
 	}
 }
 
+// An LLC wider than the recency stacks can track must come back as an
+// ordinary error from every policy, never as a panic from deep inside
+// policy construction.
+func TestRunRejectsOverWideLLC(t *testing.T) {
+	for _, pol := range []string{"lru", "rwp", "drrip"} {
+		cfg := fastCfg
+		cfg.Policy, cfg.LLCWays, cfg.LLCBytes = pol, 512, 4<<20
+		if _, err := Run("mcf", cfg); err == nil || !strings.Contains(err.Error(), "ways 512") {
+			t.Errorf("%s: 512-way LLC: err = %v, want a ways-limit error", pol, err)
+		}
+	}
+	cfg := fastCfg
+	cfg.LLCWays, cfg.LLCBytes = 512, 4<<20
+	if _, err := RunMix([]string{"mcf", "gcc"}, cfg); err == nil {
+		t.Error("RunMix accepted a 512-way LLC")
+	}
+}
+
+// A whole job allocates at construction only: quadrupling the measured
+// region must not add one allocation. This is the end-to-end form of the
+// per-layer pins in internal/cpu and internal/cache. The warmup is long
+// enough for RWP's sampler shadow stacks to reach their fixed capacity
+// (they grow to `ways` entries once, lazily, because the live cache
+// shares them and pays heap for every set); after that nothing grows.
+func TestRunAllocationsIndependentOfLength(t *testing.T) {
+	for _, pol := range []string{"lru", "rwp"} {
+		allocs := func(measure uint64) int {
+			cfg := Config{Policy: pol, Warmup: 200_000, Measure: measure}
+			best := -1
+			for try := 0; try < 3; try++ { // min: a stray runtime allocation only ever adds
+				n := int(testing.AllocsPerRun(1, func() {
+					if _, err := Run("mcf", cfg); err != nil {
+						t.Fatal(err)
+					}
+				}))
+				if best < 0 || n < best {
+					best = n
+				}
+			}
+			return best
+		}
+		if short, long := allocs(50_000), allocs(200_000); short != long {
+			t.Errorf("%s: %d allocs at Measure 50k, %d at 200k; the run loop allocates", pol, short, long)
+		}
+	}
+}
+
 func TestRWPHeadlineOnOneBenchmark(t *testing.T) {
 	base := fastCfg
 	base.Policy = "lru"

@@ -72,6 +72,24 @@ grep -q 'engine: .* executed=0 ' "$smoke/warm.err" || {
     exit 1
 }
 
+# Paper smoke: the quick-scale E3 / E5 / E7 tables (single-core speedup,
+# state overhead, 4-core throughput: the paper-facing numbers) must match
+# results/quick/ byte for byte, so an unexplained move fails here and
+# not under a reviewer's eye. E3 is the engine smoke's cold run. A
+# deliberate change to the simulator's behaviour regenerates the three
+# files with the commands below and says so in CHANGES.md.
+echo '>> paper smoke: quick E3/E5/E7 tables match results/quick/'
+cp "$smoke/cold.out" "$smoke/E3.out"
+go run ./cmd/rwpexp -scale quick -exp E5 >"$smoke/E5.out" 2>"$smoke/E5.err"
+go run ./cmd/rwpexp -scale quick -exp E7 >"$smoke/E7.out" 2>"$smoke/E7.err"
+for e in E3 E5 E7; do
+    cmp "$smoke/$e.out" "results/quick/$e.txt" || {
+        echo "check.sh: FAIL: rwpexp -scale quick -exp $e moved against results/quick/$e.txt:" >&2
+        diff "results/quick/$e.txt" "$smoke/$e.out" >&2 || true
+        exit 1
+    }
+done
+
 # Journal smoke: two cold runs with -metrics-dir must produce
 # byte-identical run journals (the observability determinism contract:
 # canonical JSONL, sorted keys, fixed record order). No shared cache
