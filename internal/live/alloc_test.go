@@ -60,12 +60,14 @@ func TestByteKeyAllocs(t *testing.T) {
 	}
 }
 
-// TestFillAcrossRetargetAllocs: a direct Get fill allocates only the
-// stored copy of the value, retarget or not — the policy keeps no
-// per-retarget record. A batch is 128 Loader fills of fresh keys into a
-// 2x2 cache repartitioning every 4 set-ops, so it crosses ~32 retarget
-// boundaries; the batch is measured whole (AllocsPerRun's per-run
-// average truncates, which would hide an amortized slice growth).
+// TestFillAcrossRetargetAllocs: a direct Get fill over a valid victim
+// allocates nothing — the value is copied into the victim way's buffer —
+// retarget or not: the policy keeps no per-retarget record. A batch is
+// 128 Loader fills of fresh keys into a 2x2 cache repartitioning every 4
+// set-ops, so it crosses ~32 retarget boundaries; the batch is measured
+// whole (AllocsPerRun's per-run average truncates, which would hide an
+// amortized slice growth). The warm-up batch is what fills the four
+// invalid ways.
 func TestFillAcrossRetargetAllocs(t *testing.T) {
 	const batch = 128
 	cfg := tinyConfig("rwp")
@@ -86,11 +88,62 @@ func TestFillAcrossRetargetAllocs(t *testing.T) {
 		}
 		next += batch
 	})
-	if got := int(allocs); got != batch {
-		t.Errorf("%d Get fills allocate %d objects across retargets, want exactly %d (the stored copies)", batch, got, batch)
+	if got := int(allocs); got != 0 {
+		t.Errorf("%d Get fills over valid victims allocate %d objects across retargets, want 0 (the victim's buffer is reused)", batch, got)
 	}
-	if s := c.Stats(); s.Retargets < 32 || s.Loads != uint64(len(keys)) {
+	if s := c.Stats(); s.Retargets < 32 || s.Loads != uint64(len(keys)) || s.Evictions != uint64(len(keys)-c.Capacity()) {
 		t.Fatalf("stream did not fill across retargets: %+v", s)
+	}
+}
+
+// TestFillAllocs pins what a fill costs inside the cache, per way state:
+// into an invalid way exactly one allocation (the way's first value
+// buffer), over a valid victim none — Put insert and Loader fill alike,
+// the Loader's own value aside (it hands back a shared slice here). Keys
+// are built up front; one set, so every fill lands where the test says.
+func TestFillAllocs(t *testing.T) {
+	const runs = 100 // 2*(runs+1) ways must fit recency.MaxWays
+	val := []byte("value-bytes")
+	keys := make([]string, 2*(runs+1))
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+	}
+	for _, pol := range []string{"lru", "rwp"} {
+		cfg := tinyConfig(pol)
+		cfg.Sets, cfg.Ways = 1, len(keys)
+		cfg.Loader = func(string) []byte { return val }
+		cold := mustNew(t, cfg)
+		cfg.Ways = 2
+		full := mustNew(t, cfg)
+		full.Put("a", val)
+		full.Put("b", val)
+
+		fill := func(c *Cache) float64 {
+			next := 0
+			return testing.AllocsPerRun(runs, func() {
+				if !c.Put(keys[next], val) {
+					t.Fatal("Put of a fresh key reported an overwrite")
+				}
+				if _, hit := c.Get(keys[next+1]); hit {
+					t.Fatal("Get of a fresh key hit")
+				}
+				next += 2
+			})
+		}
+		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
+		if got := fill(cold); got != 2 {
+			t.Errorf("%s: a Put insert + a Loader fill into invalid ways allocate %.1f objects, want 2 (one value buffer each)", pol, got)
+		}
+		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
+		if got := fill(full); got != 0 {
+			t.Errorf("%s: a Put insert + a Loader fill over valid victims allocate %.1f objects, want 0", pol, got)
+		}
+		if s := cold.Stats(); s.Evictions != 0 || s.Fills != uint64(len(keys)) {
+			t.Fatalf("%s: cold cache evicted: %+v", pol, s.Counters)
+		}
+		if s := full.Stats(); s.Evictions != uint64(len(keys)) {
+			t.Fatalf("%s: full cache did not evict on every fill: %+v", pol, s.Counters)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package live
 
 import (
 	"rwp/internal/cache"
-	"rwp/internal/mem"
 	"rwp/internal/probe"
 )
 
@@ -141,11 +140,11 @@ func (s *lset) negDelete(key string) {
 // The Loader call runs outside the lock: a slow backing store stalls
 // only this Get, not every key in the shard (and a reentrant Loader
 // does not self-deadlock).
-func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, h uint64, ai cache.AccessInfo) (out []byte, hit, found bool) {
+func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai cache.AccessInfo) (out []byte, hit, found bool) {
 	var fc *fillCall
 	if c.cfg.Coalesce || c.cfg.NegOps > 0 {
 		sh.mu.Lock()
-		if way := ls.find(key); way >= 0 {
+		if way := ls.find(key, ai.Line); way >= 0 {
 			// The key landed between get's miss probe and here — a writer
 			// or another miss's fill. Join the just-landed fill instead of
 			// fetching again: this is the tail of a storm. Unreachable
@@ -213,7 +212,7 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, h uin
 	}
 	class, outcome := classMiss, probe.OutcomeFill
 	switch {
-	case ls.find(key) >= 0:
+	case ls.find(key, ai.Line) >= 0:
 		// Lost the install race: a concurrent writer (or the leader that
 		// replaced an expired lease of ours) installed the key while we
 		// were loading. Keep the resident entry (it may hold a newer
@@ -236,7 +235,7 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, h uin
 	default:
 		ls.ops.Loads++
 		ls.negDelete(key)
-		if ls.fill(key, mem.LineAddr(h), v, ai, false) {
+		if ls.fill(key, v, ai, false) {
 			class = classMissEvict
 		}
 	}

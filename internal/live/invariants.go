@@ -29,13 +29,15 @@ func (c *Cache) CheckInvariants() error {
 					return fmt.Errorf("set %d: duplicate key %q", global, e.key)
 				}
 				seen[e.key] = true
-				if got := int(HashKey(e.key) & c.mask); got != global {
+				h := HashKey(e.key)
+				if got := int(h & c.mask); got != global {
 					sh.mu.Unlock()
 					return fmt.Errorf("set %d holds key %q that hashes to set %d", global, e.key, got)
 				}
-				if e.line != 0 && uint64(e.line) != HashKey(e.key) {
+				// find probes the tag first: a wrong one hides a resident key.
+				if uint64(ls.tags[w]) != h {
 					sh.mu.Unlock()
-					return fmt.Errorf("set %d key %q: stale line identity", global, e.key)
+					return fmt.Errorf("set %d way %d key %q: stale tag %#x", global, w, e.key, uint64(ls.tags[w]))
 				}
 			}
 			if valid != ls.validCount || dirty != ls.dirtyCount {

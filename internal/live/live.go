@@ -261,18 +261,28 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// entry is one resident key-value pair.
+// entry is one way's payload: the resident key-value pair and its
+// state bits. The way's tag — the key hash find probes first, and the
+// policy's line identity — lives apart from it, packed in lset.tags.
 type entry struct {
 	key   string
 	val   []byte
-	line  mem.LineAddr // key hash: the policy's line identity
 	valid bool
 	dirty bool // written at fill or since (RWP's partition criterion)
 }
 
 // lset is one cache set. It implements cache.StateReader as a
 // single-set view so the simulator's policies plug in unchanged.
+//
+// The layout is the simulator's (cache.Cache): tags packed by way, the
+// payload beside them. A probe scans the tags — two host cache lines at
+// 16 ways — and reads an entry only on a tag match. install is the one
+// place that writes a way, so a valid way's tag is always its key's
+// HashKey (CheckInvariants holds it to that).
 type lset struct {
+	// tags[w] is HashKey of entries[w].key, carved from the shard's
+	// slab. Meaningful only while entries[w].valid.
+	tags       []mem.LineAddr
 	entries    []entry
 	pol        cache.Policy
 	rwp        *core.RWP // non-nil iff the policy is RWP
@@ -302,7 +312,7 @@ func (s *lset) Ways() int { return len(s.entries) }
 // State implements cache.StateReader.
 func (s *lset) State(_, way int) cache.LineState {
 	e := &s.entries[way]
-	return cache.LineState{Tag: e.line, Valid: e.valid, Dirty: e.dirty}
+	return cache.LineState{Tag: s.tags[way], Valid: e.valid, Dirty: e.dirty}
 }
 
 // ValidWays implements cache.StateReader.
@@ -324,16 +334,62 @@ func (s *lset) InvalidWay(int) int {
 	return -1
 }
 
-// find returns the way holding key, or -1.
+// find returns the way holding key, or -1. tag is HashKey(key), which
+// the caller already computed to pick the set. The packed tags are
+// scanned first; an entry is read only where the tag matches, and there
+// the valid bit and the key itself still decide: an invalid way never
+// matches whatever its tag holds, and two keys sharing all 64 hash bits
+// stay two keys.
 //
 //rwplint:hotpath — linear probe on every Get/Put; must stay allocation-free
-func (s *lset) find(key string) int {
-	for w := range s.entries {
+func (s *lset) find(key string, tag mem.LineAddr) int {
+	for w, t := range s.tags {
+		if t != tag {
+			continue
+		}
 		if e := &s.entries[w]; e.valid && e.key == key {
 			return w
 		}
 	}
 	return -1
+}
+
+// A way keeps its value buffer across overwrites and refills, so the
+// steady state stores without allocating. Left unbounded that would pin
+// the largest value a way ever held: a buffer is reused only while its
+// capacity is at most retainFactor times what the new value needs, or
+// retainMin bytes, below which shrinking saves nothing.
+const (
+	retainFactor = 4
+	retainMin    = 256
+)
+
+// storeVal copies val into a way's value buffer old and returns the
+// buffer to store: old itself when it fits val without hoarding, an
+// exact-fit allocation otherwise. Reuse is safe because nobody outside
+// the shard lock holds old — every reader of entry.val (get, miss's
+// coalesced join, snapSet) copies the bytes out under the lock.
+//
+//rwplint:hotpath — every overwrite and fill; allocates only when the way's buffer cannot be reused
+func storeVal(old, val []byte) []byte {
+	if cap(old) < len(val) || cap(old) > max(retainFactor*len(val), retainMin) {
+		old = nil
+	}
+	return append(old[:0], val...)
+}
+
+// install writes (key, val) into way: tag, payload and state bits
+// together, the only writer of any of them besides initSet's clear.
+// Occupancy counts and the policy callbacks are the caller's (fill,
+// restoreSet).
+//
+//rwplint:hotpath — every fill
+func (s *lset) install(way int, key string, tag mem.LineAddr, val []byte, dirty bool) {
+	e := &s.entries[way]
+	s.tags[way] = tag
+	e.key = key
+	e.val = storeVal(e.val, val)
+	e.valid, e.dirty = true, dirty
 }
 
 // shard is one lock domain: a contiguous run of sets, all guarded by
@@ -372,7 +428,11 @@ func New(cfg Config) (*Cache, error) {
 		if cfg.Coalesce {
 			sh.fills = make(map[string]*fillCall)
 		}
+		// One tag slab per shard: a set's tags are contiguous, and so are
+		// its neighbours'.
+		slab := make([]mem.LineAddr, c.perShard*cfg.Ways)
 		for i := range sh.sets {
+			sh.sets[i].tags = slab[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 			initSet(&sh.sets[i], cfg)
 		}
 		c.shards[si] = sh
@@ -381,18 +441,18 @@ func New(cfg Config) (*Cache, error) {
 }
 
 // initSet (re)builds one set to its freshly-constructed state: empty
-// entries, zero occupancy, a brand-new policy instance. The entries
-// backing array is reused when already allocated. The ledger is
-// deliberately left untouched — it is cumulative history, and
-// ResetRange must not un-count work that happened.
+// entries, cleared tags, zero occupancy, a brand-new policy instance.
+// The tags are New's slice of the shard slab; the entries backing array
+// is reused when already allocated. The ledger is deliberately left
+// untouched — it is cumulative history, and ResetRange must not
+// un-count work that happened.
 func initSet(ls *lset, cfg Config) {
 	if ls.entries == nil {
 		ls.entries = make([]entry, cfg.Ways)
 	} else {
-		for w := range ls.entries {
-			ls.entries[w] = entry{}
-		}
+		clear(ls.entries)
 	}
+	clear(ls.tags)
 	ls.validCount, ls.dirtyCount = 0, 0
 	// The negative cache is content, not history: a reset set starts
 	// cold on both sides (ResetRange's read-your-write rule would be
@@ -544,7 +604,7 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 	ai := cache.AccessInfo{Line: mem.LineAddr(h), Class: cache.DemandLoad}
 	sh.mu.Lock()
 	ls.ops.Gets++
-	if way := ls.find(key); way >= 0 {
+	if way := ls.find(key, ai.Line); way >= 0 {
 		e := &ls.entries[way]
 		ls.ops.GetHits++
 		if e.dirty {
@@ -578,7 +638,7 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 	// boundary). It may retain the key — the Loader, the fills map, negs,
 	// the installed entry — so a borrowed key is copied once here, on
 	// the path that is about to pay a backend round trip.
-	return c.miss(dst, sh, ls, ownedKey(key, borrowed), set, h, ai)
+	return c.miss(dst, sh, ls, ownedKey(key, borrowed), set, ai)
 }
 
 // loaded returns a Loader result the way get hands back a fill: v
@@ -629,7 +689,7 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	ai := cache.AccessInfo{Line: mem.LineAddr(h), Class: cache.DemandStore}
 	sh.mu.Lock()
 	ls.ops.Puts++
-	if way := ls.find(key); way >= 0 {
+	if way := ls.find(key, ai.Line); way >= 0 {
 		e := &ls.entries[way]
 		ls.ops.PutHits++
 		if e.dirty {
@@ -639,7 +699,7 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 			e.dirty = true
 			ls.dirtyCount++
 		}
-		e.val = append(e.val[:0], val...)
+		e.val = storeVal(e.val, val)
 		ls.costs[partDirty][classHit]++
 		ls.pol.OnHit(0, way, ai)
 		sh.mu.Unlock()
@@ -653,7 +713,7 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	// before the fill installs it (no-op unless NegOps is configured).
 	ls.negDelete(key)
 	class := classInsert
-	if ls.fill(key, mem.LineAddr(h), val, ai, true) {
+	if ls.fill(key, val, ai, true) {
 		class = classInsertEvict
 	}
 	ls.costs[partDirty][class]++
@@ -662,11 +722,14 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	return true
 }
 
-// fill installs (key, val) into the set, evicting the policy's victim
-// if the set is full. Called with the shard lock held. It reports
-// whether the fill evicted a dirty entry — the cost model's writeback
-// surcharge trigger.
-func (ls *lset) fill(key string, line mem.LineAddr, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
+// fill installs (key, val) into the set under tag ai.Line, evicting the
+// policy's victim if the set is full; the new value is copied into the
+// victim way's buffer where install can reuse it. Called with the shard
+// lock held. It reports whether the fill evicted a dirty entry — the
+// cost model's writeback surcharge trigger.
+//
+//rwplint:hotpath — every Loader fill and Put insert; allocation-free over a victim whose buffer fits
+func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
 	// Neither LRU nor RWP ever asks to bypass a fill.
 	way, _ := ls.pol.Victim(0, ai)
 	e := &ls.entries[way]
@@ -681,7 +744,7 @@ func (ls *lset) fill(key string, line mem.LineAddr, val []byte, ai cache.AccessI
 	} else {
 		ls.validCount++
 	}
-	*e = entry{key: key, val: append([]byte(nil), val...), line: line, valid: true, dirty: dirty}
+	ls.install(way, key, ai.Line, val, dirty)
 	ls.ops.Fills++
 	if dirty {
 		ls.dirtyCount++

@@ -259,14 +259,8 @@ func restoreSet(ls *lset, cfg Config, r *snap.SetRecord, full bool) {
 	for i := n - 1; i >= 0; i-- {
 		way := n - 1 - i
 		e := &r.Entries[i]
-		h := HashKey(e.Key)
-		ls.entries[way] = entry{
-			key:   e.Key,
-			val:   append([]byte(nil), e.Value...),
-			line:  mem.LineAddr(h),
-			valid: true,
-			dirty: e.Dirty,
-		}
+		tag := mem.LineAddr(HashKey(e.Key))
+		ls.install(way, e.Key, tag, e.Value, e.Dirty)
 		ls.validCount++
 		class := cache.DemandLoad
 		if e.Dirty {
@@ -276,7 +270,7 @@ func restoreSet(ls *lset, cfg Config, r *snap.SetRecord, full bool) {
 		// OnFill, not fill(): policy bookkeeping (recency touch, RWP
 		// written bits) without advancing the interval clock or
 		// counting ops — those transfer as state.
-		ls.pol.OnFill(0, way, cache.AccessInfo{Line: mem.LineAddr(h), Class: class})
+		ls.pol.OnFill(0, way, cache.AccessInfo{Line: tag, Class: class})
 	}
 	if ls.rwp != nil {
 		if err := ls.rwp.RestoreState(*r.RWP); err != nil {
