@@ -1,7 +1,7 @@
 # Convenience targets; scripts/check.sh is the source of truth for the
 # pre-PR gate.
 
-.PHONY: build test lint lint-report check check-short cover exps bench-engine bench-live bench-proto bench-cluster bench-replay bench-snap bench-stampede
+.PHONY: build test lint lint-report check check-short cover exps bench
 
 build:
 	go build ./...
@@ -40,46 +40,9 @@ cover:
 exps:
 	go run ./cmd/rwpexp -scale quick
 
-# Measure sequential-vs-parallel wall clock of the experiment engine;
-# records results/engine_speedup.txt.
-bench-engine:
-	scripts/bench_engine.sh
-
-# Measure the live KV cache's RWP-vs-LRU read-hit rate per workload
-# profile; records results/live_hitrate.txt and fails if RWP's geomean
-# drops below LRU.
-bench-live:
-	scripts/bench_live.sh
-
-# Measure the binary protocol against HTTP on the same loadgen stream;
-# records results/proto_bench.txt and fails if the batched pipelined
-# binary path falls below 2x HTTP throughput.
-bench-proto:
-	scripts/bench_proto.sh
-
-# Run the deterministic cluster bench (single node vs static 3-node vs
-# shard-manager replication); records results/cluster_bench.txt and
-# fails if the managed leg models below the static leg.
-bench-cluster:
-	scripts/bench_cluster.sh
-
-# Replay one recorded request journal through every transport (direct,
-# HTTP, binary protocol, 3-node cluster), timing each leg; records
-# results/replay_bench.txt and fails if any leg's stats are not
-# byte-identical to the recorded run.
-bench-replay:
-	scripts/bench_replay.sh
-
-# Measure the warm-restart snapshot subsystem: encode/restore
-# microbenches, snapshot size, and the cluster warm-catch-up vs
-# cold-reset comparison; records results/snap_bench.txt and fails if
-# warm catch-up does not strictly cut backend loads.
-bench-snap:
-	scripts/bench_snap.sh
-
-# Score the stampede defenses (coalescing, negative caching) by
-# backend Loader calls under adversarial miss storms; records
-# results/stampede_bench.txt and fails unless every defended leg
-# strictly cuts backend loads.
-bench-stampede:
-	scripts/bench_stampede.sh
+# The repo's one measuring instrument (BENCHMARK.json): builds bench/
+# from this checkout and runs every workload; the last stdout line is
+# the result JSON. For options (-workload, -seconds, ...) call
+# bench/run.sh directly; see bench/README.md.
+bench:
+	bash bench/run.sh

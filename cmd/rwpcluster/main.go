@@ -9,10 +9,6 @@
 //	rwpcluster -selftest 20000 -mode pipe      same, through real pipelined
 //	                                           binary connections (net.Pipe)
 //	rwpcluster -selftest 20000 -manager        replication control loop on
-//	rwpcluster -bench                          1-node vs 3-node vs managed
-//	                                           deterministic cluster bench
-//	rwpcluster -catchup-bench                  warm snapshot catch-up vs
-//	                                           cold-reset replica adds
 //	rwpcluster -selftest 20000 -connect a,b    route against running
 //	                                           rwpserve -tcp processes
 //	                                           (-manager works here too:
@@ -74,9 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	windowsOut := fs.String("windows-out", "", "write the shard-window journal to this file")
 	journalDir := fs.String("journal-dir", "", "write per-node probe journals under this directory")
 	connect := fs.String("connect", "", "comma-separated rwpserve -tcp addresses (real sockets; -manager runs catch-up over the wire)")
-	bench := fs.Bool("bench", false, "run the deterministic cluster bench and exit")
-	benchOps := fs.Int("bench-ops", 120_000, "ops per bench leg")
-	catchupBench := fs.Bool("catchup-bench", false, "run the warm-catchup vs cold-reset replica bench and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -111,32 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mgr = m
 	}
 
-	if *bench {
-		if *connect != "" {
-			fmt.Fprintln(stderr, "rwpcluster: -bench runs in-process only")
-			return 2
-		}
-		if err := runClusterBench(stdout, cfg, *ringShards, *vnodes, *benchOps, *valueSize, *seed); err != nil {
-			fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *catchupBench {
-		if *connect != "" {
-			fmt.Fprintln(stderr, "rwpcluster: -catchup-bench runs in-process only")
-			return 2
-		}
-		if err := runCatchupBench(stdout, cfg, cluster.Mode(*mode), *ringShards, *vnodes, *benchOps, *valueSize, *seed); err != nil {
-			fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
 	if *selftest <= 0 {
-		fmt.Fprintln(stderr, "rwpcluster: nothing to do: pass -selftest N or -bench")
+		fmt.Fprintln(stderr, "rwpcluster: nothing to do: pass -selftest N")
 		return 2
 	}
 	g, err := loadgen.New(*profile, *seed, *valueSize)

@@ -18,15 +18,6 @@
 //	                                 and all future behavior are
 //	                                 byte-identical to a never-restarted
 //	                                 run (bad snapshots log + start cold)
-//	rwpserve -bench                  RWP vs LRU read-hit-rate bench
-//	                                 over workload profiles, exit
-//	rwpserve -proto-bench            binary vs HTTP throughput/latency
-//	                                 bench, exit
-//	rwpserve -stampede-bench         miss-storm bench: backend Loader
-//	                                 calls with the stampede defenses
-//	                                 (-coalesce / -neg-ops) off vs on,
-//	                                 gated — defended must be strictly
-//	                                 lower — then exit
 //
 // The HTTP endpoints:
 //
@@ -38,10 +29,10 @@
 // internal/live/proto: pipelined GET/PUT/MGET/MPUT/STATS/PING with the
 // same cache semantics as HTTP (STATS returns the /stats body verbatim).
 //
-// All wall-clock concerns (HTTP, shutdown signals, bench timing) live
-// here in cmd/; internal/live itself is clocked purely by operation
-// counts, so the -selftest output is bit-identical across runs, across
-// -shards, and across -transport.
+// All wall-clock concerns (HTTP, shutdown signals) live here in cmd/;
+// internal/live itself is clocked purely by operation counts, so the
+// -selftest output is bit-identical across runs, across -shards, and
+// across -transport.
 package main
 
 import (
@@ -51,7 +42,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"rwp/internal/live"
@@ -59,7 +49,6 @@ import (
 	"rwp/internal/live/loadgen"
 	"rwp/internal/probe"
 	"rwp/internal/snap"
-	"rwp/internal/workload"
 )
 
 func main() {
@@ -92,20 +81,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	restorePath := fs.String("restore", "", "warm-start from this snapshot; a bad snapshot logs and starts cold")
 	selftest := fs.Int("selftest", 0, "run N loadgen ops through -transport, print /stats JSON, exit")
 	selftestSkip := fs.Int("selftest-skip", 0, "skip the first K of the -selftest ops (resume a stream after -restore)")
-	profile := fs.String("profile", "mcf", "workload profile for -selftest and -proto-bench")
-	seed := fs.Uint64("seed", 0, "loadgen seed offset for -selftest and -proto-bench")
-	transport := fs.String("transport", "direct", "transport for -selftest/-bench: direct, http, or tcp")
+	profile := fs.String("profile", "mcf", "workload profile for -selftest")
+	seed := fs.Uint64("seed", 0, "loadgen seed offset for -selftest")
+	transport := fs.String("transport", "direct", "transport for -selftest: direct, http, or tcp")
 	batch := fs.Int("batch", 64, "max ops per binary MGET/MPUT frame (tcp transport)")
 	pipeline := fs.Int("pipeline", 8, "frames per pipelined flush (tcp transport)")
-	bench := fs.Bool("bench", false, "run the RWP vs LRU bench and exit")
-	benchOps := fs.Int("bench-ops", 400_000, "measured ops per bench run")
-	benchWarmup := fs.Int("bench-warmup", 200_000, "warmup ops per bench run")
-	benchProfiles := fs.String("bench-profiles", "", "comma-separated bench profiles (default: cache-sensitive set)")
-	protoBench := fs.Bool("proto-bench", false, "run the binary-vs-HTTP transport bench and exit")
-	protoOps := fs.Int("proto-ops", 20_000, "ops per -proto-bench leg")
-	stampedeBench := fs.Bool("stampede-bench", false, "run the stampede-defense bench (gated) and exit")
-	stampedeClients := fs.Int("stampede-clients", 8, "concurrent clients per -stampede-bench storm")
-	stampedeOps := fs.Int("stampede-ops", 20_000, "stream ops per -stampede-bench scan leg")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -136,16 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cfg.NegOps = *negOps
 	cfg.LeaseOps = *leaseOps
 
-	anyBench := *bench || *protoBench || *stampedeBench
-	if *recordPath != "" && anyBench {
-		fmt.Fprintln(stderr, "rwpserve: -record needs -selftest or serve mode (benches build private caches)")
-		return 2
-	}
-	if (*snapPath != "" || *restorePath != "") && anyBench {
-		fmt.Fprintln(stderr, "rwpserve: -snapshot/-restore need -selftest or serve mode (benches build private caches)")
-		return 2
-	}
-	if *snapEvery > 0 && (*snapPath == "" || *selftest > 0 || anyBench) {
+	if *snapEvery > 0 && (*snapPath == "" || *selftest > 0) {
 		fmt.Fprintln(stderr, "rwpserve: -snap-every needs serve mode with -snapshot")
 		return 2
 	}
@@ -155,34 +126,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// probe the restart smoke in scripts/check.sh runs.
 		fmt.Fprintln(stderr, "rwpserve: -selftest-skip must be in [0, -selftest]")
 		return 2
-	}
-
-	if *bench {
-		profiles := workload.SensitiveNames()
-		if *benchProfiles != "" {
-			profiles = strings.Split(*benchProfiles, ",")
-		}
-		if err := runBench(stdout, cfg, profiles, *benchWarmup, *benchOps, *valueSize, tr, *batch, *pipeline); err != nil {
-			fmt.Fprintf(stderr, "rwpserve: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *protoBench {
-		if err := runProtoBench(stdout, cfg, *profile, *seed, *valueSize, *protoOps, *batch, *pipeline); err != nil {
-			fmt.Fprintf(stderr, "rwpserve: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *stampedeBench {
-		if err := runStampedeBench(stdout, cfg, *stampedeClients, *stampedeOps, *valueSize); err != nil {
-			fmt.Fprintf(stderr, "rwpserve: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	var closeLog func() error

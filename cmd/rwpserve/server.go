@@ -122,7 +122,7 @@ func (s *tcpServer) shutdown(ctx context.Context) error {
 }
 
 // shutdownNow drains with an already-expired deadline: close listener
-// and connections immediately (test/bench teardown, nothing to drain
+// and connections immediately (test teardown, nothing to drain
 // gracefully).
 func (s *tcpServer) shutdownNow() error {
 	s.mu.Lock()

@@ -234,8 +234,6 @@ func TestSnapshotFlagErrors(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"snapshot with bench", []string{"-bench", "-snapshot", "x.snap"}},
-		{"restore with proto-bench", []string{"-proto-bench", "-restore", "x.snap"}},
 		{"snap-every without snapshot", []string{"-snap-every", "100"}},
 		{"snap-every with selftest", []string{"-selftest", "100", "-snapshot", "x.snap", "-snap-every", "10"}},
 		{"negative skip", []string{"-selftest", "100", "-selftest-skip", "-1"}},

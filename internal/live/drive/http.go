@@ -114,16 +114,15 @@ func NewHTTP(c *live.Cache) (*HTTP, error) {
 // Replay implements Target.
 func (t *HTTP) Replay(ops []loadgen.Op) error {
 	for i := range ops {
-		if err := t.Do(&ops[i]); err != nil {
+		if err := t.do(&ops[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Do issues one op as one HTTP request — also the unit the proto bench
-// times for HTTP latency samples.
-func (t *HTTP) Do(op *loadgen.Op) error {
+// do issues one op as one HTTP request.
+func (t *HTTP) do(op *loadgen.Op) error {
 	if op.Put {
 		req, err := http.NewRequest(http.MethodPut,
 			t.url+"/put?key="+op.Key, bytes.NewReader(op.Value))

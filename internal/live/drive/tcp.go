@@ -61,14 +61,10 @@ func NewTCP(c *live.Cache, batch, depth int) (*TCP, error) {
 	return &TCP{ln: ln, conn: conn, cli: proto.NewClient(conn), batch: batch, depth: depth, done: done}, nil
 }
 
-// Client exposes the pipelined binary client (the proto bench times
-// its Flush round trips directly).
-func (t *TCP) Client() *proto.Client { return t.cli }
-
 // Replay implements Target.
 func (t *TCP) Replay(ops []loadgen.Op) error {
 	for _, run := range loadgen.Runs(ops, t.batch) {
-		if err := t.QueueRun(run); err != nil {
+		if err := t.queueRun(run); err != nil {
 			return err
 		}
 		if t.cli.Depth() >= t.depth {
@@ -81,8 +77,8 @@ func (t *TCP) Replay(ops []loadgen.Op) error {
 	return err
 }
 
-// QueueRun frames one same-kind run as a single MGET or MPUT request.
-func (t *TCP) QueueRun(run []loadgen.Op) error {
+// queueRun frames one same-kind run as a single MGET or MPUT request.
+func (t *TCP) queueRun(run []loadgen.Op) error {
 	if run[0].Put {
 		t.kvs = t.kvs[:0]
 		for _, op := range run {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rwp/internal/live"
+	"rwp/internal/live/loadgen"
 )
 
 // Tests for the stampede defenses (fill.go): singleflight coalescing,
@@ -408,5 +409,149 @@ func TestNegativeCacheBounded(t *testing.T) {
 	assertLaw(t, s)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The stampede scenarios below score the defenses by the only number a
+// backend operator cares about — how many times the Loader was invoked
+// — at the serving geometry (1024 sets x 16 ways), undefended vs
+// defended. Every count is exact: the storms rendezvous on the cache's
+// own miss counter, the scan is single-goroutine.
+const (
+	stormClients = 8
+	stormRounds  = 32
+	scanOps      = 20_000
+)
+
+// countingLoader wraps loadgen's backing store (hole at the absent
+// keyspace) with a call counter; gate, if non-nil, runs before each
+// fetch returns.
+func countingLoader(calls *atomic.Uint64, gate func()) live.Loader {
+	inner := loadgen.AbsentLoader(0)
+	return func(key string) []byte {
+		calls.Add(1)
+		if gate != nil {
+			gate()
+		}
+		return inner(key)
+	}
+}
+
+// checkLeg asserts what every leg must satisfy at rest — structural
+// invariants and the six-term conservation law — and that no miss went
+// uncounted.
+func checkLeg(t *testing.T, c *live.Cache, wantMisses uint64) {
+	t.Helper()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Stats()
+	assertLaw(t, s)
+	if s.GetMisses != wantMisses {
+		t.Errorf("leg counted %d Get misses, want %d", s.GetMisses, wantMisses)
+	}
+}
+
+// stormLeg runs stormRounds synchronized miss storms of stormClients
+// goroutines each and returns the backend Loader call count. The
+// loader spins (on the cache's own miss counter — op count, not wall
+// clock) until the whole round has missed, so no client can sneak a
+// hit before the storm resolves and the count is a deterministic
+// function of the configuration. absent selects the flood variant:
+// every round hammers one key the backend does not have.
+func stormLeg(t *testing.T, cfg live.Config, absent bool) uint64 {
+	t.Helper()
+	var calls, wantMisses atomic.Uint64
+	var c *live.Cache
+	cfg.Loader = countingLoader(&calls, func() {
+		for c.Stats().GetMisses < wantMisses.Load() {
+			runtime.Gosched()
+		}
+	})
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < stormRounds; r++ {
+		key := loadgen.FlashKey(uint64(r))
+		if absent {
+			key = loadgen.AbsentKey(0)
+		}
+		wantMisses.Store(c.Stats().GetMisses + stormClients)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < stormClients; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c.Get(key)
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	checkLeg(t, c, stormClients*stormRounds)
+	return calls.Load()
+}
+
+// scanLeg replays a single-goroutine adv:scan flood — a cyclic sweep
+// of the loadgen.ScanKeys-key absent keyspace — and returns the
+// backend Loader call count.
+func scanLeg(t *testing.T, cfg live.Config) uint64 {
+	t.Helper()
+	var calls atomic.Uint64
+	cfg.Loader = countingLoader(&calls, nil)
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := loadgen.NewStream(loadgen.AdvScan, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadgen.RunStream(c, s, scanOps)
+	checkLeg(t, c, scanOps)
+	return calls.Load()
+}
+
+// TestStampedeLoadCounts pins EXPERIMENTS.md L4: a miss storm must not
+// reach the backend as a storm.
+//
+//	flash-storm   32 rounds of 8 clients missing one cold key at once:
+//	              undefended every miss is a Loader call (256);
+//	              coalesced, one leader per round (32, the floor for 32
+//	              distinct cold keys).
+//	absent-flood  the same crowd on a key the backend does not have.
+//	              Absences never install, so undefended all 256 misses
+//	              hit the backend; coalescing plus a flood-spanning
+//	              verdict needs exactly one fetch.
+//	scan-neg      20000 gets cycling 4096 absent keys: each key's first
+//	              visit records a verdict (4096 calls), the 64-op
+//	              windowed revisits answer locally. Capacity-shaped:
+//	              sets*ways must cover the cycle or verdicts are evicted
+//	              before their first revisit.
+func TestStampedeLoadCounts(t *testing.T) {
+	for _, sc := range []struct {
+		name    string
+		leg     func(*testing.T, live.Config) uint64
+		negOps  uint64
+		off, on uint64
+	}{
+		{"flash-storm", func(t *testing.T, cfg live.Config) uint64 { return stormLeg(t, cfg, false) }, 0, 256, 32},
+		{"absent-flood", func(t *testing.T, cfg live.Config) uint64 { return stormLeg(t, cfg, true) }, 1 << 30, 256, 1},
+		{"scan-neg", scanLeg, 64, 20000, 4096},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := live.DefaultConfig() // 1024 x 16
+			if off := sc.leg(t, cfg); off != sc.off {
+				t.Errorf("undefended: %d Loader calls, want %d", off, sc.off)
+			}
+			cfg.Coalesce = true
+			cfg.NegOps = sc.negOps
+			if on := sc.leg(t, cfg); on != sc.on {
+				t.Errorf("defended: %d Loader calls, want %d", on, sc.on)
+			}
+		})
 	}
 }
