@@ -242,23 +242,20 @@ const (
 	flagDirty
 )
 
-// lineMeta is the cold part of a way: read only when a dirty line is
-// evicted or a policy asks for the full LineState, never by Lookup.
-type lineMeta struct {
-	pc   mem.Addr
-	core int
-}
-
-// Cache is a single tag-store level. The ways are stored as three
-// parallel arrays (sets*ways, row-major by set) so the lookup scan
-// touches nothing but tags; see DESIGN.md "Simulator data layout".
+// Cache is a single tag-store level. The ways are stored as parallel
+// arrays (sets*ways, row-major by set) so the lookup scan touches
+// nothing but tags; see DESIGN.md "Simulator data layout". pcs and cores
+// are the cold part of a way: read only when a dirty line is evicted or
+// a policy asks for the full LineState, never by Lookup. They are two
+// arrays so that a way costs 12 bytes of them, not a padded 16.
 type Cache struct {
 	cfg    Config
 	shift  uint
 	mask   uint64
 	tags   []mem.LineAddr // zero for an invalid way
 	flags  []uint8        // flagValid|flagDirty; zero for an invalid way
-	meta   []lineMeta     // zero for an invalid way
+	pcs    []mem.Addr     // PC that filled or last wrote the way; zero for an invalid way
+	cores  []int32        // core that filled or last wrote the way; zero for an invalid way
 	valid  []int16        // per-set valid-line count
 	dirty  []int16        // per-set dirty-line count
 	policy Policy
@@ -288,7 +285,8 @@ func New(cfg Config, p Policy) (*Cache, error) {
 		mask:  uint64(cfg.Sets() - 1),
 		tags:  make([]mem.LineAddr, lines),
 		flags: make([]uint8, lines),
-		meta:  make([]lineMeta, lines),
+		pcs:   make([]mem.Addr, lines),
+		cores: make([]int32, lines),
 		valid: make([]int16, cfg.Sets()),
 		dirty: make([]int16, cfg.Sets()),
 	}
@@ -310,11 +308,11 @@ func (c *Cache) NumSets() int { return int(c.mask) + 1 } //rwplint:allow ctrwidt
 func (c *Cache) Ways() int { return c.cfg.Ways }
 
 // State implements StateReader, rebuilding the way's LineState from the
-// three arrays.
+// parallel arrays.
 func (c *Cache) State(set, way int) LineState {
 	i := set*c.cfg.Ways + way
-	f, m := c.flags[i], c.meta[i]
-	return LineState{Tag: c.tags[i], Valid: f&flagValid != 0, Dirty: f&flagDirty != 0, Core: m.core, PC: m.pc}
+	f := c.flags[i]
+	return LineState{Tag: c.tags[i], Valid: f&flagValid != 0, Dirty: f&flagDirty != 0, Core: int(c.cores[i]), PC: c.pcs[i]}
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -392,7 +390,7 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 				c.dirty[set]++
 				c.flags[i] |= flagDirty
 			}
-			c.meta[i] = lineMeta{pc: pc, core: core}
+			c.pcs[i], c.cores[i] = pc, int32(core)
 		}
 		c.policy.OnHit(set, way, ai)
 		return Result{Hit: true}
@@ -424,14 +422,14 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 			c.dirty[set]--
 			res.Writeback = true
 			res.WritebackLine = c.tags[i]
-			res.WritebackPC = c.meta[i].pc
+			res.WritebackPC = c.pcs[i]
 		}
 		c.policy.OnEvict(set, victim, ai)
 	} else {
 		c.valid[set]++
 	}
 	c.tags[i] = line
-	c.meta[i] = lineMeta{pc: pc, core: core}
+	c.pcs[i], c.cores[i] = pc, int32(core)
 	c.flags[i] = flagValid
 	if dirtying {
 		c.flags[i] |= flagDirty
@@ -468,7 +466,7 @@ func (c *Cache) Invalidate(line mem.LineAddr) (wasDirty, wasPresent bool) {
 	}
 	c.valid[set]--
 	c.policy.OnEvict(set, way, AccessInfo{Line: line})
-	c.tags[i], c.flags[i], c.meta[i] = 0, 0, lineMeta{}
+	c.tags[i], c.flags[i], c.pcs[i], c.cores[i] = 0, 0, 0, 0
 	return dirty, true
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"rwp/internal/core"
-	"rwp/internal/cpu"
 	"rwp/internal/hier"
+	"rwp/internal/probe"
 	"rwp/internal/stats"
 	"rwp/internal/trace"
 )
@@ -44,90 +44,20 @@ func RunSourceIntervals(name string, src trace.Source, opt Options, window uint6
 	if window == 0 {
 		return Result{}, nil, fmt.Errorf("sim: interval window must be positive")
 	}
-	if err := opt.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	if opt.Hier.Cores != 1 {
-		return Result{}, nil, fmt.Errorf("sim: RunSourceIntervals needs a 1-core hierarchy")
-	}
-	h, err := hier.New(opt.Hier)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	cpuCore, err := cpu.New(opt.CPU)
-	if err != nil {
-		return Result{}, nil, err
-	}
 	var series []Interval
-	var warmEndIC, warmEndCycles uint64
-	var warmCore cpu.Stats
-	var winIC, winCycles, winMisses uint64
-	var lastIC uint64
-	warmed := false
-	total := opt.Warmup + opt.Measure
-	for i := uint64(0); i < total; i++ {
-		a, err := src.Next()
-		if err == trace.ErrEnd {
-			if !warmed {
-				return Result{}, nil, fmt.Errorf("sim: trace %s ended during warmup", name)
-			}
-			break
+	var prev probe.IntervalEvent // cumulative counts at the previous window's end
+	res, err := runSingleCore("trace", name, src, opt, observer{window: window, interval: func(ev probe.IntervalEvent) {
+		insts, cycles := ev.Instructions-prev.Instructions, ev.Cycles-prev.Cycles
+		iv := Interval{EndAccess: ev.EndAccess, DirtyTarget: ev.DirtyTarget}
+		if cycles > 0 {
+			iv.IPC = float64(insts) / float64(cycles)
 		}
-		if err != nil {
-			return Result{}, nil, fmt.Errorf("sim: trace %s: %w", name, err)
-		}
-		step(cpuCore, h, 0, a)
-		lastIC = a.IC
-		if i+1 == opt.Warmup {
-			h.ResetStats()
-			snap := cpuCore.Stats()
-			warmEndIC, warmEndCycles = snap.Instructions, snap.Cycles
-			warmCore = snap
-			winIC, winCycles = snap.Instructions, snap.Cycles
-			warmed = true
-			continue
-		}
-		if warmed {
-			measured := i + 1 - opt.Warmup
-			if measured%window == 0 {
-				snap := cpuCore.Stats()
-				misses := h.LLC().Stats().ReadMisses()
-				insts := snap.Instructions - winIC
-				cycles := snap.Cycles - winCycles
-				iv := Interval{EndAccess: measured, DirtyTarget: llcDirtyTarget(h)}
-				if cycles > 0 {
-					iv.IPC = float64(insts) / float64(cycles)
-				}
-				iv.ReadMPKI = stats.PerKilo(misses-winMisses, insts)
-				series = append(series, iv)
-				winIC, winCycles, winMisses = snap.Instructions, snap.Cycles, misses
-			}
-		}
+		iv.ReadMPKI = stats.PerKilo(ev.LLCReadMisses-prev.LLCReadMisses, insts)
+		series = append(series, iv)
+		prev = ev
+	}})
+	if err != nil {
+		return Result{}, nil, err
 	}
-	if !warmed {
-		return Result{}, nil, fmt.Errorf("sim: trace %s shorter than warmup", name)
-	}
-	final := cpuCore.Finish(lastIC + 1)
-	res := Result{
-		Workload: name,
-		Policy:   opt.Hier.LLCPolicy,
-		L1:       h.L1(0).Stats(),
-		L2:       h.L2(0).Stats(),
-		LLC:      h.LLC().Stats(),
-		DRAM:     h.DRAM().Stats(),
-	}
-	res.Core = cpu.Stats{
-		Instructions: final.Instructions - warmEndIC,
-		Cycles:       final.Cycles - warmEndCycles,
-		Loads:        final.Loads - warmCore.Loads,
-		Stores:       final.Stores - warmCore.Stores,
-		LoadStalls:   final.LoadStalls - warmCore.LoadStalls,
-		StoreStalls:  final.StoreStalls - warmCore.StoreStalls,
-	}
-	res.Instructions = res.Core.Instructions
-	res.IPC = res.Core.IPC()
-	res.ReadMPKI = stats.PerKilo(res.LLC.ReadMisses(), res.Instructions)
-	res.TotalMPKI = stats.PerKilo(res.LLC.TotalMisses(), res.Instructions)
-	res.WBPKI = stats.PerKilo(res.DRAM.Writes, res.Instructions)
 	return res, series, nil
 }

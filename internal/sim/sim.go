@@ -89,7 +89,7 @@ type Result struct {
 
 // RunSingle executes one workload on a single-core system.
 func RunSingle(prof workload.Profile, opt Options) (Result, error) {
-	return runSingle(prof, opt, nil)
+	return runSingleCore("workload", prof.Name, prof.NewSource(), opt, observer{})
 }
 
 // RunSingleProbe is RunSingle with an attached probe. The probe is wired
@@ -99,15 +99,41 @@ func RunSingle(prof workload.Profile, opt Options) (Result, error) {
 // snapshot. Attaching a probe never changes the Result — the probe only
 // observes (enforced by probe_test.go).
 func RunSingleProbe(prof workload.Profile, opt Options, p probe.Probe) (Result, error) {
-	return runSingle(prof, opt, p)
+	var obs observer
+	if p != nil {
+		obs = observer{probe: p, window: p.Window(), interval: p.IntervalEnd}
+	}
+	return runSingleCore("workload", prof.Name, prof.NewSource(), opt, obs)
 }
 
-func runSingle(prof workload.Profile, opt Options, p probe.Probe) (Result, error) {
+// observer is what an entry point may hang on the single-core loop; the
+// zero value observes nothing.
+type observer struct {
+	// probe, when not nil, is wired to the hierarchy at the warmup
+	// boundary.
+	probe probe.Probe
+	// interval, when window is positive, receives a snapshot (cumulative
+	// over the measured region) every window measured accesses.
+	window   uint64
+	interval func(probe.IntervalEvent)
+}
+
+// runSingleCore is the one single-core simulation loop: every entry
+// point that drives one core — a generated workload or a decoded trace
+// (kind says which, for error messages), with or without a probe or an
+// interval series — is this function with a different observer. The
+// stream is read through a trace.ReadAhead, so src.Next runs on a second
+// goroutine while this one simulates; the stage is joined before return.
+//
+// The stream ends at opt.Warmup+opt.Measure accesses or at trace end,
+// whichever comes first; ending before the first measured access is an
+// error.
+func runSingleCore(kind, name string, src trace.Source, opt Options, obs observer) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
 	if opt.Hier.Cores != 1 {
-		return Result{}, fmt.Errorf("sim: RunSingle needs a 1-core hierarchy, got %d", opt.Hier.Cores)
+		return Result{}, fmt.Errorf("sim: a single-core run needs a 1-core hierarchy, got %d", opt.Hier.Cores)
 	}
 	h, err := hier.New(opt.Hier)
 	if err != nil {
@@ -117,70 +143,71 @@ func runSingle(prof workload.Profile, opt Options, p probe.Probe) (Result, error
 	if err != nil {
 		return Result{}, err
 	}
-	src := prof.NewSource()
-	var window uint64
-	if p != nil {
-		window = p.Window()
-		if opt.Warmup == 0 {
-			h.SetProbe(p)
-		}
-	}
-
-	var warmEndIC, warmEndCycles uint64
-	var warmCore cpu.Stats
-	var lastIC uint64
-	var winIdx int
 	total := opt.Warmup + opt.Measure
-	for i := uint64(0); i < total; i++ {
-		a, err := src.Next()
+	ahead := trace.NewReadAhead(src, total)
+	defer ahead.Close()
+
+	var warm cpu.Stats // the core at the warmup boundary
+	var lastIC uint64
+	// nextWindow is the access count that closes the current interval;
+	// zero (no count is) when nobody asked for intervals.
+	var nextWindow uint64
+	if obs.window > 0 {
+		nextWindow = opt.Warmup + obs.window
+	}
+	winIdx := 0
+	for i := uint64(0); ; i++ {
+		if i == opt.Warmup {
+			// The measured region starts before access i, which for
+			// Warmup == 0 is the first.
+			h.ResetStats()
+			warm = core.Stats()
+			if obs.probe != nil {
+				h.SetProbe(obs.probe)
+			}
+		}
+		if i == total {
+			break
+		}
+		a, err := ahead.Next()
+		if err == trace.ErrEnd {
+			if i < opt.Warmup {
+				return Result{}, fmt.Errorf("sim: %s %s ended during warmup (%d accesses)", kind, name, i)
+			}
+			if i == opt.Warmup {
+				return Result{}, fmt.Errorf("sim: %s %s ended with no measured accesses", kind, name)
+			}
+			break
+		}
 		if err != nil {
-			return Result{}, fmt.Errorf("sim: workload %s: %w", prof.Name, err)
+			return Result{}, fmt.Errorf("sim: %s %s: %w", kind, name, err)
 		}
 		step(core, h, 0, a)
 		lastIC = a.IC
-		if i+1 == opt.Warmup {
-			h.ResetStats()
+		if i+1 == nextWindow {
 			snap := core.Stats()
-			warmEndIC, warmEndCycles = snap.Instructions, snap.Cycles
-			warmCore = snap
-			if p != nil {
-				h.SetProbe(p)
-			}
-		}
-		if p != nil && window > 0 && i+1 > opt.Warmup {
-			measured := i + 1 - opt.Warmup
-			if measured%window == 0 {
-				snap := core.Stats()
-				p.IntervalEnd(probe.IntervalEvent{
-					Index:         winIdx,
-					EndAccess:     measured,
-					Instructions:  snap.Instructions - warmEndIC,
-					Cycles:        snap.Cycles - warmEndCycles,
-					LLCReadMisses: h.LLC().Stats().ReadMisses(),
-					DirtyTarget:   llcDirtyTarget(h),
-					DirtyLines:    h.LLC().TotalDirty(),
-					ValidLines:    h.LLC().TotalValid(),
-				})
-				winIdx++
-			}
+			obs.interval(probe.IntervalEvent{
+				Index:         winIdx,
+				EndAccess:     i + 1 - opt.Warmup,
+				Instructions:  snap.Instructions - warm.Instructions,
+				Cycles:        snap.Cycles - warm.Cycles,
+				LLCReadMisses: h.LLC().Stats().ReadMisses(),
+				DirtyTarget:   llcDirtyTarget(h),
+				DirtyLines:    h.LLC().TotalDirty(),
+				ValidLines:    h.LLC().TotalValid(),
+			})
+			winIdx++
+			nextWindow += obs.window
 		}
 	}
-	final := core.Finish(lastIC + 1)
 	res := Result{
-		Workload: prof.Name,
+		Workload: name,
 		Policy:   opt.Hier.LLCPolicy,
+		Core:     measuredCore(core.Finish(lastIC+1), warm),
 		L1:       h.L1(0).Stats(),
 		L2:       h.L2(0).Stats(),
 		LLC:      h.LLC().Stats(),
 		DRAM:     h.DRAM().Stats(),
-	}
-	res.Core = cpu.Stats{
-		Instructions: final.Instructions - warmEndIC,
-		Cycles:       final.Cycles - warmEndCycles,
-		Loads:        final.Loads - warmCore.Loads,
-		Stores:       final.Stores - warmCore.Stores,
-		LoadStalls:   final.LoadStalls - warmCore.LoadStalls,
-		StoreStalls:  final.StoreStalls - warmCore.StoreStalls,
 	}
 	res.Instructions = res.Core.Instructions
 	res.IPC = res.Core.IPC()
@@ -188,6 +215,19 @@ func runSingle(prof workload.Profile, opt Options, p probe.Probe) (Result, error
 	res.TotalMPKI = stats.PerKilo(res.LLC.TotalMisses(), res.Instructions)
 	res.WBPKI = stats.PerKilo(res.DRAM.Writes, res.Instructions)
 	return res, nil
+}
+
+// measuredCore returns the core's measured-region counters: final minus
+// the snapshot taken at the warmup boundary.
+func measuredCore(final, warm cpu.Stats) cpu.Stats {
+	return cpu.Stats{
+		Instructions: final.Instructions - warm.Instructions,
+		Cycles:       final.Cycles - warm.Cycles,
+		Loads:        final.Loads - warm.Loads,
+		Stores:       final.Stores - warm.Stores,
+		LoadStalls:   final.LoadStalls - warm.LoadStalls,
+		StoreStalls:  final.StoreStalls - warm.StoreStalls,
+	}
 }
 
 // step feeds one access through the core and hierarchy in the canonical
@@ -254,26 +294,30 @@ func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult
 
 	type coreState struct {
 		core       *cpu.Core
-		src        *workload.Source
+		src        *trace.ReadAhead
 		done       uint64 // accesses completed
 		lastIC     uint64
-		warmIC     uint64
-		warmCyc    uint64
-		warmSnap   cpu.Stats
+		warm       cpu.Stats // the core at its warmup boundary
 		l1Snap     cache.Stats
 		l2Snap     cache.Stats
 		llcRMWarm  uint64 // per-core LLC read misses at warmup end
 		llcRMFinal uint64 // captured when the core's counted region ends
 	}
 	states := make([]*coreState, n)
-	for i, p := range profs {
+	for i := range profs {
 		c, err := cpu.New(opt.CPU)
 		if err != nil {
 			return MultiResult{}, err
 		}
-		states[i] = &coreState{core: c, src: p.NewSource()}
+		states[i] = &coreState{core: c}
 	}
+	// One read-ahead stage per core, each bounded by that core's quota
+	// and joined before return.
 	total := opt.Warmup + opt.Measure
+	for i, p := range profs {
+		states[i].src = trace.NewReadAhead(p.NewSource(), total)
+		defer states[i].src.Close()
+	}
 	llcWarm := cache.Stats{}
 	warmDone := 0
 	var window uint64
@@ -313,9 +357,7 @@ func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult
 		st.lastIC = a.IC
 		st.done++
 		if st.done == opt.Warmup {
-			snap := st.core.Stats()
-			st.warmIC, st.warmCyc = snap.Instructions, snap.Cycles
-			st.warmSnap = snap
+			st.warm = st.core.Stats()
 			st.l1Snap = h.L1(best).Stats()
 			st.l2Snap = h.L2(best).Stats()
 			st.llcRMWarm = h.LLCReadMisses(best)
@@ -334,8 +376,8 @@ func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult
 				var insts, cycles uint64
 				for _, s2 := range states {
 					snap := s2.core.Stats()
-					insts += snap.Instructions - s2.warmIC
-					cycles += snap.Cycles - s2.warmCyc
+					insts += snap.Instructions - s2.warm.Instructions
+					cycles += snap.Cycles - s2.warm.Cycles
 				}
 				p.IntervalEnd(probe.IntervalEvent{
 					Index:         winIdx,
@@ -360,22 +402,14 @@ func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult
 	llcEnd := h.LLC().Stats()
 	llcMeasured := subStats(llcEnd, llcWarm)
 	for i, st := range states {
-		final := st.core.Finish(st.lastIC + 1)
 		r := Result{
 			Workload: profs[i].Name,
 			Policy:   opt.Hier.LLCPolicy,
+			Core:     measuredCore(st.core.Finish(st.lastIC+1), st.warm),
 			L1:       subStats(h.L1(i).Stats(), st.l1Snap),
 			L2:       subStats(h.L2(i).Stats(), st.l2Snap),
 			LLC:      llcMeasured,
 			DRAM:     h.DRAM().Stats(),
-		}
-		r.Core = cpu.Stats{
-			Instructions: final.Instructions - st.warmIC,
-			Cycles:       final.Cycles - st.warmCyc,
-			Loads:        final.Loads - st.warmSnap.Loads,
-			Stores:       final.Stores - st.warmSnap.Stores,
-			LoadStalls:   final.LoadStalls - st.warmSnap.LoadStalls,
-			StoreStalls:  final.StoreStalls - st.warmSnap.StoreStalls,
 		}
 		r.Instructions = r.Core.Instructions
 		r.IPC = r.Core.IPC()
@@ -400,6 +434,3 @@ func subStats(a, b cache.Stats) cache.Stats {
 	out.DirtyEvict = a.DirtyEvict - b.DirtyEvict
 	return out
 }
-
-// Ensure trace is linked (Source contract documentation references it).
-var _ trace.Source = (*workload.Source)(nil)

@@ -1,85 +1,13 @@
 package sim
 
-import (
-	"fmt"
-
-	"rwp/internal/cpu"
-	"rwp/internal/hier"
-	"rwp/internal/stats"
-	"rwp/internal/trace"
-)
+import "rwp/internal/trace"
 
 // RunSource executes an arbitrary access stream (e.g. a decoded trace
 // file) on a single-core system. The stream ends either at
 // opt.Warmup+opt.Measure accesses or at trace end, whichever comes
-// first; a trace shorter than the warmup is an error. The Workload label
-// is the caller's name for the stream.
+// first; a trace with no access past the warmup is an error. The
+// Workload label is the caller's name for the stream. src is read from
+// another goroutine until RunSource returns, and not afterwards.
 func RunSource(name string, src trace.Source, opt Options) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
-	}
-	if opt.Hier.Cores != 1 {
-		return Result{}, fmt.Errorf("sim: RunSource needs a 1-core hierarchy, got %d", opt.Hier.Cores)
-	}
-	h, err := hier.New(opt.Hier)
-	if err != nil {
-		return Result{}, err
-	}
-	core, err := cpu.New(opt.CPU)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var warmEndIC, warmEndCycles uint64
-	var warmCore cpu.Stats
-	var lastIC uint64
-	warmed := false
-	total := opt.Warmup + opt.Measure
-	for i := uint64(0); i < total; i++ {
-		a, err := src.Next()
-		if err == trace.ErrEnd {
-			if !warmed {
-				return Result{}, fmt.Errorf("sim: trace %s ended during warmup (%d accesses)", name, i)
-			}
-			break
-		}
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: trace %s: %w", name, err)
-		}
-		step(core, h, 0, a)
-		lastIC = a.IC
-		if i+1 == opt.Warmup {
-			h.ResetStats()
-			snap := core.Stats()
-			warmEndIC, warmEndCycles = snap.Instructions, snap.Cycles
-			warmCore = snap
-			warmed = true
-		}
-	}
-	if !warmed {
-		return Result{}, fmt.Errorf("sim: trace %s shorter than warmup", name)
-	}
-	final := core.Finish(lastIC + 1)
-	res := Result{
-		Workload: name,
-		Policy:   opt.Hier.LLCPolicy,
-		L1:       h.L1(0).Stats(),
-		L2:       h.L2(0).Stats(),
-		LLC:      h.LLC().Stats(),
-		DRAM:     h.DRAM().Stats(),
-	}
-	res.Core = cpu.Stats{
-		Instructions: final.Instructions - warmEndIC,
-		Cycles:       final.Cycles - warmEndCycles,
-		Loads:        final.Loads - warmCore.Loads,
-		Stores:       final.Stores - warmCore.Stores,
-		LoadStalls:   final.LoadStalls - warmCore.LoadStalls,
-		StoreStalls:  final.StoreStalls - warmCore.StoreStalls,
-	}
-	res.Instructions = res.Core.Instructions
-	res.IPC = res.Core.IPC()
-	res.ReadMPKI = stats.PerKilo(res.LLC.ReadMisses(), res.Instructions)
-	res.TotalMPKI = stats.PerKilo(res.LLC.TotalMisses(), res.Instructions)
-	res.WBPKI = stats.PerKilo(res.DRAM.Writes, res.Instructions)
-	return res, nil
+	return runSingleCore("trace", name, src, opt, observer{})
 }

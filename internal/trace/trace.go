@@ -1,6 +1,7 @@
 // Package trace provides the memory-trace substrate of the simulator:
 // streaming access sources, a compact binary on-disk codec, composition
-// helpers (limit, concat, interleave) and summary statistics.
+// helpers (limit, concat, interleave), the read-ahead stage that feeds
+// every simulation loop from a second goroutine, and summary statistics.
 //
 // Traces are streams of mem.Access records. The paper drives its simulator
 // with Pin-captured SPEC CPU2006 traces; this repo's traces come either

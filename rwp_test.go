@@ -203,6 +203,28 @@ func TestRunPhases(t *testing.T) {
 	}
 }
 
+// TestRunPhasesOnePhaseMatchesRun: a single phase is a plain run with a
+// time series attached; both go through the simulator's one single-core
+// loop, so the Results are equal field for field.
+func TestRunPhasesOnePhaseMatchesRun(t *testing.T) {
+	cfg := fastCfg
+	cfg.Policy = "rwp"
+	plain, err := Run("gcc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phased, series, err := RunPhases([]string{"gcc"}, cfg, cfg.Measure/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if phased != plain {
+		t.Fatalf("one-phase run diverged from Run:\n got %+v\nwant %+v", phased, plain)
+	}
+	if len(series) != 4 || series[3].EndAccess != cfg.Measure {
+		t.Fatalf("series %+v, want 4 windows ending at access %d", series, cfg.Measure)
+	}
+}
+
 func TestRunTraceMatchesRun(t *testing.T) {
 	// A recorded trace replayed through RunTrace must reproduce the
 	// generator-driven run exactly.

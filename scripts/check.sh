@@ -7,7 +7,7 @@
 #   extras:  go vet, rwplint (explicit, for readable output), -race,
 #            the benchmark module's own vet + tests
 #
-# Usage: scripts/check.sh [-short]   (-short skips the -race pass)
+# Usage: scripts/check.sh [-short]   (-short races only the concurrent packages)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,6 +49,10 @@ else
     # binary-protocol server under concurrent pipelined clients.
     echo '>> go test -race -short -run Stress ./internal/live/... ./cmd/rwpserve'
     go test -race -short -run Stress ./internal/live/... ./cmd/rwpserve
+    # ... and the simulator, whose every run hands its access stream
+    # between two goroutines (the read-ahead stage in internal/trace).
+    echo '>> go test -race -short ./internal/sim/ ./internal/trace/'
+    go test -race -short ./internal/sim/ ./internal/trace/
 fi
 
 # Engine smoke: run one experiment twice against the same cache dir.
