@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	interval := fs.Uint64("interval", 0, "RWP repartition interval in per-set ops (0: default)")
 	valueSize := fs.Int("value-size", 0, "synthetic value size in bytes (0: default)")
 	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store")
-	probeOn := fs.Bool("probe", true, "include the probe section in the merged stats (derived from the counters)")
 	mode := fs.String("mode", "direct", "node transport: direct or pipe")
 	pipeline := fs.Int("pipeline", 0, "router flush depth in ops (0: default)")
 	selftest := fs.Int("selftest", 0, "run N loadgen ops through the cluster, print merged stats JSON, exit")
@@ -81,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = *sets, *ways, *shards
 	cfg.Policy = *policyName
-	cfg.Record = *probeOn
 	if *interval > 0 {
 		cfg.RWP.Interval = *interval
 	}

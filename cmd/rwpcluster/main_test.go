@@ -68,7 +68,6 @@ func TestSelftestMatchesSingleNode(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
 	cfg.RWP.Interval = 64
-	cfg.Record = true
 	cfg.Loader = loadgen.Loader(0)
 	c, err := live.New(cfg)
 	if err != nil {
@@ -158,7 +157,6 @@ func TestJournalDir(t *testing.T) {
 func TestConnectMode(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
-	cfg.Record = true
 	cfg.Loader = loadgen.Loader(0)
 	addrs := make([]string, 2)
 	for i := range addrs {
@@ -199,7 +197,6 @@ func startServers(t *testing.T, n int) []string {
 	t.Helper()
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
-	cfg.Record = true
 	cfg.Loader = loadgen.Loader(0)
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -260,9 +257,8 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"cold", "connect", "hot", "hot-p99", "interval", "journal-dir",
 		"manager", "max-replicas", "mode", "no-loader", "nodes", "pipeline",
-		"policy", "probe", "profile", "ring-shards", "seed", "selftest",
-		"sets", "shards", "value-size", "vnodes", "ways", "window",
-		"windows-out",
+		"policy", "profile", "ring-shards", "seed", "selftest", "sets",
+		"shards", "value-size", "vnodes", "ways", "window", "windows-out",
 	}
 	var out, errbuf bytes.Buffer
 	if code := run([]string{"-h"}, &out, &errbuf); code != 2 {

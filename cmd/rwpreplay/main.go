@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rwpreplay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "request journal to replay (required; schema rwp-reqlog-v1)")
-	transport := fs.String("transport", "direct", "replay transport: direct, http, tcp, or cluster")
+	transport := fs.String("transport", "direct", "replay transport: direct, tcp, or cluster")
 	policyName := fs.String("policy", "rwp", "replacement policy: lru or rwp")
 	sets := fs.Int("sets", 1024, "total sets (power of two); match the recorded run")
 	ways := fs.Int("ways", 16, "ways per set; match the recorded run")
@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	interval := fs.Uint64("interval", 0, "RWP repartition interval in per-set ops (0: default)")
 	valueSize := fs.Int("value-size", 0, "loader value size in bytes (0: default); match the recorded run")
 	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store")
-	probeOn := fs.Bool("probe", true, "include the probe section in /stats (derived from the counters)")
 	batch := fs.Int("batch", 64, "max ops per binary MGET/MPUT frame (tcp transport)")
 	pipeline := fs.Int("pipeline", 8, "frames per pipelined flush (tcp/cluster transport)")
 	rate := fs.Int("rate", 0, "target replay rate in ops/sec (0: full speed)")
@@ -97,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = *sets, *ways, *shards
 	cfg.Policy = *policyName
-	cfg.Record = *probeOn
 	if *interval > 0 {
 		cfg.RWP.Interval = *interval
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,7 +53,6 @@ func recordRun(t *testing.T, shards int) (journal string, stats []byte) {
 func testConfig(shards int) live.Config {
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, shards
-	cfg.Record = true
 	cfg.RWP.Interval = 32
 	cfg.Loader = loadgen.Loader(8)
 	return cfg
@@ -86,7 +86,6 @@ func TestReplayEquivalence(t *testing.T) {
 		{"direct", geometry("4")},
 		{"direct-shards-1", geometry("1")},
 		{"direct-shards-32", geometry("32")},
-		{"http", append(geometry("4"), "-transport", "http")},
 		{"tcp", append(geometry("4"), "-transport", "tcp", "-batch", "16", "-pipeline", "4")},
 		{"tcp-degenerate", append(geometry("8"), "-transport", "tcp", "-batch", "1", "-pipeline", "1")},
 		{"cluster", append(geometry("4"), "-transport", "cluster", "-nodes", "3", "-ring-shards", "32")},
@@ -134,6 +133,29 @@ func TestReplayCarriesTelemetry(t *testing.T) {
 	}
 }
 
+// TestFlagSurface pins the CLI's flag set against a golden list, as
+// rwpserve's and rwpcluster's tests of the same name do.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"batch", "in", "interval", "mode", "no-loader", "nodes", "pipeline",
+		"policy", "rate", "record", "ring-shards", "sets", "shards",
+		"transport", "value-size", "vnodes", "ways",
+	}
+	var out, errbuf bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errbuf); code != 2 {
+		t.Fatalf("run(-h) = %d, want 2", code)
+	}
+	var got []string
+	for _, line := range strings.Split(errbuf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(rest)[0])
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("rwpreplay -h lists %d flags:\n%q\nwant %d:\n%q", len(got), got, len(want), want)
+	}
+}
+
 func TestRunFlagErrors(t *testing.T) {
 	journal, _ := recordRun(t, 4)
 	for _, tc := range []struct {
@@ -145,6 +167,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad flag", []string{"-nope"}, 2},
 		{"positional", []string{"-in", journal, "extra"}, 2},
 		{"bad transport", []string{"-in", journal, "-transport", "smoke-signal"}, 2},
+		{"http transport", []string{"-in", journal, "-transport", "http"}, 2},
 		{"cluster re-record", []string{"-in", journal, "-transport", "cluster", "-record", "x.jsonl"}, 2},
 		{"missing journal", []string{"-in", filepath.Join(t.TempDir(), "nope.jsonl")}, 1},
 		{"bad geometry", []string{"-in", journal, "-sets", "100"}, 1},

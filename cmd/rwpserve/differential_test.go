@@ -23,7 +23,6 @@ func diffCache(t *testing.T) *live.Cache {
 	t.Helper()
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 4
-	cfg.Record = true
 	cfg.RWP.Interval = 32
 	cfg.Loader = loadgen.Loader(8)
 	c, err := live.New(cfg)
@@ -58,8 +57,8 @@ func replayThrough(t *testing.T, transport string, batch, depth, n int) []byte {
 
 // TestTransportEquivalence is the tentpole's differential proof: the
 // same single-goroutine loadgen stream produces byte-identical stats
-// JSON whether it travels in process, over HTTP request-per-op, or
-// over the binary protocol in batched pipelined frames.
+// JSON whether it travels in process or over the binary protocol in
+// batched pipelined frames.
 func TestTransportEquivalence(t *testing.T) {
 	const n = 5000
 	base := replayThrough(t, "direct", 0, 0, n)
@@ -68,19 +67,15 @@ func TestTransportEquivalence(t *testing.T) {
 			t.Fatalf("baseline stats missing %s:\n%s", want, base)
 		}
 	}
-	for _, tc := range []struct {
-		transport    string
-		batch, depth int
-	}{
-		{"http", 0, 0},
-		{"tcp", 1, 1},   // degenerate: one op per frame, one frame per flush
-		{"tcp", 32, 8},  // the default-ish batched pipelined shape
-		{"tcp", 256, 2}, // big frames, shallow pipeline
+	for _, tc := range []struct{ batch, depth int }{
+		{1, 1},   // degenerate: one op per frame, one frame per flush
+		{32, 8},  // the default-ish batched pipelined shape
+		{256, 2}, // big frames, shallow pipeline
 	} {
-		got := replayThrough(t, tc.transport, tc.batch, tc.depth, n)
+		got := replayThrough(t, "tcp", tc.batch, tc.depth, n)
 		if !bytes.Equal(got, base) {
-			t.Errorf("%s (batch=%d depth=%d) stats differ from direct:\n%s\nvs\n%s",
-				tc.transport, tc.batch, tc.depth, got, base)
+			t.Errorf("tcp (batch=%d depth=%d) stats differ from direct:\n%s\nvs\n%s",
+				tc.batch, tc.depth, got, base)
 		}
 	}
 }
@@ -210,7 +205,7 @@ func TestServeListenErrors(t *testing.T) {
 
 	c := diffCache(t)
 	var out, errb bytes.Buffer
-	if err := serve(context.Background(), busy, "", c, "", 0, &out, &errb); err == nil {
+	if err := serve(context.Background(), busy, "127.0.0.1:0", c, "", 0, &out, &errb); err == nil {
 		t.Error("serve on a busy HTTP port: no error")
 	}
 	if err := serve(context.Background(), "127.0.0.1:0", busy, c, "", 0, &out, &errb); err == nil {

@@ -2,9 +2,9 @@
 // as a network service, and doubles as the deterministic harness
 // around it:
 //
-//	rwpserve                         serve /get /put /stats on -addr
-//	rwpserve -tcp :8345              additionally serve the binary
-//	                                 protocol (internal/live/proto)
+//	rwpserve                         serve the binary protocol
+//	                                 (internal/live/proto) on -tcp and
+//	                                 the operator's GET /stats on -addr
 //	rwpserve -selftest 20000         run a seeded loadgen burst through
 //	                                 -transport, print /stats JSON, exit
 //	rwpserve -record reqs.jsonl ...  additionally journal every request
@@ -19,15 +19,11 @@
 //	                                 byte-identical to a never-restarted
 //	                                 run (bad snapshots log + start cold)
 //
-// The HTTP endpoints:
-//
-//	GET  /get?key=K       value bytes; X-Cache: hit|fill|miss
-//	PUT  /put?key=K       body is the value; X-Cache: overwrite|insert
-//	GET  /stats           JSON aggregate (shard-count invariant)
-//
-// The binary listener speaks the frame protocol documented in
-// internal/live/proto: pipelined GET/PUT/MGET/MPUT/STATS/PING with the
-// same cache semantics as HTTP (STATS returns the /stats body verbatim).
+// The binary listener is the one data wire: the frame protocol
+// documented in internal/live/proto, pipelined
+// GET/PUT/MGET/MPUT/STATS/PING. HTTP is the operator's read-only view:
+// GET /stats returns the JSON aggregate (shard-count invariant), the
+// same bytes a STATS frame carries.
 //
 // All wall-clock concerns (HTTP, shutdown signals) live here in cmd/;
 // internal/live itself is clocked purely by operation counts, so the
@@ -62,19 +58,18 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rwpserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	addr := fs.String("addr", "127.0.0.1:8344", "HTTP listen address (host:port; :0 picks a free port)")
-	tcpAddr := fs.String("tcp", "", "binary-protocol listen address (empty: HTTP only)")
+	addr := fs.String("addr", "127.0.0.1:8344", "operator HTTP listen address, GET /stats only (host:port; :0 picks a free port)")
+	tcpAddr := fs.String("tcp", "127.0.0.1:8345", "binary-protocol listen address, the data wire (host:port; :0 picks a free port)")
 	policyName := fs.String("policy", "rwp", "replacement policy: lru or rwp")
 	sets := fs.Int("sets", 1024, "total sets (power of two)")
 	ways := fs.Int("ways", 16, "ways per set")
 	shards := fs.Int("shards", 8, "lock shards (must divide sets; behavior-invariant)")
 	interval := fs.Uint64("interval", 0, "RWP repartition interval in per-set ops (0: default)")
 	valueSize := fs.Int("value-size", 0, "synthetic value size in bytes (0: default)")
-	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store (Get misses return 404)")
+	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store (Get misses answer miss)")
 	coalesce := fs.Bool("coalesce", false, "singleflight fill coalescing: concurrent misses on one key share one Loader call")
 	negOps := fs.Uint64("neg-ops", 0, "negatively cache Loader misses for N per-set ops (0: off)")
 	leaseOps := fs.Uint64("lease-ops", 0, "depose a coalesced fill stuck for N per-set ops (0: never; needs -coalesce)")
-	probeOn := fs.Bool("probe", true, "include the probe section in /stats (derived from the counters)")
 	recordPath := fs.String("record", "", "journal every request to this file (schema rwp-reqlog-v1)")
 	snapPath := fs.String("snapshot", "", "write a state snapshot (schema rwp-snap-v3) here at graceful shutdown / selftest exit")
 	snapEvery := fs.Uint64("snap-every", 0, "additionally checkpoint -snapshot every N data ops (serve mode; 0: shutdown only)")
@@ -83,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	selftestSkip := fs.Int("selftest-skip", 0, "skip the first K of the -selftest ops (resume a stream after -restore)")
 	profile := fs.String("profile", "mcf", "workload profile for -selftest")
 	seed := fs.Uint64("seed", 0, "loadgen seed offset for -selftest")
-	transport := fs.String("transport", "direct", "transport for -selftest: direct, http, or tcp")
+	transport := fs.String("transport", "direct", "transport for -selftest: direct or tcp")
 	batch := fs.Int("batch", 64, "max ops per binary MGET/MPUT frame (tcp transport)")
 	pipeline := fs.Int("pipeline", 8, "frames per pipelined flush (tcp transport)")
 	if err := fs.Parse(args); err != nil {
@@ -102,7 +97,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = *sets, *ways, *shards
 	cfg.Policy = *policyName
-	cfg.Record = *probeOn
 	if *interval > 0 {
 		cfg.RWP.Interval = *interval
 	}

@@ -3,145 +3,61 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
-
-	"rwp/internal/live"
-	"rwp/internal/live/drive"
-	"rwp/internal/live/loadgen"
 )
 
-func testCache(t *testing.T, loader bool) *live.Cache {
-	t.Helper()
-	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 64, 4, 4
-	cfg.Record = true
-	if loader {
-		cfg.Loader = loadgen.Loader(8)
+// TestStatsEndpoint pins the operator surface: GET and HEAD /stats
+// answer the document, every other method on it is refused, no other
+// path is routed (data travels over -tcp only), and the server bounds
+// what a stalled peer can hold.
+func TestStatsEndpoint(t *testing.T) {
+	c := diffCache(t)
+	c.Put("a", []byte("v"))
+	c.Get("a")
+	hs := newStatsServer(c)
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("stats server timeouts unset: header %v, read %v, idle %v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
 	}
-	c, err := live.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestHandlerPutGetStats(t *testing.T) {
-	srv := httptest.NewServer(drive.Handler(testCache(t, false)))
-	defer srv.Close()
-
-	// Miss without a loader: 404.
-	resp, err := http.Get(srv.URL + "/get?key=a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("X-Cache") != "miss" {
-		t.Fatalf("miss: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
-	}
-
-	// Insert, then overwrite.
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/put?key=a", strings.NewReader("v1"))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent || resp.Header.Get("X-Cache") != "insert" {
-		t.Fatalf("insert: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
-	}
-	resp, err = http.Post(srv.URL+"/put?key=a", "application/octet-stream", strings.NewReader("v2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("X-Cache") != "overwrite" {
-		t.Fatalf("overwrite: X-Cache %q", resp.Header.Get("X-Cache"))
-	}
-
-	// Hit returns the latest value.
-	resp, err = http.Get(srv.URL + "/get?key=a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" || string(body) != "v2" {
-		t.Fatalf("hit: status %d, X-Cache %q, body %q", resp.StatusCode, resp.Header.Get("X-Cache"), body)
-	}
-
-	// Stats reflect the traffic.
-	resp, err = http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p live.StatsPayload
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if p.Policy != "rwp" || p.Capacity != 256 {
-		t.Errorf("payload config: %+v", p)
-	}
-	if p.Stats.Gets != 2 || p.Stats.GetHits != 1 || p.Stats.Puts != 2 || p.Stats.PutInserts != 1 {
-		t.Errorf("payload counters: %+v", p.Stats.Counters)
-	}
-	if p.Probe == nil || p.Probe.Store.Accesses != 2 {
-		t.Errorf("payload probe section: %+v", p.Probe)
-	}
-}
-
-func TestHandlerLoaderFill(t *testing.T) {
-	srv := httptest.NewServer(drive.Handler(testCache(t, true)))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/get?key=zz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "fill" {
-		t.Fatalf("fill: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
-	}
-	if want := loadgen.Value("zz", 8); !bytes.Equal(body, want) {
-		t.Fatalf("fill body %x, want %x", body, want)
-	}
-	// Now resident.
-	resp, err = http.Get(srv.URL + "/get?key=zz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("X-Cache") != "hit" {
-		t.Fatalf("second get: X-Cache %q", resp.Header.Get("X-Cache"))
-	}
-}
-
-func TestHandlerErrors(t *testing.T) {
-	srv := httptest.NewServer(drive.Handler(testCache(t, false)))
+	srv := httptest.NewServer(hs.Handler)
 	defer srv.Close()
 	for _, tc := range []struct {
 		method, path string
 		want         int
 	}{
-		{http.MethodGet, "/get", http.StatusBadRequest},
-		{http.MethodPut, "/put", http.StatusBadRequest},
-		{http.MethodGet, "/put?key=a", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/stats", http.StatusOK},
+		{http.MethodHead, "/stats", http.StatusOK},
+		{http.MethodPost, "/stats", http.StatusMethodNotAllowed},
+		{http.MethodPut, "/stats", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/stats", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/", http.StatusNotFound},
+		{http.MethodGet, "/stats/x", http.StatusNotFound},
+		{http.MethodGet, "/get?key=a", http.StatusNotFound},
+		{http.MethodPut, "/put?key=a", http.StatusNotFound},
 	} {
-		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader("v2"))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
+		if tc.method == http.MethodGet && tc.want == http.StatusOK {
+			if want, _ := c.StatsJSON(); !bytes.Equal(body, want) {
+				t.Errorf("GET /stats body differs from StatsJSON:\n%s\nvs\n%s", body, want)
+			}
+		}
+	}
+	if s := c.Stats(); s.Gets != 1 || s.Puts != 1 {
+		t.Errorf("the read-only endpoint moved the counters: gets %d, puts %d, want 1, 1", s.Gets, s.Puts)
 	}
 }
 
@@ -182,10 +98,8 @@ func TestSelftestTransportInvariance(t *testing.T) {
 		return buf.String()
 	}
 	base := out("direct")
-	for _, transport := range []string{"http", "tcp"} {
-		if got := out(transport); got != base {
-			t.Errorf("selftest output differs for transport=%s:\n%s\nvs base:\n%s", transport, got, base)
-		}
+	if got := out("tcp"); got != base {
+		t.Errorf("selftest output differs for transport=tcp:\n%s\nvs base:\n%s", got, base)
 	}
 }
 
@@ -196,9 +110,9 @@ func TestSelftestTransportInvariance(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "batch", "coalesce", "interval", "lease-ops", "neg-ops",
-		"no-loader", "pipeline", "policy", "probe", "profile", "record",
-		"restore", "seed", "selftest", "selftest-skip", "sets", "shards",
-		"snap-every", "snapshot", "tcp", "transport", "value-size", "ways",
+		"no-loader", "pipeline", "policy", "profile", "record", "restore",
+		"seed", "selftest", "selftest-skip", "sets", "shards", "snap-every",
+		"snapshot", "tcp", "transport", "value-size", "ways",
 	}
 	var out, errbuf bytes.Buffer
 	if code := run(context.Background(), []string{"-h"}, &out, &errbuf); code != 2 {
@@ -227,6 +141,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad geometry", []string{"-selftest", "10", "-sets", "100"}, 2},
 		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 1},
 		{"bad transport", []string{"-selftest", "10", "-transport", "carrier-pigeon"}, 2},
+		{"http transport", []string{"-selftest", "10", "-transport", "http"}, 2},
 	} {
 		var out, errbuf bytes.Buffer
 		if code := run(context.Background(), tc.args, &out, &errbuf); code != tc.want {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"rwp/internal/live"
-	"rwp/internal/live/drive"
 	"rwp/internal/live/proto"
 	"rwp/internal/snap"
 )
@@ -20,7 +19,7 @@ import (
 // tcpServer accepts binary-protocol connections and serves each with
 // proto.ServeConn until Shutdown. *live.Cache satisfies proto.Backend
 // directly — Get/Put pass through and StatsJSON renders the exact
-// /stats HTTP body, which is what makes the transports byte-comparable.
+// /stats body, which is what makes the surfaces byte-comparable.
 type tcpServer struct {
 	ln     net.Listener
 	b      proto.Backend
@@ -141,14 +140,44 @@ func (s *tcpServer) shutdownNow() error {
 	return nil
 }
 
-// shutdownTimeout bounds the graceful drain of both servers.
-const shutdownTimeout = 5 * time.Second
+// shutdownTimeout bounds the graceful drain of both servers. The
+// stats* timeouts bound what one peer of the operator endpoint can
+// hold: a request that never finishes arriving, a keep-alive connection
+// that is never reused. A broken peer costs a connection, never more.
+const (
+	shutdownTimeout        = 5 * time.Second
+	statsReadHeaderTimeout = 5 * time.Second
+	statsReadTimeout       = 10 * time.Second
+	statsIdleTimeout       = time.Minute
+)
 
-// serve listens on httpAddr (HTTP: /get /put /stats) and, when tcpAddr
-// is non-empty, on tcpAddr (binary protocol), then runs both servers
-// until ctx is cancelled (SIGINT/SIGTERM in main) or either listener
-// fails. Shutdown is shared and ordered: both listeners stop accepting,
-// then both drain in-flight work within shutdownTimeout.
+// newStatsServer builds the operator's read-only HTTP endpoint:
+// GET/HEAD /stats answers the stats document, any other method on it
+// 405, every other path 404. Data travels over the binary listener.
+func newStatsServer(b proto.Backend) *http.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		data, err := b.StatsJSON()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	})
+	return &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: statsReadHeaderTimeout,
+		ReadTimeout:       statsReadTimeout,
+		IdleTimeout:       statsIdleTimeout,
+	}
+}
+
+// serve listens on tcpAddr (the binary protocol, the data wire) and on
+// httpAddr (the operator's /stats), then runs both servers until ctx
+// is cancelled (SIGINT/SIGTERM in main) or either listener fails.
+// Shutdown is shared and ordered: both listeners stop accepting, then
+// both drain in-flight work within shutdownTimeout.
 //
 // When snapPath is non-empty a state snapshot is written there after
 // the graceful drain (so it reflects every answered request), and —
@@ -159,33 +188,27 @@ func serve(ctx context.Context, httpAddr, tcpAddr string, c *live.Cache, snapPat
 	if err != nil {
 		return err
 	}
+	tln, err := net.Listen("tcp", tcpAddr)
+	if err != nil {
+		ln.Close()
+		return err
+	}
 	cfg := c.Config()
 	fmt.Fprintf(stdout, "rwpserve: policy=%s sets=%d ways=%d shards=%d listening on http://%s\n",
 		cfg.Policy, cfg.Sets, cfg.Ways, cfg.Shards, ln.Addr())
+	fmt.Fprintf(stdout, "rwpserve: binary protocol listening on tcp://%s\n", tln.Addr())
 
-	// Both transports serve the same backend value, so op-count
-	// checkpoints see HTTP and binary traffic alike.
-	var backend drive.Backend = c
+	var backend proto.Backend = c
 	var sc *snapCache
 	if snapPath != "" {
 		sc = newSnapCache(c, snapPath, snapEvery, stderr)
 		backend = sc
 	}
 
-	var tsrv *tcpServer
 	errc := make(chan error, 2)
-	if tcpAddr != "" {
-		tln, err := net.Listen("tcp", tcpAddr)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		fmt.Fprintf(stdout, "rwpserve: binary protocol listening on tcp://%s\n", tln.Addr())
-		tsrv = newTCPServer(tln, backend, stderr)
-		go func() { errc <- tsrv.serve() }()
-	}
-
-	srv := &http.Server{Handler: drive.Handler(backend)}
+	tsrv := newTCPServer(tln, backend, stderr)
+	go func() { errc <- tsrv.serve() }()
+	srv := newStatsServer(backend)
 	go func() { errc <- srv.Serve(ln) }()
 
 	select {
@@ -194,9 +217,7 @@ func serve(ctx context.Context, httpAddr, tcpAddr string, c *live.Cache, snapPat
 		sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
 		srv.Shutdown(sctx)
-		if tsrv != nil {
-			tsrv.shutdown(sctx)
-		}
+		tsrv.shutdown(sctx)
 		if sc != nil {
 			sc.drain() // no final snapshot on a failure exit
 		}
@@ -206,20 +227,17 @@ func serve(ctx context.Context, httpAddr, tcpAddr string, c *live.Cache, snapPat
 	fmt.Fprintln(stdout, "rwpserve: shutting down")
 	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
-	// Ordering: the HTTP drain first (it owns request lifecycles), the
-	// binary listener second; both share the one deadline.
+	// Ordering: the stats listener drains first (it owns request
+	// lifecycles), the binary listener second; both share the one
+	// deadline.
 	if err := srv.Shutdown(sctx); err != nil {
-		if tsrv != nil {
-			tsrv.shutdown(sctx)
-		}
+		tsrv.shutdown(sctx)
 		return err
 	}
-	if tsrv != nil {
-		if err := tsrv.shutdown(sctx); err != nil {
-			return err
-		}
-		<-errc // tcp serve() returns nil after shutdown
+	if err := tsrv.shutdown(sctx); err != nil {
+		return err
 	}
+	<-errc // tcp serve() returns nil after shutdown
 	<-errc // http Serve returns ErrServerClosed after Shutdown
 	if snapPath != "" {
 		// After the full drain: the shutdown snapshot reflects every

@@ -34,7 +34,7 @@ func restoreCache(c *live.Cache, path string) error {
 // cache every `every` data ops. The embedded cache keeps the full
 // surface (Config, StatsJSON, and the proto.RangeBackend management
 // ops) promoted, so the wrapper drops into every place *live.Cache
-// goes — drive.Handler and proto.ServeConn both serve it unchanged.
+// goes — proto.ServeConn and the stats endpoint serve it unchanged.
 type snapCache struct {
 	*live.Cache
 	path   string
@@ -51,22 +51,9 @@ func newSnapCache(c *live.Cache, path string, every uint64, stderr io.Writer) *s
 	return &snapCache{Cache: c, path: path, every: every, stderr: stderr}
 }
 
-func (s *snapCache) Get(key string) ([]byte, bool) {
-	v, hit := s.Cache.Get(key)
-	s.tick()
-	return v, hit
-}
-
-func (s *snapCache) Put(key string, val []byte) bool {
-	inserted := s.Cache.Put(key, val)
-	s.tick()
-	return inserted
-}
-
 // GetAppend and PutBytes are the byte-key surface proto.ServeConn
-// prefers (proto.ByteBackend). They must be overridden alongside
-// Get/Put: the embedded cache's own would be promoted and served
-// without ticking.
+// serves data through (proto.ByteBackend) — the whole data path, so
+// overriding these two counts every op on the wire.
 func (s *snapCache) GetAppend(dst, key []byte) ([]byte, bool, bool) {
 	out, hit, found := s.Cache.GetAppend(dst, key)
 	s.tick()

@@ -5,11 +5,9 @@ import (
 	"context"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -135,61 +133,30 @@ func TestRestoreGeometryMismatchStartsCold(t *testing.T) {
 	}
 }
 
-// syncBuffer is a goroutine-safe writer for watching serve-mode output.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-func (b *syncBuffer) wait(t *testing.T, substr string) string {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if s := b.String(); strings.Contains(s, substr) {
-			return s
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %q in output:\n%s", substr, b.String())
-	return ""
-}
-
-// TestServeShutdownSnapshot runs serve mode end to end: drive HTTP
-// traffic with op-count checkpoints enabled, shut down gracefully, and
-// verify both the checkpoint and the final snapshot are valid and that
-// the final one reflects all traffic.
+// TestServeShutdownSnapshot runs serve mode end to end: drive traffic
+// over the binary listener with op-count checkpoints enabled, shut
+// down gracefully, and verify both the checkpoint and the final
+// snapshot are valid and that the final one reflects all traffic.
 func TestServeShutdownSnapshot(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "serve.snap")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var out, errb syncBuffer
+	var out, errb syncBuf
 	done := make(chan int, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-sets", "64", "-ways", "4",
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-tcp", "127.0.0.1:0", "-sets", "64", "-ways", "4",
 			"-snapshot", snapPath, "-snap-every", "10"}, &out, &errb)
 	}()
-	listening := out.wait(t, "listening on http://")
-	_, rest, _ := strings.Cut(listening, "http://")
-	url := "http://" + strings.TrimSpace(strings.Split(rest, "\n")[0])
-
+	conn, err := net.Dial("tcp", waitAddr(t, &out, "tcp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cli := proto.NewClient(conn)
 	for i := 0; i < 40; i++ {
-		resp, err := http.Get(url + "/get?key=serve-key")
-		if err != nil {
+		if _, err := cli.Get("serve-key"); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
 	}
 	// A checkpoint boundary has passed; wait for the async write.
 	deadline := time.Now().Add(10 * time.Second)
@@ -207,7 +174,9 @@ func TestServeShutdownSnapshot(t *testing.T) {
 	if code := <-done; code != 0 {
 		t.Fatalf("serve run = %d, stderr: %s", code, errb.String())
 	}
-	out.wait(t, "snapshot written to")
+	if !strings.Contains(out.String(), "snapshot written to") {
+		t.Errorf("missing snapshot line in output:\n%s", out.String())
+	}
 	s, err := snap.ReadFile(snapPath)
 	if err != nil {
 		t.Fatalf("shutdown snapshot: %v", err)

@@ -28,7 +28,6 @@ func TestStressConcurrentTCP(t *testing.T) {
 
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 8
-	cfg.Record = true
 	cfg.Loader = loadgen.Loader(0)
 	c, err := live.New(cfg)
 	if err != nil {

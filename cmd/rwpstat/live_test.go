@@ -40,7 +40,6 @@ func snapshots(t *testing.T) (before, after []byte) {
 	cfg := live.DefaultConfig()
 	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 4
 	cfg.RWP.Interval = 32
-	cfg.Record = true
 	cfg.Coalesce = true
 	cfg.NegOps = 64
 	cfg.Loader = loadgen.AbsentLoader(8)

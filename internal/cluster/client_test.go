@@ -23,14 +23,13 @@ func probeRead(r io.Reader) ([]probe.ShardWindow, error) {
 }
 
 // testCacheConfig is the shared per-node geometry: small enough to
-// force evictions under the test streams, RWP policy with probes on so
-// the merged document exercises every section.
+// force evictions under the test streams, RWP policy so the merged
+// document exercises every section.
 func testCacheConfig() live.Config {
 	return live.Config{
 		Sets: 256, Ways: 4, Shards: 4,
 		Policy: "rwp", RWP: live.DefaultRWPConfig(),
 		Loader: loadgen.Loader(32),
-		Record: true,
 	}
 }
 

@@ -176,36 +176,25 @@ func (h *Cluster) Close() error {
 // deterministic primary view (replica reads land in the probe section,
 // not the per-set counters).
 func (h *Cluster) MergedSnapshot() live.StatsPayload {
-	p := h.caches[0].StatsSnapshot()
-	var merged live.Stats
+	var merged, all live.Stats
 	for s := 0; s < h.ring.Shards(); s++ {
 		lo, hi := h.ring.SetRange(s)
-		st := h.caches[h.ring.Primary(s)].StatsRange(lo, hi)
-		merged.Add(st)
+		merged.Add(h.caches[h.ring.Primary(s)].StatsRange(lo, hi))
 	}
-	p.Stats = merged
-	p.Probe = h.mergedProbe()
-	return p
-}
-
-// mergedProbe sums every node's probe section (nil when recording is
-// off — the geometry is identical across nodes, so it is all or none).
-func (h *Cluster) mergedProbe() *live.ProbeView {
-	var out *live.ProbeView
+	// The probe section is linear in the counters, so the sum of every
+	// node's section is the section of the summed counters.
 	for _, c := range h.caches {
-		v := live.NewProbeView(c.ProbeStats())
-		if v == nil {
-			return nil
-		}
-		if out == nil {
-			out = &live.ProbeView{}
-		}
-		out.Load.Add(v.Load)
-		out.Store.Add(v.Store)
-		out.EvictClean += v.EvictClean
-		out.EvictDirty += v.EvictDirty
+		all.Add(c.Stats())
 	}
-	return out
+	cfg := h.caches[0].Config() // geometry is identical across nodes
+	return live.StatsPayload{
+		Policy:   cfg.Policy,
+		Sets:     cfg.Sets,
+		Ways:     cfg.Ways,
+		Capacity: h.caches[0].Capacity(),
+		Stats:    merged,
+		Probe:    live.NewProbeView(all),
+	}
 }
 
 // MergedStatsJSON renders the merged document through the same
@@ -228,18 +217,13 @@ type writerFunc func([]byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // WriteNodeJournals writes one probe run journal per node under dir
-// (node-<id>.jsonl), labelled with the node id. It requires the caches
-// to be built with Config.Record. rwpstat merges them into the cluster
-// table.
+// (node-<id>.jsonl), labelled with the node id. rwpstat merges them
+// into the cluster table.
 func (h *Cluster) WriteNodeJournals(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for i, c := range h.caches {
-		rec := c.ProbeStats()
-		if rec == nil {
-			return fmt.Errorf("cluster: node %s has no probe recorder (set Cache.Record)", h.cfg.NodeIDs[i])
-		}
 		path := filepath.Join(dir, "node-"+h.cfg.NodeIDs[i]+".jsonl")
 		f, err := os.Create(path)
 		if err != nil {
@@ -248,7 +232,7 @@ func (h *Cluster) WriteNodeJournals(dir string) error {
 		hErr := probe.WriteJournal(f, probe.Header{
 			Kind: "cluster-node",
 			Desc: "node " + h.cfg.NodeIDs[i],
-		}, nil, rec)
+		}, nil, c.ProbeStats())
 		if cErr := f.Close(); hErr == nil {
 			hErr = cErr
 		}

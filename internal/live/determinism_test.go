@@ -20,7 +20,6 @@ func runProfile(t *testing.T, profile string, shards, n int, mutate func(*live.C
 	cfg.Ways = 8
 	cfg.Shards = shards
 	cfg.RWP.Interval = 32 // ~78 ops/set over n=20k: default 256 would never fire
-	cfg.Record = true
 	cfg.Loader = loadgen.Loader(0)
 	if mutate != nil {
 		mutate(&cfg)

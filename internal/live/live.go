@@ -30,10 +30,10 @@
 // Accounting is one ledger: an operation writes its set's Counters
 // block and charges one cell of the set's cost table, under the shard
 // lock, and nothing else. Every reported view — Stats, the probe
-// section (Config.Record), merged cluster documents, snapshots — is
-// derived from those per-set sums when somebody reads, so all of them
-// are order-independent and the /stats payload served by cmd/rwpserve
-// is shard-count invariant.
+// section, merged cluster documents, snapshots — is derived from those
+// per-set sums when somebody reads, so all of them are
+// order-independent and the /stats payload served by cmd/rwpserve is
+// shard-count invariant.
 package live
 
 import (
@@ -77,10 +77,6 @@ type Config struct {
 	RWP core.Config
 	// Loader, when non-nil, backfills Get misses with a clean fill.
 	Loader Loader
-	// Record adds the probe section to the stats document (ProbeStats).
-	// It is derived from the counters at read time, so it costs the
-	// operation paths nothing either way.
-	Record bool
 	// ReqLog, when non-nil, receives one probe.ReqEvent per completed
 	// Get/Put — the request-stream recorder behind rwpserve -record.
 	// Events are emitted with no shard lock held, after the operation's

@@ -193,7 +193,6 @@ func TestRWPRetargetsByOperationCount(t *testing.T) {
 
 func TestResetStatsKeepsContents(t *testing.T) {
 	cfg := tinyConfig("rwp")
-	cfg.Record = true
 	c := mustNew(t, cfg)
 	c.Put("k", []byte("v"))
 	c.Get("k")
@@ -208,11 +207,7 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	if v, hit := c.Get("k"); !hit || string(v) != "v" {
 		t.Fatalf("Get after reset = (%q, %v)", v, hit)
 	}
-	pr := c.ProbeStats()
-	if pr == nil {
-		t.Fatal("ProbeStats nil with Record set")
-	}
-	if got := pr.Classes[0].Accesses; got != 1 {
+	if got := c.ProbeStats().Classes[0].Accesses; got != 1 {
 		t.Fatalf("probe load accesses after reset = %d, want 1 (the post-reset Get)", got)
 	}
 }

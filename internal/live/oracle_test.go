@@ -46,7 +46,6 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 		newCache := func(shards int) *live.Cache {
 			cfg := live.DefaultConfig()
 			cfg.Sets, cfg.Ways, cfg.Shards = 256, 8, shards
-			cfg.Record = true
 			cfg.Loader = loadgen.AbsentLoader(0)
 			run.cfg(&cfg)
 			c, err := live.New(cfg)
@@ -89,21 +88,6 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 		if got := statsJSON(t, c); !bytes.Equal(got, want) {
 			t.Errorf("%s through a restore at op %d: derived document differs from the recorded one\ngot  %s\nwant %s", run.file, cut, got, want)
 		}
-	}
-}
-
-// TestProbeSectionNeedsRecord: the section is derived either way, so
-// Config.Record only decides whether the document shows it.
-func TestProbeSectionNeedsRecord(t *testing.T) {
-	cfg := snapTestConfig(4)
-	cfg.Record = false
-	c, err := live.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadgen.Run(c, skippedGen(t, 0), 1000)
-	if c.ProbeStats() != nil || bytes.Contains(statsJSON(t, c), []byte(`"probe"`)) {
-		t.Error("probe section present without Config.Record")
 	}
 }
 

@@ -317,7 +317,7 @@ func (c *Client) MPut(kvs []KV) ([]bool, error) {
 	return rep.Inserts, err
 }
 
-// Stats fetches the stats JSON document — byte-identical to the HTTP
+// Stats fetches the stats JSON document — byte-identical to rwpserve's
 // /stats body for the same cache state.
 func (c *Client) Stats() ([]byte, error) {
 	if err := c.QueueStats(); err != nil {

@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// GetStatus classifies a Get outcome on the wire; it mirrors the HTTP
-// surface's X-Cache header exactly (miss/hit/fill), so the transports
-// are distinguishable only by framing, never by semantics.
+// GetStatus classifies a Get outcome on the wire exactly as
+// live.Cache.Get reports it (miss/hit/fill), so the transports are
+// distinguishable only by framing, never by semantics.
 type GetStatus byte
 
 const (
@@ -16,7 +16,7 @@ const (
 	StatusFill GetStatus = 2 // loader backfill: value returned, hit=false
 )
 
-// String names the status as the HTTP header would.
+// String names the status as the request journal does (probe.Outcome*).
 func (s GetStatus) String() string {
 	switch s {
 	case StatusMiss:

@@ -3,15 +3,16 @@
 // (client.go) and the per-connection server loop (server.go) that
 // cmd/rwpserve mounts behind its -tcp listener.
 //
-// The HTTP surface in cmd/rwpserve makes the transport, not the cache,
-// the bottleneck under load: one TCP round trip, one request parse and
-// one response header per operation. This protocol removes all three
-// costs — frames are cheap to parse, many requests ride one write
-// (pipelining), and MGET/MPUT batch many keys into one frame — while
-// keeping the cache semantics bit-identical: a batch maps to per-key
-// live.Cache Gets/Puts issued in request order, so a single-goroutine
-// stream produces byte-identical /stats through either transport (the
-// differential tests in cmd/rwpserve enforce exactly that).
+// It is the only data wire. A request-per-operation transport makes
+// the transport, not the cache, the bottleneck under load: one TCP
+// round trip, one request parse and one response header per
+// operation. This protocol removes all three costs — frames are cheap
+// to parse, many requests ride one write (pipelining), and MGET/MPUT
+// batch many keys into one frame — while keeping the cache semantics
+// bit-identical: a batch maps to per-key live.Cache Gets/Puts issued
+// in request order, so a single-goroutine stream produces
+// byte-identical /stats over the wire and in process (the differential
+// tests in cmd/rwpserve enforce exactly that).
 //
 // # Frame layout
 //

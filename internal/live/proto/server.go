@@ -11,9 +11,9 @@ import (
 
 // Backend is what a connection serves: the live cache's operation
 // surface plus the rendered stats document. *live.Cache satisfies it
-// directly — its StatsJSON is the same renderer the HTTP /stats
-// endpoint uses, which is what makes the transports byte-comparable
-// end to end.
+// directly — its StatsJSON is the one renderer behind the STATS frame,
+// rwpserve's operator /stats endpoint and every -selftest, which is
+// what makes the transports byte-comparable end to end.
 type Backend interface {
 	// Get looks up key. hit=false with val non-nil is a loader
 	// backfill (StatusFill), matching live.Cache.Get.
@@ -21,8 +21,7 @@ type Backend interface {
 	// Put stores val under key, reporting whether it was newly
 	// inserted.
 	Put(key string, val []byte) (inserted bool)
-	// StatsJSON renders the stats document — byte-identical to the
-	// HTTP /stats body.
+	// StatsJSON renders the stats document, the STATS reply payload.
 	StatsJSON() ([]byte, error)
 }
 
@@ -162,7 +161,7 @@ func (s *connServer) batch(op Op, req []byte, apply bool) error {
 // (writes one ERR frame with the reason, then returns the error — the
 // caller closes the connection). Batch ops issue their per-key
 // Gets/Puts in request order, so a request stream has identical cache
-// semantics through this loop and through the HTTP handlers.
+// semantics through this loop and through direct calls.
 //
 // Pipelining: responses are buffered and flushed only when the read
 // side has no complete buffered request left, so a burst of n requests

@@ -9,7 +9,6 @@ func rangeTestConfig() Config {
 	return Config{
 		Sets: 64, Ways: 4, Shards: 4,
 		Policy: "rwp", RWP: DefaultRWPConfig(),
-		Record: true,
 	}
 }
 

@@ -19,7 +19,6 @@ func snapTestConfig(shards int) live.Config {
 	cfg.Ways = 8
 	cfg.Shards = shards
 	cfg.RWP.Interval = 32
-	cfg.Record = true
 	cfg.Loader = loadgen.Loader(0)
 	return cfg
 }

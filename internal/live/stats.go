@@ -251,18 +251,22 @@ func (c *Cache) StatsRange(lo, hi int) Stats {
 }
 
 // ProbeStats derives, from the counters, the probe recorder a run over
-// this cache would have accumulated: every Get is a Load access (hits
-// split by the line's dirty bit, fills are the Loader installs, all
-// clean); every Put is a Store access (fills are the write-allocates:
-// Fills-Loads, and every dirty fill is a Put's); evictions split by
-// the victim's dirty bit; Costs is the service-cost histogram, so node
-// journals (cluster.WriteNodeJournals) get a costs record. It returns
-// nil when the cache was built without Config.Record.
+// this cache would have accumulated (see Stats.recorder).
 func (c *Cache) ProbeStats() *probe.Recorder {
-	if !c.cfg.Record {
-		return nil
-	}
 	s := c.Stats()
+	return s.recorder()
+}
+
+// recorder is the probe view of s, a pure function of the counters:
+// every Get is a Load access (hits split by the line's dirty bit,
+// fills are the Loader installs, all clean); every Put is a Store
+// access (fills are the write-allocates: Fills-Loads, and every dirty
+// fill is a Put's); evictions split by the victim's dirty bit; Costs
+// is the service-cost histogram, so node journals
+// (cluster.WriteNodeJournals) get a costs record. Deriving it from the
+// same Stats value the document's stats section renders keeps the two
+// sections of one document describing one instant.
+func (s *Stats) recorder() *probe.Recorder {
 	m := probe.NewRecorder(0)
 	m.Classes[probe.Load] = probe.ClassCounters{
 		Accesses: s.Gets, Hits: s.GetHits, Misses: s.GetMisses,

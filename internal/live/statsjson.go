@@ -7,9 +7,9 @@ import (
 	"rwp/internal/probe"
 )
 
-// StatsPayload is the stats JSON document every transport serves: the
-// HTTP /stats body, the binary protocol's STATS frame, and rwpserve's
-// -selftest output all render exactly this struct through
+// StatsPayload is the stats JSON document every surface serves: the
+// binary protocol's STATS frame, rwpserve's operator /stats endpoint
+// and its -selftest output all render exactly this struct through
 // WritePayload, which is what makes them byte-comparable. The cluster
 // layer (internal/cluster) renders its merged view through the same
 // struct, so a replication-factor-1 cluster run over a stream produces
@@ -21,12 +21,12 @@ import (
 // detail, and keeping it out lets the determinism smokes compare
 // payloads across shard counts byte for byte.
 type StatsPayload struct {
-	Policy   string     `json:"policy"`
-	Sets     int        `json:"sets"`
-	Ways     int        `json:"ways"`
-	Capacity int        `json:"capacity"`
-	Stats    Stats      `json:"stats"`
-	Probe    *ProbeView `json:"probe,omitempty"`
+	Policy   string    `json:"policy"`
+	Sets     int       `json:"sets"`
+	Ways     int       `json:"ways"`
+	Capacity int       `json:"capacity"`
+	Stats    Stats     `json:"stats"`
+	Probe    ProbeView `json:"probe"`
 }
 
 // ProbeView is the probe section of the payload: the class counters
@@ -38,14 +38,11 @@ type ProbeView struct {
 	EvictDirty uint64              `json:"evictDirty"`
 }
 
-// NewProbeView extracts the payload's probe section from a recorder
-// (Cache.ProbeStats derives one); nil in, nil out (the section is
-// omitted).
-func NewProbeView(r *probe.Recorder) *ProbeView {
-	if r == nil {
-		return nil
-	}
-	return &ProbeView{
+// NewProbeView derives the payload's probe section from the Stats
+// value rendered beside it.
+func NewProbeView(s Stats) ProbeView {
+	r := s.recorder()
+	return ProbeView{
 		Load:       r.Classes[probe.Load],
 		Store:      r.Classes[probe.Store],
 		EvictClean: r.EvictClean,
@@ -53,16 +50,18 @@ func NewProbeView(r *probe.Recorder) *ProbeView {
 	}
 }
 
-// StatsSnapshot assembles the cache's stats document. (The state
-// snapshot for warm restarts is Cache.Snapshot, in snapshot.go.)
+// StatsSnapshot assembles the cache's stats document; both sections
+// come from one Stats sweep. (The state snapshot for warm restarts is
+// Cache.Snapshot, in snapshot.go.)
 func (c *Cache) StatsSnapshot() StatsPayload {
+	s := c.Stats()
 	return StatsPayload{
 		Policy:   c.cfg.Policy,
 		Sets:     c.cfg.Sets,
 		Ways:     c.cfg.Ways,
 		Capacity: c.Capacity(),
-		Stats:    c.Stats(),
-		Probe:    NewProbeView(c.ProbeStats()),
+		Stats:    s,
+		Probe:    NewProbeView(s),
 	}
 }
 
@@ -74,7 +73,7 @@ func WritePayload(w io.Writer, p StatsPayload) error {
 }
 
 // StatsJSON renders the cache's stats document — the exact bytes of
-// the HTTP /stats body (it satisfies proto.Backend's StatsJSON).
+// rwpserve's /stats body (it satisfies proto.Backend's StatsJSON).
 func (c *Cache) StatsJSON() ([]byte, error) {
 	var buf jsonBuffer
 	if err := WritePayload(&buf, c.StatsSnapshot()); err != nil {

@@ -1,6 +1,7 @@
 package live_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -24,7 +25,6 @@ func TestStressConcurrent(t *testing.T) {
 			cfg.Ways = 4
 			cfg.Shards = 8
 			cfg.Policy = pol
-			cfg.Record = true
 			cfg.Loader = loadgen.Loader(0)
 			c, err := live.New(cfg)
 			if err != nil {
@@ -120,7 +120,6 @@ func TestStressConcurrentDefended(t *testing.T) {
 	cfg.Sets = 128
 	cfg.Ways = 4
 	cfg.Shards = 8
-	cfg.Record = true
 	cfg.Coalesce = true
 	cfg.NegOps = 64
 	cfg.LeaseOps = 1 << 20 // present but never expiring: loads here are fast
@@ -178,4 +177,52 @@ func TestStressConcurrentDefended(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStatsDocumentIsOneInstant: the stats and probe sections of one
+// document come from one sweep of the counters, so they agree on every
+// document polled while writers run — not just on the quiescent one.
+func TestStatsDocumentIsOneInstant(t *testing.T) {
+	cfg := live.DefaultConfig()
+	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 8
+	cfg.Loader = loadgen.Loader(0)
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			g, err := loadgen.New("mcf", seed, 0)
+			if err != nil {
+				panic(err)
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					loadgen.Run(c, g, 64)
+				}
+			}
+		}(uint64(w))
+	}
+	for c.Stats().Gets == 0 {
+		runtime.Gosched() // poll only once the writers are running
+	}
+	for i := 0; i < 300; i++ {
+		p := c.StatsSnapshot()
+		if p.Probe.Load.Accesses != p.Stats.Gets || p.Probe.Store.Accesses != p.Stats.Puts ||
+			p.Probe.EvictClean+p.Probe.EvictDirty != p.Stats.Evictions {
+			t.Errorf("poll %d: probe section (loads %d, stores %d, evictions %d+%d) describes another instant than stats (gets %d, puts %d, evictions %d)",
+				i, p.Probe.Load.Accesses, p.Probe.Store.Accesses, p.Probe.EvictClean, p.Probe.EvictDirty,
+				p.Stats.Gets, p.Stats.Puts, p.Stats.Evictions)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

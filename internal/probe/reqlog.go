@@ -18,9 +18,9 @@ import (
 // original run's stats byte for byte (cmd/rwpreplay closes that loop).
 const ReqLogSchema = "rwp-reqlog-v1"
 
-// Request outcomes, as the live cache classifies them. They mirror the
-// HTTP X-Cache header values: a Get is a hit, a fill (Loader
-// backfill), or a miss; a Put is an overwrite or an insert.
+// Request outcomes, as the live cache classifies them: a Get is a hit,
+// a fill (Loader backfill), or a miss; a Put is an overwrite or an
+// insert.
 const (
 	OutcomeHit       = "hit"
 	OutcomeFill      = "fill"

@@ -24,6 +24,14 @@ go vet ./...
 echo '>> go run ./cmd/rwplint ./...'
 go run ./cmd/rwplint ./...
 
+# Boundary: wall-clock network plumbing (HTTP) lives in cmd/, never
+# under internal/ — the data wire is internal/live/proto alone.
+echo '>> no net/http under ./internal/...'
+if go list -deps ./internal/... | grep -qx net/http; then
+    echo 'check.sh: FAIL: a package under internal/ depends on net/http' >&2
+    exit 1
+fi
+
 echo '>> go test ./...'
 go test ./...
 
@@ -219,20 +227,20 @@ grep -q 'starting cold' "$smoke/coldstart.err" || {
 
 # Probe smoke: the probe section of /stats is derived from the per-set
 # counters when the document is rendered, so it must obey every
-# contract the counters do. The live smoke again with -probe spelled
-# out and a short RWP interval (so sets retarget — the default interval
-# never fires in 20k ops over 256 sets): byte-identical across shard
-# counts, over tcp, merged across a 3-node cluster, and through a
-# snapshot at op 12000 resumed at another shard count.
+# contract the counters do. The live smoke again with a short RWP
+# interval (so sets retarget — the default interval never fires in 20k
+# ops over 256 sets): byte-identical across shard counts, over tcp,
+# merged across a 3-node cluster, and through a snapshot at op 12000
+# resumed at another shard count.
 echo '>> probe smoke: the derived probe section is shard, transport, cluster and restart invariant'
 probe_run() {
     bin=$1; shift
     go run "./cmd/$bin" -selftest 20000 -sets 256 -ways 8 -profile mcf \
-        -probe -interval 32 "$@"
+        -interval 32 "$@"
 }
 probe_run rwpserve -shards 1 >"$smoke/probe1.json"
 grep -q '"probe": {' "$smoke/probe1.json" || {
-    echo 'check.sh: FAIL: -probe printed no probe section' >&2
+    echo 'check.sh: FAIL: the stats document has no probe section' >&2
     exit 1
 }
 if grep -q '"Retargets": 0,' "$smoke/probe1.json"; then
@@ -243,7 +251,7 @@ probe_run rwpserve -shards 32 >"$smoke/probe32.json"
 probe_run rwpserve -shards 1 -transport tcp -batch 64 -pipeline 8 >"$smoke/probetcp.json"
 probe_run rwpcluster -shards 1 -ring-shards 16 >"$smoke/probecluster.json"
 go run ./cmd/rwpserve -selftest 12000 -sets 256 -ways 8 -shards 4 -profile mcf \
-    -probe -interval 32 -snapshot "$smoke/probe.snap" >/dev/null
+    -interval 32 -snapshot "$smoke/probe.snap" >/dev/null
 probe_run rwpserve -shards 32 -restore "$smoke/probe.snap" -selftest-skip 12000 \
     >"$smoke/proberesumed.json" 2>"$smoke/proberesumed.err"
 if grep -q 'starting cold' "$smoke/proberesumed.err"; then
