@@ -1,7 +1,7 @@
 # Convenience targets; scripts/check.sh is the source of truth for the
 # pre-PR gate.
 
-.PHONY: build test lint lint-report check check-short cover exps bench
+.PHONY: build test lint check check-short exps bench
 
 build:
 	go build ./...
@@ -15,13 +15,6 @@ test:
 lint:
 	go run ./cmd/rwplint ./...
 
-# Per-rule finding/suppression counts, recorded in
-# results/lint_report.txt so suppression drift shows up in review
-# diffs. Fails like `make lint` if any finding is unsuppressed.
-lint-report:
-	mkdir -p results
-	go run ./cmd/rwplint -report ./... | tee results/lint_report.txt
-
 # The pre-PR gate: build, vet, rwplint, tests, race tests.
 check:
 	scripts/check.sh
@@ -29,12 +22,6 @@ check:
 # Same gate without the -race pass (for quick iteration).
 check-short:
 	scripts/check.sh -short
-
-# Per-package statement coverage, recorded in results/coverage.txt so
-# coverage drift shows up in review diffs.
-cover:
-	mkdir -p results
-	go test -cover ./... | tee results/coverage.txt
 
 # Regenerate the paper's tables at CI scale.
 exps:

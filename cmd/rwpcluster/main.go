@@ -10,10 +10,17 @@
 //	                                           binary connections (net.Pipe)
 //	rwpcluster -selftest 20000 -manager        replication control loop on
 //	rwpcluster -selftest 20000 -connect a,b    route against running
-//	                                           rwpserve -tcp processes
+//	                                           rwpserve -tcp processes and
+//	                                           print each node's stats
 //	                                           (-manager works here too:
 //	                                           replica catch-up runs over
 //	                                           the wire via SNAP/RESTORE)
+//
+// Both legs are one run: build a router over the nodes (in-process
+// caches or dialed connections, the same cluster.NodeConn either way),
+// replay, finish, print; -windows-out works on both. -nodes, -mode and
+// -journal-dir are about the in-process caches and are refused with
+// -connect. -profile takes everything rwpserve's does, adv:* included.
 //
 // With the manager off the merged document is byte-identical to
 // `rwpserve -selftest` at the same geometry, profile and seed — the
@@ -23,6 +30,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	nodes := fs.Int("nodes", 3, "in-process node count")
 	ringShards := fs.Int("ring-shards", 64, "ring shards (must divide -sets)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per node (0: default)")
 	policyName := fs.String("policy", "rwp", "replacement policy: lru or rwp")
 	sets := fs.Int("sets", 1024, "total sets per node (power of two)")
 	ways := fs.Int("ways", 16, "ways per set")
@@ -55,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	interval := fs.Uint64("interval", 0, "RWP repartition interval in per-set ops (0: default)")
 	valueSize := fs.Int("value-size", 0, "synthetic value size in bytes (0: default)")
 	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store")
-	mode := fs.String("mode", "direct", "node transport: direct or pipe")
+	mode := fs.String("mode", "direct", "in-process node transport: direct or pipe")
 	pipeline := fs.Int("pipeline", 0, "router flush depth in ops (0: default)")
 	selftest := fs.Int("selftest", 0, "run N loadgen ops through the cluster, print merged stats JSON, exit")
 	profile := fs.String("profile", "mcf", "workload profile for -selftest")
@@ -64,17 +71,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	window := fs.Int("window", 4096, "manager window in routed ops")
 	hot := fs.Uint64("hot", 1024, "reads per window marking a shard hot")
 	cold := fs.Uint64("cold", 64, "reads per window marking a shard cold")
-	hotP99 := fs.Int("hot-p99", 0, "p99 service cost additionally required to replicate (0: off)")
-	maxReplicas := fs.Int("max-replicas", 0, "replica cap per shard (0: node count)")
 	windowsOut := fs.String("windows-out", "", "write the shard-window journal to this file")
-	journalDir := fs.String("journal-dir", "", "write per-node probe journals under this directory")
+	journalDir := fs.String("journal-dir", "", "write per-node probe journals under this directory (in-process nodes)")
 	connect := fs.String("connect", "", "comma-separated rwpserve -tcp addresses (real sockets; -manager runs catch-up over the wire)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
+		return code
+	}
 	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "rwpcluster: unexpected arguments %q\n", fs.Args())
-		return 2
+		return fail(2, fmt.Errorf("unexpected arguments %q", fs.Args()))
+	}
+	if *connect != "" {
+		var clash error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "nodes", "mode", "journal-dir":
+				clash = fmt.Errorf("-%s needs in-process nodes (drop -connect)", f.Name)
+			}
+		})
+		if clash != nil {
+			return fail(2, clash)
+		}
 	}
 
 	cfg := live.DefaultConfig()
@@ -91,99 +111,104 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var mgr *cluster.Manager
 	if *manager {
-		m, err := cluster.NewManager(cluster.ManagerConfig{
-			Window: *window, HotReads: *hot, ColdReads: *cold,
-			HotP99: *hotP99, MaxReplicas: *maxReplicas,
-		})
+		m, err := cluster.NewManager(cluster.ManagerConfig{Window: *window, HotReads: *hot, ColdReads: *cold})
 		if err != nil {
-			fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-			return 2
+			return fail(2, err)
 		}
 		mgr = m
 	}
 
 	if *selftest <= 0 {
-		fmt.Fprintln(stderr, "rwpcluster: nothing to do: pass -selftest N")
-		return 2
+		return fail(2, fmt.Errorf("nothing to do: pass -selftest N"))
 	}
-	g, err := loadgen.New(*profile, *seed, *valueSize)
+	g, err := loadgen.NewStream(*profile, *seed, *valueSize)
 	if err != nil {
-		fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-		return 2
+		return fail(2, err)
 	}
-	ops := g.Batch(*selftest)
+	ops := loadgen.Take(g, *selftest)
 
+	// When a windows journal was requested without a manager, sample at
+	// the manager cadence anyway so the journal is non-trivial.
+	sample := 0
+	if mgr == nil && *windowsOut != "" {
+		sample = *window
+	}
+
+	// Build the router over one leg's nodes. stats renders the leg's
+	// output once the run is finished; h is nil on the -connect leg.
+	var (
+		h     *cluster.Cluster
+		cl    *cluster.Client
+		stats func() ([]byte, error)
+	)
 	if *connect != "" {
-		if err := runConnected(stdout, strings.Split(*connect, ","), cfg.Sets, *ringShards, *vnodes, *pipeline, mgr, ops); err != nil {
-			fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-			return 1
+		addrs := strings.Split(*connect, ",")
+		ring, err := cluster.New(cfg.Sets, *ringShards, addrs, 0)
+		if err != nil {
+			return fail(2, err)
 		}
-		return 0
+		conns, err := dial(addrs)
+		defer func() {
+			for _, c := range conns {
+				c.Close()
+			}
+		}()
+		if err != nil {
+			return fail(1, err)
+		}
+		cl, err = cluster.NewClient(cluster.ClientConfig{
+			Ring: ring, Conns: conns, Manager: mgr, Window: sample, Pipeline: *pipeline,
+		})
+		if err != nil {
+			return fail(2, err)
+		}
+		stats = func() ([]byte, error) { return nodeStats(addrs, conns, cl, mgr != nil) }
+	} else {
+		h, err = cluster.NewHarness(cluster.HarnessConfig{
+			Nodes:      *nodes,
+			RingShards: *ringShards,
+			Cache:      cfg,
+			Mode:       cluster.Mode(*mode),
+			Manager:    mgr,
+			Window:     sample,
+			Pipeline:   *pipeline,
+		})
+		if err != nil {
+			return fail(2, err)
+		}
+		cl, stats = h.Client(), h.StatsJSON
 	}
 
-	ids := make([]string, *nodes)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("node%d", i)
+	if err := cl.Replay(ops); err != nil {
+		return fail(1, err)
 	}
-	h, err := cluster.NewHarness(cluster.HarnessConfig{
-		NodeIDs:    ids,
-		RingShards: *ringShards,
-		Vnodes:     *vnodes,
-		Cache:      cfg,
-		Mode:       cluster.Mode(*mode),
-		Manager:    mgr,
-		Window:     selftestWindow(mgr, *windowsOut, *window),
-		Pipeline:   *pipeline,
-	})
+	if err := cl.Finish(); err != nil {
+		return fail(1, err)
+	}
+	doc, err := stats()
 	if err != nil {
-		fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-		return 2
-	}
-	if err := h.Client().Replay(ops); err != nil {
-		fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-		return 1
-	}
-	if err := h.Client().Finish(); err != nil {
-		fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-		return 1
-	}
-	doc, err := h.MergedStatsJSON()
-	if err != nil {
-		fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-		return 1
+		return fail(1, err)
 	}
 	if _, err := stdout.Write(doc); err != nil {
-		fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-		return 1
+		return fail(1, err)
 	}
 	if *windowsOut != "" {
-		desc := fmt.Sprintf("profile=%s seed=%d nodes=%d ring-shards=%d", *profile, *seed, *nodes, *ringShards)
-		if err := writeWindows(*windowsOut, desc, h.Client()); err != nil {
-			fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-			return 1
+		desc := fmt.Sprintf("profile=%s seed=%d nodes=%d ring-shards=%d", *profile, *seed, len(cl.Ring().Nodes()), *ringShards)
+		if err := writeWindows(*windowsOut, desc, cl); err != nil {
+			return fail(1, err)
 		}
 	}
-	if *journalDir != "" {
-		if err := h.WriteNodeJournals(*journalDir); err != nil {
-			fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-			return 1
+	if h != nil {
+		if *journalDir != "" {
+			if err := h.WriteNodeJournals(*journalDir); err != nil {
+				return fail(1, err)
+			}
 		}
-	}
-	if err := h.Close(); err != nil {
-		fmt.Fprintf(stderr, "rwpcluster: %v\n", err)
-		return 1
+		if err := h.Close(); err != nil {
+			return fail(1, err)
+		}
 	}
 	return 0
-}
-
-// selftestWindow picks the manager-less sampling window: when a
-// windows journal was requested without a manager, sample at the
-// manager cadence anyway so the journal is non-trivial.
-func selftestWindow(mgr *cluster.Manager, windowsOut string, window int) int {
-	if mgr != nil || windowsOut == "" {
-		return 0
-	}
-	return window
 }
 
 // writeWindows serializes the router's shard-window journal.
@@ -216,68 +241,41 @@ func windowOpsOf(cl *cluster.Client) int {
 	return int(perWindow)
 }
 
-// runConnected routes the op stream against running rwpserve -tcp
-// processes: one pipelined binary connection per address, ring shards
-// spread across them. With -manager the replication control loop runs
-// too: replica adds are satisfied over the wire, warm when possible
-// (SNAP from the shard primary, RESTORE onto the new replica) and by a
-// remote RESET otherwise. It prints each node's stats document in
-// address order, plus a catch-up summary when managed.
-func runConnected(w io.Writer, addrs []string, sets, ringShards, vnodes, pipeline int, mgr *cluster.Manager, ops []loadgen.Op) error {
-	ring, err := cluster.New(sets, ringShards, addrs, vnodes)
-	if err != nil {
-		return err
-	}
-	conns := make([]cluster.NodeConn, len(addrs))
-	resetters := make([]cluster.Resetter, len(addrs))
-	snapshotters := make([]cluster.Snapshotter, len(addrs))
-	restorers := make([]cluster.Restorer, len(addrs))
-	for i, addr := range addrs {
+// dial opens one pipelined binary connection per rwpserve -tcp
+// address. On error it returns the connections made so far, for the
+// caller to close.
+func dial(addrs []string) ([]cluster.NodeConn, error) {
+	conns := make([]cluster.NodeConn, 0, len(addrs))
+	for _, addr := range addrs {
 		nc, err := net.Dial("tcp", strings.TrimSpace(addr))
 		if err != nil {
-			return fmt.Errorf("node %s: %w", addr, err)
+			return conns, fmt.Errorf("node %s: %w", addr, err)
 		}
-		cli := proto.NewClient(nc)
-		conns[i] = cli
-		// A RESET wire failure poisons the connection, so the swallowed
-		// error here is not lost — the next data op surfaces it sticky.
-		resetters[i] = func(lo, hi int) int { n, _ := cli.ResetRange(lo, hi); return n }
-		snapshotters[i] = cli.SnapRange
-		restorers[i] = cli.Restore
+		conns = append(conns, proto.NewClient(nc))
 	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-	cl, err := cluster.NewClient(cluster.ClientConfig{
-		Ring: ring, Conns: conns,
-		Resetters: resetters, Snapshotters: snapshotters, Restorers: restorers,
-		Manager: mgr, Pipeline: pipeline,
-	})
-	if err != nil {
-		return err
-	}
-	if err := cl.Replay(ops); err != nil {
-		return err
-	}
-	if err := cl.Finish(); err != nil {
-		return err
-	}
+	return conns, nil
+}
+
+// nodeStats is the -connect leg's output: each node's own stats
+// document in address order (the caches live in other processes, so
+// there is no merged view), plus a catch-up summary when managed —
+// replica adds are satisfied over the wire, warm when possible (SNAP
+// from the shard primary, RESTORE onto the new replica) and by a
+// remote RESET otherwise.
+func nodeStats(addrs []string, conns []cluster.NodeConn, cl *cluster.Client, managed bool) ([]byte, error) {
+	var out bytes.Buffer
 	for i, conn := range conns {
 		data, err := conn.Stats()
 		if err != nil {
-			return fmt.Errorf("node %s: %w", addrs[i], err)
+			return nil, fmt.Errorf("node %s: %w", addrs[i], err)
 		}
-		fmt.Fprintf(w, "== node %s ==\n", addrs[i])
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
+		fmt.Fprintf(&out, "== node %s ==\n", addrs[i])
+		out.Write(data)
 	}
-	if mgr != nil {
+	if managed {
 		snaps, resets := cl.CatchupCounts()
-		fmt.Fprintf(w, "== catchup ==\ncommands=%d snaps=%d resets=%d\n",
+		fmt.Fprintf(&out, "== catchup ==\ncommands=%d snaps=%d resets=%d\n",
 			len(cl.AppliedCommands()), snaps, resets)
 	}
-	return nil
+	return out.Bytes(), nil
 }

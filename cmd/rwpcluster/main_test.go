@@ -59,31 +59,35 @@ func TestSelftestDeterministic(t *testing.T) {
 }
 
 // TestSelftestMatchesSingleNode replays the same seeded stream against
-// one local cache and demands the 3-node merged document equal it byte
-// for byte — the cluster is a partitioning of the single-node run, not
-// an approximation of it.
+// one local cache — built the way `rwpserve -selftest` builds it — and
+// demands the 3-node merged document equal it byte for byte: the
+// cluster is a partitioning of the single-node run, not an
+// approximation of it. adv:scan is the profile whose keys the backing
+// store does not have.
 func TestSelftestMatchesSingleNode(t *testing.T) {
-	got := clusterOut(t, baseArgs()...)
+	for _, profile := range []string{"mcf", loadgen.AdvScan} {
+		got := clusterOut(t, baseArgs("-profile", profile)...)
 
-	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
-	cfg.RWP.Interval = 64
-	cfg.Loader = loadgen.Loader(0)
-	c, err := live.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := loadgen.New("mcf", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadgen.ApplyAll(c, g.Batch(8000))
-	var want bytes.Buffer
-	if err := live.WritePayload(&want, c.StatsSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if got != want.String() {
-		t.Errorf("cluster merged doc differs from single-node doc:\n%s\nvs\n%s", got, want.String())
+		cfg := live.DefaultConfig()
+		cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
+		cfg.RWP.Interval = 64
+		cfg.Loader = loadgen.AbsentLoader(0)
+		c, err := live.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := loadgen.NewStream(profile, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadgen.Run(c, g, 8000)
+		want, err := c.StatsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: cluster merged doc differs from single-node doc:\n%s\nvs\n%s", profile, got, want)
+		}
 	}
 }
 
@@ -155,31 +159,19 @@ func TestJournalDir(t *testing.T) {
 // (live caches behind proto.ServeConn, exactly what rwpserve -tcp
 // runs) and checks the per-node stats come back.
 func TestConnectMode(t *testing.T) {
-	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
-	cfg.Loader = loadgen.Loader(0)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		c, err := live.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		addrs[i] = ln.Addr().String()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			proto.ServeConn(conn, c)
-		}()
-	}
+	addrs := startServers(t, 2)
+	windows := filepath.Join(t.TempDir(), "windows.jsonl")
 	out := clusterOut(t, "-selftest", "4000", "-sets", "256", "-ways", "4",
-		"-shards", "4", "-ring-shards", "16", "-connect", strings.Join(addrs, ","))
+		"-shards", "4", "-ring-shards", "16", "-connect", strings.Join(addrs, ","),
+		"-window", "512", "-windows-out", windows)
+	f, err := os.Open(windows)
+	if err != nil {
+		t.Fatalf("-connect dropped -windows-out: %v", err)
+	}
+	defer f.Close()
+	if _, windowOps, ws, err := probe.ReadShardWindows(f); err != nil || windowOps != 512 || len(ws) == 0 {
+		t.Errorf("-connect journal: windowOps=%d windows=%d err=%v, want 512-op windows", windowOps, len(ws), err)
+	}
 	for _, addr := range addrs {
 		if !strings.Contains(out, "== node "+addr+" ==") {
 			t.Errorf("output missing stats for node %s:\n%s", addr, out)
@@ -255,10 +247,10 @@ func TestConnectManaged(t *testing.T) {
 // "bench": bench/ is the one measuring instrument.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"cold", "connect", "hot", "hot-p99", "interval", "journal-dir",
-		"manager", "max-replicas", "mode", "no-loader", "nodes", "pipeline",
-		"policy", "profile", "ring-shards", "seed", "selftest", "sets",
-		"shards", "value-size", "vnodes", "ways", "window", "windows-out",
+		"cold", "connect", "hot", "interval", "journal-dir", "manager",
+		"mode", "no-loader", "nodes", "pipeline", "policy", "profile",
+		"ring-shards", "seed", "selftest", "sets", "shards", "value-size",
+		"ways", "window", "windows-out",
 	}
 	var out, errbuf bytes.Buffer
 	if code := run([]string{"-h"}, &out, &errbuf); code != 2 {
@@ -290,6 +282,13 @@ func TestBadArgs(t *testing.T) {
 		{"ring shards do not divide sets", []string{"-selftest", "10", "-ring-shards", "3"}, 2},
 		{"bad manager window", []string{"-selftest", "10", "-manager", "-window", "0"}, 2},
 		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2},
+		{"bad adversarial profile", []string{"-selftest", "10", "-profile", "adv:nope"}, 2},
+		{"deleted -vnodes", []string{"-selftest", "10", "-vnodes", "8"}, 2},
+		{"deleted -hot-p99", []string{"-selftest", "10", "-manager", "-hot-p99", "4"}, 2},
+		{"deleted -max-replicas", []string{"-selftest", "10", "-manager", "-max-replicas", "2"}, 2},
+		{"-connect with -journal-dir", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-journal-dir", "jd"}, 2},
+		{"-connect with -nodes", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-nodes", "2"}, 2},
+		{"-connect with -mode", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-mode", "pipe"}, 2},
 	} {
 		var out, errbuf bytes.Buffer
 		if code := run(tc.args, &out, &errbuf); code != tc.want {

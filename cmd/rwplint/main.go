@@ -15,8 +15,7 @@
 // canonical JSON object per line (keys sorted, no indentation), byte-
 // stable across runs for CI annotation. -report appends a per-rule
 // summary table (finding and suppression counts for every rule in the
-// suite) after any findings; `make lint-report` captures it into
-// results/lint_report.txt.
+// suite) after any findings.
 //
 // Exit status: 0 clean, 1 unsuppressed findings, 2 load/usage error.
 // Suppress a finding with "//rwplint:allow <rule> — <reason>" on the

@@ -14,6 +14,10 @@
 //	rwpreplay -in reqs.jsonl -record again.jsonl      re-record while
 //	                                                  replaying
 //
+// Every transport is a drive.Target — one cache behind direct calls or
+// a loopback connection, or an in-process cluster.Cluster — so one
+// function replays and prints for all of them.
+//
 // The replay equivalence contract: a journal recorded at some cache
 // geometry, replayed at that same geometry (any -shards, any
 // -transport), produces a stats document byte-identical to the
@@ -63,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	recordPath := fs.String("record", "", "re-record the replay to this journal (not with -transport cluster)")
 	nodes := fs.Int("nodes", 3, "cluster transport: in-process node count")
 	ringShards := fs.Int("ring-shards", 64, "cluster transport: ring shards (must divide -sets)")
-	vnodes := fs.Int("vnodes", 0, "cluster transport: virtual nodes per node (0: default)")
 	mode := fs.String("mode", "direct", "cluster transport: node links, direct or pipe")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -105,12 +108,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Loader = loadgen.AbsentLoader(*valueSize)
 	}
 
-	if *transport == "cluster" {
-		err = replayCluster(stdout, cfg, ops, *nodes, *ringShards, *vnodes, *mode, *pipeline, *rate)
-	} else {
-		err = replaySingle(stdout, cfg, ops, desc, *transport, *batch, *pipeline, *rate, *recordPath)
+	build := func(cfg live.Config) (drive.Target, error) {
+		if *transport == "cluster" {
+			return cluster.NewHarness(cluster.HarnessConfig{
+				Nodes:      *nodes,
+				RingShards: *ringShards,
+				Cache:      cfg,
+				Mode:       cluster.Mode(*mode),
+				Pipeline:   *pipeline,
+			})
+		}
+		c, err := live.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return drive.New(*transport, c, *batch, *pipeline)
 	}
-	if err != nil {
+	if err := replay(stdout, cfg, build, ops, desc, *rate, *recordPath); err != nil {
 		fmt.Fprintf(stderr, "rwpreplay: %v\n", err)
 		return 1
 	}
@@ -127,12 +141,16 @@ func readJournal(path string) (desc string, evs []probe.ReqEvent, err error) {
 	return probe.ReadReqLog(f)
 }
 
-// replaySingle drives the stream through one cache behind the chosen
-// transport and prints the stats document fetched through that same
-// transport. With outPath set, the replay is itself recorded — the
+// replay drives the stream through the target build makes — one cache
+// behind a transport, or an in-process cluster, every one a
+// drive.Target — and prints the stats document fetched through that
+// same target. At replication factor one (no manager) a cluster's
+// merged document is byte-identical to a single-node replay at the
+// same geometry; the cluster leg of the record→replay smoke compares
+// exactly that. With outPath set, the replay is itself recorded — the
 // re-recorded journal reproduces the input byte for byte (same desc,
 // same events) when the geometry matches the original run.
-func replaySingle(w io.Writer, cfg live.Config, ops []loadgen.Op, desc, transport string, batch, depth, rate int, outPath string) error {
+func replay(w io.Writer, cfg live.Config, build func(live.Config) (drive.Target, error), ops []loadgen.Op, desc string, rate int, outPath string) (err error) {
 	var closeLog func() error
 	if outPath != "" {
 		f, err := os.Create(outPath)
@@ -153,15 +171,16 @@ func replaySingle(w io.Writer, cfg live.Config, ops []loadgen.Op, desc, transpor
 			return werr
 		}
 	}
-	c, err := live.New(cfg)
+	tgt, err := build(cfg)
 	if err != nil {
 		return err
 	}
-	tgt, err := drive.New(transport, c, batch, depth)
-	if err != nil {
-		return err
-	}
-	defer tgt.Close()
+	defer func() {
+		// A cluster in pipe mode reports its server loops' errors here.
+		if cerr := tgt.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if err := paced(ops, rate, tgt.Replay); err != nil {
 		return err
 	}
@@ -176,43 +195,6 @@ func replaySingle(w io.Writer, cfg live.Config, ops []loadgen.Op, desc, transpor
 	}
 	_, err = w.Write(data)
 	return err
-}
-
-// replayCluster drives the stream through an in-process cluster and
-// prints the merged stats document. At replication factor one (no
-// manager) the merged document is byte-identical to a single-node
-// replay at the same geometry — the cluster leg of the record→replay
-// smoke compares exactly that.
-func replayCluster(w io.Writer, cfg live.Config, ops []loadgen.Op, nodes, ringShards, vnodes int, mode string, pipeline, rate int) error {
-	ids := make([]string, nodes)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("node%d", i)
-	}
-	h, err := cluster.NewHarness(cluster.HarnessConfig{
-		NodeIDs:    ids,
-		RingShards: ringShards,
-		Vnodes:     vnodes,
-		Cache:      cfg,
-		Mode:       cluster.Mode(mode),
-		Pipeline:   pipeline,
-	})
-	if err != nil {
-		return err
-	}
-	if err := paced(ops, rate, h.Client().Replay); err != nil {
-		return err
-	}
-	if err := h.Client().Finish(); err != nil {
-		return err
-	}
-	doc, err := h.MergedStatsJSON()
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(doc); err != nil {
-		return err
-	}
-	return h.Close()
 }
 
 // paced applies the stream through apply, either whole (rate <= 0) or

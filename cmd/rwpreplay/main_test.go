@@ -36,7 +36,7 @@ func recordRun(t *testing.T, shards int) (journal string, stats []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadgen.ApplyAll(c, g.Batch(4000))
+	loadgen.ApplyAll(c, loadgen.Take(g, 4000))
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"batch", "in", "interval", "mode", "no-loader", "nodes", "pipeline",
 		"policy", "rate", "record", "ring-shards", "sets", "shards",
-		"transport", "value-size", "vnodes", "ways",
+		"transport", "value-size", "ways",
 	}
 	var out, errbuf bytes.Buffer
 	if code := run([]string{"-h"}, &out, &errbuf); code != 2 {
@@ -168,6 +168,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"positional", []string{"-in", journal, "extra"}, 2},
 		{"bad transport", []string{"-in", journal, "-transport", "smoke-signal"}, 2},
 		{"http transport", []string{"-in", journal, "-transport", "http"}, 2},
+		{"deleted -vnodes", []string{"-in", journal, "-transport", "cluster", "-vnodes", "8"}, 2},
 		{"cluster re-record", []string{"-in", journal, "-transport", "cluster", "-record", "x.jsonl"}, 2},
 		{"missing journal", []string{"-in", filepath.Join(t.TempDir(), "nope.jsonl")}, 1},
 		{"bad geometry", []string{"-in", journal, "-sets", "100"}, 1},

@@ -45,7 +45,7 @@ func replayThrough(t *testing.T, transport string, batch, depth, n int) []byte {
 		t.Fatal(err)
 	}
 	defer tgt.Close()
-	if err := tgt.Replay(g.Batch(n)); err != nil {
+	if err := tgt.Replay(loadgen.Take(g, n)); err != nil {
 		t.Fatalf("%s replay: %v", transport, err)
 	}
 	data, err := tgt.StatsJSON()

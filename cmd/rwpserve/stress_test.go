@@ -63,7 +63,7 @@ func TestStressConcurrentTCP(t *testing.T) {
 				// aggregate must not care.
 				batch := 1 << (i % 6) // 1..32 ops per frame
 				depth := 1 + i%5      // 1..5 frames per flush
-				for _, run := range loadgen.Runs(g.Batch(opsPer), batch) {
+				for _, run := range loadgen.Runs(loadgen.Take(g, opsPer), batch) {
 					var err error
 					if run[0].Put {
 						kvs := make([]proto.KV, len(run))

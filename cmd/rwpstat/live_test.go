@@ -51,12 +51,12 @@ func snapshots(t *testing.T) (before, after []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadgen.ApplyAll(c, g.Batch(2000))
+	loadgen.ApplyAll(c, loadgen.Take(g, 2000))
 	before, err = c.StatsJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadgen.ApplyAll(c, g.Batch(3000))
+	loadgen.ApplyAll(c, loadgen.Take(g, 3000))
 	// Eight gets of one absent key inside the burst: the first records a
 	// verdict (NegInserts), the next seven are NegHits — the poller's
 	// coal/neg cell for this interval reads exactly 0/7.

@@ -317,12 +317,12 @@ var ioPackages = map[string]bool{
 
 // ioFuncs are package-level io helpers that read or write streams.
 var ioFuncs = map[string]bool{
-	"Copy":       true,
-	"CopyN":      true,
-	"CopyBuffer": true,
-	"ReadAll":    true,
+	"Copy":        true,
+	"CopyN":       true,
+	"CopyBuffer":  true,
+	"ReadAll":     true,
 	"ReadAtLeast": true,
-	"ReadFull":   true,
+	"ReadFull":    true,
 	"WriteString": true,
 }
 

@@ -9,7 +9,8 @@ import (
 	"rwp/internal/probe"
 )
 
-// NodeConn is the per-node transport the router drives: the pipelined
+// NodeConn is everything the router asks of one node: the pipelined
+// data path plus the three range operations replica adds need. It is a
 // subset of proto.Client, which satisfies it directly. directConn
 // (cluster.go) satisfies it too, executing synchronously against an
 // in-process cache — the differential tests run both and demand
@@ -18,7 +19,8 @@ import (
 //
 // A Queue* call must be done with its arguments when it returns (encode
 // or execute them, never keep the slice): the router reuses its batch
-// slices from call to call.
+// slices from call to call. The range operations are only called with
+// the pipeline empty (Depth() == 0).
 type NodeConn interface {
 	QueueGet(key string) error
 	QueuePut(key string, val []byte) error
@@ -28,29 +30,27 @@ type NodeConn interface {
 	Flush() ([]proto.Reply, error)
 	Stats() ([]byte, error)
 	Close() error
+
+	// ResetRange purges the node's global cache-set range [lo, hi),
+	// returning the number of entries purged. It is what makes replica
+	// adds safe — a node re-entering a shard's replica set may hold
+	// values that missed interim writes, so its range starts cold and
+	// refills through the node's Loader.
+	ResetRange(lo, hi int) (int, error)
+	// SnapRange captures the range as snapshot bytes (internal/snap
+	// format) and Restore applies such bytes with catch-up semantics —
+	// entries and policy state installed for the snapshot's range, the
+	// node's own counters kept — returning entries purged. Together they
+	// upgrade a replica add from a cold reset to a warm transfer; a
+	// node may refuse either and the router falls back to ResetRange.
+	SnapRange(lo, hi int) ([]byte, error)
+	Restore(data []byte) (int, error)
 }
 
-var _ NodeConn = (*proto.Client)(nil)
-
-// Resetter purges a node's global cache-set range [lo, hi), returning
-// the number of entries purged. In-process nodes bind it to
-// live.Cache.ResetRange; it is what makes replica adds safe — a node
-// re-entering a shard's replica set may hold values that missed
-// interim writes, so its range starts cold and refills through the
-// node's Loader.
-type Resetter func(lo, hi int) int
-
-// Snapshotter captures a node's global cache-set range [lo, hi) as
-// snapshot bytes (internal/snap format). In-process nodes bind it to
-// live.Cache.SnapBytes, remote nodes to proto.Client.SnapRange.
-type Snapshotter func(lo, hi int) ([]byte, error)
-
-// Restorer applies snapshot bytes to a node with catch-up semantics —
-// entries and policy state installed for the snapshot's range, the
-// node's own counters kept — returning entries purged. In-process
-// nodes bind it to live.Cache.RestoreBytes, remote nodes to
-// proto.Client.Restore.
-type Restorer func(data []byte) (int, error)
+var (
+	_ NodeConn = (*proto.Client)(nil)
+	_ NodeConn = (*directConn)(nil)
+)
 
 // ClientConfig wires a router.
 type ClientConfig struct {
@@ -59,18 +59,6 @@ type ClientConfig struct {
 	Ring *Ring
 	// Conns holds one transport per ring node, index-aligned.
 	Conns []NodeConn
-	// Resetters is index-aligned with Conns; required when Manager is
-	// set, optional (nil) otherwise — it is the unconditional fallback
-	// for replica adds. Remote TCP nodes bind proto.Client.ResetRange.
-	Resetters []Resetter
-	// Snapshotters and Restorers, when wired (both non-empty,
-	// index-aligned with Conns), upgrade replica adds from cold resets
-	// to warm catch-up: the new replica receives the shard primary's
-	// state snapshot instead of refilling every resident key through
-	// its Loader. Any transfer failure falls back to the Resetter, so
-	// correctness (read-your-write) never depends on them.
-	Snapshotters []Snapshotter
-	Restorers    []Restorer
 	// Manager, when non-nil, runs the replication control loop at
 	// window boundaries.
 	Manager *Manager
@@ -103,9 +91,6 @@ const DefaultPipeline = 32
 type Client struct {
 	ring      *Ring
 	conns     []NodeConn
-	reset     []Resetter
-	snap      []Snapshotter
-	restore   []Restorer
 	mgr       *Manager
 	windowOps int
 	pipeline  int
@@ -135,7 +120,6 @@ type Client struct {
 	// Run log.
 	windows    []probe.ShardWindow
 	applied    []Command
-	totalOps   uint64
 	totalReads uint64
 	makespan   uint64 // sum over closed windows of max per-node load
 }
@@ -148,22 +132,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.Conns) != len(cfg.Ring.Nodes()) {
 		return nil, fmt.Errorf("cluster: %d conns for %d ring nodes", len(cfg.Conns), len(cfg.Ring.Nodes()))
 	}
-	if cfg.Manager != nil {
-		if len(cfg.Resetters) != len(cfg.Conns) {
-			return nil, fmt.Errorf("cluster: manager requires one resetter per node")
-		}
-		for i, r := range cfg.Resetters {
-			if r == nil {
-				return nil, fmt.Errorf("cluster: manager requires a resetter for node %d", i)
-			}
-		}
-	}
-	if len(cfg.Snapshotters) != 0 && len(cfg.Snapshotters) != len(cfg.Conns) {
-		return nil, fmt.Errorf("cluster: %d snapshotters for %d conns", len(cfg.Snapshotters), len(cfg.Conns))
-	}
-	if len(cfg.Restorers) != 0 && len(cfg.Restorers) != len(cfg.Conns) {
-		return nil, fmt.Errorf("cluster: %d restorers for %d conns", len(cfg.Restorers), len(cfg.Conns))
-	}
 	if cfg.Pipeline <= 0 {
 		cfg.Pipeline = DefaultPipeline
 	}
@@ -174,9 +142,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		ring:      cfg.Ring,
 		conns:     cfg.Conns,
-		reset:     cfg.Resetters,
-		snap:      cfg.Snapshotters,
-		restore:   cfg.Restorers,
 		mgr:       cfg.Manager,
 		windowOps: windowOps,
 		pipeline:  cfg.Pipeline,
@@ -218,7 +183,6 @@ func (c *Client) accountWrite(s int, ns []int) {
 // tick advances the op clock; the boundary is processed by the public
 // entry points (see boundary), after the op is safely queued.
 func (c *Client) tick() {
-	c.totalOps++
 	c.opsInWin++
 }
 
@@ -236,8 +200,7 @@ func (c *Client) boundary() error {
 	if err := c.flushAll(); err != nil {
 		return err
 	}
-	c.closeWindow(true)
-	return nil
+	return c.closeWindow(true)
 }
 
 // mgrWindow returns the op-count window width (0 = windowing by
@@ -247,8 +210,9 @@ func (c *Client) mgrWindow() int { return c.windowOps }
 // closeWindow emits the current window's shard samples, optionally
 // consults the manager, applies its commands, and resets the window
 // state. Samples cover every shard — idle replicated shards must be
-// visible or the manager could never collapse them.
-func (c *Client) closeWindow(decide bool) {
+// visible or the manager could never collapse them. The only error is
+// a replica add no range operation could make safe (see syncReplica).
+func (c *Client) closeWindow(decide bool) error {
 	var maxLoad uint64
 	for _, l := range c.nodeLoad {
 		if l > maxLoad {
@@ -267,7 +231,9 @@ func (c *Client) closeWindow(decide bool) {
 	}
 	if decide && c.mgr != nil {
 		for _, cmd := range c.mgr.Decide(c.windows[start:], len(c.conns)) {
-			c.apply(cmd)
+			if err := c.apply(cmd); err != nil {
+				return err
+			}
 		}
 	}
 	for s := range c.reads {
@@ -279,54 +245,57 @@ func (c *Client) closeWindow(decide bool) {
 	}
 	c.window++
 	c.opsInWin = 0
+	return nil
 }
 
 // apply executes one manager command against the ring, bringing a
-// newly added replica's set range up to date (see syncReplica).
-func (c *Client) apply(cmd Command) {
+// newly added replica's set range up to date (see syncReplica). A
+// replica that could not be synced is taken back out of the ring —
+// add-then-drop restores the previous set — so it never serves.
+func (c *Client) apply(cmd Command) error {
 	switch cmd.Kind {
 	case AddReplica:
 		n, ok := c.ring.AddReplica(cmd.Shard)
 		if !ok {
-			return
+			return nil
 		}
-		lo, hi := c.ring.SetRange(cmd.Shard)
-		c.syncReplica(cmd.Shard, n, lo, hi)
+		if err := c.syncReplica(cmd.Shard, n); err != nil {
+			c.ring.DropReplica(cmd.Shard)
+			return err
+		}
 	case DropReplica:
 		if _, ok := c.ring.DropReplica(cmd.Shard); !ok {
-			return
+			return nil
 		}
 	}
 	c.applied = append(c.applied, cmd)
+	return nil
 }
 
-// syncReplica brings the just-added replica n of shard up to date:
-// warm catch-up — the shard primary's state snapshot transferred and
-// installed — when the hooks are wired, a cold reset otherwise or on
-// any transfer failure. Both paths drop whatever stale entries n held,
-// so read-your-write holds either way; catch-up just replaces the
-// Loader-refill cost of every future read with one bulk transfer.
+// syncReplica brings the just-added replica n of shard up to date, the
+// one path every node kind takes: warm catch-up — the shard primary's
+// state snapshot transferred and installed — else a cold reset. Both
+// drop whatever stale entries n held, so read-your-write holds either
+// way; catch-up just replaces the Loader-refill cost of every future
+// read with one bulk transfer. If the reset fails too, n may still
+// hold stale values and the error is returned from the window boundary.
 // AddReplica appends to the replica set, so the primary is a
 // previously-serving node, never n itself. Called only from apply —
 // after boundary's flushAll, so the transports' pipelines are empty
 // and the chunked transfer cannot tear a burst.
-func (c *Client) syncReplica(shard, n, lo, hi int) {
-	if p := c.ring.Primary(shard); c.canCatchup(p, n) {
-		if data, err := c.snap[p](lo, hi); err == nil {
-			if _, err := c.restore[n](data); err == nil {
-				c.catchupSnaps++
-				return
-			}
+func (c *Client) syncReplica(shard, n int) error {
+	lo, hi := c.ring.SetRange(shard)
+	if data, err := c.conns[c.ring.Primary(shard)].SnapRange(lo, hi); err == nil {
+		if _, err := c.conns[n].Restore(data); err == nil {
+			c.catchupSnaps++
+			return nil
 		}
 	}
-	c.reset[n](lo, hi)
+	if _, err := c.conns[n].ResetRange(lo, hi); err != nil {
+		return fmt.Errorf("cluster: node %d: reset of sets [%d,%d) for shard %d: %w", n, lo, hi, shard, err)
+	}
 	c.catchupResets++
-}
-
-// canCatchup reports whether both transfer hooks exist for the
-// primary/replica pair.
-func (c *Client) canCatchup(p, n int) bool {
-	return len(c.snap) != 0 && len(c.restore) != 0 && c.snap[p] != nil && c.restore[n] != nil
+	return nil
 }
 
 // CatchupCounts reports how replica adds were satisfied so far:
@@ -540,7 +509,7 @@ func (c *Client) Finish() error {
 		return err
 	}
 	if c.opsInWin > 0 {
-		c.closeWindow(false)
+		return c.closeWindow(false)
 	}
 	return nil
 }
@@ -551,9 +520,6 @@ func (c *Client) Windows() []probe.ShardWindow { return c.windows }
 // AppliedCommands returns the replica commands applied so far, in
 // order.
 func (c *Client) AppliedCommands() []Command { return c.applied }
-
-// TotalOps returns the routed op count.
-func (c *Client) TotalOps() uint64 { return c.totalOps }
 
 // TotalReads returns the routed read count.
 func (c *Client) TotalReads() uint64 { return c.totalReads }

@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"rwp/internal/live"
@@ -43,15 +46,7 @@ func testStream(t *testing.T, n int) []loadgen.Op {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h.Ops(n)
-}
-
-func harnessIDs(k int) []string {
-	ids := make([]string, k)
-	for i := range ids {
-		ids[i] = "node" + string(rune('0'+i))
-	}
-	return ids
+	return loadgen.Take(h, n)
 }
 
 // TestClusterMatchesSingleNode is the cluster layer's transport-
@@ -76,7 +71,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	for _, nodes := range []int{1, 3, 5} {
 		for _, ringShards := range []int{16, 64} {
 			h, err := NewHarness(HarnessConfig{
-				NodeIDs:    harnessIDs(nodes),
+				Nodes:      nodes,
 				RingShards: ringShards,
 				Cache:      testCacheConfig(),
 			})
@@ -86,7 +81,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 			if err := h.Client().Replay(ops); err != nil {
 				t.Fatal(err)
 			}
-			got, err := h.MergedStatsJSON()
+			got, err := h.StatsJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +109,7 @@ func TestPipeEqualsDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, err := NewHarness(HarnessConfig{
-			NodeIDs:    harnessIDs(3),
+			Nodes:      3,
 			RingShards: 16,
 			Cache:      testCacheConfig(),
 			Mode:       mode,
@@ -129,7 +124,7 @@ func TestPipeEqualsDirect(t *testing.T) {
 		if err := h.Client().Finish(); err != nil {
 			t.Fatal(err)
 		}
-		doc, err := h.MergedStatsJSON()
+		doc, err := h.StatsJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +183,7 @@ func TestManagedRunBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, err := NewHarness(HarnessConfig{
-			NodeIDs:    harnessIDs(3),
+			Nodes:      3,
 			RingShards: 16,
 			Cache:      testCacheConfig(),
 			Manager:    mgr,
@@ -202,7 +197,7 @@ func TestManagedRunBitIdentical(t *testing.T) {
 		if err := h.Close(); err != nil {
 			t.Fatal(err)
 		}
-		doc, err := h.MergedStatsJSON()
+		doc, err := h.StatsJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +223,7 @@ func TestManagedRunBitIdentical(t *testing.T) {
 // semantics.
 func TestBatchFanout(t *testing.T) {
 	h, err := NewHarness(HarnessConfig{
-		NodeIDs:    harnessIDs(3),
+		Nodes:      3,
 		RingShards: 16,
 		Cache:      testCacheConfig(),
 		Mode:       Pipe,
@@ -303,7 +298,7 @@ func TestReadYourWriteAcrossReplicaChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, err := NewHarness(HarnessConfig{
-		NodeIDs:    harnessIDs(3),
+		Nodes:      3,
 		RingShards: 16,
 		Cache:      cfg,
 		Manager:    mgr,
@@ -408,7 +403,7 @@ func TestCatchupCutsBackendLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, err := NewHarness(HarnessConfig{
-			NodeIDs:    harnessIDs(3),
+			Nodes:      3,
 			RingShards: 16,
 			Cache:      testCacheConfig(),
 			Manager:    mgr,
@@ -453,6 +448,80 @@ func TestCatchupCutsBackendLoads(t *testing.T) {
 		t.Errorf("catch-up did not cut backend loads: warm %d, cold-reset %d", warmLoads, coldLoads)
 	}
 	t.Logf("backend loads: catch-up %d, cold reset %d (saved %d)", warmLoads, coldLoads, coldLoads-warmLoads)
+}
+
+// brokenConn is a node on which neither arm of the replica sync works:
+// it cannot be snapshotted and cannot be reset.
+type brokenConn struct{ NodeConn }
+
+func (brokenConn) SnapRange(lo, hi int) ([]byte, error) {
+	return nil, errors.New("snap refused")
+}
+
+func (brokenConn) ResetRange(lo, hi int) (int, error) {
+	return 0, errors.New("reset refused")
+}
+
+// TestFailedResetStopsTheRun pins the one seam: a replica whose range
+// can be neither restored nor reset may hold stale values, so the
+// router must not let it serve. Replay returns an error naming the
+// node, at the window boundary whose decision adds the replica, and
+// the ring is left as it was.
+func TestFailedResetStopsTheRun(t *testing.T) {
+	mgr, err := NewManager(ManagerConfig{Window: 1024, HotReads: 128, ColdReads: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := New(testCacheConfig().Sets, 16, []string{"node0", "node1", "node2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]NodeConn, len(ring.Nodes()))
+	for i := range conns {
+		c, err := live.New(testCacheConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = brokenConn{&directConn{cache: c}}
+	}
+	cl, err := NewClient(ClientConfig{Ring: ring, Conns: conns, Manager: mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cl.Replay(testStream(t, 12000))
+	if err == nil {
+		t.Fatal("Replay succeeded although no added replica could be synced")
+	}
+
+	// The journal ends with the window that asked for the first add.
+	ws := cl.Windows()
+	if len(ws) == 0 || len(ws)%ring.Shards() != 0 {
+		t.Fatalf("journal holds %d records for %d shards", len(ws), ring.Shards())
+	}
+	for i := 0; i < len(ws); i += ring.Shards() {
+		cmds := mgr.Decide(ws[i:i+ring.Shards()], len(conns))
+		if last := i+ring.Shards() == len(ws); last != (len(cmds) > 0) {
+			t.Fatalf("window %d decided %v; the run must stop at the first deciding window", ws[i].Window, cmds)
+		}
+		if len(cmds) > 0 {
+			if cmds[0].Kind != AddReplica {
+				t.Fatalf("first command %v is not an add", cmds[0])
+			}
+			n, _ := ring.AddReplica(cmds[0].Shard)
+			ring.DropReplica(cmds[0].Shard)
+			if want := fmt.Sprintf("node %d", n); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "reset refused") {
+				t.Errorf("error %q does not name %q and the reset failure", err, want)
+			}
+		}
+	}
+	for s := 0; s < ring.Shards(); s++ {
+		if ring.ReplicaCount(s) != 1 {
+			t.Errorf("shard %d kept %d replicas after the failed add", s, ring.ReplicaCount(s))
+		}
+	}
+	if len(cl.AppliedCommands()) != 0 {
+		t.Errorf("commands %v recorded as applied", cl.AppliedCommands())
+	}
 }
 
 // hotShardKeys scans candidate key names until n of them land on one
@@ -520,7 +589,7 @@ func TestManagedBeatsStaticPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := stream.Ops(120_000)
+	ops := loadgen.Take(stream, 120_000)
 
 	type outcome struct {
 		reads, makespan uint64
@@ -536,7 +605,7 @@ func TestManagedBeatsStaticPartitioning(t *testing.T) {
 			mgr = m
 		}
 		h, err := NewHarness(HarnessConfig{
-			NodeIDs:    harnessIDs(nodes),
+			Nodes:      nodes,
 			RingShards: 64,
 			Cache:      cacheCfg,
 			Manager:    mgr,
@@ -592,7 +661,7 @@ func TestWindowJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, err := NewHarness(HarnessConfig{
-		NodeIDs:    harnessIDs(3),
+		Nodes:      3,
 		RingShards: 16,
 		Cache:      testCacheConfig(),
 		Manager:    mgr,

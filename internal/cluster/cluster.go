@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"sync"
 
 	"rwp/internal/live"
+	"rwp/internal/live/loadgen"
 	"rwp/internal/live/proto"
 	"rwp/internal/probe"
 )
@@ -28,11 +30,11 @@ const (
 
 // HarnessConfig assembles an in-process cluster.
 type HarnessConfig struct {
-	// NodeIDs names the nodes (ring identity; also the journal labels).
-	NodeIDs []string
-	// RingShards and Vnodes shape the ring (see New).
+	// Nodes is the node count; node i is named "node<i>" (ring identity;
+	// also the journal label).
+	Nodes int
+	// RingShards shapes the ring (see New).
 	RingShards int
-	Vnodes     int
 	// Cache is the per-node cache geometry; every node gets an
 	// identical, independent instance.
 	Cache live.Config
@@ -44,19 +46,19 @@ type HarnessConfig struct {
 	Window int
 	// Pipeline is the router's flush depth (see ClientConfig).
 	Pipeline int
-	// NoCatchup disables warm replica catch-up: newly added replicas
-	// reset cold and refill through their Loaders — the pre-snapshot
-	// behavior the catch-up benchmark compares against.
+	// NoCatchup makes every node refuse SnapRange, so newly added
+	// replicas reset cold and refill through their Loaders — the
+	// reference leg TestCatchupCutsBackendLoads compares against.
 	NoCatchup bool
 }
 
 // Cluster is an in-process multi-node cache: N independent live
 // caches, a ring, and a routing client over direct or piped
-// connections. It exists for selftests, differential tests, and the
-// deterministic bench; the real-socket deployment is cmd/rwpcluster
-// against rwpserve -tcp processes.
+// connections. It is a drive.Target (Replay, StatsJSON, Close), so the
+// harnesses written against one cache run against it unchanged. It
+// exists for selftests and differential tests; the real-socket
+// deployment is cmd/rwpcluster against rwpserve -tcp processes.
 type Cluster struct {
-	cfg    HarnessConfig
 	ring   *Ring
 	caches []*live.Cache
 	client *Client
@@ -68,7 +70,7 @@ type Cluster struct {
 
 // NewHarness builds and wires the cluster.
 func NewHarness(cfg HarnessConfig) (*Cluster, error) {
-	if len(cfg.NodeIDs) == 0 {
+	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
 	if cfg.Mode == "" {
@@ -77,65 +79,63 @@ func NewHarness(cfg HarnessConfig) (*Cluster, error) {
 	if cfg.Mode != Direct && cfg.Mode != Pipe {
 		return nil, fmt.Errorf("cluster: unknown mode %q", cfg.Mode)
 	}
-	ring, err := New(cfg.Cache.Sets, cfg.RingShards, cfg.NodeIDs, cfg.Vnodes)
+	ids := make([]string, cfg.Nodes)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("node%d", i)
+	}
+	ring, err := New(cfg.Cache.Sets, cfg.RingShards, ids, 0)
 	if err != nil {
 		return nil, err
 	}
 	h := &Cluster{
-		cfg:     cfg,
 		ring:    ring,
-		caches:  make([]*live.Cache, len(cfg.NodeIDs)),
-		conns:   make([]NodeConn, len(cfg.NodeIDs)),
-		srvErrs: make([]error, len(cfg.NodeIDs)),
+		caches:  make([]*live.Cache, cfg.Nodes),
+		conns:   make([]NodeConn, cfg.Nodes),
+		srvErrs: make([]error, cfg.Nodes),
 	}
-	resetters := make([]Resetter, len(cfg.NodeIDs))
-	snapshotters := make([]Snapshotter, len(cfg.NodeIDs))
-	restorers := make([]Restorer, len(cfg.NodeIDs))
-	for i := range cfg.NodeIDs {
+	for i := range h.caches {
 		c, err := live.New(cfg.Cache)
 		if err != nil {
 			return nil, err
 		}
 		h.caches[i] = c
-		resetters[i] = c.ResetRange
-		switch cfg.Mode {
-		case Direct:
-			h.conns[i] = &directConn{cache: c}
-			snapshotters[i] = c.SnapBytes
-			restorers[i] = c.RestoreBytes
-		case Pipe:
-			cliEnd, srvEnd := net.Pipe()
-			h.wg.Add(1)
-			go func(i int, conn net.Conn) {
-				defer h.wg.Done()
-				h.srvErrs[i] = proto.ServeConn(conn, h.caches[i])
-			}(i, srvEnd)
-			cli := proto.NewClient(cliEnd)
-			h.conns[i] = cli
+		var conn NodeConn = &directConn{cache: c}
+		if cfg.Mode == Pipe {
 			// Catch-up rides the same connection as the data path; the
 			// router only transfers at window boundaries, after
 			// flushAll, so the chunked exchange never meets a pipeline.
-			snapshotters[i] = cli.SnapRange
-			restorers[i] = cli.Restore
+			cliEnd, srvEnd := net.Pipe()
+			h.wg.Add(1)
+			go func() {
+				defer h.wg.Done()
+				h.srvErrs[i] = proto.ServeConn(srvEnd, c)
+			}()
+			conn = proto.NewClient(cliEnd)
 		}
-	}
-	if cfg.NoCatchup {
-		snapshotters, restorers = nil, nil
+		if cfg.NoCatchup {
+			conn = coldConn{conn}
+		}
+		h.conns[i] = conn
 	}
 	h.client, err = NewClient(ClientConfig{
-		Ring:         ring,
-		Conns:        h.conns,
-		Resetters:    resetters,
-		Snapshotters: snapshotters,
-		Restorers:    restorers,
-		Manager:      cfg.Manager,
-		Window:       cfg.Window,
-		Pipeline:     cfg.Pipeline,
+		Ring:     ring,
+		Conns:    h.conns,
+		Manager:  cfg.Manager,
+		Window:   cfg.Window,
+		Pipeline: cfg.Pipeline,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// coldConn is a node that refuses to be snapshotted, which leaves the
+// router's replica sync its cold-reset arm (HarnessConfig.NoCatchup).
+type coldConn struct{ NodeConn }
+
+func (coldConn) SnapRange(lo, hi int) ([]byte, error) {
+	return nil, errors.New("cluster: catch-up disabled")
 }
 
 // Client returns the routing client.
@@ -168,14 +168,21 @@ func (h *Cluster) Close() error {
 	return err
 }
 
-// MergedSnapshot assembles the cluster's merged stats document: each
-// ring shard's set range summed from the shard's primary node (every
-// set counted exactly once), probe counters summed across all nodes.
-// At replication factor one this equals a single-node Snapshot over
-// the same op stream byte for byte; with replication it remains the
+// Replay streams ops through the router (drive.Target).
+func (h *Cluster) Replay(ops []loadgen.Op) error { return h.client.Replay(ops) }
+
+// StatsJSON drains the router, closing a trailing partial window, and
+// renders the cluster's merged stats document: each ring shard's set
+// range summed from the shard's primary node (every set counted
+// exactly once), probe counters summed across all nodes. At
+// replication factor one this equals a single-node document over the
+// same op stream byte for byte; with replication it remains the
 // deterministic primary view (replica reads land in the probe section,
 // not the per-set counters).
-func (h *Cluster) MergedSnapshot() live.StatsPayload {
+func (h *Cluster) StatsJSON() ([]byte, error) {
+	if err := h.client.Finish(); err != nil {
+		return nil, err
+	}
 	var merged, all live.Stats
 	for s := 0; s < h.ring.Shards(); s++ {
 		lo, hi := h.ring.SetRange(s)
@@ -194,27 +201,8 @@ func (h *Cluster) MergedSnapshot() live.StatsPayload {
 		Capacity: h.caches[0].Capacity(),
 		Stats:    merged,
 		Probe:    live.NewProbeView(all),
-	}
+	}.JSON()
 }
-
-// MergedStatsJSON renders the merged document through the same
-// renderer as every single-node transport.
-func (h *Cluster) MergedStatsJSON() ([]byte, error) {
-	var buf []byte
-	w := writerFunc(func(p []byte) (int, error) {
-		buf = append(buf, p...)
-		return len(p), nil
-	})
-	if err := live.WritePayload(w, h.MergedSnapshot()); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// writerFunc adapts a function to io.Writer.
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // WriteNodeJournals writes one probe run journal per node under dir
 // (node-<id>.jsonl), labelled with the node id. rwpstat merges them
@@ -224,14 +212,15 @@ func (h *Cluster) WriteNodeJournals(dir string) error {
 		return err
 	}
 	for i, c := range h.caches {
-		path := filepath.Join(dir, "node-"+h.cfg.NodeIDs[i]+".jsonl")
+		id := h.ring.Nodes()[i]
+		path := filepath.Join(dir, "node-"+id+".jsonl")
 		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
 		hErr := probe.WriteJournal(f, probe.Header{
 			Kind: "cluster-node",
-			Desc: "node " + h.cfg.NodeIDs[i],
+			Desc: "node " + id,
 		}, nil, c.ProbeStats())
 		if cErr := f.Close(); hErr == nil {
 			hErr = cErr
@@ -306,3 +295,9 @@ func (d *directConn) Flush() ([]proto.Reply, error) {
 func (d *directConn) Stats() ([]byte, error) { return d.cache.StatsJSON() }
 
 func (d *directConn) Close() error { return nil }
+
+func (d *directConn) ResetRange(lo, hi int) (int, error) { return d.cache.ResetRange(lo, hi), nil }
+
+func (d *directConn) SnapRange(lo, hi int) ([]byte, error) { return d.cache.SnapBytes(lo, hi) }
+
+func (d *directConn) Restore(data []byte) (int, error) { return d.cache.RestoreBytes(data) }

@@ -15,20 +15,6 @@ type ManagerConfig struct {
 	HotReads uint64
 	// ColdReads marks a shard cold: at most this many reads in a window.
 	ColdReads uint64
-	// HotP99 additionally requires the shard's windowed p99 service cost
-	// to reach this value before replicating (0 disables the check, so
-	// read volume alone triggers growth).
-	HotP99 int
-	// MaxReplicas caps a shard's replica set (<= 0 means no cap beyond
-	// the node count).
-	MaxReplicas int
-}
-
-// DefaultManagerConfig returns the harness's baseline policy: decide
-// every 4096 ops, replicate shards drawing more than half the window's
-// fair share of reads, and collapse shards that have gone quiet.
-func DefaultManagerConfig() ManagerConfig {
-	return ManagerConfig{Window: 4096, HotReads: 512, ColdReads: 64, HotP99: 0, MaxReplicas: 0}
 }
 
 // Validate reports the first nonsensical field.
@@ -70,7 +56,9 @@ type Command struct {
 // deterministic core: a stateless policy over per-shard windowed load
 // samples. Hot read-heavy shards gain replicas (reads rendezvous-pick
 // one replica, so R replicas serve ~R× the read throughput); shards
-// that cool off drop back, freeing the memory those replicas pinned.
+// that cool off drop back to fewer nodes. A drop only edits the ring:
+// the dropped node stops receiving the shard's reads and writes but
+// keeps the range resident until a later re-add restores or resets it.
 // Writes always go to every replica, so replication never changes
 // observable contents — only where reads land.
 //
@@ -96,18 +84,12 @@ func (m *Manager) Config() ManagerConfig { return m.cfg }
 // Decide maps one window's shard samples to replica commands. ws must
 // be in ascending shard order (the router emits it that way); the
 // output command order follows the input order, so the decision stream
-// is deterministic. nodes is the cluster size — the hard replica cap.
+// is deterministic. nodes is the cluster size — the replica cap.
 func (m *Manager) Decide(ws []probe.ShardWindow, nodes int) []Command {
-	maxRep := nodes
-	if m.cfg.MaxReplicas > 0 && m.cfg.MaxReplicas < maxRep {
-		maxRep = m.cfg.MaxReplicas
-	}
 	var cmds []Command
 	for _, w := range ws {
 		switch {
-		case w.Reads >= m.cfg.HotReads &&
-			(m.cfg.HotP99 == 0 || w.P99Cost >= m.cfg.HotP99) &&
-			w.Replicas < maxRep:
+		case w.Reads >= m.cfg.HotReads && w.Replicas < nodes:
 			cmds = append(cmds, Command{Kind: AddReplica, Shard: w.Shard})
 		case w.Reads <= m.cfg.ColdReads && w.Replicas > 1:
 			cmds = append(cmds, Command{Kind: DropReplica, Shard: w.Shard})

@@ -9,7 +9,7 @@ import (
 
 func testManager(t *testing.T) *Manager {
 	t.Helper()
-	m, err := NewManager(ManagerConfig{Window: 1024, HotReads: 500, ColdReads: 50, HotP99: 0, MaxReplicas: 0})
+	m, err := NewManager(ManagerConfig{Window: 1024, HotReads: 500, ColdReads: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,12 +19,12 @@ func testManager(t *testing.T) *Manager {
 func TestManagerDecide(t *testing.T) {
 	m := testManager(t)
 	ws := []probe.ShardWindow{
-		{Window: 0, Shard: 0, Reads: 900, Replicas: 1},  // hot → add
-		{Window: 0, Shard: 1, Reads: 10, Replicas: 1},   // cold, already minimal → nothing
-		{Window: 0, Shard: 2, Reads: 10, Replicas: 2},   // cold, replicated → drop
-		{Window: 0, Shard: 3, Reads: 200, Replicas: 1},  // warm → nothing
-		{Window: 0, Shard: 4, Reads: 900, Replicas: 3},  // hot, at node cap → nothing
-		{Window: 0, Shard: 5, Reads: 600, Replicas: 2},  // hot, room to grow → add
+		{Window: 0, Shard: 0, Reads: 900, Replicas: 1}, // hot → add
+		{Window: 0, Shard: 1, Reads: 10, Replicas: 1},  // cold, already minimal → nothing
+		{Window: 0, Shard: 2, Reads: 10, Replicas: 2},  // cold, replicated → drop
+		{Window: 0, Shard: 3, Reads: 200, Replicas: 1}, // warm → nothing
+		{Window: 0, Shard: 4, Reads: 900, Replicas: 3}, // hot, at node cap → nothing
+		{Window: 0, Shard: 5, Reads: 600, Replicas: 2}, // hot, room to grow → add
 	}
 	got := m.Decide(ws, 3)
 	want := []Command{
@@ -39,32 +39,6 @@ func TestManagerDecide(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("command %d = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestManagerHotP99Gate(t *testing.T) {
-	m, err := NewManager(ManagerConfig{Window: 1024, HotReads: 500, ColdReads: 50, HotP99: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := []probe.ShardWindow{
-		{Shard: 0, Reads: 900, P99Cost: 2, Replicas: 1}, // busy but not congested
-		{Shard: 1, Reads: 900, P99Cost: 9, Replicas: 1}, // busy and congested → add
-	}
-	got := m.Decide(ws, 4)
-	if len(got) != 1 || got[0] != (Command{AddReplica, 1}) {
-		t.Fatalf("Decide with p99 gate = %v, want only add shard 1", got)
-	}
-}
-
-func TestManagerMaxReplicasCap(t *testing.T) {
-	m, err := NewManager(ManagerConfig{Window: 1024, HotReads: 500, ColdReads: 50, MaxReplicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := []probe.ShardWindow{{Shard: 0, Reads: 900, Replicas: 2}}
-	if got := m.Decide(ws, 5); len(got) != 0 {
-		t.Fatalf("Decide past MaxReplicas = %v, want none", got)
 	}
 }
 

@@ -121,6 +121,3 @@ func (d *DRAM) Write(now uint64) {
 
 // PendingWrites returns the current write-queue depth.
 func (d *DRAM) PendingWrites() int { return d.pending }
-
-// NextFree returns the first free channel cycle (for tests).
-func (d *DRAM) NextFree() uint64 { return d.nextFree }

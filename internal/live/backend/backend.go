@@ -1,25 +1,20 @@
-// Package backend provides real backing stores behind the live
+// Package backend provides a real backing store behind the live
 // cache's read-allocate Loader hook, beside the synthetic
-// loadgen.Loader: an in-memory map store and a file-backed store.
+// loadgen.Loader: an in-memory map store.
 //
-// Both are deterministic (no wall clock, no randomness, no map-order
-// effects) and safe for concurrent use, and both follow the look-aside
+// It is deterministic (no wall clock, no randomness, no map-order
+// effects) and safe for concurrent use, and it follows the look-aside
 // discipline the memcache architecture prescribes: the application
 // writes the store first, then updates or invalidates the cache, so a
 // cache miss always refills with the latest committed value. The
 // cluster tests use exactly that to prove read-your-write across
 // replica churn — a freshly added replica starts cold and must refill
-// through one of these stores.
+// through the store.
 package backend
 
 import (
-	"encoding/hex"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
-	"rwp/internal/fsatomic"
 	"rwp/internal/live"
 )
 
@@ -70,75 +65,3 @@ func (s *Map) Len() int {
 // miss refills with the store's current value (nil when the key is
 // absent — the cache then reports a plain miss).
 func (s *Map) Loader() live.Loader { return s.Get }
-
-// File is a file-backed store: one file per key under a directory.
-// Writes are atomic (fsatomic.WriteFile: unique temp file, then
-// rename), so a concurrent Loader read sees either the old or the new
-// value, never a torn one. No lock is held across filesystem calls:
-// temp names are unique per writer, and rename/remove are atomic on
-// their own.
-type File struct {
-	dir string
-}
-
-// maxFileKey bounds the key length the file store accepts: the hex
-// file name must stay under common 255-byte filename limits.
-const maxFileKey = 120
-
-// NewFile opens (creating if needed) a file store rooted at dir.
-func NewFile(dir string) (*File, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &File{dir: dir}, nil
-}
-
-// path maps a key to its file. Keys are hex-encoded so any byte
-// sequence — separators, dots, NULs — yields a flat, collision-free
-// file name; the encoding is total and injective, so distinct keys
-// never share a file.
-func (s *File) path(key string) (string, error) {
-	if len(key) > maxFileKey {
-		return "", fmt.Errorf("backend: key length %d exceeds file-store max %d", len(key), maxFileKey)
-	}
-	return filepath.Join(s.dir, hex.EncodeToString([]byte(key))+".v"), nil
-}
-
-// Put stores val under key.
-func (s *File) Put(key string, val []byte) error {
-	p, err := s.path(key)
-	if err != nil {
-		return err
-	}
-	return fsatomic.WriteFile(p, val, 0o644)
-}
-
-// Get returns key's value, or nil when absent. Unexpected filesystem
-// errors are also reported as absent — the Loader contract has no
-// error channel — so Put is the only place store health surfaces.
-func (s *File) Get(key string) []byte {
-	p, err := s.path(key)
-	if err != nil {
-		return nil
-	}
-	v, err := os.ReadFile(p)
-	if err != nil {
-		return nil
-	}
-	return v
-}
-
-// Delete removes key; deleting an absent key is a no-op.
-func (s *File) Delete(key string) error {
-	p, err := s.path(key)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// Loader adapts the store to the cache's read-allocate hook.
-func (s *File) Loader() live.Loader { return s.Get }

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"rwp/internal/live"
@@ -47,112 +46,32 @@ func TestMapStoreCopies(t *testing.T) {
 	}
 }
 
-func TestFileStoreBasics(t *testing.T) {
-	s, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Get("missing"); got != nil {
-		t.Fatalf("Get on empty store = %q, want nil", got)
-	}
-	if err := s.Put("a/b.c", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Get("a/b.c"); !bytes.Equal(got, []byte("v1")) {
-		t.Fatalf("Get = %q, want v1", got)
-	}
-	if err := s.Put("a/b.c", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Get("a/b.c"); !bytes.Equal(got, []byte("v2")) {
-		t.Fatalf("Get after overwrite = %q, want v2", got)
-	}
-	// Distinct keys that only differ in bytes hostile to file names.
-	if err := s.Put("a.b/c", []byte("other")); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Get("a/b.c"); !bytes.Equal(got, []byte("v2")) {
-		t.Fatalf("sibling key clobbered a/b.c: %q", got)
-	}
-	if err := s.Delete("a/b.c"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Get("a/b.c"); got != nil {
-		t.Fatalf("Get after Delete = %q, want nil", got)
-	}
-	if err := s.Delete("a/b.c"); err != nil {
-		t.Fatalf("Delete of absent key: %v", err)
-	}
-}
-
-func TestFileStoreKeyLengthLimit(t *testing.T) {
-	s, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	long := strings.Repeat("k", maxFileKey+1)
-	if err := s.Put(long, []byte("v")); err == nil {
-		t.Fatal("Put accepted an over-limit key")
-	}
-	if got := s.Get(long); got != nil {
-		t.Fatalf("Get of over-limit key = %q, want nil", got)
-	}
-	ok := strings.Repeat("k", maxFileKey)
-	if err := s.Put(ok, []byte("v")); err != nil {
-		t.Fatalf("Put at the limit: %v", err)
-	}
-}
-
 // TestReadYourWriteThroughCache drives the look-aside pattern the
 // cluster relies on: write the store, invalidate nothing (the cache is
 // cold), and a cache Get must fill with the store's latest value —
 // including after the cache's sets are reset, which is exactly what
 // happens when a shard replica is re-added.
 func TestReadYourWriteThroughCache(t *testing.T) {
-	stores := map[string]interface {
-		Loader() live.Loader
-	}{}
-	stores["map"] = NewMap()
-	fs, err := NewFile(t.TempDir())
+	s := NewMap()
+	c, err := live.New(live.Config{Sets: 64, Ways: 4, Shards: 4, Policy: "lru", Loader: s.Loader()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores["file"] = fs
-
-	put := func(name string, s interface{ Loader() live.Loader }, key string, val []byte) {
-		switch st := s.(type) {
-		case *Map:
-			st.Put(key, val)
-		case *File:
-			if err := st.Put(key, val); err != nil {
-				t.Fatalf("%s: Put: %v", name, err)
-			}
-		}
+	s.Put("k", []byte("v1"))
+	if v, _ := c.Get("k"); !bytes.Equal(v, []byte("v1")) {
+		t.Fatalf("cold Get = %q, want fill v1", v)
 	}
-
-	for _, name := range []string{"map", "file"} {
-		s := stores[name]
-		cfg := live.Config{Sets: 64, Ways: 4, Shards: 4, Policy: "lru", Loader: s.Loader()}
-		c, err := live.New(cfg)
-		if err != nil {
-			t.Fatalf("%s: New: %v", name, err)
-		}
-		put(name, s, "k", []byte("v1"))
-		if v, _ := c.Get("k"); !bytes.Equal(v, []byte("v1")) {
-			t.Fatalf("%s: cold Get = %q, want fill v1", name, v)
-		}
-		// The store moves on while the cache still holds v1; resetting the
-		// cache (the replica re-add path) must expose the newer value.
-		put(name, s, "k", []byte("v2"))
-		if v, _ := c.Get("k"); !bytes.Equal(v, []byte("v1")) {
-			t.Fatalf("%s: cached Get = %q, want stale v1 (look-aside)", name, v)
-		}
-		c.ResetRange(0, 64)
-		if v, _ := c.Get("k"); !bytes.Equal(v, []byte("v2")) {
-			t.Fatalf("%s: Get after reset = %q, want refill v2", name, v)
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("%s: invariants after reset: %v", name, err)
-		}
+	// The store moves on while the cache still holds v1; resetting the
+	// cache (the replica re-add path) must expose the newer value.
+	s.Put("k", []byte("v2"))
+	if v, _ := c.Get("k"); !bytes.Equal(v, []byte("v1")) {
+		t.Fatalf("cached Get = %q, want stale v1 (look-aside)", v)
+	}
+	c.ResetRange(0, 64)
+	if v, _ := c.Get("k"); !bytes.Equal(v, []byte("v2")) {
+		t.Fatalf("Get after reset = %q, want refill v2", v)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after reset: %v", err)
 	}
 }

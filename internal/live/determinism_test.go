@@ -32,7 +32,7 @@ func runProfile(t *testing.T, profile string, shards, n int, mutate func(*live.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadgen.RunStream(c, g, n)
+	loadgen.Run(c, g, n)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

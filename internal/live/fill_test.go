@@ -510,7 +510,7 @@ func scanLeg(t *testing.T, cfg live.Config) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadgen.RunStream(c, s, scanOps)
+	loadgen.Run(c, s, scanOps)
 	checkLeg(t, c, scanOps)
 	return calls.Load()
 }

@@ -48,9 +48,9 @@ func readHitRate(t *testing.T, g hitGeometry, policy, profile string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadgen.RunStream(c, s, g.warm)
+	loadgen.Run(c, s, g.warm)
 	c.ResetStats()
-	loadgen.RunStream(c, s, g.measure)
+	loadgen.Run(c, s, g.measure)
 	return c.Stats().ReadHitRate()
 }
 

@@ -184,22 +184,3 @@ func (a *Adversary) Next() Op {
 		return Op{Key: key}
 	}
 }
-
-// Take returns the next n operations of s — Batch generalized to any
-// Stream, with the same semantics: replaying the slice in order is
-// bit-identical to issuing the stream op by op.
-func Take(s Stream, n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = s.Next()
-	}
-	return ops
-}
-
-// RunStream issues the next n operations of s against c (Run, for any
-// Stream).
-func RunStream(c *live.Cache, s Stream, n int) {
-	for i := 0; i < n; i++ {
-		Apply(c, s.Next())
-	}
-}

@@ -76,7 +76,7 @@ func TestAdversarySeedSensitivity(t *testing.T) {
 
 // TestAdversaryTakeEqualsNext: Take is exactly n Next calls, and two
 // independently built streams with one seed are the same stream — the
-// Batch/stream equivalence contract extended to every new profile.
+// batch/stream equivalence contract extended to every new profile.
 func TestAdversaryTakeEqualsNext(t *testing.T) {
 	const n = 600
 	for _, prof := range advProfiles {

@@ -2,15 +2,15 @@ package loadgen
 
 import "rwp/internal/live"
 
-// Batch returns the next n operations of g as a slice — the batched
+// Take returns the next n operations of s as a slice — the batched
 // form of the request stream that transports with batch support
 // (proto MGET/MPUT) consume. Semantically it is exactly n calls to
 // Next: replaying the slice in order against a cache is bit-identical
 // to issuing the stream op by op.
-func (g *Gen) Batch(n int) []Op {
+func Take(s Stream, n int) []Op {
 	ops := make([]Op, n)
 	for i := range ops {
-		ops[i] = g.Next()
+		ops[i] = s.Next()
 	}
 	return ops
 }

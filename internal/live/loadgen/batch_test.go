@@ -8,7 +8,7 @@ import (
 	"rwp/internal/live/loadgen"
 )
 
-// TestBatchEqualsNext: Batch is exactly n Next calls.
+// TestBatchEqualsNext: a Take batch is exactly n Next calls.
 func TestBatchEqualsNext(t *testing.T) {
 	g1, err := loadgen.New("mcf", 0, 8)
 	if err != nil {
@@ -18,7 +18,7 @@ func TestBatchEqualsNext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := g1.Batch(500)
+	batch := loadgen.Take(g1, 500)
 	for i := range batch {
 		if want := g2.Next(); !reflect.DeepEqual(batch[i], want) {
 			t.Fatalf("op %d: batch %+v, stream %+v", i, batch[i], want)
@@ -33,7 +33,7 @@ func TestRunsPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := g.Batch(2000)
+	ops := loadgen.Take(g, 2000)
 	for _, max := range []int{0, 1, 7, 64} {
 		runs := loadgen.Runs(ops, max)
 		var flat []loadgen.Op
@@ -87,7 +87,7 @@ func TestApplyAllMatchesRun(t *testing.T) {
 
 	c2 := mk()
 	g2, _ := loadgen.New("mcf", 0, 8)
-	hits := loadgen.ApplyAll(c2, g2.Batch(n))
+	hits := loadgen.ApplyAll(c2, loadgen.Take(g2, n))
 
 	s1, s2 := c1.Stats(), c2.Stats()
 	if !reflect.DeepEqual(s1, s2) {

@@ -102,12 +102,3 @@ func (h *Hotspot) Next() Op {
 	}
 	return Op{Key: key}
 }
-
-// Ops returns the stream's next n operations.
-func (h *Hotspot) Ops(n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = h.Next()
-	}
-	return ops
-}

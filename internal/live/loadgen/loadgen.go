@@ -116,9 +116,9 @@ func Apply(c *live.Cache, op Op) (hit bool) {
 	return hit
 }
 
-// Run issues the next n operations of g against c.
-func Run(c *live.Cache, g *Gen, n int) {
+// Run issues the next n operations of s against c.
+func Run(c *live.Cache, s Stream, n int) {
 	for i := 0; i < n; i++ {
-		Apply(c, g.Next())
+		Apply(c, s.Next())
 	}
 }

@@ -66,7 +66,7 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 		}
 		for _, shards := range []int{1, 32} {
 			c := newCache(shards)
-			loadgen.RunStream(c, stream(0), total)
+			loadgen.Run(c, stream(0), total)
 			if got := statsJSON(t, c); !bytes.Equal(got, want) {
 				t.Errorf("%s at %d shards: derived document differs from the recorded one\ngot  %s\nwant %s", run.file, shards, got, want)
 			}
@@ -75,7 +75,7 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 			continue
 		}
 		warm := newCache(4)
-		loadgen.RunStream(warm, stream(0), cut)
+		loadgen.Run(warm, stream(0), cut)
 		s, err := snap.Decode(snap.Encode(warm.Snapshot()))
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 		if err := c.RestoreSnapshot(s); err != nil {
 			t.Fatal(err)
 		}
-		loadgen.RunStream(c, stream(cut), total-cut)
+		loadgen.Run(c, stream(cut), total-cut)
 		if got := statsJSON(t, c); !bytes.Equal(got, want) {
 			t.Errorf("%s through a restore at op %d: derived document differs from the recorded one\ngot  %s\nwant %s", run.file, cut, got, want)
 		}

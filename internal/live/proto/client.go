@@ -33,7 +33,6 @@ type Client struct {
 	bw      *bufio.Writer
 	r       *Reader
 	pending []Op  // ops queued since the last Flush, in order
-	queued  int   // request bytes framed since the last Flush
 	err     error // first write failure; poisons the client (see Flush)
 	closed  bool
 	// payload and frame are the request scratch every Queue* call
@@ -110,7 +109,6 @@ func (c *Client) queue(op Op, payload []byte) error {
 		return err
 	}
 	c.pending = append(c.pending, op)
-	c.queued += len(c.frame)
 	return nil
 }
 
@@ -191,10 +189,6 @@ func (c *Client) QueuePing(payload []byte) error { return c.queue(OpPing, payloa
 // Depth returns the number of requests queued since the last Flush.
 func (c *Client) Depth() int { return len(c.pending) }
 
-// QueuedBytes returns the request bytes framed since the last Flush.
-// Use it to bound a burst — see Flush for why the bound matters.
-func (c *Client) QueuedBytes() int { return c.queued }
-
 // Flush writes every queued request in one burst and reads their
 // replies in order. On a protocol error (including an ERR frame from
 // the server) the connection is no longer usable.
@@ -204,9 +198,9 @@ func (c *Client) QueuedBytes() int { return c.queued }
 // elicit exceed what the two sockets' kernel buffers (plus the
 // server's 64 KiB write buffer, which force-flushes when full) can
 // hold in flight, both ends block on write and the connection
-// deadlocks. Keep QueuedBytes plus the expected response bytes of one
-// Flush in the tens of KiB — split deeper pipelines across multiple
-// Flushes.
+// deadlocks. Keep the queued request bytes plus the expected response
+// bytes of one Flush in the tens of KiB — split deeper pipelines across
+// multiple Flushes.
 func (c *Client) Flush() ([]Reply, error) {
 	if err := c.check(); err != nil {
 		return nil, err
@@ -220,7 +214,6 @@ func (c *Client) Flush() ([]Reply, error) {
 	}
 	want := c.pending
 	c.pending = c.pending[:0]
-	c.queued = 0
 	replies := make([]Reply, 0, len(want))
 	for _, sent := range want {
 		op, payload, err := c.r.ReadFrame()
@@ -337,9 +330,8 @@ func (c *Client) Ping(payload []byte) ([]byte, error) {
 }
 
 // ResetRange purges the remote cache's global sets [lo, hi), returning
-// the number of entries dropped. The signature matches
-// live.Cache.ResetRange's error-free shape plus the transport error, so
-// the cluster layer can use either as a node's Resetter.
+// the number of entries dropped: live.Cache.ResetRange over the wire,
+// plus the transport error (cluster.NodeConn's ResetRange).
 func (c *Client) ResetRange(lo, hi int) (int, error) {
 	if err := c.QueueReset(lo, hi); err != nil {
 		return 0, err

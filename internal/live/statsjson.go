@@ -2,15 +2,14 @@ package live
 
 import (
 	"encoding/json"
-	"io"
 
 	"rwp/internal/probe"
 )
 
 // StatsPayload is the stats JSON document every surface serves: the
 // binary protocol's STATS frame, rwpserve's operator /stats endpoint
-// and its -selftest output all render exactly this struct through
-// WritePayload, which is what makes them byte-comparable. The cluster
+// and its -selftest output all render exactly this struct through its
+// JSON method, which is what makes them byte-comparable. The cluster
 // layer (internal/cluster) renders its merged view through the same
 // struct, so a replication-factor-1 cluster run over a stream produces
 // the same bytes as a single-node run.
@@ -65,29 +64,16 @@ func (c *Cache) StatsSnapshot() StatsPayload {
 	}
 }
 
-// WritePayload renders p as the canonical indented JSON document.
-func WritePayload(w io.Writer, p StatsPayload) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
+// JSON renders p as the canonical indented JSON document, newline
+// terminated: the one payload-to-bytes path.
+func (p StatsPayload) JSON() ([]byte, error) {
+	b, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }
 
 // StatsJSON renders the cache's stats document — the exact bytes of
 // rwpserve's /stats body (it satisfies proto.Backend's StatsJSON).
-func (c *Cache) StatsJSON() ([]byte, error) {
-	var buf jsonBuffer
-	if err := WritePayload(&buf, c.StatsSnapshot()); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
-}
-
-// jsonBuffer is a minimal bytes.Buffer stand-in (avoids importing
-// bytes for one Write sink).
-type jsonBuffer struct{ b []byte }
-
-// Write implements io.Writer.
-func (j *jsonBuffer) Write(p []byte) (int, error) {
-	j.b = append(j.b, p...)
-	return len(p), nil
-}
+func (c *Cache) StatsJSON() ([]byte, error) { return c.StatsSnapshot().JSON() }

@@ -150,7 +150,7 @@ func TestStressConcurrentDefended(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			loadgen.RunStream(c, s, opsPer)
+			loadgen.Run(c, s, opsPer)
 		}(w)
 	}
 	wg.Wait()

@@ -26,9 +26,6 @@ type zeroClock struct{}
 
 func (zeroClock) Now() time.Time { return time.Time{} }
 
-// ZeroClock returns the default deterministic clock.
-func ZeroClock() Clock { return zeroClock{} }
-
 // Observer receives per-job progress events. Methods are called from
 // worker goroutines concurrently and must be safe for concurrent use.
 type Observer interface {

@@ -4,8 +4,8 @@
 # inside `go test` via internal/analysis/selfcheck_test.go).
 #
 #   tier-1:  go build ./... && go test ./...
-#   extras:  go vet, rwplint (explicit, for readable output), -race,
-#            the benchmark module's own vet + tests
+#   extras:  go vet, gofmt, rwplint (explicit, for readable output),
+#            -race, the benchmark module's own vet + tests
 #
 # Usage: scripts/check.sh [-short]   (-short races only the concurrent packages)
 set -eu
@@ -20,6 +20,14 @@ go build ./...
 
 echo '>> go vet ./...'
 go vet ./...
+
+echo '>> gofmt -l .'
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo 'check.sh: FAIL: gofmt -l lists:' >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo '>> go run ./cmd/rwplint ./...'
 go run ./cmd/rwplint ./...
@@ -289,6 +297,16 @@ cmp "$smoke/cluster1.json" "$smoke/cluster64.json" || {
 }
 cmp "$smoke/live1.json" "$smoke/cluster1.json" || {
     echo 'check.sh: FAIL: cluster merged stats differ from single-node rwpserve' >&2
+    exit 1
+}
+# ... and on a profile whose keys the backing store does not have: both
+# binaries build the stream and the Loader the same way.
+go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 1 \
+    -profile adv:scan >"$smoke/scan1.json"
+go run ./cmd/rwpcluster -selftest 20000 -sets 256 -ways 8 -shards 1 \
+    -profile adv:scan -ring-shards 16 >"$smoke/clusterscan.json"
+cmp "$smoke/scan1.json" "$smoke/clusterscan.json" || {
+    echo 'check.sh: FAIL: cluster adv:scan stats differ from single-node rwpserve' >&2
     exit 1
 }
 
