@@ -54,12 +54,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rwpcluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	nodes := fs.Int("nodes", 3, "in-process node count")
-	ringShards := fs.Int("ring-shards", 64, "ring shards (must divide -sets)")
+	ringShards := fs.Int("ring-shards", 64, "ring shards (must divide -sets into ranges of whole 8-set policy groups)")
 	policyName := fs.String("policy", "rwp", "replacement policy: lru or rwp")
 	sets := fs.Int("sets", 1024, "total sets per node (power of two)")
 	ways := fs.Int("ways", 16, "ways per set")
-	shards := fs.Int("shards", 8, "lock shards per node (must divide sets)")
-	interval := fs.Uint64("interval", 0, "RWP repartition interval in per-set ops (0: default)")
+	shards := fs.Int("shards", 8, "lock shards per node (must divide sets into whole 8-set policy groups)")
+	interval := fs.Uint64("interval", 0, "RWP repartition interval: ops per set between retargets, counted over each 8-set policy group (0: default)")
 	valueSize := fs.Int("value-size", 0, "synthetic value size in bytes (0: default)")
 	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store")
 	mode := fs.String("mode", "direct", "in-process node transport: direct or pipe")

@@ -31,7 +31,7 @@ func clusterOut(t *testing.T, args ...string) string {
 // large enough that the RWP policy retargets.
 func baseArgs(extra ...string) []string {
 	args := []string{"-selftest", "8000", "-sets", "256", "-ways", "4",
-		"-shards", "4", "-interval", "64", "-profile", "mcf", "-ring-shards", "16"}
+		"-shards", "4", "-interval", "16", "-profile", "mcf", "-ring-shards", "16"}
 	return append(args, extra...)
 }
 
@@ -48,7 +48,7 @@ func TestSelftestDeterministic(t *testing.T) {
 		{},
 		{"-mode", "pipe"},
 		{"-mode", "pipe", "-pipeline", "7"},
-		{"-ring-shards", "64"},
+		{"-ring-shards", "32"},
 		{"-nodes", "1"},
 		{"-nodes", "5", "-mode", "pipe"},
 	} {
@@ -70,7 +70,7 @@ func TestSelftestMatchesSingleNode(t *testing.T) {
 
 		cfg := live.DefaultConfig()
 		cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
-		cfg.RWP.Interval = 64
+		cfg.RWP.Interval = 16 // baseArgs' -interval
 		cfg.Loader = loadgen.AbsentLoader(0)
 		c, err := live.New(cfg)
 		if err != nil {

@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sets := fs.Int("sets", 1024, "total sets (power of two); match the recorded run")
 	ways := fs.Int("ways", 16, "ways per set; match the recorded run")
 	shards := fs.Int("shards", 8, "lock shards (behavior-invariant)")
-	interval := fs.Uint64("interval", 0, "RWP repartition interval in per-set ops (0: default)")
+	interval := fs.Uint64("interval", 0, "RWP repartition interval: ops per set between retargets, counted over each 8-set policy group (0: default)")
 	valueSize := fs.Int("value-size", 0, "loader value size in bytes (0: default); match the recorded run")
 	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store")
 	batch := fs.Int("batch", 64, "max ops per binary MGET/MPUT frame (tcp transport)")
@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rate := fs.Int("rate", 0, "target replay rate in ops/sec (0: full speed)")
 	recordPath := fs.String("record", "", "re-record the replay to this journal (not with -transport cluster)")
 	nodes := fs.Int("nodes", 3, "cluster transport: in-process node count")
-	ringShards := fs.Int("ring-shards", 64, "cluster transport: ring shards (must divide -sets)")
+	ringShards := fs.Int("ring-shards", 64, "cluster transport: ring shards (must divide -sets into ranges of whole 8-set policy groups)")
 	mode := fs.String("mode", "direct", "cluster transport: node links, direct or pipe")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -85,11 +85,11 @@ func TestReplayEquivalence(t *testing.T) {
 	}{
 		{"direct", geometry("4")},
 		{"direct-shards-1", geometry("1")},
-		{"direct-shards-32", geometry("32")},
+		{"direct-shards-16", geometry("16")},
 		{"tcp", append(geometry("4"), "-transport", "tcp", "-batch", "16", "-pipeline", "4")},
 		{"tcp-degenerate", append(geometry("8"), "-transport", "tcp", "-batch", "1", "-pipeline", "1")},
-		{"cluster", append(geometry("4"), "-transport", "cluster", "-nodes", "3", "-ring-shards", "32")},
-		{"cluster-pipe", append(geometry("4"), "-transport", "cluster", "-nodes", "2", "-ring-shards", "32", "-mode", "pipe")},
+		{"cluster", append(geometry("4"), "-transport", "cluster", "-nodes", "3", "-ring-shards", "16")},
+		{"cluster-pipe", append(geometry("4"), "-transport", "cluster", "-nodes", "2", "-ring-shards", "16", "-mode", "pipe")},
 		{"paced", append(geometry("4"), "-rate", "2000000")},
 	} {
 		got := runReplay(t, append([]string{"-in", journal}, tc.args...))

@@ -63,8 +63,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	policyName := fs.String("policy", "rwp", "replacement policy: lru or rwp")
 	sets := fs.Int("sets", 1024, "total sets (power of two)")
 	ways := fs.Int("ways", 16, "ways per set")
-	shards := fs.Int("shards", 8, "lock shards (must divide sets; behavior-invariant)")
-	interval := fs.Uint64("interval", 0, "RWP repartition interval in per-set ops (0: default)")
+	shards := fs.Int("shards", 8, "lock shards (must divide sets into whole 8-set policy groups; behavior-invariant)")
+	interval := fs.Uint64("interval", 0, "RWP repartition interval: ops per set between retargets, counted over each 8-set policy group (0: default)")
 	valueSize := fs.Int("value-size", 0, "synthetic value size in bytes (0: default)")
 	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store (Get misses answer miss)")
 	coalesce := fs.Bool("coalesce", false, "singleflight fill coalescing: concurrent misses on one key share one Loader call")

@@ -78,7 +78,7 @@ func TestSelftestShardInvariance(t *testing.T) {
 	if !strings.Contains(base, "\"Retargets\"") || strings.Contains(base, "\"Retargets\": 0,") {
 		t.Fatalf("selftest output shows no retargets:\n%s", base)
 	}
-	for _, shards := range []string{"1", "4", "128"} {
+	for _, shards := range []string{"1", "4", "16"} {
 		if got := out(shards); got != base {
 			t.Errorf("selftest output differs for shards=%s:\n%s\nvs base:\n%s", shards, got, base)
 		}

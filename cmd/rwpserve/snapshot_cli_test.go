@@ -47,7 +47,7 @@ func TestSelftestRestartEquivalence(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("warm run = %d, stderr: %s", code, errb)
 	}
-	for _, shards := range []string{"1", "4", "32"} {
+	for _, shards := range []string{"1", "4", "16"} {
 		got, errb, code := runCLI(t, selftestArgs("-selftest", "20000", "-selftest-skip", "12000",
 			"-shards", shards, "-restore", snapPath)...)
 		if code != 0 {
@@ -66,7 +66,7 @@ func TestSelftestRestartEquivalence(t *testing.T) {
 	// even at a different shard count.
 	again := filepath.Join(filepath.Dir(snapPath), "again.snap")
 	_, errb, code = runCLI(t, selftestArgs("-selftest", "12000", "-selftest-skip", "12000",
-		"-shards", "32", "-restore", snapPath, "-snapshot", again)...)
+		"-shards", "16", "-restore", snapPath, "-snapshot", again)...)
 	if code != 0 {
 		t.Fatalf("fixed-point run = %d, stderr: %s", code, errb)
 	}

@@ -69,7 +69,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nodes := range []int{1, 3, 5} {
-		for _, ringShards := range []int{16, 64} {
+		for _, ringShards := range []int{16, 32} {
 			h, err := NewHarness(HarnessConfig{
 				Nodes:      nodes,
 				RingShards: ringShards,

@@ -59,15 +59,22 @@ const DefaultVnodes = 64
 
 // New builds a ring over the given cache geometry and nodes. sets is
 // the cache's total set count (a power of two, identical on every
-// node); shards is the ring shard count and must divide sets; nodeIDs
-// must be non-empty and unique; vnodes <= 0 selects DefaultVnodes.
-// Every shard starts at one replica (its primary).
+// node); shards is the ring shard count and must divide sets into
+// ranges of whole policy groups (live.GroupSets) — a group split across
+// two nodes would see half its clock on each and its sampled set's
+// evidence on one, and the merged document would no longer equal the
+// single-node one; nodeIDs must be non-empty and unique; vnodes <= 0
+// selects DefaultVnodes. Every shard starts at one replica (its
+// primary).
 func New(sets, shards int, nodeIDs []string, vnodes int) (*Ring, error) {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cluster: sets %d is not a positive power of two", sets)
 	}
 	if shards <= 0 || sets%shards != 0 {
 		return nil, fmt.Errorf("cluster: shards %d does not divide sets %d", shards, sets)
+	}
+	if g := live.GroupSets(sets); sets/shards%g != 0 {
+		return nil, fmt.Errorf("cluster: shards %d over sets %d gives %d-set ring ranges, not a multiple of the %d-set policy group", shards, sets, sets/shards, g)
 	}
 	if len(nodeIDs) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")

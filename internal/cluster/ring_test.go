@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"rwp/internal/live"
@@ -225,10 +226,21 @@ func TestRingValidation(t *testing.T) {
 		{"zero shards", 256, 0, ringNodes(1)},
 		{"no nodes", 256, 16, nil},
 		{"duplicate nodes", 256, 16, []string{"a", "a"}},
+		{"ring ranges splitting a policy group", 256, 64, ringNodes(1)},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.sets, tc.shards, tc.nodes, 8); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	// The group-split refusal names both numbers: the range it got and
+	// the group it must hold.
+	_, err := New(256, 64, ringNodes(1), 8)
+	if err == nil || !strings.Contains(err.Error(), "4-set ring ranges") || !strings.Contains(err.Error(), "8-set policy group") {
+		t.Errorf("New(256, 64) = %v, want an error naming the 4-set range and the 8-set group", err)
+	}
+	// Below eight sets the cache is one group, and so is the only ring.
+	if _, err := New(4, 1, ringNodes(1), 8); err != nil {
+		t.Errorf("New(4, 1): %v", err)
 	}
 }

@@ -1,11 +1,13 @@
 package live_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"rwp/internal/live"
 	"rwp/internal/live/loadgen"
+	"rwp/internal/snap"
 )
 
 // runProfile drives n single-goroutine loadgen operations for one
@@ -64,7 +66,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestDeterministicAcrossShardCounts(t *testing.T) {
 	const n = 20_000
 	base, pbase := runProfile(t, "xalancbmk", 1, n, nil)
-	for _, shards := range []int{2, 4, 16, 256} {
+	for _, shards := range []int{2, 4, 16, 32} {
 		s, p := runProfile(t, "xalancbmk", shards, n, nil)
 		if !reflect.DeepEqual(base, s) {
 			t.Errorf("shards=%d: stats differ from shards=1:\n%+v\n%+v", shards, base, s)
@@ -75,6 +77,48 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 	}
 	if base.Retargets == 0 {
 		t.Error("RWP never repartitioned over 20k ops (interval clock broken?)")
+	}
+}
+
+// TestGroupsInvariantAcrossShardCounts: the policy group is a function
+// of Sets alone, so a stream that crosses every group boundary leaves
+// the same stats document and the same snapshot, byte for byte, whether
+// a shard holds sixteen groups, eight or exactly one.
+func TestGroupsInvariantAcrossShardCounts(t *testing.T) {
+	run := func(shards int) (doc, state []byte) {
+		cfg := live.DefaultConfig()
+		cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, shards
+		cfg.RWP.Interval = 16
+		cfg.Loader = loadgen.Loader(0)
+		c, err := live.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := loadgen.NewStream("mcf", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadgen.Run(c, g, 20_000)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Stats(); s.Retargets < uint64(cfg.Sets/live.GroupSets(cfg.Sets)) {
+			t.Fatalf("only %d retargets over %d groups", s.Retargets, cfg.Sets/live.GroupSets(cfg.Sets))
+		}
+		if doc, err = c.StatsJSON(); err != nil {
+			t.Fatal(err)
+		}
+		return doc, snap.Encode(c.Snapshot())
+	}
+	doc, state := run(1)
+	for _, shards := range []int{2, 16} {
+		d, s := run(shards)
+		if !bytes.Equal(d, doc) {
+			t.Errorf("shards=%d: stats document differs from shards=1:\n%s\nvs\n%s", shards, d, doc)
+		}
+		if !bytes.Equal(s, state) {
+			t.Errorf("shards=%d: snapshot differs from shards=1 (%d vs %d bytes)", shards, len(s), len(state))
+		}
 	}
 }
 

@@ -8,11 +8,18 @@ import "fmt"
 // stress and determinism tests — including cmd/rwpserve's TCP race
 // stress — call it after hammering the cache.
 func (c *Cache) CheckInvariants() error {
+	gs := GroupSets(c.cfg.Sets)
 	for si, sh := range c.shards {
 		sh.mu.Lock()
 		for i := range sh.sets {
 			ls := &sh.sets[i]
 			global := si*c.perShard + i
+			// The policy knows the set as idx of grp: a wrong pair steers
+			// every callback at another set's recency and partition state.
+			if g := &sh.groups[i/gs]; ls.grp != g || ls.idx != i%gs || len(g.sets) != gs || &g.sets[ls.idx] != ls {
+				sh.mu.Unlock()
+				return fmt.Errorf("set %d: not set %d of its shard's group %d", global, i%gs, i/gs)
+			}
 			valid, dirty := 0, 0
 			seen := map[string]bool{}
 			for w := range ls.entries {

@@ -44,15 +44,21 @@ func probeBoth(t *testing.T, c *Cache, key string) (way int) {
 // must report what the reference probe predicted, and at the end the
 // ledger must hold exactly the hit/miss split the reference saw.
 func TestFindMatchesReference(t *testing.T) {
-	const ops, keyspace = 20_000, 96
+	const ops, keyspace = 20_000, 192
 	for _, pol := range []string{"lru", "rwp"} {
 		t.Run(pol, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Sets, cfg.Ways, cfg.Shards, cfg.Policy = 8, 4, 2, pol
+			cfg.Sets, cfg.Ways, cfg.Shards, cfg.Policy = 16, 4, 2, pol
 			cfg.RWP.Interval = 16
 			cfg.Loader = func(key string) []byte { return []byte("ld:" + key) }
 			c := mustNew(t, cfg)
 			rng := xrand.New(17)
+			// Range operations take whole policy groups.
+			groups := cfg.Sets / GroupSets(cfg.Sets)
+			groupRange := func() (lo, hi int) {
+				lo = rng.Intn(groups)
+				return lo * GroupSets(cfg.Sets), (lo + 1 + rng.Intn(groups-lo)) * GroupSets(cfg.Sets)
+			}
 			var want Counters
 			dst := make([]byte, 0, 64)
 			for i := 0; i < ops; i++ {
@@ -94,8 +100,7 @@ func TestFindMatchesReference(t *testing.T) {
 						want.PutHits++
 					}
 				case op < 97:
-					lo := rng.Intn(cfg.Sets)
-					c.ResetRange(lo, lo+1+rng.Intn(cfg.Sets-lo))
+					c.ResetRange(groupRange())
 				case op < 99:
 					// Round-trip through the wire format, so restored keys
 					// and values are fresh allocations.
@@ -107,8 +112,7 @@ func TestFindMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 				default:
-					lo := rng.Intn(cfg.Sets)
-					data, err := c.SnapBytes(lo, lo+1+rng.Intn(cfg.Sets-lo))
+					data, err := c.SnapBytes(groupRange())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -130,6 +134,7 @@ func TestFindMatchesReference(t *testing.T) {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
+			checkWrittenBits(t, c)
 		})
 	}
 }

@@ -51,16 +51,24 @@ func TestCountersEnumeration(t *testing.T) {
 }
 
 // TestCountersCoverage: everything that copies, sums or clears the
-// counters — Stats aggregation, Stats.Add, the snapshot vector through
+// ledger — Stats aggregation, Stats.Add, the snapshot vector through
 // the wire encoding and back into a set, ResetStats — carries every
-// field, checked with a distinct sentinel per field.
+// counter and every cost-table cell, checked with a distinct sentinel
+// per field.
 func TestCountersCoverage(t *testing.T) {
 	want := sentinelCounters(t)
 	double := want
 	double.add(want)
+	var wantCosts costTable
+	for part := range wantCosts {
+		for class := range wantCosts[part] {
+			wantCosts[part][class] = uint64(2000 + 10*part + class)
+		}
+	}
 
 	c := mustNew(t, tinyConfig("rwp"))
 	c.shards[0].sets[0].ops = want
+	c.shards[0].sets[0].costs = wantCosts
 
 	if got := c.Stats().Counters; got != want {
 		t.Errorf("Stats dropped a counter:\ngot  %+v\nwant %+v", got, want)
@@ -78,10 +86,19 @@ func TestCountersCoverage(t *testing.T) {
 	}
 	// Sentinels break the conservation laws on purpose, so go around
 	// checkSnapshot: this is about the vector, not its validation.
+	if len(s.Records[0].Ops) != ledgerLen {
+		t.Fatalf("ledger vector holds %d cells, want %d", len(s.Records[0].Ops), ledgerLen)
+	}
 	var ls lset
-	restoreSet(&ls, c.cfg, &s.Records[0], true)
+	ls.setLedger(s.Records[0].Ops)
 	if ls.ops != want {
 		t.Errorf("snapshot round trip dropped a counter:\ngot  %+v\nwant %+v", ls.ops, want)
+	}
+	if ls.costs != wantCosts {
+		t.Errorf("snapshot round trip dropped a cost cell:\ngot  %v\nwant %v", ls.costs, wantCosts)
+	}
+	if got := c.Stats(); !reflect.DeepEqual(got.CostHistClean, wantCosts.hist(partClean)) || !reflect.DeepEqual(got.CostHistDirty, wantCosts.hist(partDirty)) {
+		t.Errorf("Stats dropped a cost cell: clean %v dirty %v, want table %v", got.CostHistClean, got.CostHistDirty, wantCosts)
 	}
 
 	c.ResetStats()
@@ -165,9 +182,9 @@ func TestRestoreRejectsBrokenLaws(t *testing.T) {
 
 	for _, tc := range lawBreakers {
 		s := src.Snapshot()
-		ops := countersFromVector(s.Records[1].Ops)
-		tc.mut(&ops)
-		s.Records[1].Ops = ops.vector()
+		broken := lset{ops: countersFromVector(s.Records[1].Ops)}
+		tc.mut(&broken.ops)
+		s.Records[1].Ops = broken.ledger()
 
 		_, rangeErr := target.RestoreRange(s)
 		_, bytesErr := target.RestoreBytes(snap.Encode(s))
@@ -198,16 +215,6 @@ func TestCostClasses(t *testing.T) {
 	for _, cost := range []int{CostCoalesced, CostNegHit} {
 		if cost != classCost[classHit] {
 			t.Errorf("a defense answer costing %d is charged as classHit (%d)", cost, classCost[classHit])
-		}
-	}
-	var tab costTable
-	for part := range tab {
-		for class := range tab[part] {
-			tab[part][class] = uint64(10*part + class + 1)
-		}
-		row, ok := rowFromHist(tab.hist(part))
-		if !ok || row != tab[part] {
-			t.Errorf("partition %d: hist round trip %v (ok=%v), want %v", part, row, ok, tab[part])
 		}
 	}
 }

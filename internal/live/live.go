@@ -14,14 +14,16 @@
 //     the line; a miss installs the line dirty (write-allocate).
 //
 // Sharding vs determinism. The cache is split into Shards independent
-// lock domains, but the unit of replacement and of RWP's predictor is
-// the *set*: every set owns its own policy instance (shadow stacks,
-// histograms, dirty-partition target) whose interval clock is the
-// set's own operation count — never the wall clock, never a global
-// counter. A key maps to a global set index by hash, and a shard is
-// just a contiguous run of sets sharing one mutex. Consequently a
-// single-goroutine run is bit-identical across repeated runs AND
-// across shard counts: resharding moves lock boundaries, not behavior.
+// lock domains, but the unit of replacement is the *set* and the unit
+// of RWP's predictor is the *group*: GroupSets consecutive sets share
+// one policy instance (one sampled set's shadow stacks, the histograms,
+// the dirty-partition target) whose interval clock is the group's own
+// operation count — never the wall clock, never a global counter. A key
+// maps to a global set index by hash, a shard is just a contiguous run
+// of whole groups sharing one mutex, and the group size is a function
+// of Sets alone. Consequently a single-goroutine run is bit-identical
+// across repeated runs AND across shard counts: resharding moves lock
+// boundaries, not behavior.
 // Under concurrent load the per-shard locks serialize each set's
 // stream, so all structural invariants hold (stress-tested with
 // -race); only the interleaving — and therefore the exact counter
@@ -38,7 +40,7 @@ package live
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"strings"
 	"sync"
 	"unsafe"
@@ -68,12 +70,16 @@ type Config struct {
 	// Ways is the associativity of every set.
 	Ways int
 	// Shards is the number of independent lock domains; it must divide
-	// Sets. More shards means less lock contention, identical behavior.
+	// Sets into runs of whole groups (see GroupSets). More shards means
+	// less lock contention, identical behavior.
 	Shards int
-	// Policy selects the per-set replacement mechanism: "lru" or "rwp".
+	// Policy selects the replacement mechanism: "lru" or "rwp".
 	Policy string
-	// RWP configures the per-set predictor when Policy is "rwp".
-	// Interval counts operations on one set between repartitionings.
+	// RWP configures the per-group predictor when Policy is "rwp".
+	// Interval is the average number of operations on one set between
+	// repartitionings (a group of G sets retargets every Interval×G of
+	// its own ops); SamplerSets must be 1 — each group shadows exactly
+	// its first set.
 	RWP core.Config
 	// Loader, when non-nil, backfills Get misses with a clean fill.
 	Loader Loader
@@ -193,24 +199,24 @@ func (t *costTable) hist(part int) probe.CostHist {
 	return h
 }
 
-// rowFromHist is hist's inverse, for restores; ok is false when h holds
-// a cost no operation can be charged.
-func rowFromHist(h probe.CostHist) (row [numCostClasses]uint64, ok bool) {
-	for _, b := range h.Buckets {
-		class := slices.Index(classCost[:], b.Cost)
-		if class < 0 {
-			return row, false
-		}
-		row[class] += b.Count
-	}
-	return row, true
-}
+// maxGroupSets is how many consecutive sets share one policy instance —
+// for RWP one predictor, fed by the group's first set alone, which is
+// the paper's sampled-set design at the live cache's scale. A constant,
+// not a knob: the largest of {4, 8, 32, 128} that every gate geometry
+// admits, at a read-hit geomean no worse than a predictor per set
+// (DESIGN.md §10).
+const maxGroupSets = 8
 
-// DefaultRWPConfig returns the per-set predictor configuration: the
-// set itself is the (only) sampler set, and the repartition interval
-// is short because it is measured in per-set operations, not global
-// accesses (1024 sets at the default geometry each see 1/1024th of
-// the traffic).
+// GroupSets returns the policy group size of a cache with the given set
+// count: a function of Sets alone, so behavior stays shard-count
+// invariant. Lock shards and cluster ring ranges must hold whole groups.
+func GroupSets(sets int) int { return min(maxGroupSets, sets) }
+
+// DefaultRWPConfig returns the per-group predictor configuration: the
+// group's first set is the (only) sampler set, and the repartition
+// interval is short because it is measured in per-set operations, not
+// global accesses (1024 sets at the default geometry each see 1/1024th
+// of the traffic).
 func DefaultRWPConfig() core.Config {
 	return core.Config{
 		SamplerSets:        1,
@@ -242,11 +248,20 @@ func (c Config) Validate() error {
 	if c.Shards <= 0 || c.Sets%c.Shards != 0 {
 		return fmt.Errorf("live: Shards %d must be positive and divide Sets %d", c.Shards, c.Sets)
 	}
+	if g := GroupSets(c.Sets); c.Sets/c.Shards%g != 0 {
+		return fmt.Errorf("live: Shards %d leaves %d sets per shard, not a multiple of the %d-set policy group", c.Shards, c.Sets/c.Shards, g)
+	}
 	switch c.Policy {
 	case "lru":
 	case "rwp":
 		if err := c.RWP.Validate(); err != nil {
 			return err
+		}
+		if c.RWP.SamplerSets != 1 {
+			return fmt.Errorf("live: RWP.SamplerSets %d must be 1 (each policy group shadows its first set)", c.RWP.SamplerSets)
+		}
+		if c.RWP.Interval > math.MaxUint64/maxGroupSets {
+			return fmt.Errorf("live: RWP.Interval %d overflows the group clock", c.RWP.Interval)
 		}
 	default:
 		return fmt.Errorf("live: unknown policy %q (want lru or rwp)", c.Policy)
@@ -267,8 +282,7 @@ type entry struct {
 	dirty bool // written at fill or since (RWP's partition criterion)
 }
 
-// lset is one cache set. It implements cache.StateReader as a
-// single-set view so the simulator's policies plug in unchanged.
+// lset is one cache set; its replacement policy belongs to its group.
 //
 // The layout is the simulator's (cache.Cache): tags packed by way, the
 // payload beside them. A probe scans the tags — two host cache lines at
@@ -278,10 +292,11 @@ type entry struct {
 type lset struct {
 	// tags[w] is HashKey of entries[w].key, carved from the shard's
 	// slab. Meaningful only while entries[w].valid.
-	tags       []mem.LineAddr
-	entries    []entry
-	pol        cache.Policy
-	rwp        *core.RWP // non-nil iff the policy is RWP
+	tags    []mem.LineAddr
+	entries []entry
+	// grp owns the set's replacement policy, which knows the set as idx.
+	grp        *group
+	idx        int
 	validCount int
 	dirtyCount int
 	// ops and costs are the set's ledger — all an operation writes
@@ -299,26 +314,39 @@ type lset struct {
 	negs []negEntry
 }
 
+// group is GroupSets consecutive sets and the one policy instance they
+// share. It implements cache.StateReader over them, so the simulator's
+// policies attach to it exactly as they attach to a cache: core.RWP
+// with SamplerSets 1 shadows set 0 of the view, and every callback
+// names a set by its index in the group.
+type group struct {
+	sets []lset // a window of the shard's sets
+	pol  cache.Policy
+	rwp  *core.RWP // non-nil iff the policy is RWP
+}
+
 // NumSets implements cache.StateReader.
-func (s *lset) NumSets() int { return 1 }
+func (g *group) NumSets() int { return len(g.sets) }
 
 // Ways implements cache.StateReader.
-func (s *lset) Ways() int { return len(s.entries) }
+func (g *group) Ways() int { return len(g.sets[0].entries) }
 
 // State implements cache.StateReader.
-func (s *lset) State(_, way int) cache.LineState {
+func (g *group) State(set, way int) cache.LineState {
+	s := &g.sets[set]
 	e := &s.entries[way]
 	return cache.LineState{Tag: s.tags[way], Valid: e.valid, Dirty: e.dirty}
 }
 
 // ValidWays implements cache.StateReader.
-func (s *lset) ValidWays(int) int { return s.validCount }
+func (g *group) ValidWays(set int) int { return g.sets[set].validCount }
 
 // DirtyWays implements cache.StateReader.
-func (s *lset) DirtyWays(int) int { return s.dirtyCount }
+func (g *group) DirtyWays(set int) int { return g.sets[set].dirtyCount }
 
 // InvalidWay implements cache.StateReader.
-func (s *lset) InvalidWay(int) int {
+func (g *group) InvalidWay(set int) int {
+	s := &g.sets[set]
 	if s.validCount >= len(s.entries) {
 		return -1
 	}
@@ -375,9 +403,9 @@ func storeVal(old, val []byte) []byte {
 }
 
 // install writes (key, val) into way: tag, payload and state bits
-// together, the only writer of any of them besides initSet's clear.
+// together, the only writer of any of them besides initGroup's clear.
 // Occupancy counts and the policy callbacks are the caller's (fill,
-// restoreSet).
+// restoreGroup).
 //
 //rwplint:hotpath — every fill
 func (s *lset) install(way int, key string, tag mem.LineAddr, val []byte, dirty bool) {
@@ -388,11 +416,12 @@ func (s *lset) install(way int, key string, tag mem.LineAddr, val []byte, dirty 
 	e.valid, e.dirty = true, dirty
 }
 
-// shard is one lock domain: a contiguous run of sets, all guarded by
-// mu.
+// shard is one lock domain: a contiguous run of sets — whole groups —
+// all guarded by mu.
 type shard struct {
-	mu   sync.Mutex
-	sets []lset
+	mu     sync.Mutex
+	sets   []lset
+	groups []group // groups[i] is sets[i*G : (i+1)*G]
 	// fills tracks in-flight coalesced Loader calls by key (fill.go).
 	// Guarded by mu like everything else; nil unless Config.Coalesce.
 	// Per shard, not per set: entries are keyed lookups only (never
@@ -419,54 +448,103 @@ func New(cfg Config) (*Cache, error) {
 		perShard: cfg.Sets / cfg.Shards,
 		shards:   make([]*shard, cfg.Shards),
 	}
+	gs := GroupSets(cfg.Sets)
 	for si := range c.shards {
-		sh := &shard{sets: make([]lset, c.perShard)}
+		sh := &shard{sets: make([]lset, c.perShard), groups: make([]group, c.perShard/gs)}
 		if cfg.Coalesce {
 			sh.fills = make(map[string]*fillCall)
 		}
-		// One tag slab per shard: a set's tags are contiguous, and so are
-		// its neighbours'.
-		slab := make([]mem.LineAddr, c.perShard*cfg.Ways)
-		for i := range sh.sets {
-			sh.sets[i].tags = slab[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-			initSet(&sh.sets[i], cfg)
+		// One tag slab and one entry slab per shard: a set's ways are
+		// contiguous, and so are its neighbours'.
+		tags := make([]mem.LineAddr, c.perShard*cfg.Ways)
+		entries := make([]entry, c.perShard*cfg.Ways)
+		for gi := range sh.groups {
+			g := &sh.groups[gi]
+			g.sets = sh.sets[gi*gs : (gi+1)*gs]
+			for i := range g.sets {
+				ls, w := &g.sets[i], (gi*gs+i)*cfg.Ways
+				ls.tags = tags[w : w+cfg.Ways : w+cfg.Ways]
+				ls.entries = entries[w : w+cfg.Ways : w+cfg.Ways]
+				ls.grp, ls.idx = g, i
+			}
+			initGroup(g, cfg)
 		}
 		c.shards[si] = sh
 	}
 	return c, nil
 }
 
-// initSet (re)builds one set to its freshly-constructed state: empty
-// entries, cleared tags, zero occupancy, a brand-new policy instance.
-// The tags are New's slice of the shard slab; the entries backing array
-// is reused when already allocated. The ledger is deliberately left
-// untouched — it is cumulative history, and ResetRange must not
+// groupRWPConfig is the configuration a group's predictor runs under:
+// cfg with the interval scaled by the group size, because the group's
+// clock counts the ops of all its sets and Interval is per set. It is
+// also what a simulator cache needs to retarget where a group does.
+func groupRWPConfig(cfg core.Config, groupSets int) core.Config {
+	cfg.Interval *= uint64(groupSets)
+	return cfg
+}
+
+// initGroup (re)builds one group to its freshly-constructed state:
+// empty entries, cleared tags, zero occupancy in every set, and a
+// brand-new policy instance; it returns how many entries that dropped.
+// The slabs are New's. The sets' ledgers are deliberately left
+// untouched — they are cumulative history, and ResetRange must not
 // un-count work that happened.
-func initSet(ls *lset, cfg Config) {
-	if ls.entries == nil {
-		ls.entries = make([]entry, cfg.Ways)
-	} else {
+func initGroup(g *group, cfg Config) (purged int) {
+	for i := range g.sets {
+		ls := &g.sets[i]
+		purged += ls.validCount
 		clear(ls.entries)
+		clear(ls.tags)
+		ls.validCount, ls.dirtyCount = 0, 0
+		// The negative cache is content, not history: a reset set starts
+		// cold on both sides (ResetRange's read-your-write rule would be
+		// violated by a stale "absent" verdict outliving a purge).
+		ls.negs = nil
 	}
-	clear(ls.tags)
-	ls.validCount, ls.dirtyCount = 0, 0
-	// The negative cache is content, not history: a reset set starts
-	// cold on both sides (ResetRange's read-your-write rule would be
-	// violated by a stale "absent" verdict outliving a purge).
-	ls.negs = nil
-	ls.rwp = nil
+	g.rwp = nil
 	switch cfg.Policy {
 	case "rwp":
-		ls.rwp = core.New(cfg.RWP)
-		ls.pol = ls.rwp
+		g.rwp = core.New(groupRWPConfig(cfg.RWP, len(g.sets)))
+		g.pol = g.rwp
 	default: // "lru", by Validate
-		ls.pol = policy.NewLRU()
+		g.pol = policy.NewLRU()
 	}
-	ls.pol.Attach(ls)
+	g.pol.Attach(g)
+	return purged
+}
+
+// CheckRange reports why the set range [lo, hi) cannot be reset,
+// captured or restored (part of proto.RangeBackend): it is out of
+// bounds, or it splits a policy group — a group's predictor, clock and
+// recency state do not come in halves.
+func (c *Cache) CheckRange(lo, hi int) error {
+	if lo < 0 || hi > c.cfg.Sets || lo > hi {
+		return fmt.Errorf("live: set range [%d,%d) out of bounds (sets %d)", lo, hi, c.cfg.Sets)
+	}
+	if g := GroupSets(c.cfg.Sets); lo%g != 0 || hi%g != 0 {
+		return fmt.Errorf("live: set range [%d,%d) splits a %d-set policy group", lo, hi, g)
+	}
+	return nil
+}
+
+// eachShard calls fn, under the shard's lock, for every shard holding
+// sets of the global range [lo, hi), in ascending set order: sets is the
+// shard's part of the range and base the global index of sets[0].
+func (c *Cache) eachShard(lo, hi int, fn func(sets []lset, base int)) {
+	for si, sh := range c.shards {
+		first := si * c.perShard
+		from, to := max(lo, first), min(hi, first+c.perShard)
+		if from >= to {
+			continue
+		}
+		sh.mu.Lock()
+		fn(sh.sets[from-first:to-first], from)
+		sh.mu.Unlock()
+	}
 }
 
 // ResetRange drops every resident entry in the global sets [lo, hi)
-// and rebuilds each set's replacement policy from scratch, returning
+// and rebuilds each group's replacement policy from scratch, returning
 // the number of entries purged. Operation counters are preserved (they
 // are cumulative history); occupancy and policy state (RWP predictor
 // histograms, dirty targets, LRU stacks) restart cold, exactly as at
@@ -476,25 +554,18 @@ func initSet(ls *lset, cfg Config) {
 // node: a node that served the shard before and was dropped may hold
 // values that missed writes issued in between, so the replica must
 // start cold and refill through its Loader — the read-your-write rule
-// for replica churn. It panics if the range is out of bounds.
+// for replica churn. It panics if the range is out of bounds or splits
+// a policy group.
 func (c *Cache) ResetRange(lo, hi int) (purged int) {
-	if lo < 0 || hi > c.cfg.Sets || lo > hi {
-		panic("live: ResetRange out of bounds")
+	if err := c.CheckRange(lo, hi); err != nil {
+		panic("live: ResetRange: " + err.Error())
 	}
-	for si, sh := range c.shards {
-		base := si * c.perShard
-		if base+c.perShard <= lo || base >= hi {
-			continue
+	c.eachShard(lo, hi, func(sets []lset, _ int) {
+		// Shards and the range both hold whole groups, so sets does too.
+		for i := 0; i < len(sets); i += len(sets[i].grp.sets) {
+			purged += initGroup(sets[i].grp, c.cfg)
 		}
-		sh.mu.Lock()
-		for i := range sh.sets {
-			if g := base + i; g >= lo && g < hi {
-				purged += sh.sets[i].validCount
-				initSet(&sh.sets[i], c.cfg)
-			}
-		}
-		sh.mu.Unlock()
-	}
+	})
 	return purged
 }
 
@@ -610,7 +681,7 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 			ls.ops.GetHitsClean++
 			ls.costs[partClean][classHit]++
 		}
-		ls.pol.OnHit(0, way, ai)
+		ls.grp.pol.OnHit(ls.idx, way, ai)
 		// Copy while the entry is stable, then release before returning:
 		// the caller must never see bytes a later Put could overwrite.
 		// With dst nil this is Get's copy-out, the hit path's one
@@ -697,7 +768,7 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 		}
 		e.val = storeVal(e.val, val)
 		ls.costs[partDirty][classHit]++
-		ls.pol.OnHit(0, way, ai)
+		ls.grp.pol.OnHit(ls.idx, way, ai)
 		sh.mu.Unlock()
 		c.logPut(key, borrowed, val, set, probe.OutcomeOverwrite, CostHit)
 		return false
@@ -727,7 +798,8 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 //rwplint:hotpath — every Loader fill and Put insert; allocation-free over a victim whose buffer fits
 func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
 	// Neither LRU nor RWP ever asks to bypass a fill.
-	way, _ := ls.pol.Victim(0, ai)
+	pol := ls.grp.pol
+	way, _ := pol.Victim(ls.idx, ai)
 	e := &ls.entries[way]
 	if e.valid {
 		ls.ops.Evictions++
@@ -736,7 +808,7 @@ func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (e
 			ls.ops.DirtyEvictions++
 			ls.dirtyCount--
 		}
-		ls.pol.OnEvict(0, way, ai)
+		pol.OnEvict(ls.idx, way, ai)
 	} else {
 		ls.validCount++
 	}
@@ -746,7 +818,7 @@ func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (e
 		ls.dirtyCount++
 		ls.ops.FillsDirty++
 	}
-	ls.pol.OnFill(0, way, ai)
+	pol.OnFill(ls.idx, way, ai)
 	return evictedDirty
 }
 

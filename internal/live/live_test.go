@@ -159,7 +159,7 @@ func TestEvictionAccounting(t *testing.T) {
 
 func TestRWPRetargetsByOperationCount(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 4, 4, 2
+	cfg.Sets, cfg.Ways, cfg.Shards = 16, 4, 2
 	cfg.RWP.Interval = 64
 	cfg.Loader = func(key string) []byte { return []byte(key) }
 	c := mustNew(t, cfg)

@@ -99,7 +99,7 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 // histogram varint widths.
 func TestSnapshotSizeIndependentOfUptime(t *testing.T) {
 	run := func(rounds int) (*live.Cache, int) {
-		cfg := snapTestConfig(4)
+		cfg := snapTestConfig(2)
 		cfg.Sets, cfg.Ways = 16, 4
 		c, err := live.New(cfg)
 		if err != nil {
@@ -119,11 +119,38 @@ func TestSnapshotSizeIndependentOfUptime(t *testing.T) {
 	if ys.Entries != olds.Entries || olds.Retargets < 32*ys.Retargets || ys.Retargets == 0 {
 		t.Fatalf("runs not comparable: entries %d/%d, retargets %d/%d", ys.Entries, olds.Entries, ys.Retargets, olds.Retargets)
 	}
-	// 21 counters, two histograms and the predictor's own counters can
+	// 21 counters, ten cost cells and the predictor's own counters can
 	// each widen by a byte or two per set; a per-retarget record would
 	// add a byte per retarget (thousands).
 	if slack := 16 * 64; oldBytes > youngBytes+slack {
 		t.Errorf("snapshot grew from %d to %d bytes over %d more retargets; want uptime-independent (+%d slack for varint widths)",
 			youngBytes, oldBytes, olds.Retargets-ys.Retargets, slack)
+	}
+}
+
+// TestSnapshotSmallerThanV3: one predictor record per eight sets, not
+// per set, and cost cells in the ledger vector instead of two
+// histograms. The same warm cache — default geometry, 200 000 mcf ops,
+// every way resident — encoded to 1 590 955 bytes under rwp-snap-v3.
+func TestSnapshotSmallerThanV3(t *testing.T) {
+	const v3Bytes = 1_590_955
+	cfg := live.DefaultConfig()
+	cfg.Loader = loadgen.AbsentLoader(0)
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := loadgen.NewStream("mcf", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadgen.Run(c, s, 200_000)
+	if st := c.Stats(); st.Entries != c.Capacity() || st.Retargets == 0 {
+		t.Fatalf("cache is not warm: %d of %d entries, %d retargets", st.Entries, c.Capacity(), st.Retargets)
+	}
+	if got := len(snap.Encode(c.Snapshot())); got >= v3Bytes {
+		t.Errorf("warm snapshot is %d bytes, want fewer than the %d of rwp-snap-v3", got, v3Bytes)
+	} else {
+		t.Logf("warm snapshot: %d bytes (rwp-snap-v3: %d)", got, v3Bytes)
 	}
 }

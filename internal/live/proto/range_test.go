@@ -97,6 +97,11 @@ func TestSnapRefusalKeepsConnection(t *testing.T) {
 	if _, err := cli.SnapRange(0, b.Cache.Sets()+1); err == nil || !strings.Contains(err.Error(), "out of bounds") {
 		t.Fatalf("oversized range: err = %v", err)
 	}
+	// A range that splits one of the cache's 8-set policy groups is the
+	// backend's to refuse, the same way.
+	if _, err := cli.SnapRange(4, 12); err == nil || !strings.Contains(err.Error(), "splits a 8-set policy group") {
+		t.Fatalf("group-splitting range: err = %v", err)
+	}
 	if _, err := cli.Ping([]byte("still-alive")); err != nil {
 		t.Fatalf("connection poisoned after snap refusal: %v", err)
 	}
@@ -154,6 +159,20 @@ func TestResetRefusals(t *testing.T) {
 		t.Fatal("bare backend accepted RESET")
 	}
 	<-bdone
+
+	// Half a policy group: an error on the wire, not a panic in the
+	// server, and nothing purged.
+	b.Cache.Put("k", []byte("v"))
+	split, _, sdone := startConn(t, b)
+	if _, err := split.ResetRange(0, 4); err == nil || !strings.Contains(err.Error(), "splits a 8-set policy group") {
+		t.Fatalf("group-splitting reset: err = %v", err)
+	}
+	if err := <-sdone; err == nil {
+		t.Fatal("server kept serving after reset violation")
+	}
+	if s := b.Cache.Stats(); s.Entries != 1 {
+		t.Fatalf("refused reset left %d entries, want 1", s.Entries)
+	}
 }
 
 // TestPipelinedReset: RESET interleaves with data ops in one flush.

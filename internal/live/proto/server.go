@@ -32,10 +32,11 @@ type Backend interface {
 // cleanly.
 type RangeBackend interface {
 	Backend
-	// Sets returns the global set count, bounding every range request.
-	Sets() int
+	// CheckRange reports why the backend cannot reset [lo, hi): the
+	// range is out of bounds or cuts through state it manages whole.
+	CheckRange(lo, hi int) error
 	// ResetRange purges the sets in [lo, hi), returning entries purged.
-	// The range is pre-validated against Sets by the server loop.
+	// The range is pre-validated with CheckRange by the server loop.
 	ResetRange(lo, hi int) int
 	// SnapBytes encodes a state snapshot of the sets in [lo, hi).
 	SnapBytes(lo, hi int) ([]byte, error)
@@ -250,8 +251,8 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 			if rb == nil {
 				return refuse(bw, wireErrf(ErrOp, "backend does not support RESET"))
 			}
-			if hi > rb.Sets() {
-				return refuse(bw, wireErrf(ErrPayload, "reset range [%d,%d) out of bounds (sets %d)", lo, hi, rb.Sets()))
+			if cerr := rb.CheckRange(lo, hi); cerr != nil {
+				return refuse(bw, wireErrf(ErrPayload, "reset: %v", cerr))
 			}
 			s.payload = AppendResetResp(s.payload, rb.ResetRange(lo, hi))
 		case OpSnap:
@@ -305,8 +306,6 @@ func writeSnapFrames(bw *bufio.Writer, rb RangeBackend, lo, hi int) error {
 	switch {
 	case rb == nil:
 		refusal = "backend does not support SNAP"
-	case hi > rb.Sets():
-		refusal = fmt.Sprintf("snap range [%d,%d) out of bounds (sets %d)", lo, hi, rb.Sets())
 	default:
 		var err error
 		if data, err = rb.SnapBytes(lo, hi); err != nil {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"rwp/internal/cache"
+	"rwp/internal/core"
 	"rwp/internal/mem"
 	"rwp/internal/policy"
-	"rwp/internal/probe"
 	"rwp/internal/recency"
 	"rwp/internal/snap"
 )
@@ -28,7 +28,9 @@ import (
 //
 // Restores validate the whole snapshot against the cache geometry
 // before mutating anything, so a rejected snapshot leaves the cache
-// exactly as it was — never partially restored.
+// exactly as it was — never partially restored. Snapshots and restores
+// cover whole policy groups: a range that splits one is refused like an
+// out-of-bounds one.
 //
 // Stampede-defense state: the defense counters (LoadAbsents,
 // CoalescedLoads, NegHits, NegInserts, LeaseExpires) travel in the
@@ -44,12 +46,12 @@ import (
 // Victim alike) takes the lowest invalid way first, so a set holding K
 // entries has exactly ways 0..K-1 valid, and restore can replay the
 // recorded MRU→LRU entries as OnFill calls into ways 0..K-1 (LRU
-// first). OnFill bypasses the policy's observe() — the interval clock
-// and sampler state transfer via core.State instead — and the fill
-// class (DemandStore for dirty entries) reproduces RWP's written bits,
-// which the live cache keeps equal to the entry dirty bits.
+// first). OnFill bypasses the policy's observe() — the group's interval
+// clock and sampler state transfer via core.State instead — and the
+// fill class (DemandStore for dirty entries) reproduces RWP's written
+// bits, which the live cache keeps equal to the entry dirty bits.
 
-// Sets returns the global set count (part of proto.RangeBackend).
+// Sets returns the global set count.
 func (c *Cache) Sets() int { return c.cfg.Sets }
 
 // Snapshot captures the whole cache as a restorable state snapshot.
@@ -59,10 +61,10 @@ func (c *Cache) Snapshot() *snap.Snapshot { return c.SnapshotRange(0, c.cfg.Sets
 // SnapshotRange captures the global sets [lo, hi). It locks one shard
 // at a time; under concurrent load the snapshot is a consistent
 // per-set composite, not a global atomic point. It panics if the range
-// is out of bounds, like StatsRange.
+// is out of bounds or splits a policy group.
 func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
-	if lo < 0 || hi > c.cfg.Sets || lo > hi {
-		panic("live: SnapshotRange out of bounds")
+	if err := c.CheckRange(lo, hi); err != nil {
+		panic("live: SnapshotRange: " + err.Error())
 	}
 	s := &snap.Snapshot{
 		Policy: c.cfg.Policy,
@@ -76,34 +78,26 @@ func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
 		s.Records = make([]snap.SetRecord, 0, hi-lo)
 	}
 	// Shards are contiguous ascending set ranges, so this emits records
-	// in ascending global-set order — the canonical record order.
-	for si, sh := range c.shards {
-		base := si * c.perShard
-		if base+c.perShard <= lo || base >= hi {
-			continue
-		}
-		sh.mu.Lock()
-		for i := range sh.sets {
-			if g := base + i; g >= lo && g < hi {
-				s.Records = append(s.Records, snapSet(g, &sh.sets[i]))
+	// and group states in ascending global-set order — the canonical
+	// order.
+	c.eachShard(lo, hi, func(sets []lset, base int) {
+		for i := range sets {
+			ls := &sets[i]
+			s.Records = append(s.Records, snapSet(base+i, ls))
+			if rwp := ls.grp.rwp; rwp != nil && ls.idx == 0 {
+				s.Groups = append(s.Groups, rwp.ExportState())
 			}
 		}
-		sh.mu.Unlock()
-	}
+	})
 	return s
 }
 
 // snapSet captures one set under its shard lock.
 func snapSet(g int, ls *lset) snap.SetRecord {
-	r := snap.SetRecord{
-		Set:        g,
-		Ops:        ls.ops.vector(),
-		CostsClean: ls.costs.hist(partClean),
-		CostsDirty: ls.costs.hist(partDirty),
-	}
-	tab := ls.recencyOrder()
+	r := snap.SetRecord{Set: g, Ops: ls.ledger()}
+	tab := ls.grp.recency()
 	for pos := 0; pos < len(ls.entries); pos++ {
-		way := tab.At(0, pos)
+		way := tab.At(ls.idx, pos)
 		e := &ls.entries[way]
 		if !e.valid {
 			// Invalid ways sit together at the recency bottom; nothing
@@ -116,19 +110,15 @@ func snapSet(g int, ls *lset) snap.SetRecord {
 			Dirty: e.dirty,
 		})
 	}
-	if ls.rwp != nil {
-		st := ls.rwp.ExportState()
-		r.RWP = &st
-	}
 	return r
 }
 
-// recencyOrder exposes the set's recency table for snapshot iteration.
-func (ls *lset) recencyOrder() *recency.Table {
-	if ls.rwp != nil {
-		return ls.rwp.Recency()
+// recency exposes the group's recency table for snapshot iteration.
+func (g *group) recency() *recency.Table {
+	if g.rwp != nil {
+		return g.rwp.Recency()
 	}
-	return ls.pol.(*policy.LRU).Recency()
+	return g.pol.(*policy.LRU).Recency()
 }
 
 // RestoreSnapshot performs a full warm restart from a whole-cache
@@ -162,9 +152,9 @@ func (c *Cache) RestoreRange(s *snap.Snapshot) (purged int, err error) {
 }
 
 // checkSnapshot validates s against this cache completely — config
-// match, record coverage, per-set entry counts, key-to-set hashing,
-// key uniqueness, the counter vector's length and conservation laws,
-// chargeable costs, RWP state shape — before any mutation. snap.Decode
+// match, whole-group coverage, per-set entry counts, key-to-set hashing,
+// key uniqueness, the ledger vector's length and conservation laws, one
+// well-shaped RWP state per group — before any mutation. snap.Decode
 // already enforces the format's self-contained invariants for
 // snapshots read from bytes; in-memory snapshots get the same scrutiny
 // here. Every restore entry point runs it, counters-preserving
@@ -178,8 +168,8 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 	if s.Policy == "rwp" && s.RWP != c.cfg.RWP {
 		return fmt.Errorf("live: snapshot RWP config %+v does not match cache %+v", s.RWP, c.cfg.RWP)
 	}
-	if s.Lo < 0 || s.Hi > c.cfg.Sets || s.Lo > s.Hi {
-		return fmt.Errorf("live: snapshot range [%d,%d) out of bounds", s.Lo, s.Hi)
+	if err := c.CheckRange(s.Lo, s.Hi); err != nil {
+		return err
 	}
 	if len(s.Records) != s.Hi-s.Lo {
 		return fmt.Errorf("live: snapshot has %d records for range [%d,%d)", len(s.Records), s.Lo, s.Hi)
@@ -203,26 +193,25 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 				}
 			}
 		}
-		if len(r.Ops) != numCounters {
-			return fmt.Errorf("live: set %d carries %d counters, want %d", r.Set, len(r.Ops), numCounters)
+		if len(r.Ops) != ledgerLen {
+			return fmt.Errorf("live: set %d carries a %d-cell ledger, want %d", r.Set, len(r.Ops), ledgerLen)
 		}
 		ops := countersFromVector(r.Ops)
 		if err := ops.check(); err != nil {
 			return fmt.Errorf("live: set %d: %w", r.Set, err)
 		}
-		for _, h := range []probe.CostHist{r.CostsClean, r.CostsDirty} {
-			if _, ok := rowFromHist(h); !ok {
-				return fmt.Errorf("live: set %d: cost histogram %v holds a cost no op is charged", r.Set, h.Buckets)
-			}
-		}
-		if (r.RWP != nil) != (c.cfg.Policy == "rwp") {
-			return fmt.Errorf("live: set %d policy state does not match policy %q", r.Set, c.cfg.Policy)
-		}
-		if r.RWP != nil {
-			// Per-set policies always have exactly one sampler.
-			if err := r.RWP.Validate(c.cfg.Ways, 1); err != nil {
-				return fmt.Errorf("live: set %d: %w", r.Set, err)
-			}
+	}
+	gs, want := GroupSets(c.cfg.Sets), 0
+	if c.cfg.Policy == "rwp" {
+		want = (s.Hi - s.Lo) / gs
+	}
+	if len(s.Groups) != want {
+		return fmt.Errorf("live: snapshot carries %d predictor states for range [%d,%d), want %d", len(s.Groups), s.Lo, s.Hi, want)
+	}
+	for i := range s.Groups {
+		// A group's policy shadows its first set only: one sampler.
+		if err := s.Groups[i].Validate(c.cfg.Ways, 1); err != nil {
+			return fmt.Errorf("live: group at set %d: %w", s.Lo+i*gs, err)
 		}
 	}
 	return nil
@@ -232,29 +221,42 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 // restores counters and cost histograms; catch-up keeps the target's.
 // Infallible by construction: every failure mode was checked.
 func (c *Cache) applyRange(s *snap.Snapshot, full bool) (purged int) {
-	for si, sh := range c.shards {
-		base := si * c.perShard
-		if base+c.perShard <= s.Lo || base >= s.Hi {
-			continue
-		}
-		sh.mu.Lock()
-		for i := range sh.sets {
-			if g := base + i; g >= s.Lo && g < s.Hi {
-				ls := &sh.sets[i]
-				purged += ls.validCount
-				restoreSet(ls, c.cfg, &s.Records[g-s.Lo], full)
+	gs := GroupSets(c.cfg.Sets)
+	c.eachShard(s.Lo, s.Hi, func(sets []lset, base int) {
+		// Shards and the range both hold whole groups, so sets does too.
+		for i := 0; i < len(sets); i += gs {
+			at := base + i - s.Lo
+			var st *core.State
+			if s.Groups != nil {
+				st = &s.Groups[at/gs]
 			}
+			purged += restoreGroup(sets[i].grp, c.cfg, s.Records[at:at+gs], st, full)
 		}
-		sh.mu.Unlock()
+	})
+	return purged
+}
+
+// restoreGroup rebuilds one group from its sets' records: a fresh
+// policy, then each set's recorded entries replayed as fills LRU-first
+// into ways 0..K-1, then the predictor state (nil for LRU). It returns
+// the number of entries the group held before.
+func restoreGroup(g *group, cfg Config, recs []snap.SetRecord, st *core.State, full bool) (purged int) {
+	purged = initGroup(g, cfg)
+	for i := range recs {
+		restoreSet(&g.sets[i], &recs[i], full)
+	}
+	if g.rwp != nil {
+		if err := g.rwp.RestoreState(*st); err != nil {
+			// checkSnapshot validated this exact state; failing here is
+			// a programming error, not an input condition.
+			panic("live: pre-validated RWP state rejected: " + err.Error())
+		}
 	}
 	return purged
 }
 
-// restoreSet rebuilds one set from its record: a fresh policy, then the
-// recorded entries replayed as fills LRU-first into ways 0..K-1, then
-// the policy state.
-func restoreSet(ls *lset, cfg Config, r *snap.SetRecord, full bool) {
-	initSet(ls, cfg)
+// restoreSet replays one record into a freshly initialized set.
+func restoreSet(ls *lset, r *snap.SetRecord, full bool) {
 	n := len(r.Entries)
 	for i := n - 1; i >= 0; i-- {
 		way := n - 1 - i
@@ -270,28 +272,19 @@ func restoreSet(ls *lset, cfg Config, r *snap.SetRecord, full bool) {
 		// OnFill, not fill(): policy bookkeeping (recency touch, RWP
 		// written bits) without advancing the interval clock or
 		// counting ops — those transfer as state.
-		ls.pol.OnFill(0, way, cache.AccessInfo{Line: tag, Class: class})
-	}
-	if ls.rwp != nil {
-		if err := ls.rwp.RestoreState(*r.RWP); err != nil {
-			// checkSnapshot validated this exact state; failing here is
-			// a programming error, not an input condition.
-			panic("live: pre-validated RWP state rejected: " + err.Error())
-		}
+		ls.grp.pol.OnFill(ls.idx, way, cache.AccessInfo{Line: tag, Class: class})
 	}
 	if full {
-		ls.ops = countersFromVector(r.Ops)
-		ls.costs[partClean], _ = rowFromHist(r.CostsClean)
-		ls.costs[partDirty], _ = rowFromHist(r.CostsDirty)
+		ls.setLedger(r.Ops)
 	}
 }
 
 // SnapBytes encodes SnapshotRange for the wire (proto.RangeBackend);
-// out-of-bounds ranges error instead of panicking, since they arrive
-// from remote peers.
+// out-of-bounds and group-splitting ranges error instead of panicking,
+// since they arrive from remote peers.
 func (c *Cache) SnapBytes(lo, hi int) ([]byte, error) {
-	if lo < 0 || hi > c.cfg.Sets || lo > hi {
-		return nil, fmt.Errorf("live: snapshot range [%d,%d) out of bounds (sets %d)", lo, hi, c.cfg.Sets)
+	if err := c.CheckRange(lo, hi); err != nil {
+		return nil, err
 	}
 	return snap.Encode(c.SnapshotRange(lo, hi)), nil
 }

@@ -138,7 +138,7 @@ func TestRestoreSnapshotRejects(t *testing.T) {
 		// a trip through the codec.
 		wire bool
 	}{
-		{name: "partial range", mut: func(s *snap.Snapshot) { s.Hi = 128; s.Records = s.Records[:128] }},
+		{name: "partial range", mut: func(s *snap.Snapshot) { s.Hi = 128; s.Records = s.Records[:128]; s.Groups = s.Groups[:16] }},
 		{name: "wrong sets", mut: func(s *snap.Snapshot) { s.Sets = 512 }},
 		{name: "wrong ways", mut: func(s *snap.Snapshot) { s.Ways = 4 }},
 		{name: "wrong policy", mut: func(s *snap.Snapshot) { s.Policy = "lru" }},
@@ -154,7 +154,16 @@ func TestRestoreSnapshotRejects(t *testing.T) {
 			}
 			t.Fatal("no resident entries to corrupt")
 		}},
-		{name: "corrupt rwp state", mut: func(s *snap.Snapshot) { s.Records[3].RWP.RetargetUp++ }},
+		{name: "corrupt rwp state", mut: func(s *snap.Snapshot) { s.Groups[3].RetargetUp++ }},
+		{name: "two samplers in a group", mut: func(s *snap.Snapshot) {
+			s.Groups[3].Samplers = append(s.Groups[3].Samplers, s.Groups[3].Samplers[0])
+		}},
+		{name: "missing group state", mut: func(s *snap.Snapshot) { s.Groups = s.Groups[:len(s.Groups)-1] }},
+		{name: "a state per set", mut: func(s *snap.Snapshot) {
+			for len(s.Groups) < len(s.Records) {
+				s.Groups = append(s.Groups, s.Groups[0])
+			}
+		}},
 		// The counter vector is opaque to the codec, so these arrive
 		// intact through snap.Decode and are this package's to refuse
 		// (every law, one by one: TestRestoreRejectsBrokenLaws).
@@ -165,7 +174,6 @@ func TestRestoreSnapshotRejects(t *testing.T) {
 		{"put-hit split broken", func(s *snap.Snapshot) { s.Records[5].Ops[20]++ }, true}, // PutHitsDirty
 		{"dirty evictions exceed evictions", func(s *snap.Snapshot) { o := s.Records[5].Ops; o[16] = o[15] + 1 }, true},
 		{"loads exceed fills", func(s *snap.Snapshot) { o := s.Records[5].Ops; o[6] = o[13] + 1 }, true},
-		{"unchargeable cost", func(s *snap.Snapshot) { s.Records[5].CostsClean.Observe(3) }, true},
 	}
 	for _, tc := range cases {
 		s := warm.Snapshot() // fresh deep snapshot per case

@@ -45,12 +45,17 @@ type Counters struct {
 	PutHitsDirty uint64 `json:"-"`
 }
 
-// numCounters is the length of the snapshot counter vector.
+// numCounters is how many counters lead a set's ledger vector.
 const numCounters = 21
 
+// ledgerLen is the length of a set's ledger vector in a snapshot: the
+// counters in fields order, then the cost table's cells, clean row
+// first, each row in class order.
+const ledgerLen = numCounters + 2*int(numCostClasses)
+
 // fields enumerates every counter exactly once. The order is the
-// snapshot vector's (schema rwp-snap-v3): append new counters at the
-// end and bump the schema.
+// snapshot vector's (schema rwp-snap-v4): a new counter means a new
+// schema.
 func (c *Counters) fields() [numCounters]*uint64 {
 	return [numCounters]*uint64{
 		&c.Gets, &c.GetHits, &c.GetMisses,
@@ -72,17 +77,30 @@ func (c *Counters) add(o Counters) {
 	}
 }
 
-// vector renders the counters as the snapshot's opaque vector.
-func (c *Counters) vector() []uint64 {
-	v := make([]uint64, numCounters)
-	for i, f := range c.fields() {
-		v[i] = *f
+// ledger renders the set's counters and cost table as the snapshot's
+// opaque vector.
+func (s *lset) ledger() []uint64 {
+	v := make([]uint64, 0, ledgerLen)
+	for _, f := range s.ops.fields() {
+		v = append(v, *f)
+	}
+	for part := range s.costs {
+		v = append(v, s.costs[part][:]...)
 	}
 	return v
 }
 
-// countersFromVector is vector's inverse; the caller has checked the
-// length (checkSnapshot).
+// setLedger is ledger's inverse; the caller has checked the length
+// (checkSnapshot).
+func (s *lset) setLedger(v []uint64) {
+	s.ops = countersFromVector(v)
+	cells := v[numCounters:]
+	for part := range s.costs {
+		cells = cells[copy(s.costs[part][:], cells):]
+	}
+}
+
+// countersFromVector reads the counters leading a ledger vector.
 func countersFromVector(v []uint64) Counters {
 	var c Counters
 	for i, f := range c.fields() {
@@ -138,11 +156,11 @@ type Stats struct {
 	// Entries and DirtyEntries are the current occupancy totals.
 	Entries      int
 	DirtyEntries int
-	// Retargets counts RWP repartitionings summed over all sets (0 for
-	// LRU).
+	// Retargets counts RWP repartitionings summed over all groups (0
+	// for LRU).
 	Retargets uint64
-	// TargetHist[d] counts the sets whose current dirty-partition
-	// target is d ways (nil for LRU).
+	// TargetHist[d] counts the sets whose group's current
+	// dirty-partition target is d ways (nil for LRU).
 	TargetHist []uint64
 	// RetargetUp/Down/Same split Retargets by decision direction
 	// (raised, lowered, or kept the dirty target); their sum equals
@@ -191,16 +209,18 @@ func (s *Stats) Add(o Stats) {
 	s.CostHistDirty.Add(o.CostHistDirty)
 }
 
-// addSet accumulates one set's counters and policy state into s.
-// Called with the set's shard lock held.
+// addSet accumulates one set's counters and occupancy into s, and —
+// through the group's first set, so that disjoint ranges sum to the
+// whole however they cut a group — its group's policy state. Called
+// with the set's shard lock held.
 func (s *Stats) addSet(ls *lset) {
 	s.Counters.add(ls.ops)
 	s.Entries += ls.validCount
 	s.DirtyEntries += ls.dirtyCount
-	if ls.rwp != nil {
-		s.Retargets += ls.rwp.Intervals()
-		s.TargetHist[ls.rwp.TargetDirty()]++
-		up, down, same := ls.rwp.RetargetDirs()
+	if rwp := ls.grp.rwp; rwp != nil && ls.idx == 0 {
+		s.Retargets += rwp.Intervals()
+		s.TargetHist[rwp.TargetDirty()] += uint64(len(ls.grp.sets))
+		up, down, same := rwp.RetargetDirs()
 		s.RetargetUp += up
 		s.RetargetDown += down
 		s.RetargetSame += same
@@ -219,7 +239,8 @@ func (c *Cache) Stats() Stats { return c.StatsRange(0, c.cfg.Sets) }
 // over its serving node covers each set exactly once, which makes the
 // merged Stats of a replication-factor-1 cluster equal the single-node
 // Stats field for field (untouched sets contribute identically on
-// both sides). It panics if the range is out of bounds.
+// both sides). Any range in bounds is legal, group-aligned or not; it
+// panics if the range is out of bounds.
 func (c *Cache) StatsRange(lo, hi int) Stats {
 	if lo < 0 || hi > c.cfg.Sets || lo > hi {
 		panic("live: StatsRange out of bounds")
@@ -229,20 +250,12 @@ func (c *Cache) StatsRange(lo, hi int) Stats {
 		s.TargetHist = make([]uint64, c.cfg.Ways+1)
 	}
 	var costs costTable
-	for si, sh := range c.shards {
-		base := si * c.perShard
-		if base+c.perShard <= lo || base >= hi {
-			continue
+	c.eachShard(lo, hi, func(sets []lset, _ int) {
+		for i := range sets {
+			s.addSet(&sets[i])
+			costs.add(&sets[i].costs)
 		}
-		sh.mu.Lock()
-		for i := range sh.sets {
-			if g := base + i; g >= lo && g < hi {
-				s.addSet(&sh.sets[i])
-				costs.add(&sh.sets[i].costs)
-			}
-		}
-		sh.mu.Unlock()
-	}
+	})
 	s.CostHistClean = costs.hist(partClean)
 	s.CostHistDirty = costs.hist(partDirty)
 	s.CostHist.Add(s.CostHistClean)
@@ -288,12 +301,10 @@ func (s *Stats) recorder() *probe.Recorder {
 // warmup), leaving cache contents and policy state untouched — the
 // same warmup/measure split the simulator uses.
 func (c *Cache) ResetStats() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for i := range sh.sets {
-			sh.sets[i].ops = Counters{}
-			sh.sets[i].costs = costTable{}
+	c.eachShard(0, c.cfg.Sets, func(sets []lset, _ int) {
+		for i := range sets {
+			sets[i].ops = Counters{}
+			sets[i].costs = costTable{}
 		}
-		sh.mu.Unlock()
-	}
+	})
 }

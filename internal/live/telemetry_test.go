@@ -27,7 +27,7 @@ func (s *sinkProbe) ReqEvent(ev probe.ReqEvent) {
 // state).
 func TestCostConservation(t *testing.T) {
 	var ref probe.CostHist
-	for _, shards := range []int{1, 4, 16} {
+	for _, shards := range []int{1, 4, 8} {
 		cfg := rangeTestConfig()
 		cfg.Shards = shards
 		c := mustNew(t, cfg)

@@ -150,6 +150,23 @@ func RWP(llc cache.Config, cfg core.Config) Breakdown {
 	}
 }
 
+// LiveRWP returns the predictor state of the live cache (internal/live)
+// under the same conventions: one RWP predictor — one shadowed set, two
+// histograms, target and interval registers — per group of groupSets
+// consecutive sets. groupSets 1 is a predictor on every set;
+// live.GroupSets(sets) is what the cache runs. EXPERIMENTS.md L5 prints
+// it beside the measured heap and snapshot sizes.
+func LiveRWP(sets, ways, groupSets int) Breakdown {
+	group := cache.Config{SizeBytes: groupSets * ways * 64, Ways: ways, LineSize: 64}
+	per := RWP(group, core.Config{SamplerSets: 1})
+	n := uint64(sets / groupSets)
+	b := Breakdown{Name: fmt.Sprintf("live rwp, 1 predictor per %d sets", groupSets)}
+	for _, it := range per.Items {
+		b.Items = append(b.Items, Item{What: fmt.Sprintf("%d × %s", n, it.What), Bits: n * it.Bits})
+	}
+	return b
+}
+
 // RRP returns RRP's cost: the predictor table plus a signature and
 // outcome bit on every line of the cache (needed to train on evictions),
 // which dominates.

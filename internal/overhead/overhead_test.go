@@ -43,6 +43,23 @@ func TestRWPIsSmallAbsolutely(t *testing.T) {
 	}
 }
 
+// TestLiveRWPPerGroup pins EXPERIMENTS.md L5's accounting column: at
+// the serving geometry a predictor costs 1209 bits, so one per set is
+// 1209 bits a set and one per 8 sets an eighth of that.
+func TestLiveRWPPerGroup(t *testing.T) {
+	perSet, perGroup := LiveRWP(1024, 16, 1), LiveRWP(1024, 16, 8)
+	if got := perSet.TotalBits(); got != 1024*1209 {
+		t.Errorf("one predictor per set: %d bits, want %d", got, 1024*1209)
+	}
+	if got := perGroup.TotalBits(); got != 128*1209 {
+		t.Errorf("one predictor per 8 sets: %d bits, want %d", got, 128*1209)
+	}
+	//rwplint:allow floateq — exact: both totals are multiples of the same per-predictor cost
+	if r := Ratio(perGroup, perSet); r != 0.125 {
+		t.Errorf("per-group / per-set state = %v, want exactly 1/8", r)
+	}
+}
+
 func TestRRPDominatedByPerLineState(t *testing.T) {
 	b := RRP(paperLLC(), rrp.DefaultConfig())
 	var perLine uint64

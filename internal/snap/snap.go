@@ -1,11 +1,12 @@
 // Package snap is the deterministic snapshot format for the live RWP
-// cache: schema rwp-snap-v3, a canonical binary encoding with a
+// cache: schema rwp-snap-v4, a canonical binary encoding with a
 // CRC-32C trailer, written atomically (fsatomic). A snapshot is
 // set-indexed, never shard-indexed — it records, per global set, the
-// resident entries in recency order plus the owning per-set RWP
-// predictor state and op/cost counters — so restoring it into a cache
-// with any shard count reproduces the same /stats document and the
-// same future behavior as the never-restarted run.
+// resident entries in recency order plus the set's ledger vector, and
+// then one RWP predictor state per policy group of consecutive sets —
+// so restoring it into a cache with any shard count reproduces the
+// same /stats document and the same future behavior as the
+// never-restarted run.
 //
 // Way indices are deliberately absent from the format. Fills always
 // take the lowest invalid way, so a set holding K entries has exactly
@@ -16,8 +17,9 @@
 //
 // Decode validates everything it can see — schema, checksum, bounds,
 // ordering — before returning; the checks that need the target cache
-// (key-to-set hashing, config match, the counter vector's length and
-// conservation laws, which only internal/live can name) run in live's
+// (key-to-set hashing, config match, the group size, the ledger
+// vector's length and conservation laws, which only internal/live can
+// name) run in live's
 // checkSnapshot, also before any mutation. A corrupt snapshot
 // therefore never installs partial state anywhere.
 package snap
@@ -29,19 +31,18 @@ import (
 	"hash/crc32"
 
 	"rwp/internal/core"
-	"rwp/internal/probe"
 )
 
 // Magic is the schema identifier leading every snapshot file; any
 // other version is rejected with ErrSchema rather than misread. A set
-// record's counters are an opaque length-prefixed vector, its total
-// cost histogram is not stored (it is clean + dirty), and nothing in it
-// grows with uptime — in particular no per-retarget history.
+// record's ledger (counters, then cost-table cells) is one opaque
+// length-prefixed vector, and nothing in the format grows with uptime —
+// in particular no per-retarget history.
 // Negative-cache contents and in-flight fill state are
 // deliberately NOT in the format: both are transient op-clocked state,
 // and a restored cache starting with them cold only re-consults the
 // backend — it never serves a stale absence verdict (see DESIGN.md §16).
-const Magic = "rwp-snap-v3\n"
+const Magic = "rwp-snap-v4\n"
 
 // Limits mirror the wire protocol's: a snapshot holds the same keys
 // and values the transport carries.
@@ -55,12 +56,12 @@ const (
 	// MaxWays bounds associativity (recency tables hold way indices in
 	// a byte).
 	MaxWays = 256
-	// MaxCounters bounds the per-set counter vector a decoder will
+	// MaxCounters bounds the per-set ledger vector a decoder will
 	// believe.
 	MaxCounters = 64
 )
 
-// ErrSchema reports a file that is not an rwp-snap-v3 snapshot at all.
+// ErrSchema reports a file that is not an rwp-snap-v4 snapshot at all.
 var ErrSchema = errors.New("snap: unrecognized snapshot schema")
 
 // ErrCorrupt reports a snapshot that declares the right schema but
@@ -80,23 +81,24 @@ type Snapshot struct {
 	Lo, Hi int
 	// Records holds exactly Hi-Lo set records; Records[i].Set == Lo+i.
 	Records []SetRecord
+	// Groups holds one RWP predictor state (one sampler each) per policy
+	// group of the range, ascending: the range's sets divide evenly among
+	// them. The group size belongs to internal/live, which checks it.
+	// Nil for non-RWP policies.
+	Groups []core.State
 }
 
-// SetRecord is one global set's full state.
+// SetRecord is one global set's contents and history.
 type SetRecord struct {
 	// Set is the global set index.
 	Set int
 	// Entries are the resident lines in recency order, MRU first.
 	Entries []Entry
-	// Ops is the set's cumulative counter vector. The format carries it
-	// opaquely: its length, order and conservation laws belong to
-	// internal/live, whose restore paths check all three.
+	// Ops is the set's cumulative ledger vector: its counters, then its
+	// cost-table cells. The format carries it opaquely: its length, order
+	// and conservation laws belong to internal/live, whose restore paths
+	// check all three.
 	Ops []uint64
-	// CostsClean and CostsDirty are the set's service-cost histograms by
-	// the partition that served the op.
-	CostsClean, CostsDirty probe.CostHist
-	// RWP is the set's policy state; nil for non-RWP policies.
-	RWP *core.State
 }
 
 // Entry is one resident line.
@@ -108,7 +110,7 @@ type Entry struct {
 
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode renders s in the canonical rwp-snap-v3 byte form. The
+// Encode renders s in the canonical rwp-snap-v4 byte form. The
 // encoding is a pure function of s: identical snapshots encode to
 // identical bytes, which is what lets check.sh cmp-gate the
 // re-snapshot fixed point.
@@ -126,6 +128,10 @@ func Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Hi))
 	for i := range s.Records {
 		b = appendRecord(b, &s.Records[i])
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.Groups)))
+	for i := range s.Groups {
+		b = appendState(b, &s.Groups[i])
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTab))
 }
@@ -149,13 +155,12 @@ func appendRecord(b []byte, r *SetRecord) []byte {
 	for _, v := range r.Ops {
 		b = binary.AppendUvarint(b, v)
 	}
-	b = appendHist(b, r.CostsClean)
-	b = appendHist(b, r.CostsDirty)
-	if r.RWP == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	st := r.RWP
+	return b
+}
+
+// appendState renders one group's predictor. The histograms are Ways
+// long and there is exactly one sampler, so neither carries a count.
+func appendState(b []byte, st *core.State) []byte {
 	b = binary.AppendUvarint(b, uint64(st.TargetDirty))
 	b = binary.AppendUvarint(b, st.Accesses)
 	b = binary.AppendUvarint(b, st.Intervals)
@@ -168,21 +173,8 @@ func appendRecord(b []byte, r *SetRecord) []byte {
 	for _, v := range st.DirtyHist {
 		b = binary.AppendUvarint(b, v)
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Samplers)))
-	for i := range st.Samplers {
-		b = appendStack(b, st.Samplers[i].Clean)
-		b = appendStack(b, st.Samplers[i].Dirty)
-	}
-	return b
-}
-
-func appendHist(b []byte, h probe.CostHist) []byte {
-	b = binary.AppendUvarint(b, uint64(len(h.Buckets)))
-	for _, bk := range h.Buckets {
-		b = binary.AppendUvarint(b, uint64(bk.Cost))
-		b = binary.AppendUvarint(b, bk.Count)
-	}
-	return b
+	b = appendStack(b, st.Samplers[0].Clean)
+	return appendStack(b, st.Samplers[0].Dirty)
 }
 
 func appendStack(b []byte, entries []core.SamplerEntry) []byte {
@@ -255,29 +247,21 @@ func (d *decoder) bytes(what string, n int) ([]byte, error) {
 	return b, nil
 }
 
-func (d *decoder) byte1(what string) (byte, error) {
-	b, err := d.bytes(what, 1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
 func (d *decoder) boolByte(what string) (bool, error) {
-	b, err := d.byte1(what)
+	b, err := d.bytes(what, 1)
 	if err != nil {
 		return false, err
 	}
-	if b > 1 {
-		return false, d.fail("%s flag byte %d is not 0/1", what, b)
+	if b[0] > 1 {
+		return false, d.fail("%s flag byte %d is not 0/1", what, b[0])
 	}
-	return b == 1, nil
+	return b[0] == 1, nil
 }
 
 // Decode parses and fully validates a canonical snapshot. Everything
 // self-contained is checked here: schema, CRC, bounds, strict set
-// ordering over exactly [Lo,Hi), histogram canonical order, and
-// RWP-state shape (core's State.Validate). On any defect the error
+// ordering over exactly [Lo,Hi), a group count that divides the range,
+// and RWP-state shape (core's State.Validate). On any defect the error
 // wraps ErrSchema or ErrCorrupt and no Snapshot is returned.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(Magic)+4 || string(data[:len(Magic)]) != Magic {
@@ -348,6 +332,25 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		s.Records = append(s.Records, r)
 	}
+	// A group's state is at least six scalars, two histograms and two
+	// stack sizes.
+	ng, err := d.count("group count", s.Hi-s.Lo, 8+2*s.Ways)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case s.Policy != "rwp" && ng != 0:
+		return nil, d.fail("%d predictor groups contradict policy %q", ng, s.Policy)
+	case s.Policy == "rwp" && s.Hi > s.Lo && (ng == 0 || (s.Hi-s.Lo)%ng != 0):
+		return nil, d.fail("%d predictor groups do not divide range [%d,%d)", ng, s.Lo, s.Hi)
+	}
+	for i := 0; i < ng; i++ {
+		st, err := d.rwpState(s)
+		if err != nil {
+			return nil, err
+		}
+		s.Groups = append(s.Groups, st)
+	}
 	if d.pos != len(body) {
 		return nil, d.fail("%d trailing bytes after last record", len(body)-d.pos)
 	}
@@ -393,29 +396,7 @@ func (d *decoder) record(s *Snapshot, want int) (SetRecord, error) {
 			return r, err
 		}
 	}
-	if r.CostsClean, err = d.hist("clean cost histogram"); err != nil {
-		return r, err
-	}
-	if r.CostsDirty, err = d.hist("dirty cost histogram"); err != nil {
-		return r, err
-	}
-	flag, err := d.byte1("policy-state flag")
-	if err != nil {
-		return r, err
-	}
-	switch {
-	case flag == 0 && s.Policy != "rwp":
-		return r, nil
-	case flag == 1 && s.Policy == "rwp":
-		st, err := d.rwpState(s)
-		if err != nil {
-			return r, err
-		}
-		r.RWP = &st
-		return r, nil
-	default:
-		return r, d.fail("policy-state flag %d contradicts policy %q", flag, s.Policy)
-	}
+	return r, nil
 }
 
 func (d *decoder) entry(e *Entry) error {
@@ -440,37 +421,6 @@ func (d *decoder) entry(e *Entry) error {
 	}
 	e.Dirty, err = d.boolByte("dirty")
 	return err
-}
-
-func (d *decoder) hist(what string) (probe.CostHist, error) {
-	var h probe.CostHist
-	n, err := d.count(what+" buckets", len(d.buf), 2)
-	if err != nil {
-		return h, err
-	}
-	prev := -1
-	for i := 0; i < n; i++ {
-		cost, err := d.uvarint(what + " cost")
-		if err != nil {
-			return h, err
-		}
-		if cost > 1<<32 {
-			return h, d.fail("%s cost %d is implausibly large", what, cost)
-		}
-		cnt, err := d.uvarint(what + " count")
-		if err != nil {
-			return h, err
-		}
-		if int(cost) <= prev {
-			return h, d.fail("%s costs not strictly ascending", what)
-		}
-		if cnt == 0 {
-			return h, d.fail("%s has an empty bucket", what)
-		}
-		prev = int(cost)
-		h.Buckets = append(h.Buckets, probe.CostBucket{Cost: int(cost), Count: cnt})
-	}
-	return h, nil
 }
 
 func (d *decoder) rwpState(s *Snapshot) (core.State, error) {
@@ -507,15 +457,8 @@ func (d *decoder) rwpState(s *Snapshot) (core.State, error) {
 			return st, err
 		}
 	}
-	ns, err := d.count("sampler count", 1, 0)
-	if err != nil {
-		return st, err
-	}
-	// The live cache attaches one RWP per set (NumSets 1), so every
-	// set's policy has exactly one sampler.
-	if ns != 1 {
-		return st, d.fail("sampler count %d, want 1", ns)
-	}
+	// The live cache attaches one RWP per group with SamplerSets 1, so
+	// every predictor has exactly one sampler.
 	st.Samplers = make([]core.SamplerState, 1)
 	if st.Samplers[0].Clean, err = d.stack(s, "clean"); err != nil {
 		return st, err

@@ -11,16 +11,12 @@ import (
 	"testing"
 
 	"rwp/internal/core"
-	"rwp/internal/probe"
 )
 
 // sample builds a small but fully-populated snapshot: two sets, one
-// with entries + RWP state, counters, histograms, sampler stacks.
+// with entries and a ledger, in two one-set groups, one with a warm
+// predictor (histograms, sampler stacks).
 func sample() *Snapshot {
-	var clean, dirty probe.CostHist
-	clean.Observe(1)
-	dirty.Observe(16)
-	dirty.Observe(16)
 	st := core.State{
 		TargetDirty:  2,
 		Accesses:     250,
@@ -56,13 +52,11 @@ func sample() *Snapshot {
 					{Key: "k2", Value: nil, Dirty: false},
 				},
 				// Opaque to this package: any vector round-trips.
-				Ops:        []uint64{10, 6, 4, 0, 1 << 40},
-				CostsClean: clean,
-				CostsDirty: dirty,
-				RWP:        &st,
+				Ops: []uint64{10, 6, 4, 0, 1 << 40},
 			},
-			{Set: 2, RWP: &st2},
+			{Set: 2},
 		},
+		Groups: []core.State{st, st2},
 	}
 }
 
@@ -89,8 +83,9 @@ func TestDecodeWrongSchema(t *testing.T) {
 		// Older and newer schemas are rejected at the magic, never
 		// half-read.
 		[]byte("rwp-snap-v1\nxxxxxxxxxxxxxxxx"),
-		append([]byte("rwp-snap-v2\n"), Encode(sample())[len(Magic):]...),
-		[]byte("rwp-snap-v4\nxxxxxxxxxxxxxxxx"),
+		[]byte("rwp-snap-v2\nxxxxxxxxxxxxxxxx"),
+		append([]byte("rwp-snap-v3\n"), Encode(sample())[len(Magic):]...),
+		[]byte("rwp-snap-v5\nxxxxxxxxxxxxxxxx"),
 		bytes.Repeat([]byte{0xff}, 64),
 	} {
 		if _, err := Decode(data); !errors.Is(err, ErrSchema) {
@@ -147,7 +142,7 @@ func TestDecodeStructuralRejections(t *testing.T) {
 		{"out-of-order records", func(s *Snapshot) { s.Records[0], s.Records[1] = s.Records[1], s.Records[0] }},
 		{"record outside range", func(s *Snapshot) { s.Records[1].Set = 3 }},
 		{"missing record", func(s *Snapshot) { s.Records = s.Records[:1] }},
-		{"extra record", func(s *Snapshot) { s.Records = append(s.Records, SetRecord{Set: 3, RWP: s.Records[1].RWP}) }},
+		{"extra record", func(s *Snapshot) { s.Records = append(s.Records, SetRecord{Set: 3}) }},
 		{"entries exceed ways", func(s *Snapshot) {
 			r := &s.Records[0]
 			for i := 0; i < 5; i++ {
@@ -158,15 +153,19 @@ func TestDecodeStructuralRejections(t *testing.T) {
 		{"inverted range", func(s *Snapshot) { s.Lo, s.Hi = s.Hi, s.Lo; s.Records = nil }},
 		{"hi beyond sets", func(s *Snapshot) {
 			s.Hi = 5
-			s.Records = append(s.Records, SetRecord{Set: 3, RWP: s.Records[1].RWP}, SetRecord{Set: 4, RWP: s.Records[1].RWP})
+			s.Records = append(s.Records, SetRecord{Set: 3}, SetRecord{Set: 4})
 		}},
 		{"sets not power of two", func(s *Snapshot) { s.Sets = 3 }},
 		{"zero ways", func(s *Snapshot) { s.Ways = 0 }},
 		{"counter vector beyond limit", func(s *Snapshot) { s.Records[0].Ops = make([]uint64, MaxCounters+1) }},
-		{"target beyond ways", func(s *Snapshot) { s.Records[0].RWP.TargetDirty = 5 }},
-		{"direction sum broken", func(s *Snapshot) { s.Records[0].RWP.RetargetUp++ }},
+		{"target beyond ways", func(s *Snapshot) { s.Groups[0].TargetDirty = 5 }},
+		{"direction sum broken", func(s *Snapshot) { s.Groups[0].RetargetUp++ }},
 		{"sampler stack beyond ways", func(s *Snapshot) {
-			s.Records[0].RWP.Samplers[0].Clean = make([]core.SamplerEntry, 5)
+			s.Groups[0].Samplers[0].Clean = make([]core.SamplerEntry, 5)
+		}},
+		{"more groups than sets", func(s *Snapshot) { s.Groups = append(s.Groups, s.Groups[1]) }},
+		{"groups do not divide the range", func(s *Snapshot) {
+			s.Lo, s.Records = 0, append([]SetRecord{{Set: 0}}, s.Records...)
 		}},
 	}
 	for _, tc := range cases {
@@ -180,23 +179,21 @@ func TestDecodeStructuralRejections(t *testing.T) {
 func TestDecodeRejectsUnsupportedPolicy(t *testing.T) {
 	s := sample()
 	s.Policy = "nru"
-	for i := range s.Records {
-		s.Records[i].RWP = nil
-	}
+	s.Groups = nil
 	if _, err := Decode(Encode(s)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unsupported policy: %v, want ErrCorrupt", err)
 	}
 }
 
 func TestDecodeRejectsPolicyFlagMismatch(t *testing.T) {
-	// An "lru" snapshot whose record carries RWP state, and vice versa.
+	// An "lru" snapshot that carries RWP state, and vice versa.
 	s := sample()
 	s.Policy = "lru"
 	if _, err := Decode(Encode(s)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("lru with rwp state: %v, want ErrCorrupt", err)
 	}
 	s = sample()
-	s.Records[0].RWP = nil
+	s.Groups = nil
 	if _, err := Decode(Encode(s)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("rwp without state: %v, want ErrCorrupt", err)
 	}

@@ -151,6 +151,23 @@ cmp "$smoke/live1.json" "$smoke/live32.json" || {
     exit 1
 }
 
+# Geometry smoke: RWP keeps one predictor per group of 8 consecutive
+# sets, and a lock shard or a cluster ring range that would split a
+# group is refused at start-up (exit 2, naming the group), never run
+# with half a predictor. Built binaries: `go run` flattens exit codes.
+echo '>> geometry smoke: a shard or ring range that splits a policy group exits 2'
+go build -o "$smoke/bin/" ./cmd/rwpserve ./cmd/rwpcluster
+for leg in 'rwpserve -shards 64' 'rwpcluster -ring-shards 64'; do
+    rc=0
+    # shellcheck disable=SC2086 # $leg is a command and its flag
+    "$smoke/bin/"$leg -selftest 1 -sets 256 >/dev/null 2>"$smoke/geometry.err" || rc=$?
+    if [ "$rc" != 2 ] || ! grep -q '8-set policy group' "$smoke/geometry.err"; then
+        echo "check.sh: FAIL: $leg at -sets 256 exited $rc, want 2 with the group named:" >&2
+        cat "$smoke/geometry.err" >&2
+        exit 1
+    fi
+done
+
 # Stampede smoke: the defenses must not perturb sequential runs —
 # coalescing only collapses genuinely concurrent work, so a
 # single-goroutine selftest with -coalesce (and a finite lease) prints
@@ -290,8 +307,8 @@ cmp "$smoke/cluster1.json" "$smoke/cluster2.json" || {
     exit 1
 }
 go run ./cmd/rwpcluster -selftest 20000 -sets 256 -ways 8 -shards 1 \
-    -profile mcf -ring-shards 64 -mode pipe >"$smoke/cluster64.json"
-cmp "$smoke/cluster1.json" "$smoke/cluster64.json" || {
+    -profile mcf -ring-shards 32 -mode pipe >"$smoke/cluster32.json"
+cmp "$smoke/cluster1.json" "$smoke/cluster32.json" || {
     echo 'check.sh: FAIL: rwpcluster -selftest differs across -ring-shards/-mode' >&2
     exit 1
 }
