@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profile := fs.String("profile", "mcf", "workload profile for -selftest")
 	seed := fs.Uint64("seed", 0, "loadgen seed offset")
 	manager := fs.Bool("manager", false, "enable the shard-manager replication loop")
-	window := fs.Int("window", 4096, "manager window in routed ops")
+	window := fs.Int("window", 4096, "window width in routed ops: load sampling, and the manager's decision cadence")
 	hot := fs.Uint64("hot", 1024, "reads per window marking a shard hot")
 	cold := fs.Uint64("cold", 64, "reads per window marking a shard cold")
 	windowsOut := fs.String("windows-out", "", "write the shard-window journal to this file")
@@ -127,11 +127,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	ops := loadgen.Take(g, *selftest)
 
-	// When a windows journal was requested without a manager, sample at
-	// the manager cadence anyway so the journal is non-trivial.
-	sample := 0
-	if mgr == nil && *windowsOut != "" {
-		sample = *window
+	// The router streams its run log: with -windows-out every window goes
+	// into the journal as it closes, and nothing of it stays in memory.
+	// The file is bound once the router is built (so a usage error leaves
+	// no file behind) and before the first op is routed.
+	var (
+		journal *windowLog
+		runLog  cluster.RunLog
+	)
+	if *windowsOut != "" {
+		journal = new(windowLog)
+		runLog = journal
 	}
 
 	// Build the router over one leg's nodes. stats renders the leg's
@@ -157,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(1, err)
 		}
 		cl, err = cluster.NewClient(cluster.ClientConfig{
-			Ring: ring, Conns: conns, Manager: mgr, Window: sample, Pipeline: *pipeline,
+			Ring: ring, Conns: conns, Manager: mgr, Window: *window, Log: runLog, Pipeline: *pipeline,
 		})
 		if err != nil {
 			return fail(2, err)
@@ -170,7 +176,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Cache:      cfg,
 			Mode:       cluster.Mode(*mode),
 			Manager:    mgr,
-			Window:     sample,
+			Window:     *window,
+			Log:        runLog,
 			Pipeline:   *pipeline,
 		})
 		if err != nil {
@@ -179,11 +186,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cl, stats = h.Client(), h.StatsJSON
 	}
 
+	if journal != nil {
+		f, err := os.Create(*windowsOut)
+		if err != nil {
+			return fail(1, err)
+		}
+		defer f.Close() // error paths; the success path checks Close below
+		desc := fmt.Sprintf("profile=%s seed=%d nodes=%d ring-shards=%d", *profile, *seed, len(cl.Ring().Nodes()), *ringShards)
+		journal.WindowWriter = probe.NewWindowWriter(f, desc)
+		journal.file = f
+	}
 	if err := cl.Replay(ops); err != nil {
 		return fail(1, err)
 	}
 	if err := cl.Finish(); err != nil {
 		return fail(1, err)
+	}
+	if journal != nil {
+		if err := journal.close(); err != nil {
+			return fail(1, err)
+		}
 	}
 	doc, err := stats()
 	if err != nil {
@@ -191,12 +213,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if _, err := stdout.Write(doc); err != nil {
 		return fail(1, err)
-	}
-	if *windowsOut != "" {
-		desc := fmt.Sprintf("profile=%s seed=%d nodes=%d ring-shards=%d", *profile, *seed, len(cl.Ring().Nodes()), *ringShards)
-		if err := writeWindows(*windowsOut, desc, cl); err != nil {
-			return fail(1, err)
-		}
 	}
 	if h != nil {
 		if *journalDir != "" {
@@ -211,34 +227,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeWindows serializes the router's shard-window journal.
-func writeWindows(path, desc string, cl *cluster.Client) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := probe.WriteShardWindows(f, desc, windowOpsOf(cl), cl.Windows())
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
+// windowLog is the router's run log under -windows-out: each closed
+// window goes straight into the journal file. Applied commands are not
+// journaled — Manager.Decide replays them from the windows.
+type windowLog struct {
+	*probe.WindowWriter
+	file *os.File
 }
 
-// windowOpsOf recovers the journal header's window width from the
-// journal itself (records are emitted per closed window; the header
-// value is informational).
-func windowOpsOf(cl *cluster.Client) int {
-	ws := cl.Windows()
-	if len(ws) == 0 {
-		return 0
+func (*windowLog) Command(cluster.Command) error { return nil }
+
+// close completes the journal and closes its file.
+func (l *windowLog) close() error {
+	err := l.WindowWriter.Close()
+	if cerr := l.file.Close(); err == nil {
+		err = cerr
 	}
-	var perWindow uint64
-	for _, w := range ws {
-		if w.Window == ws[0].Window {
-			perWindow += w.Reads + w.Writes
-		}
-	}
-	return int(perWindow)
+	return err
 }
 
 // dial opens one pipelined binary connection per rwpserve -tcp
@@ -275,7 +280,7 @@ func nodeStats(addrs []string, conns []cluster.NodeConn, cl *cluster.Client, man
 	if managed {
 		snaps, resets := cl.CatchupCounts()
 		fmt.Fprintf(&out, "== catchup ==\ncommands=%d snaps=%d resets=%d\n",
-			len(cl.AppliedCommands()), snaps, resets)
+			cl.Applied(), snaps, resets)
 	}
 	return out.Bytes(), nil
 }

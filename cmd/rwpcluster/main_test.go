@@ -92,16 +92,26 @@ func TestSelftestMatchesSingleNode(t *testing.T) {
 }
 
 // TestWindowsOutJournal: -windows-out produces a parseable shard-window
-// journal that is byte-identical across reruns.
+// journal that is byte-identical across reruns and across node
+// transports, and — the journal being streamed as windows close, a
+// function of the ops routed so far and nothing later — the journal of
+// a run is, through its last whole window, a byte prefix of the journal
+// of a ten times longer run of the same stream.
 func TestWindowsOutJournal(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "windows.jsonl")
-	clusterOut(t, baseArgs("-manager", "-window", "512", "-hot", "64", "-cold", "8",
-		"-windows-out", path)...)
-	first, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	journal := func(name string, args ...string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		clusterOut(t, append(args, "-windows-out", path)...)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
+	managed := []string{"-manager", "-window", "512", "-hot", "64", "-cold", "8"}
+
+	first := journal("windows.jsonl", baseArgs(managed...)...)
 	desc, windowOps, ws, err := probe.ReadShardWindows(bytes.NewReader(first))
 	if err != nil {
 		t.Fatalf("journal does not parse: %v", err)
@@ -109,27 +119,61 @@ func TestWindowsOutJournal(t *testing.T) {
 	if len(ws) == 0 || windowOps != 512 {
 		t.Fatalf("journal desc=%q windowOps=%d windows=%d, want 512-op windows", desc, windowOps, len(ws))
 	}
-	path2 := filepath.Join(dir, "windows2.jsonl")
-	clusterOut(t, baseArgs("-manager", "-window", "512", "-hot", "64", "-cold", "8",
-		"-windows-out", path2)...)
-	second, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
+	if second := journal("windows2.jsonl", baseArgs(managed...)...); !bytes.Equal(first, second) {
 		t.Error("windows journal differs across reruns")
+	}
+	if piped := journal("windows-pipe.jsonl", baseArgs(append(managed, "-mode", "pipe")...)...); !bytes.Equal(first, piped) {
+		t.Error("windows journal differs between -mode direct and -mode pipe")
+	}
+
+	// 8000 ops are 15 whole 512-op windows and a tail: the header and the
+	// 15 x 16 shard records are where the 80000-op journal starts too.
+	long := journal("windows-long.jsonl", append(baseArgs(managed...), "-selftest", "80000")...)
+	whole := bytes.SplitAfterN(first, []byte("\n"), 1+15*16+1)
+	prefix := bytes.Join(whole[:1+15*16], nil)
+	if len(whole) != 1+15*16+1 || !bytes.HasPrefix(long, prefix) {
+		t.Errorf("the %d whole-window lines of the 8000-op journal are not a prefix of the 80000-op journal", len(whole)-1)
+	}
+	if bytes.HasPrefix(long, first) {
+		t.Error("the 8000-op journal's partial tail window also opens the 80000-op journal: prefix check is vacuous")
 	}
 
 	// Without -manager the journal is still written, sampled at -window.
-	path3 := filepath.Join(dir, "windows3.jsonl")
-	clusterOut(t, baseArgs("-window", "512", "-windows-out", path3)...)
-	f, err := os.Open(path3)
-	if err != nil {
-		t.Fatal(err)
+	unmanaged := journal("windows3.jsonl", baseArgs("-window", "512")...)
+	if _, windowOps, ws, err = probe.ReadShardWindows(bytes.NewReader(unmanaged)); err != nil || windowOps != 512 || len(ws) == 0 {
+		t.Fatalf("manager-less journal: windowOps=%d windows=%d err=%v", windowOps, len(ws), err)
 	}
-	defer f.Close()
-	if _, _, ws, err = probe.ReadShardWindows(f); err != nil || len(ws) == 0 {
-		t.Fatalf("manager-less journal: windows=%d err=%v", len(ws), err)
+
+	// The -connect leg streams one too, manager and all.
+	addrs := startServers(t, 2)
+	wired := journal("windows-connect.jsonl", "-selftest", "4000", "-sets", "256", "-ways", "4",
+		"-shards", "4", "-ring-shards", "16", "-connect", strings.Join(addrs, ","),
+		"-manager", "-window", "512", "-hot", "64", "-cold", "8")
+	if _, windowOps, ws, err = probe.ReadShardWindows(bytes.NewReader(wired)); err != nil || windowOps != 512 || len(ws) != 8*16 {
+		t.Errorf("-connect journal: windowOps=%d records=%d err=%v, want 8 windows x 16 shards of 512 ops", windowOps, len(ws), err)
+	}
+}
+
+// TestWindowsOutUnwritable: the journal file is created before the
+// first op is routed, so a path that cannot be written fails the run up
+// front (exit 1, no stats document) rather than after it; and a usage
+// error is refused before the file is touched.
+func TestWindowsOutUnwritable(t *testing.T) {
+	dir := t.TempDir()
+	var out, errbuf bytes.Buffer
+	bad := filepath.Join(dir, "no-such-dir", "windows.jsonl")
+	if code := run(baseArgs("-windows-out", bad), &out, &errbuf); code != 1 {
+		t.Fatalf("unwritable -windows-out: run = %d, want 1 (stderr: %s)", code, errbuf.String())
+	}
+	if out.Len() != 0 || !strings.Contains(errbuf.String(), "no-such-dir") {
+		t.Errorf("unwritable -windows-out: stdout %q, stderr %q; want no document and the path named", out.String(), errbuf.String())
+	}
+	stray := filepath.Join(dir, "stray.jsonl")
+	if code := run(baseArgs("-mode", "telegraph", "-windows-out", stray), &out, &errbuf); code != 2 {
+		t.Fatalf("bad -mode: run = %d, want 2", code)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Errorf("a refused run left %s behind (stat err: %v)", stray, err)
 	}
 }
 

@@ -110,6 +110,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	build := func(cfg live.Config) (drive.Target, error) {
 		if *transport == "cluster" {
+			// No Window, no Log: the router windows at cluster.DefaultWindow
+			// and discards its run log, so a replay of any length is routed
+			// in constant memory.
 			return cluster.NewHarness(cluster.HarnessConfig{
 				Nodes:      *nodes,
 				RingShards: *ringShards,

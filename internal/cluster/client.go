@@ -63,9 +63,15 @@ type ClientConfig struct {
 	// window boundaries.
 	Manager *Manager
 	// Window is the op-count window width for load sampling when no
-	// Manager is wired (0 = sample only at Finish). With a Manager, the
+	// Manager is wired (<= 0 selects DefaultWindow). With a Manager, the
 	// manager's own window wins — sampling and deciding share a clock.
+	// There is no unwindowed router: the per-shard cost histograms and
+	// the per-node load they observe are reset on this clock in every
+	// configuration, which is what bounds the router's memory.
 	Window int
+	// Log, when non-nil, receives the run log as it happens (see RunLog).
+	// nil discards it.
+	Log RunLog
 	// Pipeline bounds queued ops between flushes during Replay (<= 0
 	// selects DefaultPipeline). Keep the implied burst bytes in the tens
 	// of KiB — see proto.Client.Flush.
@@ -75,6 +81,26 @@ type ClientConfig struct {
 // DefaultPipeline is the Replay flush depth in routed operations.
 const DefaultPipeline = 32
 
+// DefaultWindow is the window width of a router that was not given one:
+// rwpcluster -window's default.
+const DefaultWindow = 4096
+
+// RunLog receives a router's run log — every closed window's shard
+// samples and every replica command applied — as a stream: the router
+// keeps none of it. An error from either method aborts the run at the
+// op that crossed the window boundary, like a flush error; the window
+// is closed all the same and is never emitted again.
+type RunLog interface {
+	// Window is called once per closed window, in window order, with one
+	// record per ring shard in ascending shard order. ws is the router's
+	// scratch, overwritten at the next close: it is valid only for the
+	// call, and a log that wants to keep records copies them.
+	Window(ws []probe.ShardWindow) error
+	// Command is called for each command the router applied, after the
+	// Window call of the window that decided it.
+	Command(cmd Command) error
+}
+
 // Client routes key-value operations across the cluster. Reads go to
 // one rendezvous-picked replica of the key's shard; writes go to every
 // replica, so replication changes only where reads land, never what
@@ -83,15 +109,18 @@ const DefaultPipeline = 32
 // The client is also the cluster's load sensor: every routed op lands
 // in an op-count window (per-shard read/write counters plus a digest
 // of deterministic service costs), and at each window boundary the
-// windows are journaled and — when a Manager is wired — turned into
-// replica commands. The service cost of an op is the serving node's
-// in-window op count at routing time: a pure congestion proxy that is
-// a function of the stream alone, so p99s, decisions, and therefore
-// entire cluster runs are bit-reproducible.
+// window's samples are handed to the RunLog and — when a Manager is
+// wired — turned into replica commands; then the window is forgotten.
+// The router's state is O(shards + one window), never O(ops). The
+// service cost of an op is the serving node's in-window op count at
+// routing time: a pure congestion proxy that is a function of the
+// stream alone, so p99s, decisions, and therefore entire cluster runs
+// are bit-reproducible.
 type Client struct {
 	ring      *Ring
 	conns     []NodeConn
 	mgr       *Manager
+	log       RunLog
 	windowOps int
 	pipeline  int
 
@@ -117,9 +146,12 @@ type Client struct {
 	nodeKVs  [][]proto.KV
 	nodeIdx  [][]int
 
-	// Run log.
-	windows    []probe.ShardWindow
-	applied    []Command
+	// closed is closeWindow's scratch: the closing window's samples, one
+	// per shard, overwritten at every close.
+	closed []probe.ShardWindow
+
+	// Run totals.
+	applied    int // replica commands applied
 	totalReads uint64
 	makespan   uint64 // sum over closed windows of max per-node load
 }
@@ -138,17 +170,21 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	windowOps := cfg.Window
 	if cfg.Manager != nil {
 		windowOps = cfg.Manager.Config().Window
+	} else if windowOps <= 0 {
+		windowOps = DefaultWindow
 	}
 	c := &Client{
 		ring:      cfg.Ring,
 		conns:     cfg.Conns,
 		mgr:       cfg.Manager,
+		log:       cfg.Log,
 		windowOps: windowOps,
 		pipeline:  cfg.Pipeline,
 		reads:     make([]uint64, cfg.Ring.Shards()),
 		writes:    make([]uint64, cfg.Ring.Shards()),
 		costs:     make([]probe.CostHist, cfg.Ring.Shards()),
 		nodeLoad:  make([]uint64, len(cfg.Conns)),
+		closed:    make([]probe.ShardWindow, cfg.Ring.Shards()),
 		nodeKeys:  make([][]string, len(cfg.Conns)),
 		nodeKVs:   make([][]proto.KV, len(cfg.Conns)),
 		nodeIdx:   make([][]int, len(cfg.Conns)),
@@ -194,7 +230,7 @@ func (c *Client) tick() {
 // op that overshoots the boundary lands whole in the closing window
 // (batches are atomic with respect to windows).
 func (c *Client) boundary() error {
-	if c.mgrWindow() == 0 || c.opsInWin < c.mgrWindow() {
+	if c.opsInWin < c.windowOps {
 		return nil
 	}
 	if err := c.flushAll(); err != nil {
@@ -203,15 +239,14 @@ func (c *Client) boundary() error {
 	return c.closeWindow(true)
 }
 
-// mgrWindow returns the op-count window width (0 = windowing by
-// explicit Finish only).
-func (c *Client) mgrWindow() int { return c.windowOps }
-
-// closeWindow emits the current window's shard samples, optionally
-// consults the manager, applies its commands, and resets the window
-// state. Samples cover every shard — idle replicated shards must be
-// visible or the manager could never collapse them. The only error is
-// a replica add no range operation could make safe (see syncReplica).
+// closeWindow samples every shard into the scratch, consults the
+// manager (optionally), resets the window state, and only then lets
+// the outside world in: the samples go to the run log and the commands
+// are applied. Whatever fails from there on, the window is closed and
+// will not be emitted twice. Samples cover every shard — idle
+// replicated shards must be visible or the manager could never collapse
+// them. The errors are the run log's and a replica add no range
+// operation could make safe (see syncReplica).
 func (c *Client) closeWindow(decide bool) error {
 	var maxLoad uint64
 	for _, l := range c.nodeLoad {
@@ -220,23 +255,13 @@ func (c *Client) closeWindow(decide bool) error {
 		}
 	}
 	c.makespan += maxLoad
-	start := len(c.windows)
-	for s := 0; s < c.ring.Shards(); s++ {
-		c.windows = append(c.windows, probe.ShardWindow{
+	for s := range c.closed {
+		c.closed[s] = probe.ShardWindow{
 			Window: c.window, Shard: s,
 			Reads: c.reads[s], Writes: c.writes[s],
 			P99Cost:  c.costs[s].Percentile(99),
 			Replicas: c.ring.ReplicaCount(s),
-		})
-	}
-	if decide && c.mgr != nil {
-		for _, cmd := range c.mgr.Decide(c.windows[start:], len(c.conns)) {
-			if err := c.apply(cmd); err != nil {
-				return err
-			}
 		}
-	}
-	for s := range c.reads {
 		c.reads[s], c.writes[s] = 0, 0
 		c.costs[s].Reset()
 	}
@@ -245,6 +270,21 @@ func (c *Client) closeWindow(decide bool) error {
 	}
 	c.window++
 	c.opsInWin = 0
+
+	var cmds []Command
+	if decide && c.mgr != nil {
+		cmds = c.mgr.Decide(c.closed, len(c.conns))
+	}
+	if c.log != nil {
+		if err := c.log.Window(c.closed); err != nil {
+			return err
+		}
+	}
+	for _, cmd := range cmds {
+		if err := c.apply(cmd); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -268,7 +308,10 @@ func (c *Client) apply(cmd Command) error {
 			return nil
 		}
 	}
-	c.applied = append(c.applied, cmd)
+	c.applied++
+	if c.log != nil {
+		return c.log.Command(cmd)
+	}
 	return nil
 }
 
@@ -501,9 +544,10 @@ func (c *Client) MPut(kvs []proto.KV) ([]bool, error) {
 	return out, c.boundary()
 }
 
-// Finish drains the wire and closes a trailing partial window (emitted
-// in the journal, but never fed to the manager — decisions happen only
-// on full windows). Call it once after the last op.
+// Finish drains the wire and closes a trailing partial window (handed
+// to the run log, but never fed to the manager — decisions happen only
+// on full windows). Call it after the last op; a second call finds no
+// open window and emits nothing.
 func (c *Client) Finish() error {
 	if err := c.flushAll(); err != nil {
 		return err
@@ -514,12 +558,8 @@ func (c *Client) Finish() error {
 	return nil
 }
 
-// Windows returns the journaled shard-window log so far.
-func (c *Client) Windows() []probe.ShardWindow { return c.windows }
-
-// AppliedCommands returns the replica commands applied so far, in
-// order.
-func (c *Client) AppliedCommands() []Command { return c.applied }
+// Applied returns how many replica commands the router has applied.
+func (c *Client) Applied() int { return c.applied }
 
 // TotalReads returns the routed read count.
 func (c *Client) TotalReads() uint64 { return c.totalReads }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,14 +15,21 @@ import (
 	"rwp/internal/probe"
 )
 
-// probeWrite/probeRead adapt the window codec for the round-trip test.
-func probeWrite(w io.Writer, ws []probe.ShardWindow) error {
-	return probe.WriteShardWindows(w, "cluster test", 1024, ws)
+// collectLog is the RunLog that keeps everything — what the router
+// itself no longer does. Tests that compare whole runs wire one in.
+type collectLog struct {
+	windows []probe.ShardWindow
+	cmds    []Command
 }
 
-func probeRead(r io.Reader) ([]probe.ShardWindow, error) {
-	_, _, ws, err := probe.ReadShardWindows(r)
-	return ws, err
+func (l *collectLog) Window(ws []probe.ShardWindow) error {
+	l.windows = append(l.windows, ws...) // copies: ws is the router's scratch
+	return nil
+}
+
+func (l *collectLog) Command(cmd Command) error {
+	l.cmds = append(l.cmds, cmd)
+	return nil
 }
 
 // testCacheConfig is the shared per-node geometry: small enough to
@@ -103,17 +110,19 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 // behavior.
 func TestPipeEqualsDirect(t *testing.T) {
 	ops := testStream(t, 12000)
-	run := func(mode Mode) (*Cluster, []byte) {
+	run := func(mode Mode) (*Cluster, []byte, *collectLog) {
 		mgr, err := NewManager(ManagerConfig{Window: 1024, HotReads: 128, ColdReads: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
+		log := new(collectLog)
 		h, err := NewHarness(HarnessConfig{
 			Nodes:      3,
 			RingShards: 16,
 			Cache:      testCacheConfig(),
 			Mode:       mode,
 			Manager:    mgr,
+			Log:        log,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -128,14 +137,14 @@ func TestPipeEqualsDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return h, doc
+		return h, doc, log
 	}
-	hd, docD := run(Direct)
-	hp, docP := run(Pipe)
+	hd, docD, logD := run(Direct)
+	hp, docP, logP := run(Pipe)
 	if !bytes.Equal(docD, docP) {
 		t.Errorf("direct and pipe merged stats differ:\ndirect: %s\npipe: %s", docD, docP)
 	}
-	wd, wp := hd.Client().Windows(), hp.Client().Windows()
+	wd, wp := logD.windows, logP.windows
 	if len(wd) != len(wp) {
 		t.Fatalf("window journals differ in length: %d vs %d", len(wd), len(wp))
 	}
@@ -144,7 +153,7 @@ func TestPipeEqualsDirect(t *testing.T) {
 			t.Fatalf("window record %d differs: %+v vs %+v", i, wd[i], wp[i])
 		}
 	}
-	cd, cp := hd.Client().AppliedCommands(), hp.Client().AppliedCommands()
+	cd, cp := logD.cmds, logP.cmds
 	if len(cd) != len(cp) {
 		t.Fatalf("applied commands differ in length: %d vs %d", len(cd), len(cp))
 	}
@@ -155,6 +164,9 @@ func TestPipeEqualsDirect(t *testing.T) {
 	}
 	if len(cd) == 0 {
 		t.Error("managed run applied no replica commands — test stream too tame")
+	}
+	if got := hd.Client().Applied(); got != len(cd) {
+		t.Errorf("router counts %d applied commands, its log received %d", got, len(cd))
 	}
 	sd, rd := hd.Client().CatchupCounts()
 	sp, rp := hp.Client().CatchupCounts()
@@ -182,11 +194,13 @@ func TestManagedRunBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		log := new(collectLog)
 		h, err := NewHarness(HarnessConfig{
 			Nodes:      3,
 			RingShards: 16,
 			Cache:      testCacheConfig(),
 			Manager:    mgr,
+			Log:        log,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +215,7 @@ func TestManagedRunBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return doc, h.Client().AppliedCommands()
+		return doc, log.cmds
 	}
 	docA, cmdA := doOne()
 	docB, cmdB := doOne()
@@ -297,11 +311,13 @@ func TestReadYourWriteAcrossReplicaChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := new(collectLog)
 	h, err := NewHarness(HarnessConfig{
 		Nodes:      3,
 		RingShards: 16,
 		Cache:      cfg,
 		Manager:    mgr,
+		Log:        log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +388,7 @@ func TestReadYourWriteAcrossReplicaChurn(t *testing.T) {
 	readMustSee("v3", 100)
 
 	var adds, drops int
-	for _, cmd := range cl.AppliedCommands() {
+	for _, cmd := range log.cmds {
 		if cmd.Shard != shard {
 			continue
 		}
@@ -384,7 +400,7 @@ func TestReadYourWriteAcrossReplicaChurn(t *testing.T) {
 	}
 	if adds < 2 || drops < 1 {
 		t.Errorf("expected add/drop/re-add churn on shard %d, got %d adds %d drops (commands %v)",
-			shard, adds, drops, cl.AppliedCommands())
+			shard, adds, drops, log.cmds)
 	}
 }
 
@@ -397,17 +413,19 @@ func TestReadYourWriteAcrossReplicaChurn(t *testing.T) {
 // read-your-write semantics the churn test pins.
 func TestCatchupCutsBackendLoads(t *testing.T) {
 	ops := testStream(t, 12000)
-	run := func(noCatchup bool) (*Cluster, uint64) {
+	run := func(noCatchup bool) (*Cluster, uint64, []Command) {
 		mgr, err := NewManager(ManagerConfig{Window: 1024, HotReads: 128, ColdReads: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
+		log := new(collectLog)
 		h, err := NewHarness(HarnessConfig{
 			Nodes:      3,
 			RingShards: 16,
 			Cache:      testCacheConfig(),
 			Manager:    mgr,
 			NoCatchup:  noCatchup,
+			Log:        log,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -422,10 +440,10 @@ func TestCatchupCutsBackendLoads(t *testing.T) {
 		for _, c := range h.Caches() {
 			loads += c.Stats().Loads
 		}
-		return h, loads
+		return h, loads, log.cmds
 	}
-	hw, warmLoads := run(false)
-	hc, coldLoads := run(true)
+	hw, warmLoads, cw := run(false)
+	hc, coldLoads, cc := run(true)
 
 	snaps, resets := hw.Client().CatchupCounts()
 	if snaps == 0 || resets != 0 {
@@ -435,7 +453,6 @@ func TestCatchupCutsBackendLoads(t *testing.T) {
 		t.Fatalf("cold run: %d catch-ups, %d resets — NoCatchup ignored", s, r)
 	}
 	// Identical decision streams: the comparison is apples to apples.
-	cw, cc := hw.Client().AppliedCommands(), hc.Client().AppliedCommands()
 	if len(cw) != len(cc) {
 		t.Fatalf("decision streams diverged: %d vs %d commands", len(cw), len(cc))
 	}
@@ -484,7 +501,8 @@ func TestFailedResetStopsTheRun(t *testing.T) {
 		}
 		conns[i] = brokenConn{&directConn{cache: c}}
 	}
-	cl, err := NewClient(ClientConfig{Ring: ring, Conns: conns, Manager: mgr})
+	log := new(collectLog)
+	cl, err := NewClient(ClientConfig{Ring: ring, Conns: conns, Manager: mgr, Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +512,7 @@ func TestFailedResetStopsTheRun(t *testing.T) {
 	}
 
 	// The journal ends with the window that asked for the first add.
-	ws := cl.Windows()
+	ws := log.windows
 	if len(ws) == 0 || len(ws)%ring.Shards() != 0 {
 		t.Fatalf("journal holds %d records for %d shards", len(ws), ring.Shards())
 	}
@@ -519,8 +537,8 @@ func TestFailedResetStopsTheRun(t *testing.T) {
 			t.Errorf("shard %d kept %d replicas after the failed add", s, ring.ReplicaCount(s))
 		}
 	}
-	if len(cl.AppliedCommands()) != 0 {
-		t.Errorf("commands %v recorded as applied", cl.AppliedCommands())
+	if cl.Applied() != 0 || len(log.cmds) != 0 {
+		t.Errorf("%d commands counted as applied, %v logged", cl.Applied(), log.cmds)
 	}
 }
 
@@ -604,12 +622,14 @@ func TestManagedBeatsStaticPartitioning(t *testing.T) {
 			}
 			mgr = m
 		}
+		log := new(collectLog)
 		h, err := NewHarness(HarnessConfig{
 			Nodes:      nodes,
 			RingShards: 64,
 			Cache:      cacheCfg,
 			Manager:    mgr,
 			Window:     window,
+			Log:        log,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -624,7 +644,7 @@ func TestManagedBeatsStaticPartitioning(t *testing.T) {
 		if err := h.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return outcome{cl.TotalReads(), cl.Makespan(), lateP99(cl.Windows()), len(cl.AppliedCommands())}
+		return outcome{cl.TotalReads(), cl.Makespan(), lateP99(log.windows), len(log.cmds)}
 	}
 	single, static, managed := run(1, false), run(3, false), run(3, true)
 
@@ -650,50 +670,178 @@ func TestManagedBeatsStaticPartitioning(t *testing.T) {
 	}
 }
 
-// TestWindowJournalRoundTrip writes a run's window log through the
-// probe codec and replays the manager over it, matching the live
-// decision stream — the journal really is sufficient to reproduce the
-// control loop.
+// teeLog feeds a collecting log and a streaming journal writer from one
+// run.
+type teeLog struct {
+	collect *collectLog
+	journal *probe.WindowWriter
+}
+
+func (l teeLog) Window(ws []probe.ShardWindow) error {
+	if err := l.collect.Window(ws); err != nil {
+		return err
+	}
+	return l.journal.Window(ws)
+}
+
+func (l teeLog) Command(cmd Command) error { return l.collect.Command(cmd) }
+
+// TestWindowJournalRoundTrip is streamed-equals-collected: one managed
+// run feeds a collecting log and a probe.WindowWriter at once. The
+// journal decodes to exactly the collected records; window indices are
+// dense; the trailing partial window Finish emits is there once however
+// often the run is finished; and replaying the manager over the decoded
+// journal reproduces the commands the router applied — the journal
+// really is sufficient to reproduce the control loop.
 func TestWindowJournalRoundTrip(t *testing.T) {
-	ops := testStream(t, 8000)
-	mgr, err := NewManager(ManagerConfig{Window: 1024, HotReads: 128, ColdReads: 16})
+	const window, n = 1024, 8000
+	ops := testStream(t, n)
+	mgr, err := NewManager(ManagerConfig{Window: window, HotReads: 128, ColdReads: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	log := teeLog{new(collectLog), probe.NewWindowWriter(&buf, "cluster test")}
 	h, err := NewHarness(HarnessConfig{
 		Nodes:      3,
 		RingShards: 16,
 		Cache:      testCacheConfig(),
 		Manager:    mgr,
+		Log:        log,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 	if err := h.Client().Replay(ops); err != nil {
 		t.Fatal(err)
 	}
+	// Finish, StatsJSON and Close each finish the run; the partial window
+	// must come out of the first and only the first.
 	if err := h.Client().Finish(); err != nil {
 		t.Fatal(err)
 	}
-	ws := h.Client().Windows()
-	if len(ws) == 0 {
-		t.Fatal("no windows journaled")
-	}
-	var buf bytes.Buffer
-	if err := probeWrite(&buf, ws); err != nil {
+	if _, err := h.StatsJSON(); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := probeRead(&buf)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, windowOps, decoded, err := probe.ReadShardWindows(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decoded) != len(ws) {
-		t.Fatalf("decoded %d windows, journaled %d", len(decoded), len(ws))
+	if windowOps != window {
+		t.Errorf("journal header window_ops = %d, want %d", windowOps, window)
 	}
-	for i := range ws {
-		if decoded[i] != ws[i] {
-			t.Fatalf("window %d: decoded %+v, journaled %+v", i, decoded[i], ws[i])
+	if !reflect.DeepEqual(decoded, log.collect.windows) {
+		t.Fatalf("streamed journal (%d records) differs from the collected log (%d records)",
+			len(decoded), len(log.collect.windows))
+	}
+	shards := h.Ring().Shards()
+	wantWindows := n/window + 1 // seven whole windows and the 832-op tail
+	if len(decoded) != wantWindows*shards {
+		t.Fatalf("journal holds %d records, want %d windows x %d shards", len(decoded), wantWindows, shards)
+	}
+	var tail uint64
+	for i, w := range decoded {
+		if w.Window != i/shards || w.Shard != i%shards {
+			t.Fatalf("record %d is window %d shard %d: indices not dense", i, w.Window, w.Shard)
 		}
+		if w.Window == wantWindows-1 {
+			tail += w.Reads + w.Writes
+		}
+	}
+	if tail != n%window {
+		t.Errorf("trailing window holds %d ops, want the %d left over", tail, n%window)
+	}
+
+	// Replay the control loop from the journal: whole windows only, as
+	// the router decides. Every decision was applicable on this run, so
+	// the replayed stream is the applied stream.
+	var replayed []Command
+	for i := 0; i+shards <= (wantWindows-1)*shards; i += shards {
+		replayed = append(replayed, mgr.Decide(decoded[i:i+shards], 3)...)
+	}
+	if len(replayed) == 0 {
+		t.Fatal("run decided nothing — test stream too tame")
+	}
+	if !reflect.DeepEqual(replayed, log.collect.cmds) {
+		t.Errorf("commands replayed from the journal %v differ from the applied ones %v", replayed, log.collect.cmds)
+	}
+}
+
+// failingLog accepts failAt windows and refuses every later one.
+type failingLog struct {
+	failAt int
+	seen   []int // window index of every Window call, refused ones too
+}
+
+var errLogFull = errors.New("run log full")
+
+func (l *failingLog) Window(ws []probe.ShardWindow) error {
+	l.seen = append(l.seen, ws[0].Window)
+	if len(l.seen) > l.failAt {
+		return errLogFull
+	}
+	return nil
+}
+
+func (l *failingLog) Command(Command) error { return nil }
+
+// TestRunLogErrorAbortsTheRun: a run log that fails at window k stops
+// the run like a flush error does — the error comes back from the very
+// call that crosses the boundary, whichever entry point that is — and
+// the window it refused is closed all the same: carrying on never hands
+// any window to the log twice.
+func TestRunLogErrorAbortsTheRun(t *testing.T) {
+	const window, failAt = 256, 2
+	keys := make([]string, 64)
+	kvs := make([]proto.KV, 64)
+	for i := range keys {
+		keys[i] = loadgen.ColdKey(i)
+		kvs[i] = proto.KV{Key: keys[i], Value: loadgen.Value(keys[i], 32)}
+	}
+	entry := map[string]func(cl *Client) error{
+		"MGet": func(cl *Client) error { _, err := cl.MGet(keys); return err },
+		"MPut": func(cl *Client) error { _, err := cl.MPut(kvs); return err },
+		"Replay": func(cl *Client) error {
+			ops := make([]loadgen.Op, len(keys))
+			for i, k := range keys {
+				ops[i] = loadgen.Op{Key: k}
+			}
+			return cl.Replay(ops)
+		},
+	}
+	for name, call := range entry {
+		log := &failingLog{failAt: failAt}
+		h, err := NewHarness(HarnessConfig{
+			Nodes: 2, RingShards: 16, Cache: testCacheConfig(), Window: window, Log: log,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := h.Client()
+		// 64 ops a call, 256 a window: calls 4 and 8 cross the accepted
+		// boundaries, call 12 the refused one.
+		for i := 1; i <= 12; i++ {
+			err := call(cl)
+			if crossing := i == 12; crossing != errors.Is(err, errLogFull) {
+				t.Fatalf("%s call %d: err = %v (crosses the failing boundary: %v)", name, i, err, crossing)
+			}
+		}
+		// The run carries on regardless; the log keeps refusing, but each
+		// window reaches it exactly once.
+		for i := 13; i <= 16; i++ {
+			call(cl)
+		}
+		cl.Finish()
+		if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(log.seen, want) {
+			t.Errorf("%s: log saw windows %v, want each once: %v", name, log.seen, want)
+		}
+		h.Close()
 	}
 }

@@ -42,8 +42,12 @@ type HarnessConfig struct {
 	Mode Mode
 	// Manager optionally wires the replication control loop.
 	Manager *Manager
-	// Window is the manager-less load-sampling window (see ClientConfig).
+	// Window is the manager-less load-sampling window (<= 0 selects
+	// DefaultWindow; see ClientConfig).
 	Window int
+	// Log receives the router's run log as it happens (nil discards it;
+	// see RunLog).
+	Log RunLog
 	// Pipeline is the router's flush depth (see ClientConfig).
 	Pipeline int
 	// NoCatchup makes every node refuse SnapRange, so newly added
@@ -122,6 +126,7 @@ func NewHarness(cfg HarnessConfig) (*Cluster, error) {
 		Conns:    h.conns,
 		Manager:  cfg.Manager,
 		Window:   cfg.Window,
+		Log:      cfg.Log,
 		Pipeline: cfg.Pipeline,
 	})
 	if err != nil {

@@ -63,9 +63,9 @@ type Command struct {
 // observable contents — only where reads land.
 //
 // Decide is a pure function of the window samples, which is the whole
-// point: the samples are journaled (probe.WriteShardWindows), and
-// replaying a journal through the same config reproduces the decision
-// stream bit-for-bit.
+// point: the samples can be journaled (a probe.WindowWriter behind the
+// router's RunLog), and replaying a journal through the same config
+// reproduces the decision stream bit-for-bit.
 type Manager struct {
 	cfg ManagerConfig
 }

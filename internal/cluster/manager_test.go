@@ -56,9 +56,11 @@ func TestManagerConfigValidation(t *testing.T) {
 }
 
 // TestManagerReplayFromJournal pins the determinism contract end to
-// end: serialize a window log with the probe codec, read it back, and
-// the manager's decision stream over the decoded windows matches the
-// decisions over the originals exactly.
+// end: stream a window log through the probe codec window by window,
+// as the router's run log receives it, read it back, and the manager's
+// decision stream over the decoded windows matches the decisions over
+// the originals exactly. (TestWindowJournalRoundTrip does the same from
+// a real run's log.)
 func TestManagerReplayFromJournal(t *testing.T) {
 	m := testManager(t)
 	ws := []probe.ShardWindow{
@@ -68,7 +70,13 @@ func TestManagerReplayFromJournal(t *testing.T) {
 		{Window: 1, Shard: 1, Reads: 30, Writes: 1, P99Cost: 1, Replicas: 2},
 	}
 	var buf bytes.Buffer
-	if err := probe.WriteShardWindows(&buf, "replay", 1024, ws); err != nil {
+	journal := probe.NewWindowWriter(&buf, "replay")
+	for _, win := range [][]probe.ShardWindow{ws[:2], ws[2:]} {
+		if err := journal.Window(win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, _, decoded, err := probe.ReadShardWindows(&buf)

@@ -139,6 +139,18 @@ func canonicalLine(v any) ([]byte, error) {
 	return json.Marshal(m)
 }
 
+// writeCanonical appends v's canonical line and its newline to bw.
+func writeCanonical(bw *bufio.Writer, v any) error {
+	line, err := canonicalLine(v)
+	if err != nil {
+		return err
+	}
+	if _, err := bw.Write(line); err != nil {
+		return err
+	}
+	return bw.WriteByte('\n')
+}
+
 // WriteJournal serializes one run — its identity, per-core results and
 // the recorder's aggregates — as canonical JSONL.
 func WriteJournal(w io.Writer, h Header, results []ResultRecord, rec *Recorder) error {
@@ -146,16 +158,7 @@ func WriteJournal(w io.Writer, h Header, results []ResultRecord, rec *Recorder) 
 	h.T = "header"
 	h.Schema = JournalSchema
 	h.Window = rec.Window()
-	emit := func(v any) error {
-		line, err := canonicalLine(v)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-		return bw.WriteByte('\n')
-	}
+	emit := func(v any) error { return writeCanonical(bw, v) }
 	if err := emit(h); err != nil {
 		return err
 	}

@@ -57,28 +57,50 @@ type windowRecord struct {
 	Replicas int    `json:"replicas"`
 }
 
-// WriteShardWindows serializes a cluster run's shard-window log as
-// canonical JSONL (sorted keys, fixed record order), the same
-// discipline as the run journals: two logs of the same run are
-// byte-identical. desc labels the run; windowOps is the op-count
-// window width.
-func WriteShardWindows(w io.Writer, desc string, windowOps int, ws []ShardWindow) error {
-	bw := bufio.NewWriter(w)
-	emit := func(v any) error {
-		line, err := canonicalLine(v)
-		if err != nil {
+// WindowWriter streams a cluster run's shard-window log as canonical
+// JSONL (sorted keys, fixed record order), the same discipline as the
+// run journals: two logs of the same run are byte-identical, and a
+// run's log is, through its last whole window, a byte prefix of the log
+// of any longer run of the same stream. It holds no window: each Window
+// call encodes its records and writes them through, so a journal costs
+// the writer one bufio buffer however long the run.
+//
+// The header goes out with the first window, because its window_ops —
+// the op-count window width — is read off that window (the sum of its
+// shards' reads and writes), not configured. A journal closed before
+// any window carries window_ops 0.
+type WindowWriter struct {
+	bw     *bufio.Writer
+	desc   string
+	headed bool
+}
+
+// NewWindowWriter starts a journal on w; desc labels the run. The
+// caller keeps ownership of w and closes it after Close.
+func NewWindowWriter(w io.Writer, desc string) *WindowWriter {
+	return &WindowWriter{bw: bufio.NewWriter(w), desc: desc}
+}
+
+func (ww *WindowWriter) header(windowOps int) error {
+	ww.headed = true
+	return writeCanonical(ww.bw, windowHeader{T: "header", Schema: WindowSchema, Desc: ww.desc, WindowOps: windowOps})
+}
+
+// Window appends one closed window's records (one per shard, ascending
+// shard order) and flushes them, so the file on disk always ends on a
+// whole window. ws is not retained.
+func (ww *WindowWriter) Window(ws []ShardWindow) error {
+	if !ww.headed {
+		var ops uint64
+		for _, s := range ws {
+			ops += s.Reads + s.Writes
+		}
+		if err := ww.header(int(ops)); err != nil {
 			return err
 		}
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-		return bw.WriteByte('\n')
-	}
-	if err := emit(windowHeader{T: "header", Schema: WindowSchema, Desc: desc, WindowOps: windowOps}); err != nil {
-		return err
 	}
 	for _, s := range ws {
-		if err := emit(windowRecord{
+		if err := writeCanonical(ww.bw, windowRecord{
 			T: "window", Window: s.Window, Shard: s.Shard,
 			Reads: s.Reads, Writes: s.Writes,
 			P99Cost: s.P99Cost, Replicas: s.Replicas,
@@ -86,7 +108,18 @@ func WriteShardWindows(w io.Writer, desc string, windowOps int, ws []ShardWindow
 			return err
 		}
 	}
-	return bw.Flush()
+	return ww.bw.Flush()
+}
+
+// Close completes the journal: a run that closed no window still gets
+// its header.
+func (ww *WindowWriter) Close() error {
+	if !ww.headed {
+		if err := ww.header(0); err != nil {
+			return err
+		}
+	}
+	return ww.bw.Flush()
 }
 
 // ReadShardWindows decodes a shard-window journal, rejecting unknown

@@ -2,23 +2,43 @@ package probe
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
 
+// sampleWindows is two 1024-op windows over two shards.
 func sampleWindows() []ShardWindow {
 	return []ShardWindow{
 		{Window: 0, Shard: 0, Reads: 900, Writes: 100, P99Cost: 37, Replicas: 1},
-		{Window: 0, Shard: 1, Reads: 12, Writes: 3, P99Cost: 2, Replicas: 1},
+		{Window: 0, Shard: 1, Reads: 21, Writes: 3, P99Cost: 2, Replicas: 1},
 		{Window: 1, Shard: 0, Reads: 850, Writes: 150, P99Cost: 31, Replicas: 2},
 		{Window: 1, Shard: 1, Reads: 0, Writes: 0, P99Cost: 0, Replicas: 1},
 	}
 }
 
+// writeWindows journals ws the way the router does: one Window call per
+// window index, then Close.
+func writeWindows(w io.Writer, desc string, ws []ShardWindow) error {
+	ww := NewWindowWriter(w, desc)
+	for lo := 0; lo < len(ws); {
+		hi := lo
+		for hi < len(ws) && ws[hi].Window == ws[lo].Window {
+			hi++
+		}
+		if err := ww.Window(ws[lo:hi]); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return ww.Close()
+}
+
 func TestShardWindowsRoundTrip(t *testing.T) {
 	in := sampleWindows()
 	var buf bytes.Buffer
-	if err := WriteShardWindows(&buf, "hotspot nodes=3", 1024, in); err != nil {
+	if err := writeWindows(&buf, "hotspot nodes=3", in); err != nil {
 		t.Fatal(err)
 	}
 	desc, ops, out, err := ReadShardWindows(&buf)
@@ -40,10 +60,10 @@ func TestShardWindowsRoundTrip(t *testing.T) {
 
 func TestShardWindowsCanonicalBytes(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := WriteShardWindows(&a, "run", 512, sampleWindows()); err != nil {
+	if err := writeWindows(&a, "run", sampleWindows()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteShardWindows(&b, "run", 512, sampleWindows()); err != nil {
+	if err := writeWindows(&b, "run", sampleWindows()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -57,19 +77,80 @@ func TestShardWindowsCanonicalBytes(t *testing.T) {
 }
 
 // TestShardWindowsEmpty: a run that closes no windows journals just
-// the header, and the reader hands back the header fields with zero
-// windows — not an error (an empty window log is a valid run).
+// the header — window_ops 0, there being no window to read the width
+// off — and the reader hands back the header fields with zero windows,
+// not an error (an empty window log is a valid run).
 func TestShardWindowsEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteShardWindows(&buf, "idle", 256, nil); err != nil {
+	if err := writeWindows(&buf, "idle", nil); err != nil {
 		t.Fatal(err)
 	}
 	desc, ops, ws, err := ReadShardWindows(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if desc != "idle" || ops != 256 || len(ws) != 0 {
+	if desc != "idle" || ops != 0 || len(ws) != 0 {
 		t.Fatalf("empty journal round-trip: desc=%q ops=%d windows=%d", desc, ops, len(ws))
+	}
+}
+
+// TestWindowWriterStreams pins what makes the writer a stream: nothing
+// is written before the first window (the header's window_ops comes
+// from it), every Window call leaves the output ending on that whole
+// window, so each call's output extends the previous call's — the
+// prefix property the CLI tests lean on — and Close adds nothing once a
+// window is out.
+func TestWindowWriterStreams(t *testing.T) {
+	ws := sampleWindows()
+	var buf bytes.Buffer
+	ww := NewWindowWriter(&buf, "run")
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes written before the first window", buf.Len())
+	}
+	if err := ww.Window(ws[:2]); err != nil {
+		t.Fatal(err)
+	}
+	one := buf.String()
+	if _, ops, got, err := ReadShardWindows(strings.NewReader(one)); err != nil || ops != 1024 || len(got) != 2 {
+		t.Fatalf("after one window: window_ops=%d records=%d err=%v, want 1024, 2", ops, len(got), err)
+	}
+	if err := ww.Window(ws[2:]); err != nil {
+		t.Fatal(err)
+	}
+	two := buf.String()
+	if !strings.HasPrefix(two, one) || strings.Count(two, `"t":"header"`) != 1 {
+		t.Fatalf("second window did not extend the first:\n%s\nvs\n%s", two, one)
+	}
+	if err := ww.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != two {
+		t.Errorf("Close wrote %q after the last window", buf.String()[len(two):])
+	}
+}
+
+// failAfter fails every write once n bytes have gone through.
+type failAfter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n -= len(p); f.n < 0 {
+		return 0, errDiskFull
+	}
+	return len(p), nil
+}
+
+// TestWindowWriterReportsWriteErrors: a failing file surfaces from the
+// Window call that hit it (each call flushes), not only from Close.
+func TestWindowWriterReportsWriteErrors(t *testing.T) {
+	ws := sampleWindows()
+	ww := NewWindowWriter(&failAfter{n: 400}, "run")
+	if err := ww.Window(ws[:2]); err != nil {
+		t.Fatalf("first window (under the limit): %v", err)
+	}
+	if err := ww.Window(ws[2:]); !errors.Is(err, errDiskFull) {
+		t.Fatalf("second window: err = %v, want the write error", err)
 	}
 }
 
@@ -81,7 +162,7 @@ func TestShardWindowsSingleOp(t *testing.T) {
 	h.Observe(0) // the op's queue-depth cost: first op of the window
 	in := []ShardWindow{{Window: 0, Shard: 0, Reads: 1, Writes: 0, P99Cost: h.Percentile(99), Replicas: 1}}
 	var buf bytes.Buffer
-	if err := WriteShardWindows(&buf, "one-op", 1, in); err != nil {
+	if err := writeWindows(&buf, "one-op", in); err != nil {
 		t.Fatal(err)
 	}
 	_, _, out, err := ReadShardWindows(&buf)
@@ -99,7 +180,7 @@ func TestShardWindowsSingleOp(t *testing.T) {
 // window log silently.
 func TestShardWindowsCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteShardWindows(&buf, "run", 512, sampleWindows()); err != nil {
+	if err := writeWindows(&buf, "run", sampleWindows()); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.String()
