@@ -11,7 +11,7 @@
 //	                                 (schema rwp-reqlog-v1; replay with
 //	                                 cmd/rwpreplay)
 //	rwpserve -snapshot s.snap ...    write a state snapshot (schema
-//	                                 rwp-snap-v3) at graceful shutdown /
+//	                                 rwp-snap-v5) at graceful shutdown /
 //	                                 selftest exit; -snap-every N adds
 //	                                 op-count-clocked checkpoints
 //	rwpserve -restore s.snap ...     warm-start from a snapshot; /stats
@@ -71,7 +71,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	negOps := fs.Uint64("neg-ops", 0, "negatively cache Loader misses for N per-set ops (0: off)")
 	leaseOps := fs.Uint64("lease-ops", 0, "depose a coalesced fill stuck for N per-set ops (0: never; needs -coalesce)")
 	recordPath := fs.String("record", "", "journal every request to this file (schema rwp-reqlog-v1)")
-	snapPath := fs.String("snapshot", "", "write a state snapshot (schema rwp-snap-v3) here at graceful shutdown / selftest exit")
+	snapPath := fs.String("snapshot", "", "write a state snapshot (schema rwp-snap-v5) here at graceful shutdown / selftest exit")
 	snapEvery := fs.Uint64("snap-every", 0, "additionally checkpoint -snapshot every N data ops (serve mode; 0: shutdown only)")
 	restorePath := fs.String("restore", "", "warm-start from this snapshot; a bad snapshot logs and starts cold")
 	selftest := fs.Int("selftest", 0, "run N loadgen ops through -transport, print /stats JSON, exit")

@@ -61,28 +61,28 @@ import (
 
 // fillCall is one in-flight coalesced Loader call.
 type fillCall struct {
-	born uint64        // the set's op-count at registration (the lease clock)
+	born uint64        // the set's clock at registration (the lease clock)
 	done chan struct{} // closed by the leader once val is final
 	val  []byte        // the Loader's result; immutable after done closes
 }
 
 // negEntry is one negative-cache verdict: key was absent from the
-// backing store, believed until the set's op-count reaches exp.
+// backing store, believed until the set's clock reaches exp.
 type negEntry struct {
 	key string
 	exp uint64
 }
 
-// opCount is the set's operation clock: total completed-or-started
-// Gets and Puts. Pure set-local state, so everything timed by it is
-// shard-count invariant by construction.
-func (s *lset) opCount() uint64 { return s.ops.Gets + s.ops.Puts }
+// Both windows run on lset.clock, the set's count of started Gets and
+// Puts: pure set-local state, so everything timed by it is shard-count
+// invariant by construction, and apart from the ledger, so ResetStats
+// does not rewind it.
 
 // negLookup reports whether key is negatively cached right now, lazily
 // dropping the entry if its window has passed. Linear scan, like find:
 // the slice is bounded by the set's associativity.
 func (s *lset) negLookup(key string) bool {
-	now := s.opCount()
+	now := s.clock
 	for i := range s.negs {
 		if s.negs[i].key != key {
 			continue
@@ -141,6 +141,7 @@ func (s *lset) negDelete(key string) {
 // only this Get, not every key in the shard (and a reentrant Loader
 // does not self-deadlock).
 func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai cache.AccessInfo) (out []byte, hit, found bool) {
+	g := ls.grp
 	var fc *fillCall
 	if c.cfg.Coalesce || c.cfg.NegOps > 0 {
 		sh.mu.Lock()
@@ -150,31 +151,31 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai ca
 			// fetching again: this is the tail of a storm. Unreachable
 			// single-goroutine: the window between unlock and relock is
 			// empty without concurrency.
-			ls.ops.CoalescedLoads++
-			ls.costs[partClean][classHit]++
-			dst = append(dst, ls.entries[way].val...)
+			g.ops.CoalescedLoads++
+			g.costs[partClean][classHit]++
+			dst = append(dst, ls.entries[way].val()...)
 			sh.mu.Unlock()
 			c.logGet(key, false, set, probe.OutcomeFill, CostCoalesced)
 			return dst, false, true
 		}
 		if c.cfg.NegOps > 0 && ls.negLookup(key) {
-			ls.ops.NegHits++
-			ls.costs[partClean][classHit]++
+			g.ops.NegHits++
+			g.costs[partClean][classHit]++
 			sh.mu.Unlock()
 			c.logGet(key, false, set, probe.OutcomeMiss, CostNegHit)
 			return dst, false, false
 		}
 		if c.cfg.Coalesce {
 			if lead, ok := sh.fills[key]; ok {
-				if c.cfg.LeaseOps == 0 || ls.opCount()-lead.born < c.cfg.LeaseOps {
+				if c.cfg.LeaseOps == 0 || ls.clock-lead.born < c.cfg.LeaseOps {
 					// A fill for this key is in flight and its lease is
 					// live: wait for the leader's result instead of issuing
 					// a second backend call.
-					ls.ops.CoalescedLoads++
+					g.ops.CoalescedLoads++
 					sh.mu.Unlock()
 					<-lead.done
 					sh.mu.Lock()
-					ls.costs[partClean][classHit]++
+					g.costs[partClean][classHit]++
 					sh.mu.Unlock()
 					if lead.val == nil {
 						// Absent for the leader, absent for every waiter.
@@ -192,9 +193,9 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai ca
 				// (fills[key] == fc) keeps it from deleting ours, and the
 				// resident-recheck demotes whichever fetch lands second to
 				// a LoadRace.
-				ls.ops.LeaseExpires++
+				g.ops.LeaseExpires++
 			}
-			fc = &fillCall{born: ls.opCount(), done: make(chan struct{})}
+			fc = &fillCall{born: ls.clock, done: make(chan struct{})}
 			sh.fills[key] = fc
 		}
 		sh.mu.Unlock()
@@ -218,7 +219,7 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai ca
 		// were loading. Keep the resident entry (it may hold a newer
 		// Put); return the value this miss actually fetched. The cost is
 		// the round trip alone — no fill, no eviction.
-		ls.ops.LoadRaces++
+		g.ops.LoadRaces++
 	case v == nil:
 		// The backing store has no such key. A look-aside cache stores
 		// values, not absences — nothing installs and the miss stands.
@@ -226,20 +227,20 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai ca
 		// on this set answer locally; without it the next Get pays
 		// another round trip.
 		if c.cfg.NegOps > 0 {
-			ls.ops.NegInserts++
-			ls.negInsert(key, ls.opCount()+c.cfg.NegOps, c.cfg.Ways)
+			g.ops.NegInserts++
+			ls.negInsert(key, ls.clock+c.cfg.NegOps, c.cfg.Ways)
 		} else {
-			ls.ops.LoadAbsents++
+			g.ops.LoadAbsents++
 		}
 		outcome = probe.OutcomeMiss
 	default:
-		ls.ops.Loads++
+		g.ops.Loads++
 		ls.negDelete(key)
 		if ls.fill(key, v, ai, false) {
 			class = classMissEvict
 		}
 	}
-	ls.costs[partClean][class]++
+	g.costs[partClean][class]++
 	sh.mu.Unlock()
 	c.logGet(key, false, set, outcome, classCost[class])
 	return loaded(dst, v)

@@ -3,6 +3,7 @@ package live_test
 import (
 	"bytes"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -278,6 +279,77 @@ func TestLeaseHolds(t *testing.T) {
 		}
 	}
 	assertLaw(t, s)
+}
+
+// TestResetStatsClockLease: ResetStats clears the ledger, not the set
+// clock a lease is measured on. A leader parked in the Loader across a
+// ResetStats keeps its lease, so the next miss on the key coalesces
+// onto it — one Loader call — instead of finding the lease "expired"
+// by a clock that ran backwards past its birth.
+func TestResetStatsClockLease(t *testing.T) {
+	c, calls, entered, release := leaseCache(t, 100)
+	for i := 0; i < 50; i++ { // run the set's clock well past zero
+		c.Put("w"+strconv.Itoa(i), []byte("x"))
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	var got [2][]byte
+	go func() { defer wg.Done(); got[0], _ = c.Get("k") }()
+	<-entered // the lease is born at op 51
+	c.ResetStats()
+	go func() { defer wg.Done(); got[1], _ = c.Get("k") }()
+	// The second miss either coalesces (it blocks) or deposes the leader
+	// (it loads for itself); both are counted before either happens.
+	for s := c.Stats(); s.CoalescedLoads+s.LeaseExpires == 0; s = c.Stats() {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+
+	s := c.Stats()
+	if calls.Load() != 1 || s.LeaseExpires != 0 || s.CoalescedLoads != 1 {
+		t.Fatalf("calls %d, lease expires %d, coalesced %d; want 1/0/1: a ResetStats deposed a live lease",
+			calls.Load(), s.LeaseExpires, s.CoalescedLoads)
+	}
+	for i, v := range got {
+		if !bytes.Equal(v, []byte("stale")) {
+			t.Fatalf("client %d got %q, want the leader's result", i, v)
+		}
+	}
+}
+
+// TestResetStatsClockNegVerdict: an absence verdict written with NegOps
+// 8 is believed for exactly 8 operations on its set — 7 local answers,
+// then the backend again — whether or not ResetStats ran in between.
+// The set has seen 40 ops before the verdict, so a clock that restarted
+// at the reset would keep the verdict for 40 ops too many.
+func TestResetStatsClockNegVerdict(t *testing.T) {
+	for _, reset := range []bool{false, true} {
+		cfg := defendedConfig()
+		cfg.Sets = 1
+		cfg.NegOps = 8
+		c, calls := negCache(t, cfg)
+		for i := 0; i < 40; i++ {
+			c.Put("w"+strconv.Itoa(i), []byte("x"))
+		}
+		c.Get("absent:0") // the verdict, written at op 41
+		if reset {
+			c.ResetStats()
+		}
+		for i := 1; i <= 8; i++ {
+			c.Get("absent:0")
+			want := uint64(1)
+			if i == 8 {
+				want = 2 // op 49: the window has closed
+			}
+			if got := calls.Load(); got != want {
+				t.Fatalf("reset=%v: %d ops after the verdict the backend has been asked %d times, want %d", reset, i, got, want)
+			}
+		}
+		if s := c.Stats(); s.NegHits != 7 {
+			t.Errorf("reset=%v: %d negative hits, want 7", reset, s.NegHits)
+		}
+	}
 }
 
 // negCache builds a single-shard cache whose loader counts calls and

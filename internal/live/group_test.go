@@ -145,10 +145,10 @@ func TestGroupMatchesSimulatorCache(t *testing.T) {
 }
 
 // TestRangesTakeWholeGroups: a range that splits a policy group is
-// refused by every entry point that would reset, capture or replace
-// half a predictor — by panic in process, by error where the range
-// arrives from a peer — and the refused cache is untouched. StatsRange
-// alone reads any range.
+// refused by every entry point that would read, reset, capture or
+// replace half a predictor or half a ledger — by panic in process, by
+// error where the range arrives from a peer — and the refused cache is
+// untouched.
 func TestRangesTakeWholeGroups(t *testing.T) {
 	c := mustNew(t, rangeTestConfig())
 	fillRangeTest(c, 5000)
@@ -173,7 +173,7 @@ func TestRangesTakeWholeGroups(t *testing.T) {
 		if _, err := c.SnapBytes(lo, hi); err == nil || !strings.Contains(err.Error(), "splits") {
 			t.Errorf("SnapBytes(%d, %d) = %v, want a split-group error", lo, hi, err)
 		}
-		c.StatsRange(lo, hi)
+		mustPanic("StatsRange", func() { c.StatsRange(lo, hi) })
 	}
 
 	// A snapshot cut down to half a group, in memory and through the

@@ -16,9 +16,16 @@ func (c *Cache) CheckInvariants() error {
 			global := si*c.perShard + i
 			// The policy knows the set as idx of grp: a wrong pair steers
 			// every callback at another set's recency and partition state.
-			if g := &sh.groups[i/gs]; ls.grp != g || ls.idx != i%gs || len(g.sets) != gs || &g.sets[ls.idx] != ls {
+			g := &sh.groups[i/gs]
+			if ls.grp != g || ls.idx != i%gs || len(g.sets) != gs || &g.sets[ls.idx] != ls {
 				sh.mu.Unlock()
 				return fmt.Errorf("set %d: not set %d of its shard's group %d", global, i%gs, i/gs)
+			}
+			if ls.idx == 0 {
+				if err := g.ops.check(); err != nil {
+					sh.mu.Unlock()
+					return fmt.Errorf("group at set %d: %w", global, err)
+				}
 			}
 			valid, dirty := 0, 0
 			seen := map[string]bool{}
@@ -31,20 +38,21 @@ func (c *Cache) CheckInvariants() error {
 				if e.dirty {
 					dirty++
 				}
-				if seen[e.key] {
+				key := e.key()
+				if seen[key] {
 					sh.mu.Unlock()
-					return fmt.Errorf("set %d: duplicate key %q", global, e.key)
+					return fmt.Errorf("set %d: duplicate key %q", global, key)
 				}
-				seen[e.key] = true
-				h := HashKey(e.key)
+				seen[key] = true
+				h := HashKey(key)
 				if got := int(h & c.mask); got != global {
 					sh.mu.Unlock()
-					return fmt.Errorf("set %d holds key %q that hashes to set %d", global, e.key, got)
+					return fmt.Errorf("set %d holds key %q that hashes to set %d", global, key, got)
 				}
 				// find probes the tag first: a wrong one hides a resident key.
 				if uint64(ls.tags[w]) != h {
 					sh.mu.Unlock()
-					return fmt.Errorf("set %d way %d key %q: stale tag %#x", global, w, e.key, uint64(ls.tags[w]))
+					return fmt.Errorf("set %d way %d key %q: stale tag %#x", global, w, key, uint64(ls.tags[w]))
 				}
 			}
 			if valid != ls.validCount || dirty != ls.dirtyCount {
@@ -52,7 +60,7 @@ func (c *Cache) CheckInvariants() error {
 				return fmt.Errorf("set %d: counted valid=%d dirty=%d, cached valid=%d dirty=%d",
 					global, valid, dirty, ls.validCount, ls.dirtyCount)
 			}
-			if err := checkSetCounters(global, ls, seen, c.cfg.Ways, c.mask); err != nil {
+			if err := checkNegs(global, ls, seen, c.cfg.Ways, c.mask); err != nil {
 				sh.mu.Unlock()
 				return err
 			}
@@ -62,13 +70,9 @@ func (c *Cache) CheckInvariants() error {
 	return nil
 }
 
-// checkSetCounters verifies one set's counter conservation (the shared
-// Counters.check) and its negative-cache structure, under the shard
-// lock.
-func checkSetCounters(global int, ls *lset, resident map[string]bool, ways int, mask uint64) error {
-	if err := ls.ops.check(); err != nil {
-		return fmt.Errorf("set %d: %w", global, err)
-	}
+// checkNegs verifies one set's negative-cache structure, under the
+// shard lock.
+func checkNegs(global int, ls *lset, resident map[string]bool, ways int, mask uint64) error {
 	if len(ls.negs) > ways {
 		return fmt.Errorf("set %d: negative cache holds %d entries, cap is %d ways", global, len(ls.negs), ways)
 	}

@@ -3,7 +3,10 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"rwp/internal/mem"
 	"rwp/internal/snap"
@@ -15,7 +18,7 @@ import (
 // with on every lookup.
 func refFind(s *lset, key string) int {
 	for w := range s.entries {
-		if e := &s.entries[w]; e.valid && e.key == key {
+		if e := &s.entries[w]; e.valid && e.key() == key {
 			return w
 		}
 	}
@@ -228,36 +231,78 @@ func TestValueBuffersNeverAlias(t *testing.T) {
 	}
 }
 
-// TestRetainedCapacityIsBounded: a way reuses its value buffer, but not
-// at any price — after holding 1 MiB it must let go of it when a small
-// value arrives, by overwrite and by refill alike, or a server that once
-// stored large values would pin them per way for good.
+// TestEntryFootprint pins what a resident entry costs. A way's payload
+// is one 32-byte entry and one buffer holding key and value together,
+// and the ledger lives on the group, not on every set. The default
+// cache after 16 384 inserts of 64-byte values under "k:<i>" keys —
+// 14 740 resident — holds 2 158 592 bytes of heap (146 B per entry);
+// with a key object beside a value buffer in a 48-byte entry and a
+// ledger per set it held 2 654 064 (180 B per entry).
+func TestEntryFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 32 {
+		t.Errorf("entry is %d bytes, want 32", got)
+	}
+	const inserts, resident, limit = 16_384, 14_740, 2_359_296 // 2.25 MiB
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	c, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 64)
+	for i, n := 0, 0; n < inserts; i++ {
+		if c.Put("k:"+strconv.Itoa(i), val) {
+			n++
+		}
+	}
+	grown := int64(heap()) - int64(before)
+	if got := c.Stats().Entries; got != resident {
+		t.Fatalf("%d entries resident after %d inserts, want %d", got, inserts, resident)
+	}
+	runtime.KeepAlive(c)
+	t.Logf("heap grew %d B for %d entries (%d B/entry)", grown, resident, grown/resident)
+	if grown > limit {
+		t.Errorf("heap grew %d B for %d resident entries, want at most %d", grown, resident, limit)
+	}
+}
+
+// TestRetainedCapacityIsBounded: a way reuses its buffer, but not at any
+// price — after holding a 1 MiB value it must let go of it when a small
+// one arrives, by overwrite and by refill alike, or a server that once
+// stored large values would pin them per way for good. The bound counts
+// the key and the value the buffer holds together.
 func TestRetainedCapacityIsBounded(t *testing.T) {
 	cfg := tinyConfig("rwp")
 	cfg.Sets, cfg.Ways = 1, 1
 	c := mustNew(t, cfg)
 	e := &c.shards[0].sets[0].entries[0]
 	big, small := make([]byte, 1<<20), make([]byte, 64)
-	bound := max(retainFactor*len(small), retainMin)
+	bound := max(retainFactor*(len("a")+len(small)), retainMin)
 
 	c.Put("a", big)
-	if cap(e.val) < len(big) {
-		t.Fatalf("stored %d bytes in a %d-byte buffer", len(big), cap(e.val))
+	if cap(e.kv) < 1+len(big) {
+		t.Fatalf("stored %d bytes in a %d-byte buffer", 1+len(big), cap(e.kv))
 	}
 	c.Put("a", small) // overwrite
-	if cap(e.val) > bound {
-		t.Errorf("overwrite with 64 B kept a %d-byte buffer, want at most %d", cap(e.val), bound)
+	if cap(e.kv) > bound || e.key() != "a" || !bytes.Equal(e.val(), small) {
+		t.Errorf("overwrite with 64 B kept a %d-byte buffer (key %q), want at most %d", cap(e.kv), e.key(), bound)
 	}
 	c.Put("a", big)
 	c.Put("b", small) // evicts a, refills the way
-	if e.key != "b" || cap(e.val) > bound {
-		t.Errorf("refill with 64 B (way now holds %q) kept a %d-byte buffer, want at most %d", e.key, cap(e.val), bound)
+	if e.key() != "b" || cap(e.kv) > bound {
+		t.Errorf("refill with 64 B (way now holds %q) kept a %d-byte buffer, want at most %d", e.key(), cap(e.kv), bound)
 	}
 	// The steady state still reuses: same-size traffic never reallocates.
-	before := &e.val[0]
+	before := &e.kv[0]
 	c.Put("b", small)
 	c.Put("c", small)
-	if &e.val[0] != before {
+	if &e.kv[0] != before {
 		t.Error("a same-sized overwrite and refill replaced the way's buffer")
 	}
 }

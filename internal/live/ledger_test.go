@@ -52,7 +52,7 @@ func TestCountersEnumeration(t *testing.T) {
 
 // TestCountersCoverage: everything that copies, sums or clears the
 // ledger — Stats aggregation, Stats.Add, the snapshot vector through
-// the wire encoding and back into a set, ResetStats — carries every
+// the wire encoding and back into a group, ResetStats — carries every
 // counter and every cost-table cell, checked with a distinct sentinel
 // per field.
 func TestCountersCoverage(t *testing.T) {
@@ -67,15 +67,15 @@ func TestCountersCoverage(t *testing.T) {
 	}
 
 	c := mustNew(t, tinyConfig("rwp"))
-	c.shards[0].sets[0].ops = want
-	c.shards[0].sets[0].costs = wantCosts
+	c.shards[0].groups[0].ops = want
+	c.shards[0].groups[0].costs = wantCosts
 
 	if got := c.Stats().Counters; got != want {
 		t.Errorf("Stats dropped a counter:\ngot  %+v\nwant %+v", got, want)
 	}
 	var sum Stats
 	sum.Add(c.Stats())
-	sum.Add(c.StatsRange(0, 1))
+	sum.Add(c.StatsRange(0, c.Sets()))
 	if sum.Counters != double {
 		t.Errorf("Stats.Add dropped a counter:\ngot  %+v\nwant %+v", sum.Counters, double)
 	}
@@ -86,16 +86,16 @@ func TestCountersCoverage(t *testing.T) {
 	}
 	// Sentinels break the conservation laws on purpose, so go around
 	// checkSnapshot: this is about the vector, not its validation.
-	if len(s.Records[0].Ops) != ledgerLen {
-		t.Fatalf("ledger vector holds %d cells, want %d", len(s.Records[0].Ops), ledgerLen)
+	if len(s.Groups[0].Ops) != ledgerLen {
+		t.Fatalf("ledger vector holds %d cells, want %d", len(s.Groups[0].Ops), ledgerLen)
 	}
-	var ls lset
-	ls.setLedger(s.Records[0].Ops)
-	if ls.ops != want {
-		t.Errorf("snapshot round trip dropped a counter:\ngot  %+v\nwant %+v", ls.ops, want)
+	var g group
+	g.setLedger(s.Groups[0].Ops)
+	if g.ops != want {
+		t.Errorf("snapshot round trip dropped a counter:\ngot  %+v\nwant %+v", g.ops, want)
 	}
-	if ls.costs != wantCosts {
-		t.Errorf("snapshot round trip dropped a cost cell:\ngot  %v\nwant %v", ls.costs, wantCosts)
+	if g.costs != wantCosts {
+		t.Errorf("snapshot round trip dropped a cost cell:\ngot  %v\nwant %v", g.costs, wantCosts)
 	}
 	if got := c.Stats(); !reflect.DeepEqual(got.CostHistClean, wantCosts.hist(partClean)) || !reflect.DeepEqual(got.CostHistDirty, wantCosts.hist(partDirty)) {
 		t.Errorf("Stats dropped a cost cell: clean %v dirty %v, want table %v", got.CostHistClean, got.CostHistDirty, wantCosts)
@@ -172,7 +172,7 @@ func TestCountersLaws(t *testing.T) {
 func TestRestoreRejectsBrokenLaws(t *testing.T) {
 	src := mustNew(t, tinyConfig("rwp"))
 	src.Put("k", []byte("v"))
-	src.shards[0].sets[1].ops = lawAbiding
+	src.shards[0].groups[0].ops = lawAbiding
 
 	target := mustNew(t, tinyConfig("rwp"))
 	if _, err := target.RestoreBytes(snap.Encode(src.Snapshot())); err != nil {
@@ -182,9 +182,9 @@ func TestRestoreRejectsBrokenLaws(t *testing.T) {
 
 	for _, tc := range lawBreakers {
 		s := src.Snapshot()
-		broken := lset{ops: countersFromVector(s.Records[1].Ops)}
+		broken := group{ops: countersFromVector(s.Groups[0].Ops)}
 		tc.mut(&broken.ops)
-		s.Records[1].Ops = broken.ledger()
+		s.Groups[0].Ops = broken.ledger()
 
 		_, rangeErr := target.RestoreRange(s)
 		_, bytesErr := target.RestoreBytes(snap.Encode(s))

@@ -29,11 +29,11 @@
 // -race); only the interleaving — and therefore the exact counter
 // values — is scheduling-dependent, as for any concurrent cache.
 //
-// Accounting is one ledger: an operation writes its set's Counters
-// block and charges one cell of the set's cost table, under the shard
-// lock, and nothing else. Every reported view — Stats, the probe
-// section, merged cluster documents, snapshots — is derived from those
-// per-set sums when somebody reads, so all of them are
+// Accounting is one ledger per group: an operation writes its group's
+// Counters block and charges one cell of the group's cost table, under
+// the shard lock, and nothing else. Every reported view — Stats, the
+// probe section, merged cluster documents, snapshots — is derived from
+// those per-group sums when somebody reads, so all of them are
 // order-independent and the /stats payload served by cmd/rwpserve is
 // shard-count invariant.
 package live
@@ -175,7 +175,7 @@ const (
 	partDirty
 )
 
-// costTable is a set's service-cost ledger: completed operations by
+// costTable is a group's service-cost ledger: completed operations by
 // partition and cost class. The sparse sorted probe.CostHist form
 // exists only where it is read (Stats, snapshots).
 type costTable [2][numCostClasses]uint64
@@ -272,17 +272,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// entry is one way's payload: the resident key-value pair and its
+// entry is one way's payload: the resident key and value in one
+// buffer, kv[:klen] the key and kv[klen:] the value, and the way's
 // state bits. The way's tag — the key hash find probes first, and the
 // policy's line identity — lives apart from it, packed in lset.tags.
 type entry struct {
-	key   string
-	val   []byte
+	kv    []byte
+	klen  uint32
 	valid bool
 	dirty bool // written at fill or since (RWP's partition criterion)
 }
 
-// lset is one cache set; its replacement policy belongs to its group.
+// key views the entry's key bytes as a string: valid only while the
+// shard lock is held and the way is not rewritten.
+func (e *entry) key() string { return borrowString(e.kv[:e.klen]) }
+
+// val is the entry's value bytes, under the same rule as key: a reader
+// copies them out before releasing the shard lock.
+func (e *entry) val() []byte { return e.kv[e.klen:] }
+
+// lset is one cache set; its replacement policy and its ledger belong
+// to its group.
 //
 // The layout is the simulator's (cache.Cache): tags packed by way, the
 // payload beside them. A probe scans the tags — two host cache lines at
@@ -290,7 +300,7 @@ type entry struct {
 // place that writes a way, so a valid way's tag is always its key's
 // HashKey (CheckInvariants holds it to that).
 type lset struct {
-	// tags[w] is HashKey of entries[w].key, carved from the shard's
+	// tags[w] is HashKey of entries[w].key(), carved from the shard's
 	// slab. Meaningful only while entries[w].valid.
 	tags    []mem.LineAddr
 	entries []entry
@@ -299,14 +309,11 @@ type lset struct {
 	idx        int
 	validCount int
 	dirtyCount int
-	// ops and costs are the set's ledger — all an operation writes
-	// besides the entries themselves: ops once per event, costs one cell
-	// per completed Get/Put. Per-set — not per-shard — so StatsRange can
-	// attribute them to ring-shard set ranges and the cluster's merged
-	// document stays exact. Both are cumulative history: ResetRange
-	// preserves them, ResetStats clears them.
-	ops   Counters
-	costs costTable
+	// clock is the set's operation count — every Get and Put that
+	// probes it — on which NegOps verdicts and LeaseOps leases are
+	// measured. It is not history: ResetStats and ResetRange leave it
+	// running, so no reset can stretch or cut short a window in flight.
+	clock uint64
 	// negs is the set's negative cache (fill.go): keys the Loader
 	// recently reported absent, with op-count expiry deadlines. A
 	// bounded slice, not a map — lookups are linear like find, and
@@ -323,6 +330,14 @@ type group struct {
 	sets []lset // a window of the shard's sets
 	pol  cache.Policy
 	rwp  *core.RWP // non-nil iff the policy is RWP
+	// ops and costs are the group's ledger — all an operation writes
+	// besides the entries themselves: ops once per event, costs one cell
+	// per completed Get/Put. A group never spans a lock shard or a
+	// cluster ring range, so StatsRange still attributes them to
+	// ring-shard set ranges exactly. Both are cumulative history:
+	// ResetRange preserves them, ResetStats clears them.
+	ops   Counters
+	costs costTable
 }
 
 // NumSets implements cache.StateReader.
@@ -371,48 +386,67 @@ func (s *lset) find(key string, tag mem.LineAddr) int {
 		if t != tag {
 			continue
 		}
-		if e := &s.entries[w]; e.valid && e.key == key {
+		if e := &s.entries[w]; e.valid && e.key() == key {
 			return w
 		}
 	}
 	return -1
 }
 
-// A way keeps its value buffer across overwrites and refills, so the
-// steady state stores without allocating. Left unbounded that would pin
-// the largest value a way ever held: a buffer is reused only while its
-// capacity is at most retainFactor times what the new value needs, or
-// retainMin bytes, below which shrinking saves nothing.
+// A way keeps its buffer across overwrites and refills, so the steady
+// state stores without allocating. Left unbounded that would pin the
+// largest key and value a way ever held: a buffer is reused only while
+// its capacity is at most retainFactor times what the new key and value
+// need, or retainMin bytes, below which shrinking saves nothing.
 const (
 	retainFactor = 4
 	retainMin    = 256
 )
 
-// storeVal copies val into a way's value buffer old and returns the
-// buffer to store: old itself when it fits val without hoarding, an
-// exact-fit allocation otherwise. Reuse is safe because nobody outside
-// the shard lock holds old — every reader of entry.val (get, miss's
-// coalesced join, snapSet) copies the bytes out under the lock.
+// reserve returns the way's buffer cut to its first keep bytes, with
+// room for need bytes in all: kv itself when it fits without hoarding,
+// otherwise a fresh allocation holding a copy of those keep bytes.
+// Reuse is safe because nobody outside the shard lock holds kv — every
+// reader of an entry (get, miss's coalesced join, snapSet) copies the
+// bytes out under the lock.
 //
 //rwplint:hotpath — every overwrite and fill; allocates only when the way's buffer cannot be reused
-func storeVal(old, val []byte) []byte {
-	if cap(old) < len(val) || cap(old) > max(retainFactor*len(val), retainMin) {
-		old = nil
+func (e *entry) reserve(keep, need int) []byte {
+	kv := e.kv[:keep]
+	if cap(kv) < need || cap(kv) > max(retainFactor*need, retainMin) {
+		// Every allocator size class is a multiple of 8 bytes, so the
+		// rounded capacity costs no heap and lets a key or value a few
+		// bytes longer reuse the buffer later.
+		//rwplint:allow hotalloc — the way's one buffer, only when it cannot be reused; pinned by TestFillAllocs
+		kv = make([]byte, keep, (need+7)&^7)
+		copy(kv, e.kv[:keep])
 	}
-	return append(old[:0], val...)
+	return kv
+}
+
+// setVal replaces the entry's value, leaving the key bytes in place.
+//
+//rwplint:hotpath — every Put overwrite; must stay allocation-free over a buffer that fits
+func (e *entry) setVal(val []byte) {
+	kv := e.reserve(int(e.klen), int(e.klen)+len(val))
+	kv = append(kv, val...)
+	e.kv = kv
 }
 
 // install writes (key, val) into way: tag, payload and state bits
-// together, the only writer of any of them besides initGroup's clear.
-// Occupancy counts and the policy callbacks are the caller's (fill,
-// restoreGroup).
+// together, the only writer of any of them besides initGroup's clear
+// and a Put overwrite's setVal. The key's bytes are copied, so a
+// borrowed key may be passed. Occupancy counts and the policy callbacks
+// are the caller's (fill, restoreGroup).
 //
 //rwplint:hotpath — every fill
 func (s *lset) install(way int, key string, tag mem.LineAddr, val []byte, dirty bool) {
 	e := &s.entries[way]
 	s.tags[way] = tag
-	e.key = key
-	e.val = storeVal(e.val, val)
+	kv := e.reserve(0, len(key)+len(val))
+	kv = append(kv, key...)
+	kv = append(kv, val...)
+	e.kv, e.klen = kv, uint32(len(key))
 	e.valid, e.dirty = true, dirty
 }
 
@@ -486,9 +520,9 @@ func groupRWPConfig(cfg core.Config, groupSets int) core.Config {
 // initGroup (re)builds one group to its freshly-constructed state:
 // empty entries, cleared tags, zero occupancy in every set, and a
 // brand-new policy instance; it returns how many entries that dropped.
-// The slabs are New's. The sets' ledgers are deliberately left
-// untouched — they are cumulative history, and ResetRange must not
-// un-count work that happened.
+// The slabs are New's. The group's ledger is deliberately left
+// untouched — it is cumulative history, and ResetRange must not
+// un-count work that happened — and so are the sets' clocks.
 func initGroup(g *group, cfg Config) (purged int) {
 	for i := range g.sets {
 		ls := &g.sets[i]
@@ -527,10 +561,13 @@ func (c *Cache) CheckRange(lo, hi int) error {
 	return nil
 }
 
-// eachShard calls fn, under the shard's lock, for every shard holding
-// sets of the global range [lo, hi), in ascending set order: sets is the
-// shard's part of the range and base the global index of sets[0].
-func (c *Cache) eachShard(lo, hi int, fn func(sets []lset, base int)) {
+// eachGroup calls fn, under its shard's lock, for every policy group of
+// the global range [lo, hi), which the caller has checked holds whole
+// groups (CheckRange), in ascending set order: base is the global index
+// of the group's first set. Each shard is locked once for all its
+// groups in the range.
+func (c *Cache) eachGroup(lo, hi int, fn func(g *group, base int)) {
+	gs := GroupSets(c.cfg.Sets)
 	for si, sh := range c.shards {
 		first := si * c.perShard
 		from, to := max(lo, first), min(hi, first+c.perShard)
@@ -538,7 +575,9 @@ func (c *Cache) eachShard(lo, hi int, fn func(sets []lset, base int)) {
 			continue
 		}
 		sh.mu.Lock()
-		fn(sh.sets[from-first:to-first], from)
+		for gi := (from - first) / gs; gi < (to-first)/gs; gi++ {
+			fn(&sh.groups[gi], first+gi*gs)
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -560,12 +599,7 @@ func (c *Cache) ResetRange(lo, hi int) (purged int) {
 	if err := c.CheckRange(lo, hi); err != nil {
 		panic("live: ResetRange: " + err.Error())
 	}
-	c.eachShard(lo, hi, func(sets []lset, _ int) {
-		// Shards and the range both hold whole groups, so sets does too.
-		for i := 0; i < len(sets); i += len(sets[i].grp.sets) {
-			purged += initGroup(sets[i].grp, c.cfg)
-		}
-	})
+	c.eachGroup(lo, hi, func(g *group, _ int) { purged += initGroup(g, c.cfg) })
 	return purged
 }
 
@@ -642,10 +676,11 @@ func (c *Cache) PutBytes(key, val []byte) (inserted bool) {
 
 // borrowString views b as a string without copying it. The string is
 // valid only while b's bytes are unchanged — the current call, for
-// GetAppend and PutBytes. It may be hashed, compared and used as a map
-// lookup key; anything that outlives the call (an entry, a negs or
-// fills key, the Loader argument, a ReqLog event) takes ownedKey's
-// copy instead. This is the package's only use of unsafe.
+// GetAppend and PutBytes; the shard lock's hold, for an entry's key. It
+// may be hashed, compared, copied into a way's buffer and used as a map
+// lookup key; anything that outlives the call (a negs or fills key, the
+// Loader argument, a ReqLog event) takes ownedKey's copy instead. This
+// is the package's only use of unsafe.
 func borrowString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
@@ -670,30 +705,32 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 	sh, ls := c.locate(h)
 	ai := cache.AccessInfo{Line: mem.LineAddr(h), Class: cache.DemandLoad}
 	sh.mu.Lock()
-	ls.ops.Gets++
+	ls.clock++
+	g := ls.grp
+	g.ops.Gets++
 	if way := ls.find(key, ai.Line); way >= 0 {
 		e := &ls.entries[way]
-		ls.ops.GetHits++
+		g.ops.GetHits++
 		if e.dirty {
-			ls.ops.GetHitsDirty++
-			ls.costs[partDirty][classHit]++
+			g.ops.GetHitsDirty++
+			g.costs[partDirty][classHit]++
 		} else {
-			ls.ops.GetHitsClean++
-			ls.costs[partClean][classHit]++
+			g.ops.GetHitsClean++
+			g.costs[partClean][classHit]++
 		}
-		ls.grp.pol.OnHit(ls.idx, way, ai)
+		g.pol.OnHit(ls.idx, way, ai)
 		// Copy while the entry is stable, then release before returning:
 		// the caller must never see bytes a later Put could overwrite.
 		// With dst nil this is Get's copy-out, the hit path's one
 		// allocation; GetAppend's callers reuse dst and pay none.
-		dst = append(dst, e.val...)
+		dst = append(dst, e.val()...)
 		sh.mu.Unlock()
 		c.logGet(key, borrowed, set, probe.OutcomeHit, CostHit)
 		return dst, true, true
 	}
-	ls.ops.GetMisses++
+	g.ops.GetMisses++
 	if c.cfg.Loader == nil {
-		ls.costs[partClean][classMiss]++
+		g.costs[partClean][classMiss]++
 		sh.mu.Unlock()
 		c.logGet(key, borrowed, set, probe.OutcomeMiss, CostMiss)
 		return dst, false, false
@@ -702,9 +739,9 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 	// The rest of the miss — defenses, the Loader call, the install and
 	// its accounting — is miss (fill.go), which takes the lock back
 	// itself (no helper ever inherits a held lock across the call
-	// boundary). It may retain the key — the Loader, the fills map, negs,
-	// the installed entry — so a borrowed key is copied once here, on
-	// the path that is about to pay a backend round trip.
+	// boundary). It may retain the key — the Loader, the fills map, negs
+	// — so a borrowed key is copied once here, on the path that is about
+	// to pay a backend round trip.
 	return c.miss(dst, sh, ls, ownedKey(key, borrowed), set, ai)
 }
 
@@ -755,57 +792,58 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	sh, ls := c.locate(h)
 	ai := cache.AccessInfo{Line: mem.LineAddr(h), Class: cache.DemandStore}
 	sh.mu.Lock()
-	ls.ops.Puts++
+	ls.clock++
+	g := ls.grp
+	g.ops.Puts++
 	if way := ls.find(key, ai.Line); way >= 0 {
 		e := &ls.entries[way]
-		ls.ops.PutHits++
+		g.ops.PutHits++
 		if e.dirty {
-			ls.ops.PutHitsDirty++
+			g.ops.PutHitsDirty++
 		} else {
-			ls.ops.PutHitsClean++
+			g.ops.PutHitsClean++
 			e.dirty = true
 			ls.dirtyCount++
 		}
-		e.val = storeVal(e.val, val)
-		ls.costs[partDirty][classHit]++
-		ls.grp.pol.OnHit(ls.idx, way, ai)
+		e.setVal(val)
+		g.costs[partDirty][classHit]++
+		g.pol.OnHit(ls.idx, way, ai)
 		sh.mu.Unlock()
 		c.logPut(key, borrowed, val, set, probe.OutcomeOverwrite, CostHit)
 		return false
 	}
-	ls.ops.PutInserts++
-	// The entry about to be installed retains the key.
-	key = ownedKey(key, borrowed)
+	g.ops.PutInserts++
 	// A write proves the key exists now: drop any negative-cache entry
 	// before the fill installs it (no-op unless NegOps is configured).
+	// Neither retains the key: the fill copies its bytes.
 	ls.negDelete(key)
 	class := classInsert
 	if ls.fill(key, val, ai, true) {
 		class = classInsertEvict
 	}
-	ls.costs[partDirty][class]++
+	g.costs[partDirty][class]++
 	sh.mu.Unlock()
-	c.logPut(key, false, val, set, probe.OutcomeInsert, classCost[class])
+	c.logPut(key, borrowed, val, set, probe.OutcomeInsert, classCost[class])
 	return true
 }
 
 // fill installs (key, val) into the set under tag ai.Line, evicting the
-// policy's victim if the set is full; the new value is copied into the
-// victim way's buffer where install can reuse it. Called with the shard
-// lock held. It reports whether the fill evicted a dirty entry — the
-// cost model's writeback surcharge trigger.
+// policy's victim if the set is full; the key and value are copied into
+// the victim way's buffer where install can reuse it. Called with the
+// shard lock held. It reports whether the fill evicted a dirty entry —
+// the cost model's writeback surcharge trigger.
 //
 //rwplint:hotpath — every Loader fill and Put insert; allocation-free over a victim whose buffer fits
 func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
 	// Neither LRU nor RWP ever asks to bypass a fill.
-	pol := ls.grp.pol
+	g, pol := ls.grp, ls.grp.pol
 	way, _ := pol.Victim(ls.idx, ai)
 	e := &ls.entries[way]
 	if e.valid {
-		ls.ops.Evictions++
+		g.ops.Evictions++
 		if e.dirty {
 			evictedDirty = true
-			ls.ops.DirtyEvictions++
+			g.ops.DirtyEvictions++
 			ls.dirtyCount--
 		}
 		pol.OnEvict(ls.idx, way, ai)
@@ -813,10 +851,10 @@ func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (e
 		ls.validCount++
 	}
 	ls.install(way, key, ai.Line, val, dirty)
-	ls.ops.Fills++
+	g.ops.Fills++
 	if dirty {
 		ls.dirtyCount++
-		ls.ops.FillsDirty++
+		g.ops.FillsDirty++
 	}
 	pol.OnFill(ls.idx, way, ai)
 	return evictedDirty

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rwp/internal/cache"
-	"rwp/internal/core"
 	"rwp/internal/mem"
 	"rwp/internal/policy"
 	"rwp/internal/recency"
@@ -16,10 +15,10 @@ import (
 // purpose:
 //
 //   - RestoreSnapshot is the full warm restart: entries, policy state
-//     and the ledger (counters, cost tables), so the restored server's
-//     /stats document — probe section included, it is derived from the
-//     counters — and all future behavior are byte-identical to a
-//     never-restarted run.
+//     and the groups' ledgers (counters, cost tables), so the restored
+//     server's /stats document — probe section included, it is derived
+//     from the counters — and all future behavior are byte-identical to
+//     a never-restarted run.
 //   - RestoreRange is cluster replica catch-up: entries and policy
 //     state only, for the snapshot's set range. The target node keeps
 //     its own counters — they are its cumulative history, and the
@@ -35,8 +34,10 @@ import (
 // Stampede-defense state: the defense counters (LoadAbsents,
 // CoalescedLoads, NegHits, NegInserts, LeaseExpires) travel in the
 // counter vector like every other counter. The negative cache and
-// in-flight fillCalls deliberately do not — both are transient
-// op-clocked state, and starting them cold after a restore only means
+// in-flight fillCalls deliberately do not, nor do the set clocks they
+// are timed on (a window is a difference of clock readings, so a clock
+// need not resume where it stopped). Both are transient op-clocked
+// state, and starting them cold after a restore only means
 // re-consulting the backend for a few keys; a stale absence verdict is
 // never served. Consequently restart
 // bit-equivalence is exact for NegOps == 0 configurations, and
@@ -76,25 +77,22 @@ func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
 	}
 	if hi > lo {
 		s.Records = make([]snap.SetRecord, 0, hi-lo)
+		s.Groups = make([]snap.GroupRecord, 0, (hi-lo)/GroupSets(c.cfg.Sets))
 	}
-	// Shards are contiguous ascending set ranges, so this emits records
-	// and group states in ascending global-set order — the canonical
-	// order.
-	c.eachShard(lo, hi, func(sets []lset, base int) {
-		for i := range sets {
-			ls := &sets[i]
-			s.Records = append(s.Records, snapSet(base+i, ls))
-			if rwp := ls.grp.rwp; rwp != nil && ls.idx == 0 {
-				s.Groups = append(s.Groups, rwp.ExportState())
-			}
+	// Shards are contiguous ascending set ranges, so this emits set and
+	// group records in ascending global-set order — the canonical order.
+	c.eachGroup(lo, hi, func(g *group, base int) {
+		for i := range g.sets {
+			s.Records = append(s.Records, snapSet(base+i, &g.sets[i]))
 		}
+		s.Groups = append(s.Groups, snapGroup(g))
 	})
 	return s
 }
 
-// snapSet captures one set under its shard lock.
-func snapSet(g int, ls *lset) snap.SetRecord {
-	r := snap.SetRecord{Set: g, Ops: ls.ledger()}
+// snapSet captures one set's entries under its shard lock.
+func snapSet(global int, ls *lset) snap.SetRecord {
+	r := snap.SetRecord{Set: global}
 	tab := ls.grp.recency()
 	for pos := 0; pos < len(ls.entries); pos++ {
 		way := tab.At(ls.idx, pos)
@@ -105,10 +103,20 @@ func snapSet(g int, ls *lset) snap.SetRecord {
 			break
 		}
 		r.Entries = append(r.Entries, snap.Entry{
-			Key:   e.key,
-			Value: append([]byte(nil), e.val...),
+			Key:   string(e.kv[:e.klen]),
+			Value: append([]byte(nil), e.val()...),
 			Dirty: e.dirty,
 		})
+	}
+	return r
+}
+
+// snapGroup captures one group's ledger and, under RWP, its predictor.
+func snapGroup(g *group) snap.GroupRecord {
+	r := snap.GroupRecord{Ops: g.ledger()}
+	if g.rwp != nil {
+		st := g.rwp.ExportState()
+		r.RWP = &st
 	}
 	return r
 }
@@ -153,8 +161,9 @@ func (c *Cache) RestoreRange(s *snap.Snapshot) (purged int, err error) {
 
 // checkSnapshot validates s against this cache completely — config
 // match, whole-group coverage, per-set entry counts, key-to-set hashing,
-// key uniqueness, the ledger vector's length and conservation laws, one
-// well-shaped RWP state per group — before any mutation. snap.Decode
+// key uniqueness, one group record per group with a ledger vector of the
+// right length that obeys the conservation laws, and under RWP a
+// well-shaped predictor state in each — before any mutation. snap.Decode
 // already enforces the format's self-contained invariants for
 // snapshots read from bytes; in-memory snapshots get the same scrutiny
 // here. Every restore entry point runs it, counters-preserving
@@ -193,25 +202,30 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 				}
 			}
 		}
-		if len(r.Ops) != ledgerLen {
-			return fmt.Errorf("live: set %d carries a %d-cell ledger, want %d", r.Set, len(r.Ops), ledgerLen)
-		}
-		ops := countersFromVector(r.Ops)
-		if err := ops.check(); err != nil {
-			return fmt.Errorf("live: set %d: %w", r.Set, err)
-		}
 	}
-	gs, want := GroupSets(c.cfg.Sets), 0
-	if c.cfg.Policy == "rwp" {
-		want = (s.Hi - s.Lo) / gs
-	}
-	if len(s.Groups) != want {
-		return fmt.Errorf("live: snapshot carries %d predictor states for range [%d,%d), want %d", len(s.Groups), s.Lo, s.Hi, want)
+	gs := GroupSets(c.cfg.Sets)
+	if want := (s.Hi - s.Lo) / gs; len(s.Groups) != want {
+		return fmt.Errorf("live: snapshot carries %d group records for range [%d,%d), want %d", len(s.Groups), s.Lo, s.Hi, want)
 	}
 	for i := range s.Groups {
-		// A group's policy shadows its first set only: one sampler.
-		if err := s.Groups[i].Validate(c.cfg.Ways, 1); err != nil {
-			return fmt.Errorf("live: group at set %d: %w", s.Lo+i*gs, err)
+		gr, at := &s.Groups[i], s.Lo+i*gs
+		if len(gr.Ops) != ledgerLen {
+			return fmt.Errorf("live: group at set %d carries a %d-cell ledger, want %d", at, len(gr.Ops), ledgerLen)
+		}
+		ops := countersFromVector(gr.Ops)
+		if err := ops.check(); err != nil {
+			return fmt.Errorf("live: group at set %d: %w", at, err)
+		}
+		switch {
+		case c.cfg.Policy != "rwp" && gr.RWP != nil:
+			return fmt.Errorf("live: group at set %d carries a predictor under %s", at, c.cfg.Policy)
+		case c.cfg.Policy == "rwp" && gr.RWP == nil:
+			return fmt.Errorf("live: group at set %d carries no predictor", at)
+		case gr.RWP != nil:
+			// A group's policy shadows its first set only: one sampler.
+			if err := gr.RWP.Validate(c.cfg.Ways, 1); err != nil {
+				return fmt.Errorf("live: group at set %d: %w", at, err)
+			}
 		}
 	}
 	return nil
@@ -221,42 +235,38 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 // restores counters and cost histograms; catch-up keeps the target's.
 // Infallible by construction: every failure mode was checked.
 func (c *Cache) applyRange(s *snap.Snapshot, full bool) (purged int) {
-	gs := GroupSets(c.cfg.Sets)
-	c.eachShard(s.Lo, s.Hi, func(sets []lset, base int) {
-		// Shards and the range both hold whole groups, so sets does too.
-		for i := 0; i < len(sets); i += gs {
-			at := base + i - s.Lo
-			var st *core.State
-			if s.Groups != nil {
-				st = &s.Groups[at/gs]
-			}
-			purged += restoreGroup(sets[i].grp, c.cfg, s.Records[at:at+gs], st, full)
-		}
+	c.eachGroup(s.Lo, s.Hi, func(g *group, base int) {
+		at, gs := base-s.Lo, len(g.sets)
+		purged += restoreGroup(g, c.cfg, s.Records[at:at+gs], &s.Groups[at/gs], full)
 	})
 	return purged
 }
 
-// restoreGroup rebuilds one group from its sets' records: a fresh
-// policy, then each set's recorded entries replayed as fills LRU-first
-// into ways 0..K-1, then the predictor state (nil for LRU). It returns
-// the number of entries the group held before.
-func restoreGroup(g *group, cfg Config, recs []snap.SetRecord, st *core.State, full bool) (purged int) {
+// restoreGroup rebuilds one group from its records: a fresh policy,
+// then each set's recorded entries replayed as fills LRU-first into
+// ways 0..K-1, then the predictor state (none for LRU) and, for a full
+// restore, the ledger. It returns the number of entries the group held
+// before.
+func restoreGroup(g *group, cfg Config, recs []snap.SetRecord, gr *snap.GroupRecord, full bool) (purged int) {
 	purged = initGroup(g, cfg)
 	for i := range recs {
-		restoreSet(&g.sets[i], &recs[i], full)
+		restoreSet(&g.sets[i], &recs[i])
 	}
 	if g.rwp != nil {
-		if err := g.rwp.RestoreState(*st); err != nil {
+		if err := g.rwp.RestoreState(*gr.RWP); err != nil {
 			// checkSnapshot validated this exact state; failing here is
 			// a programming error, not an input condition.
 			panic("live: pre-validated RWP state rejected: " + err.Error())
 		}
 	}
+	if full {
+		g.setLedger(gr.Ops)
+	}
 	return purged
 }
 
 // restoreSet replays one record into a freshly initialized set.
-func restoreSet(ls *lset, r *snap.SetRecord, full bool) {
+func restoreSet(ls *lset, r *snap.SetRecord) {
 	n := len(r.Entries)
 	for i := n - 1; i >= 0; i-- {
 		way := n - 1 - i
@@ -273,9 +283,6 @@ func restoreSet(ls *lset, r *snap.SetRecord, full bool) {
 		// written bits) without advancing the interval clock or
 		// counting ops — those transfer as state.
 		ls.grp.pol.OnFill(ls.idx, way, cache.AccessInfo{Line: tag, Class: class})
-	}
-	if full {
-		ls.setLedger(r.Ops)
 	}
 }
 

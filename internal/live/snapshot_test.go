@@ -154,26 +154,27 @@ func TestRestoreSnapshotRejects(t *testing.T) {
 			}
 			t.Fatal("no resident entries to corrupt")
 		}},
-		{name: "corrupt rwp state", mut: func(s *snap.Snapshot) { s.Groups[3].RetargetUp++ }},
+		{name: "corrupt rwp state", mut: func(s *snap.Snapshot) { s.Groups[3].RWP.RetargetUp++ }},
 		{name: "two samplers in a group", mut: func(s *snap.Snapshot) {
-			s.Groups[3].Samplers = append(s.Groups[3].Samplers, s.Groups[3].Samplers[0])
+			s.Groups[3].RWP.Samplers = append(s.Groups[3].RWP.Samplers, s.Groups[3].RWP.Samplers[0])
 		}},
-		{name: "missing group state", mut: func(s *snap.Snapshot) { s.Groups = s.Groups[:len(s.Groups)-1] }},
-		{name: "a state per set", mut: func(s *snap.Snapshot) {
+		{name: "missing group record", mut: func(s *snap.Snapshot) { s.Groups = s.Groups[:len(s.Groups)-1] }},
+		{name: "a group record per set", mut: func(s *snap.Snapshot) {
 			for len(s.Groups) < len(s.Records) {
 				s.Groups = append(s.Groups, s.Groups[0])
 			}
 		}},
+		{name: "group without its predictor", mut: func(s *snap.Snapshot) { s.Groups[3].RWP = nil }},
 		// The counter vector is opaque to the codec, so these arrive
 		// intact through snap.Decode and are this package's to refuse
 		// (every law, one by one: TestRestoreRejectsBrokenLaws).
-		{"short counter vector", func(s *snap.Snapshot) { r := &s.Records[5]; r.Ops = r.Ops[:len(r.Ops)-1] }, true},
-		{"long counter vector", func(s *snap.Snapshot) { r := &s.Records[5]; r.Ops = append(r.Ops, 0) }, true},
-		{"get split broken", func(s *snap.Snapshot) { s.Records[5].Ops[0]++ }, true},      // Gets
-		{"get-hit split broken", func(s *snap.Snapshot) { s.Records[5].Ops[17]++ }, true}, // GetHitsClean
-		{"put-hit split broken", func(s *snap.Snapshot) { s.Records[5].Ops[20]++ }, true}, // PutHitsDirty
-		{"dirty evictions exceed evictions", func(s *snap.Snapshot) { o := s.Records[5].Ops; o[16] = o[15] + 1 }, true},
-		{"loads exceed fills", func(s *snap.Snapshot) { o := s.Records[5].Ops; o[6] = o[13] + 1 }, true},
+		{"short counter vector", func(s *snap.Snapshot) { g := &s.Groups[5]; g.Ops = g.Ops[:len(g.Ops)-1] }, true},
+		{"long counter vector", func(s *snap.Snapshot) { g := &s.Groups[5]; g.Ops = append(g.Ops, 0) }, true},
+		{"get split broken", func(s *snap.Snapshot) { s.Groups[5].Ops[0]++ }, true},      // Gets
+		{"get-hit split broken", func(s *snap.Snapshot) { s.Groups[5].Ops[17]++ }, true}, // GetHitsClean
+		{"put-hit split broken", func(s *snap.Snapshot) { s.Groups[5].Ops[20]++ }, true}, // PutHitsDirty
+		{"dirty evictions exceed evictions", func(s *snap.Snapshot) { o := s.Groups[5].Ops; o[16] = o[15] + 1 }, true},
+		{"loads exceed fills", func(s *snap.Snapshot) { o := s.Groups[5].Ops; o[6] = o[13] + 1 }, true},
 	}
 	for _, tc := range cases {
 		s := warm.Snapshot() // fresh deep snapshot per case

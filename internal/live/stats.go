@@ -7,12 +7,12 @@ import (
 	"rwp/internal/probe"
 )
 
-// Counters are the per-set operation counters: the one block a live
+// Counters are the per-group operation counters: the one block a live
 // cache operation writes. Every field is a sum over events, so
-// aggregating them across sets is order-independent — the root of the
-// shard-count invariance guarantee. Everything else the cache reports
-// (the probe section, merged documents, snapshots) is derived from
-// these and the set's cost table when somebody reads.
+// aggregating them across groups is order-independent — the root of
+// the shard-count invariance guarantee. Everything else the cache
+// reports (the probe section, merged documents, snapshots) is derived
+// from these and the group's cost table when somebody reads.
 //
 // Adding a counter is one declaration here plus its row in fields and
 // numCounters (the compiler rejects a row beyond numCounters,
@@ -45,16 +45,16 @@ type Counters struct {
 	PutHitsDirty uint64 `json:"-"`
 }
 
-// numCounters is how many counters lead a set's ledger vector.
+// numCounters is how many counters lead a group's ledger vector.
 const numCounters = 21
 
-// ledgerLen is the length of a set's ledger vector in a snapshot: the
+// ledgerLen is the length of a group's ledger vector in a snapshot: the
 // counters in fields order, then the cost table's cells, clean row
 // first, each row in class order.
 const ledgerLen = numCounters + 2*int(numCostClasses)
 
 // fields enumerates every counter exactly once. The order is the
-// snapshot vector's (schema rwp-snap-v4): a new counter means a new
+// snapshot vector's (schema rwp-snap-v5): a new counter means a new
 // schema.
 func (c *Counters) fields() [numCounters]*uint64 {
 	return [numCounters]*uint64{
@@ -77,26 +77,26 @@ func (c *Counters) add(o Counters) {
 	}
 }
 
-// ledger renders the set's counters and cost table as the snapshot's
+// ledger renders the group's counters and cost table as the snapshot's
 // opaque vector.
-func (s *lset) ledger() []uint64 {
+func (g *group) ledger() []uint64 {
 	v := make([]uint64, 0, ledgerLen)
-	for _, f := range s.ops.fields() {
+	for _, f := range g.ops.fields() {
 		v = append(v, *f)
 	}
-	for part := range s.costs {
-		v = append(v, s.costs[part][:]...)
+	for part := range g.costs {
+		v = append(v, g.costs[part][:]...)
 	}
 	return v
 }
 
 // setLedger is ledger's inverse; the caller has checked the length
 // (checkSnapshot).
-func (s *lset) setLedger(v []uint64) {
-	s.ops = countersFromVector(v)
+func (g *group) setLedger(v []uint64) {
+	g.ops = countersFromVector(v)
 	cells := v[numCounters:]
-	for part := range s.costs {
-		cells = cells[copy(s.costs[part][:], cells):]
+	for part := range g.costs {
+		cells = cells[copy(g.costs[part][:], cells):]
 	}
 }
 
@@ -110,9 +110,9 @@ func countersFromVector(v []uint64) Counters {
 }
 
 // check is the one statement of the counter conservation laws, shared
-// by CheckInvariants (live sets) and checkSnapshot (restore input).
+// by CheckInvariants (live groups) and checkSnapshot (restore input).
 // Each asserted pair is updated inside a single lock hold on the
-// operation paths, so the equalities hold at every instant a set can
+// operation paths, so the equalities hold at every instant a group can
 // be observed under its lock, concurrent load or not; the
 // miss-resolution law alone is an inequality, because a miss is counted
 // when it probes but resolved (Loads / LoadRaces / LoadAbsents /
@@ -209,17 +209,19 @@ func (s *Stats) Add(o Stats) {
 	s.CostHistDirty.Add(o.CostHistDirty)
 }
 
-// addSet accumulates one set's counters and occupancy into s, and —
-// through the group's first set, so that disjoint ranges sum to the
-// whole however they cut a group — its group's policy state. Called
-// with the set's shard lock held.
-func (s *Stats) addSet(ls *lset) {
-	s.Counters.add(ls.ops)
-	s.Entries += ls.validCount
-	s.DirtyEntries += ls.dirtyCount
-	if rwp := ls.grp.rwp; rwp != nil && ls.idx == 0 {
+// addGroup accumulates one group's ledger, its sets' occupancy and its
+// policy state into s, and its cost table into costs. Called with the
+// group's shard lock held.
+func (s *Stats) addGroup(g *group, costs *costTable) {
+	s.Counters.add(g.ops)
+	costs.add(&g.costs)
+	for i := range g.sets {
+		s.Entries += g.sets[i].validCount
+		s.DirtyEntries += g.sets[i].dirtyCount
+	}
+	if rwp := g.rwp; rwp != nil {
 		s.Retargets += rwp.Intervals()
-		s.TargetHist[rwp.TargetDirty()] += uint64(len(ls.grp.sets))
+		s.TargetHist[rwp.TargetDirty()] += uint64(len(g.sets))
 		up, down, same := rwp.RetargetDirs()
 		s.RetargetUp += up
 		s.RetargetDown += down
@@ -227,9 +229,9 @@ func (s *Stats) addSet(ls *lset) {
 	}
 }
 
-// Stats aggregates the per-set counters and policy state. It locks one
+// Stats aggregates the per-group ledgers and policy state. It locks one
 // shard at a time, so under concurrent load the aggregate is a
-// consistent sum of per-set snapshots, not a global atomic snapshot.
+// consistent sum of per-group snapshots, not a global atomic snapshot.
 func (c *Cache) Stats() Stats { return c.StatsRange(0, c.cfg.Sets) }
 
 // StatsRange aggregates exactly the global sets in [lo, hi). The
@@ -239,23 +241,19 @@ func (c *Cache) Stats() Stats { return c.StatsRange(0, c.cfg.Sets) }
 // over its serving node covers each set exactly once, which makes the
 // merged Stats of a replication-factor-1 cluster equal the single-node
 // Stats field for field (untouched sets contribute identically on
-// both sides). Any range in bounds is legal, group-aligned or not; it
-// panics if the range is out of bounds.
+// both sides). The ledger is kept per policy group, so like ResetRange
+// it panics if the range is out of bounds or splits a group; ring
+// ranges never do (cluster.New refuses such a ring).
 func (c *Cache) StatsRange(lo, hi int) Stats {
-	if lo < 0 || hi > c.cfg.Sets || lo > hi {
-		panic("live: StatsRange out of bounds")
+	if err := c.CheckRange(lo, hi); err != nil {
+		panic("live: StatsRange: " + err.Error())
 	}
 	var s Stats
 	if c.cfg.Policy == "rwp" {
 		s.TargetHist = make([]uint64, c.cfg.Ways+1)
 	}
 	var costs costTable
-	c.eachShard(lo, hi, func(sets []lset, _ int) {
-		for i := range sets {
-			s.addSet(&sets[i])
-			costs.add(&sets[i].costs)
-		}
-	})
+	c.eachGroup(lo, hi, func(g *group, _ int) { s.addGroup(g, &costs) })
 	s.CostHistClean = costs.hist(partClean)
 	s.CostHistDirty = costs.hist(partDirty)
 	s.CostHist.Add(s.CostHistClean)
@@ -298,13 +296,12 @@ func (s *Stats) recorder() *probe.Recorder {
 }
 
 // ResetStats zeroes the operation counters and cost tables (e.g. after
-// warmup), leaving cache contents and policy state untouched — the
-// same warmup/measure split the simulator uses.
+// warmup), leaving cache contents, policy state and the sets' clocks
+// untouched — the same warmup/measure split the simulator uses. A
+// negative-cache verdict or a fill lease in flight keeps its window.
 func (c *Cache) ResetStats() {
-	c.eachShard(0, c.cfg.Sets, func(sets []lset, _ int) {
-		for i := range sets {
-			sets[i].ops = Counters{}
-			sets[i].costs = costTable{}
-		}
+	c.eachGroup(0, c.cfg.Sets, func(g *group, _ int) {
+		g.ops = Counters{}
+		g.costs = costTable{}
 	})
 }

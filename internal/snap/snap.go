@@ -1,12 +1,12 @@
 // Package snap is the deterministic snapshot format for the live RWP
-// cache: schema rwp-snap-v4, a canonical binary encoding with a
+// cache: schema rwp-snap-v5, a canonical binary encoding with a
 // CRC-32C trailer, written atomically (fsatomic). A snapshot is
 // set-indexed, never shard-indexed — it records, per global set, the
-// resident entries in recency order plus the set's ledger vector, and
-// then one RWP predictor state per policy group of consecutive sets —
-// so restoring it into a cache with any shard count reproduces the
-// same /stats document and the same future behavior as the
-// never-restarted run.
+// resident entries in recency order, and then one record per policy
+// group of consecutive sets: the group's ledger vector and, under RWP,
+// its predictor state — so restoring it into a cache with any shard
+// count reproduces the same /stats document and the same future
+// behavior as the never-restarted run.
 //
 // Way indices are deliberately absent from the format. Fills always
 // take the lowest invalid way, so a set holding K entries has exactly
@@ -34,7 +34,7 @@ import (
 )
 
 // Magic is the schema identifier leading every snapshot file; any
-// other version is rejected with ErrSchema rather than misread. A set
+// other version is rejected with ErrSchema rather than misread. A group
 // record's ledger (counters, then cost-table cells) is one opaque
 // length-prefixed vector, and nothing in the format grows with uptime —
 // in particular no per-retarget history.
@@ -42,7 +42,7 @@ import (
 // deliberately NOT in the format: both are transient op-clocked state,
 // and a restored cache starting with them cold only re-consults the
 // backend — it never serves a stale absence verdict (see DESIGN.md §16).
-const Magic = "rwp-snap-v4\n"
+const Magic = "rwp-snap-v5\n"
 
 // Limits mirror the wire protocol's: a snapshot holds the same keys
 // and values the transport carries.
@@ -56,12 +56,12 @@ const (
 	// MaxWays bounds associativity (recency tables hold way indices in
 	// a byte).
 	MaxWays = 256
-	// MaxCounters bounds the per-set ledger vector a decoder will
+	// MaxCounters bounds the per-group ledger vector a decoder will
 	// believe.
 	MaxCounters = 64
 )
 
-// ErrSchema reports a file that is not an rwp-snap-v4 snapshot at all.
+// ErrSchema reports a file that is not an rwp-snap-v5 snapshot at all.
 var ErrSchema = errors.New("snap: unrecognized snapshot schema")
 
 // ErrCorrupt reports a snapshot that declares the right schema but
@@ -81,24 +81,30 @@ type Snapshot struct {
 	Lo, Hi int
 	// Records holds exactly Hi-Lo set records; Records[i].Set == Lo+i.
 	Records []SetRecord
-	// Groups holds one RWP predictor state (one sampler each) per policy
-	// group of the range, ascending: the range's sets divide evenly among
-	// them. The group size belongs to internal/live, which checks it.
-	// Nil for non-RWP policies.
-	Groups []core.State
+	// Groups holds one record per policy group of the range, ascending:
+	// the range's sets divide evenly among them. The group size belongs
+	// to internal/live, which checks it.
+	Groups []GroupRecord
 }
 
-// SetRecord is one global set's contents and history.
+// SetRecord is one global set's contents.
 type SetRecord struct {
 	// Set is the global set index.
 	Set int
 	// Entries are the resident lines in recency order, MRU first.
 	Entries []Entry
-	// Ops is the set's cumulative ledger vector: its counters, then its
+}
+
+// GroupRecord is one policy group's history and predictor.
+type GroupRecord struct {
+	// Ops is the group's cumulative ledger vector: its counters, then its
 	// cost-table cells. The format carries it opaquely: its length, order
 	// and conservation laws belong to internal/live, whose restore paths
 	// check all three.
 	Ops []uint64
+	// RWP is the group's predictor state, with one sampler. Present iff
+	// the policy is "rwp".
+	RWP *core.State
 }
 
 // Entry is one resident line.
@@ -110,10 +116,12 @@ type Entry struct {
 
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode renders s in the canonical rwp-snap-v4 byte form. The
+// Encode renders s in the canonical rwp-snap-v5 byte form. The
 // encoding is a pure function of s: identical snapshots encode to
 // identical bytes, which is what lets check.sh cmp-gate the
-// re-snapshot fixed point.
+// re-snapshot fixed point. A group's predictor is written where it is
+// present; Decode reads one per group exactly when the policy is "rwp",
+// so a snapshot that contradicts its policy does not decode.
 func Encode(s *Snapshot) []byte {
 	b := make([]byte, 0, 1<<12)
 	b = append(b, Magic...)
@@ -131,7 +139,7 @@ func Encode(s *Snapshot) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Groups)))
 	for i := range s.Groups {
-		b = appendState(b, &s.Groups[i])
+		b = appendGroup(b, &s.Groups[i])
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTab))
 }
@@ -151,9 +159,16 @@ func appendRecord(b []byte, r *SetRecord) []byte {
 		b = append(b, e.Value...)
 		b = append(b, boolByte(e.Dirty))
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Ops)))
-	for _, v := range r.Ops {
+	return b
+}
+
+func appendGroup(b []byte, g *GroupRecord) []byte {
+	b = binary.AppendUvarint(b, uint64(len(g.Ops)))
+	for _, v := range g.Ops {
 		b = binary.AppendUvarint(b, v)
+	}
+	if g.RWP != nil {
+		b = appendState(b, g.RWP)
 	}
 	return b
 }
@@ -205,20 +220,33 @@ func (d *decoder) fail(format string, args ...any) error {
 
 func (d *decoder) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, d.fail("truncated %s", what)
+	if err := d.varintLen(what, n); err != nil {
+		return 0, err
 	}
-	d.pos += n
 	return v, nil
 }
 
 func (d *decoder) varint(what string) (int64, error) {
 	v, n := binary.Varint(d.buf[d.pos:])
+	if err := d.varintLen(what, n); err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// varintLen consumes a decoded varint's n bytes. It refuses a
+// truncated one and a padded one (a zero final byte after the first):
+// Encode writes the shortest form, so every accepted input re-encodes
+// to the same bytes.
+func (d *decoder) varintLen(what string, n int) error {
 	if n <= 0 {
-		return 0, d.fail("truncated %s", what)
+		return d.fail("truncated %s", what)
+	}
+	if n > 1 && d.buf[d.pos+n-1] == 0 {
+		return d.fail("padded %s", what)
 	}
 	d.pos += n
-	return v, nil
+	return nil
 }
 
 // count reads a uvarint bounded by max and by the remaining bytes
@@ -262,7 +290,8 @@ func (d *decoder) boolByte(what string) (bool, error) {
 // self-contained is checked here: schema, CRC, bounds, strict set
 // ordering over exactly [Lo,Hi), a group count that divides the range,
 // and RWP-state shape (core's State.Validate). On any defect the error
-// wraps ErrSchema or ErrCorrupt and no Snapshot is returned.
+// wraps ErrSchema or ErrCorrupt and no Snapshot is returned. A snapshot
+// Decode accepts re-encodes to the same bytes.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(Magic)+4 || string(data[:len(Magic)]) != Magic {
 		return nil, ErrSchema
@@ -332,24 +361,25 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		s.Records = append(s.Records, r)
 	}
-	// A group's state is at least six scalars, two histograms and two
-	// stack sizes.
-	ng, err := d.count("group count", s.Hi-s.Lo, 8+2*s.Ways)
+	// A group record is at least its ledger length; under RWP also six
+	// scalars, two histograms and two stack sizes.
+	minGroup := 1
+	if s.Policy == "rwp" {
+		minGroup += 8 + 2*s.Ways
+	}
+	ng, err := d.count("group count", s.Hi-s.Lo, minGroup)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case s.Policy != "rwp" && ng != 0:
-		return nil, d.fail("%d predictor groups contradict policy %q", ng, s.Policy)
-	case s.Policy == "rwp" && s.Hi > s.Lo && (ng == 0 || (s.Hi-s.Lo)%ng != 0):
-		return nil, d.fail("%d predictor groups do not divide range [%d,%d)", ng, s.Lo, s.Hi)
+	if s.Hi > s.Lo && (ng == 0 || (s.Hi-s.Lo)%ng != 0) {
+		return nil, d.fail("%d groups do not divide range [%d,%d)", ng, s.Lo, s.Hi)
 	}
 	for i := 0; i < ng; i++ {
-		st, err := d.rwpState(s)
+		g, err := d.group(s)
 		if err != nil {
 			return nil, err
 		}
-		s.Groups = append(s.Groups, st)
+		s.Groups = append(s.Groups, g)
 	}
 	if d.pos != len(body) {
 		return nil, d.fail("%d trailing bytes after last record", len(body)-d.pos)
@@ -384,19 +414,31 @@ func (d *decoder) record(s *Snapshot, want int) (SetRecord, error) {
 			}
 		}
 	}
+	return r, nil
+}
+
+func (d *decoder) group(s *Snapshot) (GroupRecord, error) {
+	var g GroupRecord
 	n, err := d.count("counter count", MaxCounters, 1)
 	if err != nil {
-		return r, err
+		return g, err
 	}
 	if n > 0 {
-		r.Ops = make([]uint64, n)
+		g.Ops = make([]uint64, n)
 	}
-	for i := range r.Ops {
-		if r.Ops[i], err = d.uvarint("op counter"); err != nil {
-			return r, err
+	for i := range g.Ops {
+		if g.Ops[i], err = d.uvarint("op counter"); err != nil {
+			return g, err
 		}
 	}
-	return r, nil
+	if s.Policy == "rwp" {
+		st, err := d.rwpState(s)
+		if err != nil {
+			return g, err
+		}
+		g.RWP = &st
+	}
+	return g, nil
 }
 
 func (d *decoder) entry(e *Entry) error {

@@ -14,7 +14,7 @@ import (
 )
 
 // sample builds a small but fully-populated snapshot: two sets, one
-// with entries and a ledger, in two one-set groups, one with a warm
+// with entries, in two one-set groups, one with a ledger and a warm
 // predictor (histograms, sampler stacks).
 func sample() *Snapshot {
 	st := core.State{
@@ -51,12 +51,14 @@ func sample() *Snapshot {
 					{Key: "k1", Value: []byte("v1"), Dirty: true},
 					{Key: "k2", Value: nil, Dirty: false},
 				},
-				// Opaque to this package: any vector round-trips.
-				Ops: []uint64{10, 6, 4, 0, 1 << 40},
 			},
 			{Set: 2},
 		},
-		Groups: []core.State{st, st2},
+		Groups: []GroupRecord{
+			// Opaque to this package: any vector round-trips.
+			{Ops: []uint64{10, 6, 4, 0, 1 << 40}, RWP: &st},
+			{RWP: &st2},
+		},
 	}
 }
 
@@ -85,7 +87,8 @@ func TestDecodeWrongSchema(t *testing.T) {
 		[]byte("rwp-snap-v1\nxxxxxxxxxxxxxxxx"),
 		[]byte("rwp-snap-v2\nxxxxxxxxxxxxxxxx"),
 		append([]byte("rwp-snap-v3\n"), Encode(sample())[len(Magic):]...),
-		[]byte("rwp-snap-v5\nxxxxxxxxxxxxxxxx"),
+		append([]byte("rwp-snap-v4\n"), Encode(sample())[len(Magic):]...),
+		[]byte("rwp-snap-v6\nxxxxxxxxxxxxxxxx"),
 		bytes.Repeat([]byte{0xff}, 64),
 	} {
 		if _, err := Decode(data); !errors.Is(err, ErrSchema) {
@@ -157,11 +160,11 @@ func TestDecodeStructuralRejections(t *testing.T) {
 		}},
 		{"sets not power of two", func(s *Snapshot) { s.Sets = 3 }},
 		{"zero ways", func(s *Snapshot) { s.Ways = 0 }},
-		{"counter vector beyond limit", func(s *Snapshot) { s.Records[0].Ops = make([]uint64, MaxCounters+1) }},
-		{"target beyond ways", func(s *Snapshot) { s.Groups[0].TargetDirty = 5 }},
-		{"direction sum broken", func(s *Snapshot) { s.Groups[0].RetargetUp++ }},
+		{"counter vector beyond limit", func(s *Snapshot) { s.Groups[0].Ops = make([]uint64, MaxCounters+1) }},
+		{"target beyond ways", func(s *Snapshot) { s.Groups[0].RWP.TargetDirty = 5 }},
+		{"direction sum broken", func(s *Snapshot) { s.Groups[0].RWP.RetargetUp++ }},
 		{"sampler stack beyond ways", func(s *Snapshot) {
-			s.Groups[0].Samplers[0].Clean = make([]core.SamplerEntry, 5)
+			s.Groups[0].RWP.Samplers[0].Clean = make([]core.SamplerEntry, 5)
 		}},
 		{"more groups than sets", func(s *Snapshot) { s.Groups = append(s.Groups, s.Groups[1]) }},
 		{"groups do not divide the range", func(s *Snapshot) {
@@ -193,7 +196,9 @@ func TestDecodeRejectsPolicyFlagMismatch(t *testing.T) {
 		t.Fatalf("lru with rwp state: %v, want ErrCorrupt", err)
 	}
 	s = sample()
-	s.Groups = nil
+	for i := range s.Groups {
+		s.Groups[i].RWP = nil
+	}
 	if _, err := Decode(Encode(s)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("rwp without state: %v, want ErrCorrupt", err)
 	}
@@ -207,6 +212,20 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	sealed := binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crcTab))
 	if _, err := Decode(sealed); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing bytes: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeRejectsPaddedVarint: a varint written longer than Encode
+// writes it (the policy length 3 as 0x83 0x00) is refused even under a
+// valid CRC, so every accepted snapshot re-encodes to its own bytes.
+func TestDecodeRejectsPaddedVarint(t *testing.T) {
+	data := Encode(sample())
+	body := append([]byte(nil), data[:len(Magic)]...)
+	body = append(body, 0x83, 0x00)
+	body = append(body, data[len(Magic)+1:len(data)-4]...)
+	sealed := binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crcTab))
+	if _, err := Decode(sealed); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("padded varint: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -51,10 +51,11 @@ go vet -C bench .
 go test -C bench .
 
 # Fuzz seed corpora: replay every checked-in seed (testdata/fuzz/ plus
-# the F.Add seeds) through the wire-protocol fuzz targets so a corpus
-# regression fails the gate without needing a fuzzing run.
-echo '>> go test -run=Fuzz ./internal/live/proto'
-go test -run=Fuzz ./internal/live/proto
+# the F.Add seeds) through the wire-protocol and snapshot-decoder fuzz
+# targets so a corpus regression fails the gate without needing a
+# fuzzing run.
+echo '>> go test -run=Fuzz ./internal/live/proto ./internal/snap'
+go test -run=Fuzz ./internal/live/proto ./internal/snap
 
 if [ "$short" = 0 ]; then
     echo '>> go test -race ./...'
@@ -76,6 +77,11 @@ else
     # the `go test ./...` above it is a cached result.)
     echo '>> go test -run RouterMemoryPlateaus ./internal/cluster/'
     go test -run 'RouterMemoryPlateaus' ./internal/cluster/
+    # Entry footprint: the heap a resident entry costs, and the set
+    # clock that NegOps and LeaseOps windows run on surviving a
+    # ResetStats. Named here for the same reason as the plateau.
+    echo '>> go test -run EntryFootprint|ResetStatsClock ./internal/live/'
+    go test -run 'EntryFootprint|ResetStatsClock' ./internal/live/
 fi
 
 # Engine smoke: run one experiment twice against the same cache dir.
