@@ -322,7 +322,7 @@ func TestBadArgs(t *testing.T) {
 		{"positional args", []string{"-selftest", "10", "extra"}, 2},
 		{"nothing to do", []string{}, 2},
 		{"bad mode", []string{"-selftest", "10", "-mode", "telegraph"}, 2},
-		{"bad policy", []string{"-selftest", "10", "-policy", "fifo"}, 2},
+		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2},
 		{"ring shards do not divide sets", []string{"-selftest", "10", "-ring-shards", "3"}, 2},
 		{"bad manager window", []string{"-selftest", "10", "-manager", "-window", "0"}, 2},
 		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2},

@@ -137,7 +137,7 @@ func TestRunFlagErrors(t *testing.T) {
 	}{
 		{"bad flag", []string{"-nope"}, 2},
 		{"positional args", []string{"extra"}, 2},
-		{"bad policy", []string{"-selftest", "10", "-policy", "fifo"}, 2},
+		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2},
 		{"bad geometry", []string{"-selftest", "10", "-sets", "100"}, 2},
 		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 1},
 		{"bad transport", []string{"-selftest", "10", "-transport", "carrier-pigeon"}, 2},

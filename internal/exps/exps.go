@@ -1,7 +1,7 @@
 // Package exps implements the paper's evaluation: one experiment per
 // table/figure (see DESIGN.md §5 for the index). Each experiment returns
 // both a typed result and a rendered table; cmd/rwpexp regenerates
-// EXPERIMENTS.md from them and bench_test.go exposes each as a benchmark.
+// EXPERIMENTS.md from them.
 //
 // Experiments execute through a shared internal/runner engine in two
 // phases: plan (enqueue every simulation of the experiment as a job —

@@ -31,7 +31,7 @@ func TestConfigValidate(t *testing.T) {
 		{Sets: 4, Ways: 0, Shards: 1, Policy: "lru"},
 		{Sets: 4, Ways: 2, Shards: 0, Policy: "lru"},
 		{Sets: 4, Ways: 2, Shards: 3, Policy: "lru"},
-		{Sets: 4, Ways: 2, Shards: 1, Policy: "fifo"},
+		{Sets: 4, Ways: 2, Shards: 1, Policy: "bogus"},
 		{Sets: 4, Ways: 2, Shards: 1, Policy: "rwp"}, // zero RWP config
 	}
 	for i, cfg := range bad {

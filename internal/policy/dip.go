@@ -11,71 +11,11 @@ import (
 // DIP paper).
 const DefaultBIPEpsilon = 1.0 / 32
 
-// LIP (LRU Insertion Policy) manages the stack as LRU but inserts new
-// lines at the LRU position, so a line must hit once to be promoted. It
-// protects the cache against thrashing scans.
-type LIP struct {
-	r   cache.StateReader
-	tab *recency.Table
-}
-
-// NewLIP returns a fresh LIP policy.
-func NewLIP() *LIP { return &LIP{} }
-
-// Name implements cache.Policy.
-func (p *LIP) Name() string { return "lip" }
-
-// Attach implements cache.Policy.
-func (p *LIP) Attach(r cache.StateReader) {
-	p.r = r
-	p.tab = recency.NewTable(r.NumSets(), r.Ways())
-}
-
-// OnHit implements cache.Policy.
-func (p *LIP) OnHit(set, way int, _ cache.AccessInfo) { p.tab.Touch(set, way) }
-
-// Victim implements cache.Policy.
-func (p *LIP) Victim(set int, _ cache.AccessInfo) (int, bool) {
-	if w := p.r.InvalidWay(set); w >= 0 {
-		return w, false
-	}
-	return p.tab.LRU(set), false
-}
-
-// OnEvict implements cache.Policy.
-func (p *LIP) OnEvict(int, int, cache.AccessInfo) {}
-
-// OnFill implements cache.Policy: insert at LRU.
-func (p *LIP) OnFill(set, way int, _ cache.AccessInfo) { p.tab.InsertLRU(set, way) }
-
-// BIP (Bimodal Insertion Policy) is LIP that inserts at MRU with small
-// probability epsilon, letting it retain part of a thrashing working set
-// while still adapting to LRU-friendly phases.
-type BIP struct {
-	LIP
-	epsilon float64
-	rng     *xrand.RNG
-}
-
-// NewBIP returns a BIP policy with the given MRU-insertion probability.
-func NewBIP(epsilon float64, seed uint64) *BIP {
-	return &BIP{epsilon: epsilon, rng: xrand.New(seed)}
-}
-
-// Name implements cache.Policy.
-func (p *BIP) Name() string { return "bip" }
-
-// OnFill implements cache.Policy.
-func (p *BIP) OnFill(set, way int, _ cache.AccessInfo) {
-	if p.rng.Chance(p.epsilon) {
-		p.tab.Touch(set, way)
-	} else {
-		p.tab.InsertLRU(set, way)
-	}
-}
-
-// DIP (Dynamic Insertion Policy) duels LRU insertion (policy A) against
-// BIP insertion (policy B) and applies the winner in follower sets.
+// DIP (Dynamic Insertion Policy) duels LRU insertion (policy A: at MRU)
+// against BIP insertion (policy B: at LRU, at MRU with probability
+// DefaultBIPEpsilon) and applies the winner in follower sets. A line
+// inserted at LRU must hit once to be promoted, which protects the cache
+// against thrashing scans.
 type DIP struct {
 	r     cache.StateReader
 	tab   *recency.Table

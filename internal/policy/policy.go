@@ -1,7 +1,7 @@
 // Package policy implements the baseline replacement policies the paper
-// evaluates RWP against: true LRU, Random, NRU, the DIP family
-// (LIP/BIP/DIP with set dueling), the RRIP family (SRRIP/BRRIP/DRRIP),
-// and a SHiP-lite signature policy.
+// evaluates RWP against: true LRU, DIP and its thread-aware TA-DIP
+// (LRU vs BIP insertion by set dueling), DRRIP (SRRIP vs BRRIP insertion
+// by set dueling), and a SHiP-lite signature policy.
 //
 // All policies satisfy cache.Policy. Factories (func() cache.Policy) are
 // registered by name in Registry so experiment drivers can enumerate
@@ -62,13 +62,7 @@ func Names() []string {
 
 func init() {
 	Register("lru", func() cache.Policy { return NewLRU() })
-	Register("random", func() cache.Policy { return NewRandom(1) })
-	Register("nru", func() cache.Policy { return NewNRU() })
-	Register("lip", func() cache.Policy { return NewLIP() })
-	Register("bip", func() cache.Policy { return NewBIP(DefaultBIPEpsilon, 2) })
 	Register("dip", func() cache.Policy { return NewDIP(3) })
-	Register("srrip", func() cache.Policy { return NewSRRIP(DefaultRRPVBits) })
-	Register("brrip", func() cache.Policy { return NewBRRIP(DefaultRRPVBits, DefaultBIPEpsilon, 4) })
 	Register("drrip", func() cache.Policy { return NewDRRIP(DefaultRRPVBits, 5) })
 	Register("ship", func() cache.Policy { return NewSHiP(DefaultRRPVBits, DefaultSHCTBits, 6) })
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"rwp/internal/cache"
@@ -27,18 +28,11 @@ func load(c *cache.Cache, line mem.LineAddr) cache.Result {
 }
 
 func TestRegistryKnowsAllPolicies(t *testing.T) {
-	want := []string{"bip", "brrip", "dip", "drrip", "lip", "lru", "nru", "random", "ship", "srrip"}
-	got := Names()
-	for _, n := range want {
-		found := false
-		for _, g := range got {
-			if g == n {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("policy %q not registered (got %v)", n, got)
-		}
+	// Exactly the baselines the experiments compare; a registration no
+	// experiment uses fails here.
+	want := []string{"dip", "drrip", "lru", "ship", "tadip"}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 	for _, n := range want {
 		p, err := New(n)
@@ -124,24 +118,34 @@ func TestLRUHitCurveMatchesStackDistance(t *testing.T) {
 }
 
 func TestLIPSurvivesThrash(t *testing.T) {
-	// LIP keeps part of a W+1 cyclic working set resident: strictly more
-	// hits than LRU's zero.
-	c := singleSet(t, 4, NewLIP())
+	// Insertion at LRU keeps part of a W+1 cyclic working set resident:
+	// strictly more hits than LRU's zero. Set 1 of a 2-set DIP is a BIP
+	// leader (Duel's stride is 2), which inserts at LRU all but 1/32 of
+	// the time.
+	c := newCache(t, 2*4*64, 4, NewDIP(1))
 	for i := 0; i < 400; i++ {
-		load(c, mem.LineAddr(i%5)+1)
+		load(c, mem.LineAddr(2*(i%5)+1))
 	}
 	if h := c.Stats().Hits[cache.DemandLoad]; h == 0 {
-		t.Fatal("LIP gained no hits on thrashing pattern")
+		t.Fatal("BIP leader set gained no hits on thrashing pattern")
 	}
 }
 
 func TestBIPSurvivesThrash(t *testing.T) {
-	c := singleSet(t, 4, NewBIP(DefaultBIPEpsilon, 1))
-	for i := 0; i < 2000; i++ {
-		load(c, mem.LineAddr(i%6)+1)
+	// Set 1 of a 2-set DIP is a BIP leader (Duel's stride is 2). Four
+	// stale lines fill it, then a 6-line cycle thrashes it: insertion at
+	// LRU alone would keep the stale lines forever and never hit, while
+	// BIP's occasional MRU insertion lets the cycle take over the set.
+	c := newCache(t, 2*4*64, 4, NewDIP(1))
+	for i := 0; i < 4; i++ {
+		load(c, mem.LineAddr(2*i+1))
 	}
-	if h := c.Stats().Hits[cache.DemandLoad]; h == 0 {
-		t.Fatal("BIP gained no hits on thrashing pattern")
+	before := c.Stats().Hits[cache.DemandLoad]
+	for i := 0; i < 2000; i++ {
+		load(c, mem.LineAddr(2*(100+i%6)+1))
+	}
+	if h := c.Stats().Hits[cache.DemandLoad] - before; h == 0 {
+		t.Fatal("BIP leader set gained no hits on thrashing pattern")
 	}
 }
 
@@ -181,7 +185,8 @@ func TestDIPAdaptsBothWays(t *testing.T) {
 func TestSRRIPScanResistance(t *testing.T) {
 	// Hot lines re-referenced every rep, interleaved with a short burst of
 	// fresh scan lines. LRU loses the hot lines to the burst; SRRIP keeps
-	// them at RRPV 0 and sacrifices scan lines instead.
+	// them at RRPV 0 and sacrifices scan lines instead. The only set of a
+	// 1-set DRRIP is an SRRIP leader.
 	run := func(p cache.Policy) uint64 {
 		c := singleSet(t, 4, p)
 		next := mem.LineAddr(1000)
@@ -197,7 +202,7 @@ func TestSRRIPScanResistance(t *testing.T) {
 		}
 		return c.Stats().Hits[cache.DemandLoad]
 	}
-	srrip := run(NewSRRIP(DefaultRRPVBits))
+	srrip := run(NewDRRIP(DefaultRRPVBits, 5))
 	lru := run(NewLRU())
 	if srrip <= lru {
 		t.Fatalf("SRRIP hits %d <= LRU hits %d on scan+reuse mix", srrip, lru)
@@ -205,22 +210,24 @@ func TestSRRIPScanResistance(t *testing.T) {
 }
 
 func TestDRRIPNotWorseThanBothComponents(t *testing.T) {
+	// A thrashing phase (80 lines, 64-line capacity) then a fitting one
+	// (48 fresh lines). LRU gets nothing from the first; insertion at long
+	// RRPV alone would keep the first phase's hit lines at RRPV 0 forever
+	// and miss the whole second.
 	mixed := func(p cache.Policy) uint64 {
 		c := newCache(t, 4096, 4, p)
 		for i := 0; i < 30000; i++ {
 			load(c, mem.LineAddr(i%80))
 		}
 		for i := 0; i < 30000; i++ {
-			load(c, mem.LineAddr(i%48))
+			load(c, mem.LineAddr(1024+i%48))
 		}
 		return c.Stats().Hits[cache.DemandLoad]
 	}
 	dr := mixed(NewDRRIP(DefaultRRPVBits, 5))
-	sr := mixed(NewSRRIP(DefaultRRPVBits))
-	// DRRIP should be within 10% of the better static component here
-	// (it pays dueling overhead, so allow slack).
-	if float64(dr) < 0.9*float64(sr) {
-		t.Fatalf("DRRIP hits %d far below SRRIP %d", dr, sr)
+	lru := mixed(NewLRU())
+	if dr <= lru {
+		t.Fatalf("DRRIP hits %d <= LRU %d", dr, lru)
 	}
 }
 
@@ -247,39 +254,6 @@ func TestSHiPLearnsDeadPC(t *testing.T) {
 	}
 	if p.shct[p.Signature(hotPC)] == 0 {
 		t.Fatal("hot PC counter trained to 0")
-	}
-}
-
-func TestNRUBasic(t *testing.T) {
-	c := singleSet(t, 4, NewNRU())
-	for line := mem.LineAddr(1); line <= 4; line++ {
-		load(c, line)
-	}
-	for i := 0; i < 100; i++ {
-		load(c, 1) // keep 1 hot
-		load(c, mem.LineAddr(10+i))
-	}
-	if _, _, ok := c.Lookup(1); !ok {
-		t.Fatal("NRU evicted the constantly-referenced line")
-	}
-}
-
-func TestRandomCoversAllWays(t *testing.T) {
-	c := singleSet(t, 4, NewRandom(7))
-	evicted := map[mem.LineAddr]bool{}
-	for line := mem.LineAddr(1); line <= 4; line++ {
-		load(c, line)
-	}
-	for i := 0; i < 200; i++ {
-		load(c, mem.LineAddr(100+i))
-	}
-	for line := mem.LineAddr(1); line <= 4; line++ {
-		if _, _, ok := c.Lookup(line); !ok {
-			evicted[line] = true
-		}
-	}
-	if len(evicted) == 0 {
-		t.Fatal("random policy never evicted initial lines")
 	}
 }
 

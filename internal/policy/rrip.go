@@ -9,7 +9,7 @@ import (
 // 0..3, distant = 2, long = 3).
 const DefaultRRPVBits = 2
 
-// rripBase holds the RRPV array and victim scan shared by the RRIP family.
+// rripBase holds the RRPV array and victim scan shared by DRRIP and SHiP.
 type rripBase struct {
 	r       cache.StateReader
 	rrpv    []uint8
@@ -48,75 +48,9 @@ func (b *rripBase) victim(set int) int {
 	}
 }
 
-// SRRIP is static RRIP with hit-priority promotion (RRPV=0 on hit) and
-// distant insertion (RRPV=max-1 on fill).
-type SRRIP struct {
-	rripBase
-	bits int
-}
-
-// NewSRRIP returns an SRRIP policy with the given RRPV width.
-func NewSRRIP(bits int) *SRRIP { return &SRRIP{bits: bits} }
-
-// Name implements cache.Policy.
-func (p *SRRIP) Name() string { return "srrip" }
-
-// Attach implements cache.Policy.
-func (p *SRRIP) Attach(r cache.StateReader) { p.attach(r, p.bits) }
-
-// OnHit implements cache.Policy.
-func (p *SRRIP) OnHit(set, way int, _ cache.AccessInfo) { p.rrpv[p.idx(set, way)] = 0 }
-
-// Victim implements cache.Policy.
-func (p *SRRIP) Victim(set int, _ cache.AccessInfo) (int, bool) { return p.victim(set), false }
-
-// OnEvict implements cache.Policy.
-func (p *SRRIP) OnEvict(int, int, cache.AccessInfo) {}
-
-// OnFill implements cache.Policy.
-func (p *SRRIP) OnFill(set, way int, _ cache.AccessInfo) {
-	p.rrpv[p.idx(set, way)] = p.distant
-}
-
-// BRRIP inserts at long (max) RRPV most of the time and at distant RRPV
-// with small probability, the RRIP analogue of BIP.
-type BRRIP struct {
-	rripBase
-	bits    int
-	epsilon float64
-	rng     *xrand.RNG
-}
-
-// NewBRRIP returns a BRRIP policy.
-func NewBRRIP(bits int, epsilon float64, seed uint64) *BRRIP {
-	return &BRRIP{bits: bits, epsilon: epsilon, rng: xrand.New(seed)}
-}
-
-// Name implements cache.Policy.
-func (p *BRRIP) Name() string { return "brrip" }
-
-// Attach implements cache.Policy.
-func (p *BRRIP) Attach(r cache.StateReader) { p.attach(r, p.bits) }
-
-// OnHit implements cache.Policy.
-func (p *BRRIP) OnHit(set, way int, _ cache.AccessInfo) { p.rrpv[p.idx(set, way)] = 0 }
-
-// Victim implements cache.Policy.
-func (p *BRRIP) Victim(set int, _ cache.AccessInfo) (int, bool) { return p.victim(set), false }
-
-// OnEvict implements cache.Policy.
-func (p *BRRIP) OnEvict(int, int, cache.AccessInfo) {}
-
-// OnFill implements cache.Policy.
-func (p *BRRIP) OnFill(set, way int, _ cache.AccessInfo) {
-	if p.rng.Chance(p.epsilon) {
-		p.rrpv[p.idx(set, way)] = p.distant
-	} else {
-		p.rrpv[p.idx(set, way)] = p.max
-	}
-}
-
-// DRRIP duels SRRIP (A) against BRRIP (B).
+// DRRIP duels SRRIP insertion (A: distant RRPV on fill) against BRRIP
+// insertion (B: long RRPV, distant with probability DefaultBIPEpsilon).
+// Both promote to RRPV 0 on a hit.
 type DRRIP struct {
 	rripBase
 	bits int

@@ -181,7 +181,7 @@ func TestDecodeStructuralRejections(t *testing.T) {
 
 func TestDecodeRejectsUnsupportedPolicy(t *testing.T) {
 	s := sample()
-	s.Policy = "nru"
+	s.Policy = "bogus"
 	s.Groups = nil
 	if _, err := Decode(Encode(s)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unsupported policy: %v, want ErrCorrupt", err)

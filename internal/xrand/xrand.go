@@ -1,8 +1,8 @@
 // Package xrand provides the simulator's deterministic pseudo-random
 // number generator. Every stochastic component (BIP/BRRIP insertion,
-// random replacement, workload generators) draws from its own seeded
-// instance, so whole-simulation results are bit-reproducible and
-// independent of evaluation order.
+// workload generators) draws from its own seeded instance, so
+// whole-simulation results are bit-reproducible and independent of
+// evaluation order.
 //
 // The generator is xoshiro-style SplitMix64: tiny state, excellent
 // statistical quality for simulation purposes, and trivially portable.

@@ -2,6 +2,7 @@ package rwp
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -139,16 +140,11 @@ func TestWorkloadsAndPolicies(t *testing.T) {
 	if !foundSensitive {
 		t.Error("no sensitive workloads listed")
 	}
-	ps := Policies()
-	want := map[string]bool{"lru": true, "rwp": true, "rrp": true, "dip": true, "drrip": true, "ucp": true}
-	for _, p := range ps {
-		delete(want, p)
-		if p == "e1-classifier" {
-			t.Error("instrumentation policy leaked into Policies()")
-		}
-	}
-	if len(want) != 0 {
-		t.Errorf("missing policies: %v", want)
+	// Exactly E4 ∪ E7 ∪ A4: every registered policy is a baseline some
+	// experiment compares, and instrumentation policies stay hidden.
+	want := []string{"dip", "drrip", "lru", "rrp", "rwp", "rwpb", "ship", "tadip", "ucp"}
+	if got := Policies(); !slices.Equal(got, want) {
+		t.Errorf("Policies() = %v, want %v", got, want)
 	}
 }
 
