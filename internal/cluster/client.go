@@ -27,6 +27,13 @@ type NodeConn interface {
 	QueueMGet(keys []string) error
 	QueueMPut(kvs []proto.KV) error
 	Depth() int
+	// Flush returns the replies to the queued requests in order, as
+	// proto.Client.Flush does: the slice, and the Gets and Inserts in
+	// it, are the conn's scratch, valid until its next call; every Value
+	// and Data byte is the caller's for good. An MGET reply holds one
+	// GetResult per key and an MPUT reply one flag per pair — a Flush
+	// that cannot deliver that fails instead — so the router indexes
+	// them without counting again.
 	Flush() ([]proto.Reply, error)
 	Stats() ([]byte, error)
 	Close() error
@@ -145,6 +152,10 @@ type Client struct {
 	nodeKeys [][]string
 	nodeKVs  [][]proto.KV
 	nodeIdx  [][]int
+	// gets and ins are the merged results MGet and MPut return, refilled
+	// by every call.
+	gets []proto.GetResult
+	ins  []bool
 
 	// closed is closeWindow's scratch: the closing window's samples, one
 	// per shard, overwritten at every close.
@@ -457,7 +468,13 @@ func (c *Client) Put(key string, val []byte) (bool, error) {
 }
 
 // MGet fans a batch read across the cluster in one frame per involved
-// node and merges the per-node replies back into request order.
+// node and merges the per-node replies back into request order. The
+// result slice is the router's scratch, valid until the next call on
+// the router; the values in it are the caller's (NodeConn.Flush). Over
+// proto.Client nodes a call allocates only the value chunks (pinned by
+// TestRouterMGetAllocs).
+//
+//rwplint:hotpath — one call per routed batch read
 func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 	if err := c.flushAll(); err != nil {
 		return nil, err
@@ -473,7 +490,14 @@ func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 		c.nodeIdx[n] = append(c.nodeIdx[n], i)
 		c.accountRead(s, n)
 	}
-	out := make([]proto.GetResult, len(keys))
+	// Every slot is written below; the clear is for the slots past this
+	// batch, whose stale results would keep their value chunks reachable.
+	clear(c.gets)
+	if cap(c.gets) < len(keys) {
+		//rwplint:allow hotalloc — scratch growth: to the largest batch, then reused
+		c.gets = make([]proto.GetResult, len(keys))
+	}
+	c.gets = c.gets[:len(keys)]
 	for n, ks := range c.nodeKeys {
 		if len(ks) == 0 {
 			continue
@@ -485,20 +509,18 @@ func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		gets := replies[len(replies)-1].Gets
-		if len(gets) != len(ks) {
-			return nil, fmt.Errorf("cluster: node %d returned %d results for %d keys", n, len(gets), len(ks))
-		}
-		for j, g := range gets {
-			out[c.nodeIdx[n][j]] = g
+		for j, g := range replies[len(replies)-1].Gets {
+			c.gets[c.nodeIdx[n][j]] = g
 		}
 	}
-	return out, c.boundary()
+	return c.gets, c.boundary()
 }
 
 // MPut fans a batch write to every involved replica in one frame per
 // node, merging inserted flags (from each key's primary) into request
-// order.
+// order. The flags are the router's scratch, like MGet's results.
+//
+//rwplint:hotpath — one call per routed batch write
 func (c *Client) MPut(kvs []proto.KV) ([]bool, error) {
 	if err := c.flushAll(); err != nil {
 		return nil, err
@@ -519,7 +541,12 @@ func (c *Client) MPut(kvs []proto.KV) ([]bool, error) {
 		}
 		c.accountWrite(s, ns)
 	}
-	out := make([]bool, len(kvs))
+	// Every slot is written below: each key has one primary.
+	if cap(c.ins) < len(kvs) {
+		//rwplint:allow hotalloc — scratch growth: to the largest batch, then reused
+		c.ins = make([]bool, len(kvs))
+	}
+	c.ins = c.ins[:len(kvs)]
 	for n, b := range c.nodeKVs {
 		if len(b) == 0 {
 			continue
@@ -531,17 +558,13 @@ func (c *Client) MPut(kvs []proto.KV) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		ins := replies[len(replies)-1].Inserts
-		if len(ins) != len(b) {
-			return nil, fmt.Errorf("cluster: node %d returned %d inserts for %d pairs", n, len(ins), len(b))
-		}
-		for j, flag := range ins {
+		for j, flag := range replies[len(replies)-1].Inserts {
 			if orig := c.nodeIdx[n][j]; orig >= 0 {
-				out[orig] = flag
+				c.ins[orig] = flag
 			}
 		}
 	}
-	return out, c.boundary()
+	return c.ins, c.boundary()
 }
 
 // Finish drains the wire and closes a trailing partial window (handed

@@ -297,6 +297,87 @@ func TestBatchFanout(t *testing.T) {
 	}
 }
 
+// TestRouterMGetAllocs pins the routed batch read's allocation budget:
+// a 64-key MGet of resident 64-byte values through two pipe nodes costs
+// at most 1 allocation per call, amortized — the value chunks the
+// nodes' clients copy the 4 KiB of values into. The router's merged
+// result, the clients' replies and the servers' responses are scratch.
+// AllocsPerRun counts the server goroutines too.
+func TestRouterMGetAllocs(t *testing.T) {
+	h, err := NewHarness(HarnessConfig{Nodes: 2, RingShards: 16, Cache: testCacheConfig(), Mode: Pipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	cl := h.Client()
+	kvs := make([]proto.KV, 64)
+	keys := make([]string, len(kvs))
+	for i := range kvs {
+		keys[i] = loadgen.HotKey(i)
+		kvs[i] = proto.KV{Key: keys[i], Value: loadgen.Value(keys[i], 64)}
+	}
+	if _, err := cl.MPut(kvs); err != nil {
+		t.Fatal(err)
+	}
+	mget := func() {
+		got, err := cl.MGet(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range got {
+			if g.Status != proto.StatusHit || !bytes.Equal(g.Value, kvs[i].Value) {
+				t.Fatalf("MGet %d (%s): status %v, value %q, want a hit on its own value", i, keys[i], g.Status, g.Value)
+			}
+		}
+	}
+	for i := 0; i < 200; i++ { // grow every scratch, cross window boundaries
+		mget()
+	}
+	if allocs := testing.AllocsPerRun(200, mget); allocs > 1 {
+		t.Errorf("64-key MGet allocates %.0f objects per call, want <= 1", allocs)
+	}
+}
+
+// TestBatchScratchClearsStaleResults: after a 64-key MGet, a 1-key MGet
+// must leave no result of the first past its end in the router's merged
+// results, and an empty Flush none in a direct node's reply scratch:
+// each stale value would stay reachable there.
+func TestBatchScratchClearsStaleResults(t *testing.T) {
+	h, err := NewHarness(HarnessConfig{Nodes: 2, RingShards: 16, Cache: testCacheConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	cl := h.Client()
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = loadgen.HotKey(i)
+	}
+	for _, batch := range [][]string{keys, keys[:1]} {
+		if _, err := cl.MGet(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := func(where string, gets []proto.GetResult) {
+		for i, g := range gets {
+			if g.Value != nil {
+				t.Errorf("%s: slot %d past the last batch still holds %q", where, i, g.Value)
+			}
+		}
+	}
+	stale("router", cl.gets[len(cl.gets):cap(cl.gets)])
+	for n, conn := range h.conns {
+		d := conn.(*directConn)
+		if _, err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		stale(fmt.Sprintf("node %d gets", n), d.gets[:cap(d.gets)])
+		for _, r := range d.replies[:cap(d.replies)] {
+			stale(fmt.Sprintf("node %d replies", n), append([]proto.GetResult{r.Get}, r.Gets...))
+		}
+	}
+}
+
 // TestReadYourWriteAcrossReplicaChurn is the replication-safety test:
 // writes fan to every replica, and a node re-entering a shard's
 // replica set is reset cold so it refills through the shared backing

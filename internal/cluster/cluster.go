@@ -242,9 +242,14 @@ func (h *Cluster) WriteNodeJournals(dir string) error {
 // Because node caches share no state, applying ops at queue time and
 // at flush time are indistinguishable — which is exactly why direct
 // and pipe runs produce identical merged stats.
+//
+// Its replies, and the Gets and Inserts in them, are built in scratch
+// that the next batch overwrites — the NodeConn.Flush lifetime rule.
 type directConn struct {
 	cache   *live.Cache
 	replies []proto.Reply
+	gets    []proto.GetResult // backing of the queued MGET replies
+	ins     []bool            // backing of the queued MPUT replies
 }
 
 func (d *directConn) QueueGet(key string) error {
@@ -259,20 +264,20 @@ func (d *directConn) QueuePut(key string, val []byte) error {
 }
 
 func (d *directConn) QueueMGet(keys []string) error {
-	gets := make([]proto.GetResult, len(keys))
-	for i, k := range keys {
-		gets[i] = d.get(k)
+	from := len(d.gets)
+	for _, k := range keys {
+		d.gets = append(d.gets, d.get(k))
 	}
-	d.replies = append(d.replies, proto.Reply{Op: proto.OpMGet, Gets: gets})
+	d.replies = append(d.replies, proto.Reply{Op: proto.OpMGet, Gets: d.gets[from:len(d.gets):len(d.gets)]})
 	return nil
 }
 
 func (d *directConn) QueueMPut(kvs []proto.KV) error {
-	ins := make([]bool, len(kvs))
-	for i, kv := range kvs {
-		ins[i] = d.cache.Put(kv.Key, kv.Value)
+	from := len(d.ins)
+	for _, kv := range kvs {
+		d.ins = append(d.ins, d.cache.Put(kv.Key, kv.Value))
 	}
-	d.replies = append(d.replies, proto.Reply{Op: proto.OpMPut, Inserts: ins})
+	d.replies = append(d.replies, proto.Reply{Op: proto.OpMPut, Inserts: d.ins[from:len(d.ins):len(d.ins)]})
 	return nil
 }
 
@@ -293,7 +298,12 @@ func (d *directConn) Depth() int { return len(d.replies) }
 
 func (d *directConn) Flush() ([]proto.Reply, error) {
 	r := d.replies
-	d.replies = nil
+	// The next batch overwrites this one from the start; clear what an
+	// earlier, longer batch left past its end, so no value stays
+	// reachable through the scratch once the caller drops it.
+	clear(d.replies[len(d.replies):cap(d.replies)])
+	clear(d.gets[len(d.gets):cap(d.gets)])
+	d.replies, d.gets, d.ins = d.replies[:0], d.gets[:0], d.ins[:0]
 	return r, nil
 }
 

@@ -32,14 +32,27 @@ type Client struct {
 	conn    io.ReadWriter
 	bw      *bufio.Writer
 	r       *Reader
-	pending []Op  // ops queued since the last Flush, in order
-	err     error // first write failure; poisons the client (see Flush)
+	pending []request // requests queued since the last Flush, in order
+	err     error     // first write failure; poisons the client (see Flush)
 	closed  bool
 	// payload and frame are the request scratch every Queue* call
 	// builds into and queue copies out of (into bw) before returning.
 	payload, frame []byte
+	// replies, gets and ins are the reply scratch Flush decodes into
+	// and hands out: every Reply, and the Gets and Inserts of every
+	// MGET and MPUT reply, of one Flush.
+	replies []Reply
+	gets    []GetResult
+	ins     []bool
 	// vals is the tail of the current value chunk (see keep).
 	vals []byte
+}
+
+// request is one queued request: its op and, for MGET and MPUT, how
+// many elements its reply must carry.
+type request struct {
+	op Op
+	n  int
 }
 
 // NewClient wraps conn.
@@ -80,11 +93,14 @@ func (c *Client) check() error {
 // Reply is one response in Flush order. Exactly the fields implied by
 // Op are meaningful.
 //
-// Every byte slice in a Reply is the caller's: it is never written or
-// reused by the client afterwards. Values are copied out of the frame
-// scratch into shared backing chunks of about valueChunk bytes, so
-// retaining one small value keeps its whole chunk reachable — copy a
-// value that must outlive its neighbours by much.
+// The containers are the client's scratch: the Gets and Inserts slices,
+// like the []Reply that holds them, are valid until the next call on
+// the client, which reuses them. Copy the Reply or GetResult values to
+// keep them longer. The bytes are the caller's: every Value and Data
+// slice is never written or reused by the client afterwards. Values are
+// copied out of the frame scratch into shared backing chunks of about
+// valueChunk bytes, so retaining one small value keeps its whole chunk
+// reachable — copy a value that must outlive its neighbours by much.
 type Reply struct {
 	Op       Op
 	Get      GetResult   // OpGet
@@ -99,28 +115,28 @@ type Reply struct {
 // hits the connection when a burst overflows its buffer) is recorded
 // as the client's sticky error so Flush reports it instead of a
 // downstream read error.
-func (c *Client) queue(op Op, payload []byte) error {
+func (c *Client) queue(req request, payload []byte) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	c.frame = AppendFrame(c.frame[:0], op, payload)
+	c.frame = AppendFrame(c.frame[:0], req.op, payload)
 	if _, err := c.bw.Write(c.frame); err != nil {
 		c.err = err
 		return err
 	}
-	c.pending = append(c.pending, op)
+	c.pending = append(c.pending, req)
 	return nil
 }
 
 // queueBuilt frames the request payload a builder appended to the
 // client's scratch, keeping the (possibly grown) scratch for the next
 // request. A builder that refused its input returns err and no payload.
-func (c *Client) queueBuilt(op Op, payload []byte, err error) error {
+func (c *Client) queueBuilt(req request, payload []byte, err error) error {
 	if err != nil {
 		return err
 	}
 	c.payload = payload[:0]
-	return c.queue(op, payload)
+	return c.queue(req, payload)
 }
 
 // valueChunk is the size of the backing buffers reply values are copied
@@ -132,6 +148,8 @@ const valueChunk = 4 << 10
 // non-nil (the Value-nil-iff-miss rule). Small values share a chunk;
 // a chunk is never reused, and each value's capacity ends where its
 // bytes do, so appending to one cannot reach its neighbour.
+//
+//rwplint:hotpath — once per GET reply and per MGET element
 func (c *Client) keep(v []byte) []byte {
 	switch {
 	case v == nil:
@@ -140,9 +158,11 @@ func (c *Client) keep(v []byte) []byte {
 		return []byte{}
 	case len(v) >= valueChunk/4:
 		// Large enough that sharing would waste the chunk's tail.
+		//rwplint:allow hotalloc — the caller's copy of a large value is a chunk of its own
 		return append(make([]byte, 0, len(v)), v...)
 	}
 	if len(v) > cap(c.vals)-len(c.vals) {
+		//rwplint:allow hotalloc — the value chunk: one allocation per valueChunk bytes of small values
 		c.vals = make([]byte, 0, valueChunk)
 	}
 	n := len(c.vals)
@@ -153,38 +173,38 @@ func (c *Client) keep(v []byte) []byte {
 // QueueGet pipelines a GET.
 func (c *Client) QueueGet(key string) error {
 	p, err := AppendGetReq(c.payload[:0], key)
-	return c.queueBuilt(OpGet, p, err)
+	return c.queueBuilt(request{op: OpGet}, p, err)
 }
 
 // QueuePut pipelines a PUT.
 func (c *Client) QueuePut(key string, val []byte) error {
 	p, err := AppendPutReq(c.payload[:0], key, val)
-	return c.queueBuilt(OpPut, p, err)
+	return c.queueBuilt(request{op: OpPut}, p, err)
 }
 
 // QueueMGet pipelines a batch GET.
 func (c *Client) QueueMGet(keys []string) error {
 	p, err := AppendMGetReq(c.payload[:0], keys)
-	return c.queueBuilt(OpMGet, p, err)
+	return c.queueBuilt(request{op: OpMGet, n: len(keys)}, p, err)
 }
 
 // QueueMPut pipelines a batch PUT.
 func (c *Client) QueueMPut(kvs []KV) error {
 	p, err := AppendMPutReq(c.payload[:0], kvs)
-	return c.queueBuilt(OpMPut, p, err)
+	return c.queueBuilt(request{op: OpMPut, n: len(kvs)}, p, err)
 }
 
 // QueueReset pipelines a RESET of the global sets [lo, hi).
 func (c *Client) QueueReset(lo, hi int) error {
 	p, err := AppendRangeReq(c.payload[:0], lo, hi)
-	return c.queueBuilt(OpReset, p, err)
+	return c.queueBuilt(request{op: OpReset}, p, err)
 }
 
 // QueueStats pipelines a STATS request.
-func (c *Client) QueueStats() error { return c.queue(OpStats, nil) }
+func (c *Client) QueueStats() error { return c.queue(request{op: OpStats}, nil) }
 
 // QueuePing pipelines a PING carrying payload.
-func (c *Client) QueuePing(payload []byte) error { return c.queue(OpPing, payload) }
+func (c *Client) QueuePing(payload []byte) error { return c.queue(request{op: OpPing}, payload) }
 
 // Depth returns the number of requests queued since the last Flush.
 func (c *Client) Depth() int { return len(c.pending) }
@@ -201,6 +221,14 @@ func (c *Client) Depth() int { return len(c.pending) }
 // deadlocks. Keep the queued request bytes plus the expected response
 // bytes of one Flush in the tens of KiB — split deeper pipelines across
 // multiple Flushes.
+//
+// The returned slice is the client's scratch, valid until the next call
+// on the client (the rule Reader.ReadFrame states for its payload); the
+// values in it are the caller's for good (see Reply). In the steady
+// state a Flush allocates only the value chunks (pinned by
+// TestClientFlushAllocs).
+//
+//rwplint:hotpath — every pipelined burst and every synchronous call
 func (c *Client) Flush() ([]Reply, error) {
 	if err := c.check(); err != nil {
 		return nil, err
@@ -212,19 +240,25 @@ func (c *Client) Flush() ([]Reply, error) {
 		c.err = err
 		return nil, err
 	}
+	// Clear what the last Flush handed out: a stale GetResult past the
+	// new length would keep its value chunk reachable.
+	clear(c.replies)
+	clear(c.gets)
+	c.replies, c.gets, c.ins = c.replies[:0], c.gets[:0], c.ins[:0]
 	want := c.pending
 	c.pending = c.pending[:0]
-	replies := make([]Reply, 0, len(want))
 	for _, sent := range want {
 		op, payload, err := c.r.ReadFrame()
 		if err != nil {
-			return replies, c.fail(err)
+			return c.replies, c.fail(err)
 		}
 		if op == OpErr {
-			return replies, c.fail(wireErrf(ErrPayload, "server error: %s", payload))
+			//rwplint:allow hotalloc — error path: the connection is unusable from here
+			return c.replies, c.fail(wireErrf(ErrPayload, "server error: %s", payload))
 		}
-		if op != sent {
-			return replies, c.fail(wireErrf(ErrOp, "reply op %v for %v request", op, sent))
+		if op != sent.op {
+			//rwplint:allow hotalloc — error path: the connection is unusable from here
+			return c.replies, c.fail(wireErrf(ErrOp, "reply op %v for %v request", op, sent.op))
 		}
 		rep := Reply{Op: op}
 		switch op {
@@ -234,23 +268,32 @@ func (c *Client) Flush() ([]Reply, error) {
 		case OpPut:
 			rep.Inserted, err = ParsePutResp(payload)
 		case OpMGet:
-			rep.Gets, err = parseMGetResp(payload)
-			for i := range rep.Gets {
-				rep.Gets[i].Value = c.keep(rep.Gets[i].Value)
+			from := len(c.gets)
+			c.gets, err = parseMGetResp(c.gets, payload)
+			for i := from; i < len(c.gets); i++ {
+				c.gets[i].Value = c.keep(c.gets[i].Value)
 			}
+			rep.Gets = c.gets[from:len(c.gets):len(c.gets)]
 		case OpMPut:
-			rep.Inserts, err = ParseMPutResp(payload)
+			from := len(c.ins)
+			c.ins, err = ParseMPutResp(c.ins, payload)
+			rep.Inserts = c.ins[from:len(c.ins):len(c.ins)]
 		case OpStats, OpPing:
 			rep.Data = cloneBytes(payload)
 		case OpReset:
 			rep.Purged, err = ParseResetResp(payload)
 		}
-		if err != nil {
-			return replies, c.fail(err)
+		// One element per key or pair requested; the other ops carry none.
+		if n := len(rep.Gets) + len(rep.Inserts); err == nil && n != sent.n {
+			//rwplint:allow hotalloc — error path: the connection is unusable from here
+			err = wireErrf(ErrPayload, "%v reply has %d elements for %d requested", op, n, sent.n)
 		}
-		replies = append(replies, rep)
+		if err != nil {
+			return c.replies, c.fail(err)
+		}
+		c.replies = append(c.replies, rep)
 	}
-	return replies, nil
+	return c.replies, nil
 }
 
 // fail records the first fatal error as the client's sticky error —
@@ -291,7 +334,8 @@ func (c *Client) Put(key string, val []byte) (bool, error) {
 }
 
 // MGet looks up a batch of keys in one frame; results are in request
-// order.
+// order. The slice is the client's scratch, valid until the next call
+// on the client; the values in it are the caller's (see Reply).
 func (c *Client) MGet(keys []string) ([]GetResult, error) {
 	if err := c.QueueMGet(keys); err != nil {
 		return nil, err
@@ -301,7 +345,7 @@ func (c *Client) MGet(keys []string) ([]GetResult, error) {
 }
 
 // MPut stores a batch of pairs in one frame; inserted flags are in
-// request order.
+// request order, in the client's scratch like MGet's results.
 func (c *Client) MPut(kvs []KV) ([]bool, error) {
 	if err := c.QueueMPut(kvs); err != nil {
 		return nil, err
@@ -417,7 +461,7 @@ func (c *Client) Restore(data []byte) (int, error) {
 		if end >= len(data) {
 			end, flag = len(data), ChunkLast
 		}
-		if _, err := c.bw.Write(AppendFrame(nil, OpRestore, AppendChunk(nil, flag, data[off:end]))); err != nil {
+		if err := writeChunkFrame(c.bw, OpRestore, flag, data[off:end]); err != nil {
 			return 0, c.fail(err)
 		}
 		// Flush per chunk: the server replies only after the last one,

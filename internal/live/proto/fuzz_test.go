@@ -96,6 +96,81 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
+// flushMix is FuzzClientFlush's fixed pipeline: one request of every
+// data op, with the elements each reply must carry.
+var flushMix = []struct {
+	op      proto.Op
+	gets    int // MGET keys
+	inserts int // MPUT pairs
+}{{proto.OpGet, 0, 0}, {proto.OpPut, 0, 0}, {proto.OpMGet, 3, 0}, {proto.OpMPut, 0, 2}, {proto.OpPing, 0, 0}}
+
+// queueFlushMix queues flushMix on c.
+func queueFlushMix(t *testing.T, c *proto.Client) {
+	for _, err := range []error{
+		c.QueueGet("k"),
+		c.QueuePut("k", []byte("v")),
+		c.QueueMGet([]string{"a", "b", "c"}),
+		c.QueueMPut([]proto.KV{{Key: "a", Value: []byte("1")}, {Key: "b"}}),
+		c.QueuePing([]byte("p")),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// flushMixReplies is a well-formed answer to flushMix: a hit, an
+// insert, an MGET with a hit, a fill of an empty value and a miss, an
+// MPUT, and the PING echo.
+func flushMixReplies() []byte {
+	b := proto.AppendFrame(nil, proto.OpGet, proto.AppendGetResp(nil, proto.GetResult{Status: proto.StatusHit, Value: []byte("v")}))
+	b = proto.AppendFrame(b, proto.OpPut, proto.AppendPutResp(nil, true))
+	b = proto.AppendFrame(b, proto.OpMGet, proto.AppendMGetResp(nil, []proto.GetResult{
+		{Status: proto.StatusHit, Value: []byte("1")}, {Status: proto.StatusFill, Value: []byte{}}, {Status: proto.StatusMiss},
+	}))
+	b = proto.AppendFrame(b, proto.OpMPut, proto.AppendMPutResp(nil, []bool{false, true}))
+	return proto.AppendFrame(b, proto.OpPing, []byte("p"))
+}
+
+// FuzzClientFlush feeds arbitrary reply bytes to a client with flushMix
+// queued, twice over, so the second Flush decodes into the first one's
+// scratch. It must never panic. A Flush either fails or returns one
+// reply per request, in request order, whose Gets and Inserts have one
+// element per key or pair requested and whose every Value is nil
+// exactly on a miss. testdata/fuzz/FuzzClientFlush/ holds the checked-in
+// seeds: short, long and misordered replies, bad statuses, ERR frames.
+func FuzzClientFlush(f *testing.F) {
+	f.Add(append(flushMixReplies(), flushMixReplies()...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cli := proto.NewClient(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(data), io.Discard})
+		for round := 0; round < 2; round++ {
+			queueFlushMix(t, cli)
+			replies, err := cli.Flush()
+			if err != nil {
+				return
+			}
+			if len(replies) != len(flushMix) {
+				t.Fatalf("%d replies to %d requests", len(replies), len(flushMix))
+			}
+			for i, want := range flushMix {
+				rep := replies[i]
+				if rep.Op != want.op || len(rep.Gets) != want.gets || len(rep.Inserts) != want.inserts {
+					t.Fatalf("reply %d: %v with %d gets and %d inserts, want %v with %d and %d",
+						i, rep.Op, len(rep.Gets), len(rep.Inserts), want.op, want.gets, want.inserts)
+				}
+				for _, res := range append([]proto.GetResult{rep.Get}, rep.Gets...) {
+					if (res.Value == nil) != (res.Status == proto.StatusMiss) {
+						t.Fatalf("reply %d: status %v with value %q", i, res.Status, res.Value)
+					}
+				}
+			}
+		}
+	})
+}
+
 // fuzzBackend is a deterministic in-memory Backend for FuzzServeConn.
 type fuzzBackend struct{ m map[string][]byte }
 

@@ -270,26 +270,22 @@ func AppendMGetResp(dst []byte, results []GetResult) []byte {
 	return dst
 }
 
-// parseMGetResp decodes an MGET response payload; values alias the
-// payload.
-func parseMGetResp(payload []byte) ([]GetResult, error) {
+// parseMGetResp decodes an MGET response payload, appending its results
+// to dst (the client's reply scratch); values alias the payload.
+func parseMGetResp(dst []GetResult, payload []byte) ([]GetResult, error) {
 	p := parser{payload}
 	n, err := p.count()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	results := make([]GetResult, 0, min(n, 1024))
 	for i := 0; i < n; i++ {
 		r, err := p.parseGetItem()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		results = append(results, r)
+		dst = append(dst, r)
 	}
-	if err := p.done(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return dst, p.done()
 }
 
 // --- MPUT ---
@@ -327,28 +323,25 @@ func AppendMPutResp(dst []byte, inserted []bool) []byte {
 	return dst
 }
 
-// ParseMPutResp decodes an MPUT response payload.
-func ParseMPutResp(payload []byte) ([]bool, error) {
+// ParseMPutResp decodes an MPUT response payload, appending its
+// inserted flags to dst.
+func ParseMPutResp(dst []bool, payload []byte) ([]bool, error) {
 	p := parser{payload}
 	n, err := p.count()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	inserted := make([]bool, 0, min(n, 1024))
 	for i := 0; i < n; i++ {
 		b, err := p.byte1("mput status")
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if b > 1 {
-			return nil, wireErrf(ErrPayload, "invalid mput status %d", b)
+			return dst, wireErrf(ErrPayload, "invalid mput status %d", b)
 		}
-		inserted = append(inserted, b == 1)
+		dst = append(dst, b == 1)
 	}
-	if err := p.done(); err != nil {
-		return nil, err
-	}
-	return inserted, nil
+	return dst, p.done()
 }
 
 // cloneBytes copies b. nil stays nil and a non-nil empty slice stays

@@ -174,11 +174,18 @@ func AppendFrame(dst []byte, op Op, payload []byte) []byte {
 		panic("proto: AppendFrame payload exceeds MaxPayload")
 	}
 	start := len(dst)
-	dst = append(dst, Magic0, Magic1, Version, byte(op))
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = appendFrameHeader(dst, op, len(payload))
 	dst = append(dst, payload...)
 	sum := crc32.Checksum(dst[start:], castagnoli)
 	return binary.LittleEndian.AppendUint32(dst, sum)
+}
+
+// appendFrameHeader appends the frame prefix that precedes n payload
+// bytes: magic, version, opcode and the uvarint length. The CRC-32C that
+// trails the frame covers this prefix and the payload.
+func appendFrameHeader(dst []byte, op Op, n int) []byte {
+	dst = append(dst, Magic0, Magic1, Version, byte(op))
+	return binary.AppendUvarint(dst, uint64(n))
 }
 
 // Reader decodes frames from a byte stream. It reads exactly one

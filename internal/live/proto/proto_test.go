@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -37,6 +38,30 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, _, err := r.ReadFrame(); err != io.EOF {
 		t.Fatalf("end of stream: got %v, want io.EOF", err)
+	}
+}
+
+// TestWriteChunkFrameBytes pins the streamed chunk frame to the bytes
+// AppendFrame builds around AppendChunk, at every length-uvarint width a
+// chunk reaches, and with the writer's buffer too full for the header.
+func TestWriteChunkFrameBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 126, 127, 300, 20000, SnapChunk} {
+		for _, prefill := range []int{0, 10} {
+			chunk := bytes.Repeat([]byte{byte(n)}, n)
+			var out bytes.Buffer
+			bw := bufio.NewWriterSize(&out, 16)
+			bw.Write(make([]byte, prefill))
+			if err := writeChunkFrame(bw, OpRestore, ChunkLast, chunk); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want := AppendFrame(make([]byte, prefill), OpRestore, AppendChunk(nil, ChunkLast, chunk))
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("%d-byte chunk after %d buffered bytes: streamed frame differs from AppendFrame's", n, prefill)
+			}
+		}
 	}
 }
 
@@ -183,8 +208,9 @@ func TestPayloadRoundTrips(t *testing.T) {
 		}
 	}
 	results := []GetResult{{Status: StatusHit, Value: []byte("x")}, {Status: StatusMiss}}
-	gotRes, err := parseMGetResp(AppendMGetResp(nil, results))
-	if err != nil || len(gotRes) != 2 || gotRes[0].Status != StatusHit || gotRes[1].Status != StatusMiss {
+	// The response parsers append to the scratch they are given.
+	gotRes, err := parseMGetResp([]GetResult{{Status: StatusFill}}, AppendMGetResp(nil, results))
+	if err != nil || len(gotRes) != 3 || gotRes[0].Status != StatusFill || gotRes[1].Status != StatusHit || gotRes[2].Status != StatusMiss {
 		t.Fatalf("mget resp: %+v, %v", gotRes, err)
 	}
 	// MPUT
@@ -197,8 +223,8 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if err != nil || len(gotKeys) != 2 || gotKeys[0] != "a" || gotVals[0] != "1" || gotKeys[1] != "b" || gotVals[1] != "" {
 		t.Fatalf("mput req: %q %q, %v", gotKeys, gotVals, err)
 	}
-	gotIns, err := ParseMPutResp(AppendMPutResp(nil, []bool{true, false, true}))
-	if err != nil || len(gotIns) != 3 || !gotIns[0] || gotIns[1] || !gotIns[2] {
+	gotIns, err := ParseMPutResp([]bool{false}, AppendMPutResp(nil, []bool{true, false, true}))
+	if err != nil || len(gotIns) != 4 || gotIns[0] || !gotIns[1] || gotIns[2] || !gotIns[3] {
 		t.Fatalf("mput resp: %v, %v", gotIns, err)
 	}
 }
@@ -243,7 +269,7 @@ func TestPayloadLimits(t *testing.T) {
 	if _, err := ParsePutResp([]byte{7}); !errors.Is(err, ErrPayload) {
 		t.Errorf("bad put status: %v", err)
 	}
-	if _, err := ParseMPutResp([]byte{0x01, 7}); !errors.Is(err, ErrPayload) {
+	if _, err := ParseMPutResp(nil, []byte{0x01, 7}); !errors.Is(err, ErrPayload) {
 		t.Errorf("bad mput status: %v", err)
 	}
 	// Empty payloads where content is mandatory.
@@ -256,10 +282,10 @@ func TestPayloadLimits(t *testing.T) {
 	if keys, _, err := decodeBatch(OpMPut, []byte{0x02, 0x01, 'a'}); !errors.Is(err, ErrPayload) || len(keys) != 0 {
 		t.Errorf("truncated mput req: %v (applied %q)", err, keys)
 	}
-	if _, err := parseMGetResp([]byte{0x01}); !errors.Is(err, ErrPayload) {
+	if _, err := parseMGetResp(nil, []byte{0x01}); !errors.Is(err, ErrPayload) {
 		t.Errorf("truncated mget resp: %v", err)
 	}
-	if _, err := ParseMPutResp([]byte{0x02, 0x01}); !errors.Is(err, ErrPayload) {
+	if _, err := ParseMPutResp(nil, []byte{0x02, 0x01}); !errors.Is(err, ErrPayload) {
 		t.Errorf("truncated mput resp: %v", err)
 	}
 }

@@ -1,6 +1,10 @@
 package proto
 
-import "encoding/binary"
+import (
+	"bufio"
+	"encoding/binary"
+	"hash/crc32"
+)
 
 // Range-management wire formats: RESET purges a set range, SNAP streams
 // a range's state snapshot out, RESTORE streams one in. They exist so
@@ -92,6 +96,41 @@ func AppendChunk(dst []byte, flag byte, chunk []byte) []byte {
 	}
 	dst = append(dst, flag)
 	return append(dst, chunk...)
+}
+
+// writeChunkFrame writes to bw exactly the bytes of
+// AppendFrame(nil, op, AppendChunk(nil, flag, chunk)) without building
+// them: the frame header (appendFrameHeader) and the flag are appended
+// in bw's free space, the chunk goes out as it is, and the CRC-32C runs
+// over both. Nothing outlives the call, so a transfer allocates nothing
+// per chunk (pinned by TestChunkedTransferAllocs).
+func writeChunkFrame(bw *bufio.Writer, op Op, flag byte, chunk []byte) error {
+	if len(chunk) > SnapChunk {
+		panic("proto: chunk exceeds SnapChunk")
+	}
+	// The header and the CRC are built in bw's buffer, not in local
+	// arrays: a local slice handed to the CRC or to Write would escape
+	// to the heap on every call.
+	if err := reserve(bw, headerSize+binary.MaxVarintLen32+1); err != nil {
+		return err
+	}
+	hdr := append(appendFrameHeader(bw.AvailableBuffer(), op, 1+len(chunk)), flag)
+	sum := crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, chunk)
+	bw.Write(hdr)
+	bw.Write(chunk)
+	if err := reserve(bw, crcSize); err != nil {
+		return err
+	}
+	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), sum))
+	return err
+}
+
+// reserve flushes bw unless n bytes of its buffer are free.
+func reserve(bw *bufio.Writer, n int) error {
+	if bw.Available() < n {
+		return bw.Flush()
+	}
+	return nil
 }
 
 // ParseChunk decodes a chunk frame payload; the chunk aliases the

@@ -104,9 +104,9 @@ func TestServeConnAllocs(t *testing.T) {
 }
 
 // TestClientFlushAllocs pins the client's pipelined burst — 32 QueueGet
-// and one Flush, all hits on 64-byte values — at no more than 3
-// allocations: the replies slice plus a value chunk every other burst.
-// Queueing frames into the client's scratch and allocates nothing.
+// and one Flush, all hits on 64-byte values — at no more than 1
+// allocation: a value chunk every other burst. Queueing frames into the
+// client's scratch and decoding replies into it allocate nothing.
 func TestClientFlushAllocs(t *testing.T) {
 	const depth = 32
 	var replies []byte
@@ -132,26 +132,39 @@ func TestClientFlushAllocs(t *testing.T) {
 		}
 	}
 	burst() // grow the scratch
-	if allocs := testing.AllocsPerRun(100, burst); allocs > 3 {
-		t.Errorf("QueueGet x%d + Flush allocates %.1f objects, want <= 3", depth, allocs)
+	if allocs := testing.AllocsPerRun(100, burst); allocs > 1 {
+		t.Errorf("QueueGet x%d + Flush allocates %.1f objects, want <= 1", depth, allocs)
 	}
 }
 
-// TestReplyValuesAreCallerOwned checks what the chunked value copies
-// must keep true: values of one Flush do not overlap, appending to one
-// cannot reach the next, and a later Flush never rewrites them.
+// TestReplyValuesAreCallerOwned checks the two lifetimes of a Flush
+// result. The []Reply and the Gets in it are scratch: the next Flush
+// decodes into the same memory. The values are the caller's: values of
+// one Flush do not overlap, appending to one cannot reach the next, and
+// a kept copy of a GetResult holds its bytes however many Flushes later.
+// Every Flush carries different bytes, so a value the client reused
+// would show.
 func TestReplyValuesAreCallerOwned(t *testing.T) {
+	const flushes = 2001
+	value := func(f, i int) []byte { return []byte(fmt.Sprintf("%c-%05d", 'a'+i, f)) }
 	var replies []byte
-	for i := 0; i < 4; i++ {
-		res := proto.GetResult{Status: proto.StatusHit, Value: bytes.Repeat([]byte{'a' + byte(i)}, 8)}
-		replies = proto.AppendFrame(replies, proto.OpGet, proto.AppendGetResp(nil, res))
+	for f := 0; f < flushes; f++ {
+		for i := 0; i < 2; i++ {
+			res := proto.GetResult{Status: proto.StatusHit, Value: value(f, i)}
+			replies = proto.AppendFrame(replies, proto.OpGet, proto.AppendGetResp(nil, res))
+		}
+		gets := []proto.GetResult{{Status: proto.StatusHit, Value: value(f, 2)}, {Status: proto.StatusFill, Value: value(f, 3)}}
+		replies = proto.AppendFrame(replies, proto.OpMGet, proto.AppendMGetResp(nil, gets))
 	}
-	cli := proto.NewClient(&memConn{in: replies, loops: 1 << 30, out: io.Discard})
+	cli := proto.NewClient(&memConn{in: replies, loops: 1, out: io.Discard})
 	flush := func() []proto.Reply {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 2; i++ {
 			if err := cli.QueueGet("k"); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := cli.QueueMGet([]string{"k", "l"}); err != nil {
+			t.Fatal(err)
 		}
 		got, err := cli.Flush()
 		if err != nil {
@@ -160,13 +173,20 @@ func TestReplyValuesAreCallerOwned(t *testing.T) {
 		return got
 	}
 	first := flush()
-	_ = append(first[0].Get.Value, "overrun"...)
-	for i := 0; i < 2000; i++ { // many chunks later
-		flush()
+	kept := []proto.GetResult{first[0].Get, first[1].Get}
+	kept = append(kept, first[2].Gets...)
+	_ = append(kept[0].Value, "overrun"...)
+	for f := 1; f < flushes; f++ { // many chunks later
+		if got := flush(); &got[0] != &first[0] || &got[2].Gets[0] != &first[2].Gets[0] {
+			t.Fatalf("flush %d decoded into fresh memory, want the client's reply scratch", f)
+		}
 	}
-	for i := range first {
-		if want := bytes.Repeat([]byte{'a' + byte(i)}, 8); !bytes.Equal(first[i].Get.Value, want) {
-			t.Errorf("value %d = %q after later flushes, want %q", i, first[i].Get.Value, want)
+	if !bytes.Equal(first[2].Gets[1].Value, value(flushes-1, 3)) {
+		t.Fatalf("the first []Reply holds %q, want the last Flush's %q", first[2].Gets[1].Value, value(flushes-1, 3))
+	}
+	for i, res := range kept {
+		if want := value(0, i); !bytes.Equal(res.Value, want) {
+			t.Errorf("kept value %d = %q after later flushes, want %q", i, res.Value, want)
 		}
 	}
 }

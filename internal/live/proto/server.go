@@ -315,15 +315,14 @@ func writeSnapFrames(bw *bufio.Writer, rb RangeBackend, lo, hi int) error {
 		}
 	}
 	if refusal != "" {
-		_, err := bw.Write(AppendFrame(nil, OpSnap, AppendChunk(nil, ChunkErr, []byte(refusal))))
-		return err
+		return writeChunkFrame(bw, OpSnap, ChunkErr, []byte(refusal))
 	}
 	for off := 0; ; off += SnapChunk {
 		end, flag := off+SnapChunk, byte(ChunkMore)
 		if end >= len(data) {
 			end, flag = len(data), ChunkLast
 		}
-		if _, err := bw.Write(AppendFrame(nil, OpSnap, AppendChunk(nil, flag, data[off:end]))); err != nil {
+		if err := writeChunkFrame(bw, OpSnap, flag, data[off:end]); err != nil {
 			return err
 		}
 		if flag == ChunkLast {

@@ -82,6 +82,12 @@ else
     # ResetStats. Named here for the same reason as the plateau.
     echo '>> go test -run EntryFootprint|ResetStatsClock ./internal/live/'
     go test -run 'EntryFootprint|ResetStatsClock' ./internal/live/
+    # Allocation pins of the wire reply path: the client's and the
+    # router's reply scratch, chunked SNAP/RESTORE transfers, a TCP get
+    # hit end to end, and the clears that keep stale replies from
+    # pinning value chunks. Named here for the same reason.
+    echo '>> go test -run Allocs|ClearsStale|CallerOwned ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/'
+    go test -run 'Allocs|ClearsStale|CallerOwned' ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/
 fi
 
 # Engine smoke: run one experiment twice against the same cache dir.
