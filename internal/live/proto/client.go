@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -30,14 +29,14 @@ var ErrClosed = errors.New("proto: client closed")
 // differential tests demand byte-identical stats at any depth.
 type Client struct {
 	conn    io.ReadWriter
-	bw      *bufio.Writer
-	r       *Reader
+	w       writer // queued request frames
+	r       Reader
 	pending []request // requests queued since the last Flush, in order
 	err     error     // first write failure; poisons the client (see Flush)
 	closed  bool
-	// payload and frame are the request scratch every Queue* call
-	// builds into and queue copies out of (into bw) before returning.
-	payload, frame []byte
+	// payload is the request scratch every Queue* call builds into and
+	// queue frames into w before returning.
+	payload []byte
 	// replies, gets and ins are the reply scratch Flush decodes into
 	// and hands out: every Reply, and the Gets and Inserts of every
 	// MGET and MPUT reply, of one Flush.
@@ -57,11 +56,7 @@ type request struct {
 
 // NewClient wraps conn.
 func NewClient(conn io.ReadWriter) *Client {
-	return &Client{
-		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-		r:    NewReader(bufio.NewReaderSize(conn, 64<<10)),
-	}
+	return &Client{conn: conn, w: writer{w: conn}, r: Reader{r: conn}}
 }
 
 // Close marks the client unusable — every later call returns ErrClosed
@@ -111,16 +106,16 @@ type Reply struct {
 	Purged   int         // OpReset: entries dropped by the range reset
 }
 
-// queue frames one request. A write failure (the buffered writer only
-// hits the connection when a burst overflows its buffer) is recorded
-// as the client's sticky error so Flush reports it instead of a
+// queue frames one request into the write buffer. A write failure (the
+// buffer only hits the connection early when a burst reaches flushAt) is
+// recorded as the client's sticky error so Flush reports it instead of a
 // downstream read error.
 func (c *Client) queue(req request, payload []byte) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	c.frame = AppendFrame(c.frame[:0], req.op, payload)
-	if _, err := c.bw.Write(c.frame); err != nil {
+	c.w.buf = AppendFrame(c.w.buf, req.op, payload)
+	if err := c.w.spill(); err != nil {
 		c.err = err
 		return err
 	}
@@ -233,7 +228,7 @@ func (c *Client) Flush() ([]Reply, error) {
 	if err := c.check(); err != nil {
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.w.flush(); err != nil {
 		// The write side is broken: report the write error now (and on
 		// every later call) rather than letting the reply reads surface
 		// a later, less diagnostic read error.
@@ -409,10 +404,8 @@ func (c *Client) SnapRange(lo, hi int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.bw.Write(AppendFrame(nil, OpSnap, p)); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
+	c.w.buf = AppendFrame(c.w.buf, OpSnap, p)
+	if err := c.w.flush(); err != nil {
 		return nil, c.fail(err)
 	}
 	var data []byte
@@ -456,23 +449,12 @@ func (c *Client) Restore(data []byte) (int, error) {
 	if len(data) > MaxSnapshot {
 		return 0, wireErrf(ErrTooLarge, "snapshot %d bytes > max %d", len(data), MaxSnapshot)
 	}
-	for off := 0; ; off += SnapChunk {
-		end, flag := off+SnapChunk, byte(ChunkMore)
-		if end >= len(data) {
-			end, flag = len(data), ChunkLast
-		}
-		if err := writeChunkFrame(c.bw, OpRestore, flag, data[off:end]); err != nil {
-			return 0, c.fail(err)
-		}
-		// Flush per chunk: the server replies only after the last one,
-		// so bounding the in-flight bytes costs nothing and keeps large
-		// transfers from overrunning the write buffer in one burst.
-		if err := c.bw.Flush(); err != nil {
-			return 0, c.fail(err)
-		}
-		if flag == ChunkLast {
-			break
-		}
+	err := writeChunks(&c.w, OpRestore, data)
+	if err == nil {
+		err = c.w.flush() // the last chunk's CRC
+	}
+	if err != nil {
+		return 0, c.fail(err)
 	}
 	op, payload, err := c.r.ReadFrame()
 	if err != nil {

@@ -60,7 +60,7 @@ func TestFlushBrokenConnReturnsWriteError(t *testing.T) {
 }
 
 // TestQueueWriteErrorSticks drives enough queued bytes through a
-// broken connection that the bufio layer hits the wire mid-queue; the
+// broken connection that the write buffer hits the wire mid-queue; the
 // failure must surface on the queueing call and stick, so a later
 // Flush reports the write error instead of hanging on replies that
 // will never come.
@@ -71,7 +71,7 @@ func TestQueueWriteErrorSticks(t *testing.T) {
 	big := strings.Repeat("x", 32<<10)
 	var qerr error
 	for i := 0; i < 8 && qerr == nil; i++ {
-		qerr = c.QueuePing([]byte(big)) // 8 x 32 KiB overflows the 64 KiB buffer
+		qerr = c.QueuePing([]byte(big)) // 8 x 32 KiB passes the 64 KiB flush threshold
 	}
 	if !errors.Is(qerr, writeErr) {
 		t.Fatalf("queueing past the buffer = %v, want %v", qerr, writeErr)

@@ -337,3 +337,96 @@ func TestClientReplyMismatch(t *testing.T) {
 		t.Fatalf("mismatched reply: %v", err)
 	}
 }
+
+// stallSpy wraps the server's end of a connection and closes stalled if
+// the server reads again after it has received all of the first frame
+// (size first) but before it has written anything: it is waiting on the
+// rest of the stream with the first reply unsent. Only the server's
+// goroutine touches the counters.
+type stallSpy struct {
+	net.Conn
+	first, got, writes int
+	stalled            chan struct{}
+	reported           bool
+}
+
+func (s *stallSpy) Read(p []byte) (int, error) {
+	if s.got >= s.first && s.writes == 0 && !s.reported {
+		close(s.stalled)
+		s.reported = true
+	}
+	n, err := s.Conn.Read(p)
+	s.got += n
+	return n, err
+}
+
+func (s *stallSpy) Write(p []byte) (int, error) {
+	s.writes++
+	return s.Conn.Write(p)
+}
+
+// TestRepliesFlushBeforeBlockingRead: a peer that sends frame 1 and half
+// of frame 2 over loopback TCP, then waits for reply 1, gets it before
+// it sends the rest. A server that flushed only when it had no bytes
+// buffered at all kept reply 1 back until frame 2 was whole, and this
+// peer waited for it forever.
+func TestRepliesFlushBeforeBlockingRead(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	one := proto.AppendFrame(nil, proto.OpPing, []byte("one"))
+	two := proto.AppendFrame(nil, proto.OpPing, []byte("two"))
+	stalled, done := make(chan struct{}), make(chan error, 1)
+	b := newLiveBackend(t, false)
+	go func() {
+		sc, err := ln.Accept()
+		if err != nil {
+			done <- err
+			return
+		}
+		defer sc.Close()
+		done <- proto.ServeConn(&stallSpy{Conn: sc, first: len(one), stalled: stalled}, b)
+	}()
+	cc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	r := proto.NewReader(cc)
+	type reply struct {
+		payload string
+		err     error
+	}
+	read := func() <-chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			_, payload, err := r.ReadFrame()
+			ch <- reply{string(payload), err}
+		}()
+		return ch
+	}
+	half := len(two) / 2
+	if _, err := cc.Write(append(append([]byte(nil), one...), two[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stalled:
+		t.Fatal("the server waits for the rest of frame 2 with reply 1 unsent")
+	case got := <-read():
+		if got.err != nil || got.payload != "one" {
+			t.Fatalf("reply 1 = (%q, %v), want the PING echo \"one\"", got.payload, got.err)
+		}
+	}
+	if _, err := cc.Write(two[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-read(); got.err != nil || got.payload != "two" {
+		t.Fatalf("reply 2 = (%q, %v), want the PING echo \"two\"", got.payload, got.err)
+	}
+	cc.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("ServeConn after a clean close: %v", err)
+	}
+}

@@ -2,9 +2,11 @@ package proto_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
+	"rwp/internal/live"
 	"rwp/internal/live/proto"
 )
 
@@ -44,7 +46,9 @@ func frameSeeds(f *testing.F) {
 // FuzzReadFrame hardens the frame reader: arbitrary bytes must never
 // panic, never allocate past MaxPayload, and either yield frames or
 // fail cleanly. Decoded frame count is bounded by the input size (the
-// minimum frame is 9 bytes), so a decoding loop always terminates.
+// minimum frame is 9 bytes), so a decoding loop always terminates. The
+// same bytes fed through a splitter seeded by their length must decode
+// to the same outcomes: read boundaries never change what is decoded.
 func FuzzReadFrame(f *testing.F) {
 	frameSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -55,7 +59,7 @@ func FuzzReadFrame(f *testing.F) {
 				if err == io.EOF && len(payload) != 0 {
 					t.Fatal("EOF with payload")
 				}
-				return
+				break
 			}
 			if !op.Valid() {
 				t.Fatalf("decoded invalid opcode %v", op)
@@ -65,6 +69,17 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			if i > len(data)/9 {
 				t.Fatalf("decoded more frames than %d input bytes can hold", len(data))
+			}
+		}
+		want := decodeAll(bytes.NewReader(data))
+		got := decodeAll(newSplitReader(bytes.NewReader(data), uint64(len(data))))
+		if len(got) != len(want) {
+			t.Fatalf("split reads decode %d outcomes, whole reads %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("outcome %d: split reads (%v, %q, %q), whole reads (%v, %q, %q)",
+					i, got[i].op, got[i].payload, got[i].err, want[i].op, want[i].payload, want[i].err)
 			}
 		}
 	})
@@ -220,6 +235,92 @@ func FuzzServeConn(f *testing.F) {
 			if op == proto.OpErr && err == nil {
 				t.Fatal("ERR frame written but ServeConn returned nil")
 			}
+		}
+	})
+}
+
+// restoreCache is FuzzRestoreWire's cache: the geometry of the
+// snapshots in internal/snap's FuzzDecode corpus (16 sets of 2 ways,
+// rwp, interval 2), so those seeds get past the decoder to the cache's
+// own checks, holding a few entries so that a restore which applied
+// anything would show in its stats.
+func restoreCache(tb testing.TB, seed int) *live.Cache {
+	cfg := live.DefaultConfig()
+	cfg.Sets, cfg.Ways, cfg.Shards = 16, 2, 1
+	cfg.RWP.Interval = 2
+	c, err := live.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("w%d-%d", seed, i)
+		c.Put(k, []byte(k))
+		c.Get(fmt.Sprintf("w%d-%d", seed, i/2))
+	}
+	return c
+}
+
+// restoreStream frames data as a RESTORE transfer in three chunks, the
+// first two flagged ChunkMore, followed by a PING.
+func restoreStream(data []byte) []byte {
+	var s []byte
+	a, b := len(data)/3, 2*len(data)/3
+	s = proto.AppendFrame(s, proto.OpRestore, proto.AppendChunk(nil, proto.ChunkMore, data[:a]))
+	s = proto.AppendFrame(s, proto.OpRestore, proto.AppendChunk(nil, proto.ChunkMore, data[a:b]))
+	s = proto.AppendFrame(s, proto.OpRestore, proto.AppendChunk(nil, proto.ChunkLast, data[b:]))
+	return proto.AppendFrame(s, proto.OpPing, []byte("still here"))
+}
+
+// FuzzRestoreWire feeds arbitrary snapshot bytes, chunked, through
+// ServeConn's RESTORE staging into a live.Cache. A restore is
+// all-or-nothing: refused, it leaves the stats document byte-identical;
+// refused or applied, CheckInvariants passes and the connection still
+// answers a PING. testdata/fuzz/FuzzRestoreWire/ holds internal/snap's
+// FuzzDecode corpus (an lru and an rwp snapshot of this geometry, a
+// truncated one, a v4 file — the rwp one applies); the added seed is a
+// snapshot of another cache of this geometry, which applies.
+func FuzzRestoreWire(f *testing.F) {
+	donor := restoreCache(f, 1)
+	snap, err := donor.SnapBytes(0, 16)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > proto.SnapChunk {
+			return // three chunks would not fit the frames
+		}
+		c := restoreCache(t, 0)
+		before, err := c.StatsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := proto.ServeConn(&memConn{in: restoreStream(data), out: &out}, c); err != nil {
+			t.Fatalf("ServeConn on a well-framed transfer: %v", err)
+		}
+		r := proto.NewReader(&out)
+		op, payload, err := r.ReadFrame()
+		if err != nil || op != proto.OpRestore {
+			t.Fatalf("first reply (%v, %v), want a RESTORE reply", op, err)
+		}
+		_, refusal, err := proto.ParseRestoreResp(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("after restore (refusal %q): %v", refusal, err)
+		}
+		if refusal != "" {
+			if after, _ := c.StatsJSON(); !bytes.Equal(before, after) {
+				t.Fatalf("refused restore (%s) changed the stats document", refusal)
+			}
+		}
+		if op, payload, err := r.ReadFrame(); err != nil || op != proto.OpPing || string(payload) != "still here" {
+			t.Fatalf("after the restore, PING got (%v, %q, %v)", op, payload, err)
+		}
+		if _, _, err := r.ReadFrame(); err != io.EOF {
+			t.Fatalf("bytes after the PING reply: %v", err)
 		}
 	})
 }

@@ -188,116 +188,192 @@ func appendFrameHeader(dst []byte, op Op, n int) []byte {
 	return binary.AppendUvarint(dst, uint64(n))
 }
 
-// Reader decodes frames from a byte stream. It reads exactly one
-// frame's bytes per call — it never over-reads past the CRC — so it
-// can share the underlying reader with nothing else but needs no
-// pushback. Memory is bounded: the payload buffer grows to the largest
-// declared (and validated) payload seen, never past MaxPayload.
+// Connection buffers. Each direction of a connection has one buffer of
+// its own, sized by the traffic rather than fixed:
+//
+//   - A Reader's buffer starts at readMin and grows to fit one frame.
+//   - A write buffer starts empty and grows as frames are appended to
+//     it; it is written out whenever it reaches flushAt, so a burst up
+//     to that size costs one Write, and it never holds more than flushAt
+//     plus one frame.
+//
+// Either buffer is given back once it is more than retainFactor times
+// what the connection's frames (read side) or bursts (write side) need
+// — the rule live.Cache applies to an entry's buffer — but never below
+// its floor, readMin or flushAt: below that, keeping it saves the
+// allocations of growing it again. A connection that carried one
+// outsized frame returns to a few KiB.
+const (
+	readMin      = 4 << 10
+	flushAt      = 64 << 10
+	retainFactor = 4
+)
+
+// Reader decodes frames from a byte stream. It reads ahead into its one
+// buffer — each fill is a single Read into the buffer's spare capacity
+// — and decodes frames in place from it, so the underlying reader must
+// not be shared. Memory is bounded: the buffer grows to fit the frame
+// being read, whose declared length is validated first, and so never
+// past MaxPayload plus framing.
 type Reader struct {
-	r   io.Reader
-	buf []byte // reused scratch: header + payload + crc of the current frame
-	// lenb is the single-byte scratch for the length-uvarint read loop.
-	// As a field it stays on the Reader; as a loop-local it escaped into
-	// the io.Reader call and cost one heap allocation per length byte.
-	lenb [1]byte
+	r    io.Reader
+	buf  []byte // buf[off:] is read from r and not yet returned
+	off  int
+	last [2]int // sizes of the last two frames returned, the fills' sizing hint
+	err  error  // read error met behind the buffered bytes, reported once
 }
 
-// NewReader wraps r. For a net.Conn, wrap in a bufio.Reader first if
-// you also need Buffered() for pipelined flushing (server.go does).
+// NewReader wraps r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
+// frameSize parses the frame header at the front of b and returns the
+// whole frame's size (header, payload and CRC) and the payload's offset
+// in it. size is 0 while b holds too little of the header to tell; a
+// header it has whole is validated.
+func frameSize(b []byte) (size, start int, err error) {
+	if len(b) < headerSize {
+		return 0, 0, nil
+	}
+	if b[0] != Magic0 || b[1] != Magic1 {
+		return 0, 0, wireErrf(ErrMagic, "got %#02x %#02x", b[0], b[1])
+	}
+	if b[2] != Version {
+		return 0, 0, wireErrf(ErrVersion, "got %d, want %d", b[2], Version)
+	}
+	if !Op(b[3]).Valid() {
+		return 0, 0, wireErrf(ErrOp, "opcode %d", b[3])
+	}
+	var plen uint64
+	for i, shift := headerSize, uint(0); i < len(b); i, shift = i+1, shift+7 {
+		c := b[i]
+		plen |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			if plen > MaxPayload {
+				return 0, 0, wireErrf(ErrTooLarge, "payload %d > max %d", plen, MaxPayload)
+			}
+			return i + 1 + int(plen) + crcSize, i + 1, nil
+		}
+		if shift >= 28 { // > 5 bytes cannot stay under MaxPayload
+			return 0, 0, wireErrf(ErrTooLarge, "payload length uvarint overflows")
+		}
+	}
+	return 0, 0, nil
+}
+
+// frameBuffered reports whether a whole frame is buffered, so that the
+// next ReadFrame returns it without reading from the connection.
+func (r *Reader) frameBuffered() bool {
+	size, _, err := frameSize(r.buf[r.off:])
+	return err == nil && size > 0 && size <= len(r.buf)-r.off
+}
+
 // ReadFrame reads and verifies the next frame, returning its opcode
-// and payload. The payload aliases an internal buffer that is
-// overwritten by the next call — copy it to retain it. io.EOF is
-// returned only at a clean frame boundary; a frame truncated mid-way
-// yields io.ErrUnexpectedEOF.
+// and payload. The payload aliases the reader's buffer, which the next
+// call may overwrite — copy it to retain it. io.EOF is returned only at
+// a clean frame boundary; a frame truncated mid-way yields
+// io.ErrUnexpectedEOF.
 //
 // Steady state it allocates nothing (pinned by TestReadFrameAllocs):
-// the scratch buffer grows to the connection's high-water payload and
-// is reused; the remaining allocations below are one-time, amortized,
-// or on error paths that end the connection.
+// the buffer changes size only when a frame outgrows it or the frames
+// have become small next to it (see fill).
 //
 //rwplint:hotpath — runs once per frame on the serving path
 func (r *Reader) ReadFrame() (Op, []byte, error) {
-	// Fixed header: magic, version, opcode.
-	if cap(r.buf) < headerSize {
-		//rwplint:allow hotalloc — one-time scratch init on a Reader's first frame
-		r.buf = make([]byte, 64)
-	}
-	hdr := r.buf[:headerSize]
-	if _, err := io.ReadFull(r.r, hdr[:1]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
+	for {
+		b := r.buf[r.off:]
+		size, start, err := frameSize(b)
+		if err != nil {
+			return 0, nil, err
 		}
-		return 0, nil, err // clean boundary: nothing read
-	}
-	if _, err := io.ReadFull(r.r, hdr[1:]); err != nil {
-		return 0, nil, truncated(err)
-	}
-	if hdr[0] != Magic0 || hdr[1] != Magic1 {
-		//rwplint:allow hotalloc — error path: the connection is about to close
-		return 0, nil, wireErrf(ErrMagic, "got %#02x %#02x", hdr[0], hdr[1])
-	}
-	if hdr[2] != Version {
-		//rwplint:allow hotalloc — error path: the connection is about to close
-		return 0, nil, wireErrf(ErrVersion, "got %d, want %d", hdr[2], Version)
-	}
-	op := Op(hdr[3])
-	if !op.Valid() {
-		//rwplint:allow hotalloc — error path: the connection is about to close
-		return 0, nil, wireErrf(ErrOp, "opcode %d", hdr[3])
-	}
-
-	// Payload length: uvarint read byte by byte so we never consume
-	// past the frame.
-	frame := append(r.buf[:0], hdr...)
-	var plen uint64
-	for shift := uint(0); ; shift += 7 {
-		if _, err := io.ReadFull(r.r, r.lenb[:]); err != nil {
-			return 0, nil, truncated(err)
+		if size > 0 && size <= len(b) {
+			frame := b[:size]
+			r.off += size
+			r.last = [2]int{size, r.last[0]}
+			body := frame[:size-crcSize]
+			want := binary.LittleEndian.Uint32(frame[size-crcSize:])
+			if got := crc32.Checksum(body, castagnoli); got != want {
+				//rwplint:allow hotalloc — error path: the connection is about to close
+				return 0, nil, wireErrf(ErrCRC, "got %#08x, want %#08x", got, want)
+			}
+			return Op(frame[3]), body[start:], nil
 		}
-		b := r.lenb[0]
-		frame = append(frame, b)
-		plen |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-		if shift >= 28 { // > 5 bytes cannot stay under MaxPayload
-			return 0, nil, wireErrf(ErrTooLarge, "payload length uvarint overflows")
+		if err := r.fill(size); err != nil {
+			if err == io.EOF && len(b) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
 		}
 	}
-	if plen > MaxPayload {
-		//rwplint:allow hotalloc — error path: the connection is about to close
-		return 0, nil, wireErrf(ErrTooLarge, "payload %d > max %d", plen, MaxPayload)
-	}
-
-	// Payload + CRC.
-	n := len(frame)
-	need := n + int(plen) + crcSize
-	if cap(frame) < need {
-		//rwplint:allow hotalloc — amortized: scratch grows to the high-water payload, then is reused
-		grown := make([]byte, need)
-		copy(grown, frame)
-		frame = grown[:n]
-	}
-	frame = frame[:need]
-	if _, err := io.ReadFull(r.r, frame[n:]); err != nil {
-		return 0, nil, truncated(err)
-	}
-	r.buf = frame[:0]
-	body, crc := frame[:need-crcSize], frame[need-crcSize:]
-	want := binary.LittleEndian.Uint32(crc)
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		//rwplint:allow hotalloc — error path: the connection is about to close
-		return 0, nil, wireErrf(ErrCRC, "got %#08x, want %#08x", got, want)
-	}
-	return op, body[n:], nil
 }
 
-// truncated maps an io error inside a frame to ErrUnexpectedEOF.
-func truncated(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// fill reads once more into the buffer's spare capacity. size is the
+// size of the frame in progress, 0 while its header is incomplete.
+//
+// Before reading, fill moves the unreturned bytes — part of one frame —
+// to the front of the buffer, or into a new buffer when there is none
+// yet, when this one is too small for the frame in progress, or when it
+// is more than retainFactor times the largest of the frame in progress
+// and the last two. So a run of large frames (a chunked transfer), or
+// large frames alternating with small ones, keep one buffer, and two
+// small frames in a row give a large buffer back.
+func (r *Reader) fill(size int) error {
+	if err := r.err; err != nil {
+		r.err = nil
+		return err
+	}
+	rest := r.buf[r.off:]
+	if need := max(size, r.last[0], r.last[1]); cap(r.buf) < max(size, readMin) || cap(r.buf) > max(retainFactor*need, readMin) {
+		//rwplint:allow hotalloc — the connection's one read buffer, replaced only when it cannot be reused
+		buf := make([]byte, len(rest), max(need, readMin))
+		copy(buf, rest)
+		r.buf = buf
+	} else if r.off > 0 {
+		r.buf = r.buf[:copy(r.buf, rest)]
+	}
+	r.off = 0
+	// Like bufio: a reader that keeps returning nothing is an error,
+	// not a reason to spin.
+	for range 100 {
+		n, err := r.r.Read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+n]
+		if n > 0 {
+			r.err = err
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return io.ErrNoProgress
+}
+
+// writer is one connection's write side: frames are appended in place
+// to buf and go out in one Write per flush.
+type writer struct {
+	w   io.Writer
+	buf []byte
+}
+
+// flush writes the buffered frames in one Write. The buffer is kept for
+// the next burst unless an outsized frame grew it past flushAt and the
+// burst just written used less than 1/retainFactor of it.
+func (w *writer) flush() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	_, err := w.w.Write(w.buf)
+	if cap(w.buf) > max(retainFactor*len(w.buf), flushAt) {
+		w.buf = nil
+	} else {
+		w.buf = w.buf[:0]
 	}
 	return err
+}
+
+// spill flushes a burst that has reached flushAt.
+func (w *writer) spill() error {
+	if len(w.buf) < flushAt {
+		return nil
+	}
+	return w.flush()
 }

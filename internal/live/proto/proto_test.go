@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -43,18 +42,17 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestWriteChunkFrameBytes pins the streamed chunk frame to the bytes
 // AppendFrame builds around AppendChunk, at every length-uvarint width a
-// chunk reaches, and with the writer's buffer too full for the header.
+// chunk reaches, and behind frames already buffered.
 func TestWriteChunkFrameBytes(t *testing.T) {
 	for _, n := range []int{0, 1, 126, 127, 300, 20000, SnapChunk} {
 		for _, prefill := range []int{0, 10} {
 			chunk := bytes.Repeat([]byte{byte(n)}, n)
 			var out bytes.Buffer
-			bw := bufio.NewWriterSize(&out, 16)
-			bw.Write(make([]byte, prefill))
-			if err := writeChunkFrame(bw, OpRestore, ChunkLast, chunk); err != nil {
+			w := writer{w: &out, buf: make([]byte, prefill)}
+			if err := writeChunkFrame(&w, OpRestore, ChunkLast, chunk); err != nil {
 				t.Fatal(err)
 			}
-			if err := bw.Flush(); err != nil {
+			if err := w.flush(); err != nil {
 				t.Fatal(err)
 			}
 			want := AppendFrame(make([]byte, prefill), OpRestore, AppendChunk(nil, ChunkLast, chunk))

@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"bufio"
 	"encoding/binary"
 	"hash/crc32"
 )
@@ -98,39 +97,49 @@ func AppendChunk(dst []byte, flag byte, chunk []byte) []byte {
 	return append(dst, chunk...)
 }
 
-// writeChunkFrame writes to bw exactly the bytes of
+// writeChunkFrame writes to w exactly the bytes of
 // AppendFrame(nil, op, AppendChunk(nil, flag, chunk)) without building
 // them: the frame header (appendFrameHeader) and the flag are appended
-// in bw's free space, the chunk goes out as it is, and the CRC-32C runs
-// over both. Nothing outlives the call, so a transfer allocates nothing
-// per chunk (pinned by TestChunkedTransferAllocs).
-func writeChunkFrame(bw *bufio.Writer, op Op, flag byte, chunk []byte) error {
+// to w's buffer and flushed with whatever it held, the chunk goes out as
+// it is in a Write of its own, and the CRC-32C over both is appended to
+// w's buffer, to go out with the next flush. The buffer never holds the
+// chunk, so a transfer allocates nothing per chunk (pinned by
+// TestChunkedTransferAllocs).
+func writeChunkFrame(w *writer, op Op, flag byte, chunk []byte) error {
 	if len(chunk) > SnapChunk {
 		panic("proto: chunk exceeds SnapChunk")
 	}
-	// The header and the CRC are built in bw's buffer, not in local
-	// arrays: a local slice handed to the CRC or to Write would escape
-	// to the heap on every call.
-	if err := reserve(bw, headerSize+binary.MaxVarintLen32+1); err != nil {
+	start := len(w.buf)
+	w.buf = append(appendFrameHeader(w.buf, op, 1+len(chunk)), flag)
+	sum := crc32.Update(crc32.Checksum(w.buf[start:], castagnoli), castagnoli, chunk)
+	if err := w.flush(); err != nil {
 		return err
 	}
-	hdr := append(appendFrameHeader(bw.AvailableBuffer(), op, 1+len(chunk)), flag)
-	sum := crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, chunk)
-	bw.Write(hdr)
-	bw.Write(chunk)
-	if err := reserve(bw, crcSize); err != nil {
-		return err
+	if len(chunk) > 0 {
+		if _, err := w.w.Write(chunk); err != nil {
+			return err
+		}
 	}
-	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), sum))
-	return err
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, sum)
+	return nil
 }
 
-// reserve flushes bw unless n bytes of its buffer are free.
-func reserve(bw *bufio.Writer, n int) error {
-	if bw.Available() < n {
-		return bw.Flush()
+// writeChunks writes data as a run of chunk frames of SnapChunk bytes,
+// the last one flagged ChunkLast (empty data is one empty last chunk).
+// The last CRC is left in w's buffer for the caller's flush.
+func writeChunks(w *writer, op Op, data []byte) error {
+	for off := 0; ; off += SnapChunk {
+		end, flag := off+SnapChunk, byte(ChunkMore)
+		if end >= len(data) {
+			end, flag = len(data), ChunkLast
+		}
+		if err := writeChunkFrame(w, op, flag, data[off:end]); err != nil {
+			return err
+		}
+		if flag == ChunkLast {
+			return nil
+		}
 	}
-	return nil
 }
 
 // ParseChunk decodes a chunk frame payload; the chunk aliases the

@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -84,14 +83,17 @@ func (a stringBackend) PutBytes(key, val []byte) bool { return a.Put(string(key)
 // errMGetTooLarge refuses an MGET whose response outgrew a frame.
 var errMGetTooLarge = wireErrf(ErrTooLarge, "mget response exceeds max payload %d", MaxPayload)
 
-// connServer is one connection's serving state: the data backend and
-// the scratch buffers every request reuses, so a request that fits them
-// allocates nothing.
+// connServer is one connection's serving state: the backend, the
+// connection's two buffers, and the scratch every request reuses, so a
+// request that fits them allocates nothing.
 type connServer struct {
 	b       ByteBackend
+	rb      RangeBackend // nil: management ops are refused
+	stats   Backend      // renders the STATS reply
+	r       Reader
+	w       writer
 	val     []byte // the value GetAppend just produced
 	payload []byte // the response payload being built
-	frame   []byte // the response frame being built
 }
 
 // get serves one key, appending its outcome element (status, then the
@@ -164,64 +166,70 @@ func (s *connServer) batch(op Op, req []byte, apply bool) error {
 // Gets/Puts in request order, so a request stream has identical cache
 // semantics through this loop and through direct calls.
 //
-// Pipelining: responses are buffered and flushed only when the read
-// side has no complete buffered request left, so a burst of n requests
-// costs one writev, not n.
+// Pipelining: responses are appended to the connection's write buffer
+// and flushed when no complete request frame is buffered, so a burst of
+// n requests costs one Write, not n, and a frame still arriving never
+// holds back the replies to the frames before it.
 //
 // The server never retains request bytes: keys and values reach the
-// backend as slices of the frame scratch (see ByteBackend), and a GET
+// backend as slices of the read buffer (see ByteBackend), and a GET
 // hit, an MGET of resident keys and a PUT overwrite against a
 // ByteBackend allocate nothing (pinned by TestServeConnAllocs).
 func ServeConn(conn io.ReadWriter, b Backend) error {
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	r := NewReader(br)
-	rb, _ := b.(RangeBackend) // nil: management ops are refused
-	var restoreBuf []byte     // RESTORE chunks accumulated so far
-	s := &connServer{}
+	return newConnServer(conn, b).serve()
+}
+
+// newConnServer sets up one connection's serving state.
+func newConnServer(conn io.ReadWriter, b Backend) *connServer {
+	s := &connServer{stats: b, r: Reader{r: conn}, w: writer{w: conn}}
+	s.rb, _ = b.(RangeBackend)
 	if bb, ok := b.(ByteBackend); ok {
 		s.b = bb
 	} else {
 		s.b = stringBackend{b}
 	}
+	return s
+}
+
+// serve is ServeConn's loop.
+func (s *connServer) serve() error {
+	var restoreBuf []byte // RESTORE chunks accumulated so far
 	for {
 		// Flush before a read that would block: everything the peer
 		// pipelined has been answered.
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
+		if !s.r.frameBuffered() {
+			if err := s.w.flush(); err != nil {
 				return err
 			}
 		}
-		op, req, err := r.ReadFrame()
+		op, req, err := s.r.ReadFrame()
 		if err != nil {
 			if err == io.EOF {
-				return bw.Flush() // clean close at a frame boundary
+				return s.w.flush() // clean close at a frame boundary
 			}
 			// A read deadline firing (the graceful-shutdown nudge in
 			// cmd/rwpserve) is not a peer mistake: flush what is owed
 			// and hang up without a spurious ERR frame.
 			var to interface{ Timeout() bool }
 			if errors.Is(err, os.ErrDeadlineExceeded) || (errors.As(err, &to) && to.Timeout()) {
-				bw.Flush()
+				s.w.flush()
 				return err
 			}
 			// Best effort: tell the peer why before hanging up.
-			bw.Write(AppendFrame(nil, OpErr, []byte(err.Error())))
-			bw.Flush()
-			return err
+			return s.refuse(err)
 		}
 		s.payload = s.payload[:0]
 		switch op {
 		case OpGet:
 			key, perr := parseGetReq(req)
 			if perr != nil {
-				return refuse(bw, perr)
+				return s.refuse(perr)
 			}
 			s.get(key)
 		case OpPut:
 			key, val, perr := parsePutReq(req)
 			if perr != nil {
-				return refuse(bw, perr)
+				return s.refuse(perr)
 			}
 			s.payload = AppendPutResp(s.payload, s.b.PutBytes(key, val))
 		case OpMGet, OpMPut:
@@ -230,15 +238,15 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 				perr = s.batch(op, req, true)
 			}
 			if perr != nil {
-				return refuse(bw, perr)
+				return s.refuse(perr)
 			}
 		case OpStats:
-			doc, serr := b.StatsJSON()
+			doc, serr := s.stats.StatsJSON()
 			if serr != nil {
-				return refuse(bw, serr)
+				return s.refuse(serr)
 			}
 			if len(doc) > MaxPayload {
-				return refuse(bw, wireErrf(ErrTooLarge, "stats document %d bytes", len(doc)))
+				return s.refuse(wireErrf(ErrTooLarge, "stats document %d bytes", len(doc)))
 			}
 			s.payload = append(s.payload, doc...)
 		case OpPing:
@@ -246,15 +254,15 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 		case OpReset:
 			lo, hi, perr := ParseRangeReq(req)
 			if perr != nil {
-				return refuse(bw, perr)
+				return s.refuse(perr)
 			}
-			if rb == nil {
-				return refuse(bw, wireErrf(ErrOp, "backend does not support RESET"))
+			if s.rb == nil {
+				return s.refuse(wireErrf(ErrOp, "backend does not support RESET"))
 			}
-			if cerr := rb.CheckRange(lo, hi); cerr != nil {
-				return refuse(bw, wireErrf(ErrPayload, "reset: %v", cerr))
+			if cerr := s.rb.CheckRange(lo, hi); cerr != nil {
+				return s.refuse(wireErrf(ErrPayload, "reset: %v", cerr))
 			}
-			s.payload = AppendResetResp(s.payload, rb.ResetRange(lo, hi))
+			s.payload = AppendResetResp(s.payload, s.rb.ResetRange(lo, hi))
 		case OpSnap:
 			// Chunked response: write the frames here and skip the
 			// single-frame tail. Refusals travel as a ChunkErr frame, not
@@ -262,9 +270,9 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 			// (cluster catch-up) can fall back to RESET on it.
 			lo, hi, perr := ParseRangeReq(req)
 			if perr != nil {
-				return refuse(bw, perr)
+				return s.refuse(perr)
 			}
-			if err := writeSnapFrames(bw, rb, lo, hi); err != nil {
+			if err := s.writeSnapFrames(lo, hi); err != nil {
 				return err
 			}
 			continue
@@ -274,10 +282,10 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 				if perr == nil {
 					perr = wireErrf(ErrPayload, "restore chunk with error flag")
 				}
-				return refuse(bw, perr)
+				return s.refuse(perr)
 			}
 			if len(restoreBuf)+len(chunk) > MaxSnapshot {
-				return refuse(bw, wireErrf(ErrTooLarge, "restore exceeds max snapshot %d", MaxSnapshot))
+				return s.refuse(wireErrf(ErrTooLarge, "restore exceeds max snapshot %d", MaxSnapshot))
 			}
 			restoreBuf = append(restoreBuf, chunk...)
 			if flag == ChunkMore {
@@ -285,12 +293,12 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 			}
 			data := restoreBuf
 			restoreBuf = nil
-			s.payload = appendRestoreOutcome(s.payload, rb, data)
+			s.payload = appendRestoreOutcome(s.payload, s.rb, data)
 		default: // OpErr from a peer is itself a protocol violation
-			return refuse(bw, wireErrf(ErrOp, "unexpected %v request", op))
+			return s.refuse(wireErrf(ErrOp, "unexpected %v request", op))
 		}
-		s.frame = AppendFrame(s.frame[:0], op, s.payload)
-		if _, err := bw.Write(s.frame); err != nil {
+		s.w.buf = AppendFrame(s.w.buf, op, s.payload)
+		if err := s.w.spill(); err != nil {
 			return err
 		}
 	}
@@ -300,35 +308,24 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 // into SnapChunk-sized frames, or a single ChunkErr frame carrying the
 // refusal. Only transport failures are returned — a refused snapshot is
 // the peer's problem, not the connection's.
-func writeSnapFrames(bw *bufio.Writer, rb RangeBackend, lo, hi int) error {
+func (s *connServer) writeSnapFrames(lo, hi int) error {
 	refusal := ""
 	var data []byte
 	switch {
-	case rb == nil:
+	case s.rb == nil:
 		refusal = "backend does not support SNAP"
 	default:
 		var err error
-		if data, err = rb.SnapBytes(lo, hi); err != nil {
+		if data, err = s.rb.SnapBytes(lo, hi); err != nil {
 			refusal = err.Error()
 		} else if len(data) > MaxSnapshot {
 			refusal = fmt.Sprintf("snapshot %d bytes > max %d", len(data), MaxSnapshot)
 		}
 	}
 	if refusal != "" {
-		return writeChunkFrame(bw, OpSnap, ChunkErr, []byte(refusal))
+		return writeChunkFrame(&s.w, OpSnap, ChunkErr, []byte(refusal))
 	}
-	for off := 0; ; off += SnapChunk {
-		end, flag := off+SnapChunk, byte(ChunkMore)
-		if end >= len(data) {
-			end, flag = len(data), ChunkLast
-		}
-		if err := writeChunkFrame(bw, OpSnap, flag, data[off:end]); err != nil {
-			return err
-		}
-		if flag == ChunkLast {
-			return nil
-		}
-	}
+	return writeChunks(&s.w, OpSnap, data)
 }
 
 // appendRestoreOutcome applies a fully reassembled RESTORE transfer and
@@ -346,10 +343,11 @@ func appendRestoreOutcome(payload []byte, rb RangeBackend, data []byte) []byte {
 	return AppendRestoreResp(payload, purged, "")
 }
 
-// refuse reports err to the peer as an ERR frame and returns it.
-func refuse(bw *bufio.Writer, err error) error {
-	bw.Write(AppendFrame(nil, OpErr, []byte(err.Error())))
-	bw.Flush()
+// refuse reports err to the peer as an ERR frame, after the replies
+// already owed, and returns it.
+func (s *connServer) refuse(err error) error {
+	s.w.buf = AppendFrame(s.w.buf, OpErr, []byte(err.Error()))
+	s.w.flush()
 	return err
 }
 

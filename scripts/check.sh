@@ -51,9 +51,10 @@ go vet -C bench .
 go test -C bench .
 
 # Fuzz seed corpora: replay every checked-in seed (testdata/fuzz/ plus
-# the F.Add seeds) through the wire-protocol and snapshot-decoder fuzz
-# targets so a corpus regression fails the gate without needing a
-# fuzzing run.
+# the F.Add seeds) through the wire-protocol fuzz targets — the RESTORE
+# path into a live cache (FuzzRestoreWire) included — and the
+# snapshot-decoder target, so a corpus regression fails the gate without
+# needing a fuzzing run.
 echo '>> go test -run=Fuzz ./internal/live/proto ./internal/snap'
 go test -run=Fuzz ./internal/live/proto ./internal/snap
 
@@ -85,9 +86,12 @@ else
     # Allocation pins of the wire reply path: the client's and the
     # router's reply scratch, chunked SNAP/RESTORE transfers, a TCP get
     # hit end to end, and the clears that keep stale replies from
-    # pinning value chunks. Named here for the same reason.
-    echo '>> go test -run Allocs|ClearsStale|CallerOwned ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/'
-    go test -run 'Allocs|ClearsStale|CallerOwned' ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/
+    # pinning value chunks. With them, the wire's memory and framing
+    # pins: a connection's buffers after a burst (Footprint), and frames
+    # decoding the same however the bytes are split (Chunking, EOFRules).
+    # Named here for the same reason.
+    echo '>> go test -run Allocs|ClearsStale|CallerOwned|Footprint|Chunking|EOFRules ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/'
+    go test -run 'Allocs|ClearsStale|CallerOwned|Footprint|Chunking|EOFRules' ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/
 fi
 
 # Engine smoke: run one experiment twice against the same cache dir.
