@@ -324,6 +324,7 @@ func TestBadArgs(t *testing.T) {
 		{"bad mode", []string{"-selftest", "10", "-mode", "telegraph"}, 2},
 		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2},
 		{"ring shards do not divide sets", []string{"-selftest", "10", "-ring-shards", "3"}, 2},
+		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2},
 		{"bad manager window", []string{"-selftest", "10", "-manager", "-window", "0"}, 2},
 		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2},
 		{"bad adversarial profile", []string{"-selftest", "10", "-profile", "adv:nope"}, 2},

@@ -139,6 +139,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"positional args", []string{"extra"}, 2},
 		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2},
 		{"bad geometry", []string{"-selftest", "10", "-sets", "100"}, 2},
+		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2},
 		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 1},
 		{"bad transport", []string{"-selftest", "10", "-transport", "carrier-pigeon"}, 2},
 		{"http transport", []string{"-selftest", "10", "-transport", "http"}, 2},

@@ -11,7 +11,9 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"rwp/internal/mem"
 	"rwp/internal/probe"
@@ -236,28 +238,43 @@ type Result struct {
 	Writeback bool
 }
 
-// Per-way flag bits of the packed tag store.
+// Per-way flag bits of the packed tag store. Bits 2–7 of a valid way's
+// flags hold its tag's fingerprint (Cache.fingerprint).
 const (
 	flagValid uint8 = 1 << iota
 	flagDirty
 )
 
+// Constants of Lookup's word-at-a-time flag scan: a byte broadcast, the
+// dirty bit of every byte, and the multiplier of the fingerprint hash.
+const (
+	flagLanes  = 0x0101010101010101
+	dirtyLanes = uint64(flagDirty) * flagLanes
+	fpMul      = 0x9e3779b97f4a7c15
+)
+
 // Cache is a single tag-store level. The ways are stored as parallel
 // arrays (sets*ways, row-major by set) so the lookup scan touches
-// nothing but tags; see DESIGN.md "Simulator data layout". pcs and cores
-// are the cold part of a way: read only when a dirty line is evicted or
-// a policy asks for the full LineState, never by Lookup. They are two
-// arrays so that a way costs 12 bytes of them, not a padded 16.
+// nothing but flags and, where a fingerprint matches, tags; see
+// DESIGN.md "Simulator data layout". pcs and cores are the cold part of
+// a way: read only when a dirty line is evicted or a policy asks for the
+// full LineState, never by Lookup. They are two arrays so that a way
+// costs 12 bytes of them, not a padded 16.
 type Cache struct {
-	cfg    Config
-	shift  uint
-	mask   uint64
-	tags   []mem.LineAddr // zero for an invalid way
-	flags  []uint8        // flagValid|flagDirty; zero for an invalid way
-	pcs    []mem.Addr     // PC that filled or last wrote the way; zero for an invalid way
-	cores  []int32        // core that filled or last wrote the way; zero for an invalid way
-	valid  []int16        // per-set valid-line count
-	dirty  []int16        // per-set dirty-line count
+	cfg     Config
+	shift   uint
+	mask    uint64
+	setBits uint           // log2(sets): the tag bits above them feed the fingerprint
+	tags    []mem.LineAddr // zero for an invalid way
+	// flags holds fingerprint|flagDirty|flagValid per way, zero for an
+	// invalid way. When ways is not a multiple of 8 it runs on past the
+	// last set to the end of that set's last word, so Lookup reads every
+	// set in whole words.
+	flags  []uint8
+	pcs    []mem.Addr // PC that filled or last wrote the way; zero for an invalid way
+	cores  []int32    // core that filled or last wrote the way; zero for an invalid way
+	valid  []int16    // per-set valid-line count
+	dirty  []int16    // per-set dirty-line count
 	policy Policy
 	stats  Stats
 	// probe receives instrumentation events; nil (the default) disables
@@ -280,15 +297,16 @@ func New(cfg Config, p Policy) (*Cache, error) {
 	}
 	lines := cfg.Sets() * cfg.Ways
 	c := &Cache{
-		cfg:   cfg,
-		shift: shift,
-		mask:  uint64(cfg.Sets() - 1),
-		tags:  make([]mem.LineAddr, lines),
-		flags: make([]uint8, lines),
-		pcs:   make([]mem.Addr, lines),
-		cores: make([]int32, lines),
-		valid: make([]int16, cfg.Sets()),
-		dirty: make([]int16, cfg.Sets()),
+		cfg:     cfg,
+		shift:   shift,
+		mask:    uint64(cfg.Sets() - 1),
+		setBits: uint(bits.TrailingZeros(uint(cfg.Sets()))),
+		tags:    make([]mem.LineAddr, lines),
+		flags:   make([]uint8, lines+(8-cfg.Ways%8)%8),
+		pcs:     make([]mem.Addr, lines),
+		cores:   make([]int32, lines),
+		valid:   make([]int16, cfg.Sets()),
+		dirty:   make([]int16, cfg.Sets()),
 	}
 	c.policy = p
 	p.Attach(c)
@@ -351,18 +369,34 @@ func (c *Cache) TotalValid() int {
 // SetIndex maps a line address to its set.
 func (c *Cache) SetIndex(line mem.LineAddr) int { return int(uint64(line) & c.mask) } //rwplint:allow ctrwidth — bounded: masked to [0, NumSets)
 
+// fingerprint returns line's fingerprint in flag bits 2–7: the top six
+// bits of a multiplicative hash of the tag bits above the set index.
+func (c *Cache) fingerprint(line mem.LineAddr) uint8 {
+	return uint8((uint64(line)>>c.setBits)*fpMul>>56) &^ (flagValid | flagDirty) //rwplint:allow ctrwidth — a hash fingerprint, not a counter
+}
+
 // Lookup reports whether line is present, without updating any state.
-// The scan reads tags only; a way's flag is consulted only when its tag
-// matches, which also keeps line 0 from hitting an invalid way's zero
-// tag.
+// The scan compares eight flag bytes at a time, dirty bits masked, with
+// line's fingerprint|flagValid, and loads a tag only where a byte
+// matched. An invalid way's flags are zero and never match, which also
+// keeps line 0 from hitting an invalid way's zero tag.
 //
 //rwplint:hotpath — the tag scan of every simulated access at every level
 func (c *Cache) Lookup(line mem.LineAddr) (set, way int, ok bool) {
 	set = c.SetIndex(line)
-	base := set * c.cfg.Ways
-	for w, tag := range c.tags[base : base+c.cfg.Ways] {
-		if tag == line && c.flags[base+w]&flagValid != 0 {
-			return set, w, true
+	ways := c.cfg.Ways
+	base := set * ways
+	pat := uint64(c.fingerprint(line)|flagValid) * flagLanes
+	flags := c.flags[base:]
+	for i := 0; i < ways; i += 8 {
+		z := recency.ZeroBytes(binary.LittleEndian.Uint64(flags[i:])&^dirtyLanes ^ pat)
+		if n := ways - i; n < 8 {
+			z &= 1<<(8*n) - 1 // the next set's bytes, or slack
+		}
+		for ; z != 0; z &= z - 1 {
+			if w := i + bits.TrailingZeros64(z)>>3; c.tags[base+w] == line {
+				return set, w, true
+			}
 		}
 	}
 	return set, -1, false
@@ -430,7 +464,7 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 	}
 	c.tags[i] = line
 	c.pcs[i], c.cores[i] = pc, int32(core)
-	c.flags[i] = flagValid
+	c.flags[i] = c.fingerprint(line) | flagValid
 	if dirtying {
 		c.flags[i] |= flagDirty
 		c.dirty[set]++

@@ -143,10 +143,11 @@ func (c *refCache) invalidate(set int, line mem.LineAddr) (wasDirty, wasPresent 
 	return dirty, true
 }
 
-// eventLog is a probe that keeps the exact event sequence.
-type eventLog struct{ events []string }
+// eventLog is a probe that keeps the exact event sequence. Every event
+// type is a comparable struct, so two logs compare with ==.
+type eventLog struct{ events []any }
 
-func (l *eventLog) add(ev any)                         { l.events = append(l.events, fmt.Sprintf("%T%+v", ev, ev)) }
+func (l *eventLog) add(ev any)                         { l.events = append(l.events, ev) }
 func (l *eventLog) Window() uint64                     { return 0 }
 func (l *eventLog) CacheAccess(ev probe.AccessEvent)   { l.add(ev) }
 func (l *eventLog) CacheFill(ev probe.FillEvent)       { l.add(ev) }
@@ -194,73 +195,154 @@ func sameSet(t *testing.T, op int, got *cache.Cache, want *refCache, set int) {
 	}
 }
 
-// TestPackedTagStoreMatchesReference drives cache.Cache and refCache with
+// stream yields the line of op number op.
+type stream func(rng *xrand.RNG, op int) mem.LineAddr
+
+// uniformStream draws lines from three times the capacity, so sets fill,
+// evict and refill; every seventh op is line 0, which equals an invalid
+// way's zero tag.
+func uniformStream(cfg cache.Config) stream {
+	universe := 3 * cfg.Sets() * cfg.Ways
+	return func(rng *xrand.RNG, op int) mem.LineAddr {
+		if op%7 == 0 {
+			return 0
+		}
+		return mem.LineAddr(rng.Intn(universe))
+	}
+}
+
+// collidingStream draws lines from per-set pools of 2·ways+1 lines that
+// all share their set's first line's fingerprint, so every resident way
+// of a set matches a probe's flag byte and Lookup must settle each on
+// the tag. Set 0's pool holds line 0 (an invalid way's tag), which every
+// seventh op probes.
+func collidingStream(t *testing.T, c *cache.Cache) stream {
+	cfg := c.Config()
+	sets := cfg.Sets()
+	pools := make([][]mem.LineAddr, sets)
+	for set := range pools {
+		fp := c.Fingerprint(mem.LineAddr(set))
+		for k := 0; len(pools[set]) < 2*cfg.Ways+1; k++ {
+			if line := mem.LineAddr(set + k*sets); c.Fingerprint(line) == fp {
+				pools[set] = append(pools[set], line)
+			}
+		}
+	}
+	if pools[0][0] != 0 {
+		t.Fatalf("set 0's pool starts at line %v, want 0", pools[0][0])
+	}
+	return func(rng *xrand.RNG, op int) mem.LineAddr {
+		if op%7 == 0 {
+			return 0
+		}
+		pool := pools[rng.Intn(sets)]
+		return pool[rng.Intn(len(pool))]
+	}
+}
+
+// runOracle drives a cache.Cache under policy name and a refCache with
 // the same seeded stream of accesses and invalidations and demands they
-// never disagree: not in a Result, a counter, a probe event, nor in any
-// way's visible state.
+// never disagree: not in a Result, a Lookup, a counter, a probe event,
+// nor in any way's visible state. Every invalidation is followed by a
+// Lookup of the invalidated line and of line 0 on both.
+func runOracle(t *testing.T, cfg cache.Config, name string, ops int, seed uint64, lines func(*cache.Cache) stream) {
+	t.Helper()
+	gotPol, wantPol := oraclePolicies[name](), oraclePolicies[name]()
+	got, err := cache.New(cfg, gotPol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newRefCache(cfg, wantPol)
+	gotLog, wantLog := &eventLog{}, &eventLog{}
+	got.SetProbe(gotLog)
+	want.probe = wantLog
+	attach(gotPol, gotLog)
+	attach(wantPol, wantLog)
+
+	sameLookup := func(op int, line mem.LineAddr) {
+		set, gw, gok := got.Lookup(line)
+		ww, wok := want.lookup(set, line)
+		if set != got.SetIndex(line) || gw != ww || gok != wok {
+			t.Fatalf("op %d: Lookup(%v) = (%d,%d,%v), reference way %d present %v", op, line, set, gw, gok, ww, wok)
+		}
+	}
+	next := lines(got)
+	rng := xrand.New(seed)
+	for op := 0; op < ops; op++ {
+		line := next(rng, op)
+		set := got.SetIndex(line)
+		if rng.Intn(16) == 0 || (line == 0 && rng.Intn(4) == 0) {
+			gd, gp := got.Invalidate(line)
+			wd, wp := want.invalidate(set, line)
+			if gd != wd || gp != wp {
+				t.Fatalf("op %d: Invalidate(%v) = (%v,%v), reference (%v,%v)", op, line, gd, gp, wd, wp)
+			}
+			sameLookup(op, line)
+			sameLookup(op, 0)
+		} else {
+			pc := mem.Addr(0x400000 + 4*rng.Intn(64))
+			class := cache.Class(rng.Intn(3))
+			coreID := rng.Intn(4)
+			g, w := got.Access(line, pc, class, coreID), want.access(set, line, pc, class, coreID)
+			if g != w {
+				t.Fatalf("op %d: Access(%v,%v,%v,%d) = %+v, reference %+v", op, line, pc, class, coreID, g, w)
+			}
+			sameLookup(op, line)
+		}
+		if g, w := got.Stats(), want.stats; g != w {
+			t.Fatalf("op %d: Stats %+v, reference %+v", op, g, w)
+		}
+		sameSet(t, op, got, want, set)
+	}
+	for set := 0; set < cfg.Sets(); set++ {
+		sameSet(t, ops, got, want, set)
+	}
+	if len(gotLog.events) != len(wantLog.events) {
+		t.Fatalf("%d probe events, reference %d", len(gotLog.events), len(wantLog.events))
+	}
+	for i := range gotLog.events {
+		if gotLog.events[i] != wantLog.events[i] {
+			t.Fatalf("probe event %d: %T%+v, reference %T%+v", i, gotLog.events[i], gotLog.events[i], wantLog.events[i], wantLog.events[i])
+		}
+	}
+	st := got.Stats()
+	if st.Evictions == 0 || st.DirtyEvict == 0 || st.TotalHits() == 0 {
+		t.Fatalf("stream exercised too little: %+v", st)
+	}
+}
+
+// TestPackedTagStoreMatchesReference holds cache.Cache to the reference
+// on a uniform stream over a 16-set, 8-way cache, under both store
+// semantics.
 func TestPackedTagStoreMatchesReference(t *testing.T) {
-	const ops = 40_000
 	for _, name := range []string{"lru", "rwp", "rrp"} {
 		for _, storeFillsClean := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/storeFillsClean=%v", name, storeFillsClean), func(t *testing.T) {
 				cfg := cache.Config{Name: "LLC", SizeBytes: 16 * 8 * 64, Ways: 8, LineSize: 64, StoreFillsClean: storeFillsClean}
-				gotPol, wantPol := oraclePolicies[name](), oraclePolicies[name]()
-				got, err := cache.New(cfg, gotPol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := newRefCache(cfg, wantPol)
-				gotLog, wantLog := &eventLog{}, &eventLog{}
-				got.SetProbe(gotLog)
-				want.probe = wantLog
-				attach(gotPol, gotLog)
-				attach(wantPol, wantLog)
+				runOracle(t, cfg, name, 40_000, 0x16_0000+uint64(len(name)), func(*cache.Cache) stream { return uniformStream(cfg) })
+			})
+		}
+	}
+}
 
-				rng := xrand.New(0x16_0000 + uint64(len(name)))
-				// Three times the capacity, so sets fill, evict and refill;
-				// line 0 is in range and equals an invalid way's zero tag.
-				universe := 3 * cfg.Sets() * cfg.Ways
-				for op := 0; op < ops; op++ {
-					line := mem.LineAddr(rng.Intn(universe))
-					if op%7 == 0 {
-						line = 0
-					}
-					set := got.SetIndex(line)
-					if rng.Intn(16) == 0 {
-						gd, gp := got.Invalidate(line)
-						wd, wp := want.invalidate(set, line)
-						if gd != wd || gp != wp {
-							t.Fatalf("op %d: Invalidate(%v) = (%v,%v), reference (%v,%v)", op, line, gd, gp, wd, wp)
-						}
-					} else {
-						pc := mem.Addr(0x400000 + 4*rng.Intn(64))
-						class := cache.Class(rng.Intn(3))
-						coreID := rng.Intn(4)
-						g, w := got.Access(line, pc, class, coreID), want.access(set, line, pc, class, coreID)
-						if g != w {
-							t.Fatalf("op %d: Access(%v,%v,%v,%d) = %+v, reference %+v", op, line, pc, class, coreID, g, w)
-						}
-					}
-					if g, w := got.Stats(), want.stats; g != w {
-						t.Fatalf("op %d: Stats %+v, reference %+v", op, g, w)
-					}
-					sameSet(t, op, got, want, set)
-				}
-				for set := 0; set < cfg.Sets(); set++ {
-					sameSet(t, ops, got, want, set)
-				}
-				if len(gotLog.events) != len(wantLog.events) {
-					t.Fatalf("%d probe events, reference %d", len(gotLog.events), len(wantLog.events))
-				}
-				for i := range gotLog.events {
-					if gotLog.events[i] != wantLog.events[i] {
-						t.Fatalf("probe event %d: %s, reference %s", i, gotLog.events[i], wantLog.events[i])
-					}
-				}
-				st := got.Stats()
-				if st.Evictions == 0 || st.DirtyEvict == 0 || st.TotalHits() == 0 {
-					t.Fatalf("stream exercised too little: %+v", st)
-				}
+// TestTagStoreGeometriesMatchReference holds Lookup's word-at-a-time
+// flag scan to the reference where it is easiest to get wrong: sets
+// narrower than a word, sets that end inside a word (the next set's
+// flags, or the array's slack, share the last word read), the widest
+// set, a one-set cache, and streams whose lines share a set and a
+// fingerprint.
+func TestTagStoreGeometriesMatchReference(t *testing.T) {
+	for _, geo := range []struct{ sets, ways int }{
+		{16, 1}, {16, 4}, {16, 8}, {8, 12}, {8, 20}, {4, 24}, {2, 256}, {1, 12},
+	} {
+		cfg := cache.Config{Name: "LLC", SizeBytes: geo.sets * geo.ways * 64, Ways: geo.ways, LineSize: 64}
+		for _, name := range []string{"lru", "rwp", "rrp"} {
+			seed := uint64(geo.sets<<16|geo.ways<<4) + uint64(len(name))
+			t.Run(fmt.Sprintf("%dx%d/%s/uniform", geo.sets, geo.ways, name), func(t *testing.T) {
+				runOracle(t, cfg, name, 8_000, seed, func(*cache.Cache) stream { return uniformStream(cfg) })
+			})
+			t.Run(fmt.Sprintf("%dx%d/%s/colliding", geo.sets, geo.ways, name), func(t *testing.T) {
+				runOracle(t, cfg, name, 8_000, seed, func(c *cache.Cache) stream { return collidingStream(t, c) })
 			})
 		}
 	}

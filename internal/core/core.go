@@ -298,6 +298,14 @@ func (p *RWP) OnFill(set, way int, ai cache.AccessInfo) {
 	}
 }
 
+// Written reports whether the line in way of set is in the dirty
+// partition (it was filled by a write or written while resident).
+func (p *RWP) Written(set, way int) bool { return p.written[set*p.r.Ways()+way] }
+
+// WrittenWays returns how many lines of set are in the dirty partition,
+// as counted incrementally for victim selection.
+func (p *RWP) WrittenWays(set int) int { return int(p.writtenCount[set]) }
+
 // Histograms returns copies of the current clean/dirty read-hit
 // histograms (for reports and tests).
 func (p *RWP) Histograms() (clean, dirty []uint64) {

@@ -14,36 +14,6 @@ import (
 	"rwp/internal/xrand"
 )
 
-// checkWrittenBits holds every RWP group to what restore relies on: the
-// policy's partition membership is the entry's dirty bit, way by way,
-// and its per-set count is the set's dirtyCount. core keeps both
-// private and is not this package's to widen, so the test reads them by
-// reflection. Single-goroutine tests only.
-func checkWrittenBits(t *testing.T, c *Cache) {
-	t.Helper()
-	for si, sh := range c.shards {
-		for gi := range sh.groups {
-			g := &sh.groups[gi]
-			if g.rwp == nil {
-				continue
-			}
-			p := reflect.ValueOf(g.rwp).Elem()
-			written, count := p.FieldByName("written"), p.FieldByName("writtenCount")
-			for i := range g.sets {
-				ls := &g.sets[i]
-				if n := int(count.Index(i).Int()); n != ls.dirtyCount {
-					t.Fatalf("shard %d group %d set %d: policy counts %d written ways, set holds %d dirty", si, gi, i, n, ls.dirtyCount)
-				}
-				for w := range ls.entries {
-					if e := &ls.entries[w]; written.Index(i*len(ls.entries)+w).Bool() != (e.valid && e.dirty) {
-						t.Fatalf("shard %d group %d set %d way %d: written bit disagrees with the entry (valid %v dirty %v)", si, gi, i, w, e.valid, e.dirty)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestGroupMatchesSimulatorCache proves the two set engines agree on a
 // group: one seeded Get/Put stream confined to a single group runs
 // through a live cache, and the equivalent (line, class) stream through
@@ -141,7 +111,28 @@ func TestGroupMatchesSimulatorCache(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	checkWrittenBits(t, c)
+}
+
+// TestCheckInvariantsHoldsWrittenBits: a way whose RWP written bit has
+// drifted from its entry's dirty bit — here a clean resident entry the
+// policy is told was written — fails CheckInvariants, naming the way.
+func TestCheckInvariantsHoldsWrittenBits(t *testing.T) {
+	cfg := tinyConfig("rwp")
+	cfg.Loader = func(key string) []byte { return []byte("ld:" + key) }
+	c := mustNew(t, cfg)
+	c.Get("a")
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	_, ls := c.locate(HashKey("a"))
+	way := ls.find("a", mem.LineAddr(HashKey("a")))
+	if way < 0 || ls.entries[way].dirty {
+		t.Fatalf("key a: way %d, want a clean resident entry", way)
+	}
+	ls.grp.rwp.OnHit(ls.idx, way, cache.AccessInfo{Class: cache.DemandStore})
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "written bit") {
+		t.Fatalf("CheckInvariants with a drifted written bit = %v, want a written-bit error", err)
+	}
 }
 
 // TestRangesTakeWholeGroups: a range that splits a policy group is

@@ -3,7 +3,9 @@ package live
 import "fmt"
 
 // CheckInvariants recounts every set's structural state from scratch
-// and compares it with the incrementally maintained counters. It takes
+// and compares it with the incrementally maintained counters, the RWP
+// partition among them: a way's written bit is its entry's dirty bit,
+// which restore-by-replay (DESIGN.md §15) relies on. It takes
 // every shard lock, so it is safe (if slow) on a live cache; the
 // stress and determinism tests — including cmd/rwpserve's TCP race
 // stress — call it after hammering the cache.
@@ -31,6 +33,11 @@ func (c *Cache) CheckInvariants() error {
 			seen := map[string]bool{}
 			for w := range ls.entries {
 				e := &ls.entries[w]
+				if g.rwp != nil && g.rwp.Written(ls.idx, w) != (e.valid && e.dirty) {
+					sh.mu.Unlock()
+					return fmt.Errorf("set %d way %d: RWP written bit %v, entry valid=%v dirty=%v",
+						global, w, g.rwp.Written(ls.idx, w), e.valid, e.dirty)
+				}
 				if !e.valid {
 					continue
 				}
@@ -59,6 +66,10 @@ func (c *Cache) CheckInvariants() error {
 				sh.mu.Unlock()
 				return fmt.Errorf("set %d: counted valid=%d dirty=%d, cached valid=%d dirty=%d",
 					global, valid, dirty, ls.validCount, ls.dirtyCount)
+			}
+			if g.rwp != nil && g.rwp.WrittenWays(ls.idx) != dirty {
+				sh.mu.Unlock()
+				return fmt.Errorf("set %d: RWP counts %d written ways, set holds %d dirty", global, g.rwp.WrittenWays(ls.idx), dirty)
 			}
 			if err := checkNegs(global, ls, seen, c.cfg.Ways, c.mask); err != nil {
 				sh.mu.Unlock()

@@ -137,7 +137,6 @@ func TestFindMatchesReference(t *testing.T) {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			checkWrittenBits(t, c)
 		})
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"rwp/internal/mem"
 	"rwp/internal/policy"
 	"rwp/internal/probe"
+	"rwp/internal/recency"
 )
 
 // Loader fetches the backing-store value for a key (read-allocate on
@@ -244,6 +245,9 @@ func (c Config) Validate() error {
 	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("live: Ways %d must be positive", c.Ways)
+	}
+	if c.Ways > recency.MaxWays {
+		return fmt.Errorf("live: Ways %d exceeds the supported maximum %d", c.Ways, recency.MaxWays)
 	}
 	if c.Shards <= 0 || c.Sets%c.Shards != 0 {
 		return fmt.Errorf("live: Shards %d must be positive and divide Sets %d", c.Shards, c.Sets)

@@ -29,6 +29,8 @@ func TestConfigValidate(t *testing.T) {
 		{Sets: 0, Ways: 2, Shards: 1, Policy: "lru"},
 		{Sets: 3, Ways: 2, Shards: 1, Policy: "lru"},
 		{Sets: 4, Ways: 0, Shards: 1, Policy: "lru"},
+		{Sets: 8, Ways: 300, Shards: 1, Policy: "lru"}, // wider than a recency row
+		{Sets: 8, Ways: 257, Shards: 1, Policy: "rwp", RWP: DefaultRWPConfig()},
 		{Sets: 4, Ways: 2, Shards: 0, Policy: "lru"},
 		{Sets: 4, Ways: 2, Shards: 3, Policy: "lru"},
 		{Sets: 4, Ways: 2, Shards: 1, Policy: "bogus"},

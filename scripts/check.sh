@@ -52,11 +52,12 @@ go test -C bench .
 
 # Fuzz seed corpora: replay every checked-in seed (testdata/fuzz/ plus
 # the F.Add seeds) through the wire-protocol fuzz targets — the RESTORE
-# path into a live cache (FuzzRestoreWire) included — and the
-# snapshot-decoder target, so a corpus regression fails the gate without
+# path into a live cache (FuzzRestoreWire) included — the
+# snapshot-decoder target and the recency word kernel's differential
+# target (FuzzTable), so a corpus regression fails the gate without
 # needing a fuzzing run.
-echo '>> go test -run=Fuzz ./internal/live/proto ./internal/snap'
-go test -run=Fuzz ./internal/live/proto ./internal/snap
+echo '>> go test -run=Fuzz ./internal/live/proto ./internal/snap ./internal/recency'
+go test -run=Fuzz ./internal/live/proto ./internal/snap ./internal/recency
 
 if [ "$short" = 0 ]; then
     echo '>> go test -race ./...'
@@ -92,6 +93,12 @@ else
     # Named here for the same reason.
     echo '>> go test -run Allocs|ClearsStale|CallerOwned|Footprint|Chunking|EOFRules ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/'
     go test -run 'Allocs|ClearsStale|CallerOwned|Footprint|Chunking|EOFRules' ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/
+    # The simulator's set kernels work a word at a time: the recency
+    # table against its byte-loop reference at 1-256 ways, and Lookup's
+    # fingerprint scan against the reference cache, fingerprint
+    # collisions and odd widths included. Named for the same reason.
+    echo '>> go test -run Match(es)?Reference ./internal/recency/ ./internal/cache/'
+    go test -run 'Match(es)?Reference' ./internal/recency/ ./internal/cache/
 fi
 
 # Engine smoke: run one experiment twice against the same cache dir.
