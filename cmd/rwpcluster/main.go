@@ -9,6 +9,10 @@
 //	rwpcluster -selftest 20000 -mode pipe      same, through real pipelined
 //	                                           binary connections (net.Pipe)
 //	rwpcluster -selftest 20000 -manager        replication control loop on
+//	rwpcluster -in reqs.jsonl                  replay an rwpserve -record
+//	                                           journal instead: the merged
+//	                                           document is the recorded
+//	                                           run's bytes
 //	rwpcluster -selftest 20000 -connect a,b    route against running
 //	                                           rwpserve -tcp processes and
 //	                                           print each node's stats
@@ -18,15 +22,18 @@
 //
 // Both legs are one run: build a router over the nodes (in-process
 // caches or dialed connections, the same cluster.NodeConn either way),
-// replay, finish, print; -windows-out works on both. -nodes, -mode and
-// -journal-dir are about the in-process caches and are refused with
-// -connect. -profile takes everything rwpserve's does, adv:* included.
+// replay, finish, print; -windows-out and -in work on both. -nodes,
+// -mode and -journal-dir are about the in-process caches and are
+// refused with -connect. The cache geometry and the op source
+// (-selftest -profile -seed -in) are the flag group rwpserve registers
+// too (drive.Flags), so -profile takes everything rwpserve's does,
+// adv:* included.
 //
 // With the manager off the merged document is byte-identical to
-// `rwpserve -selftest` at the same geometry, profile and seed — the
-// cluster smoke in scripts/check.sh compares the two with cmp. All
-// wall-clock concerns live here in cmd/; internal/cluster is clocked
-// purely by operation counts.
+// `rwpserve -selftest` (or `rwpserve -in`) at the same geometry and
+// source — the cluster and replay smokes in scripts/check.sh compare
+// them with cmp. All wall-clock concerns live here in cmd/;
+// internal/cluster is clocked purely by operation counts.
 package main
 
 import (
@@ -39,8 +46,7 @@ import (
 	"strings"
 
 	"rwp/internal/cluster"
-	"rwp/internal/live"
-	"rwp/internal/live/loadgen"
+	"rwp/internal/live/drive"
 	"rwp/internal/live/proto"
 	"rwp/internal/probe"
 )
@@ -53,20 +59,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rwpcluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	resolve := drive.Flags(fs)
 	nodes := fs.Int("nodes", 3, "in-process node count")
 	ringShards := fs.Int("ring-shards", 64, "ring shards (must divide -sets into ranges of whole 8-set policy groups)")
-	policyName := fs.String("policy", "rwp", "replacement policy: lru or rwp")
-	sets := fs.Int("sets", 1024, "total sets per node (power of two)")
-	ways := fs.Int("ways", 16, "ways per set")
-	shards := fs.Int("shards", 8, "lock shards per node (must divide sets into whole 8-set policy groups)")
-	interval := fs.Uint64("interval", 0, "RWP repartition interval: ops per set between retargets, counted over each 8-set policy group (0: default)")
-	valueSize := fs.Int("value-size", 0, "synthetic value size in bytes (0: default)")
-	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store")
 	mode := fs.String("mode", "direct", "in-process node transport: direct or pipe")
 	pipeline := fs.Int("pipeline", 0, "router flush depth in ops (0: default)")
-	selftest := fs.Int("selftest", 0, "run N loadgen ops through the cluster, print merged stats JSON, exit")
-	profile := fs.String("profile", "mcf", "workload profile for -selftest")
-	seed := fs.Uint64("seed", 0, "loadgen seed offset")
 	manager := fs.Bool("manager", false, "enable the shard-manager replication loop")
 	window := fs.Int("window", 4096, "window width in routed ops: load sampling, and the manager's decision cadence")
 	hot := fs.Uint64("hot", 1024, "reads per window marking a shard hot")
@@ -84,6 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return fail(2, fmt.Errorf("unexpected arguments %q", fs.Args()))
 	}
+	var addrs []string
 	if *connect != "" {
 		var clash error
 		fs.Visit(func(f *flag.Flag) {
@@ -95,20 +93,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if clash != nil {
 			return fail(2, clash)
 		}
+		// One trimmed list names the ring's nodes, the dialed addresses
+		// and the output headers alike.
+		for _, a := range strings.Split(*connect, ",") {
+			a = strings.TrimSpace(a)
+			if a == "" {
+				return fail(2, fmt.Errorf("-connect %q has an empty address", *connect))
+			}
+			addrs = append(addrs, a)
+		}
 	}
-
-	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = *sets, *ways, *shards
-	cfg.Policy = *policyName
-	if *interval > 0 {
-		cfg.RWP.Interval = *interval
-	}
-	if !*noLoader {
-		// Same backing store as rwpserve, hole at the absent keyspace
-		// included, so journals recorded there replay bit-identically.
-		cfg.Loader = loadgen.AbsentLoader(*valueSize)
-	}
-
 	var mgr *cluster.Manager
 	if *manager {
 		m, err := cluster.NewManager(cluster.ManagerConfig{Window: *window, HotReads: *hot, ColdReads: *cold})
@@ -118,14 +112,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mgr = m
 	}
 
-	if *selftest <= 0 {
-		return fail(2, fmt.Errorf("nothing to do: pass -selftest N"))
-	}
-	g, err := loadgen.NewStream(*profile, *seed, *valueSize)
+	r, code, err := resolve()
 	if err != nil {
-		return fail(2, err)
+		return fail(code, err)
 	}
-	ops := loadgen.Take(g, *selftest)
+	if !r.Driven {
+		return fail(2, fmt.Errorf("nothing to do: pass -selftest N or -in PATH"))
+	}
 
 	// The router streams its run log: with -windows-out every window goes
 	// into the journal as it closes, and nothing of it stays in memory.
@@ -147,9 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cl    *cluster.Client
 		stats func() ([]byte, error)
 	)
-	if *connect != "" {
-		addrs := strings.Split(*connect, ",")
-		ring, err := cluster.New(cfg.Sets, *ringShards, addrs, 0)
+	if addrs != nil {
+		ring, err := cluster.New(r.Config.Sets, *ringShards, addrs, 0)
 		if err != nil {
 			return fail(2, err)
 		}
@@ -173,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		h, err = cluster.NewHarness(cluster.HarnessConfig{
 			Nodes:      *nodes,
 			RingShards: *ringShards,
-			Cache:      cfg,
+			Cache:      r.Config,
 			Mode:       cluster.Mode(*mode),
 			Manager:    mgr,
 			Window:     *window,
@@ -192,11 +184,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(1, err)
 		}
 		defer f.Close() // error paths; the success path checks Close below
-		desc := fmt.Sprintf("profile=%s seed=%d nodes=%d ring-shards=%d", *profile, *seed, len(cl.Ring().Nodes()), *ringShards)
+		desc := fmt.Sprintf("%s nodes=%d ring-shards=%d", r.Source, len(cl.Ring().Nodes()), *ringShards)
 		journal.WindowWriter = probe.NewWindowWriter(f, desc)
 		journal.file = f
 	}
-	if err := cl.Replay(ops); err != nil {
+	if err := cl.Replay(r.Ops); err != nil {
 		return fail(1, err)
 	}
 	if err := cl.Finish(); err != nil {
@@ -252,7 +244,7 @@ func (l *windowLog) close() error {
 func dial(addrs []string) ([]cluster.NodeConn, error) {
 	conns := make([]cluster.NodeConn, 0, len(addrs))
 	for _, addr := range addrs {
-		nc, err := net.Dial("tcp", strings.TrimSpace(addr))
+		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			return conns, fmt.Errorf("node %s: %w", addr, err)
 		}

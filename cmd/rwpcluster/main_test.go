@@ -226,9 +226,10 @@ func TestConnectMode(t *testing.T) {
 	}
 }
 
-// startServers spins n live caches behind real TCP listeners speaking
-// proto.ServeConn — exactly what rwpserve -tcp runs — and returns
-// their addresses.
+// startServers spins n TCP listeners speaking proto.ServeConn over
+// live caches — exactly what rwpserve -tcp runs — and returns their
+// addresses. Each accepted connection gets a fresh cache, so every run
+// against the same addresses starts cold.
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
 	cfg := live.DefaultConfig()
@@ -236,10 +237,6 @@ func startServers(t *testing.T, n int) []string {
 	cfg.Loader = loadgen.Loader(0)
 	addrs := make([]string, n)
 	for i := range addrs {
-		c, err := live.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -247,14 +244,36 @@ func startServers(t *testing.T, n int) []string {
 		t.Cleanup(func() { ln.Close() })
 		addrs[i] = ln.Addr().String()
 		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				c, err := live.New(cfg)
+				if err != nil {
+					conn.Close()
+					return
+				}
+				go proto.ServeConn(conn, c)
 			}
-			proto.ServeConn(conn, c)
 		}()
 	}
 	return addrs
+}
+
+// TestConnectTrimsAddresses: the -connect list is trimmed once, so
+// spaces after the commas name the same ring nodes, dial the same
+// servers and print the same headers as the bare list.
+func TestConnectTrimsAddresses(t *testing.T) {
+	addrs := startServers(t, 2)
+	out := func(list string) string {
+		return clusterOut(t, "-selftest", "4000", "-sets", "256", "-ways", "4",
+			"-shards", "4", "-ring-shards", "16", "-connect", list)
+	}
+	bare := out(strings.Join(addrs, ","))
+	if spaced := out(" " + strings.Join(addrs, " , ") + " "); spaced != bare {
+		t.Errorf("-connect with spaces differs from the bare list:\n%s\nvs\n%s", spaced, bare)
+	}
 }
 
 // TestConnectManaged runs the manager against real TCP servers: replica
@@ -291,7 +310,7 @@ func TestConnectManaged(t *testing.T) {
 // "bench": bench/ is the one measuring instrument.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"cold", "connect", "hot", "interval", "journal-dir", "manager",
+		"cold", "connect", "hot", "in", "interval", "journal-dir", "manager",
 		"mode", "no-loader", "nodes", "pipeline", "policy", "profile",
 		"ring-shards", "seed", "selftest", "sets", "shards", "value-size",
 		"ways", "window", "windows-out",
@@ -313,6 +332,7 @@ func TestFlagSurface(t *testing.T) {
 
 // TestBadArgs pins the flag-surface failure modes.
 func TestBadArgs(t *testing.T) {
+	journal, _ := recordJournal(t)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -334,10 +354,78 @@ func TestBadArgs(t *testing.T) {
 		{"-connect with -journal-dir", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-journal-dir", "jd"}, 2},
 		{"-connect with -nodes", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-nodes", "2"}, 2},
 		{"-connect with -mode", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-mode", "pipe"}, 2},
+		{"-connect trailing comma", []string{"-selftest", "10", "-connect", "127.0.0.1:1,"}, 2},
+		{"-connect blank entry", []string{"-selftest", "10", "-connect", "127.0.0.1:1, ,127.0.0.1:2"}, 2},
+		{"-connect blank", []string{"-selftest", "10", "-connect", " "}, 2},
+		{"-in with -selftest", []string{"-in", journal, "-selftest", "10"}, 2},
+		{"-in with -profile", []string{"-in", journal, "-profile", "mcf"}, 2},
+		{"-in with -seed", []string{"-in", journal, "-seed", "0"}, 2},
+		{"-in with deleted -vnodes", []string{"-in", journal, "-vnodes", "8"}, 2},
+		{"-in with -record", []string{"-in", journal, "-record", "x.jsonl"}, 2},
+		{"-in missing journal", []string{"-in", filepath.Join(t.TempDir(), "nope.jsonl")}, 1},
 	} {
 		var out, errbuf bytes.Buffer
 		if code := run(tc.args, &out, &errbuf); code != tc.want {
 			t.Errorf("%s: run = %d, want %d (stderr: %s)", tc.name, code, tc.want, errbuf.String())
+		}
+	}
+}
+
+// recordJournal drives a seeded stream through one recorded cache and
+// returns the journal path plus the recorded run's stats document.
+func recordJournal(t *testing.T) (journal string, stats []byte) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "reqs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := probe.NewReqLogWriter(f, "test journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := live.DefaultConfig()
+	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 4
+	cfg.RWP.Interval = 32
+	cfg.Loader = loadgen.Loader(8)
+	cfg.ReqLog = log
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := loadgen.New("mcf", 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadgen.ApplyAll(c, loadgen.Take(g, 4000))
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := c.StatsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Name(), doc
+}
+
+// TestReplayEquivalence: a recorded journal replayed under -in through
+// an in-process cluster, direct or over pipelined pipes, merges to the
+// recorded single-cache run's stats document byte for byte.
+func TestReplayEquivalence(t *testing.T) {
+	journal, want := recordJournal(t)
+	geometry := []string{"-in", journal, "-sets", "128", "-ways", "4", "-shards", "4",
+		"-interval", "32", "-value-size", "8", "-ring-shards", "16"}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"cluster", []string{"-nodes", "3"}},
+		{"cluster-pipe", []string{"-nodes", "2", "-mode", "pipe"}},
+	} {
+		if got := clusterOut(t, append(geometry, tc.args...)...); got != string(want) {
+			t.Errorf("%s: replayed stats differ from the recorded run:\n%s\nvs\n%s", tc.name, got, want)
 		}
 	}
 }

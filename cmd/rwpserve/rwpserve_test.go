@@ -109,7 +109,7 @@ func TestSelftestTransportInvariance(t *testing.T) {
 // "bench": bench/ is the one measuring instrument.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "batch", "coalesce", "interval", "lease-ops", "neg-ops",
+		"addr", "batch", "coalesce", "in", "interval", "lease-ops", "neg-ops",
 		"no-loader", "pipeline", "policy", "profile", "record", "restore",
 		"seed", "selftest", "selftest-skip", "sets", "shards", "snap-every",
 		"snapshot", "tcp", "transport", "value-size", "ways",
@@ -140,7 +140,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2},
 		{"bad geometry", []string{"-selftest", "10", "-sets", "100"}, 2},
 		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2},
-		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 1},
+		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2},
 		{"bad transport", []string{"-selftest", "10", "-transport", "carrier-pigeon"}, 2},
 		{"http transport", []string{"-selftest", "10", "-transport", "http"}, 2},
 	} {

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"rwp/internal/live"
-	"rwp/internal/live/loadgen"
 	"rwp/internal/live/proto"
 	"rwp/internal/probe"
 )
@@ -58,10 +57,10 @@ type HarnessConfig struct {
 
 // Cluster is an in-process multi-node cache: N independent live
 // caches, a ring, and a routing client over direct or piped
-// connections. It is a drive.Target (Replay, StatsJSON, Close), so the
-// harnesses written against one cache run against it unchanged. It
-// exists for selftests and differential tests; the real-socket
-// deployment is cmd/rwpcluster against rwpserve -tcp processes.
+// connections: ops go through Client, and StatsJSON renders the merged
+// document. It exists for selftests and differential tests; the
+// real-socket deployment is cmd/rwpcluster against rwpserve -tcp
+// processes.
 type Cluster struct {
 	ring   *Ring
 	caches []*live.Cache
@@ -172,9 +171,6 @@ func (h *Cluster) Close() error {
 	}
 	return err
 }
-
-// Replay streams ops through the router (drive.Target).
-func (h *Cluster) Replay(ops []loadgen.Op) error { return h.client.Replay(ops) }
 
 // StatsJSON drains the router, closing a trailing partial window, and
 // renders the cluster's merged stats document: each ring shard's set

@@ -15,7 +15,8 @@ import (
 // numbered by a sequence counter, never timestamped — so recording the
 // same deterministic stream twice (or at a different lock-shard count)
 // yields byte-identical journals, and replaying one reproduces the
-// original run's stats byte for byte (cmd/rwpreplay closes that loop).
+// original run's stats byte for byte (`rwpserve -in` and `rwpcluster
+// -in` close that loop).
 const ReqLogSchema = "rwp-reqlog-v1"
 
 // Request outcomes, as the live cache classifies them: a Get is a hit,
@@ -162,9 +163,10 @@ func (w *ReqLogWriter) Count() uint64 {
 
 // ReadReqLog decodes a request journal. It is strict the way every
 // journal reader here is — unknown schemas, unknown record types,
-// malformed lines, gaps in the sequence, and op/class disagreements
-// are all errors, because a journal is versioned data whose replay
-// must reproduce a run exactly or not at all.
+// malformed lines, a header that is missing, late or repeated, gaps in
+// the sequence, and op/class disagreements are all errors, because a
+// journal is versioned data whose replay must reproduce a run exactly
+// or not at all.
 func ReadReqLog(r io.Reader) (desc string, evs []ReqEvent, err error) {
 	sc := bufio.NewScanner(r)
 	// Values can reach the transport's 1 MiB cap, which doubles in hex.
@@ -185,6 +187,9 @@ func ReadReqLog(r io.Reader) (desc string, evs []ReqEvent, err error) {
 		}
 		switch disc.T {
 		case "header":
+			if sawHeader {
+				return "", nil, fmt.Errorf("probe: reqlog line %d: second header", lineNo)
+			}
 			var h reqHeader
 			if err := json.Unmarshal(line, &h); err != nil {
 				return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)
@@ -194,6 +199,9 @@ func ReadReqLog(r io.Reader) (desc string, evs []ReqEvent, err error) {
 			}
 			desc, sawHeader = h.Desc, true
 		case "req":
+			if !sawHeader {
+				return "", nil, fmt.Errorf("probe: reqlog line %d: record before the header", lineNo)
+			}
 			var rec reqRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
 				return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)

@@ -96,13 +96,16 @@ func TestReqLogRejectsBadInput(t *testing.T) {
 	header := `{"desc":"","schema":"rwp-reqlog-v1","t":"header"}`
 	rec0 := `{"class":"load","cost":1,"key":"k","op":"get","outcome":"hit","seq":0,"set":0,"t":"req"}`
 	cases := map[string]string{
-		"no header":      rec0,
-		"wrong schema":   `{"desc":"","schema":"rwp-journal-v1","t":"header"}`,
-		"unknown type":   header + "\n" + `{"t":"mystery"}`,
-		"malformed json": header + "\n" + `{"t":"req"`,
-		"seq gap":        header + "\n" + strings.Replace(rec0, `"seq":0`, `"seq":1`, 1),
-		"op/class clash": header + "\n" + strings.Replace(rec0, `"class":"load"`, `"class":"store"`, 1),
-		"bad value hex":  header + "\n" + `{"class":"store","cost":2,"key":"k","op":"put","outcome":"insert","seq":0,"set":0,"t":"req","value":"zz"}`,
+		"no header":             rec0,
+		"late header":           rec0 + "\n" + header,
+		"second header":         header + "\n" + header + "\n" + rec0,
+		"header after a record": header + "\n" + rec0 + "\n" + header,
+		"wrong schema":          `{"desc":"","schema":"rwp-journal-v1","t":"header"}`,
+		"unknown type":          header + "\n" + `{"t":"mystery"}`,
+		"malformed json":        header + "\n" + `{"t":"req"`,
+		"seq gap":               header + "\n" + strings.Replace(rec0, `"seq":0`, `"seq":1`, 1),
+		"op/class clash":        header + "\n" + strings.Replace(rec0, `"class":"load"`, `"class":"store"`, 1),
+		"bad value hex":         header + "\n" + `{"class":"store","cost":2,"key":"k","op":"put","outcome":"insert","seq":0,"set":0,"t":"req","value":"zz"}`,
 	}
 	for name, in := range cases {
 		if _, _, err := ReadReqLog(strings.NewReader(in)); err == nil {

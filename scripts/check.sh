@@ -53,11 +53,11 @@ go test -C bench .
 # Fuzz seed corpora: replay every checked-in seed (testdata/fuzz/ plus
 # the F.Add seeds) through the wire-protocol fuzz targets — the RESTORE
 # path into a live cache (FuzzRestoreWire) included — the
-# snapshot-decoder target and the recency word kernel's differential
-# target (FuzzTable), so a corpus regression fails the gate without
-# needing a fuzzing run.
-echo '>> go test -run=Fuzz ./internal/live/proto ./internal/snap ./internal/recency'
-go test -run=Fuzz ./internal/live/proto ./internal/snap ./internal/recency
+# snapshot-decoder target, the recency word kernel's differential
+# target (FuzzTable) and the request-journal reader (FuzzReadReqLog),
+# so a corpus regression fails the gate without needing a fuzzing run.
+echo '>> go test -run=Fuzz ./internal/live/proto ./internal/snap ./internal/recency ./internal/probe'
+go test -run=Fuzz ./internal/live/proto ./internal/snap ./internal/recency ./internal/probe
 
 if [ "$short" = 0 ]; then
     echo '>> go test -race ./...'
@@ -161,20 +161,26 @@ for j in "$smoke/m1"/*.jsonl; do
     }
 done
 
+# The live smokes below run the two live binaries, built once: a
+# `go run` per invocation would relink each time, and flatten exit codes.
+echo '>> go build ./cmd/rwpserve ./cmd/rwpcluster'
+bin=$smoke/bin
+go build -o "$bin/" ./cmd/rwpserve ./cmd/rwpcluster
+
 # Live-cache smoke: a seeded loadgen burst through the real rwpserve
 # binary must print bit-identical /stats JSON on every run AND at every
 # shard count — the live subsystem's determinism contract (sharding
 # moves lock boundaries, not behavior).
 echo '>> live smoke: rwpserve -selftest is shard-count invariant'
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf >"$smoke/live1.json"
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf >"$smoke/live2.json"
 cmp "$smoke/live1.json" "$smoke/live2.json" || {
     echo 'check.sh: FAIL: rwpserve -selftest differs between identical runs' >&2
     exit 1
 }
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 32 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 32 \
     -profile mcf >"$smoke/live32.json"
 cmp "$smoke/live1.json" "$smoke/live32.json" || {
     echo 'check.sh: FAIL: rwpserve -selftest differs between -shards 1 and 32' >&2
@@ -184,13 +190,12 @@ cmp "$smoke/live1.json" "$smoke/live32.json" || {
 # Geometry smoke: RWP keeps one predictor per group of 8 consecutive
 # sets, and a lock shard or a cluster ring range that would split a
 # group is refused at start-up (exit 2, naming the group), never run
-# with half a predictor. Built binaries: `go run` flattens exit codes.
+# with half a predictor.
 echo '>> geometry smoke: a shard or ring range that splits a policy group exits 2'
-go build -o "$smoke/bin/" ./cmd/rwpserve ./cmd/rwpcluster
 for leg in 'rwpserve -shards 64' 'rwpcluster -ring-shards 64'; do
     rc=0
     # shellcheck disable=SC2086 # $leg is a command and its flag
-    "$smoke/bin/"$leg -selftest 1 -sets 256 >/dev/null 2>"$smoke/geometry.err" || rc=$?
+    "$bin/"$leg -selftest 1 -sets 256 >/dev/null 2>"$smoke/geometry.err" || rc=$?
     if [ "$rc" != 2 ] || ! grep -q '8-set policy group' "$smoke/geometry.err"; then
         echo "check.sh: FAIL: $leg at -sets 256 exited $rc, want 2 with the group named:" >&2
         cat "$smoke/geometry.err" >&2
@@ -205,15 +210,15 @@ done
 # scan flood with -neg-ops is deterministic across runs AND shard
 # counts, and actually records absence verdicts (nonzero NegInserts).
 echo '>> stampede smoke: -coalesce is bit-identical; adv:scan -neg-ops is deterministic'
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -coalesce -lease-ops 64 >"$smoke/coalesce.json"
 cmp "$smoke/live1.json" "$smoke/coalesce.json" || {
     echo 'check.sh: FAIL: -coalesce perturbed a single-goroutine selftest' >&2
     exit 1
 }
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile adv:scan -coalesce -neg-ops 64 >"$smoke/neg1.json"
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 32 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 32 \
     -profile adv:scan -coalesce -neg-ops 64 >"$smoke/neg32.json"
 cmp "$smoke/neg1.json" "$smoke/neg32.json" || {
     echo 'check.sh: FAIL: adv:scan -neg-ops differs between -shards 1 and 32' >&2
@@ -228,7 +233,7 @@ fi
 # MGET/MPUT frames, pipelined 8 deep) must print the same bytes — the
 # transport-equivalence contract through the real binary.
 echo '>> transport smoke: -selftest is transport invariant (tcp == direct)'
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -transport tcp -batch 64 -pipeline 8 >"$smoke/livetcp.json"
 cmp "$smoke/live1.json" "$smoke/livetcp.json" || {
     echo 'check.sh: FAIL: rwpserve -selftest differs between tcp and direct transports' >&2
@@ -244,10 +249,10 @@ cmp "$smoke/live1.json" "$smoke/livetcp.json" || {
 # snapshot must log 'starting cold' and produce the cold-run bytes with
 # exit 0 — corruption never panics and never serves partial state.
 echo '>> restart smoke: snapshot/restore equivalence across shard counts'
-go run ./cmd/rwpserve -selftest 12000 -sets 256 -ways 8 -shards 4 \
+"$bin/rwpserve" -selftest 12000 -sets 256 -ways 8 -shards 4 \
     -profile mcf -snapshot "$smoke/warm.snap" >/dev/null
 for sh in 1 32; do
-    go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards "$sh" \
+    "$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards "$sh" \
         -profile mcf -restore "$smoke/warm.snap" -selftest-skip 12000 \
         >"$smoke/resumed$sh.json" 2>"$smoke/resumed$sh.err"
     cmp "$smoke/live1.json" "$smoke/resumed$sh.json" || {
@@ -260,7 +265,7 @@ for sh in 1 32; do
         exit 1
     fi
 done
-go run ./cmd/rwpserve -selftest 12000 -sets 256 -ways 8 -shards 32 \
+"$bin/rwpserve" -selftest 12000 -sets 256 -ways 8 -shards 32 \
     -profile mcf -restore "$smoke/warm.snap" -selftest-skip 12000 \
     -snapshot "$smoke/warm2.snap" >/dev/null
 cmp "$smoke/warm.snap" "$smoke/warm2.snap" || {
@@ -268,7 +273,7 @@ cmp "$smoke/warm.snap" "$smoke/warm2.snap" || {
     exit 1
 }
 head -c 256 "$smoke/warm.snap" >"$smoke/trunc.snap"
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -restore "$smoke/trunc.snap" \
     >"$smoke/coldstart.json" 2>"$smoke/coldstart.err"
 cmp "$smoke/live1.json" "$smoke/coldstart.json" || {
@@ -289,8 +294,8 @@ grep -q 'starting cold' "$smoke/coldstart.err" || {
 # resumed at another shard count.
 echo '>> probe smoke: the derived probe section is shard, transport, cluster and restart invariant'
 probe_run() {
-    bin=$1; shift
-    go run "./cmd/$bin" -selftest 20000 -sets 256 -ways 8 -profile mcf \
+    cmd=$1; shift
+    "$bin/$cmd" -selftest 20000 -sets 256 -ways 8 -profile mcf \
         -interval 32 "$@"
 }
 probe_run rwpserve -shards 1 >"$smoke/probe1.json"
@@ -305,7 +310,7 @@ fi
 probe_run rwpserve -shards 32 >"$smoke/probe32.json"
 probe_run rwpserve -shards 1 -transport tcp -batch 64 -pipeline 8 >"$smoke/probetcp.json"
 probe_run rwpcluster -shards 1 -ring-shards 16 >"$smoke/probecluster.json"
-go run ./cmd/rwpserve -selftest 12000 -sets 256 -ways 8 -shards 4 -profile mcf \
+"$bin/rwpserve" -selftest 12000 -sets 256 -ways 8 -shards 4 -profile mcf \
     -interval 32 -snapshot "$smoke/probe.snap" >/dev/null
 probe_run rwpserve -shards 32 -restore "$smoke/probe.snap" -selftest-skip 12000 \
     >"$smoke/proberesumed.json" 2>"$smoke/proberesumed.err"
@@ -328,15 +333,15 @@ done
 # single-node run, not an approximation. $smoke/live1.json is the
 # rwpserve baseline produced by the live smoke.
 echo '>> cluster smoke: rwpcluster -selftest merges to the single-node bytes'
-go run ./cmd/rwpcluster -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpcluster" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -ring-shards 16 >"$smoke/cluster1.json"
-go run ./cmd/rwpcluster -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpcluster" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -ring-shards 16 >"$smoke/cluster2.json"
 cmp "$smoke/cluster1.json" "$smoke/cluster2.json" || {
     echo 'check.sh: FAIL: rwpcluster -selftest differs between identical runs' >&2
     exit 1
 }
-go run ./cmd/rwpcluster -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpcluster" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -ring-shards 32 -mode pipe >"$smoke/cluster32.json"
 cmp "$smoke/cluster1.json" "$smoke/cluster32.json" || {
     echo 'check.sh: FAIL: rwpcluster -selftest differs across -ring-shards/-mode' >&2
@@ -348,9 +353,9 @@ cmp "$smoke/live1.json" "$smoke/cluster1.json" || {
 }
 # ... and on a profile whose keys the backing store does not have: both
 # binaries build the stream and the Loader the same way.
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile adv:scan >"$smoke/scan1.json"
-go run ./cmd/rwpcluster -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpcluster" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile adv:scan -ring-shards 16 >"$smoke/clusterscan.json"
 cmp "$smoke/scan1.json" "$smoke/clusterscan.json" || {
     echo 'check.sh: FAIL: cluster adv:scan stats differ from single-node rwpserve' >&2
@@ -359,38 +364,37 @@ cmp "$smoke/scan1.json" "$smoke/clusterscan.json" || {
 
 # Record/replay smoke: re-run the live burst with -record; capture must
 # not perturb the run (stats == the unrecorded live smoke), replaying
-# the journal over any transport must reproduce those bytes, and
-# re-recording at a different shard count must reproduce the journal
-# itself — the replay equivalence contract (DESIGN.md §14) through the
-# real binaries. $smoke/live1.json is the rwpserve baseline from the
-# live smoke above.
-echo '>> replay smoke: record -> replay reproduces the stats bytes'
-go run ./cmd/rwpserve -selftest 20000 -sets 256 -ways 8 -shards 4 \
+# the journal with -in — rwpserve direct and over tcp, a 3-node
+# rwpcluster — must reproduce those bytes, and re-recording at a
+# different shard count must reproduce the journal itself — the replay
+# equivalence contract (DESIGN.md §14) through the real binaries.
+# $smoke/live1.json is the rwpserve baseline from the live smoke above.
+echo '>> replay smoke: record -> replay (-in) reproduces the stats bytes'
+"$bin/rwpserve" -selftest 20000 -sets 256 -ways 8 -shards 4 \
     -profile mcf -record "$smoke/reqs.jsonl" >"$smoke/recorded.json"
 cmp "$smoke/live1.json" "$smoke/recorded.json" || {
     echo 'check.sh: FAIL: -record perturbed the selftest stats' >&2
     exit 1
 }
-go run ./cmd/rwpreplay -in "$smoke/reqs.jsonl" -sets 256 -ways 8 \
+"$bin/rwpserve" -in "$smoke/reqs.jsonl" -sets 256 -ways 8 \
     -shards 8 >"$smoke/replay-direct.json"
 cmp "$smoke/live1.json" "$smoke/replay-direct.json" || {
     echo 'check.sh: FAIL: direct replay differs from the recorded run' >&2
     exit 1
 }
-go run ./cmd/rwpreplay -in "$smoke/reqs.jsonl" -sets 256 -ways 8 \
+"$bin/rwpserve" -in "$smoke/reqs.jsonl" -sets 256 -ways 8 \
     -shards 2 -transport tcp -batch 64 -pipeline 8 >"$smoke/replay-tcp.json"
 cmp "$smoke/live1.json" "$smoke/replay-tcp.json" || {
     echo 'check.sh: FAIL: tcp replay differs from the recorded run' >&2
     exit 1
 }
-go run ./cmd/rwpreplay -in "$smoke/reqs.jsonl" -sets 256 -ways 8 \
-    -shards 1 -transport cluster -nodes 3 -ring-shards 16 \
-    >"$smoke/replay-cluster.json"
+"$bin/rwpcluster" -in "$smoke/reqs.jsonl" -sets 256 -ways 8 \
+    -shards 1 -nodes 3 -ring-shards 16 >"$smoke/replay-cluster.json"
 cmp "$smoke/live1.json" "$smoke/replay-cluster.json" || {
     echo 'check.sh: FAIL: 3-node cluster replay differs from the recorded run' >&2
     exit 1
 }
-go run ./cmd/rwpreplay -in "$smoke/reqs.jsonl" -sets 256 -ways 8 \
+"$bin/rwpserve" -in "$smoke/reqs.jsonl" -sets 256 -ways 8 \
     -shards 16 -record "$smoke/rerec.jsonl" >/dev/null
 cmp "$smoke/reqs.jsonl" "$smoke/rerec.jsonl" || {
     echo 'check.sh: FAIL: re-recorded journal differs from the input journal' >&2
@@ -405,10 +409,10 @@ cmp "$smoke/reqs.jsonl" "$smoke/rerec.jsonl" || {
 # shorter run's last whole window (20000 ops = 19 windows of 1024 and a
 # tail; one header line, 16 shard records a window).
 echo '>> cluster smoke: managed run is deterministic'
-go run ./cmd/rwpcluster -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpcluster" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -ring-shards 16 -manager -window 1024 -hot 128 -cold 16 \
     -windows-out "$smoke/win1.jsonl" >"$smoke/managed1.json"
-go run ./cmd/rwpcluster -selftest 20000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpcluster" -selftest 20000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -ring-shards 16 -manager -window 1024 -hot 128 -cold 16 \
     -windows-out "$smoke/win2.jsonl" >"$smoke/managed2.json"
 cmp "$smoke/managed1.json" "$smoke/managed2.json" || {
@@ -419,7 +423,7 @@ cmp "$smoke/win1.jsonl" "$smoke/win2.jsonl" || {
     echo 'check.sh: FAIL: managed shard-window journals differ between identical runs' >&2
     exit 1
 }
-go run ./cmd/rwpcluster -selftest 200000 -sets 256 -ways 8 -shards 1 \
+"$bin/rwpcluster" -selftest 200000 -sets 256 -ways 8 -shards 1 \
     -profile mcf -ring-shards 16 -manager -window 1024 -hot 128 -cold 16 \
     -windows-out "$smoke/win10x.jsonl" >/dev/null
 head -n $((1 + 19*16)) "$smoke/win1.jsonl" >"$smoke/win1.head"
