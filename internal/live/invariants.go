@@ -29,6 +29,15 @@ func (c *Cache) CheckInvariants() error {
 					return fmt.Errorf("group at set %d: %w", global, err)
 				}
 			}
+			// A set has all its ways or none (grow), and ways only under
+			// its group's policy, which every fill that grew them went
+			// through.
+			if ls.entries != nil && (len(ls.entries) != c.cfg.Ways || len(ls.tags) != c.cfg.Ways || g.pol == nil) ||
+				ls.entries == nil && ls.tags != nil {
+				sh.mu.Unlock()
+				return fmt.Errorf("set %d: storage of %d entries and %d tags (policy %v), want none or %d ways under a policy",
+					global, len(ls.entries), len(ls.tags), g.pol != nil, c.cfg.Ways)
+			}
 			valid, dirty := 0, 0
 			seen := map[string]bool{}
 			for w := range ls.entries {

@@ -155,6 +155,12 @@ func TestSameTagResolvesByKey(t *testing.T) {
 	if w := ls.find("", 0); w != -1 {
 		t.Fatalf(`find("", 0) on an empty set = way %d, want -1`, w)
 	}
+	// A set has no ways until its first fill: one Put grows them, into
+	// way 0, and leaves ways 1-3 cleared.
+	c.Put("x", []byte("x"))
+	if w := ls.find("", 0); w != -1 {
+		t.Fatalf(`find("", 0) over cleared ways = way %d, want -1`, w)
+	}
 	const tag = mem.LineAddr(0xfeedface)
 	ls.install(1, "alpha", tag, []byte("a"), false)
 	ls.install(2, "bravo", tag, []byte("b"), true)
@@ -280,11 +286,11 @@ func TestRetainedCapacityIsBounded(t *testing.T) {
 	cfg := tinyConfig("rwp")
 	cfg.Sets, cfg.Ways = 1, 1
 	c := mustNew(t, cfg)
-	e := &c.shards[0].sets[0].entries[0]
 	big, small := make([]byte, 1<<20), make([]byte, 64)
 	bound := max(retainFactor*(len("a")+len(small)), retainMin)
 
-	c.Put("a", big)
+	c.Put("a", big) // the set's first fill grows its one way
+	e := &c.shards[0].sets[0].entries[0]
 	if cap(e.kv) < 1+len(big) {
 		t.Fatalf("stored %d bytes in a %d-byte buffer", 1+len(big), cap(e.kv))
 	}

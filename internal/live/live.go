@@ -303,9 +303,15 @@ func (e *entry) val() []byte { return e.kv[e.klen:] }
 // 16 ways — and reads an entry only on a tag match. install is the one
 // place that writes a way, so a valid way's tag is always its key's
 // HashKey (CheckInvariants holds it to that).
+//
+// A set owns no way storage until its first fill (grow): a set no key
+// ever reaches costs its lset and nothing more, so a cluster node's
+// memory follows the ring ranges it serves. find over the nil slices
+// matches nothing, which keeps the hit path free of a storage check.
 type lset struct {
-	// tags[w] is HashKey of entries[w].key(), carved from the shard's
-	// slab. Meaningful only while entries[w].valid.
+	// tags[w] is HashKey of entries[w].key(). Meaningful only while
+	// entries[w].valid. Both are nil until the set's first fill and again
+	// after a reset, and Ways long otherwise.
 	tags    []mem.LineAddr
 	entries []entry
 	// grp owns the set's replacement policy, which knows the set as idx.
@@ -331,9 +337,13 @@ type lset struct {
 // with SamplerSets 1 shadows set 0 of the view, and every callback
 // names a set by its index in the group.
 type group struct {
-	sets []lset // a window of the shard's sets
-	pol  cache.Policy
-	rwp  *core.RWP // non-nil iff the policy is RWP
+	sets []lset  // a window of the shard's sets
+	cfg  *Config // the cache's; the group's geometry and policy choice
+	// pol is nil until the first fill into any of the group's sets: a
+	// Get that misses without filling calls no policy method, so a policy
+	// attached at the first fill is the one New would have built.
+	pol cache.Policy
+	rwp *core.RWP // non-nil iff pol is RWP
 	// ops and costs are the group's ledger — all an operation writes
 	// besides the entries themselves: ops once per event, costs one cell
 	// per completed Get/Put. A group never spans a lock shard or a
@@ -347,8 +357,9 @@ type group struct {
 // NumSets implements cache.StateReader.
 func (g *group) NumSets() int { return len(g.sets) }
 
-// Ways implements cache.StateReader.
-func (g *group) Ways() int { return len(g.sets[0].entries) }
+// Ways implements cache.StateReader. It is the configured associativity,
+// not len(entries): a set without storage still has its ways.
+func (g *group) Ways() int { return g.cfg.Ways }
 
 // State implements cache.StateReader.
 func (g *group) State(set, way int) cache.LineState {
@@ -438,10 +449,10 @@ func (e *entry) setVal(val []byte) {
 }
 
 // install writes (key, val) into way: tag, payload and state bits
-// together, the only writer of any of them besides initGroup's clear
-// and a Put overwrite's setVal. The key's bytes are copied, so a
-// borrowed key may be passed. Occupancy counts and the policy callbacks
-// are the caller's (fill, restoreGroup).
+// together, the only writer of any of them besides a Put overwrite's
+// setVal. The set has storage (its caller grew it). The key's bytes are
+// copied, so a borrowed key may be passed. Occupancy counts and the
+// policy callbacks are the caller's (fill, restoreGroup).
 //
 //rwplint:hotpath — every fill
 func (s *lset) install(way int, key string, tag mem.LineAddr, val []byte, dirty bool) {
@@ -473,6 +484,9 @@ type Cache struct {
 	mask     uint64
 	perShard int
 	shards   []*shard
+	// fresh is a never-used RWP predictor (nil under LRU): what a group
+	// without a policy reports to Stats and SnapshotRange. Read-only.
+	fresh *core.RWP
 }
 
 // New builds a cache from cfg.
@@ -492,24 +506,30 @@ func New(cfg Config) (*Cache, error) {
 		if cfg.Coalesce {
 			sh.fills = make(map[string]*fillCall)
 		}
-		// One tag slab and one entry slab per shard: a set's ways are
-		// contiguous, and so are its neighbours'.
-		tags := make([]mem.LineAddr, c.perShard*cfg.Ways)
-		entries := make([]entry, c.perShard*cfg.Ways)
 		for gi := range sh.groups {
 			g := &sh.groups[gi]
-			g.sets = sh.sets[gi*gs : (gi+1)*gs]
+			g.sets, g.cfg = sh.sets[gi*gs:(gi+1)*gs], &c.cfg
 			for i := range g.sets {
-				ls, w := &g.sets[i], (gi*gs+i)*cfg.Ways
-				ls.tags = tags[w : w+cfg.Ways : w+cfg.Ways]
-				ls.entries = entries[w : w+cfg.Ways : w+cfg.Ways]
-				ls.grp, ls.idx = g, i
+				g.sets[i].grp, g.sets[i].idx = g, i
 			}
-			initGroup(g, cfg)
 		}
 		c.shards[si] = sh
 	}
+	if cfg.Policy == "rwp" {
+		fresh := &group{sets: make([]lset, gs), cfg: &c.cfg}
+		fresh.attach()
+		c.fresh = fresh.rwp
+	}
 	return c, nil
+}
+
+// predictor is the RWP state g reports: its own predictor, or the fresh
+// one it would get at its first fill. Nil under LRU.
+func (c *Cache) predictor(g *group) *core.RWP {
+	if g.rwp != nil {
+		return g.rwp
+	}
+	return c.fresh
 }
 
 // groupRWPConfig is the configuration a group's predictor runs under:
@@ -521,33 +541,50 @@ func groupRWPConfig(cfg core.Config, groupSets int) core.Config {
 	return cfg
 }
 
-// initGroup (re)builds one group to its freshly-constructed state:
-// empty entries, cleared tags, zero occupancy in every set, and a
-// brand-new policy instance; it returns how many entries that dropped.
-// The slabs are New's. The group's ledger is deliberately left
-// untouched — it is cumulative history, and ResetRange must not
-// un-count work that happened — and so are the sets' clocks.
-func initGroup(g *group, cfg Config) (purged int) {
+// attach gives the group a brand-new policy instance.
+func (g *group) attach() {
+	switch g.cfg.Policy {
+	case "rwp":
+		g.rwp = core.New(groupRWPConfig(g.cfg.RWP, len(g.sets)))
+		g.pol = g.rwp
+	default: // "lru", by Validate
+		g.pol = policy.NewLRU()
+	}
+	g.pol.Attach(g)
+}
+
+// grow gives a set its way storage at its first fill, and its group a
+// policy at the group's first. Storage is allocated per set, not per
+// group: at 16 ways a set's entries take 512 B, the largest size class
+// with no malloc header, where a group's 4 KiB array of pointerful
+// entries would land in a 4 864 B class.
+func (ls *lset) grow() {
+	if ls.grp.pol == nil {
+		ls.grp.attach()
+	}
+	ways := ls.grp.cfg.Ways
+	ls.tags = make([]mem.LineAddr, ways)
+	ls.entries = make([]entry, ways)
+}
+
+// initGroup returns one group to its freshly-constructed state — no way
+// storage, zero occupancy in every set, no policy — and reports how many
+// entries that dropped. Storage and policy are released, not cleared, so
+// a purged range costs nothing until it refills. The group's ledger is
+// deliberately left untouched — it is cumulative history, and ResetRange
+// must not un-count work that happened — and so are the sets' clocks.
+func initGroup(g *group) (purged int) {
 	for i := range g.sets {
 		ls := &g.sets[i]
 		purged += ls.validCount
-		clear(ls.entries)
-		clear(ls.tags)
+		ls.tags, ls.entries = nil, nil
 		ls.validCount, ls.dirtyCount = 0, 0
 		// The negative cache is content, not history: a reset set starts
 		// cold on both sides (ResetRange's read-your-write rule would be
 		// violated by a stale "absent" verdict outliving a purge).
 		ls.negs = nil
 	}
-	g.rwp = nil
-	switch cfg.Policy {
-	case "rwp":
-		g.rwp = core.New(groupRWPConfig(cfg.RWP, len(g.sets)))
-		g.pol = g.rwp
-	default: // "lru", by Validate
-		g.pol = policy.NewLRU()
-	}
-	g.pol.Attach(g)
+	g.pol, g.rwp = nil, nil
 	return purged
 }
 
@@ -587,11 +624,11 @@ func (c *Cache) eachGroup(lo, hi int, fn func(g *group, base int)) {
 }
 
 // ResetRange drops every resident entry in the global sets [lo, hi)
-// and rebuilds each group's replacement policy from scratch, returning
-// the number of entries purged. Operation counters are preserved (they
-// are cumulative history); occupancy and policy state (RWP predictor
+// and releases the range's way storage and policies, returning the
+// number of entries purged. Operation counters are preserved (they are
+// cumulative history); occupancy and policy state (RWP predictor
 // histograms, dirty targets, LRU stacks) restart cold, exactly as at
-// construction.
+// construction, and the range holds no memory until it refills.
 //
 // The cluster layer calls it when a shard replica is (re)added to a
 // node: a node that served the shard before and was dropped may hold
@@ -603,7 +640,7 @@ func (c *Cache) ResetRange(lo, hi int) (purged int) {
 	if err := c.CheckRange(lo, hi); err != nil {
 		panic("live: ResetRange: " + err.Error())
 	}
-	c.eachGroup(lo, hi, func(g *group, _ int) { purged += initGroup(g, c.cfg) })
+	c.eachGroup(lo, hi, func(g *group, _ int) { purged += initGroup(g) })
 	return purged
 }
 
@@ -833,12 +870,16 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 
 // fill installs (key, val) into the set under tag ai.Line, evicting the
 // policy's victim if the set is full; the key and value are copied into
-// the victim way's buffer where install can reuse it. Called with the
-// shard lock held. It reports whether the fill evicted a dirty entry —
-// the cost model's writeback surcharge trigger.
+// the victim way's buffer where install can reuse it. A set's first fill
+// grows its storage first, outside this function's allocation rule.
+// Called with the shard lock held. It reports whether the fill evicted a
+// dirty entry — the cost model's writeback surcharge trigger.
 //
 //rwplint:hotpath — every Loader fill and Put insert; allocation-free over a victim whose buffer fits
 func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
+	if ls.entries == nil {
+		ls.grow()
+	}
 	// Neither LRU nor RWP ever asks to bypass a fill.
 	g, pol := ls.grp, ls.grp.pol
 	way, _ := pol.Victim(ls.idx, ai)

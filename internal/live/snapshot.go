@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rwp/internal/cache"
+	"rwp/internal/core"
 	"rwp/internal/mem"
 	"rwp/internal/policy"
 	"rwp/internal/recency"
@@ -85,7 +86,7 @@ func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
 		for i := range g.sets {
 			s.Records = append(s.Records, snapSet(base+i, &g.sets[i]))
 		}
-		s.Groups = append(s.Groups, snapGroup(g))
+		s.Groups = append(s.Groups, snapGroup(g, c.predictor(g)))
 	})
 	return s
 }
@@ -93,6 +94,9 @@ func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
 // snapSet captures one set's entries under its shard lock.
 func snapSet(global int, ls *lset) snap.SetRecord {
 	r := snap.SetRecord{Set: global}
+	if ls.entries == nil {
+		return r
+	}
 	tab := ls.grp.recency()
 	for pos := 0; pos < len(ls.entries); pos++ {
 		way := tab.At(ls.idx, pos)
@@ -111,11 +115,12 @@ func snapSet(global int, ls *lset) snap.SetRecord {
 	return r
 }
 
-// snapGroup captures one group's ledger and, under RWP, its predictor.
-func snapGroup(g *group) snap.GroupRecord {
+// snapGroup captures one group's ledger and, under RWP, its predictor
+// rwp (Cache.predictor).
+func snapGroup(g *group, rwp *core.RWP) snap.GroupRecord {
 	r := snap.GroupRecord{Ops: g.ledger()}
-	if g.rwp != nil {
-		st := g.rwp.ExportState()
+	if rwp != nil {
+		st := rwp.ExportState()
 		r.RWP = &st
 	}
 	return r
@@ -237,20 +242,25 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 func (c *Cache) applyRange(s *snap.Snapshot, full bool) (purged int) {
 	c.eachGroup(s.Lo, s.Hi, func(g *group, base int) {
 		at, gs := base-s.Lo, len(g.sets)
-		purged += restoreGroup(g, c.cfg, s.Records[at:at+gs], &s.Groups[at/gs], full)
+		purged += restoreGroup(g, s.Records[at:at+gs], &s.Groups[at/gs], full)
 	})
 	return purged
 }
 
-// restoreGroup rebuilds one group from its records: a fresh policy,
+// restoreGroup rebuilds one group from its records: a fresh policy —
+// always, since the recorded predictor may differ from a fresh one —
 // then each set's recorded entries replayed as fills LRU-first into
 // ways 0..K-1, then the predictor state (none for LRU) and, for a full
-// restore, the ledger. It returns the number of entries the group held
-// before.
-func restoreGroup(g *group, cfg Config, recs []snap.SetRecord, gr *snap.GroupRecord, full bool) (purged int) {
-	purged = initGroup(g, cfg)
+// restore, the ledger. Only sets with recorded entries get storage. It
+// returns the number of entries the group held before.
+func restoreGroup(g *group, recs []snap.SetRecord, gr *snap.GroupRecord, full bool) (purged int) {
+	purged = initGroup(g)
+	g.attach()
 	for i := range recs {
-		restoreSet(&g.sets[i], &recs[i])
+		if len(recs[i].Entries) > 0 {
+			g.sets[i].grow()
+			restoreSet(&g.sets[i], &recs[i])
+		}
 	}
 	if g.rwp != nil {
 		if err := g.rwp.RestoreState(*gr.RWP); err != nil {
@@ -265,7 +275,7 @@ func restoreGroup(g *group, cfg Config, recs []snap.SetRecord, gr *snap.GroupRec
 	return purged
 }
 
-// restoreSet replays one record into a freshly initialized set.
+// restoreSet replays one record into a freshly grown set.
 func restoreSet(ls *lset, r *snap.SetRecord) {
 	n := len(r.Entries)
 	for i := n - 1; i >= 0; i-- {

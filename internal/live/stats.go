@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"rwp/internal/core"
 	"rwp/internal/probe"
 )
 
@@ -210,16 +211,16 @@ func (s *Stats) Add(o Stats) {
 }
 
 // addGroup accumulates one group's ledger, its sets' occupancy and its
-// policy state into s, and its cost table into costs. Called with the
-// group's shard lock held.
-func (s *Stats) addGroup(g *group, costs *costTable) {
+// predictor rwp (Cache.predictor; nil under LRU) into s, and its cost
+// table into costs. Called with the group's shard lock held.
+func (s *Stats) addGroup(g *group, rwp *core.RWP, costs *costTable) {
 	s.Counters.add(g.ops)
 	costs.add(&g.costs)
 	for i := range g.sets {
 		s.Entries += g.sets[i].validCount
 		s.DirtyEntries += g.sets[i].dirtyCount
 	}
-	if rwp := g.rwp; rwp != nil {
+	if rwp != nil {
 		s.Retargets += rwp.Intervals()
 		s.TargetHist[rwp.TargetDirty()] += uint64(len(g.sets))
 		up, down, same := rwp.RetargetDirs()
@@ -253,7 +254,7 @@ func (c *Cache) StatsRange(lo, hi int) Stats {
 		s.TargetHist = make([]uint64, c.cfg.Ways+1)
 	}
 	var costs costTable
-	c.eachGroup(lo, hi, func(g *group, _ int) { s.addGroup(g, &costs) })
+	c.eachGroup(lo, hi, func(g *group, _ int) { s.addGroup(g, c.predictor(g), &costs) })
 	s.CostHistClean = costs.hist(partClean)
 	s.CostHistDirty = costs.hist(partDirty)
 	s.CostHist.Add(s.CostHistClean)

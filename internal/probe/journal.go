@@ -3,6 +3,7 @@ package probe
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -212,6 +213,19 @@ func WriteJournal(w io.Writer, h Header, results []ResultRecord, rec *Recorder) 
 	return bw.Flush()
 }
 
+// headerOrder is the header rule every journal reader keeps: the first
+// record is the header, and only the first. isHeader describes the
+// record at hand, sawHeader whether one came before it.
+func headerOrder(isHeader, sawHeader bool) error {
+	switch {
+	case isHeader && sawHeader:
+		return errors.New("second header")
+	case !isHeader && !sawHeader:
+		return errors.New("no header before this record")
+	}
+	return nil
+}
+
 // classIndex maps a class name back to its index.
 func classIndex(name string) (Class, error) {
 	for c := Class(0); c < NumClasses; c++ {
@@ -223,12 +237,14 @@ func classIndex(name string) (Class, error) {
 }
 
 // ReadJournal decodes a canonical JSONL journal. It rejects unknown
-// schemas and malformed lines; unknown record types are an error too —
-// a journal is versioned data, not a log to be skimmed.
+// schemas and malformed lines; unknown record types are an error too,
+// and so is a header that is missing, late or repeated — a journal is
+// versioned data, not a log to be skimmed.
 func ReadJournal(r io.Reader) (*Journal, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var j Journal
+	sawHeader := false
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -242,8 +258,12 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 		if err := json.Unmarshal(line, &disc); err != nil {
 			return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
 		}
+		if err := headerOrder(disc.T == "header", sawHeader); err != nil {
+			return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
+		}
 		switch disc.T {
 		case "header":
+			sawHeader = true
 			if err := json.Unmarshal(line, &j.Header); err != nil {
 				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
 			}

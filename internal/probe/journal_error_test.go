@@ -31,6 +31,9 @@ func TestReadJournalDecodeErrors(t *testing.T) {
 		{"bad policy record", validHeader + `{"t":"policy","count":"many"}` + "\n", "line 2"},
 		{"bad interval record", validHeader + `{"t":"interval","index":"first"}` + "\n", "line 2"},
 		{"bad header types", `{"t":"header","schema":5}` + "\n", "line 1"},
+		{"late header", `{"t":"evictions","clean":1,"dirty":2}` + "\n" + validHeader, "line 1: no header"},
+		{"second header", validHeader + strings.Replace(validHeader, `"desc":"d"`, `"desc":"e"`, 1), "line 2: second header"},
+		{"late second header", `{"t":"evictions","clean":1,"dirty":2}` + "\n" + validHeader + validHeader, "line 1: no header"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			j, err := ReadJournal(strings.NewReader(tc.input))

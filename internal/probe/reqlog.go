@@ -185,11 +185,11 @@ func ReadReqLog(r io.Reader) (desc string, evs []ReqEvent, err error) {
 		if err := json.Unmarshal(line, &disc); err != nil {
 			return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)
 		}
+		if err := headerOrder(disc.T == "header", sawHeader); err != nil {
+			return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)
+		}
 		switch disc.T {
 		case "header":
-			if sawHeader {
-				return "", nil, fmt.Errorf("probe: reqlog line %d: second header", lineNo)
-			}
 			var h reqHeader
 			if err := json.Unmarshal(line, &h); err != nil {
 				return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)
@@ -199,9 +199,6 @@ func ReadReqLog(r io.Reader) (desc string, evs []ReqEvent, err error) {
 			}
 			desc, sawHeader = h.Desc, true
 		case "req":
-			if !sawHeader {
-				return "", nil, fmt.Errorf("probe: reqlog line %d: record before the header", lineNo)
-			}
 			var rec reqRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
 				return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)

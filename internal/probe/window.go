@@ -123,8 +123,9 @@ func (ww *WindowWriter) Close() error {
 }
 
 // ReadShardWindows decodes a shard-window journal, rejecting unknown
-// schemas and record types — like the run journals, it is versioned
-// data, not a log to be skimmed.
+// schemas and record types and a header that is missing, late or
+// repeated — like the run journals, it is versioned data, not a log to
+// be skimmed.
 func ReadShardWindows(r io.Reader) (desc string, windowOps int, ws []ShardWindow, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -140,6 +141,9 @@ func ReadShardWindows(r io.Reader) (desc string, windowOps int, ws []ShardWindow
 			T string `json:"t"`
 		}
 		if err := json.Unmarshal(line, &disc); err != nil {
+			return "", 0, nil, fmt.Errorf("probe: windows line %d: %w", lineNo, err)
+		}
+		if err := headerOrder(disc.T == "header", sawHeader); err != nil {
 			return "", 0, nil, fmt.Errorf("probe: windows line %d: %w", lineNo, err)
 		}
 		switch disc.T {

@@ -25,6 +25,13 @@
 // -check FILE exits 1 when an exact metric differs between the two
 // sides, or when a change median is worse than the parent's by more than
 // the metric's bound in BENCHMARK.json.
+//
+//	go run ./scripts/benchrec -head
+//
+// -head runs the working tree once per workload at seed 1 and holds it
+// to the change side of the newest BENCH_<pr>.json: every exact metric
+// bit for bit, allocs_per_op within its bound. It exits 1 when a metric
+// has moved, so a counted metric cannot move without a new record.
 package main
 
 import (
@@ -60,11 +67,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "the benchmark's -seed")
 	workloads := fs.String("workloads", "", "comma-separated W or W:pairs (default: every workload in BENCHMARK.json, 10 pairs each)")
 	check := fs.String("check", "", "check a recorded file against BENCHMARK.json's bounds instead of running")
+	head := fs.Bool("head", false, "run the working tree once per workload at seed 1 against the newest record instead of recording")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() > 0 || (*check == "") == (*pr <= 0) {
-		fmt.Fprintln(stderr, "benchrec: give -pr N to record, or -check FILE; see -h")
+	modes := 0
+	for _, on := range []bool{*pr > 0, *check != "", *head} {
+		if on {
+			modes++
+		}
+	}
+	if fs.NArg() > 0 || modes != 1 {
+		fmt.Fprintln(stderr, "benchrec: give -pr N to record, -check FILE or -head; see -h")
 		return 2
 	}
 	root, err := gitOutput("", "rev-parse", "--show-toplevel")
@@ -76,6 +90,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case err != nil:
 	case *check != "":
 		return checkFile(*check, spec, stdout, stderr)
+	case *head:
+		return headCheck(root, spec, stdout, stderr)
 	default:
 		err = record(root, spec, *pr, *seed, *workloads, stderr)
 	}
@@ -511,6 +527,99 @@ func checkFile(path string, spec *benchSpec, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// headSeed is the seed -head runs: every record carries it for every
+// workload.
+const headSeed = 1
+
+// newestRecord returns the path of the BENCH_<pr>.json at root with the
+// largest pr.
+func newestRecord(root string) (string, error) {
+	paths, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil {
+		return "", err
+	}
+	newest, best := "", -1
+	for _, p := range paths {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
+		if err == nil && n > best {
+			newest, best = p, n
+		}
+	}
+	if newest == "" {
+		return "", fmt.Errorf("no BENCH_<pr>.json in %s", root)
+	}
+	return newest, nil
+}
+
+// headCheck runs the working tree once per workload at headSeed and
+// prints each exact metric and allocs_per_op beside the newest record's
+// change median. It returns 1 when any of them moved (headCompare).
+func headCheck(root string, spec *benchSpec, stdout, stderr io.Writer) int {
+	path, err := newestRecord(root)
+	var t trajectory
+	if err == nil {
+		var b []byte
+		if b, err = os.ReadFile(path); err == nil {
+			err = json.Unmarshal(b, &t)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "benchrec:", err)
+		return 1
+	}
+	seed := strconv.Itoa(headSeed)
+	failed := 0
+	fmt.Fprintf(stdout, "%-14s %-22s %20s %20s  %s\n", "workload", "metric", filepath.Base(path), "head", "verdict")
+	for _, w := range spec.Workloads {
+		c := t.Seeds[seed][w.Name]
+		if c == nil {
+			fmt.Fprintf(stderr, "benchrec: %s has no seed-%s record of %s\n", path, seed, w.Name)
+			failed++
+			continue
+		}
+		got, err := benchOnce(root, w.Name, headSeed)
+		if err != nil {
+			fmt.Fprintln(stderr, "benchrec:", err)
+			return 1
+		}
+		failed += headCompare(spec, w.Name, c, got, stdout)
+	}
+	if failed > 0 {
+		fmt.Fprintf(stderr, "benchrec: -head: %d metrics moved since %s; record the change with -pr\n", failed, path)
+		return 1
+	}
+	return 0
+}
+
+// headCompare prints one row per compared metric of workload — the
+// exact ones and allocs_per_op, which is counted but not exact — with
+// the record's change median beside the run's value got, and returns
+// how many moved: an exact metric by any bit, allocs_per_op by more
+// than its bound either way, since a counted metric that improves needs
+// its record too. A metric the record lacks has moved.
+func headCompare(spec *benchSpec, workload string, c *comparison, got map[string]float64, w io.Writer) (moved int) {
+	for _, m := range spec.EndToEnd {
+		if !m.exact && m.Name != "allocs_per_op" {
+			continue
+		}
+		want, v := math.NaN(), got[m.Name]
+		if rec := c.Metrics[m.Name]; rec != nil {
+			want = rec.Change.Median
+		}
+		same := math.Abs(v-want) <= m.Bound*math.Abs(want)
+		if m.exact {
+			same = math.Float64bits(v) == math.Float64bits(want)
+		}
+		verdict := "same"
+		if !same {
+			verdict = "moved"
+			moved++
+		}
+		fmt.Fprintf(w, "%-14s %-22s %20.17g %20.17g  %s\n", workload, m.Name, want, v, verdict)
+	}
+	return moved
 }
 
 func sortedKeys[V any](m map[string]V) []string {

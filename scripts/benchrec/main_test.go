@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -159,5 +160,80 @@ func TestCheck(t *testing.T) {
 	}
 	if code := checkFile(write(1.10), spec, &out, &errs); code != 1 || !strings.Contains(out.String(), "worse") {
 		t.Fatalf("heap_mb 10 %% over its 5 %% bound: exit %d\n%s", code, out.String())
+	}
+}
+
+// TestHeadCompare: -head passes a run whose exact metrics equal the
+// record's change medians bit for bit and whose allocs_per_op is within
+// its 8 % bound, and counts every metric that moved: an exact one by one
+// ulp, allocs_per_op past its bound in either direction, and a metric
+// the record lacks.
+func TestHeadCompare(t *testing.T) {
+	spec := repoSpec(t)
+	const hit, allocs = 0.9995474288042264, 0.0157488
+	rec := func() *comparison {
+		c := &comparison{Pairs: 1, Metrics: map[string]*metricRec{}}
+		for _, m := range spec.EndToEnd {
+			v := 2.0
+			switch m.Name {
+			case "read_hit_rate":
+				v = hit
+			case "allocs_per_op":
+				v = allocs
+			}
+			c.Metrics[m.Name] = newMetricRec(m, []float64{v}, []float64{v})
+		}
+		return c
+	}
+	run := func(edit func(map[string]float64)) map[string]float64 {
+		got := map[string]float64{}
+		for _, m := range spec.EndToEnd {
+			got[m.Name] = rec().Metrics[m.Name].Change.Median
+		}
+		edit(got)
+		return got
+	}
+	var out bytes.Buffer
+	for _, tc := range []struct {
+		name  string
+		c     *comparison
+		edit  func(map[string]float64)
+		moved int
+	}{
+		{"unchanged", rec(), func(map[string]float64) {}, 0},
+		{"allocs within bound, timing moved", rec(), func(g map[string]float64) {
+			g["allocs_per_op"] *= 1.07
+			g["ops_per_s"] *= 3
+			g["heap_mb"] /= 2
+		}, 0},
+		{"exact metric one ulp off", rec(), func(g map[string]float64) { g["read_hit_rate"] = math.Nextafter(hit, 1) }, 1},
+		{"allocs down past bound", rec(), func(g map[string]float64) { g["allocs_per_op"] *= 0.9 }, 1},
+		{"allocs up past bound", rec(), func(g map[string]float64) { g["allocs_per_op"] *= 1.09 }, 1},
+		{"record lacks a metric", func() *comparison { c := rec(); delete(c.Metrics, "model_cost_per_op"); return c }(), func(map[string]float64) {}, 1},
+	} {
+		out.Reset()
+		if got := headCompare(spec, "direct_fit", tc.c, run(tc.edit), &out); got != tc.moved {
+			t.Errorf("%s: %d moved, want %d\n%s", tc.name, got, tc.moved, out.String())
+		}
+		if rows := strings.Count(out.String(), "\n"); rows != 6 {
+			t.Errorf("%s: %d rows, want 6 (five exact metrics and allocs_per_op)\n%s", tc.name, rows, out.String())
+		}
+	}
+}
+
+// TestNewestRecord: -head reads the record of the largest PR number, not
+// the lexically last name.
+func TestNewestRecord(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_9.json", "BENCH_37.json", "BENCH_x.json", "BENCH_4.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := newestRecord(dir); err != nil || filepath.Base(got) != "BENCH_37.json" {
+		t.Fatalf("newestRecord = %q, %v; want BENCH_37.json", got, err)
+	}
+	if _, err := newestRecord(t.TempDir()); err == nil {
+		t.Fatal("newestRecord found a record in an empty directory")
 	}
 }

@@ -54,14 +54,21 @@ go test -C bench .
 # the F.Add seeds) through the wire-protocol fuzz targets — the RESTORE
 # path into a live cache (FuzzRestoreWire) included — the
 # snapshot-decoder target, the recency word kernel's differential
-# target (FuzzTable) and the request-journal reader (FuzzReadReqLog),
-# so a corpus regression fails the gate without needing a fuzzing run.
+# target (FuzzTable) and the three journal readers (FuzzReadReqLog,
+# FuzzReadJournal, FuzzReadShardWindows), so a corpus regression fails
+# the gate without needing a fuzzing run.
 echo '>> go test -run=Fuzz ./internal/live/proto ./internal/snap ./internal/recency ./internal/probe'
 go test -run=Fuzz ./internal/live/proto ./internal/snap ./internal/recency ./internal/probe
 
 if [ "$short" = 0 ]; then
     echo '>> go test -race ./...'
     go test -race ./...
+    # Counted metrics (ROADMAP 16b): one benchmark run per workload at
+    # seed 1 must reproduce the newest BENCH_<pr>.json's exact columns
+    # bit for bit and its allocs_per_op within bound, so a counted metric
+    # cannot move without a new record.
+    echo '>> go run ./scripts/benchrec -head'
+    go run ./scripts/benchrec -head
 else
     # Even the short gate race-checks the packages built for
     # concurrency: the live cache's multi-goroutine stress test and the
@@ -79,11 +86,13 @@ else
     # the `go test ./...` above it is a cached result.)
     echo '>> go test -run RouterMemoryPlateaus ./internal/cluster/'
     go test -run 'RouterMemoryPlateaus' ./internal/cluster/
-    # Entry footprint: the heap a resident entry costs, and the set
-    # clock that NegOps and LeaseOps windows run on surviving a
-    # ResetStats. Named here for the same reason as the plateau.
-    echo '>> go test -run EntryFootprint|ResetStatsClock ./internal/live/'
-    go test -run 'EntryFootprint|ResetStatsClock' ./internal/live/
+    # Entry footprint: the heap a resident entry costs, what an
+    # untouched cache costs and what a reset range gives back (lazy way
+    # storage), and the set clock that NegOps and LeaseOps windows run on
+    # surviving a ResetStats. Named here for the same reason as the
+    # plateau.
+    echo '>> go test -run EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock ./internal/live/'
+    go test -run 'EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock' ./internal/live/
     # Allocation pins of the wire reply path: the client's and the
     # router's reply scratch, chunked SNAP/RESTORE transfers, a TCP get
     # hit end to end, and the clears that keep stale replies from
