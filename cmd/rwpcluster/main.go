@@ -22,18 +22,20 @@
 //
 // Both legs are one run: build a router over the nodes (in-process
 // caches or dialed connections, the same cluster.NodeConn either way),
-// replay, finish, print; -windows-out and -in work on both. -nodes,
-// -mode and -journal-dir are about the in-process caches and are
-// refused with -connect. The cache geometry and the op source
-// (-selftest -profile -seed -in) are the flag group rwpserve registers
-// too (drive.Flags), so -profile takes everything rwpserve's does,
-// adv:* included.
+// replay, finish, print; -windows-out and -in work on both. -nodes and
+// -mode are about the in-process caches and are refused with -connect.
+// The cache geometry and the op source (-selftest -profile -seed -in)
+// are the flag group rwpserve registers too (drive.Flags), so -profile
+// takes everything rwpserve's does, adv:* included.
 //
 // With the manager off the merged document is byte-identical to
 // `rwpserve -selftest` (or `rwpserve -in`) at the same geometry and
 // source — the cluster and replay smokes in scripts/check.sh compare
-// them with cmp. All wall-clock concerns live here in cmd/;
-// internal/cluster is clocked purely by operation counts.
+// them with cmp. With the manager on it is the primary view: each set
+// counted once, at its shard's primary. Replica reads and replicated
+// writes are in the -windows-out journal (reads, replicas × writes)
+// and in each node's own document. All wall-clock concerns live here
+// in cmd/; internal/cluster is clocked purely by operation counts.
 package main
 
 import (
@@ -69,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hot := fs.Uint64("hot", 1024, "reads per window marking a shard hot")
 	cold := fs.Uint64("cold", 64, "reads per window marking a shard cold")
 	windowsOut := fs.String("windows-out", "", "write the shard-window journal to this file")
-	journalDir := fs.String("journal-dir", "", "write per-node probe journals under this directory (in-process nodes)")
 	connect := fs.String("connect", "", "comma-separated rwpserve -tcp addresses (real sockets; -manager runs catch-up over the wire)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var clash error
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "nodes", "mode", "journal-dir":
+			case "nodes", "mode":
 				clash = fmt.Errorf("-%s needs in-process nodes (drop -connect)", f.Name)
 			}
 		})
@@ -207,11 +208,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(1, err)
 	}
 	if h != nil {
-		if *journalDir != "" {
-			if err := h.WriteNodeJournals(*journalDir); err != nil {
-				return fail(1, err)
-			}
-		}
 		if err := h.Close(); err != nil {
 			return fail(1, err)
 		}

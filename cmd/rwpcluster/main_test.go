@@ -177,28 +177,6 @@ func TestWindowsOutUnwritable(t *testing.T) {
 	}
 }
 
-// TestJournalDir: -journal-dir writes one parseable probe journal per
-// node.
-func TestJournalDir(t *testing.T) {
-	dir := t.TempDir()
-	clusterOut(t, baseArgs("-journal-dir", dir)...)
-	for i := 0; i < 3; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("node-node%d.jsonl", i))
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatalf("missing node journal: %v", err)
-		}
-		j, err := probe.ReadJournal(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s does not parse: %v", path, err)
-		}
-		if j.Header.Kind != "cluster-node" {
-			t.Errorf("%s kind = %q, want cluster-node", path, j.Header.Kind)
-		}
-	}
-}
-
 // TestConnectMode routes the selftest against two real TCP servers
 // (live caches behind proto.ServeConn, exactly what rwpserve -tcp
 // runs) and checks the per-node stats come back.
@@ -221,7 +199,7 @@ func TestConnectMode(t *testing.T) {
 			t.Errorf("output missing stats for node %s:\n%s", addr, out)
 		}
 	}
-	if !strings.Contains(out, "\"Hits\"") {
+	if !strings.Contains(out, "\"GetHits\"") {
 		t.Errorf("output has no stats documents:\n%s", out)
 	}
 }
@@ -310,7 +288,7 @@ func TestConnectManaged(t *testing.T) {
 // "bench": bench/ is the one measuring instrument.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"cold", "connect", "hot", "in", "interval", "journal-dir", "manager",
+		"cold", "connect", "hot", "in", "interval", "manager",
 		"mode", "no-loader", "nodes", "pipeline", "policy", "profile",
 		"ring-shards", "seed", "selftest", "sets", "shards", "value-size",
 		"ways", "window", "windows-out",
@@ -351,7 +329,7 @@ func TestBadArgs(t *testing.T) {
 		{"deleted -vnodes", []string{"-selftest", "10", "-vnodes", "8"}, 2},
 		{"deleted -hot-p99", []string{"-selftest", "10", "-manager", "-hot-p99", "4"}, 2},
 		{"deleted -max-replicas", []string{"-selftest", "10", "-manager", "-max-replicas", "2"}, 2},
-		{"-connect with -journal-dir", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-journal-dir", "jd"}, 2},
+		{"deleted -journal-dir", []string{"-selftest", "10", "-journal-dir", "jd"}, 2},
 		{"-connect with -nodes", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-nodes", "2"}, 2},
 		{"-connect with -mode", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-mode", "pipe"}, 2},
 		{"-connect trailing comma", []string{"-selftest", "10", "-connect", "127.0.0.1:1,"}, 2},

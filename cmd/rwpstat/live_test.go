@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -13,7 +11,6 @@ import (
 
 	"rwp/internal/live"
 	"rwp/internal/live/loadgen"
-	"rwp/internal/probe"
 )
 
 // statsSeq serves a fixed sequence of stats documents, one per
@@ -128,74 +125,29 @@ func TestLivePollerRebaseline(t *testing.T) {
 	}
 }
 
-// TestLiveFlagSurface: -live rejects journal arguments and surfaces
-// connection failures.
+// TestLiveFlagSurface: -live rejects journal arguments and a cadence
+// or poll count it cannot pace, and surfaces connection failures.
 func TestLiveFlagSurface(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-live", "127.0.0.1:1", "-dir", t.TempDir()}, &out, &errb); code != 2 {
 		t.Errorf("-live with -dir: exit %d, want 2", code)
 	}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-every", []string{"-every", "0s"}},
+		{"-every", []string{"-every", "-1s"}},
+		{"-polls", []string{"-polls", "-1"}},
+	} {
+		errb.Reset()
+		args := append([]string{"-live", "127.0.0.1:1"}, c.args...)
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), c.flag) {
+			t.Errorf("%v: exit %d, stderr %q; want 2 naming %s", c.args, code, errb.String(), c.flag)
+		}
+	}
 	errb.Reset()
 	if code := run([]string{"-live", "127.0.0.1:1", "-polls", "1"}, &out, &errb); code != 1 {
 		t.Errorf("-live against a closed port: exit %d, want 1 (stderr: %s)", code, errb.String())
-	}
-}
-
-// TestClusterCostColumns: node journals carrying a costs record render
-// rd-hit-rate and p99-cost; journals from before the costs record
-// render '-' in the p99 column.
-func TestClusterCostColumns(t *testing.T) {
-	dir := t.TempDir()
-	withCosts := filepath.Join(dir, "node-c.jsonl")
-	rec := probe.NewRecorder(0)
-	for i := 0; i < 9; i++ {
-		rec.CacheAccess(probe.AccessEvent{Level: "LLC", Class: probe.Load, Hit: true})
-		rec.Costs.Observe(1)
-	}
-	rec.CacheAccess(probe.AccessEvent{Level: "LLC", Class: probe.Store, Hit: false})
-	rec.Costs.Observe(16)
-	f, err := os.Create(withCosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.WriteJournal(f, probe.Header{Kind: "cluster-node", Desc: "node c"}, nil, rec); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	old := filepath.Join(dir, "node-o.jsonl")
-	writeNodeJournal(t, old, "node o", 3)
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-journal", withCosts, "-journal", old}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	got := out.String()
-	for _, want := range []string{"rd-hit-rate", "p99-cost", "100.0%"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("cluster table missing %q:\n%s", want, got)
-		}
-	}
-	// node c: 10 observations, rank(99) = 10 → cost 16. node o has no
-	// costs record → '-'. The merged row unions the histograms, so it
-	// also reads 16.
-	nodeLine, oldLine, mergedLine := "", "", ""
-	for _, line := range strings.Split(got, "\n") {
-		switch {
-		case strings.Contains(line, "node c"):
-			nodeLine = line
-		case strings.Contains(line, "node o"):
-			oldLine = line
-		case strings.Contains(line, "merged") && !strings.Contains(line, "note:"):
-			mergedLine = line
-		}
-	}
-	if !strings.HasSuffix(strings.TrimRight(nodeLine, " |"), "16") {
-		t.Errorf("node c p99 cell wrong: %q", nodeLine)
-	}
-	if !strings.HasSuffix(strings.TrimRight(oldLine, " |"), "-") {
-		t.Errorf("old journal p99 cell should be '-': %q", oldLine)
-	}
-	if !strings.HasSuffix(strings.TrimRight(mergedLine, " |"), "16") {
-		t.Errorf("merged p99 cell wrong: %q", mergedLine)
 	}
 }

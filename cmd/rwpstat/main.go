@@ -10,13 +10,6 @@
 //	rwpstat -dir results/metrics
 //	rwpstat -dir results/metrics -series
 //
-// Cluster runs (rwpcluster -journal-dir) write one probe journal per
-// node; pass each with a repeated -journal flag to get the merged
-// cluster table — per-node rows plus a summed merged row. The merge is
-// order-independent: flag order never changes the output.
-//
-//	rwpstat -journal j/node-node0.jsonl -journal j/node-node1.jsonl
-//
 // With -live it instead polls a running rwpserve's /stats endpoint and
 // streams one line of interval deltas per poll (ops, read hit rate,
 // retarget direction split, exact interval p99 service cost):
@@ -53,17 +46,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	liveURL := fs.String("live", "", "poll a running rwpserve (host:port or /stats URL) and print interval deltas")
 	every := fs.Duration("every", time.Second, "polling cadence for -live")
 	polls := fs.Int("polls", 0, "number of polls for -live (0: poll until the connection fails)")
-	var clusterFiles []string
-	fs.Func("journal", "repeatable: cluster node journal for the merged cluster table", func(s string) error {
-		clusterFiles = append(clusterFiles, s)
-		return nil
-	})
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *liveURL != "" {
-		if fs.NArg() > 0 || *dir != "" || len(clusterFiles) > 0 {
+		if fs.NArg() > 0 || *dir != "" {
 			fmt.Fprintln(stderr, "rwpstat: -live does not combine with journal arguments")
+			return 2
+		}
+		if *every <= 0 {
+			fmt.Fprintf(stderr, "rwpstat: -every %v: want a positive polling cadence\n", *every)
+			return 2
+		}
+		if *polls < 0 {
+			fmt.Fprintf(stderr, "rwpstat: -polls %d: want 0 (until the connection fails) or a positive count\n", *polls)
 			return 2
 		}
 		if err := runLive(stdout, *liveURL, *every, *polls, nil); err != nil {
@@ -77,8 +73,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rwpstat: %v\n", err)
 		return 1
 	}
-	if len(paths) == 0 && len(clusterFiles) == 0 {
-		fmt.Fprintln(stderr, "rwpstat: no journals: pass files, -dir, or -journal (see -h)")
+	if len(paths) == 0 {
+		fmt.Fprintln(stderr, "rwpstat: no journals: pass files or -dir (see -h)")
 		return 2
 	}
 	var loaded []*namedJournal
@@ -90,29 +86,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		loaded = append(loaded, j)
 	}
-	var nodes []*namedJournal
-	for _, p := range clusterFiles {
-		j, err := loadJournal(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "rwpstat: %v\n", err)
-			return 1
-		}
-		nodes = append(nodes, j)
-	}
-	if len(loaded) > 0 {
-		if err := render(stdout, loaded, *series); err != nil {
-			fmt.Fprintf(stderr, "rwpstat: %v\n", err)
-			return 1
-		}
-	}
-	if len(nodes) > 0 {
-		if len(loaded) > 0 {
-			fmt.Fprintln(stdout)
-		}
-		if err := renderCluster(stdout, nodes); err != nil {
-			fmt.Fprintf(stderr, "rwpstat: %v\n", err)
-			return 1
-		}
+	if err := render(stdout, loaded, *series); err != nil {
+		fmt.Fprintf(stderr, "rwpstat: %v\n", err)
+		return 1
 	}
 	return 0
 }
@@ -216,60 +192,6 @@ func render(w io.Writer, journals []*namedJournal, series bool) error {
 		}
 	}
 	return nil
-}
-
-// renderCluster writes the merged cluster table: one row per node
-// journal plus a summed merged row. Nodes are sorted by label before
-// rendering and every merged cell is a commutative sum, so the table
-// is invariant to -journal argument order — the property the cluster's
-// "merged view equals single-node view" differential tests rely on.
-func renderCluster(w io.Writer, nodes []*namedJournal) error {
-	sorted := append([]*namedJournal(nil), nodes...)
-	sort.Slice(sorted, func(i, k int) bool { return sorted[i].label < sorted[k].label })
-
-	t := report.New(fmt.Sprintf("cluster (merged over %d node journals)", len(sorted)),
-		"node", "accesses", "hits", "hit-rate", "rd-hit-rate", "hit-clean", "hit-dirty",
-		"bypasses", "evict-clean", "evict-dirty", "retargets", "p99-cost")
-	var sum, sumLoad probe.ClassCounters
-	var sumCosts probe.CostHist
-	var evClean, evDirty uint64
-	var retargets int
-	rate := func(hits, accesses uint64) string {
-		if accesses == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(accesses))
-	}
-	row := func(label string, cc, load probe.ClassCounters, costs probe.CostHist, ec, ed uint64, rt int) {
-		// Old journals carry no costs record: render '-' rather than a
-		// misleading 0.
-		p99 := "-"
-		if costs.N() > 0 {
-			p99 = report.I(costs.Percentile(99))
-		}
-		t.AddRow(label, report.I(cc.Accesses), report.I(cc.Hits),
-			rate(cc.Hits, cc.Accesses), rate(load.Hits, load.Accesses),
-			report.I(cc.HitsClean), report.I(cc.HitsDirty), report.I(cc.Bypasses),
-			report.I(ec), report.I(ed), report.I(rt), p99)
-	}
-	for _, nj := range sorted {
-		var cc probe.ClassCounters
-		for c := probe.Class(0); c < probe.NumClasses; c++ {
-			cc.Add(nj.j.Classes[c])
-		}
-		load := nj.j.Classes[probe.Load]
-		row(nj.label, cc, load, nj.j.Costs, nj.j.EvictClean, nj.j.EvictDirty, len(nj.j.Retargets))
-		sum.Add(cc)
-		sumLoad.Add(load)
-		sumCosts.Add(nj.j.Costs)
-		evClean += nj.j.EvictClean
-		evDirty += nj.j.EvictDirty
-		retargets += len(nj.j.Retargets)
-	}
-	t.AddRule()
-	row("merged", sum, sumLoad, sumCosts, evClean, evDirty, retargets)
-	t.Note = "rows sorted by journal label; merged row is the order-independent sum; rd-hit-rate is the Load class alone"
-	return t.Render(w)
 }
 
 // seriesTable renders one journal's interval records. Instructions,

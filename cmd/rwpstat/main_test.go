@@ -96,84 +96,6 @@ func TestRunDeterministicOrder(t *testing.T) {
 	}
 }
 
-// writeNodeJournal synthesizes a cluster-node journal with n load hits
-// and one store miss, so different n values give distinguishable rows.
-func writeNodeJournal(t *testing.T, path, desc string, n int) {
-	t.Helper()
-	rec := probe.NewRecorder(0)
-	for i := 0; i < n; i++ {
-		rec.CacheAccess(probe.AccessEvent{Level: "LLC", Class: probe.Load, Hit: true})
-	}
-	rec.CacheAccess(probe.AccessEvent{Level: "LLC", Class: probe.Store, Hit: false})
-	rec.CacheEvict(probe.EvictEvent{Level: "LLC", Class: probe.Store, Dirty: true})
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := probe.WriteJournal(f, probe.Header{Kind: "cluster-node", Desc: desc}, nil, rec); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClusterMergedTable: repeated -journal flags render the merged
-// cluster table, whose bytes are invariant to flag order.
-func TestClusterMergedTable(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "node-a.jsonl")
-	b := filepath.Join(dir, "node-b.jsonl")
-	writeNodeJournal(t, a, "node a", 10)
-	writeNodeJournal(t, b, "node b", 4)
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-journal", a, "-journal", b}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	got := out.String()
-	if !strings.Contains(got, "cluster (merged over 2 node journals)") {
-		t.Fatalf("cluster table missing:\n%s", got)
-	}
-	// node a: 11 accesses / 10 hits (90.9%); node b: 5/4 (80.0%);
-	// merged: 16/14 (87.5%).
-	for _, want := range []string{"node a", "node b", "merged", "16", "14",
-		"90.9%", "80.0%", "87.5%"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("cluster table missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "run results") {
-		t.Errorf("per-run tables rendered with only -journal inputs:\n%s", got)
-	}
-
-	var swapped bytes.Buffer
-	if code := run([]string{"-journal", b, "-journal", a}, &swapped, &errb); code != 0 {
-		t.Fatalf("swapped exit %d, stderr: %s", code, errb.String())
-	}
-	if got != swapped.String() {
-		t.Errorf("cluster table depends on -journal order:\n%s\nvs\n%s", got, swapped.String())
-	}
-}
-
-// TestClusterWithSingles: -journal composes with plain journal args —
-// both table groups render.
-func TestClusterWithSingles(t *testing.T) {
-	dir := t.TempDir()
-	single := filepath.Join(dir, "single.jsonl")
-	node := filepath.Join(dir, "node-a.jsonl")
-	writeTestJournal(t, single)
-	writeNodeJournal(t, node, "node a", 3)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-journal", node, single}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	got := out.String()
-	for _, want := range []string{"run results", "cache events", "cluster (merged over 1 node journals)"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(nil, &out, &errb); code != 2 {

@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"rwp/internal/live"
 	"rwp/internal/live/proto"
-	"rwp/internal/probe"
 )
 
 // Mode selects the harness transport.
@@ -29,8 +26,8 @@ const (
 
 // HarnessConfig assembles an in-process cluster.
 type HarnessConfig struct {
-	// Nodes is the node count; node i is named "node<i>" (ring identity;
-	// also the journal label).
+	// Nodes is the node count; node i is named "node<i>" (its ring
+	// identity).
 	Nodes int
 	// RingShards shapes the ring (see New).
 	RingShards int
@@ -148,9 +145,8 @@ func (h *Cluster) Client() *Client { return h.client }
 // Ring returns the cluster's ring.
 func (h *Cluster) Ring() *Ring { return h.ring }
 
-// Caches exposes the per-node caches (tests and journal writers only;
-// going around the router on a live cluster breaks the write-to-all
-// invariant).
+// Caches exposes the per-node caches (tests only; going around the
+// router on a live cluster breaks the write-to-all invariant).
 func (h *Cluster) Caches() []*live.Cache { return h.caches }
 
 // Close drains the router and tears the transports down. In pipe mode
@@ -174,25 +170,20 @@ func (h *Cluster) Close() error {
 
 // StatsJSON drains the router, closing a trailing partial window, and
 // renders the cluster's merged stats document: each ring shard's set
-// range summed from the shard's primary node (every set counted
-// exactly once), probe counters summed across all nodes. At
-// replication factor one this equals a single-node document over the
-// same op stream byte for byte; with replication it remains the
-// deterministic primary view (replica reads land in the probe section,
-// not the per-set counters).
+// range summed from the shard's primary node, so every set is counted
+// exactly once. At replication factor one this equals a single-node
+// document over the same op stream byte for byte. With replication it
+// is the deterministic primary view: replica reads and replicated
+// writes are counted in each node's own document and in the
+// -windows-out journal (reads, and replicas × writes), not here.
 func (h *Cluster) StatsJSON() ([]byte, error) {
 	if err := h.client.Finish(); err != nil {
 		return nil, err
 	}
-	var merged, all live.Stats
+	var merged live.Stats
 	for s := 0; s < h.ring.Shards(); s++ {
 		lo, hi := h.ring.SetRange(s)
 		merged.Add(h.caches[h.ring.Primary(s)].StatsRange(lo, hi))
-	}
-	// The probe section is linear in the counters, so the sum of every
-	// node's section is the section of the summed counters.
-	for _, c := range h.caches {
-		all.Add(c.Stats())
 	}
 	cfg := h.caches[0].Config() // geometry is identical across nodes
 	return live.StatsPayload{
@@ -201,36 +192,7 @@ func (h *Cluster) StatsJSON() ([]byte, error) {
 		Ways:     cfg.Ways,
 		Capacity: h.caches[0].Capacity(),
 		Stats:    merged,
-		Probe:    live.NewProbeView(all),
 	}.JSON()
-}
-
-// WriteNodeJournals writes one probe run journal per node under dir
-// (node-<id>.jsonl), labelled with the node id. rwpstat merges them
-// into the cluster table.
-func (h *Cluster) WriteNodeJournals(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, c := range h.caches {
-		id := h.ring.Nodes()[i]
-		path := filepath.Join(dir, "node-"+id+".jsonl")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		hErr := probe.WriteJournal(f, probe.Header{
-			Kind: "cluster-node",
-			Desc: "node " + id,
-		}, nil, c.ProbeStats())
-		if cErr := f.Close(); hErr == nil {
-			hErr = cErr
-		}
-		if hErr != nil {
-			return fmt.Errorf("cluster: journal %s: %w", path, hErr)
-		}
-	}
-	return nil
 }
 
 // directConn is the synchronous NodeConn: ops execute against the

@@ -15,7 +15,7 @@ import (
 // given shard count and returns the observable state. mutate, if
 // non-nil, adjusts the config before construction — how the tests
 // below switch the stampede defenses on.
-func runProfile(t *testing.T, profile string, shards, n int, mutate func(*live.Config)) (live.Stats, [2]uint64) {
+func runProfile(t *testing.T, profile string, shards, n int, mutate func(*live.Config)) live.Stats {
 	t.Helper()
 	cfg := live.DefaultConfig()
 	cfg.Sets = 256
@@ -38,22 +38,18 @@ func runProfile(t *testing.T, profile string, shards, n int, mutate func(*live.C
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	pr := c.ProbeStats()
-	return c.Stats(), [2]uint64{pr.Classes[0].Hits, pr.Classes[1].Hits}
+	return c.Stats()
 }
 
 // TestDeterministicAcrossRuns: the whole observable state — operation
-// counters, occupancy, RWP targets, merged probe counters — is
+// counters and their partition hit splits, occupancy, RWP targets — is
 // bit-identical when the same seeded stream is replayed.
 func TestDeterministicAcrossRuns(t *testing.T) {
 	const n = 20_000
-	s1, p1 := runProfile(t, "mcf", 8, n, nil)
-	s2, p2 := runProfile(t, "mcf", 8, n, nil)
+	s1 := runProfile(t, "mcf", 8, n, nil)
+	s2 := runProfile(t, "mcf", 8, n, nil)
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("stats differ across identical runs:\n%+v\n%+v", s1, s2)
-	}
-	if p1 != p2 {
-		t.Fatalf("probe hit counters differ across identical runs: %v vs %v", p1, p2)
 	}
 	if s1.Gets == 0 || s1.Puts == 0 {
 		t.Fatalf("degenerate stream: %+v", s1.Counters)
@@ -65,14 +61,11 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // for every shard count.
 func TestDeterministicAcrossShardCounts(t *testing.T) {
 	const n = 20_000
-	base, pbase := runProfile(t, "xalancbmk", 1, n, nil)
+	base := runProfile(t, "xalancbmk", 1, n, nil)
 	for _, shards := range []int{2, 4, 16, 32} {
-		s, p := runProfile(t, "xalancbmk", shards, n, nil)
+		s := runProfile(t, "xalancbmk", shards, n, nil)
 		if !reflect.DeepEqual(base, s) {
 			t.Errorf("shards=%d: stats differ from shards=1:\n%+v\n%+v", shards, base, s)
-		}
-		if p != pbase {
-			t.Errorf("shards=%d: probe counters differ from shards=1: %v vs %v", shards, p, pbase)
 		}
 	}
 	if base.Retargets == 0 {
@@ -147,21 +140,18 @@ func TestDeterministicSeedSensitivity(t *testing.T) {
 
 // TestCoalesceSingleGoroutineIdentical: fill coalescing only collapses
 // genuinely concurrent misses, so a single-goroutine run with Coalesce
-// on is bit-identical — every counter, every probe histogram — to the
+// on is bit-identical — every counter, every cost histogram — to the
 // same run with it off, at every shard count. This is the determinism
 // contract that lets the bit-identity gates in scripts/check.sh keep
 // running with the defense enabled.
 func TestCoalesceSingleGoroutineIdentical(t *testing.T) {
 	const n = 20_000
 	coalesce := func(cfg *live.Config) { cfg.Coalesce = true; cfg.LeaseOps = 64 }
-	base, pbase := runProfile(t, "mcf", 8, n, nil)
+	base := runProfile(t, "mcf", 8, n, nil)
 	for _, shards := range []int{1, 8, 32} {
-		s, p := runProfile(t, "mcf", shards, n, coalesce)
+		s := runProfile(t, "mcf", shards, n, coalesce)
 		if !reflect.DeepEqual(base, s) {
 			t.Errorf("shards=%d: coalesce-on stats differ from coalesce-off:\n%+v\n%+v", shards, base, s)
-		}
-		if p != pbase {
-			t.Errorf("shards=%d: coalesce-on probe counters differ: %v vs %v", shards, p, pbase)
 		}
 	}
 	if base.CoalescedLoads != 0 || base.LeaseExpires != 0 {
@@ -181,17 +171,14 @@ func TestNegCacheDeterministic(t *testing.T) {
 		cfg.Coalesce = true
 		cfg.Loader = loadgen.AbsentLoader(0)
 	}
-	base, pbase := runProfile(t, loadgen.AdvScan, 1, n, neg)
+	base := runProfile(t, loadgen.AdvScan, 1, n, neg)
 	for _, shards := range []int{2, 32} {
-		s, p := runProfile(t, loadgen.AdvScan, shards, n, neg)
+		s := runProfile(t, loadgen.AdvScan, shards, n, neg)
 		if !reflect.DeepEqual(base, s) {
 			t.Errorf("shards=%d: neg-cache stats differ from shards=1:\n%+v\n%+v", shards, base, s)
 		}
-		if p != pbase {
-			t.Errorf("shards=%d: neg-cache probe counters differ: %v vs %v", shards, p, pbase)
-		}
 	}
-	if s2, _ := runProfile(t, loadgen.AdvScan, 1, n, neg); !reflect.DeepEqual(base, s2) {
+	if s2 := runProfile(t, loadgen.AdvScan, 1, n, neg); !reflect.DeepEqual(base, s2) {
 		t.Errorf("neg-cache stats differ across identical runs:\n%+v\n%+v", base, s2)
 	}
 	if base.NegInserts == 0 {

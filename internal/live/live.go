@@ -32,7 +32,7 @@
 // Accounting is one ledger per group: an operation writes its group's
 // Counters block and charges one cell of the group's cost table, under
 // the shard lock, and nothing else. Every reported view — Stats, the
-// probe section, merged cluster documents, snapshots — is derived from
+// stats document, merged cluster documents, snapshots — is derived from
 // those per-group sums when somebody reads, so all of them are
 // order-independent and the /stats payload served by cmd/rwpserve is
 // shard-count invariant.

@@ -209,8 +209,8 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	if v, hit := c.Get("k"); !hit || string(v) != "v" {
 		t.Fatalf("Get after reset = (%q, %v)", v, hit)
 	}
-	if got := c.ProbeStats().Classes[0].Accesses; got != 1 {
-		t.Fatalf("probe load accesses after reset = %d, want 1 (the post-reset Get)", got)
+	if got := c.Stats().Gets; got != 1 {
+		t.Fatalf("Gets after reset = %d, want 1 (the post-reset Get)", got)
 	}
 }
 

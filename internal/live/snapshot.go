@@ -17,14 +17,13 @@ import (
 //
 //   - RestoreSnapshot is the full warm restart: entries, policy state
 //     and the groups' ledgers (counters, cost tables), so the restored
-//     server's /stats document — probe section included, it is derived
-//     from the counters — and all future behavior are byte-identical to
-//     a never-restarted run.
+//     server's /stats document and all future behavior are
+//     byte-identical to a never-restarted run.
 //   - RestoreRange is cluster replica catch-up: entries and policy
 //     state only, for the snapshot's set range. The target node keeps
-//     its own counters — they are its cumulative history, and the
-//     cluster's merged document sums every node's counters, so copying
-//     the primary's would double-count.
+//     its own counters — they are its cumulative history, the ops that
+//     node served. Copying the primary's would count the primary's ops
+//     again in the replica's document.
 //
 // Restores validate the whole snapshot against the cache geometry
 // before mutating anything, so a rejected snapshot leaves the cache

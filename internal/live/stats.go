@@ -12,13 +12,13 @@ import (
 // cache operation writes. Every field is a sum over events, so
 // aggregating them across groups is order-independent — the root of
 // the shard-count invariance guarantee. Everything else the cache
-// reports (the probe section, merged documents, snapshots) is derived
-// from these and the group's cost table when somebody reads.
+// reports (merged documents, snapshots) is derived from these and the
+// group's cost table when somebody reads.
 //
 // Adding a counter is one declaration here plus its row in fields and
 // numCounters (the compiler rejects a row beyond numCounters,
-// TestCountersEnumeration a field without a row); a counter that should
-// not appear in the stats document takes a `json:"-"` tag.
+// TestCountersEnumeration a field without a row); every counter
+// appears in the stats document.
 type Counters struct {
 	Gets           uint64 // Get operations
 	GetHits        uint64
@@ -37,13 +37,13 @@ type Counters struct {
 	FillsDirty     uint64
 	Evictions      uint64
 	DirtyEvictions uint64
-	// The hit totals split by the line's dirty bit before the op — the
-	// partition attribution the probe section reports. Each pair sums to
-	// its total (GetHits, PutHits).
-	GetHitsClean uint64 `json:"-"`
-	GetHitsDirty uint64 `json:"-"`
-	PutHitsClean uint64 `json:"-"`
-	PutHitsDirty uint64 `json:"-"`
+	// The hit totals split by the line's dirty bit before the op: which
+	// partition, clean or dirty, served each hit. Each pair sums to its
+	// total (GetHits, PutHits).
+	GetHitsClean uint64
+	GetHitsDirty uint64
+	PutHitsClean uint64
+	PutHitsDirty uint64
 }
 
 // numCounters is how many counters lead a group's ledger vector.
@@ -260,40 +260,6 @@ func (c *Cache) StatsRange(lo, hi int) Stats {
 	s.CostHist.Add(s.CostHistClean)
 	s.CostHist.Add(s.CostHistDirty)
 	return s
-}
-
-// ProbeStats derives, from the counters, the probe recorder a run over
-// this cache would have accumulated (see Stats.recorder).
-func (c *Cache) ProbeStats() *probe.Recorder {
-	s := c.Stats()
-	return s.recorder()
-}
-
-// recorder is the probe view of s, a pure function of the counters:
-// every Get is a Load access (hits split by the line's dirty bit,
-// fills are the Loader installs, all clean); every Put is a Store
-// access (fills are the write-allocates: Fills-Loads, and every dirty
-// fill is a Put's); evictions split by the victim's dirty bit; Costs
-// is the service-cost histogram, so node journals
-// (cluster.WriteNodeJournals) get a costs record. Deriving it from the
-// same Stats value the document's stats section renders keeps the two
-// sections of one document describing one instant.
-func (s *Stats) recorder() *probe.Recorder {
-	m := probe.NewRecorder(0)
-	m.Classes[probe.Load] = probe.ClassCounters{
-		Accesses: s.Gets, Hits: s.GetHits, Misses: s.GetMisses,
-		HitsClean: s.GetHitsClean, HitsDirty: s.GetHitsDirty,
-		Fills: s.Loads,
-	}
-	m.Classes[probe.Store] = probe.ClassCounters{
-		Accesses: s.Puts, Hits: s.PutHits, Misses: s.PutInserts,
-		HitsClean: s.PutHitsClean, HitsDirty: s.PutHitsDirty,
-		Fills: s.Fills - s.Loads, FillsDirty: s.FillsDirty,
-	}
-	m.EvictDirty = s.DirtyEvictions
-	m.EvictClean = s.Evictions - s.DirtyEvictions
-	m.Costs = s.CostHist
-	return m
 }
 
 // ResetStats zeroes the operation counters and cost tables (e.g. after

@@ -1,10 +1,6 @@
 package live
 
-import (
-	"encoding/json"
-
-	"rwp/internal/probe"
-)
+import "encoding/json"
 
 // StatsPayload is the stats JSON document every surface serves: the
 // binary protocol's STATS frame, rwpserve's operator /stats endpoint
@@ -20,47 +16,23 @@ import (
 // detail, and keeping it out lets the determinism smokes compare
 // payloads across shard counts byte for byte.
 type StatsPayload struct {
-	Policy   string    `json:"policy"`
-	Sets     int       `json:"sets"`
-	Ways     int       `json:"ways"`
-	Capacity int       `json:"capacity"`
-	Stats    Stats     `json:"stats"`
-	Probe    ProbeView `json:"probe"`
+	Policy   string `json:"policy"`
+	Sets     int    `json:"sets"`
+	Ways     int    `json:"ways"`
+	Capacity int    `json:"capacity"`
+	Stats    Stats  `json:"stats"`
 }
 
-// ProbeView is the probe section of the payload: the class counters
-// and eviction split, in the simulator recorder's shape.
-type ProbeView struct {
-	Load       probe.ClassCounters `json:"load"`
-	Store      probe.ClassCounters `json:"store"`
-	EvictClean uint64              `json:"evictClean"`
-	EvictDirty uint64              `json:"evictDirty"`
-}
-
-// NewProbeView derives the payload's probe section from the Stats
-// value rendered beside it.
-func NewProbeView(s Stats) ProbeView {
-	r := s.recorder()
-	return ProbeView{
-		Load:       r.Classes[probe.Load],
-		Store:      r.Classes[probe.Store],
-		EvictClean: r.EvictClean,
-		EvictDirty: r.EvictDirty,
-	}
-}
-
-// StatsSnapshot assembles the cache's stats document; both sections
-// come from one Stats sweep. (The state snapshot for warm restarts is
-// Cache.Snapshot, in snapshot.go.)
+// StatsSnapshot assembles the cache's stats document from one Stats
+// sweep. (The state snapshot for warm restarts is Cache.Snapshot, in
+// snapshot.go.)
 func (c *Cache) StatsSnapshot() StatsPayload {
-	s := c.Stats()
 	return StatsPayload{
 		Policy:   c.cfg.Policy,
 		Sets:     c.cfg.Sets,
 		Ways:     c.cfg.Ways,
 		Capacity: c.Capacity(),
-		Stats:    s,
-		Probe:    NewProbeView(s),
+		Stats:    c.Stats(),
 	}
 }
 

@@ -1,7 +1,6 @@
 package live_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -42,8 +41,9 @@ func TestStressConcurrent(t *testing.T) {
 					loadgen.Run(c, g, opsPer)
 				}(uint64(w))
 			}
-			// Concurrent readers exercise Stats/ProbeStats against the
-			// writers (the race detector checks the locking).
+			// A concurrent reader renders the stats document (a Stats
+			// sweep) against the writers (the race detector checks the
+			// locking).
 			stop := make(chan struct{})
 			var rg sync.WaitGroup
 			rg.Add(1)
@@ -54,8 +54,7 @@ func TestStressConcurrent(t *testing.T) {
 					case <-stop:
 						return
 					default:
-						_ = c.Stats()
-						_ = c.ProbeStats()
+						_, _ = c.StatsJSON()
 					}
 				}
 			}()
@@ -89,13 +88,9 @@ func TestStressConcurrent(t *testing.T) {
 			if s.Entries > c.Capacity() {
 				t.Errorf("entries %d exceed capacity %d", s.Entries, c.Capacity())
 			}
-			pr := c.ProbeStats()
-			if pr.Classes[0].Accesses != s.Gets || pr.Classes[1].Accesses != s.Puts {
-				t.Errorf("probe access totals %d/%d disagree with %d/%d",
-					pr.Classes[0].Accesses, pr.Classes[1].Accesses, s.Gets, s.Puts)
-			}
-			if pr.Evictions() != s.Evictions {
-				t.Errorf("probe evictions %d != stats %d", pr.Evictions(), s.Evictions)
+			if s.GetHitsClean+s.GetHitsDirty != s.GetHits || s.PutHitsClean+s.PutHitsDirty != s.PutHits {
+				t.Errorf("partition hit splits %d+%d / %d+%d disagree with hits %d / %d",
+					s.GetHitsClean, s.GetHitsDirty, s.PutHitsClean, s.PutHitsDirty, s.GetHits, s.PutHits)
 			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -177,52 +172,4 @@ func TestStressConcurrentDefended(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestStatsDocumentIsOneInstant: the stats and probe sections of one
-// document come from one sweep of the counters, so they agree on every
-// document polled while writers run — not just on the quiescent one.
-func TestStatsDocumentIsOneInstant(t *testing.T) {
-	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 8
-	cfg.Loader = loadgen.Loader(0)
-	c, err := live.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			g, err := loadgen.New("mcf", seed, 0)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					loadgen.Run(c, g, 64)
-				}
-			}
-		}(uint64(w))
-	}
-	for c.Stats().Gets == 0 {
-		runtime.Gosched() // poll only once the writers are running
-	}
-	for i := 0; i < 300; i++ {
-		p := c.StatsSnapshot()
-		if p.Probe.Load.Accesses != p.Stats.Gets || p.Probe.Store.Accesses != p.Stats.Puts ||
-			p.Probe.EvictClean+p.Probe.EvictDirty != p.Stats.Evictions {
-			t.Errorf("poll %d: probe section (loads %d, stores %d, evictions %d+%d) describes another instant than stats (gets %d, puts %d, evictions %d)",
-				i, p.Probe.Load.Accesses, p.Probe.Store.Accesses, p.Probe.EvictClean, p.Probe.EvictDirty,
-				p.Stats.Gets, p.Stats.Puts, p.Stats.Evictions)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -78,18 +78,6 @@ func TestRetargetDirectionSplit(t *testing.T) {
 	}
 }
 
-// TestProbeStatsCarriesCosts: the merged recorder's Costs equals the
-// stats document's histogram — the node-journal path and the /stats
-// path must tell one story.
-func TestProbeStatsCarriesCosts(t *testing.T) {
-	c := mustNew(t, rangeTestConfig())
-	fillRangeTest(c, 10000)
-	rec := c.ProbeStats()
-	if !reflect.DeepEqual(rec.Costs.Buckets, c.Stats().CostHist.Buckets) {
-		t.Fatalf("recorder costs %+v != stats costs %+v", rec.Costs.Buckets, c.Stats().CostHist.Buckets)
-	}
-}
-
 // TestResetStatsClearsCosts: ResetStats starts a fresh measurement
 // region — op counters and cost observations go to zero together.
 func TestResetStatsClearsCosts(t *testing.T) {

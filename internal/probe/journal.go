@@ -18,8 +18,8 @@ const JournalSchema = "rwp-journal-v1"
 // sorted and floats use Go's shortest round-trip encoding — so two
 // journals of the same run are byte-identical, which check.sh and the
 // runner tests enforce with cmp/bytes.Equal. Record order is fixed:
-// header, results (one per core), classes, evictions, costs (live-path
-// runs only), retargets, policy counters, intervals.
+// header, results (one per core), classes, evictions, retargets,
+// policy counters, intervals.
 
 // Header identifies the job a journal belongs to.
 type Header struct {
@@ -73,13 +73,6 @@ type retargetRecord struct {
 	Accesses uint64 `json:"accesses"`
 }
 
-// costsRecord is the run's service-cost histogram (live-path runs
-// only; the trace simulator has no service-cost model).
-type costsRecord struct {
-	T    string   `json:"t"` // "costs"
-	Hist CostHist `json:"hist"`
-}
-
 // policyRecord is one (policy, kind) decision counter.
 type policyRecord struct {
 	T      string `json:"t"` // "policy"
@@ -112,7 +105,6 @@ type Journal struct {
 	Retargets  []RetargetEvent
 	Policies   []PolicyCount
 	Intervals  []IntervalEvent
-	Costs      CostHist
 }
 
 // FinalTarget returns the last retarget decision, or -1 when the
@@ -182,13 +174,6 @@ func WriteJournal(w io.Writer, h Header, results []ResultRecord, rec *Recorder) 
 	}
 	if err := emit(evictRecord{T: "evictions", Clean: rec.EvictClean, Dirty: rec.EvictDirty}); err != nil {
 		return err
-	}
-	// Emitted only when a source observed costs, so simulator journals
-	// (which have no service-cost model) keep their exact bytes.
-	if rec.Costs.N() > 0 {
-		if err := emit(costsRecord{T: "costs", Hist: rec.Costs}); err != nil {
-			return err
-		}
 	}
 	for _, rt := range rec.Retargets {
 		if err := emit(retargetRecord{T: "retarget", Interval: rt.Interval, Target: rt.Target, Accesses: rt.Accesses}); err != nil {
@@ -296,12 +281,6 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
 			}
 			j.EvictClean, j.EvictDirty = rec.Clean, rec.Dirty
-		case "costs":
-			var rec costsRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
-			}
-			j.Costs = rec.Hist
 		case "retarget":
 			var rec retargetRecord
 			if err := json.Unmarshal(line, &rec); err != nil {

@@ -18,19 +18,6 @@ type ClassCounters struct {
 	Bypasses   uint64
 }
 
-// Add accumulates o into c. Aggregators (internal/live merges one
-// Recorder per shard) use it to combine recorders order-independently.
-func (c *ClassCounters) Add(o ClassCounters) {
-	c.Accesses += o.Accesses
-	c.Hits += o.Hits
-	c.Misses += o.Misses
-	c.HitsClean += o.HitsClean
-	c.HitsDirty += o.HitsDirty
-	c.Fills += o.Fills
-	c.FillsDirty += o.FillsDirty
-	c.Bypasses += o.Bypasses
-}
-
 // PolicyCount is one (policy, kind) decision counter plus the last
 // observed value.
 type PolicyCount struct {
@@ -66,12 +53,6 @@ type Recorder struct {
 
 	// Intervals is the per-window time series in emission order.
 	Intervals []IntervalEvent
-
-	// Costs is the histogram of modeled per-op service costs, where a
-	// source provides them (the live cache observes one per Get/Put;
-	// the trace simulator leaves it empty). Merging histograms is
-	// commutative, so aggregated recorders stay order-independent.
-	Costs CostHist
 }
 
 // NewRecorder returns a Recorder sampling every window measured

@@ -294,26 +294,25 @@ grep -q 'starting cold' "$smoke/coldstart.err" || {
     exit 1
 }
 
-# Probe smoke: the probe section of /stats is derived from the per-set
-# counters when the document is rendered, so it must obey every
-# contract the counters do. The live smoke again with a short RWP
-# interval (so sets retarget — the default interval never fires in 20k
-# ops over 256 sets): byte-identical across shard counts, over tcp,
-# merged across a 3-node cluster, and through a snapshot at op 12000
-# resumed at another shard count.
-echo '>> probe smoke: the derived probe section is shard, transport, cluster and restart invariant'
+# Retarget smoke: the live smoke again with a short RWP interval, so
+# sets retarget (the default interval never fires in 20k ops over 256
+# sets) and the partition hit splits (GetHitsClean ... PutHitsDirty)
+# move. The document must be byte-identical across shard counts, over
+# tcp, merged across a 3-node cluster, and through a snapshot at op
+# 12000 resumed at another shard count.
+echo '>> retarget smoke: the stats document with retargets is shard, transport, cluster and restart invariant'
 probe_run() {
     cmd=$1; shift
     "$bin/$cmd" -selftest 20000 -sets 256 -ways 8 -profile mcf \
         -interval 32 "$@"
 }
 probe_run rwpserve -shards 1 >"$smoke/probe1.json"
-grep -q '"probe": {' "$smoke/probe1.json" || {
-    echo 'check.sh: FAIL: the stats document has no probe section' >&2
+grep -q '"GetHitsClean":' "$smoke/probe1.json" || {
+    echo 'check.sh: FAIL: the stats document has no partition hit splits' >&2
     exit 1
 }
 if grep -q '"Retargets": 0,' "$smoke/probe1.json"; then
-    echo 'check.sh: FAIL: probe smoke never retargeted' >&2
+    echo 'check.sh: FAIL: retarget smoke never retargeted' >&2
     exit 1
 fi
 probe_run rwpserve -shards 32 >"$smoke/probe32.json"
@@ -324,13 +323,13 @@ probe_run rwpcluster -shards 1 -ring-shards 16 >"$smoke/probecluster.json"
 probe_run rwpserve -shards 32 -restore "$smoke/probe.snap" -selftest-skip 12000 \
     >"$smoke/proberesumed.json" 2>"$smoke/proberesumed.err"
 if grep -q 'starting cold' "$smoke/proberesumed.err"; then
-    echo 'check.sh: FAIL: probe smoke restore fell back to a cold start:' >&2
+    echo 'check.sh: FAIL: retarget smoke restore fell back to a cold start:' >&2
     cat "$smoke/proberesumed.err" >&2
     exit 1
 fi
 for leg in probe32 probetcp probecluster proberesumed; do
     cmp "$smoke/probe1.json" "$smoke/$leg.json" || {
-        echo "check.sh: FAIL: probe smoke leg $leg differs from -shards 1" >&2
+        echo "check.sh: FAIL: retarget smoke leg $leg differs from -shards 1" >&2
         exit 1
     }
 done
