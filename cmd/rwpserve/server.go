@@ -16,6 +16,19 @@ import (
 	"rwp/internal/snap"
 )
 
+// Limits on the binary listener: what one peer, or a crowd of them,
+// can hold. A connection past maxConns gets one ERR frame and is
+// closed; a write that the peer does not drain within writeTimeout
+// fails and closes its connection, so a peer that stops reading costs
+// that connection, not a goroutine held forever.
+const (
+	maxConns     = 1024
+	writeTimeout = 10 * time.Second
+)
+
+// errConnLimit is the ERR frame's message to a connection past maxConns.
+var errConnLimit = []byte("rwpserve: connection limit reached")
+
 // tcpServer accepts binary-protocol connections and serves each with
 // proto.ServeConn until Shutdown. *live.Cache satisfies proto.Backend
 // directly — Get/Put pass through and StatsJSON renders the exact
@@ -25,6 +38,11 @@ type tcpServer struct {
 	b      proto.Backend
 	stderr io.Writer
 
+	// maxConns and writeTimeout are the listener's limits, the package
+	// constants unless a test lowers them before serve.
+	maxConns     int
+	writeTimeout time.Duration
+
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -33,7 +51,8 @@ type tcpServer struct {
 
 // newTCPServer wraps an already-bound listener.
 func newTCPServer(ln net.Listener, b proto.Backend, stderr io.Writer) *tcpServer {
-	return &tcpServer{ln: ln, b: b, stderr: stderr, conns: map[net.Conn]struct{}{}}
+	return &tcpServer{ln: ln, b: b, stderr: stderr, maxConns: maxConns, writeTimeout: writeTimeout,
+		conns: map[net.Conn]struct{}{}}
 }
 
 // serve runs the accept loop until the listener closes. It returns nil
@@ -56,6 +75,11 @@ func (s *tcpServer) serve() error {
 			conn.Close()
 			return nil
 		}
+		if len(s.conns) >= s.maxConns {
+			s.mu.Unlock()
+			s.refuse(conn)
+			continue
+		}
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
@@ -74,7 +98,7 @@ func (s *tcpServer) serve() error {
 					fmt.Fprintf(s.stderr, "rwpserve: tcp %s: panic: %v\n", conn.RemoteAddr(), p)
 				}
 			}()
-			err := proto.ServeConn(conn, s.b)
+			err := proto.ServeConn(deadlineConn{conn, s.writeTimeout}, s.b)
 			if err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
 				// Protocol violations and transport failures are peer
 				// problems, not server state: log and move on.
@@ -82,6 +106,33 @@ func (s *tcpServer) serve() error {
 			}
 		}()
 	}
+}
+
+// refuse tells a connection past the cap why before closing it. The
+// frame is small enough for an empty socket buffer, and the write
+// deadline bounds the accept loop's wait even so. Both calls are best
+// effort: a peer that is already gone loses only the reason.
+func (s *tcpServer) refuse(conn net.Conn) {
+	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+	conn.Write(proto.AppendFrame(nil, proto.OpErr, errConnLimit))
+	conn.Close()
+}
+
+// deadlineConn gives every write to a served connection its own
+// deadline, d from the write's start. A peer that stops reading fills
+// the socket buffers, the flush blocked behind them fails with
+// os.ErrDeadlineExceeded, and ServeConn returns.
+type deadlineConn struct {
+	net.Conn
+	d time.Duration
+}
+
+// Write implements io.Writer.
+func (c deadlineConn) Write(b []byte) (int, error) {
+	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.d)); err != nil {
+		return 0, err
+	}
+	return c.Conn.Write(b)
 }
 
 // shutdown stops accepting, expires every connection's read deadline

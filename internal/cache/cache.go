@@ -69,19 +69,15 @@ type AccessInfo struct {
 	Core int
 }
 
-// LineState is the externally visible state of one way.
+// LineState is the externally visible state of one way: what the tag
+// store itself must hold to serve a lookup and a dirty eviction. State a
+// policy conditions on beyond that is the policy's own, kept per way in
+// its own arrays (RRP's fill signatures, UCP's owner cores), so a level
+// pays for it only under the policy that reads it.
 type LineState struct {
 	Tag   mem.LineAddr
 	Valid bool
 	Dirty bool
-	// Core is the core that last filled or wrote the line (for shared-
-	// cache accounting and per-core partitioning policies).
-	Core int
-	// PC is the program counter that filled or last wrote the line. It
-	// travels with dirty evictions (Result.WritebackPC) so lower levels
-	// can index PC-based predictors (RRP) on writebacks — the kind of
-	// plumbing that makes RRP "complex" in the paper's terms.
-	PC mem.Addr
 }
 
 // StateReader gives policies read access to the tag store they manage.
@@ -197,6 +193,15 @@ type Config struct {
 	// modified data arrives later as a Writeback. False (the zero value)
 	// is first-level semantics: stores write this cache directly.
 	StoreFillsClean bool
+	// CarryWritebackPC keeps, per way, the PC that filled or last wrote
+	// the line, and reports it with the line's dirty eviction
+	// (Result.WritebackPC). Only a level whose dirty victims go to
+	// another cache level needs it: there the PC indexes the lower
+	// level's PC-based predictors (RRP, SHiP) on the writeback — the
+	// plumbing that makes RRP "complex" in the paper's terms. hier.New
+	// sets it on the private levels; a level whose victims go to memory
+	// leaves it off and stores no PCs (8 of a way's 17 bytes).
+	CarryWritebackPC bool
 }
 
 // Sets returns the number of sets implied by the config.
@@ -232,7 +237,8 @@ type Result struct {
 	// WritebackLine holds the evicted dirty line when Writeback is true;
 	// the caller (hierarchy) forwards it to the level below.
 	WritebackLine mem.LineAddr
-	// WritebackPC is the PC that last wrote the evicted dirty line.
+	// WritebackPC is the PC that filled or last wrote the evicted dirty
+	// line when the level has Config.CarryWritebackPC, zero otherwise.
 	WritebackPC mem.Addr
 	// Writeback is true when the fill evicted a dirty line.
 	Writeback bool
@@ -256,10 +262,8 @@ const (
 // Cache is a single tag-store level. The ways are stored as parallel
 // arrays (sets*ways, row-major by set) so the lookup scan touches
 // nothing but flags and, where a fingerprint matches, tags; see
-// DESIGN.md "Simulator data layout". pcs and cores are the cold part of
-// a way: read only when a dirty line is evicted or a policy asks for the
-// full LineState, never by Lookup. They are two arrays so that a way
-// costs 12 bytes of them, not a padded 16.
+// DESIGN.md "Simulator data layout". A way costs 9 bytes (tag and
+// flags), plus 8 for its PC in a level with Config.CarryWritebackPC.
 type Cache struct {
 	cfg     Config
 	shift   uint
@@ -270,11 +274,13 @@ type Cache struct {
 	// invalid way. When ways is not a multiple of 8 it runs on past the
 	// last set to the end of that set's last word, so Lookup reads every
 	// set in whole words.
-	flags  []uint8
-	pcs    []mem.Addr // PC that filled or last wrote the way; zero for an invalid way
-	cores  []int32    // core that filled or last wrote the way; zero for an invalid way
-	valid  []int16    // per-set valid-line count
-	dirty  []int16    // per-set dirty-line count
+	flags []uint8
+	// pcs holds the PC that filled or last wrote each valid way; nil
+	// unless Config.CarryWritebackPC. It is read only when a dirty line
+	// is evicted, never by Lookup.
+	pcs    []mem.Addr
+	valid  []int16 // per-set valid-line count
+	dirty  []int16 // per-set dirty-line count
 	policy Policy
 	stats  Stats
 	// probe receives instrumentation events; nil (the default) disables
@@ -303,10 +309,11 @@ func New(cfg Config, p Policy) (*Cache, error) {
 		setBits: uint(bits.TrailingZeros(uint(cfg.Sets()))),
 		tags:    make([]mem.LineAddr, lines),
 		flags:   make([]uint8, lines+(8-cfg.Ways%8)%8),
-		pcs:     make([]mem.Addr, lines),
-		cores:   make([]int32, lines),
 		valid:   make([]int16, cfg.Sets()),
 		dirty:   make([]int16, cfg.Sets()),
+	}
+	if cfg.CarryWritebackPC {
+		c.pcs = make([]mem.Addr, lines)
 	}
 	c.policy = p
 	p.Attach(c)
@@ -330,7 +337,7 @@ func (c *Cache) Ways() int { return c.cfg.Ways }
 func (c *Cache) State(set, way int) LineState {
 	i := set*c.cfg.Ways + way
 	f := c.flags[i]
-	return LineState{Tag: c.tags[i], Valid: f&flagValid != 0, Dirty: f&flagDirty != 0, Core: int(c.cores[i]), PC: c.pcs[i]}
+	return LineState{Tag: c.tags[i], Valid: f&flagValid != 0, Dirty: f&flagDirty != 0}
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -424,7 +431,9 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 				c.dirty[set]++
 				c.flags[i] |= flagDirty
 			}
-			c.pcs[i], c.cores[i] = pc, int32(core)
+			if c.pcs != nil {
+				c.pcs[i] = pc
+			}
 		}
 		c.policy.OnHit(set, way, ai)
 		return Result{Hit: true}
@@ -456,14 +465,18 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 			c.dirty[set]--
 			res.Writeback = true
 			res.WritebackLine = c.tags[i]
-			res.WritebackPC = c.pcs[i]
+			if c.pcs != nil {
+				res.WritebackPC = c.pcs[i]
+			}
 		}
 		c.policy.OnEvict(set, victim, ai)
 	} else {
 		c.valid[set]++
 	}
 	c.tags[i] = line
-	c.pcs[i], c.cores[i] = pc, int32(core)
+	if c.pcs != nil {
+		c.pcs[i] = pc
+	}
 	c.flags[i] = c.fingerprint(line) | flagValid
 	if dirtying {
 		c.flags[i] |= flagDirty
@@ -500,7 +513,7 @@ func (c *Cache) Invalidate(line mem.LineAddr) (wasDirty, wasPresent bool) {
 	}
 	c.valid[set]--
 	c.policy.OnEvict(set, way, AccessInfo{Line: line})
-	c.tags[i], c.flags[i], c.pcs[i], c.cores[i] = 0, 0, 0, 0
+	c.tags[i], c.flags[i] = 0, 0
 	return dirty, true
 }
 

@@ -56,7 +56,7 @@ func TestIncrementalCountersMatchRecountQuick(t *testing.T) {
 }
 
 func TestStoreFillsCleanSemantics(t *testing.T) {
-	cfg := Config{Name: "llc", SizeBytes: 64 * 2, Ways: 2, LineSize: 64, StoreFillsClean: true}
+	cfg := Config{Name: "llc", SizeBytes: 64 * 2, Ways: 2, LineSize: 64, StoreFillsClean: true, CarryWritebackPC: true}
 	c, err := New(cfg, &fifoPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +77,14 @@ func TestStoreFillsCleanSemantics(t *testing.T) {
 	if !c.State(set, way).Dirty {
 		t.Fatal("writeback did not dirty the line")
 	}
-	if c.State(set, way).PC != 0x30 {
-		t.Fatal("writeback PC not recorded")
-	}
 	if c.DirtyWays(set) != 1 {
 		t.Fatalf("dirty count %d", c.DirtyWays(set))
+	}
+	// Its eviction carries the writeback's PC, not the RFO's.
+	c.Access(2, 0x40, DemandLoad, 0)
+	res := c.Access(3, 0x50, DemandLoad, 0) // FIFO: evicts line 1
+	if !res.Writeback || res.WritebackLine != 1 || res.WritebackPC != 0x30 {
+		t.Fatalf("eviction of line 1 = %+v, want a writeback of line 1 with PC 0x30", res)
 	}
 }
 

@@ -15,19 +15,22 @@ import (
 
 // refCache is the differential oracle for cache.Cache's packed tag store:
 // the model as it was before the layout was split, one LineState per way
-// and a scan that reads the whole struct. It is deliberately naive (no
+// and a scan that reads the whole struct, plus every way's last PC, kept
+// whether or not the level reports it. It is deliberately naive (no
 // shared helpers with the real cache) so that a layout bug in one cannot
 // hide in the other.
 type refCache struct {
 	cfg    cache.Config
 	lines  []cache.LineState // sets*ways, row-major by set
+	pcs    []mem.Addr        // PC that filled or last wrote each way
 	policy cache.Policy
 	stats  cache.Stats
 	probe  probe.Probe
 }
 
 func newRefCache(cfg cache.Config, p cache.Policy) *refCache {
-	c := &refCache{cfg: cfg, lines: make([]cache.LineState, cfg.Sets()*cfg.Ways), policy: p}
+	n := cfg.Sets() * cfg.Ways
+	c := &refCache{cfg: cfg, lines: make([]cache.LineState, n), pcs: make([]mem.Addr, n), policy: p}
 	p.Attach(c)
 	return c
 }
@@ -83,12 +86,13 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 	way, ok := c.lookup(set, line)
 	if ok {
 		c.stats.Hits[class]++
-		ls := &c.lines[set*c.cfg.Ways+way]
+		i := set*c.cfg.Ways + way
+		ls := &c.lines[i]
 		if c.probe != nil {
 			c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: true, LineDirty: ls.Dirty})
 		}
 		if dirtying {
-			ls.Dirty, ls.Core, ls.PC = true, coreID, pc
+			ls.Dirty, c.pcs[i] = true, pc
 		}
 		c.policy.OnHit(set, way, ai)
 		return cache.Result{Hit: true}
@@ -106,7 +110,8 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 		return cache.Result{Bypassed: true}
 	}
 	var res cache.Result
-	ls := &c.lines[set*c.cfg.Ways+victim]
+	i := set*c.cfg.Ways + victim
+	ls := &c.lines[i]
 	if ls.Valid {
 		c.stats.Evictions++
 		if c.probe != nil {
@@ -114,11 +119,15 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 		}
 		if ls.Dirty {
 			c.stats.DirtyEvict++
-			res = cache.Result{Writeback: true, WritebackLine: ls.Tag, WritebackPC: ls.PC}
+			res = cache.Result{Writeback: true, WritebackLine: ls.Tag}
+			if c.cfg.CarryWritebackPC {
+				res.WritebackPC = c.pcs[i]
+			}
 		}
 		c.policy.OnEvict(set, victim, ai)
 	}
-	*ls = cache.LineState{Tag: line, Valid: true, Dirty: dirtying, Core: coreID, PC: pc}
+	*ls = cache.LineState{Tag: line, Valid: true, Dirty: dirtying}
+	c.pcs[i] = pc
 	c.stats.Fills++
 	if c.probe != nil {
 		c.probe.CacheFill(probe.FillEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: dirtying})
@@ -313,13 +322,18 @@ func runOracle(t *testing.T, cfg cache.Config, name string, ops int, seed uint64
 
 // TestPackedTagStoreMatchesReference holds cache.Cache to the reference
 // on a uniform stream over a 16-set, 8-way cache, under both store
-// semantics.
+// semantics, with and without writeback PCs.
 func TestPackedTagStoreMatchesReference(t *testing.T) {
 	for _, name := range []string{"lru", "rwp", "rrp"} {
 		for _, storeFillsClean := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/storeFillsClean=%v", name, storeFillsClean), func(t *testing.T) {
-				cfg := cache.Config{Name: "LLC", SizeBytes: 16 * 8 * 64, Ways: 8, LineSize: 64, StoreFillsClean: storeFillsClean}
-				runOracle(t, cfg, name, 40_000, 0x16_0000+uint64(len(name)), func(*cache.Cache) stream { return uniformStream(cfg) })
+				for _, carryPC := range []bool{false, true} {
+					t.Run(fmt.Sprintf("carryWritebackPC=%v", carryPC), func(t *testing.T) {
+						cfg := cache.Config{Name: "LLC", SizeBytes: 16 * 8 * 64, Ways: 8, LineSize: 64,
+							StoreFillsClean: storeFillsClean, CarryWritebackPC: carryPC}
+						runOracle(t, cfg, name, 40_000, 0x16_0000+uint64(len(name)), func(*cache.Cache) stream { return uniformStream(cfg) })
+					})
+				}
 			})
 		}
 	}
@@ -335,7 +349,7 @@ func TestTagStoreGeometriesMatchReference(t *testing.T) {
 	for _, geo := range []struct{ sets, ways int }{
 		{16, 1}, {16, 4}, {16, 8}, {8, 12}, {8, 20}, {4, 24}, {2, 256}, {1, 12},
 	} {
-		cfg := cache.Config{Name: "LLC", SizeBytes: geo.sets * geo.ways * 64, Ways: geo.ways, LineSize: 64}
+		cfg := cache.Config{Name: "LLC", SizeBytes: geo.sets * geo.ways * 64, Ways: geo.ways, LineSize: 64, CarryWritebackPC: true}
 		for _, name := range []string{"lru", "rwp", "rrp"} {
 			seed := uint64(geo.sets<<16|geo.ways<<4) + uint64(len(name))
 			t.Run(fmt.Sprintf("%dx%d/%s/uniform", geo.sets, geo.ways, name), func(t *testing.T) {

@@ -113,6 +113,11 @@ func New(cfg Config) (*Hierarchy, error) {
 	// modified data lives in L1 and arrives later as a writeback.
 	cfg.L2.StoreFillsClean = true
 	cfg.LLC.StoreFillsClean = true
+	// The private levels' dirty victims are LLC writebacks, which carry
+	// the dirtying store's PC to the LLC policy; the LLC's go to DRAM,
+	// which has no use for one, so the LLC keeps no PCs.
+	cfg.L1.CarryWritebackPC = true
+	cfg.L2.CarryWritebackPC = true
 	llcPol, err := policy.New(cfg.LLCPolicy)
 	if err != nil {
 		return nil, err

@@ -156,7 +156,7 @@ func TestWritebackPCPlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.New(cache.Config{Name: "l2", SizeBytes: 64 * 2, Ways: 2, LineSize: 64}, p)
+	c, err := cache.New(cache.Config{Name: "l2", SizeBytes: 64 * 2, Ways: 2, LineSize: 64, CarryWritebackPC: true}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

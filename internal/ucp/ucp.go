@@ -38,8 +38,8 @@ func DefaultConfig(cores int) Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Cores < 1 {
-		return fmt.Errorf("ucp: Cores %d must be positive", c.Cores)
+	if c.Cores < 1 || c.Cores >= noOwner {
+		return fmt.Errorf("ucp: Cores %d out of [1,%d]", c.Cores, noOwner-1)
 	}
 	if c.SamplerSets < 1 {
 		return fmt.Errorf("ucp: SamplerSets %d must be positive", c.SamplerSets)
@@ -50,6 +50,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// noOwner marks a way filled by a core outside [0, Cores): it counts
+// toward no core's occupancy and is no core's victim.
+const noOwner = 0xff
+
 // UCP is the utility-based partitioning policy. It implements
 // cache.Policy.
 type UCP struct {
@@ -57,6 +61,17 @@ type UCP struct {
 
 	r   cache.StateReader
 	tab *recency.Table
+
+	// owner[set*ways+way] is the core whose data the way holds: the core
+	// of its fill or of its last Writeback hit. A demand store does not
+	// change it: below the private levels a store is an RFO that leaves
+	// the data in the storing core's L1, and the line becomes that
+	// core's only when the modified data arrives as a Writeback. In an
+	// LLC built by hier.New these are exactly the accesses that dirty a
+	// line. Only valid ways are read.
+	owner []uint8
+	// occ is Victim's per-core occupancy scratch.
+	occ []int
 
 	// alloc[i] is core i's way quota; sums to assoc.
 	alloc []int
@@ -87,6 +102,8 @@ func (p *UCP) Attach(r cache.StateReader) {
 	p.r = r
 	sets, ways := r.NumSets(), r.Ways()
 	p.tab = recency.NewTable(sets, ways)
+	p.owner = make([]uint8, sets*ways)
+	p.occ = make([]int, p.cfg.Cores)
 	n := p.cfg.SamplerSets
 	if n > sets {
 		n = sets
@@ -178,6 +195,18 @@ func Partition(hits [][]uint64, ways int) []int {
 func (p *UCP) OnHit(set, way int, ai cache.AccessInfo) {
 	p.observe(set, ai)
 	p.tab.Touch(set, way)
+	if ai.Class == cache.Writeback {
+		p.own(set, way, ai.Core)
+	}
+}
+
+// own records core as the owner of way in set.
+func (p *UCP) own(set, way, core int) {
+	o := uint8(noOwner)
+	if core >= 0 && core < p.cfg.Cores {
+		o = uint8(core)
+	}
+	p.owner[set*p.r.Ways()+way] = o
 }
 
 // Victim implements cache.Policy: evict the LRU line of an over-quota
@@ -189,11 +218,12 @@ func (p *UCP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 		return w, false
 	}
 	ways := p.r.Ways()
-	occ := make([]int, p.cfg.Cores)
-	for w := 0; w < ways; w++ {
-		ls := p.r.State(set, w)
-		if ls.Core >= 0 && ls.Core < p.cfg.Cores {
-			occ[ls.Core]++
+	owner := p.owner[set*ways : (set+1)*ways]
+	occ := p.occ
+	clear(occ)
+	for _, o := range owner {
+		if int(o) < p.cfg.Cores {
+			occ[o]++
 		}
 	}
 	// The requesting core deserves space if under quota: victimize the
@@ -211,8 +241,7 @@ func (p *UCP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 	}
 	if victimCore >= 0 {
 		if w := p.tab.LeastRecent(set, func(w int) bool {
-			ls := p.r.State(set, w)
-			return ls.Valid && ls.Core == victimCore
+			return int(owner[w]) == victimCore
 		}); w >= 0 {
 			return w, false
 		}
@@ -224,7 +253,10 @@ func (p *UCP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 func (p *UCP) OnEvict(int, int, cache.AccessInfo) {}
 
 // OnFill implements cache.Policy.
-func (p *UCP) OnFill(set, way int, _ cache.AccessInfo) { p.tab.Touch(set, way) }
+func (p *UCP) OnFill(set, way int, ai cache.AccessInfo) {
+	p.tab.Touch(set, way)
+	p.own(set, way, ai.Core)
+}
 
 // umonStack is a per-core fully-associative shadow LRU stack.
 type umonStack struct {

@@ -5,8 +5,10 @@ import (
 	"testing/quick"
 
 	"rwp/internal/cache"
+	"rwp/internal/hier"
 	"rwp/internal/mem"
 	"rwp/internal/policy"
+	"rwp/internal/xrand"
 )
 
 func newUCPCache(t *testing.T, sizeBytes, ways int, cfg Config) (*cache.Cache, *UCP) {
@@ -27,6 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		{Cores: 0, SamplerSets: 32, Interval: 1},
 		{Cores: 4, SamplerSets: 0, Interval: 1},
 		{Cores: 4, SamplerSets: 32, Interval: 0},
+		{Cores: 255, SamplerSets: 32, Interval: 1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
@@ -182,4 +185,113 @@ func TestDeterminism(t *testing.T) {
 	if run() != run() {
 		t.Fatal("non-deterministic UCP run")
 	}
+}
+
+// TestVictimDoesNotAllocate: choosing a victim in a full set — the
+// work of every miss in a ucp run — allocates nothing.
+func TestVictimDoesNotAllocate(t *testing.T) {
+	c, p := newUCPCache(t, 4*16*64, 16, DefaultConfig(4))
+	for i := 0; i < 64; i++ {
+		c.Access(mem.LineAddr(i), 0x10, cache.DemandLoad, i%4)
+	}
+	if v := c.ValidWays(0); v != 16 {
+		t.Fatalf("set 0 holds %d lines, want 16", v)
+	}
+	ai := cache.AccessInfo{Line: 1 << 20, Class: cache.DemandLoad, Core: 1}
+	if allocs := int(testing.AllocsPerRun(100, func() { p.Victim(0, ai) })); allocs != 0 {
+		t.Fatalf("Victim on a full set: %d allocs, want 0", allocs)
+	}
+}
+
+// ownerRef is a UCP that keeps its own record of the owner rule beside
+// the policy's: a way belongs to the core of its fill or of its last
+// Writeback hit, and to no other hit's core.
+type ownerRef struct {
+	*UCP
+	want []int // per way, row-major by set
+
+	fills, wbHits, wbMoves, storeHitsForeign uint64
+	fillCores                                map[int]bool
+}
+
+func (r *ownerRef) OnHit(set, way int, ai cache.AccessInfo) {
+	r.UCP.OnHit(set, way, ai)
+	i := set*r.r.Ways() + way
+	switch {
+	case ai.Class == cache.Writeback:
+		r.wbHits++
+		if r.want[i] != ai.Core {
+			r.wbMoves++
+		}
+		r.want[i] = ai.Core
+	case ai.Class == cache.DemandStore && r.want[i] != ai.Core:
+		r.storeHitsForeign++
+	}
+}
+
+func (r *ownerRef) OnFill(set, way int, ai cache.AccessInfo) {
+	r.UCP.OnFill(set, way, ai)
+	r.want[set*r.r.Ways()+way] = ai.Core
+	r.fills++
+	r.fillCores[ai.Core] = true
+}
+
+func init() {
+	policy.Register("ucp-owner-ref", func() cache.Policy {
+		return &ownerRef{UCP: New(DefaultConfig(4)), fillCores: map[int]bool{}}
+	})
+}
+
+// TestUCPOwnerRule drives a seeded 4-core stream, private and shared
+// lines, loads and stores, through a small hierarchy built by hier.New
+// (so the LLC sees RFO stores and writebacks as a real run does) and
+// holds UCP's owner of every valid LLC way to the reference's.
+func TestUCPOwnerRule(t *testing.T) {
+	cfg := hier.MulticoreConfig(4)
+	cfg.L1.SizeBytes = 2 * 8 * 64
+	cfg.L2.SizeBytes = 4 * 8 * 64
+	cfg.LLC.SizeBytes = 8 * 16 * 64
+	cfg.LLCPolicy = "ucp-owner-ref"
+	h, err := hier.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	llc := h.LLC()
+	ref := llc.Policy().(*ownerRef)
+	ref.want = make([]int, llc.NumSets()*llc.Ways())
+	check := func(op int) {
+		t.Helper()
+		for set := 0; set < llc.NumSets(); set++ {
+			for way := 0; way < llc.Ways(); way++ {
+				i := set*llc.Ways() + way
+				if llc.State(set, way).Valid && int(ref.owner[i]) != ref.want[i] {
+					t.Fatalf("op %d: set %d way %d owned by core %d, reference %d", op, set, way, ref.owner[i], ref.want[i])
+				}
+			}
+		}
+	}
+	rng := xrand.New(39)
+	now := uint64(0)
+	for op := 0; op < 40_000; op++ {
+		core := rng.Intn(4)
+		line := 1024*(core+1) + rng.Intn(160) // private
+		if rng.Intn(3) == 0 {
+			line = rng.Intn(96) // shared by every core
+		}
+		addr, pc := mem.Addr(line*64), mem.Addr(0x400000+4*rng.Intn(32))
+		if rng.Intn(3) == 0 {
+			now += h.Store(core, now, addr, pc)
+		} else {
+			now += h.Load(core, now, addr, pc)
+		}
+		if op%97 == 0 {
+			check(op)
+		}
+	}
+	check(40_000)
+	if ref.fills == 0 || len(ref.fillCores) != 4 || ref.wbMoves == 0 || ref.storeHitsForeign == 0 {
+		t.Fatalf("stream exercised too little: %d fills by %d cores, %d writeback hits (%d moving the owner), %d store hits by a non-owner",
+			ref.fills, len(ref.fillCores), ref.wbHits, ref.wbMoves, ref.storeHitsForeign)
+	}
+	t.Logf("%d fills, %d writeback hits (%d moving the owner), %d store hits by a non-owner", ref.fills, ref.wbHits, ref.wbMoves, ref.storeHitsForeign)
 }

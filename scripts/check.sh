@@ -71,10 +71,12 @@ if [ "$short" = 0 ]; then
     go run ./scripts/benchrec -head
 else
     # Even the short gate race-checks the packages built for
-    # concurrency: the live cache's multi-goroutine stress test and the
-    # binary-protocol server under concurrent pipelined clients.
-    echo '>> go test -race -short -run Stress ./internal/live/... ./cmd/rwpserve'
-    go test -race -short -run Stress ./internal/live/... ./cmd/rwpserve
+    # concurrency: the live cache's multi-goroutine stress test, the
+    # binary-protocol server under concurrent pipelined clients, and
+    # the server's listener limits (the connection cap, the write
+    # deadline that drops a peer that stops reading).
+    echo '>> go test -race -short -run Stress|ConnectionCap|WriteDeadline ./internal/live/... ./cmd/rwpserve'
+    go test -race -short -run 'Stress|ConnectionCap|WriteDeadline' ./internal/live/... ./cmd/rwpserve
     # ... and the simulator, whose every run hands its access stream
     # between two goroutines (the read-ahead stage in internal/trace).
     echo '>> go test -race -short ./internal/sim/ ./internal/trace/'
@@ -108,6 +110,12 @@ else
     # collisions and odd widths included. Named for the same reason.
     echo '>> go test -run Match(es)?Reference ./internal/recency/ ./internal/cache/'
     go test -run 'Match(es)?Reference' ./internal/recency/ ./internal/cache/
+    # A simulated way keeps only what something reads: what building the
+    # default hierarchy allocates, UCP's own owner cores held to the
+    # owner rule, and its victim choice allocating nothing. Named for
+    # the same reason.
+    echo '>> go test -run HierarchyFootprint|OwnerRule|VictimDoesNotAllocate ./internal/hier/ ./internal/ucp/'
+    go test -run 'HierarchyFootprint|OwnerRule|VictimDoesNotAllocate' ./internal/hier/ ./internal/ucp/
 fi
 
 # Engine smoke: run one experiment twice against the same cache dir.
