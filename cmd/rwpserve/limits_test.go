@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,19 +15,25 @@ import (
 	"rwp/internal/live/proto"
 )
 
-// limitServer starts a tcpServer over c with the given limits.
+// limitServer starts a tcpServer over c with the given limits and the
+// frameTimeout constant.
 func limitServer(t *testing.T, c *live.Cache, conns int, write time.Duration) (*tcpServer, string) {
+	return limitServerFrame(t, c, conns, write, frameTimeout)
+}
+
+// limitServerFrame starts a tcpServer over c with the given limits.
+func limitServerFrame(t *testing.T, c *live.Cache, conns int, write, frame time.Duration) (*tcpServer, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tsrv := newTCPServer(ln, c, io.Discard)
-	if tsrv.maxConns != maxConns || tsrv.writeTimeout != writeTimeout {
-		t.Fatalf("newTCPServer limits %d conns, %v writes; want the constants %d, %v",
-			tsrv.maxConns, tsrv.writeTimeout, maxConns, writeTimeout)
+	if tsrv.maxConns != maxConns || tsrv.writeTimeout != writeTimeout || tsrv.frameTimeout != frameTimeout {
+		t.Fatalf("newTCPServer limits %d conns, %v writes, %v frames; want the constants %d, %v, %v",
+			tsrv.maxConns, tsrv.writeTimeout, tsrv.frameTimeout, maxConns, writeTimeout, frameTimeout)
 	}
-	tsrv.maxConns, tsrv.writeTimeout = conns, write
+	tsrv.maxConns, tsrv.writeTimeout, tsrv.frameTimeout = conns, write, frame
 	go tsrv.serve()
 	t.Cleanup(func() { tsrv.shutdownNow() })
 	return tsrv, ln.Addr().String()
@@ -144,6 +153,143 @@ func TestWriteDeadlineDropsStalledPeer(t *testing.T) {
 		t.Fatalf("all %d PINGs were accepted: the server never stopped reading", n)
 	}
 	waitServed(t, tsrv, 1)
+	roundTrip(t, good, "after")
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitDropped waits until the server closes conn: a read returns an
+// error before the dial's deadline, and none of the peer's bytes were
+// answered.
+func waitDropped(t *testing.T, what string, conn net.Conn) {
+	t.Helper()
+	var b [1]byte
+	if n, err := conn.Read(b[:]); err == nil || n != 0 {
+		t.Fatalf("%s: read %d bytes, err %v; want the connection closed", what, n, err)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("%s: still connected after the test's deadline", what)
+	}
+}
+
+// TestFrameDeadline: a peer that sends part of a frame and not the rest
+// within the frame deadline loses its connection, whether it stalls or
+// keeps trickling bytes in; a peer idle between frames keeps it for any
+// length of time. Another client is answered correctly throughout.
+func TestFrameDeadline(t *testing.T) {
+	const frame = 300 * time.Millisecond
+	c := diffCache(t)
+	tsrv, addr := limitServerFrame(t, c, maxConns, writeTimeout, frame)
+	_, good := dialClient(t, addr)
+	roundTrip(t, good, "before")
+	// The idle peer's last frame arrives in two parts, so the server
+	// set that frame a deadline, which the next read, at a boundary,
+	// must lift.
+	idle, idleCli := dialClient(t, addr)
+	roundTrip(t, idleCli, "idle")
+	ping := proto.AppendFrame(nil, proto.OpPing, []byte("split"))
+	for _, part := range [][]byte{ping[:3], ping[3:]} {
+		if _, err := idle.Write(part); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(frame / 6)
+	}
+	if op, payload, err := proto.NewReader(idle).ReadFrame(); err != nil || op != proto.OpPing || string(payload) != "split" {
+		t.Fatalf("split PING: %v %q, %v", op, payload, err)
+	}
+
+	p, err := proto.AppendPutReq(nil, "stalled", bytes.Repeat([]byte("v"), 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := proto.AppendFrame(nil, proto.OpPut, p)
+
+	// Slow frame: one byte per 100 ms, each well inside the deadline,
+	// the frame far outside it.
+	slow, _ := dialClient(t, addr)
+	go func() {
+		for _, b := range put {
+			if _, err := slow.Write([]byte{b}); err != nil {
+				return
+			}
+			time.Sleep(frame / 3)
+		}
+	}()
+	// Stalled payload: the header and half the payload, then nothing.
+	half, _ := dialClient(t, addr)
+	if _, err := half.Write(put[:len(put)/2]); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, good, "during")
+	waitDropped(t, "slow frame", slow)
+	waitDropped(t, "stalled payload", half)
+	waitServed(t, tsrv, 2)
+
+	time.Sleep(3 * frame) // idle at a boundary, well past the deadline
+	roundTrip(t, idleCli, "idle again")
+	roundTrip(t, good, "after")
+	if got := c.Stats(); got.Puts != 5 {
+		t.Errorf("%d PUTs applied, want the 5 round trips': a partial frame was served", got.Puts)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneStagedRestore: while one connection stages a RESTORE, a second
+// transfer is refused on a connection that stays usable. The first
+// applies, and once it has, a new transfer is staged again.
+func TestOneStagedRestore(t *testing.T) {
+	c := diffCache(t)
+	tsrv, addr := limitServer(t, c, maxConns, writeTimeout)
+	_, good := dialClient(t, addr)
+	for i := 0; i < 64; i++ {
+		roundTrip(t, good, fmt.Sprintf("k%d", i))
+	}
+	data, err := c.SnapBytes(0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first transfer sends its first chunk and holds the rest back.
+	// The PING behind the chunk comes back once the chunk is staged.
+	first, _ := dialClient(t, addr)
+	firstR := proto.NewReader(first)
+	chunk := func(flag byte, b []byte) {
+		t.Helper()
+		if _, err := first.Write(proto.AppendFrame(nil, proto.OpRestore, proto.AppendChunk(nil, flag, b))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunk(proto.ChunkMore, data[:len(data)/2])
+	if _, err := first.Write(proto.AppendFrame(nil, proto.OpPing, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if op, _, err := firstR.ReadFrame(); err != nil || op != proto.OpPing {
+		t.Fatalf("PING behind the first chunk: %v, %v", op, err)
+	}
+
+	_, second := dialClient(t, addr)
+	if _, err := second.Restore(data); err == nil || !strings.Contains(err.Error(), "restore refused") {
+		t.Fatalf("second RESTORE while one is staged: err %v, want a refusal", err)
+	}
+	roundTrip(t, second, "after refusal")
+	roundTrip(t, good, "during")
+
+	chunk(proto.ChunkLast, data[len(data)/2:])
+	op, payload, err := firstR.ReadFrame()
+	if err != nil || op != proto.OpRestore {
+		t.Fatalf("first RESTORE reply: %v, %v", op, err)
+	}
+	if _, refusal, err := proto.ParseRestoreResp(payload); err != nil || refusal != "" {
+		t.Fatalf("first RESTORE: refusal %q, err %v; want applied", refusal, err)
+	}
+	if tsrv.staging.Load() {
+		t.Fatal("the applied transfer still holds the staging slot")
+	}
+	if _, err := second.Restore(data); err != nil {
+		t.Fatalf("RESTORE after the first was applied: %v", err)
+	}
 	roundTrip(t, good, "after")
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rwp/internal/live"
@@ -20,10 +21,15 @@ import (
 // can hold. A connection past maxConns gets one ERR frame and is
 // closed; a write that the peer does not drain within writeTimeout
 // fails and closes its connection, so a peer that stops reading costs
-// that connection, not a goroutine held forever.
+// that connection, not a goroutine held forever. A peer that has sent
+// any byte of a frame must send the rest within frameTimeout, or it
+// loses its connection too; a peer idle between frames is never timed
+// out, because a router's connection is idle between windows. One
+// RESTORE transfer at a time is staged (see proto.RestoreStager).
 const (
 	maxConns     = 1024
 	writeTimeout = 10 * time.Second
+	frameTimeout = 10 * time.Second
 )
 
 // errConnLimit is the ERR frame's message to a connection past maxConns.
@@ -38,20 +44,29 @@ type tcpServer struct {
 	b      proto.Backend
 	stderr io.Writer
 
-	// maxConns and writeTimeout are the listener's limits, the package
-	// constants unless a test lowers them before serve.
+	// maxConns, writeTimeout and frameTimeout are the listener's
+	// limits, the package constants unless a test lowers them before
+	// serve.
 	maxConns     int
 	writeTimeout time.Duration
+	frameTimeout time.Duration
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup // accept loop + one per live connection
+	// staging is held by the one connection staging a RESTORE.
+	staging atomic.Bool
+	// closed is set when shutdown begins. The accept loop checks it
+	// under mu, so a connection is either in conns when shutdown walks
+	// them or never served.
+	closed atomic.Bool
+
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup // accept loop + one per live connection
 }
 
 // newTCPServer wraps an already-bound listener.
 func newTCPServer(ln net.Listener, b proto.Backend, stderr io.Writer) *tcpServer {
-	return &tcpServer{ln: ln, b: b, stderr: stderr, maxConns: maxConns, writeTimeout: writeTimeout,
+	return &tcpServer{ln: ln, b: b, stderr: stderr,
+		maxConns: maxConns, writeTimeout: writeTimeout, frameTimeout: frameTimeout,
 		conns: map[net.Conn]struct{}{}}
 }
 
@@ -61,16 +76,13 @@ func (s *tcpServer) serve() error {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed || errors.Is(err, net.ErrClosed) {
+			if s.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return nil
@@ -98,7 +110,7 @@ func (s *tcpServer) serve() error {
 					fmt.Fprintf(s.stderr, "rwpserve: tcp %s: panic: %v\n", conn.RemoteAddr(), p)
 				}
 			}()
-			err := proto.ServeConn(deadlineConn{conn, s.writeTimeout}, s.b)
+			err := proto.ServeConn(&servedConn{Conn: conn, s: s, frame: -1}, s.b)
 			if err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
 				// Protocol violations and transport failures are peer
 				// problems, not server state: log and move on.
@@ -118,22 +130,72 @@ func (s *tcpServer) refuse(conn net.Conn) {
 	conn.Close()
 }
 
-// deadlineConn gives every write to a served connection its own
-// deadline, d from the write's start. A peer that stops reading fills
-// the socket buffers, the flush blocked behind them fails with
-// os.ErrDeadlineExceeded, and ServeConn returns.
-type deadlineConn struct {
+// servedConn is a connection as ServeConn sees it: the listener's
+// deadlines and its RESTORE staging limit. Every write gets its own
+// deadline, writeTimeout from the write's start: a peer that stops
+// reading fills the socket buffers, the flush blocked behind them fails
+// with os.ErrDeadlineExceeded, and ServeConn returns. A frame gets a
+// read deadline, frameTimeout from the first read that finds it partly
+// buffered (proto.MidFrameReader), lifted at the next read at a frame
+// boundary: a peer stalled inside a frame fails the same way.
+type servedConn struct {
 	net.Conn
-	d time.Duration
+	s     *tcpServer
+	frame int64 // the frame the read deadline is set for; -1 for none
 }
 
 // Write implements io.Writer.
-func (c deadlineConn) Write(b []byte) (int, error) {
-	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.d)); err != nil {
+func (c *servedConn) Write(b []byte) (int, error) {
+	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.s.writeTimeout)); err != nil {
 		return 0, err
 	}
 	return c.Conn.Write(b)
 }
+
+// Read is a read at a frame boundary: it lifts the last frame's
+// deadline.
+func (c *servedConn) Read(b []byte) (int, error) {
+	if c.frame >= 0 {
+		c.frame = -1
+		if err := c.setReadDeadline(time.Time{}); err != nil {
+			return 0, err
+		}
+	}
+	return c.Conn.Read(b)
+}
+
+// ReadMidFrame implements proto.MidFrameReader: the first read of each
+// frame in progress sets its deadline.
+func (c *servedConn) ReadMidFrame(b []byte, frame int64) (int, error) {
+	if frame != c.frame {
+		c.frame = frame
+		if err := c.setReadDeadline(time.Now().Add(c.s.frameTimeout)); err != nil {
+			return 0, err
+		}
+	}
+	return c.Conn.Read(b)
+}
+
+// setReadDeadline sets t unless shutdown has begun, whose expired
+// deadline must stand. shutdown sets closed before it expires the
+// deadlines, so either it expires this one after t was set, or this
+// sees closed and expires it here.
+func (c *servedConn) setReadDeadline(t time.Time) error {
+	if err := c.Conn.SetReadDeadline(t); err != nil {
+		return err
+	}
+	if c.s.closed.Load() {
+		return c.Conn.SetReadDeadline(time.Now())
+	}
+	return nil
+}
+
+// StageRestore implements proto.RestoreStager: the server stages one
+// transfer at a time.
+func (c *servedConn) StageRestore() bool { return c.s.staging.CompareAndSwap(false, true) }
+
+// UnstageRestore implements proto.RestoreStager.
+func (c *servedConn) UnstageRestore() { c.s.staging.Store(false) }
 
 // shutdown stops accepting, expires every connection's read deadline
 // so loops blocked at a frame boundary exit (in-flight responses still
@@ -142,7 +204,7 @@ func (c deadlineConn) Write(b []byte) (int, error) {
 // which the stragglers are closed hard.
 func (s *tcpServer) shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	for conn := range s.conns {
 		conn.SetReadDeadline(time.Now())
 	}
@@ -175,9 +237,7 @@ func (s *tcpServer) shutdown(ctx context.Context) error {
 // and connections immediately (test teardown, nothing to drain
 // gracefully).
 func (s *tcpServer) shutdownNow() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.closed.Store(true)
 	s.ln.Close()
 	s.mu.Lock()
 	for conn := range s.conns {

@@ -28,12 +28,14 @@ type NodeConn interface {
 	QueueMPut(kvs []proto.KV) error
 	Depth() int
 	// Flush returns the replies to the queued requests in order, as
-	// proto.Client.Flush does: the slice, and the Gets and Inserts in
-	// it, are the conn's scratch, valid until its next call; every Value
-	// and Data byte is the caller's for good. An MGET reply holds one
-	// GetResult per key and an MPUT reply one flag per pair — a Flush
-	// that cannot deliver that fails instead — so the router indexes
-	// them without counting again.
+	// proto.Client.Flush does: the slice, the Gets and Inserts in it and
+	// every Value are the conn's scratch, valid until its next Queue* or
+	// Flush call. The range operations leave them intact, which lets
+	// the router apply replica commands between gathering an MGet's
+	// values and returning them. An MGET reply holds one GetResult per
+	// key and an MPUT reply one flag per pair — a Flush that cannot
+	// deliver that fails instead — so the router indexes them without
+	// counting again.
 	Flush() ([]proto.Reply, error)
 	Stats() ([]byte, error)
 	Close() error
@@ -426,7 +428,8 @@ func (c *Client) Replay(ops []loadgen.Op) error {
 	return c.flushAll()
 }
 
-// Get routes one read synchronously.
+// Get routes one read synchronously. The value is the router's
+// scratch, valid until the next call on the router (see MGet).
 func (c *Client) Get(key string) (proto.GetResult, error) {
 	if err := c.flushAll(); err != nil {
 		return proto.GetResult{}, err
@@ -469,9 +472,11 @@ func (c *Client) Put(key string, val []byte) (bool, error) {
 
 // MGet fans a batch read across the cluster in one frame per involved
 // node and merges the per-node replies back into request order. The
-// result slice is the router's scratch, valid until the next call on
-// the router; the values in it are the caller's (NodeConn.Flush). Over
-// proto.Client nodes a call allocates only the value chunks (pinned by
+// result slice and the values in it are the router's scratch, valid
+// until the next call on the router: the values live in the nodes'
+// reply scratch (NodeConn.Flush), which the window boundary's range
+// operations leave intact. In the steady state a call allocates
+// nothing, over proto.Client nodes or direct ones (pinned by
 // TestRouterMGetAllocs).
 //
 //rwplint:hotpath — one call per routed batch read
@@ -491,7 +496,8 @@ func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 		c.accountRead(s, n)
 	}
 	// Every slot is written below; the clear is for the slots past this
-	// batch, whose stale results would keep their value chunks reachable.
+	// batch, whose stale results would keep a value buffer that a node
+	// has given back reachable.
 	clear(c.gets)
 	if cap(c.gets) < len(keys) {
 		//rwplint:allow hotalloc — scratch growth: to the largest batch, then reused

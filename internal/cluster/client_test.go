@@ -297,44 +297,114 @@ func TestBatchFanout(t *testing.T) {
 	}
 }
 
-// TestRouterMGetAllocs pins the routed batch read's allocation budget:
-// a 64-key MGet of resident 64-byte values through two pipe nodes costs
-// at most 1 allocation per call, amortized — the value chunks the
-// nodes' clients copy the 4 KiB of values into. The router's merged
-// result, the clients' replies and the servers' responses are scratch.
-// AllocsPerRun counts the server goroutines too.
+// TestRouterMGetAllocs pins the routed batch read at no allocation: a
+// 64-key MGet of resident 64-byte values through two nodes, in both
+// modes. The router's merged result, the nodes' replies and values and,
+// over Pipe, the servers' responses are all scratch. AllocsPerRun
+// counts the server goroutines too.
 func TestRouterMGetAllocs(t *testing.T) {
-	h, err := NewHarness(HarnessConfig{Nodes: 2, RingShards: 16, Cache: testCacheConfig(), Mode: Pipe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	cl := h.Client()
-	kvs := make([]proto.KV, 64)
-	keys := make([]string, len(kvs))
-	for i := range kvs {
-		keys[i] = loadgen.HotKey(i)
-		kvs[i] = proto.KV{Key: keys[i], Value: loadgen.Value(keys[i], 64)}
-	}
-	if _, err := cl.MPut(kvs); err != nil {
-		t.Fatal(err)
-	}
-	mget := func() {
-		got, err := cl.MGet(keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, g := range got {
-			if g.Status != proto.StatusHit || !bytes.Equal(g.Value, kvs[i].Value) {
-				t.Fatalf("MGet %d (%s): status %v, value %q, want a hit on its own value", i, keys[i], g.Status, g.Value)
+	for _, mode := range []Mode{Pipe, Direct} {
+		t.Run(string(mode), func(t *testing.T) {
+			h, err := NewHarness(HarnessConfig{Nodes: 2, RingShards: 16, Cache: testCacheConfig(), Mode: mode})
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer h.Close()
+			cl := h.Client()
+			kvs := make([]proto.KV, 64)
+			keys := make([]string, len(kvs))
+			for i := range kvs {
+				keys[i] = loadgen.HotKey(i)
+				kvs[i] = proto.KV{Key: keys[i], Value: loadgen.Value(keys[i], 64)}
+			}
+			if _, err := cl.MPut(kvs); err != nil {
+				t.Fatal(err)
+			}
+			mget := func() {
+				got, err := cl.MGet(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, g := range got {
+					if g.Status != proto.StatusHit || !bytes.Equal(g.Value, kvs[i].Value) {
+						t.Fatalf("MGet %d (%s): status %v, value %q, want a hit on its own value", i, keys[i], g.Status, g.Value)
+					}
+				}
+			}
+			for i := 0; i < 200; i++ { // grow every scratch, cross window boundaries
+				mget()
+			}
+			//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
+			if allocs := testing.AllocsPerRun(200, mget); allocs != 0 {
+				t.Errorf("64-key MGet allocates %.0f objects per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestRouterValuesSurviveWindowBoundary: a window that closes inside an
+// MGet applies its AddReplica — a SNAP→RESTORE catch-up, or the RESET
+// fallback — after the MGet has gathered its values from the nodes'
+// reply scratch and before it returns them. The range operations must
+// leave those values intact, in both modes.
+func TestRouterValuesSurviveWindowBoundary(t *testing.T) {
+	const window = 64
+	for _, mode := range []Mode{Direct, Pipe} {
+		for _, cold := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/nocatchup=%v", mode, cold), func(t *testing.T) {
+				mgr, err := NewManager(ManagerConfig{Window: window, HotReads: window / 2, ColdReads: 0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := NewHarness(HarnessConfig{
+					Nodes: 2, RingShards: 16, Cache: testCacheConfig(),
+					Mode: mode, Manager: mgr, NoCatchup: cold,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer h.Close()
+				cl := h.Client()
+				// hot is one window of keys on one shard: every MGet of it
+				// closes a window inside the call, and the shard is hot in
+				// it. other is one window of keys the other node serves:
+				// in the same MGet they put values in the scratch of the
+				// node the replica add syncs. On their own they cool the
+				// hot shard, which drops its replica, so the next hot MGet
+				// adds one again.
+				ring := h.Ring()
+				shard := ring.KeyShard(loadgen.HotKey(0))
+				var hot, other []string
+				for i := 0; len(hot) < window || len(other) < window; i++ {
+					switch key := loadgen.HotKey(i); {
+					case ring.KeyShard(key) == shard:
+						hot = append(hot, key)
+					case ring.Primary(ring.KeyShard(key)) != ring.Primary(shard):
+						other = append(other, key)
+					}
+				}
+				hot, other = hot[:window], other[:window]
+				const rounds = 8
+				for r := 0; r < rounds; r++ {
+					for _, keys := range [][]string{append(hot, other...), other} {
+						got, err := cl.MGet(keys)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, g := range got {
+							if want := loadgen.Value(keys[i], 32); !bytes.Equal(g.Value, want) {
+								t.Fatalf("round %d: MGet %d (%s) = %v %x, want %x", r, i, keys[i], g.Status, g.Value, want)
+							}
+						}
+					}
+				}
+				snaps, resets := cl.CatchupCounts()
+				if adds := snaps + resets; adds < rounds || (cold && snaps != 0) || (!cold && resets != 0) {
+					t.Fatalf("%d replica adds (%d catch-ups, %d resets), want >= %d, all by %s",
+						adds, snaps, resets, rounds, map[bool]string{false: "catch-up", true: "reset"}[cold])
+				}
+			})
 		}
-	}
-	for i := 0; i < 200; i++ { // grow every scratch, cross window boundaries
-		mget()
-	}
-	if allocs := testing.AllocsPerRun(200, mget); allocs > 1 {
-		t.Errorf("64-key MGet allocates %.0f objects per call, want <= 1", allocs)
 	}
 }
 

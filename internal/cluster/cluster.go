@@ -201,13 +201,16 @@ func (h *Cluster) StatsJSON() ([]byte, error) {
 // at flush time are indistinguishable — which is exactly why direct
 // and pipe runs produce identical merged stats.
 //
-// Its replies, and the Gets and Inserts in them, are built in scratch
-// that the next batch overwrites — the NodeConn.Flush lifetime rule.
+// Its replies, the Gets and Inserts in them and their values are built
+// in scratch that the next batch overwrites — the NodeConn.Flush
+// lifetime rule.
 type directConn struct {
 	cache   *live.Cache
 	replies []proto.Reply
 	gets    []proto.GetResult // backing of the queued MGET replies
 	ins     []bool            // backing of the queued MPUT replies
+	vals    []byte            // backing of the queued GET and MGET values
+	key     []byte            // the key GetAppend borrows
 }
 
 func (d *directConn) QueueGet(key string) error {
@@ -239,13 +242,19 @@ func (d *directConn) QueueMPut(kvs []proto.KV) error {
 	return nil
 }
 
-// get mirrors the server's (proto.ServeConn) status mapping exactly.
+// get serves one key as the server does (proto.ServeConn): through
+// GetAppend, with the same status mapping. The value is appended to the
+// conn's value scratch, its capacity ending where its bytes do.
 func (d *directConn) get(key string) proto.GetResult {
-	val, hit := d.cache.Get(key)
+	d.key = append(d.key[:0], key...)
+	n := len(d.vals)
+	var hit, found bool
+	d.vals, hit, found = d.cache.GetAppend(d.vals, d.key)
+	val := d.vals[n:len(d.vals):len(d.vals)]
 	switch {
 	case hit:
 		return proto.GetResult{Status: proto.StatusHit, Value: val}
-	case val != nil:
+	case found:
 		return proto.GetResult{Status: proto.StatusFill, Value: val}
 	default:
 		return proto.GetResult{Status: proto.StatusMiss}
@@ -257,11 +266,11 @@ func (d *directConn) Depth() int { return len(d.replies) }
 func (d *directConn) Flush() ([]proto.Reply, error) {
 	r := d.replies
 	// The next batch overwrites this one from the start; clear what an
-	// earlier, longer batch left past its end, so no value stays
-	// reachable through the scratch once the caller drops it.
+	// earlier, longer batch left past its end, so no value buffer the
+	// scratch has outgrown stays reachable through it.
 	clear(d.replies[len(d.replies):cap(d.replies)])
 	clear(d.gets[len(d.gets):cap(d.gets)])
-	d.replies, d.gets, d.ins = d.replies[:0], d.gets[:0], d.ins[:0]
+	d.replies, d.gets, d.ins, d.vals = d.replies[:0], d.gets[:0], d.ins[:0], d.vals[:0]
 	return r, nil
 }
 

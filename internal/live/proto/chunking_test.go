@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 	"testing/iotest"
 
@@ -163,6 +164,65 @@ func TestReadFrameEOFRules(t *testing.T) {
 					t.Fatalf("%s, cut at %d: frame %d decodes differently", name, cut, i)
 				}
 			}
+		}
+	}
+}
+
+// midFrameSpy is a proto.MidFrameReader that checks, at every read,
+// what the Reader says about the stream against the frame boundaries
+// it really has.
+type midFrameSpy struct {
+	t      *testing.T
+	name   string
+	r      io.Reader
+	bounds map[int64]bool // frame starts, and the stream's end
+	total  int64          // bytes delivered so far
+	mid    int            // ReadMidFrame calls
+}
+
+func (s *midFrameSpy) Read(p []byte) (int, error) {
+	if !s.bounds[s.total] {
+		s.t.Errorf("%s: Read at offset %d, inside a frame", s.name, s.total)
+	}
+	return s.deliver(p)
+}
+
+func (s *midFrameSpy) ReadMidFrame(p []byte, frame int64) (int, error) {
+	s.mid++
+	inside := s.bounds[frame] && frame < s.total
+	for b := frame + 1; inside && b <= s.total; b++ {
+		inside = !s.bounds[b]
+	}
+	if !inside {
+		s.t.Errorf("%s: ReadMidFrame at offset %d names frame %d, not the frame in progress", s.name, s.total, frame)
+	}
+	return s.deliver(p)
+}
+
+func (s *midFrameSpy) deliver(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	s.total += int64(n)
+	return n, err
+}
+
+// TestMidFrameReads: a stream that implements proto.MidFrameReader is
+// read through Read exactly at frame boundaries and through
+// ReadMidFrame inside a frame, which it names by its first byte's
+// offset, under every chunking; and what decodes is unchanged.
+func TestMidFrameReads(t *testing.T) {
+	stream, ends := chunkStream()
+	want := decodeAll(bytes.NewReader(stream))
+	bounds := map[int64]bool{0: true}
+	for _, e := range ends {
+		bounds[int64(e)] = true
+	}
+	for _, c := range chunkings() {
+		spy := &midFrameSpy{t: t, name: c.name, r: c.wrap(stream), bounds: bounds}
+		if got := decodeAll(spy); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decodes differently through ReadMidFrame", c.name)
+		}
+		if spy.mid == 0 {
+			t.Errorf("%s: no frame arrived in parts", c.name)
 		}
 	}
 }

@@ -37,14 +37,13 @@ type Client struct {
 	// payload is the request scratch every Queue* call builds into and
 	// queue frames into w before returning.
 	payload []byte
-	// replies, gets and ins are the reply scratch Flush decodes into
-	// and hands out: every Reply, and the Gets and Inserts of every
-	// MGET and MPUT reply, of one Flush.
+	// replies, gets, ins and vals are the reply scratch Flush decodes
+	// into and hands out: every Reply, the Gets and Inserts of every
+	// MGET and MPUT reply, and every GET and MGET value, of one Flush.
 	replies []Reply
 	gets    []GetResult
 	ins     []bool
-	// vals is the tail of the current value chunk (see keep).
-	vals []byte
+	vals    []byte
 }
 
 // request is one queued request: its op and, for MGET and MPUT, how
@@ -56,7 +55,7 @@ type request struct {
 
 // NewClient wraps conn.
 func NewClient(conn io.ReadWriter) *Client {
-	return &Client{conn: conn, w: writer{w: conn}, r: Reader{r: conn}}
+	return &Client{conn: conn, w: writer{w: conn}, r: newReader(conn)}
 }
 
 // Close marks the client unusable — every later call returns ErrClosed
@@ -88,14 +87,12 @@ func (c *Client) check() error {
 // Reply is one response in Flush order. Exactly the fields implied by
 // Op are meaningful.
 //
-// The containers are the client's scratch: the Gets and Inserts slices,
-// like the []Reply that holds them, are valid until the next call on
-// the client, which reuses them. Copy the Reply or GetResult values to
-// keep them longer. The bytes are the caller's: every Value and Data
-// slice is never written or reused by the client afterwards. Values are
-// copied out of the frame scratch into shared backing chunks of about
-// valueChunk bytes, so retaining one small value keeps its whole chunk
-// reachable — copy a value that must outlive its neighbours by much.
+// A reply lives in the client's scratch: the []Reply, the Gets and
+// Inserts in it and every Value are valid until the next call on the
+// client, which reuses their memory. Copy what must live longer. Only
+// Data (STATS, PING) is the caller's for good. A call whose replies
+// carry no values — SnapRange, Restore, ResetRange — leaves the last
+// values intact.
 type Reply struct {
 	Op       Op
 	Get      GetResult   // OpGet
@@ -134,15 +131,11 @@ func (c *Client) queueBuilt(req request, payload []byte, err error) error {
 	return c.queue(req, payload)
 }
 
-// valueChunk is the size of the backing buffers reply values are copied
-// into: one allocation per chunk instead of one per value.
-const valueChunk = 4 << 10
-
-// keep copies v out of the reader's frame scratch into memory the
-// caller of Flush owns. nil stays nil and a zero-length value stays
-// non-nil (the Value-nil-iff-miss rule). Small values share a chunk;
-// a chunk is never reused, and each value's capacity ends where its
-// bytes do, so appending to one cannot reach its neighbour.
+// keep copies v out of the reader's frame scratch, which the next frame
+// overwrites, into the client's value scratch, which lasts until the
+// next Flush. nil stays nil and a zero-length value stays non-nil (the
+// Value-nil-iff-miss rule). Each value's capacity ends where its bytes
+// do, so appending to one cannot reach its neighbour.
 //
 //rwplint:hotpath — once per GET reply and per MGET element
 func (c *Client) keep(v []byte) []byte {
@@ -151,14 +144,6 @@ func (c *Client) keep(v []byte) []byte {
 		return nil
 	case len(v) == 0:
 		return []byte{}
-	case len(v) >= valueChunk/4:
-		// Large enough that sharing would waste the chunk's tail.
-		//rwplint:allow hotalloc — the caller's copy of a large value is a chunk of its own
-		return append(make([]byte, 0, len(v)), v...)
-	}
-	if len(v) > cap(c.vals)-len(c.vals) {
-		//rwplint:allow hotalloc — the value chunk: one allocation per valueChunk bytes of small values
-		c.vals = make([]byte, 0, valueChunk)
 	}
 	n := len(c.vals)
 	c.vals = append(c.vals, v...)
@@ -217,11 +202,10 @@ func (c *Client) Depth() int { return len(c.pending) }
 // bytes of one Flush in the tens of KiB — split deeper pipelines across
 // multiple Flushes.
 //
-// The returned slice is the client's scratch, valid until the next call
-// on the client (the rule Reader.ReadFrame states for its payload); the
-// values in it are the caller's for good (see Reply). In the steady
-// state a Flush allocates only the value chunks (pinned by
-// TestClientFlushAllocs).
+// The returned replies, values included, are the client's scratch,
+// valid until the next call on the client (the rule Reader.ReadFrame
+// states for its payload; see Reply). In the steady state a Flush
+// allocates nothing (pinned by TestClientFlushAllocs).
 //
 //rwplint:hotpath — every pipelined burst and every synchronous call
 func (c *Client) Flush() ([]Reply, error) {
@@ -235,11 +219,13 @@ func (c *Client) Flush() ([]Reply, error) {
 		c.err = err
 		return nil, err
 	}
-	// Clear what the last Flush handed out: a stale GetResult past the
-	// new length would keep its value chunk reachable.
+	// The last Flush's replies are spent. Clear them too: a stale
+	// GetResult past the new length would keep an outsized value buffer
+	// that reuse gave back reachable.
 	clear(c.replies)
 	clear(c.gets)
 	c.replies, c.gets, c.ins = c.replies[:0], c.gets[:0], c.ins[:0]
+	c.vals = reuse(c.vals, readMin)
 	want := c.pending
 	c.pending = c.pending[:0]
 	for _, sent := range want {
@@ -310,7 +296,8 @@ func (c *Client) flushOne() (Reply, error) {
 	return replies[0], nil
 }
 
-// Get looks up one key.
+// Get looks up one key. The value is the client's scratch, valid until
+// the next call on the client (see Reply).
 func (c *Client) Get(key string) (GetResult, error) {
 	if err := c.QueueGet(key); err != nil {
 		return GetResult{}, err
@@ -329,8 +316,8 @@ func (c *Client) Put(key string, val []byte) (bool, error) {
 }
 
 // MGet looks up a batch of keys in one frame; results are in request
-// order. The slice is the client's scratch, valid until the next call
-// on the client; the values in it are the caller's (see Reply).
+// order. The slice and the values in it are the client's scratch, valid
+// until the next call on the client (see Reply).
 func (c *Client) MGet(keys []string) ([]GetResult, error) {
 	if err := c.QueueMGet(keys); err != nil {
 		return nil, err

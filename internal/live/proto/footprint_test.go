@@ -12,13 +12,16 @@ import (
 // TestConnFootprint pins the memory a connection holds between bursts.
 // After a tcp_pipe-shaped burst — 32 single-key GET and PUT frames with
 // 64-byte values in one Flush — a client and its server over net.Pipe
-// hold at most 16 KiB of buffers, both directions of both ends together
-// (with a 64 KiB bufio.Reader and bufio.Writer per end they held
-// 256 KiB before reading a byte). A 1 MiB PUT grows the client's write
-// buffer and the server's read buffer past a MiB; one more small burst
-// gives both back. The server's buffers are read after it has returned
-// on the client's close, where its last fill left them: what an idle
-// connection holds.
+// hold at most 16 KiB of buffers, both directions of both ends and the
+// client's value scratch together (with a 64 KiB bufio.Reader and
+// bufio.Writer per end they held 256 KiB before reading a byte). A
+// 1 MiB PUT grows the client's write buffer and the server's read
+// buffer past a MiB; one more small burst gives both back. A GET of the
+// 1 MiB value grows the client's value scratch past a MiB; the next
+// burst still reuses it (the values of the one before were that large),
+// and the one after gives it back. The server's buffers are read after
+// it has returned on the client's close, where its last fill left them:
+// what an idle connection holds.
 func TestConnFootprint(t *testing.T) {
 	const bound = 16 << 10
 	c, err := live.New(live.DefaultConfig())
@@ -49,7 +52,7 @@ func TestConnFootprint(t *testing.T) {
 		go func() { done <- srv.serve() }()
 		cli := NewClient(cc)
 		steps(cli)
-		client := cap(cli.r.buf) + cap(cli.w.buf)
+		client := cap(cli.r.buf) + cap(cli.w.buf) + cap(cli.vals)
 		cli.Close()
 		if err := <-done; err != nil {
 			t.Fatal(err)
@@ -71,5 +74,24 @@ func TestConnFootprint(t *testing.T) {
 	})
 	if got > bound {
 		t.Errorf("a burst after a 1 MiB PUT leaves %d bytes of buffers, want <= %d", got, bound)
+	}
+	got = footprint(func(cli *Client) {
+		if _, err := cli.Put("big", make([]byte, MaxValue)); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := cli.Get("big"); err != nil || len(res.Value) != MaxValue {
+			t.Fatalf("GET of the 1 MiB value: %d bytes, %v", len(res.Value), err)
+		}
+		if grown := cap(cli.vals); grown < MaxValue {
+			t.Fatalf("the 1 MiB value came back through a %d-byte value scratch", grown)
+		}
+		burst(cli)
+		burst(cli)
+		if kept := cap(cli.vals); kept > readMin {
+			t.Errorf("two bursts after a 1 MiB value leave a %d-byte value scratch, want <= %d", kept, readMin)
+		}
+	})
+	if got > bound {
+		t.Errorf("two bursts after a 1 MiB GET leave %d bytes of buffers, want <= %d", got, bound)
 	}
 }

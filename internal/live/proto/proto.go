@@ -202,7 +202,8 @@ func appendFrameHeader(dst []byte, op Op, n int) []byte {
 // — the rule live.Cache applies to an entry's buffer — but never below
 // its floor, readMin or flushAt: below that, keeping it saves the
 // allocations of growing it again. A connection that carried one
-// outsized frame returns to a few KiB.
+// outsized frame returns to a few KiB. A Client's reply values follow
+// the same rule over the values of one Flush, with readMin as floor.
 const (
 	readMin      = 4 << 10
 	flushAt      = 64 << 10
@@ -217,14 +218,38 @@ const (
 // past MaxPayload plus framing.
 type Reader struct {
 	r    io.Reader
-	buf  []byte // buf[off:] is read from r and not yet returned
+	mid  MidFrameReader // r, when it wants mid-frame reads told apart
+	buf  []byte         // buf[off:] is read from r and not yet returned
 	off  int
+	pos  int64  // stream offset of buf[0]
 	last [2]int // sizes of the last two frames returned, the fills' sizing hint
 	err  error  // read error met behind the buffered bytes, reported once
 }
 
+// MidFrameReader is a stream that a Reader reads through ReadMidFrame
+// whenever part of a frame is already buffered, and through Read only
+// at a frame boundary. frame names the frame being completed by its
+// first byte's offset in the stream, so the stream can tell one frame
+// that is slow to arrive from a run of frames that each arrive in
+// parts. rwpserve bounds the time a peer may take to finish a frame
+// this way, and never times out a peer idle between frames. The
+// interface carries no clock.
+type MidFrameReader interface {
+	io.Reader
+	ReadMidFrame(p []byte, frame int64) (int, error)
+}
+
 // NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader {
+	rd := newReader(r)
+	return &rd
+}
+
+// newReader is NewReader for a Reader held by value.
+func newReader(r io.Reader) Reader {
+	mid, _ := r.(MidFrameReader)
+	return Reader{r: r, mid: mid}
+}
 
 // frameSize parses the frame header at the front of b and returns the
 // whole frame's size (header, payload and CRC) and the payload's offset
@@ -315,13 +340,16 @@ func (r *Reader) ReadFrame() (Op, []byte, error) {
 // is more than retainFactor times the largest of the frame in progress
 // and the last two. So a run of large frames (a chunked transfer), or
 // large frames alternating with small ones, keep one buffer, and two
-// small frames in a row give a large buffer back.
+// small frames in a row give a large buffer back. With part of a frame
+// buffered, the read goes through the stream's ReadMidFrame when it has
+// one (see MidFrameReader).
 func (r *Reader) fill(size int) error {
 	if err := r.err; err != nil {
 		r.err = nil
 		return err
 	}
 	rest := r.buf[r.off:]
+	r.pos += int64(r.off) // rest moves to the front of the buffer
 	if need := max(size, r.last[0], r.last[1]); cap(r.buf) < max(size, readMin) || cap(r.buf) > max(retainFactor*need, readMin) {
 		//rwplint:allow hotalloc — the connection's one read buffer, replaced only when it cannot be reused
 		buf := make([]byte, len(rest), max(need, readMin))
@@ -334,7 +362,13 @@ func (r *Reader) fill(size int) error {
 	// Like bufio: a reader that keeps returning nothing is an error,
 	// not a reason to spin.
 	for range 100 {
-		n, err := r.r.Read(r.buf[len(r.buf):cap(r.buf)])
+		var n int
+		var err error
+		if p := r.buf[len(r.buf):cap(r.buf)]; len(rest) > 0 && r.mid != nil {
+			n, err = r.mid.ReadMidFrame(p, r.pos)
+		} else {
+			n, err = r.r.Read(p)
+		}
 		r.buf = r.buf[:len(r.buf)+n]
 		if n > 0 {
 			r.err = err
@@ -362,12 +396,18 @@ func (w *writer) flush() error {
 		return nil
 	}
 	_, err := w.w.Write(w.buf)
-	if cap(w.buf) > max(retainFactor*len(w.buf), flushAt) {
-		w.buf = nil
-	} else {
-		w.buf = w.buf[:0]
-	}
+	w.buf = reuse(w.buf, flushAt)
 	return err
+}
+
+// reuse empties a buffer whose contents are spent, for the next use: b
+// itself, or nil when it is more than retainFactor times its last use
+// (len(b)) and past floor, so one outsized use does not pin its size.
+func reuse(b []byte, floor int) []byte {
+	if cap(b) > max(retainFactor*len(b), floor) {
+		return nil
+	}
+	return b[:0]
 }
 
 // spill flushes a burst that has reached flushAt.

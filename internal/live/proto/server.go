@@ -83,6 +83,23 @@ func (a stringBackend) PutBytes(key, val []byte) bool { return a.Put(string(key)
 // errMGetTooLarge refuses an MGET whose response outgrew a frame.
 var errMGetTooLarge = wireErrf(ErrTooLarge, "mget response exceeds max payload %d", MaxPayload)
 
+// RestoreStager is a connection that ServeConn asks before it stages a
+// RESTORE transfer: rwpserve admits one staged transfer per server, so
+// a crowd of peers cannot each make it hold up to MaxSnapshot bytes.
+// StageRestore is called at a transfer's first chunk; on false the
+// transfer's chunks are read and dropped and its reply is a refusal,
+// which leaves the connection usable. Every true is matched by one
+// UnstageRestore once the transfer is applied or refused, or the
+// connection ends.
+type RestoreStager interface {
+	StageRestore() bool
+	UnstageRestore()
+}
+
+// refusedRestore is the refusal a transfer the stager did not admit
+// gets.
+const refusedRestore = "another RESTORE is being staged on this server"
+
 // connServer is one connection's serving state: the backend, the
 // connection's two buffers, and the scratch every request reuses, so a
 // request that fits them allocates nothing.
@@ -94,6 +111,14 @@ type connServer struct {
 	w       writer
 	val     []byte // the value GetAppend just produced
 	payload []byte // the response payload being built
+
+	// The RESTORE transfer in progress, if any: its bytes so far, and
+	// whether its chunks are staged in restoreBuf or dropped.
+	stager     RestoreStager // conn, when it limits staging
+	restoring  bool
+	staged     bool
+	restoreLen int
+	restoreBuf []byte
 }
 
 // get serves one key, appending its outcome element (status, then the
@@ -181,8 +206,9 @@ func ServeConn(conn io.ReadWriter, b Backend) error {
 
 // newConnServer sets up one connection's serving state.
 func newConnServer(conn io.ReadWriter, b Backend) *connServer {
-	s := &connServer{stats: b, r: Reader{r: conn}, w: writer{w: conn}}
+	s := &connServer{stats: b, r: newReader(conn), w: writer{w: conn}}
 	s.rb, _ = b.(RangeBackend)
+	s.stager, _ = conn.(RestoreStager)
 	if bb, ok := b.(ByteBackend); ok {
 		s.b = bb
 	} else {
@@ -193,7 +219,7 @@ func newConnServer(conn io.ReadWriter, b Backend) *connServer {
 
 // serve is ServeConn's loop.
 func (s *connServer) serve() error {
-	var restoreBuf []byte // RESTORE chunks accumulated so far
+	defer s.endRestore()
 	for {
 		// Flush before a read that would block: everything the peer
 		// pipelined has been answered.
@@ -284,16 +310,25 @@ func (s *connServer) serve() error {
 				}
 				return s.refuse(perr)
 			}
-			if len(restoreBuf)+len(chunk) > MaxSnapshot {
+			if !s.restoring {
+				s.restoring = true
+				s.staged = s.stager == nil || s.stager.StageRestore()
+			}
+			if s.restoreLen += len(chunk); s.restoreLen > MaxSnapshot {
 				return s.refuse(wireErrf(ErrTooLarge, "restore exceeds max snapshot %d", MaxSnapshot))
 			}
-			restoreBuf = append(restoreBuf, chunk...)
+			if s.staged {
+				s.restoreBuf = append(s.restoreBuf, chunk...)
+			}
 			if flag == ChunkMore {
 				continue // reply comes after the last chunk
 			}
-			data := restoreBuf
-			restoreBuf = nil
-			s.payload = appendRestoreOutcome(s.payload, s.rb, data)
+			if s.staged {
+				s.payload = appendRestoreOutcome(s.payload, s.rb, s.restoreBuf)
+			} else {
+				s.payload = AppendRestoreResp(s.payload, 0, refusedRestore)
+			}
+			s.endRestore()
 		default: // OpErr from a peer is itself a protocol violation
 			return s.refuse(wireErrf(ErrOp, "unexpected %v request", op))
 		}
@@ -326,6 +361,15 @@ func (s *connServer) writeSnapFrames(lo, hi int) error {
 		return writeChunkFrame(&s.w, OpSnap, ChunkErr, []byte(refusal))
 	}
 	return writeChunks(&s.w, OpSnap, data)
+}
+
+// endRestore forgets the RESTORE transfer in progress, giving its
+// staging back to the stager.
+func (s *connServer) endRestore() {
+	if s.staged && s.stager != nil {
+		s.stager.UnstageRestore()
+	}
+	s.restoring, s.staged, s.restoreLen, s.restoreBuf = false, false, 0, nil
 }
 
 // appendRestoreOutcome applies a fully reassembled RESTORE transfer and

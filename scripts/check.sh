@@ -74,9 +74,10 @@ else
     # concurrency: the live cache's multi-goroutine stress test, the
     # binary-protocol server under concurrent pipelined clients, and
     # the server's listener limits (the connection cap, the write
-    # deadline that drops a peer that stops reading).
-    echo '>> go test -race -short -run Stress|ConnectionCap|WriteDeadline ./internal/live/... ./cmd/rwpserve'
-    go test -race -short -run 'Stress|ConnectionCap|WriteDeadline' ./internal/live/... ./cmd/rwpserve
+    # deadline that drops a peer that stops reading, the frame deadline
+    # that drops a peer stalled inside a frame, one staged RESTORE).
+    echo '>> go test -race -short -run Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore ./internal/live/... ./cmd/rwpserve'
+    go test -race -short -run 'Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore' ./internal/live/... ./cmd/rwpserve
     # ... and the simulator, whose every run hands its access stream
     # between two goroutines (the read-ahead stage in internal/trace).
     echo '>> go test -race -short ./internal/sim/ ./internal/trace/'
@@ -96,14 +97,17 @@ else
     echo '>> go test -run EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock ./internal/live/'
     go test -run 'EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock' ./internal/live/
     # Allocation pins of the wire reply path: the client's and the
-    # router's reply scratch, chunked SNAP/RESTORE transfers, a TCP get
-    # hit end to end, and the clears that keep stale replies from
-    # pinning value chunks. With them, the wire's memory and framing
-    # pins: a connection's buffers after a burst (Footprint), and frames
-    # decoding the same however the bytes are split (Chunking, EOFRules).
-    # Named here for the same reason.
-    echo '>> go test -run Allocs|ClearsStale|CallerOwned|Footprint|Chunking|EOFRules ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/'
-    go test -run 'Allocs|ClearsStale|CallerOwned|Footprint|Chunking|EOFRules' ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/
+    # router's reply scratch, values included (0 per burst, 0 per MGet),
+    # chunked SNAP/RESTORE transfers, a TCP get hit end to end, and the
+    # clears that keep stale replies from pinning a given-back value
+    # buffer. With them, the reply lifetime (Scratch: values reused by
+    # the next Flush; SurviveWindow: a window boundary's range ops leave
+    # an MGet's values intact), and the wire's memory and framing pins: a
+    # connection's buffers and value scratch after a burst (Footprint),
+    # and frames decoding the same however the bytes are split
+    # (Chunking, EOFRules, MidFrame). Named here for the same reason.
+    echo '>> go test -run Allocs|ClearsStale|Scratch|SurviveWindow|Footprint|Chunking|EOFRules|MidFrame ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/'
+    go test -run 'Allocs|ClearsStale|Scratch|SurviveWindow|Footprint|Chunking|EOFRules|MidFrame' ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/
     # The simulator's set kernels work a word at a time: the recency
     # table against its byte-loop reference at 1-256 ways, and Lookup's
     # fingerprint scan against the reference cache, fingerprint
