@@ -3,11 +3,11 @@
 // client fanning pipelined binary-protocol batches, and optionally the
 // deterministic shard-manager replication loop.
 //
-//	rwpcluster -selftest 20000                 3 in-process nodes, run a
-//	                                           seeded loadgen burst, print
-//	                                           the merged /stats JSON, exit
-//	rwpcluster -selftest 20000 -mode pipe      same, through real pipelined
-//	                                           binary connections (net.Pipe)
+//	rwpcluster -selftest 20000                 3 in-process nodes (each a
+//	                                           proto.ServeConn over a
+//	                                           net.Pipe), run a seeded
+//	                                           loadgen burst, print the
+//	                                           merged /stats JSON, exit
 //	rwpcluster -selftest 20000 -manager        replication control loop on
 //	rwpcluster -in reqs.jsonl                  replay an rwpserve -record
 //	                                           journal instead: the merged
@@ -22,8 +22,8 @@
 //
 // Both legs are one run: build a router over the nodes (in-process
 // caches or dialed connections, the same cluster.NodeConn either way),
-// replay, finish, print; -windows-out and -in work on both. -nodes and
-// -mode are about the in-process caches and are refused with -connect.
+// replay, finish, print; -windows-out and -in work on both. -nodes is
+// about the in-process caches and is refused with -connect.
 // The cache geometry and the op source (-selftest -profile -seed -in)
 // are the flag group rwpserve registers too (drive.Flags), so -profile
 // takes everything rwpserve's does, adv:* included.
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	resolve := drive.Flags(fs)
 	nodes := fs.Int("nodes", 3, "in-process node count")
 	ringShards := fs.Int("ring-shards", 64, "ring shards (must divide -sets into ranges of whole 8-set policy groups)")
-	mode := fs.String("mode", "direct", "in-process node transport: direct or pipe")
 	pipeline := fs.Int("pipeline", 0, "router flush depth in ops (0: default)")
 	manager := fs.Bool("manager", false, "enable the shard-manager replication loop")
 	window := fs.Int("window", 4096, "window width in routed ops: load sampling, and the manager's decision cadence")
@@ -84,15 +83,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var addrs []string
 	if *connect != "" {
-		var clash error
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "nodes", "mode":
-				clash = fmt.Errorf("-%s needs in-process nodes (drop -connect)", f.Name)
-			}
-		})
-		if clash != nil {
-			return fail(2, clash)
+		nodesSet := false
+		fs.Visit(func(f *flag.Flag) { nodesSet = nodesSet || f.Name == "nodes" })
+		if nodesSet {
+			return fail(2, fmt.Errorf("-nodes needs in-process nodes (drop -connect)"))
 		}
 		// One trimmed list names the ring's nodes, the dialed addresses
 		// and the output headers alike.
@@ -167,7 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Nodes:      *nodes,
 			RingShards: *ringShards,
 			Cache:      r.Config,
-			Mode:       cluster.Mode(*mode),
 			Manager:    mgr,
 			Window:     *window,
 			Log:        runLog,

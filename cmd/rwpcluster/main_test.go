@@ -36,9 +36,9 @@ func baseArgs(extra ...string) []string {
 }
 
 // TestSelftestDeterministic pins the cluster acceptance criterion: the
-// merged stats JSON is byte-identical across reruns, transports, ring
-// shard counts, and node counts — the ring only moves whole set ranges
-// between nodes, it never changes what any set observes.
+// merged stats JSON is byte-identical across reruns, pipeline depths,
+// ring shard counts, and node counts — the ring only moves whole set
+// ranges between nodes, it never changes what any set observes.
 func TestSelftestDeterministic(t *testing.T) {
 	base := clusterOut(t, baseArgs()...)
 	if !strings.Contains(base, "\"Retargets\"") || strings.Contains(base, "\"Retargets\": 0,") {
@@ -46,11 +46,10 @@ func TestSelftestDeterministic(t *testing.T) {
 	}
 	for _, extra := range [][]string{
 		{},
-		{"-mode", "pipe"},
-		{"-mode", "pipe", "-pipeline", "7"},
+		{"-pipeline", "7"},
 		{"-ring-shards", "32"},
 		{"-nodes", "1"},
-		{"-nodes", "5", "-mode", "pipe"},
+		{"-nodes", "5"},
 	} {
 		if got := clusterOut(t, baseArgs(extra...)...); got != base {
 			t.Errorf("selftest output differs for %v:\n%s\nvs base:\n%s", extra, got, base)
@@ -92,11 +91,11 @@ func TestSelftestMatchesSingleNode(t *testing.T) {
 }
 
 // TestWindowsOutJournal: -windows-out produces a parseable shard-window
-// journal that is byte-identical across reruns and across node
-// transports, and — the journal being streamed as windows close, a
-// function of the ops routed so far and nothing later — the journal of
-// a run is, through its last whole window, a byte prefix of the journal
-// of a ten times longer run of the same stream.
+// journal that is byte-identical across reruns, and — the journal being
+// streamed as windows close, a function of the ops routed so far and
+// nothing later — the journal of a run is, through its last whole
+// window, a byte prefix of the journal of a ten times longer run of the
+// same stream.
 func TestWindowsOutJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal := func(name string, args ...string) []byte {
@@ -121,9 +120,6 @@ func TestWindowsOutJournal(t *testing.T) {
 	}
 	if second := journal("windows2.jsonl", baseArgs(managed...)...); !bytes.Equal(first, second) {
 		t.Error("windows journal differs across reruns")
-	}
-	if piped := journal("windows-pipe.jsonl", baseArgs(append(managed, "-mode", "pipe")...)...); !bytes.Equal(first, piped) {
-		t.Error("windows journal differs between -mode direct and -mode pipe")
 	}
 
 	// 8000 ops are 15 whole 512-op windows and a tail: the header and the
@@ -169,8 +165,8 @@ func TestWindowsOutUnwritable(t *testing.T) {
 		t.Errorf("unwritable -windows-out: stdout %q, stderr %q; want no document and the path named", out.String(), errbuf.String())
 	}
 	stray := filepath.Join(dir, "stray.jsonl")
-	if code := run(baseArgs("-mode", "telegraph", "-windows-out", stray), &out, &errbuf); code != 2 {
-		t.Fatalf("bad -mode: run = %d, want 2", code)
+	if code := run(baseArgs("-ring-shards", "3", "-windows-out", stray), &out, &errbuf); code != 2 {
+		t.Fatalf("-ring-shards 3 with -sets 256: run = %d, want 2", code)
 	}
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
 		t.Errorf("a refused run left %s behind (stat err: %v)", stray, err)
@@ -289,7 +285,7 @@ func TestConnectManaged(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"cold", "connect", "hot", "in", "interval", "manager",
-		"mode", "no-loader", "nodes", "pipeline", "policy", "profile",
+		"no-loader", "nodes", "pipeline", "policy", "profile",
 		"ring-shards", "seed", "selftest", "sets", "shards", "value-size",
 		"ways", "window", "windows-out",
 	}
@@ -319,7 +315,6 @@ func TestBadArgs(t *testing.T) {
 		{"bad flag", []string{"-nope"}, 2},
 		{"positional args", []string{"-selftest", "10", "extra"}, 2},
 		{"nothing to do", []string{}, 2},
-		{"bad mode", []string{"-selftest", "10", "-mode", "telegraph"}, 2},
 		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2},
 		{"ring shards do not divide sets", []string{"-selftest", "10", "-ring-shards", "3"}, 2},
 		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2},
@@ -330,8 +325,8 @@ func TestBadArgs(t *testing.T) {
 		{"deleted -hot-p99", []string{"-selftest", "10", "-manager", "-hot-p99", "4"}, 2},
 		{"deleted -max-replicas", []string{"-selftest", "10", "-manager", "-max-replicas", "2"}, 2},
 		{"deleted -journal-dir", []string{"-selftest", "10", "-journal-dir", "jd"}, 2},
+		{"deleted -mode", []string{"-selftest", "10", "-mode", "pipe"}, 2},
 		{"-connect with -nodes", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-nodes", "2"}, 2},
-		{"-connect with -mode", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-mode", "pipe"}, 2},
 		{"-connect trailing comma", []string{"-selftest", "10", "-connect", "127.0.0.1:1,"}, 2},
 		{"-connect blank entry", []string{"-selftest", "10", "-connect", "127.0.0.1:1, ,127.0.0.1:2"}, 2},
 		{"-connect blank", []string{"-selftest", "10", "-connect", " "}, 2},
@@ -389,8 +384,8 @@ func recordJournal(t *testing.T) (journal string, stats []byte) {
 }
 
 // TestReplayEquivalence: a recorded journal replayed under -in through
-// an in-process cluster, direct or over pipelined pipes, merges to the
-// recorded single-cache run's stats document byte for byte.
+// an in-process cluster, at two node counts, merges to the recorded
+// single-cache run's stats document byte for byte.
 func TestReplayEquivalence(t *testing.T) {
 	journal, want := recordJournal(t)
 	geometry := []string{"-in", journal, "-sets", "128", "-ways", "4", "-shards", "4",
@@ -399,8 +394,8 @@ func TestReplayEquivalence(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"cluster", []string{"-nodes", "3"}},
-		{"cluster-pipe", []string{"-nodes", "2", "-mode", "pipe"}},
+		{"3 nodes", []string{"-nodes", "3"}},
+		{"2 nodes", []string{"-nodes", "2"}},
 	} {
 		if got := clusterOut(t, append(geometry, tc.args...)...); got != string(want) {
 			t.Errorf("%s: replayed stats differ from the recorded run:\n%s\nvs\n%s", tc.name, got, want)

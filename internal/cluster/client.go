@@ -11,15 +11,15 @@ import (
 
 // NodeConn is everything the router asks of one node: the pipelined
 // data path plus the three range operations replica adds need. It is a
-// subset of proto.Client, which satisfies it directly. directConn
-// (cluster.go) satisfies it too, executing synchronously against an
-// in-process cache — the differential tests run both and demand
-// identical merged stats, which is the transport-equivalence contract
-// extended to the cluster layer.
+// subset of proto.Client, which satisfies it directly; every node the
+// router talks to, in-process (NewHarness) or over TCP, is one. The
+// merged document of an in-process cluster equals a single rwpserve
+// node's over the same stream, which is the transport-equivalence
+// contract extended to the cluster layer.
 //
 // A Queue* call must be done with its arguments when it returns (encode
-// or execute them, never keep the slice): the router reuses its batch
-// slices from call to call. The range operations are only called with
+// them, never keep the slice): the router reuses its batch slices from
+// call to call. The range operations are only called with
 // the pipeline empty (Depth() == 0).
 type NodeConn interface {
 	QueueGet(key string) error
@@ -56,10 +56,7 @@ type NodeConn interface {
 	Restore(data []byte) (int, error)
 }
 
-var (
-	_ NodeConn = (*proto.Client)(nil)
-	_ NodeConn = (*directConn)(nil)
-)
+var _ NodeConn = (*proto.Client)(nil)
 
 // ClientConfig wires a router.
 type ClientConfig struct {
@@ -238,10 +235,10 @@ func (c *Client) tick() {
 // boundary closes the window once the op clock crosses it. The
 // boundary must not tear a pipelined burst: every queued op belongs to
 // the closing window, so the wire is drained before the replica sets
-// move. This is what keeps direct and pipe modes bit-identical — both
-// apply all window-W ops before any window-W replica command. A batch
-// op that overshoots the boundary lands whole in the closing window
-// (batches are atomic with respect to windows).
+// move. This is what makes a run independent of the pipeline depth —
+// every node applies all window-W ops before any window-W replica
+// command. A batch op that overshoots the boundary lands whole in the
+// closing window (batches are atomic with respect to windows).
 func (c *Client) boundary() error {
 	if c.opsInWin < c.windowOps {
 		return nil
@@ -476,8 +473,7 @@ func (c *Client) Put(key string, val []byte) (bool, error) {
 // until the next call on the router: the values live in the nodes'
 // reply scratch (NodeConn.Flush), which the window boundary's range
 // operations leave intact. In the steady state a call allocates
-// nothing, over proto.Client nodes or direct ones (pinned by
-// TestRouterMGetAllocs).
+// nothing (pinned by TestRouterMGetAllocs).
 //
 //rwplint:hotpath — one call per routed batch read
 func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {

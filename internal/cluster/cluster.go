@@ -10,20 +10,6 @@ import (
 	"rwp/internal/live/proto"
 )
 
-// Mode selects the harness transport.
-type Mode string
-
-const (
-	// Direct executes ops synchronously against the in-process caches —
-	// single-goroutine, the reference semantics.
-	Direct Mode = "direct"
-	// Pipe runs each node behind proto.ServeConn over a net.Pipe and
-	// routes through real pipelined proto.Clients — the wire semantics.
-	// The differential tests demand both modes produce identical merged
-	// stats documents.
-	Pipe Mode = "pipe"
-)
-
 // HarnessConfig assembles an in-process cluster.
 type HarnessConfig struct {
 	// Nodes is the node count; node i is named "node<i>" (its ring
@@ -34,8 +20,6 @@ type HarnessConfig struct {
 	// Cache is the per-node cache geometry; every node gets an
 	// identical, independent instance.
 	Cache live.Config
-	// Mode selects direct or pipe transport (empty = Direct).
-	Mode Mode
 	// Manager optionally wires the replication control loop.
 	Manager *Manager
 	// Window is the manager-less load-sampling window (<= 0 selects
@@ -53,10 +37,11 @@ type HarnessConfig struct {
 }
 
 // Cluster is an in-process multi-node cache: N independent live
-// caches, a ring, and a routing client over direct or piped
-// connections: ops go through Client, and StatsJSON renders the merged
-// document. It exists for selftests and differential tests; the
-// real-socket deployment is cmd/rwpcluster against rwpserve -tcp
+// caches, each served by proto.ServeConn over a net.Pipe — the code an
+// rwpserve -tcp node runs — a ring, and a routing client over
+// pipelined proto.Clients: ops go through Client, and StatsJSON renders
+// the merged document. It exists for selftests and differential tests;
+// the real-socket deployment is cmd/rwpcluster against rwpserve -tcp
 // processes.
 type Cluster struct {
 	ring   *Ring
@@ -65,19 +50,13 @@ type Cluster struct {
 	conns  []NodeConn
 
 	wg      sync.WaitGroup
-	srvErrs []error // per node, written by the server goroutine (pipe mode)
+	srvErrs []error // per node, written by its server goroutine
 }
 
 // NewHarness builds and wires the cluster.
 func NewHarness(cfg HarnessConfig) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
-	}
-	if cfg.Mode == "" {
-		cfg.Mode = Direct
-	}
-	if cfg.Mode != Direct && cfg.Mode != Pipe {
-		return nil, fmt.Errorf("cluster: unknown mode %q", cfg.Mode)
 	}
 	ids := make([]string, cfg.Nodes)
 	for i := range ids {
@@ -99,19 +78,16 @@ func NewHarness(cfg HarnessConfig) (*Cluster, error) {
 			return nil, err
 		}
 		h.caches[i] = c
-		var conn NodeConn = &directConn{cache: c}
-		if cfg.Mode == Pipe {
-			// Catch-up rides the same connection as the data path; the
-			// router only transfers at window boundaries, after
-			// flushAll, so the chunked exchange never meets a pipeline.
-			cliEnd, srvEnd := net.Pipe()
-			h.wg.Add(1)
-			go func() {
-				defer h.wg.Done()
-				h.srvErrs[i] = proto.ServeConn(srvEnd, c)
-			}()
-			conn = proto.NewClient(cliEnd)
-		}
+		// Catch-up rides the same connection as the data path; the
+		// router only transfers at window boundaries, after flushAll, so
+		// the chunked exchange never meets a pipeline.
+		cliEnd, srvEnd := net.Pipe()
+		h.wg.Add(1)
+		go func() {
+			defer h.wg.Done()
+			h.srvErrs[i] = proto.ServeConn(srvEnd, c)
+		}()
+		var conn NodeConn = proto.NewClient(cliEnd)
 		if cfg.NoCatchup {
 			conn = coldConn{conn}
 		}
@@ -149,9 +125,9 @@ func (h *Cluster) Ring() *Ring { return h.ring }
 // router on a live cluster breaks the write-to-all invariant).
 func (h *Cluster) Caches() []*live.Cache { return h.caches }
 
-// Close drains the router and tears the transports down. In pipe mode
-// it waits for every server loop to exit and reports the first server
-// error (a peer-close is clean and reports nil).
+// Close drains the router and tears the connections down, waits for
+// every server loop to exit and reports the first error (a peer-close
+// is clean and reports nil).
 func (h *Cluster) Close() error {
 	err := h.client.Finish()
 	for _, conn := range h.conns {
@@ -194,92 +170,3 @@ func (h *Cluster) StatsJSON() ([]byte, error) {
 		Stats:    merged,
 	}.JSON()
 }
-
-// directConn is the synchronous NodeConn: ops execute against the
-// in-process cache at queue time, replies accumulate until Flush.
-// Because node caches share no state, applying ops at queue time and
-// at flush time are indistinguishable — which is exactly why direct
-// and pipe runs produce identical merged stats.
-//
-// Its replies, the Gets and Inserts in them and their values are built
-// in scratch that the next batch overwrites — the NodeConn.Flush
-// lifetime rule.
-type directConn struct {
-	cache   *live.Cache
-	replies []proto.Reply
-	gets    []proto.GetResult // backing of the queued MGET replies
-	ins     []bool            // backing of the queued MPUT replies
-	vals    []byte            // backing of the queued GET and MGET values
-	key     []byte            // the key GetAppend borrows
-}
-
-func (d *directConn) QueueGet(key string) error {
-	d.replies = append(d.replies, proto.Reply{Op: proto.OpGet, Get: d.get(key)})
-	return nil
-}
-
-func (d *directConn) QueuePut(key string, val []byte) error {
-	ins := d.cache.Put(key, val)
-	d.replies = append(d.replies, proto.Reply{Op: proto.OpPut, Inserted: ins})
-	return nil
-}
-
-func (d *directConn) QueueMGet(keys []string) error {
-	from := len(d.gets)
-	for _, k := range keys {
-		d.gets = append(d.gets, d.get(k))
-	}
-	d.replies = append(d.replies, proto.Reply{Op: proto.OpMGet, Gets: d.gets[from:len(d.gets):len(d.gets)]})
-	return nil
-}
-
-func (d *directConn) QueueMPut(kvs []proto.KV) error {
-	from := len(d.ins)
-	for _, kv := range kvs {
-		d.ins = append(d.ins, d.cache.Put(kv.Key, kv.Value))
-	}
-	d.replies = append(d.replies, proto.Reply{Op: proto.OpMPut, Inserts: d.ins[from:len(d.ins):len(d.ins)]})
-	return nil
-}
-
-// get serves one key as the server does (proto.ServeConn): through
-// GetAppend, with the same status mapping. The value is appended to the
-// conn's value scratch, its capacity ending where its bytes do.
-func (d *directConn) get(key string) proto.GetResult {
-	d.key = append(d.key[:0], key...)
-	n := len(d.vals)
-	var hit, found bool
-	d.vals, hit, found = d.cache.GetAppend(d.vals, d.key)
-	val := d.vals[n:len(d.vals):len(d.vals)]
-	switch {
-	case hit:
-		return proto.GetResult{Status: proto.StatusHit, Value: val}
-	case found:
-		return proto.GetResult{Status: proto.StatusFill, Value: val}
-	default:
-		return proto.GetResult{Status: proto.StatusMiss}
-	}
-}
-
-func (d *directConn) Depth() int { return len(d.replies) }
-
-func (d *directConn) Flush() ([]proto.Reply, error) {
-	r := d.replies
-	// The next batch overwrites this one from the start; clear what an
-	// earlier, longer batch left past its end, so no value buffer the
-	// scratch has outgrown stays reachable through it.
-	clear(d.replies[len(d.replies):cap(d.replies)])
-	clear(d.gets[len(d.gets):cap(d.gets)])
-	d.replies, d.gets, d.ins, d.vals = d.replies[:0], d.gets[:0], d.ins[:0], d.vals[:0]
-	return r, nil
-}
-
-func (d *directConn) Stats() ([]byte, error) { return d.cache.StatsJSON() }
-
-func (d *directConn) Close() error { return nil }
-
-func (d *directConn) ResetRange(lo, hi int) (int, error) { return d.cache.ResetRange(lo, hi), nil }
-
-func (d *directConn) SnapRange(lo, hi int) ([]byte, error) { return d.cache.SnapBytes(lo, hi) }
-
-func (d *directConn) Restore(data []byte) (int, error) { return d.cache.RestoreBytes(data) }

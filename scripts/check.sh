@@ -362,9 +362,9 @@ cmp "$smoke/cluster1.json" "$smoke/cluster2.json" || {
     exit 1
 }
 "$bin/rwpcluster" -selftest 20000 -sets 256 -ways 8 -shards 1 \
-    -profile mcf -ring-shards 32 -mode pipe >"$smoke/cluster32.json"
+    -profile mcf -ring-shards 32 >"$smoke/cluster32.json"
 cmp "$smoke/cluster1.json" "$smoke/cluster32.json" || {
-    echo 'check.sh: FAIL: rwpcluster -selftest differs across -ring-shards/-mode' >&2
+    echo 'check.sh: FAIL: rwpcluster -selftest differs across -ring-shards' >&2
     exit 1
 }
 cmp "$smoke/live1.json" "$smoke/cluster1.json" || {
