@@ -10,6 +10,7 @@ import (
 
 	"rwp/internal/live"
 	"rwp/internal/live/loadgen"
+	"rwp/internal/probe"
 )
 
 // Tests for the stampede defenses (fill.go): singleflight coalescing,
@@ -178,6 +179,57 @@ func TestDuplicateLoadRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// reqHook adapts a function to probe.ReqProbe.
+type reqHook func(probe.ReqEvent)
+
+func (h reqHook) ReqEvent(ev probe.ReqEvent) { h(ev) }
+
+// TestCoalescedLeaderResultIsPrivate: under Coalesce, the leader's Get
+// hands its caller a private copy, never the fill's shared value that
+// parked waiters copy from after it lands. The choreography makes the
+// overlap certain: a waiter coalesces while the leader's Loader is
+// held, and the waiter's request event (emitted before it copies the
+// shared value) is held until the leader's caller has written into its
+// result.
+func TestCoalescedLeaderResultIsPrivate(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	written := make(chan struct{})
+	cfg := defendedConfig()
+	cfg.Coalesce = true
+	cfg.Loader = func(string) []byte {
+		close(entered) // one Loader call: the waiter coalesces
+		<-release
+		return []byte("from-loader")
+	}
+	cfg.ReqLog = reqHook(func(ev probe.ReqEvent) {
+		if ev.Outcome == probe.OutcomeFill && ev.Cost == live.CostCoalesced {
+			<-written
+		}
+	})
+	c, err := live.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, waiter := make(chan []byte), make(chan []byte)
+	go func() { v, _ := c.Get("k"); leader <- v }()
+	<-entered
+	go func() { v, _ := c.Get("k"); waiter <- v }()
+	for c.Stats().CoalescedLoads == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	v := <-leader
+	v[0] = 'X'
+	close(written)
+	if got := <-waiter; string(got) != "from-loader" {
+		t.Fatalf("waiter got %q: the leader's caller wrote into the fill's shared value", got)
+	}
+	if string(v) != "Xrom-loader" {
+		t.Fatalf("leader got %q", v)
+	}
 }
 
 // leaseCache builds a Sets=1 cache (every key shares one op-count

@@ -674,14 +674,34 @@ func (c *Cache) locate(h uint64) (*shard, *lset) {
 // concurrent fills, so hit-path cost and single-goroutine behavior are
 // untouched.
 //
-// Get is get with no destination buffer: the one allocation of a hit is
-// the copy-out (pinned by TestGetHitAllocs).
+// The copy-out lands in a buffer Get makes with room for getCap bytes.
+// Get is small enough to inline, so where its result does not escape
+// the caller, that buffer lives in the caller's stack frame: a hit or a
+// fill of up to getCap bytes allocates nothing (pinned by
+// TestGetHitAllocs), and a longer value grows into one exact-size heap
+// slice. Where the result escapes — kept past the call, or Get reached
+// through an interface — the buffer is on the heap: a value of up to
+// getCap bytes costs one getCap-byte allocation, a longer one two (also
+// pinned). Either way the caller owns a private copy, and the value is
+// nil iff none was served.
 func (c *Cache) Get(key string) (val []byte, hit bool) {
-	val, hit, found := c.get(nil, key, false)
-	if found && val == nil {
-		// A zero-length value copied into no buffer: keep "non-nil iff a
-		// value was served" for callers that tell fill from miss by it.
-		val = []byte{}
+	return c.getInto(make([]byte, 0, getCap), key)
+}
+
+// getCap is the room Get's buffer starts with: the value size of every
+// synthetic stream and of the live binaries by default
+// (loadgen.DefaultValueSize), and one host cache line.
+const getCap = 64
+
+// getInto is get behind Get: dst is Get's buffer, and a miss maps to a
+// nil value. Kept out of line so Get stays within the inliner's budget
+// — Get must inline for its buffer to stay in the caller's frame.
+//
+//go:noinline
+func (c *Cache) getInto(dst []byte, key string) (val []byte, hit bool) {
+	val, hit, found := c.get(dst, key, false)
+	if !found {
+		return nil, false
 	}
 	return val, hit
 }
@@ -697,13 +717,6 @@ func (c *Cache) Get(key string) (val []byte, hit bool) {
 //
 //rwplint:hotpath — the wire server's read entry point
 func (c *Cache) GetAppend(dst, key []byte) (out []byte, hit, found bool) {
-	if dst == nil {
-		// nil means "no buffer" to get, which then hands a fill back as
-		// the Loader's own slice. out is a buffer this caller will
-		// append into again; it must never be that slice (a coalesced
-		// fill's waiters are still reading it).
-		dst = []byte{}
-	}
 	return c.get(dst, borrowString(key), true)
 }
 
@@ -735,9 +748,10 @@ func ownedKey(key string, borrowed bool) string {
 	return key
 }
 
-// get is the one Get implementation, behind Get (dst nil, key owned by
-// the caller's string) and GetAppend (key borrowed from a request
-// buffer). found reports whether a value was appended to dst.
+// get is the one Get implementation, behind Get (Get's own buffer, key
+// owned by the caller's string) and GetAppend (the caller's buffer, key
+// borrowed from a request buffer). Every value it serves, hit or fill,
+// is appended to dst; found reports whether one was.
 //
 //rwplint:hotpath — the serving read path; every allocation here is a written-down decision
 func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, found bool) {
@@ -762,8 +776,8 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 		g.pol.OnHit(ls.idx, way, ai)
 		// Copy while the entry is stable, then release before returning:
 		// the caller must never see bytes a later Put could overwrite.
-		// With dst nil this is Get's copy-out, the hit path's one
-		// allocation; GetAppend's callers reuse dst and pay none.
+		// A dst with room — Get's caller-frame buffer, GetAppend's
+		// reused one — makes this copy allocation-free.
 		dst = append(dst, e.val()...)
 		sh.mu.Unlock()
 		c.logGet(key, borrowed, set, probe.OutcomeHit, CostHit)
@@ -786,16 +800,13 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 	return c.miss(dst, sh, ls, ownedKey(key, borrowed), set, ai)
 }
 
-// loaded returns a Loader result the way get hands back a fill: v
-// itself when the caller brought no buffer (the Loader handed us a
-// fresh value and fill stored its own copy, so the caller owns v — no
-// defensive copy), appended to dst otherwise. A nil v is a miss.
+// loaded hands a Loader result back the way get hands back a value:
+// appended to the caller's dst, never v itself — the Loader may return
+// a slice it shares, and a coalesced leader's v is what its waiters
+// copy from. A nil v is a miss.
 func loaded(dst, v []byte) (out []byte, hit, found bool) {
 	if v == nil {
 		return dst, false, false
-	}
-	if dst == nil {
-		return v, false, true
 	}
 	return append(dst, v...), false, true
 }

@@ -75,9 +75,11 @@ else
     # binary-protocol server under concurrent pipelined clients, and
     # the server's listener limits (the connection cap, the write
     # deadline that drops a peer that stops reading, the frame deadline
-    # that drops a peer stalled inside a frame, one staged RESTORE).
-    echo '>> go test -race -short -run Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore ./internal/live/... ./cmd/rwpserve'
-    go test -race -short -run 'Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore' ./internal/live/... ./cmd/rwpserve
+    # that drops a peer stalled inside a frame, one staged RESTORE), and
+    # a coalesced leader's Get result, which its caller writes while a
+    # waiter copies the shared fill.
+    echo '>> go test -race -short -run Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore|CoalescedLeaderResultIsPrivate ./internal/live/... ./cmd/rwpserve'
+    go test -race -short -run 'Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore|CoalescedLeaderResultIsPrivate' ./internal/live/... ./cmd/rwpserve
     # ... and the simulator, whose every run hands its access stream
     # between two goroutines (the read-ahead stage in internal/trace).
     echo '>> go test -race -short ./internal/sim/ ./internal/trace/'
@@ -92,10 +94,13 @@ else
     # Entry footprint: the heap a resident entry costs, what an
     # untouched cache costs and what a reset range gives back (lazy way
     # storage), and the set clock that NegOps and LeaseOps windows run on
-    # surviving a ResetStats. Named here for the same reason as the
+    # surviving a ResetStats. With them, the cache's allocation pins: a
+    # Get hit's copy-out in the caller's frame (0, escaping 1 or 2, and 0
+    # on a restored cache), the wire's byte-key Get and Put (0), and what
+    # a fill costs per way state. Named here for the same reason as the
     # plateau.
-    echo '>> go test -run EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock ./internal/live/'
-    go test -run 'EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock' ./internal/live/
+    echo '>> go test -run EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock|GetHitAllocs|ByteKeyAllocs|FillAllocs|RestoredGetHitAllocs ./internal/live/'
+    go test -run 'EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock|GetHitAllocs|ByteKeyAllocs|FillAllocs|RestoredGetHitAllocs' ./internal/live/
     # Allocation pins of the wire reply path: the client's and the
     # router's reply scratch, values included (0 per burst, 0 per MGet),
     # chunked SNAP/RESTORE transfers, a TCP get hit end to end, and the
