@@ -13,12 +13,10 @@ import (
 // writeTestJournal synthesizes a journal through the real probe codec.
 func writeTestJournal(t *testing.T, path string) {
 	t.Helper()
+	counts := probe.Counts{EvictDirty: 1}
+	counts.Classes[probe.Load] = probe.ClassCounters{Accesses: 2, Hits: 2, HitsClean: 1, HitsDirty: 1}
+	counts.Classes[probe.Store] = probe.ClassCounters{Accesses: 1, Misses: 1, Fills: 1, FillsDirty: 1}
 	rec := probe.NewRecorder(50_000)
-	rec.CacheAccess(probe.AccessEvent{Level: "LLC", Class: probe.Load, Hit: true})
-	rec.CacheAccess(probe.AccessEvent{Level: "LLC", Class: probe.Load, Hit: true, LineDirty: true})
-	rec.CacheAccess(probe.AccessEvent{Level: "LLC", Class: probe.Store, Hit: false})
-	rec.CacheFill(probe.FillEvent{Level: "LLC", Class: probe.Store, Dirty: true})
-	rec.CacheEvict(probe.EvictEvent{Level: "LLC", Class: probe.Store, Dirty: true})
 	rec.Retarget(probe.RetargetEvent{Interval: 1, Target: 5, Accesses: 100_000})
 	rec.IntervalEnd(probe.IntervalEvent{Index: 0, EndAccess: 50_000, Instructions: 40_000,
 		Cycles: 90_000, LLCReadMisses: 700, DirtyTarget: 5, DirtyLines: 300, ValidLines: 2048})
@@ -33,7 +31,7 @@ func writeTestJournal(t *testing.T, path string) {
 		probe.Header{Kind: "single", Desc: "mcf/rwp"},
 		[]probe.ResultRecord{{Workload: "mcf", Policy: "rwp", IPC: 0.875,
 			ReadMPKI: 12.34, TotalMPKI: 15.5, WBPKI: 4.25, Instructions: 85_000}},
-		rec)
+		counts, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,8 +120,9 @@ func isNilIdent(e ast.Expr) bool {
 // isProbeInterface reports whether the expression's type is a named
 // interface whose name ends in "Probe" (any package: fixtures define
 // their own). The suffix match covers the whole probe family — Probe
-// for cache events, ReqProbe for the request-stream recorder — so new
-// capture hooks inherit the guard discipline without touching the rule.
+// for policy and driver events, ReqProbe for the request-stream
+// recorder — so new capture hooks inherit the guard discipline without
+// touching the rule.
 func isProbeInterface(pass *Pass, x ast.Expr) bool {
 	tv, ok := pass.Info.Types[x]
 	if !ok || tv.Type == nil {

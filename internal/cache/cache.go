@@ -16,7 +16,6 @@ import (
 	"math/bits"
 
 	"rwp/internal/mem"
-	"rwp/internal/probe"
 	"rwp/internal/recency"
 )
 
@@ -124,15 +123,19 @@ type Policy interface {
 }
 
 // Stats counts cache events. Hits+Misses per class always equals the
-// class's access count; Fills+Bypasses equals total misses.
+// class's access count; Misses-Bypasses per class is the class's fills,
+// and Fills sums them. The dirty splits are the paper's evidence: how
+// demand reads divide between the clean and the dirty partition.
 type Stats struct {
 	Accesses   [3]uint64 // indexed by Class
 	Hits       [3]uint64
 	Misses     [3]uint64
 	Fills      uint64
-	Bypasses   uint64
+	Bypasses   [3]uint64
 	Evictions  uint64
-	DirtyEvict uint64 // evictions that produced a writeback to below
+	DirtyEvict uint64    // evictions that produced a writeback to below
+	HitsDirty  [3]uint64 // hits on a line that was dirty before the access
+	FillsDirty [3]uint64 // fills that installed the line dirty
 }
 
 // ReadMisses returns demand-load misses — the quantity RWP minimizes.
@@ -156,6 +159,11 @@ func (s Stats) TotalHits() uint64 {
 	return s.Hits[DemandLoad] + s.Hits[DemandStore] + s.Hits[Writeback]
 }
 
+// TotalBypasses sums bypasses over all classes.
+func (s Stats) TotalBypasses() uint64 {
+	return s.Bypasses[DemandLoad] + s.Bypasses[DemandStore] + s.Bypasses[Writeback]
+}
+
 // MissRatio returns misses/accesses for the given class (0 if no accesses).
 func (s Stats) MissRatio(c Class) float64 {
 	if s.Accesses[c] == 0 {
@@ -170,9 +178,11 @@ func (s *Stats) Add(o Stats) {
 		s.Accesses[i] += o.Accesses[i]
 		s.Hits[i] += o.Hits[i]
 		s.Misses[i] += o.Misses[i]
+		s.Bypasses[i] += o.Bypasses[i]
+		s.HitsDirty[i] += o.HitsDirty[i]
+		s.FillsDirty[i] += o.FillsDirty[i]
 	}
 	s.Fills += o.Fills
-	s.Bypasses += o.Bypasses
 	s.Evictions += o.Evictions
 	s.DirtyEvict += o.DirtyEvict
 }
@@ -283,9 +293,6 @@ type Cache struct {
 	dirty  []int16 // per-set dirty-line count
 	policy Policy
 	stats  Stats
-	// probe receives instrumentation events; nil (the default) disables
-	// them at the cost of one branch per event site.
-	probe probe.Probe
 }
 
 // New builds a cache with the given geometry and policy. The policy is
@@ -348,10 +355,6 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Policy returns the attached policy.
 func (c *Cache) Policy() Policy { return c.policy }
-
-// SetProbe attaches an instrumentation probe (nil detaches). Probes
-// observe only: attaching one never changes any Result or Stats bit.
-func (c *Cache) SetProbe(p probe.Probe) { c.probe = p }
 
 // TotalDirty returns the number of valid dirty lines across all sets —
 // the dirty partition's actual occupancy (O(sets), for interval
@@ -423,31 +426,22 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 	if ok {
 		c.stats.Hits[class]++
 		i := set*c.cfg.Ways + way
-		if c.probe != nil {
-			c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: true, LineDirty: c.flags[i]&flagDirty != 0})
+		if c.flags[i]&flagDirty != 0 {
+			c.stats.HitsDirty[class]++
+		} else if dirtying {
+			c.dirty[set]++
+			c.flags[i] |= flagDirty
 		}
-		if dirtying {
-			if c.flags[i]&flagDirty == 0 {
-				c.dirty[set]++
-				c.flags[i] |= flagDirty
-			}
-			if c.pcs != nil {
-				c.pcs[i] = pc
-			}
+		if dirtying && c.pcs != nil {
+			c.pcs[i] = pc
 		}
 		c.policy.OnHit(set, way, ai)
 		return Result{Hit: true}
 	}
 	c.stats.Misses[class]++
-	if c.probe != nil {
-		c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: false})
-	}
 	victim, bypass := c.policy.Victim(set, ai)
 	if bypass {
-		c.stats.Bypasses++
-		if c.probe != nil {
-			c.probe.CacheBypass(probe.BypassEvent{Level: c.cfg.Name, Class: probe.Class(class)})
-		}
+		c.stats.Bypasses[class]++
 		return Result{Bypassed: true}
 	}
 	if victim < 0 || victim >= c.cfg.Ways {
@@ -457,9 +451,6 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 	i := set*c.cfg.Ways + victim
 	if old := c.flags[i]; old&flagValid != 0 {
 		c.stats.Evictions++
-		if c.probe != nil {
-			c.probe.CacheEvict(probe.EvictEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: old&flagDirty != 0})
-		}
 		if old&flagDirty != 0 {
 			c.stats.DirtyEvict++
 			c.dirty[set]--
@@ -481,11 +472,9 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 	if dirtying {
 		c.flags[i] |= flagDirty
 		c.dirty[set]++
+		c.stats.FillsDirty[class]++
 	}
 	c.stats.Fills++
-	if c.probe != nil {
-		c.probe.CacheFill(probe.FillEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: dirtying})
-	}
 	c.policy.OnFill(set, victim, ai)
 	return res
 }

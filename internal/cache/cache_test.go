@@ -157,7 +157,7 @@ func TestBypass(t *testing.T) {
 		t.Fatal("bypassed line was cached")
 	}
 	st := c.Stats()
-	if st.Bypasses != 1 || st.Fills != 0 {
+	if st.Bypasses[DemandLoad] != 1 || st.TotalBypasses() != 1 || st.Fills != 0 {
 		t.Fatalf("bypass stats wrong: %+v", st)
 	}
 }
@@ -192,8 +192,9 @@ func TestSetIndexDistribution(t *testing.T) {
 
 func TestStatsInvariantsQuick(t *testing.T) {
 	// Property: for any access stream, hits+misses == accesses per class,
-	// fills+bypasses == total misses, valid lines per set <= ways, and no
-	// duplicate tags within a set.
+	// fills+bypasses == total misses, the dirty splits stay within their
+	// totals, valid lines per set <= ways, and no duplicate tags within a
+	// set.
 	f := func(ops []uint16) bool {
 		c := testCache(t, 2048, 4, &fifoPolicy{}) // 8 sets
 		for _, op := range ops {
@@ -203,11 +204,12 @@ func TestStatsInvariantsQuick(t *testing.T) {
 		}
 		st := c.Stats()
 		for cl := 0; cl < 3; cl++ {
-			if st.Hits[cl]+st.Misses[cl] != st.Accesses[cl] {
+			if st.Hits[cl]+st.Misses[cl] != st.Accesses[cl] ||
+				st.HitsDirty[cl] > st.Hits[cl] || st.FillsDirty[cl] > st.Misses[cl]-st.Bypasses[cl] {
 				return false
 			}
 		}
-		if st.Fills+st.Bypasses != st.TotalMisses() {
+		if st.Fills+st.TotalBypasses() != st.TotalMisses() || st.FillsDirty[DemandLoad] != 0 {
 			return false
 		}
 		for s := 0; s < c.NumSets(); s++ {

@@ -25,7 +25,6 @@ type refCache struct {
 	pcs    []mem.Addr        // PC that filled or last wrote each way
 	policy cache.Policy
 	stats  cache.Stats
-	probe  probe.Probe
 }
 
 func newRefCache(cfg cache.Config, p cache.Policy) *refCache {
@@ -88,8 +87,8 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 		c.stats.Hits[class]++
 		i := set*c.cfg.Ways + way
 		ls := &c.lines[i]
-		if c.probe != nil {
-			c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: true, LineDirty: ls.Dirty})
+		if ls.Dirty {
+			c.stats.HitsDirty[class]++
 		}
 		if dirtying {
 			ls.Dirty, c.pcs[i] = true, pc
@@ -98,15 +97,9 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 		return cache.Result{Hit: true}
 	}
 	c.stats.Misses[class]++
-	if c.probe != nil {
-		c.probe.CacheAccess(probe.AccessEvent{Level: c.cfg.Name, Class: probe.Class(class), Hit: false})
-	}
 	victim, bypass := c.policy.Victim(set, ai)
 	if bypass {
-		c.stats.Bypasses++
-		if c.probe != nil {
-			c.probe.CacheBypass(probe.BypassEvent{Level: c.cfg.Name, Class: probe.Class(class)})
-		}
+		c.stats.Bypasses[class]++
 		return cache.Result{Bypassed: true}
 	}
 	var res cache.Result
@@ -114,9 +107,6 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 	ls := &c.lines[i]
 	if ls.Valid {
 		c.stats.Evictions++
-		if c.probe != nil {
-			c.probe.CacheEvict(probe.EvictEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: ls.Dirty})
-		}
 		if ls.Dirty {
 			c.stats.DirtyEvict++
 			res = cache.Result{Writeback: true, WritebackLine: ls.Tag}
@@ -129,8 +119,8 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 	*ls = cache.LineState{Tag: line, Valid: true, Dirty: dirtying}
 	c.pcs[i] = pc
 	c.stats.Fills++
-	if c.probe != nil {
-		c.probe.CacheFill(probe.FillEvent{Level: c.cfg.Name, Class: probe.Class(class), Dirty: dirtying})
+	if dirtying {
+		c.stats.FillsDirty[class]++
 	}
 	c.policy.OnFill(set, victim, ai)
 	return res
@@ -152,16 +142,12 @@ func (c *refCache) invalidate(set int, line mem.LineAddr) (wasDirty, wasPresent 
 	return dirty, true
 }
 
-// eventLog is a probe that keeps the exact event sequence. Every event
-// type is a comparable struct, so two logs compare with ==.
+// eventLog is a probe that keeps the exact sequence of policy events.
+// Every event type is a comparable struct, so two logs compare with ==.
 type eventLog struct{ events []any }
 
 func (l *eventLog) add(ev any)                         { l.events = append(l.events, ev) }
 func (l *eventLog) Window() uint64                     { return 0 }
-func (l *eventLog) CacheAccess(ev probe.AccessEvent)   { l.add(ev) }
-func (l *eventLog) CacheFill(ev probe.FillEvent)       { l.add(ev) }
-func (l *eventLog) CacheEvict(ev probe.EvictEvent)     { l.add(ev) }
-func (l *eventLog) CacheBypass(ev probe.BypassEvent)   { l.add(ev) }
 func (l *eventLog) Retarget(ev probe.RetargetEvent)    { l.add(ev) }
 func (l *eventLog) Policy(ev probe.PolicyEvent)        { l.add(ev) }
 func (l *eventLog) IntervalEnd(ev probe.IntervalEvent) { l.add(ev) }
@@ -251,9 +237,9 @@ func collidingStream(t *testing.T, c *cache.Cache) stream {
 
 // runOracle drives a cache.Cache under policy name and a refCache with
 // the same seeded stream of accesses and invalidations and demands they
-// never disagree: not in a Result, a Lookup, a counter, a probe event,
-// nor in any way's visible state. Every invalidation is followed by a
-// Lookup of the invalidated line and of line 0 on both.
+// never disagree: not in a Result, a Lookup, a counter, a policy's probe
+// event, nor in any way's visible state. Every invalidation is followed
+// by a Lookup of the invalidated line and of line 0 on both.
 func runOracle(t *testing.T, cfg cache.Config, name string, ops int, seed uint64, lines func(*cache.Cache) stream) {
 	t.Helper()
 	gotPol, wantPol := oraclePolicies[name](), oraclePolicies[name]()
@@ -263,8 +249,6 @@ func runOracle(t *testing.T, cfg cache.Config, name string, ops int, seed uint64
 	}
 	want := newRefCache(cfg, wantPol)
 	gotLog, wantLog := &eventLog{}, &eventLog{}
-	got.SetProbe(gotLog)
-	want.probe = wantLog
 	attach(gotPol, gotLog)
 	attach(wantPol, wantLog)
 
@@ -315,7 +299,8 @@ func runOracle(t *testing.T, cfg cache.Config, name string, ops int, seed uint64
 		}
 	}
 	st := got.Stats()
-	if st.Evictions == 0 || st.DirtyEvict == 0 || st.TotalHits() == 0 {
+	if st.Evictions == 0 || st.DirtyEvict == 0 || st.TotalHits() == 0 ||
+		st.HitsDirty[cache.DemandLoad] == 0 || st.FillsDirty[cache.Writeback] == 0 {
 		t.Fatalf("stream exercised too little: %+v", st)
 	}
 }

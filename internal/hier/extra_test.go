@@ -48,7 +48,7 @@ func TestBypassedWritebackReachesDRAM(t *testing.T) {
 		h.Store(0, uint64(i*4), mem.Addr(i)*64, 0xdead0)
 	}
 	llc := h.LLC().Stats()
-	if llc.Bypasses == 0 {
+	if llc.TotalBypasses() == 0 {
 		t.Fatal("RRP never bypassed a write-only stream")
 	}
 	dram := h.DRAM().Stats()
@@ -57,8 +57,8 @@ func TestBypassedWritebackReachesDRAM(t *testing.T) {
 	if dram.Writes == 0 {
 		t.Fatal("no DRAM writes despite store stream")
 	}
-	if dram.Writes < llc.Bypasses/2 {
-		t.Fatalf("DRAM writes %d implausibly low for %d bypasses", dram.Writes, llc.Bypasses)
+	if dram.Writes < llc.TotalBypasses()/2 {
+		t.Fatalf("DRAM writes %d implausibly low for %d bypasses", dram.Writes, llc.TotalBypasses())
 	}
 }
 

@@ -160,11 +160,10 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // LLC exposes the shared cache (for stats and policy introspection).
 func (h *Hierarchy) LLC() *cache.Cache { return h.llc }
 
-// SetProbe attaches a probe to the LLC and, when the LLC policy is
-// itself instrumentable, to the policy. Private levels stay silent —
-// the studied mechanisms all live at the LLC.
+// SetProbe attaches a probe to the LLC policy when the policy is
+// instrumentable, and does nothing otherwise. The caches themselves
+// emit no events: their counts are cache.Stats.
 func (h *Hierarchy) SetProbe(p probe.Probe) {
-	h.llc.SetProbe(p)
 	if ip, ok := h.llc.Policy().(probe.Instrumentable); ok {
 		ip.SetProbe(p)
 	}

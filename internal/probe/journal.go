@@ -97,14 +97,12 @@ type intervalRecord struct {
 
 // Journal is a fully decoded run journal.
 type Journal struct {
-	Header     Header
-	Results    []ResultRecord
-	Classes    [NumClasses]ClassCounters
-	EvictClean uint64
-	EvictDirty uint64
-	Retargets  []RetargetEvent
-	Policies   []PolicyCount
-	Intervals  []IntervalEvent
+	Header  Header
+	Results []ResultRecord
+	Counts
+	Retargets []RetargetEvent
+	Policies  []PolicyCount
+	Intervals []IntervalEvent
 }
 
 // FinalTarget returns the last retarget decision, or -1 when the
@@ -144,9 +142,9 @@ func writeCanonical(bw *bufio.Writer, v any) error {
 	return bw.WriteByte('\n')
 }
 
-// WriteJournal serializes one run — its identity, per-core results and
-// the recorder's aggregates — as canonical JSONL.
-func WriteJournal(w io.Writer, h Header, results []ResultRecord, rec *Recorder) error {
+// WriteJournal serializes one run — its identity, per-core results, the
+// LLC's counts and the recorder's events — as canonical JSONL.
+func WriteJournal(w io.Writer, h Header, results []ResultRecord, counts Counts, rec *Recorder) error {
 	bw := bufio.NewWriter(w)
 	h.T = "header"
 	h.Schema = JournalSchema
@@ -162,7 +160,7 @@ func WriteJournal(w io.Writer, h Header, results []ResultRecord, rec *Recorder) 
 		}
 	}
 	for c := Class(0); c < NumClasses; c++ {
-		cc := rec.Classes[c]
+		cc := counts.Classes[c]
 		if err := emit(classRecord{
 			T: "class", Class: c.String(),
 			Accesses: cc.Accesses, Hits: cc.Hits, Misses: cc.Misses,
@@ -172,7 +170,7 @@ func WriteJournal(w io.Writer, h Header, results []ResultRecord, rec *Recorder) 
 			return err
 		}
 	}
-	if err := emit(evictRecord{T: "evictions", Clean: rec.EvictClean, Dirty: rec.EvictDirty}); err != nil {
+	if err := emit(evictRecord{T: "evictions", Clean: counts.EvictClean, Dirty: counts.EvictDirty}); err != nil {
 		return err
 	}
 	for _, rt := range rec.Retargets {
@@ -223,13 +221,15 @@ func classIndex(name string) (Class, error) {
 
 // ReadJournal decodes a canonical JSONL journal. It rejects unknown
 // schemas and malformed lines; unknown record types are an error too,
-// and so is a header that is missing, late or repeated — a journal is
-// versioned data, not a log to be skimmed.
+// and so is a header that is missing, late or repeated, and a class or
+// evictions record that is repeated — a journal is versioned data, not
+// a log to be skimmed.
 func ReadJournal(r io.Reader) (*Journal, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var j Journal
-	sawHeader := false
+	sawHeader, sawEvictions := false, false
+	var sawClass [NumClasses]bool
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -270,6 +270,10 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 			if err != nil {
 				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
 			}
+			if sawClass[c] {
+				return nil, fmt.Errorf("probe: journal line %d: second %q class record", lineNo, rec.Class)
+			}
+			sawClass[c] = true
 			j.Classes[c] = ClassCounters{
 				Accesses: rec.Accesses, Hits: rec.Hits, Misses: rec.Misses,
 				HitsClean: rec.HitsClean, HitsDirty: rec.HitsDirty,
@@ -280,6 +284,10 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 			if err := json.Unmarshal(line, &rec); err != nil {
 				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
 			}
+			if sawEvictions {
+				return nil, fmt.Errorf("probe: journal line %d: second evictions record", lineNo)
+			}
+			sawEvictions = true
 			j.EvictClean, j.EvictDirty = rec.Clean, rec.Dirty
 		case "retarget":
 			var rec retargetRecord

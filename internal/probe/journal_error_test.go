@@ -33,6 +33,8 @@ func TestReadJournalDecodeErrors(t *testing.T) {
 		{"bad header types", `{"t":"header","schema":5}` + "\n", "line 1"},
 		{"late header", `{"t":"evictions","clean":1,"dirty":2}` + "\n" + validHeader, "line 1: no header"},
 		{"second header", validHeader + strings.Replace(validHeader, `"desc":"d"`, `"desc":"e"`, 1), "line 2: second header"},
+		{"repeated class", validHeader + `{"t":"class","class":"load","accesses":5}` + "\n" + `{"t":"class","class":"load","accesses":9}` + "\n", `line 3: second "load" class record`},
+		{"repeated evictions", validHeader + `{"t":"evictions","clean":1,"dirty":2}` + "\n" + `{"t":"evictions","clean":7,"dirty":8}` + "\n", "line 3: second evictions record"},
 		{"late second header", `{"t":"evictions","clean":1,"dirty":2}` + "\n" + validHeader + validHeader, "line 1: no header"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // FuzzReadJournal holds ReadJournal to its contract on arbitrary input:
 // it never panics, and whatever it accepts keeps the header rules — the
 // first record is a header of the current schema and no other record
-// is one. (WriteJournal encodes a Recorder, not a decoded Journal, so
-// there is no writer to round-trip through.) The seed corpus
+// is one. (WriteJournal encodes counts and a Recorder, not a decoded
+// Journal, so there is no writer to round-trip through.) The seed corpus
 // (testdata/fuzz/FuzzReadJournal) holds a small recorded journal, a
 // truncated one, one whose header comes after a record, and one with
 // two headers.

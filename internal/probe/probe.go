@@ -1,14 +1,15 @@
 // Package probe is the simulator's deterministic instrumentation layer.
 //
-// A Probe receives typed events from the cache model (fills, hits and
-// misses split by class and by clean/dirty partition, evictions with
-// their source partition, bypasses), from the replacement policies
-// (RWP's predictor retargeting the dirty-partition size, RRP's bypass
+// A Probe receives typed events from the replacement policies (RWP's
+// predictor retargeting the dirty-partition size, RRP's bypass
 // verdicts, set-dueling leader flips) and from the simulation driver
 // (interval boundaries with occupancy snapshots). The concrete
-// Recorder aggregates them into per-interval time series and run-level
-// histograms, and journal.go serializes a Recorder as a canonical
-// JSONL "run journal" that cmd/rwpstat can load and render.
+// Recorder keeps them as a retarget history, policy counters and a
+// per-interval time series, and journal.go serializes a Recorder,
+// together with the LLC's per-class counts, as a canonical JSONL "run
+// journal" that cmd/rwpstat can load and render. The caches emit no
+// events: what they count is cache.Stats, which the journal writer
+// takes as an argument.
 //
 // Two guarantees, both enforced by tier-1 tests:
 //
@@ -23,13 +24,13 @@
 //     internal/.
 //
 // The package deliberately imports nothing from the simulator so that
-// every layer (cache, policy, sim, runner) can emit events without
-// import cycles.
+// every layer (policy, sim, runner) can emit events without import
+// cycles.
 package probe
 
 // Class mirrors cache.Class (demand load, demand store, writeback)
 // without importing internal/cache; the numeric values are identical
-// and NumClasses bounds event arrays.
+// and NumClasses bounds the journal's per-class arrays.
 type Class uint8
 
 const (
@@ -55,45 +56,6 @@ func (c Class) String() string {
 	default:
 		return "class?"
 	}
-}
-
-// AccessEvent fires once per cache access, hit or miss.
-type AccessEvent struct {
-	// Level is the cache level name ("LLC", "L2", ...).
-	Level string
-	// Class is the request class.
-	Class Class
-	// Hit is true when the line was present.
-	Hit bool
-	// LineDirty is the hit line's dirty bit *before* the access (the
-	// data-array view of the dirty partition); always false on a miss.
-	LineDirty bool
-}
-
-// FillEvent fires after a missing line is installed.
-type FillEvent struct {
-	Level string
-	Class Class
-	// Dirty is true when the line is installed dirty (it joins the
-	// dirty partition at birth).
-	Dirty bool
-}
-
-// EvictEvent fires when a valid line is replaced.
-type EvictEvent struct {
-	Level string
-	// Class is the class of the incoming access that forced the
-	// eviction.
-	Class Class
-	// Dirty is the victim's dirty bit — the eviction's source
-	// partition; a dirty victim becomes a writeback to the level below.
-	Dirty bool
-}
-
-// BypassEvent fires when a policy declines to cache a missing line.
-type BypassEvent struct {
-	Level string
-	Class Class
 }
 
 // RetargetEvent fires when RWP's predictor repartitions the cache.
@@ -149,14 +111,6 @@ type Probe interface {
 	// Window returns the number of measured accesses per interval
 	// sample; 0 disables IntervalEnd events.
 	Window() uint64
-	// CacheAccess fires on every access at an instrumented level.
-	CacheAccess(ev AccessEvent)
-	// CacheFill fires after a fill.
-	CacheFill(ev FillEvent)
-	// CacheEvict fires when a valid line is replaced.
-	CacheEvict(ev EvictEvent)
-	// CacheBypass fires when a fill is bypassed.
-	CacheBypass(ev BypassEvent)
 	// Retarget fires when RWP repartitions.
 	Retarget(ev RetargetEvent)
 	// Policy fires on policy-internal decisions.
@@ -166,7 +120,7 @@ type Probe interface {
 }
 
 // Instrumentable is implemented by components that accept a probe
-// (policies, caches, hierarchies). SetProbe must be called before the
+// (policies, hierarchies). SetProbe must be called before the
 // run starts and may be called with nil to detach.
 type Instrumentable interface {
 	SetProbe(p Probe)

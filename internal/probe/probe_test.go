@@ -9,18 +9,20 @@ import (
 	"testing"
 )
 
+// testCounts is a small, self-consistent set of LLC counts for a
+// journal's class and evictions records.
+var testCounts = Counts{
+	Classes: [NumClasses]ClassCounters{
+		Load:  {Accesses: 3, Hits: 2, Misses: 1, HitsClean: 1, HitsDirty: 1, Fills: 1},
+		Store: {Accesses: 1, Misses: 1, Bypasses: 1},
+		WB:    {Accesses: 2, Hits: 1, Misses: 1, HitsDirty: 1, Fills: 1, FillsDirty: 1},
+	},
+	EvictClean: 1,
+	EvictDirty: 1,
+}
+
 // fill populates a recorder with a small, representative event stream.
 func fill(r *Recorder) {
-	r.CacheAccess(AccessEvent{Level: "LLC", Class: Load, Hit: true, LineDirty: false})
-	r.CacheAccess(AccessEvent{Level: "LLC", Class: Load, Hit: true, LineDirty: true})
-	r.CacheAccess(AccessEvent{Level: "LLC", Class: Load, Hit: false})
-	r.CacheAccess(AccessEvent{Level: "LLC", Class: Store, Hit: false})
-	r.CacheAccess(AccessEvent{Level: "LLC", Class: WB, Hit: true, LineDirty: true})
-	r.CacheFill(FillEvent{Level: "LLC", Class: Load, Dirty: false})
-	r.CacheFill(FillEvent{Level: "LLC", Class: WB, Dirty: true})
-	r.CacheEvict(EvictEvent{Level: "LLC", Class: Load, Dirty: true})
-	r.CacheEvict(EvictEvent{Level: "LLC", Class: Store, Dirty: false})
-	r.CacheBypass(BypassEvent{Level: "LLC", Class: WB})
 	r.Retarget(RetargetEvent{Interval: 1, Target: 5, Accesses: 100_000})
 	r.Retarget(RetargetEvent{Interval: 2, Target: 3, Accesses: 200_000})
 	r.Policy(PolicyEvent{Policy: "rrp", Kind: "bypass", Value: 0})
@@ -38,22 +40,6 @@ func TestRecorderAggregates(t *testing.T) {
 		t.Fatalf("Window() = %d, want default %d", r.Window(), DefaultWindow)
 	}
 	fill(r)
-	ld := r.Classes[Load]
-	if ld.Accesses != 3 || ld.Hits != 2 || ld.Misses != 1 {
-		t.Errorf("load counters = %+v", ld)
-	}
-	if ld.HitsClean != 1 || ld.HitsDirty != 1 {
-		t.Errorf("load hit partition split = clean %d dirty %d, want 1/1", ld.HitsClean, ld.HitsDirty)
-	}
-	if ld.Fills != 1 || r.Classes[WB].FillsDirty != 1 {
-		t.Errorf("fill counters wrong: load %+v wb %+v", ld, r.Classes[WB])
-	}
-	if r.EvictClean != 1 || r.EvictDirty != 1 || r.Evictions() != 2 {
-		t.Errorf("evictions = clean %d dirty %d", r.EvictClean, r.EvictDirty)
-	}
-	if r.Classes[WB].Bypasses != 1 {
-		t.Errorf("wb bypasses = %d, want 1", r.Classes[WB].Bypasses)
-	}
 	if got := r.FinalTarget(); got != 3 {
 		t.Errorf("FinalTarget = %d, want 3", got)
 	}
@@ -84,7 +70,7 @@ func journalBytes(t *testing.T) []byte {
 		Header{Kind: "single", Desc: "gcc/rwp"},
 		[]ResultRecord{{Workload: "gcc", Policy: "rwp", IPC: 1.25, ReadMPKI: 3.5,
 			TotalMPKI: 5.0, WBPKI: 1.75, Instructions: 180_000}},
-		r)
+		testCounts, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +94,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	want := NewRecorder(100_000)
 	fill(want)
-	if !reflect.DeepEqual(j.Classes, want.Classes) {
-		t.Errorf("classes:\n got %+v\nwant %+v", j.Classes, want.Classes)
-	}
-	if j.EvictClean != want.EvictClean || j.EvictDirty != want.EvictDirty {
-		t.Errorf("evictions = %d/%d", j.EvictClean, j.EvictDirty)
+	if j.Counts != testCounts {
+		t.Errorf("counts:\n got %+v\nwant %+v", j.Counts, testCounts)
 	}
 	if !reflect.DeepEqual(j.Retargets, want.Retargets) {
 		t.Errorf("retargets = %+v", j.Retargets)

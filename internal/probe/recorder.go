@@ -6,7 +6,8 @@ package probe
 // decision.
 const DefaultWindow = 100_000
 
-// ClassCounters aggregates one request class at one level.
+// ClassCounters is one request class's counts at the LLC over the
+// measured region: a journal's class record.
 type ClassCounters struct {
 	Accesses   uint64
 	Hits       uint64
@@ -27,21 +28,25 @@ type PolicyCount struct {
 	Last   int64
 }
 
-// Recorder is the concrete Probe: it aggregates events into run-level
-// counters, per-interval samples and the retarget history. A Recorder
-// observes exactly one run and is not safe for concurrent use (the
-// simulator is single-goroutine per run; the parallel engine attaches
-// one Recorder per job).
-type Recorder struct {
-	window uint64
-
-	// Classes is indexed by Class; only events from the instrumented
-	// level (the LLC, in the standard wiring) are counted.
+// Counts is the LLC's measured-region counts a journal carries beside
+// the Recorder's events: its class records and its evictions record.
+// The runner derives them from the run's cache.Stats.
+type Counts struct {
+	// Classes is indexed by Class.
 	Classes [NumClasses]ClassCounters
 
 	// EvictClean/EvictDirty count evictions by source partition.
 	EvictClean uint64
 	EvictDirty uint64
+}
+
+// Recorder is the concrete Probe: it keeps the retarget history, the
+// policy counters and the per-interval samples. A Recorder observes
+// exactly one run and is not safe for concurrent use (the simulator is
+// single-goroutine per run; the parallel engine attaches one Recorder
+// per job).
+type Recorder struct {
+	window uint64
 
 	// Retargets is the predictor's decision history in emission order.
 	Retargets []RetargetEvent
@@ -66,45 +71,6 @@ func NewRecorder(window uint64) *Recorder {
 
 // Window implements Probe.
 func (r *Recorder) Window() uint64 { return r.window }
-
-// CacheAccess implements Probe.
-func (r *Recorder) CacheAccess(ev AccessEvent) {
-	c := &r.Classes[ev.Class]
-	c.Accesses++
-	if ev.Hit {
-		c.Hits++
-		if ev.LineDirty {
-			c.HitsDirty++
-		} else {
-			c.HitsClean++
-		}
-	} else {
-		c.Misses++
-	}
-}
-
-// CacheFill implements Probe.
-func (r *Recorder) CacheFill(ev FillEvent) {
-	c := &r.Classes[ev.Class]
-	c.Fills++
-	if ev.Dirty {
-		c.FillsDirty++
-	}
-}
-
-// CacheEvict implements Probe.
-func (r *Recorder) CacheEvict(ev EvictEvent) {
-	if ev.Dirty {
-		r.EvictDirty++
-	} else {
-		r.EvictClean++
-	}
-}
-
-// CacheBypass implements Probe.
-func (r *Recorder) CacheBypass(ev BypassEvent) {
-	r.Classes[ev.Class].Bypasses++
-}
 
 // Retarget implements Probe.
 func (r *Recorder) Retarget(ev RetargetEvent) {
@@ -139,6 +105,3 @@ func (r *Recorder) FinalTarget() int {
 	}
 	return r.Retargets[len(r.Retargets)-1].Target
 }
-
-// Evictions returns the total eviction count.
-func (r *Recorder) Evictions() uint64 { return r.EvictClean + r.EvictDirty }

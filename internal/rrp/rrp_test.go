@@ -70,8 +70,8 @@ func TestLearnsToBypassWriteOnlyPC(t *testing.T) {
 	}
 	// The vast majority of non-training-set fills must have been bypassed.
 	st := c.Stats()
-	if st.Bypasses < st.Fills {
-		t.Fatalf("bypasses %d < fills %d; predictor not engaging", st.Bypasses, st.Fills)
+	if st.TotalBypasses() < st.Fills {
+		t.Fatalf("bypasses %d < fills %d; predictor not engaging", st.TotalBypasses(), st.Fills)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestKeepsReadReusedLines(t *testing.T) {
 		t.Fatal("read-reused PC trained to bypass")
 	}
 	st := c.Stats()
-	if st.Bypasses != 0 {
-		t.Fatalf("read-reused stream suffered %d bypasses", st.Bypasses)
+	if st.TotalBypasses() != 0 {
+		t.Fatalf("read-reused stream suffered %d bypasses", st.TotalBypasses())
 	}
 	// After warmup the working set fits: hit ratio must be high.
 	if st.Hits[cache.DemandLoad] < st.Accesses[cache.DemandLoad]*9/10 {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"rwp/internal/cache"
 	"rwp/internal/probe"
 	"rwp/internal/sim"
 )
@@ -35,21 +36,37 @@ func resultRecord(r sim.Result) probe.ResultRecord {
 	}
 }
 
+// journalCounts derives the journal's class and evictions records from
+// the LLC's measured-region stats.
+func journalCounts(s cache.Stats) probe.Counts {
+	var jc probe.Counts
+	for c := range jc.Classes {
+		jc.Classes[c] = probe.ClassCounters{
+			Accesses: s.Accesses[c], Hits: s.Hits[c], Misses: s.Misses[c],
+			HitsClean: s.Hits[c] - s.HitsDirty[c], HitsDirty: s.HitsDirty[c],
+			Fills: s.Misses[c] - s.Bypasses[c], FillsDirty: s.FillsDirty[c],
+			Bypasses: s.Bypasses[c],
+		}
+	}
+	jc.EvictClean, jc.EvictDirty = s.Evictions-s.DirtyEvict, s.DirtyEvict
+	return jc
+}
+
 // writeJournal persists one job's journal with the cache's temp-file +
 // atomic-rename discipline. Failures are non-fatal — the simulation
 // result is already in hand — and are counted as DiskErrors.
-func (e *Engine) writeJournal(k Key, results []probe.ResultRecord, rec *probe.Recorder) {
-	if err := writeJournalFile(JournalPath(e.metricsDir, k), e.metricsDir, k, results, rec); err != nil {
+func (e *Engine) writeJournal(k Key, results []probe.ResultRecord, llc cache.Stats, rec *probe.Recorder) {
+	if err := writeJournalFile(JournalPath(e.metricsDir, k), e.metricsDir, k, results, journalCounts(llc), rec); err != nil {
 		e.count(func(s *Stats) { s.DiskErrors++ })
 	}
 }
 
-func writeJournalFile(path, dir string, k Key, results []probe.ResultRecord, rec *probe.Recorder) error {
+func writeJournalFile(path, dir string, k Key, results []probe.ResultRecord, counts probe.Counts, rec *probe.Recorder) error {
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("runner: journal %s: %w", k, err)
 	}
-	werr := probe.WriteJournal(tmp, probe.Header{Kind: k.kind, Desc: k.desc}, results, rec)
+	werr := probe.WriteJournal(tmp, probe.Header{Kind: k.kind, Desc: k.desc}, results, counts, rec)
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr

@@ -24,7 +24,7 @@ import (
 // every job hash and stored in every cache entry: bump it whenever the
 // meaning of a key's payload or the layout of a cached result changes,
 // and all previously cached entries become misses instead of lies.
-const SchemaSalt = "rwp-runner-v1"
+const SchemaSalt = "rwp-runner-v2"
 
 // Key is a canonical job identity: a kind (one kind maps to exactly one
 // result type), a human-readable description for observability, and a

@@ -45,7 +45,7 @@ func (e *Engine) Single(bench string, opt sim.Options) *Future[sim.Result] {
 		if err != nil {
 			return res, err
 		}
-		e.writeJournal(key, []probe.ResultRecord{resultRecord(res)}, rec)
+		e.writeJournal(key, []probe.ResultRecord{resultRecord(res)}, res.LLC, rec)
 		return res, nil
 	})
 }
@@ -79,7 +79,8 @@ func (e *Engine) Multi(benches []string, opt sim.Options) *Future[sim.MultiResul
 		for i, r := range res.PerCore {
 			records[i] = resultRecord(r)
 		}
-		e.writeJournal(key, records, rec)
+		// Every core's LLC is the shared LLC's measured-region delta.
+		e.writeJournal(key, records, res.PerCore[0].LLC, rec)
 		return res, nil
 	})
 }

@@ -12,11 +12,14 @@ import (
 	"rwp/internal/workload"
 )
 
-// goldenPath holds full Result documents written by the binary of the
-// commit *before* the simulator's data layout was packed (PR 16). It is
-// the cross-commit pin that bitidentity_test.go cannot be: a layout or
-// allocation change must reproduce every counter of every job here byte
-// for byte. It may only change together with a runner.SchemaSalt bump.
+// goldenPath holds full Result documents. It is the cross-commit pin
+// that bitidentity_test.go cannot be: a layout or allocation change must
+// reproduce every counter of every job here byte for byte. It was first
+// written by the binary of the commit before the simulator's data layout
+// was packed, and rewritten only when cache.Stats gained its per-class
+// bypasses and dirty splits: deleting HitsDirty and FillsDirty and
+// summing Bypasses gives back the earlier file byte for byte. It may only
+// change together with a runner.SchemaSalt bump.
 // To regenerate, delete the file and run the test once: it rewrites the
 // file and fails, so a silent regeneration cannot pass CI.
 const goldenPath = "testdata/results_golden.json"

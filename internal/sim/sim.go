@@ -93,10 +93,10 @@ func RunSingle(prof workload.Profile, opt Options) (Result, error) {
 }
 
 // RunSingleProbe is RunSingle with an attached probe. The probe is wired
-// to the hierarchy at the warmup boundary, so its aggregates cover
-// exactly the measured region (matching Result's stats); every
-// p.Window() measured accesses it additionally receives an IntervalEnd
-// snapshot. Attaching a probe never changes the Result — the probe only
+// to the hierarchy at the warmup boundary, so the policy events it
+// receives cover exactly the measured region (like Result's stats);
+// every p.Window() measured accesses it additionally receives an
+// IntervalEnd snapshot. Attaching a probe never changes the Result — the probe only
 // observes (enforced by probe_test.go).
 func RunSingleProbe(prof workload.Profile, opt Options, p probe.Probe) (Result, error) {
 	var obs observer
@@ -268,7 +268,7 @@ func RunMulti(profs []workload.Profile, opt Options) (MultiResult, error) {
 }
 
 // RunMultiProbe is RunMulti with an attached probe. The probe is wired
-// to the shared LLC once every core has finished warming, so aggregates
+// to the shared LLC once every core has finished warming, so its events
 // cover the same region as the measured LLC deltas; IntervalEnd fires
 // every p.Window() globally measured accesses with instruction and cycle
 // counts summed over cores.
@@ -427,9 +427,11 @@ func subStats(a, b cache.Stats) cache.Stats {
 		out.Accesses[i] = a.Accesses[i] - b.Accesses[i]
 		out.Hits[i] = a.Hits[i] - b.Hits[i]
 		out.Misses[i] = a.Misses[i] - b.Misses[i]
+		out.Bypasses[i] = a.Bypasses[i] - b.Bypasses[i]
+		out.HitsDirty[i] = a.HitsDirty[i] - b.HitsDirty[i]
+		out.FillsDirty[i] = a.FillsDirty[i] - b.FillsDirty[i]
 	}
 	out.Fills = a.Fills - b.Fills
-	out.Bypasses = a.Bypasses - b.Bypasses
 	out.Evictions = a.Evictions - b.Evictions
 	out.DirtyEvict = a.DirtyEvict - b.DirtyEvict
 	return out
