@@ -350,9 +350,6 @@ func (c *Cache) State(set, way int) LineState {
 // Stats returns a copy of the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters (used after warmup).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Policy returns the attached policy.
 func (c *Cache) Policy() Policy { return c.policy }
 

@@ -251,19 +251,6 @@ func TestDirtyWaysMatchesState(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := testCacheSingleSet(t, 2, &fifoPolicy{})
-	c.Access(1, 0, DemandLoad, 0)
-	c.ResetStats()
-	if c.Stats().TotalAccesses() != 0 {
-		t.Fatal("ResetStats did not zero counters")
-	}
-	// State survives reset: the line is still cached.
-	if res := c.Access(1, 0, DemandLoad, 0); !res.Hit {
-		t.Fatal("cache contents lost on stats reset")
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	var a, b Stats
 	a.Accesses[DemandLoad] = 3

@@ -181,20 +181,6 @@ func (h *Hierarchy) L2(core int) *cache.Cache { return h.priv[core].l2 }
 // LineShift returns log2(line size).
 func (h *Hierarchy) LineShift() uint { return h.shift }
 
-// ResetStats zeroes every level's counters (after warmup). Cache contents
-// and policy state survive.
-func (h *Hierarchy) ResetStats() {
-	for i := range h.priv {
-		h.priv[i].l1.ResetStats()
-		h.priv[i].l2.ResetStats()
-	}
-	h.llc.ResetStats()
-	h.dram.ResetStats()
-	for i := range h.llcReadMiss {
-		h.llcReadMiss[i] = 0
-	}
-}
-
 // LLCReadMisses returns the shared-LLC demand-load misses attributed to
 // the given core since the last stats reset.
 func (h *Hierarchy) LLCReadMisses(core int) uint64 { return h.llcReadMiss[core] }

@@ -207,18 +207,6 @@ func TestMulticorePrivacy(t *testing.T) {
 	}
 }
 
-func TestResetStatsPreservesContents(t *testing.T) {
-	h := mustNew(t, DefaultConfig())
-	h.Load(0, 0, 0x40, 0x400)
-	h.ResetStats()
-	if h.LLC().Stats().TotalAccesses() != 0 || h.DRAM().Stats().Reads != 0 {
-		t.Fatal("stats not reset")
-	}
-	if lat := h.Load(0, 10, 0x40, 0x400); lat != h.Config().L1Lat {
-		t.Fatal("cache contents lost on stats reset")
-	}
-}
-
 func TestEveryPolicyRunsInHierarchy(t *testing.T) {
 	for _, pol := range []string{"lru", "dip", "drrip", "ship", "rwp", "rrp", "ucp"} {
 		cfg := DefaultConfig()

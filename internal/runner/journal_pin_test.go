@@ -10,23 +10,31 @@ import (
 	"rwp/internal/hier"
 )
 
-// pinnedJournals are journals written by the binary of the commit
-// before the LLC's per-class counts moved from per-access probe events
-// into cache.Stats. A change to how the journal is derived must
-// reproduce each one byte for byte. mcf/rrp bypasses stores and
-// writebacks, mcf/rwp retargets and samples intervals, and mix4/rwp
-// takes the multi-core path, whose counts are the shared LLC's
-// measured-region delta. To regenerate, delete a file and run the test
-// once: it rewrites the file and fails, so a silent regeneration cannot
-// pass CI.
+// pinnedJournals are journals written by the binary of an earlier
+// commit; a change to how the journal is derived must reproduce each one
+// byte for byte. The first three predate the move of the LLC's
+// per-class counts from per-access probe events into cache.Stats:
+// mcf/rrp bypasses stores and writebacks, mcf/rwp retargets and samples
+// intervals, and mix4/rwp takes the multi-core path, whose counts are
+// the shared LLC's measured-region delta. The two warm0 rows predate the
+// single-core loop becoming the one-core case of the multi-core loop:
+// they measure from the first access (the probe is attached before
+// anything runs), single-core and on a 2-core mix, over the same 110 000
+// accesses per core as the others. To regenerate, delete a file and run
+// the test once: it rewrites the file and fails, so a silent
+// regeneration cannot pass CI.
 var pinnedJournals = []struct {
-	name   string
-	policy string
-	mix    []string // one benchmark runs single-core
+	name    string
+	policy  string
+	mix     []string // one benchmark runs single-core
+	warmup  uint64
+	measure uint64
 }{
-	{name: "mcf-rrp", policy: "rrp", mix: []string{"mcf"}},
-	{name: "mcf-rwp", policy: "rwp", mix: []string{"mcf"}},
-	{name: "mix4-rwp", policy: "rwp", mix: []string{"mcf", "gcc", "dealII", "soplex"}},
+	{name: "mcf-rrp", policy: "rrp", mix: []string{"mcf"}, warmup: 30_000, measure: 80_000},
+	{name: "mcf-rwp", policy: "rwp", mix: []string{"mcf"}, warmup: 30_000, measure: 80_000},
+	{name: "mix4-rwp", policy: "rwp", mix: []string{"mcf", "gcc", "dealII", "soplex"}, warmup: 30_000, measure: 80_000},
+	{name: "mcf-rwp-warm0", policy: "rwp", mix: []string{"mcf"}, warmup: 0, measure: 110_000},
+	{name: "mix2-rwp-warm0", policy: "rwp", mix: []string{"gcc", "lbm"}, warmup: 0, measure: 110_000},
 }
 
 // TestJournalPinned regenerates each pinned journal and requires the
@@ -40,6 +48,7 @@ func TestJournalPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt := fastOptions(pj.policy)
+			opt.Warmup, opt.Measure = pj.warmup, pj.measure
 			var key Key
 			if len(pj.mix) == 1 {
 				if _, err := e.Single(pj.mix[0], opt).Wait(); err != nil {

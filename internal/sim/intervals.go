@@ -46,7 +46,7 @@ func RunSourceIntervals(name string, src trace.Source, opt Options, window uint6
 	}
 	var series []Interval
 	var prev probe.IntervalEvent // cumulative counts at the previous window's end
-	res, err := runSingleCore("trace", name, src, opt, observer{window: window, interval: func(ev probe.IntervalEvent) {
+	res, err := runOne(stream{"trace", name, src}, opt, observer{window: window, interval: func(ev probe.IntervalEvent) {
 		insts, cycles := ev.Instructions-prev.Instructions, ev.Cycles-prev.Cycles
 		iv := Interval{EndAccess: ev.EndAccess, DirtyTarget: ev.DirtyTarget}
 		if cycles > 0 {

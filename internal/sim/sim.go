@@ -1,6 +1,7 @@
 // Package sim drives workloads through the core timing model and the
-// memory hierarchy: single-core runs for the paper's per-benchmark
-// figures and interleaved multi-core runs for the shared-LLC experiments.
+// memory hierarchy. One loop serves the paper's per-benchmark figures
+// and its shared-LLC experiments: a single-core run is a one-core mix,
+// and a multi-core run interleaves one stream per core.
 //
 // Runs are deterministic: the same Options produce bit-identical Results.
 package sim
@@ -32,7 +33,7 @@ type Options struct {
 	// CPU is the core model configuration.
 	CPU cpu.Config
 	// Warmup is the number of memory accesses (per core) to run before
-	// statistics reset.
+	// the measured region starts.
 	Warmup uint64
 	// Measure is the number of memory accesses (per core) in the
 	// measured region.
@@ -87,9 +88,10 @@ type Result struct {
 	WBPKI float64
 }
 
-// RunSingle executes one workload on a single-core system.
+// RunSingle executes one workload on a single-core system: the
+// one-core case of RunMulti.
 func RunSingle(prof workload.Profile, opt Options) (Result, error) {
-	return runSingleCore("workload", prof.Name, prof.NewSource(), opt, observer{})
+	return runOne(stream{"workload", prof.Name, prof.NewSource()}, opt, observer{})
 }
 
 // RunSingleProbe is RunSingle with an attached probe. The probe is wired
@@ -99,18 +101,14 @@ func RunSingle(prof workload.Profile, opt Options) (Result, error) {
 // IntervalEnd snapshot. Attaching a probe never changes the Result — the probe only
 // observes (enforced by probe_test.go).
 func RunSingleProbe(prof workload.Profile, opt Options, p probe.Probe) (Result, error) {
-	var obs observer
-	if p != nil {
-		obs = observer{probe: p, window: p.Window(), interval: p.IntervalEnd}
-	}
-	return runSingleCore("workload", prof.Name, prof.NewSource(), opt, obs)
+	return runOne(stream{"workload", prof.Name, prof.NewSource()}, opt, probeObserver(p))
 }
 
-// observer is what an entry point may hang on the single-core loop; the
+// observer is what an entry point may hang on the simulation loop; the
 // zero value observes nothing.
 type observer struct {
-	// probe, when not nil, is wired to the hierarchy at the warmup
-	// boundary.
+	// probe, when not nil, is wired to the hierarchy once every core is
+	// warm.
 	probe probe.Probe
 	// interval, when window is positive, receives a snapshot (cumulative
 	// over the measured region) every window measured accesses.
@@ -118,103 +116,29 @@ type observer struct {
 	interval func(probe.IntervalEvent)
 }
 
-// runSingleCore is the one single-core simulation loop: every entry
-// point that drives one core — a generated workload or a decoded trace
-// (kind says which, for error messages), with or without a probe or an
-// interval series — is this function with a different observer. The
-// stream is read through a trace.ReadAhead, so src.Next runs on a second
-// goroutine while this one simulates; the stage is joined before return.
-//
-// The stream ends at opt.Warmup+opt.Measure accesses or at trace end,
-// whichever comes first; ending before the first measured access is an
-// error.
-func runSingleCore(kind, name string, src trace.Source, opt Options, obs observer) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
+// probeObserver hangs p, and its interval series, on the loop.
+func probeObserver(p probe.Probe) observer {
+	var obs observer
+	if p != nil {
+		obs = observer{probe: p, window: p.Window(), interval: p.IntervalEnd}
 	}
-	if opt.Hier.Cores != 1 {
-		return Result{}, fmt.Errorf("sim: a single-core run needs a 1-core hierarchy, got %d", opt.Hier.Cores)
-	}
-	h, err := hier.New(opt.Hier)
-	if err != nil {
-		return Result{}, err
-	}
-	core, err := cpu.New(opt.CPU)
-	if err != nil {
-		return Result{}, err
-	}
-	total := opt.Warmup + opt.Measure
-	ahead := trace.NewReadAhead(src, total)
-	defer ahead.Close()
+	return obs
+}
 
-	var warm cpu.Stats // the core at the warmup boundary
-	var lastIC uint64
-	// nextWindow is the access count that closes the current interval;
-	// zero (no count is) when nobody asked for intervals.
-	var nextWindow uint64
-	if obs.window > 0 {
-		nextWindow = opt.Warmup + obs.window
+// stream is one core's access stream; kind ("workload" or "trace") and
+// name label it in errors.
+type stream struct {
+	kind, name string
+	src        trace.Source
+}
+
+// runOne runs s on a single-core system and returns its core's Result.
+func runOne(s stream, opt Options, obs observer) (Result, error) {
+	mr, err := run([]stream{s}, opt, obs)
+	if err != nil {
+		return Result{}, err
 	}
-	winIdx := 0
-	for i := uint64(0); ; i++ {
-		if i == opt.Warmup {
-			// The measured region starts before access i, which for
-			// Warmup == 0 is the first.
-			h.ResetStats()
-			warm = core.Stats()
-			if obs.probe != nil {
-				h.SetProbe(obs.probe)
-			}
-		}
-		if i == total {
-			break
-		}
-		a, err := ahead.Next()
-		if err == trace.ErrEnd {
-			if i < opt.Warmup {
-				return Result{}, fmt.Errorf("sim: %s %s ended during warmup (%d accesses)", kind, name, i)
-			}
-			if i == opt.Warmup {
-				return Result{}, fmt.Errorf("sim: %s %s ended with no measured accesses", kind, name)
-			}
-			break
-		}
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: %s %s: %w", kind, name, err)
-		}
-		step(core, h, 0, a)
-		lastIC = a.IC
-		if i+1 == nextWindow {
-			snap := core.Stats()
-			obs.interval(probe.IntervalEvent{
-				Index:         winIdx,
-				EndAccess:     i + 1 - opt.Warmup,
-				Instructions:  snap.Instructions - warm.Instructions,
-				Cycles:        snap.Cycles - warm.Cycles,
-				LLCReadMisses: h.LLC().Stats().ReadMisses(),
-				DirtyTarget:   llcDirtyTarget(h),
-				DirtyLines:    h.LLC().TotalDirty(),
-				ValidLines:    h.LLC().TotalValid(),
-			})
-			winIdx++
-			nextWindow += obs.window
-		}
-	}
-	res := Result{
-		Workload: name,
-		Policy:   opt.Hier.LLCPolicy,
-		Core:     measuredCore(core.Finish(lastIC+1), warm),
-		L1:       h.L1(0).Stats(),
-		L2:       h.L2(0).Stats(),
-		LLC:      h.LLC().Stats(),
-		DRAM:     h.DRAM().Stats(),
-	}
-	res.Instructions = res.Core.Instructions
-	res.IPC = res.Core.IPC()
-	res.ReadMPKI = stats.PerKilo(res.LLC.ReadMisses(), res.Instructions)
-	res.TotalMPKI = stats.PerKilo(res.LLC.TotalMisses(), res.Instructions)
-	res.WBPKI = stats.PerKilo(res.DRAM.Writes, res.Instructions)
-	return res, nil
+	return mr.PerCore[0], nil
 }
 
 // measuredCore returns the core's measured-region counters: final minus
@@ -260,11 +184,11 @@ func (m MultiResult) Throughput() float64 { return stats.Throughput(m.IPCs) }
 // RunMulti executes one workload per core on a shared-LLC system. Cores
 // advance in lockstep by simulated time (the core with the smallest local
 // clock issues next), which is how trace-driven CMP studies interleave
-// independent streams. Cores that finish their measured quota keep
-// running — still generating interference — until every core has
-// finished; their extra work is not counted.
+// independent streams. A core that finishes its Warmup+Measure quota
+// stops issuing; the cores still running finish without its
+// interference.
 func RunMulti(profs []workload.Profile, opt Options) (MultiResult, error) {
-	return runMulti(profs, opt, nil)
+	return RunMultiProbe(profs, opt, nil)
 }
 
 // RunMultiProbe is RunMulti with an attached probe. The probe is wired
@@ -273,16 +197,34 @@ func RunMulti(profs []workload.Profile, opt Options) (MultiResult, error) {
 // every p.Window() globally measured accesses with instruction and cycle
 // counts summed over cores.
 func RunMultiProbe(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult, error) {
-	return runMulti(profs, opt, p)
+	streams := make([]stream, len(profs))
+	for i, prof := range profs {
+		streams[i] = stream{kind: "workload", name: prof.Name, src: prof.NewSource()}
+	}
+	return run(streams, opt, probeObserver(p))
 }
 
-func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult, error) {
-	n := len(profs)
+// run is the one simulation loop: every entry point, one core or many,
+// a generated workload or a decoded trace, with or without a probe or an
+// interval series, is this function with different streams and a
+// different observer. Each stream is read through a trace.ReadAhead, so
+// its Next runs on another goroutine while this one simulates; the
+// stages are joined before return.
+//
+// A core's counted region ends when its stream does: the read-ahead
+// stage ends every stream at Warmup+Measure accesses, and a source may
+// end it sooner. A stream that ends before the core's first measured
+// access is an error; a core whose stream has ended stops issuing. Each core's measured region
+// is its counters minus a snapshot taken at its own warmup boundary;
+// the shared LLC and DRAM are measured from the moment every core is
+// warm, which for Warmup == 0 is before the first access.
+func run(streams []stream, opt Options, obs observer) (MultiResult, error) {
+	n := len(streams)
 	if n == 0 {
 		return MultiResult{}, fmt.Errorf("sim: empty mix")
 	}
 	if opt.Hier.Cores != n {
-		return MultiResult{}, fmt.Errorf("sim: hierarchy has %d cores for a %d-workload mix", opt.Hier.Cores, n)
+		return MultiResult{}, fmt.Errorf("sim: hierarchy has %d cores, run has %d streams", opt.Hier.Cores, n)
 	}
 	if err := opt.Validate(); err != nil {
 		return MultiResult{}, err
@@ -293,65 +235,83 @@ func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult
 	}
 
 	type coreState struct {
-		core       *cpu.Core
-		src        *trace.ReadAhead
-		done       uint64 // accesses completed
-		lastIC     uint64
-		warm       cpu.Stats // the core at its warmup boundary
-		l1Snap     cache.Stats
-		l2Snap     cache.Stats
-		llcRMWarm  uint64 // per-core LLC read misses at warmup end
-		llcRMFinal uint64 // captured when the core's counted region ends
+		core      *cpu.Core
+		src       *trace.ReadAhead
+		done      uint64 // accesses completed
+		lastIC    uint64
+		warm      cpu.Stats // the core at its warmup boundary
+		l1Snap    cache.Stats
+		l2Snap    cache.Stats
+		llcRMWarm uint64 // per-core LLC read misses at warmup end
+		ended     bool   // the stream has ended
 	}
-	states := make([]*coreState, n)
-	for i := range profs {
-		c, err := cpu.New(opt.CPU)
-		if err != nil {
+	states := make([]coreState, n)
+	for i := range states {
+		if states[i].core, err = cpu.New(opt.CPU); err != nil {
 			return MultiResult{}, err
 		}
-		states[i] = &coreState{core: c}
 	}
 	// One read-ahead stage per core, each bounded by that core's quota
 	// and joined before return.
-	total := opt.Warmup + opt.Measure
-	for i, p := range profs {
-		states[i].src = trace.NewReadAhead(p.NewSource(), total)
+	for i, s := range streams {
+		states[i].src = trace.NewReadAhead(s.src, opt.Warmup+opt.Measure)
 		defer states[i].src.Close()
 	}
-	llcWarm := cache.Stats{}
+	// Once every core is warm the shared levels start counting.
+	var llcWarm cache.Stats
 	warmDone := 0
-	var window uint64
-	if p != nil {
-		window = p.Window()
+	allWarm := func() {
+		llcWarm = h.LLC().Stats()
+		h.DRAM().ResetStats()
+		if obs.probe != nil {
+			h.SetProbe(obs.probe)
+		}
 	}
-	if p != nil && opt.Warmup == 0 {
+	if opt.Warmup == 0 {
 		warmDone = n
-		h.SetProbe(p)
+		allWarm()
 	}
-	var measured uint64
-	var winIdx int
+	// measured counts accesses since every core was warm; nextWindow is
+	// the count that closes the current interval, zero (no count is)
+	// when nobody asked for intervals.
+	var measured, nextWindow uint64
+	if obs.window > 0 {
+		nextWindow = obs.window
+	}
+	winIdx := 0
 
-	finished := 0
-	for finished < n {
-		// Pick the least-advanced core still under quota; finished cores
-		// continue only while any counted core lags them (interference).
-		best := -1
-		var bestCycle uint64
-		for i, st := range states {
-			if st.done >= total {
-				continue
-			}
-			if best == -1 || st.core.Now() < bestCycle {
-				best, bestCycle = i, st.core.Now()
+	for running := n; running > 0; {
+		// Pick the least-advanced core still counting. With one core
+		// there is nothing to choose.
+		best := 0
+		if n > 1 {
+			best = -1
+			var bestCycle uint64
+			for i := range states {
+				st := &states[i]
+				if st.ended {
+					continue
+				}
+				if best == -1 || st.core.Now() < bestCycle {
+					best, bestCycle = i, st.core.Now()
+				}
 			}
 		}
-		if best == -1 {
-			break
-		}
-		st := states[best]
+		st := &states[best]
 		a, err := st.src.Next()
 		if err != nil {
-			return MultiResult{}, fmt.Errorf("sim: workload %s: %w", profs[best].Name, err)
+			s := streams[best]
+			switch {
+			case err != trace.ErrEnd:
+				return MultiResult{}, fmt.Errorf("sim: %s %s: %w", s.kind, s.name, err)
+			case st.done < opt.Warmup:
+				return MultiResult{}, fmt.Errorf("sim: %s %s ended during warmup (%d accesses)", s.kind, s.name, st.done)
+			case st.done == opt.Warmup:
+				return MultiResult{}, fmt.Errorf("sim: %s %s ended with no measured accesses", s.kind, s.name)
+			}
+			st.ended = true
+			running--
+			continue
 		}
 		step(st.core, h, best, a)
 		st.lastIC = a.IC
@@ -361,25 +321,19 @@ func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult
 			st.l1Snap = h.L1(best).Stats()
 			st.l2Snap = h.L2(best).Stats()
 			st.llcRMWarm = h.LLCReadMisses(best)
-			warmDone++
-			if warmDone == n {
-				llcWarm = h.LLC().Stats()
-				h.DRAM().ResetStats()
-				if p != nil {
-					h.SetProbe(p)
-				}
+			if warmDone++; warmDone == n {
+				allWarm()
 			}
 		}
-		if p != nil && window > 0 && warmDone == n && st.done > opt.Warmup {
-			measured++
-			if measured%window == 0 {
+		if nextWindow > 0 && warmDone == n && st.done > opt.Warmup {
+			if measured++; measured == nextWindow {
 				var insts, cycles uint64
-				for _, s2 := range states {
-					snap := s2.core.Stats()
-					insts += snap.Instructions - s2.warm.Instructions
-					cycles += snap.Cycles - s2.warm.Cycles
+				for i := range states {
+					snap := states[i].core.Stats()
+					insts += snap.Instructions - states[i].warm.Instructions
+					cycles += snap.Cycles - states[i].warm.Cycles
 				}
-				p.IntervalEnd(probe.IntervalEvent{
+				obs.interval(probe.IntervalEvent{
 					Index:         winIdx,
 					EndAccess:     measured,
 					Instructions:  insts,
@@ -390,20 +344,17 @@ func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult
 					ValidLines:    h.LLC().TotalValid(),
 				})
 				winIdx++
+				nextWindow += obs.window
 			}
-		}
-		if st.done == total {
-			st.llcRMFinal = h.LLCReadMisses(best)
-			finished++
 		}
 	}
 
 	res := MultiResult{Policy: opt.Hier.LLCPolicy}
-	llcEnd := h.LLC().Stats()
-	llcMeasured := subStats(llcEnd, llcWarm)
-	for i, st := range states {
+	llcMeasured := subStats(h.LLC().Stats(), llcWarm)
+	for i := range states {
+		st := &states[i]
 		r := Result{
-			Workload: profs[i].Name,
+			Workload: streams[i].name,
 			Policy:   opt.Hier.LLCPolicy,
 			Core:     measuredCore(st.core.Finish(st.lastIC+1), st.warm),
 			L1:       subStats(h.L1(i).Stats(), st.l1Snap),
@@ -413,7 +364,15 @@ func runMulti(profs []workload.Profile, opt Options, p probe.Probe) (MultiResult
 		}
 		r.Instructions = r.Core.Instructions
 		r.IPC = r.Core.IPC()
-		r.ReadMPKI = stats.PerKilo(st.llcRMFinal-st.llcRMWarm, r.Instructions)
+		// A core's LLC read misses move only on its own loads, so they
+		// stopped when its counted region ended.
+		r.ReadMPKI = stats.PerKilo(h.LLCReadMisses(i)-st.llcRMWarm, r.Instructions)
+		if n == 1 {
+			// A shared LLC's misses and a shared channel's writes are
+			// not one core's.
+			r.TotalMPKI = stats.PerKilo(r.LLC.TotalMisses(), r.Instructions)
+			r.WBPKI = stats.PerKilo(r.DRAM.Writes, r.Instructions)
+		}
 		res.PerCore = append(res.PerCore, r)
 		res.IPCs = append(res.IPCs, r.IPC)
 	}

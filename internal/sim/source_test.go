@@ -15,7 +15,7 @@ import (
 )
 
 // TestRunSourceMatchesRunSingle: the entry points that share the
-// single-core loop are one simulation. The generator's own stream
+// loop's one-core case are one simulation. The generator's own stream
 // through each of them must produce the same Result field for field,
 // and the probe's IntervalEnd stream must be the Interval series (the
 // series is the probe's cumulative counts, differenced).
@@ -196,17 +196,30 @@ func TestRunSourceShortTraceFails(t *testing.T) {
 	}
 }
 
+// TestRunSourceTruncatedMeasureIsOK: a stream that ends k accesses into
+// the measured region is a shorter run, not a failure — its Result is
+// exactly RunSingle's with Measure = k. It is the one test that holds
+// a source that ends to the quota that ends the read-ahead stage.
 func TestRunSourceTruncatedMeasureIsOK(t *testing.T) {
 	prof, _ := workload.Get("gcc")
-	opt := fastOptions("lru")
-	// Trace covers warmup plus half the measure window: allowed.
-	src := trace.NewLimit(prof.NewSource(), opt.Warmup+opt.Measure/2)
-	res, err := RunSource("truncated", src, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPC <= 0 || res.Instructions == 0 {
-		t.Fatalf("bad truncated result: %+v", res)
+	for _, pol := range []string{"lru", "rwp", "rrp"} {
+		for _, warmup := range []uint64{0, 100_000} {
+			opt := fastOptions(pol)
+			opt.Warmup = warmup
+			k := opt.Measure/2 + 7
+			got, err := RunSource(prof.Name, trace.NewLimit(prof.NewSource(), warmup+k), opt)
+			if err != nil {
+				t.Fatalf("%s/warmup %d: %v", pol, warmup, err)
+			}
+			opt.Measure = k
+			want, err := RunSingle(prof, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/warmup %d: stream cut at Warmup+%d\n got %+v\nwant %+v", pol, warmup, k, got, want)
+			}
+		}
 	}
 }
 

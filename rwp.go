@@ -47,7 +47,7 @@ type Config struct {
 	LLCBytes int
 	// LLCWays overrides the associativity.
 	LLCWays int
-	// Warmup is the number of accesses (per core) before stats reset.
+	// Warmup is the number of accesses (per core) before measuring.
 	Warmup uint64
 	// Measure is the number of accesses (per core) in the measured
 	// region.
