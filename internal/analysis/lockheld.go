@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -28,262 +29,67 @@ import (
 //   - acquiring any mutex (re-acquiring the held one is an immediate
 //     deadlock; a different one is an ordering hazard).
 //
-// The analysis is per-function and syntactic: a lock is "held" from a
-// Lock()/RLock() statement until the matching Unlock()/RUnlock()
-// statement on the same receiver expression; `defer Unlock()` keeps it
-// held to the end of the function. Function literals are analyzed as
-// their own functions (a goroutine body does not inherit the spawner's
-// locks), and calls into other functions are not followed — a helper
-// that blocks internally needs its own locks, or a review.
+// One held-lock flow (lockflow.go), shared with lockpair, walks each
+// function path by path: a lock is held from its Lock()/RLock()
+// statement until the matching unlock on the same receiver expression,
+// and a `defer Unlock()` keeps it held to the end of the function. The
+// arguments of a defer or go statement are evaluated on the spot, so
+// they are checked under the locks held there; the deferred or spawned
+// call itself is not. Function literals are analyzed as their own
+// functions (a goroutine body does not inherit the spawner's locks),
+// and calls into other functions are not followed — a helper that
+// blocks internally needs its own locks, or a review.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "flag blocking work (Loader fills, net/io writes, time.Sleep, channel ops, nested locks) while a mutex is held",
 	Run: func(pass *Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				var body *ast.BlockStmt
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					body = fn.Body
-				case *ast.FuncLit:
-					body = fn.Body
-				}
-				if body != nil {
-					w := &heldWalker{pass: pass}
-					w.stmts(body.List, nil)
-				}
-				return true // nested FuncLits are visited (and walked) separately
-			})
-		}
+		walkLockFlow(pass, heldRule{pass})
 	},
 }
 
-// heldWalker tracks which mutex expressions are held across a
-// statement walk of one function body.
-type heldWalker struct {
+// heldRule reports blocking work and nested acquisitions under any held
+// lock; the last one acquired names the holder in messages.
+type heldRule struct {
 	pass *Pass
 }
 
-// mutexOp classifies call as a sync.Mutex/RWMutex lock-state method
-// call, returning the receiver expression and the method name.
-func mutexOp(pass *Pass, call *ast.CallExpr) (expr, op string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
+func (w heldRule) acquire(call *ast.CallExpr, expr, op string, held []heldLock) {
+	if len(held) == 0 {
+		return
 	}
-	fn, isFn := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	switch fn.Name() {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return "", "", false
-	}
-	t := recv.Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed {
-		return "", "", false
-	}
-	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), fn.Name(), true
-}
-
-// stmts walks a statement list with the held-lock set (in acquisition
-// order) and returns the set at fall-through.
-func (w *heldWalker) stmts(list []ast.Stmt, held []string) []string {
-	for _, s := range list {
-		held = w.stmt(s, held)
-	}
-	return held
-}
-
-// stmt processes one statement, reporting blocking work if any lock is
-// held, and returns the updated held set.
-func (w *heldWalker) stmt(s ast.Stmt, held []string) []string {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, isCall := s.X.(*ast.CallExpr); isCall {
-			if expr, op, isMu := mutexOp(w.pass, call); isMu {
-				switch op {
-				case "Lock", "RLock":
-					if len(held) > 0 {
-						if contains(held, expr) {
-							w.pass.Reportf(call.Pos(), "%s.%s while %s is already held: guaranteed self-deadlock", expr, op, expr)
-						} else {
-							w.pass.Reportf(call.Pos(), "acquiring %s while %s is held: lock-ordering hazard (release one lock before taking another)", expr, held[len(held)-1])
-						}
-					}
-					return appendNew(held, expr)
-				default: // Unlock, RUnlock
-					return remove(held, expr)
-				}
-			}
-		}
-		w.checkBlocking(s, held)
-		return held
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			w.pass.Reportf(s.Pos(), "channel send while %s is held; a full channel stalls the lock domain", held[len(held)-1])
-		}
-		w.checkBlocking(s.Chan, held)
-		w.checkBlocking(s.Value, held)
-		return held
-	case *ast.AssignStmt, *ast.DeclStmt, *ast.IncDecStmt, *ast.ReturnStmt:
-		w.checkBlocking(s, held)
-		return held
-	case *ast.DeferStmt:
-		// A deferred Unlock releases at function exit: the lock stays
-		// held for the remainder of the walk. Other deferred calls run
-		// after this statement's region and are not analyzed here.
-		return held
-	case *ast.GoStmt:
-		// The spawned goroutine does not hold this function's locks;
-		// its FuncLit body is walked as its own function.
-		return held
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		w.checkBlocking(s.Cond, held)
-		var fallthroughs [][]string
-		if out, falls := w.branch(s.Body.List, held); falls {
-			fallthroughs = append(fallthroughs, out)
-		}
-		if s.Else != nil {
-			if out, falls := w.branch([]ast.Stmt{s.Else}, held); falls {
-				fallthroughs = append(fallthroughs, out)
-			}
-		} else {
-			fallthroughs = append(fallthroughs, held)
-		}
-		return union(fallthroughs)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.checkBlocking(s.Cond, held)
-		}
-		out := w.stmts(s.Body.List, cloneHeld(held))
-		return union([][]string{held, out})
-	case *ast.RangeStmt:
-		if len(held) > 0 {
-			if tv, isTyped := w.pass.Info.Types[s.X]; isTyped && tv.Type != nil {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					w.pass.Reportf(s.Pos(), "range over channel while %s is held blocks the lock domain on the sender", held[len(held)-1])
-				}
-			}
-		}
-		w.checkBlocking(s.X, held)
-		out := w.stmts(s.Body.List, cloneHeld(held))
-		return union([][]string{held, out})
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		return w.clauses(s, held)
-	case *ast.SelectStmt:
-		if len(held) > 0 && !hasDefaultClause(s.Body.List) {
-			w.pass.Reportf(s.Pos(), "select without default while %s is held blocks the lock domain", held[len(held)-1])
-		}
-		var fallthroughs [][]string
-		for _, c := range s.Body.List {
-			comm := c.(*ast.CommClause)
-			if out, falls := w.branch(comm.Body, held); falls {
-				fallthroughs = append(fallthroughs, out)
-			}
-		}
-		if len(fallthroughs) == 0 {
-			return held
-		}
-		return union(fallthroughs)
-	default:
-		return held
+	if holding(held, expr, "") {
+		w.pass.Reportf(call.Pos(), "%s.%s while %s is already held: guaranteed self-deadlock", expr, op, expr)
+	} else {
+		w.pass.Reportf(call.Pos(), "acquiring %s while %s is held: lock-ordering hazard (release one lock before taking another)", expr, held[len(held)-1].expr)
 	}
 }
 
-// clauses walks the case bodies of a switch or type switch.
-func (w *heldWalker) clauses(s ast.Stmt, held []string) []string {
-	var body *ast.BlockStmt
-	hasDefault := false
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.checkBlocking(s.Tag, held)
-		}
-		body = s.Body
-	case *ast.TypeSwitchStmt:
-		body = s.Body
-	}
-	var fallthroughs [][]string
-	for _, c := range body.List {
-		cc := c.(*ast.CaseClause)
-		if cc.List == nil {
-			hasDefault = true
-		}
-		if out, falls := w.branch(cc.Body, held); falls {
-			fallthroughs = append(fallthroughs, out)
-		}
-	}
-	if !hasDefault {
-		fallthroughs = append(fallthroughs, held)
-	}
-	if len(fallthroughs) == 0 {
-		return held
-	}
-	return union(fallthroughs)
-}
-
-// branch walks one branch body and reports whether control can fall
-// through to the statement after the enclosing construct.
-func (w *heldWalker) branch(list []ast.Stmt, held []string) ([]string, bool) {
-	out := w.stmts(list, cloneHeld(held))
-	return out, !terminates(list)
-}
-
-// terminates reports whether a statement list definitely transfers
-// control away (return, panic, break/continue, goto) at its end.
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch last := list[len(list)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, isCall := last.X.(*ast.CallExpr); isCall {
-			if id, isIdent := call.Fun.(*ast.Ident); isIdent && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(last.List)
-	}
-	return false
-}
-
-// checkBlocking inspects one statement or expression for blocking
-// operations, reporting each when locks are held. Function literals
-// are not descended: their bodies run later, as their own functions.
-func (w *heldWalker) checkBlocking(n ast.Node, held []string) {
+// eval inspects one statement or expression for blocking operations.
+// Function literals are not descended: their bodies run later, as their
+// own functions.
+func (w heldRule) eval(n ast.Node, held []heldLock) {
 	if len(held) == 0 || n == nil {
 		return
 	}
-	holder := held[len(held)-1]
+	holder := held[len(held)-1].expr
+	switch s := n.(type) {
+	case *ast.SendStmt:
+		w.pass.Reportf(s.Pos(), "channel send while %s is held; a full channel stalls the lock domain", holder)
+	case *ast.RangeStmt:
+		if tv, isTyped := w.pass.Info.Types[s.X]; isTyped && tv.Type != nil {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				w.pass.Reportf(s.Pos(), "range over channel while %s is held blocks the lock domain on the sender", holder)
+			}
+		}
+		n = s.X // the body is walked statement by statement
+	case *ast.SelectStmt:
+		// The comm clauses are what make a select blocking: they are
+		// not reported again, and with a default none of them waits.
+		if !hasDefaultClause(s.Body.List) {
+			w.pass.Reportf(s.Pos(), "select without default while %s is held blocks the lock domain", holder)
+		}
+		return
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -303,6 +109,10 @@ func (w *heldWalker) checkBlocking(n ast.Node, held []string) {
 		return true
 	})
 }
+
+func (heldRule) exit([]heldLock, token.Pos) {}
+
+func (heldRule) loopEnd(_, _ []heldLock) {}
 
 // ioPackages are the packages whose blocking-shaped calls are flagged
 // under a held lock. bytes/strings buffers are deliberately absent:
@@ -340,7 +150,7 @@ var osFuncs = map[string]bool{
 
 // blockingCall classifies a call as blocking work that must not run
 // under a shard lock.
-func (w *heldWalker) blockingCall(call *ast.CallExpr) (string, bool) {
+func (w heldRule) blockingCall(call *ast.CallExpr) (string, bool) {
 	// A call through a value or field whose type is named "Loader" is a
 	// backing-store fetch, whatever package defines it.
 	if tv, isTyped := w.pass.Info.Types[call.Fun]; isTyped && tv.Type != nil {
@@ -439,53 +249,4 @@ func hasDefaultClause(clauses []ast.Stmt) bool {
 		}
 	}
 	return false
-}
-
-// contains reports whether held includes expr.
-func contains(held []string, expr string) bool {
-	for _, h := range held {
-		if h == expr {
-			return true
-		}
-	}
-	return false
-}
-
-// appendNew returns held plus expr (copy-on-write: branches share
-// prefixes).
-func appendNew(held []string, expr string) []string {
-	out := make([]string, 0, len(held)+1)
-	out = append(out, held...)
-	return append(out, expr)
-}
-
-// remove returns held without the most recent occurrence of expr.
-func remove(held []string, expr string) []string {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i] == expr {
-			out := make([]string, 0, len(held)-1)
-			out = append(out, held[:i]...)
-			return append(out, held[i+1:]...)
-		}
-	}
-	return held
-}
-
-// cloneHeld copies the held set for branch-local mutation.
-func cloneHeld(held []string) []string {
-	return append([]string(nil), held...)
-}
-
-// union merges fall-through branch states in first-seen order: a lock
-// held on any incoming path is treated as held.
-func union(states [][]string) []string {
-	var out []string
-	for _, st := range states {
-		for _, e := range st {
-			if !contains(out, e) {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
 }

@@ -267,3 +267,88 @@ func (x *r) mapRangeFine() {
 	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
 	wantFindings(t, findings, "lockheld", 14)
 }
+
+func TestLockHeldDeferArguments(t *testing.T) {
+	// A deferred call runs at exit, but its arguments are evaluated at
+	// the defer statement, under the lock.
+	src := `package fix
+
+import "sync"
+
+type Loader func(key string) []byte
+
+type shard struct {
+	mu     sync.Mutex
+	loader Loader
+}
+
+func sink([]byte) {}
+
+func (s *shard) deferredFetch(key string) {
+	s.mu.Lock()
+	defer sink(s.loader(key))
+	s.mu.Unlock()
+}
+`
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
+	wantFindings(t, findings, "lockheld", 16)
+}
+
+func TestLockHeldGoArguments(t *testing.T) {
+	// The spawned goroutine holds no lock, but the go statement
+	// evaluates its arguments in the spawner, under the lock.
+	src := `package fix
+
+import "sync"
+
+type Loader func(key string) []byte
+
+type shard struct {
+	mu     sync.Mutex
+	loader Loader
+}
+
+func sink([]byte) {}
+
+func (s *shard) spawnFetch(k string) {
+	s.mu.Lock()
+	go sink(s.loader(k))
+	s.mu.Unlock()
+}
+`
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
+	wantFindings(t, findings, "lockheld", 16)
+}
+
+func TestLockHeldSwitchAllReturn(t *testing.T) {
+	// Every clause of the switch unlocks and returns, so no path that
+	// locked reaches the Loader call.
+	src := `package fix
+
+import "sync"
+
+type Loader func(key string) []byte
+
+type shard struct {
+	mu     sync.Mutex
+	loader Loader
+}
+
+func (s *shard) get(x, y bool, key string) []byte {
+	if x {
+		s.mu.Lock()
+		switch {
+		case y:
+			s.mu.Unlock()
+			return nil
+		default:
+			s.mu.Unlock()
+			return nil
+		}
+	}
+	return s.loader(key)
+}
+`
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
+	wantFindings(t, findings, "lockheld")
+}

@@ -13,14 +13,19 @@ import (
 // testing because the leaking path is the rare one (an error return, a
 // validation reject).
 //
-// The walk is path-sensitive within one function: branches are
-// explored separately, early returns are checked where they occur, and
-// a lock acquired inside a loop body must be released by the end of
-// that body (the next iteration's Lock would self-deadlock). RLock is
-// matched only by RUnlock and Lock only by Unlock. A deferred function
-// literal releases the locks it unlocks. Paths ending in panic() are
-// not checked — only a deferred unlock can release across a panic, and
-// in this codebase panics are crash-stops, not control flow.
+// The walk is the held-lock flow lockheld also reads (lockflow.go),
+// path-sensitive within one function: branches are explored
+// separately, early returns are checked where they occur, and a `defer
+// Unlock()` — direct, or an unlock inside a deferred function literal —
+// releases the lock for the exit check. A lock acquired inside a loop body must be released
+// by the end of that body (the next iteration's Lock would
+// self-deadlock), unless the same lock was already held, by the same
+// method, when the loop started: unlocking around blocking work and
+// re-locking before the next iteration is the pattern lockheld asks
+// for. RLock is matched only by RUnlock and Lock only by Unlock. Paths
+// ending in panic() are not checked — only a deferred unlock can
+// release across a panic, and in this codebase panics are crash-stops,
+// not control flow.
 //
 // Like lockheld, the analysis is per-function: helpers that lock in
 // one function and unlock in another are not modeled (and are exactly
@@ -29,273 +34,46 @@ var LockPair = &Analyzer{
 	Name: "lockpair",
 	Doc:  "every Lock/RLock must have a defer Unlock/RUnlock or an explicit unlock on all exit paths",
 	Run: func(pass *Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				var body *ast.BlockStmt
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					body = fn.Body
-				case *ast.FuncLit:
-					body = fn.Body
-				}
-				if body != nil {
-					w := &pairWalker{pass: pass, reported: map[token.Pos]bool{}}
-					held, terminated := w.stmts(body.List, nil)
-					if !terminated {
-						w.checkExit(held, body.Rbrace)
-					}
-				}
-				return true // nested FuncLits get their own walk
-			})
-		}
+		walkLockFlow(pass, &pairRule{pass: pass, reported: map[token.Pos]bool{}})
 	},
 }
 
-// lockEntry is one acquisition that has not yet been released.
-type lockEntry struct {
-	expr     string    // receiver expression, e.g. "sh.mu"
-	op       string    // acquiring method: Lock or RLock
-	unlockOp string    // releasing method: Unlock or RUnlock
-	pos      token.Pos // position of the acquiring call
-}
-
-type pairWalker struct {
+// pairRule reports acquisitions outstanding, and not deferred, at an
+// exit or at the end of a loop iteration.
+type pairRule struct {
 	pass *Pass
 	// reported dedupes findings per acquisition site: a lock leaking
 	// past three returns is one bug, not three.
 	reported map[token.Pos]bool
 }
 
-// stmts walks a statement list. It returns the outstanding locks at
-// fall-through and whether every path through the list transfers
-// control away (so there is no fall-through).
-func (w *pairWalker) stmts(list []ast.Stmt, held []lockEntry) ([]lockEntry, bool) {
-	for _, s := range list {
-		var terminated bool
-		held, terminated = w.stmt(s, held)
-		if terminated {
-			return held, true
+func (w *pairRule) exit(held []heldLock, at token.Pos) {
+	exit := w.pass.Fset.Position(at)
+	for _, e := range held {
+		if w.first(e) {
+			w.pass.Reportf(e.pos, "%s.%s() is not released on the exit path at line %d; add defer %s.%s() or unlock before returning", e.expr, e.op, exit.Line, e.expr, unlockOf[e.op])
 		}
-	}
-	return held, false
-}
-
-func (w *pairWalker) stmt(s ast.Stmt, held []lockEntry) ([]lockEntry, bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, isCall := s.X.(*ast.CallExpr); isCall {
-			if expr, op, isMu := mutexOp(w.pass, call); isMu {
-				switch op {
-				case "Lock":
-					return append(cloneEntries(held), lockEntry{expr, op, "Unlock", call.Pos()}), false
-				case "RLock":
-					return append(cloneEntries(held), lockEntry{expr, op, "RUnlock", call.Pos()}), false
-				default:
-					return releaseEntry(held, expr, op), false
-				}
-			}
-			if id, isIdent := call.Fun.(*ast.Ident); isIdent && id.Name == "panic" {
-				return held, true // crash-stop: only defers run; not checked
-			}
-		}
-		return held, false
-	case *ast.DeferStmt:
-		return w.applyDefer(s, held), false
-	case *ast.ReturnStmt:
-		w.checkExit(held, s.Pos())
-		return held, true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the enclosing construct; the
-		// conservative choice is to stop tracking this path rather
-		// than misattribute its state to the fall-through.
-		return held, true
-	case *ast.GoStmt:
-		return held, false // the goroutine's unlocks are its own
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		var fallthroughs [][]lockEntry
-		if out, term := w.stmts(s.Body.List, cloneEntries(held)); !term {
-			fallthroughs = append(fallthroughs, out)
-		}
-		if s.Else != nil {
-			if out, term := w.stmt(s.Else, cloneEntries(held)); !term {
-				fallthroughs = append(fallthroughs, out)
-			}
-		} else {
-			fallthroughs = append(fallthroughs, held)
-		}
-		if len(fallthroughs) == 0 {
-			return held, true
-		}
-		return unionEntries(fallthroughs), false
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		w.loopBody(s.Body, held)
-		return held, false
-	case *ast.RangeStmt:
-		w.loopBody(s.Body, held)
-		return held, false
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		return w.caseBodies(held, switchClauses(s.Body), switchHasDefault(s.Body))
-	case *ast.TypeSwitchStmt:
-		return w.caseBodies(held, switchClauses(s.Body), switchHasDefault(s.Body))
-	case *ast.SelectStmt:
-		var bodies [][]ast.Stmt
-		for _, c := range s.Body.List {
-			bodies = append(bodies, c.(*ast.CommClause).Body)
-		}
-		// A select always executes exactly one clause: no implicit
-		// fall-through with the incoming state unless there are no
-		// clauses at all.
-		return w.caseBodies(held, bodies, len(bodies) > 0)
-	default:
-		return held, false
 	}
 }
 
-// loopBody walks a loop body in isolation: a lock acquired inside and
-// still outstanding at the body's end would self-deadlock on the next
-// iteration, so it is reported there. Locks from outside the loop are
-// assumed unchanged across it (unlocking a caller-scope lock inside a
-// loop body is not a pattern this rule models).
-func (w *pairWalker) loopBody(body *ast.BlockStmt, held []lockEntry) {
-	out, terminated := w.stmts(body.List, cloneEntries(held))
-	if terminated {
-		return
-	}
+func (w *pairRule) loopEnd(entry, out []heldLock) {
 	for _, e := range out {
-		if !containsEntry(held, e) && !w.reported[e.pos] {
-			w.reported[e.pos] = true
+		if !holding(entry, e.expr, e.op) && w.first(e) {
 			w.pass.Reportf(e.pos, "%s.%s() inside a loop body is not released by the end of the iteration; the next %s would deadlock", e.expr, e.op, e.op)
 		}
 	}
 }
 
-// caseBodies walks each clause body from the incoming state and merges
-// the fall-through states. exhaustive marks constructs where exactly
-// one clause always runs (switch with default, any select).
-func (w *pairWalker) caseBodies(held []lockEntry, bodies [][]ast.Stmt, exhaustive bool) ([]lockEntry, bool) {
-	var fallthroughs [][]lockEntry
-	for _, body := range bodies {
-		if out, term := w.stmts(body, cloneEntries(held)); !term {
-			fallthroughs = append(fallthroughs, out)
-		}
+// first reports whether e is outstanding and not yet reported, and
+// marks it reported.
+func (w *pairRule) first(e heldLock) bool {
+	if e.deferred || w.reported[e.pos] {
+		return false
 	}
-	if !exhaustive {
-		fallthroughs = append(fallthroughs, held)
-	}
-	if len(fallthroughs) == 0 {
-		return held, true
-	}
-	return unionEntries(fallthroughs), false
+	w.reported[e.pos] = true
+	return true
 }
 
-// applyDefer releases the locks unlocked by a deferred call: either a
-// direct `defer mu.Unlock()` or unlock statements inside a deferred
-// function literal.
-func (w *pairWalker) applyDefer(s *ast.DeferStmt, held []lockEntry) []lockEntry {
-	if expr, op, isMu := mutexOp(w.pass, s.Call); isMu {
-		if op == "Unlock" || op == "RUnlock" {
-			return releaseEntry(held, expr, op)
-		}
-		return held
-	}
-	lit, isLit := s.Call.Fun.(*ast.FuncLit)
-	if !isLit {
-		return held
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if _, isInner := n.(*ast.FuncLit); isInner {
-			return false
-		}
-		if call, isCall := n.(*ast.CallExpr); isCall {
-			if expr, op, isMu := mutexOp(w.pass, call); isMu && (op == "Unlock" || op == "RUnlock") {
-				held = releaseEntry(held, expr, op)
-			}
-		}
-		return true
-	})
-	return held
-}
+func (*pairRule) eval(ast.Node, []heldLock) {}
 
-// checkExit reports every lock still outstanding at an exit point.
-func (w *pairWalker) checkExit(held []lockEntry, at token.Pos) {
-	exit := w.pass.Fset.Position(at)
-	for _, e := range held {
-		if w.reported[e.pos] {
-			continue
-		}
-		w.reported[e.pos] = true
-		w.pass.Reportf(e.pos, "%s.%s() is not released on the exit path at line %d; add defer %s.%s() or unlock before returning", e.expr, e.op, exit.Line, e.expr, e.unlockOp)
-	}
-}
-
-// releaseEntry removes the most recent entry matching the receiver
-// expression and releasing method.
-func releaseEntry(held []lockEntry, expr, unlockOp string) []lockEntry {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].expr == expr && held[i].unlockOp == unlockOp {
-			out := make([]lockEntry, 0, len(held)-1)
-			out = append(out, held[:i]...)
-			return append(out, held[i+1:]...)
-		}
-	}
-	return held
-}
-
-func containsEntry(held []lockEntry, e lockEntry) bool {
-	for _, h := range held {
-		if h.pos == e.pos {
-			return true
-		}
-	}
-	return false
-}
-
-func cloneEntries(held []lockEntry) []lockEntry {
-	return append([]lockEntry(nil), held...)
-}
-
-// unionEntries merges branch fall-through states: an acquisition
-// outstanding on any incoming path is outstanding after the merge.
-func unionEntries(states [][]lockEntry) []lockEntry {
-	var out []lockEntry
-	for _, st := range states {
-		for _, e := range st {
-			if !containsEntry(out, e) {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
-}
-
-// switchClauses extracts the case bodies of a switch body.
-func switchClauses(body *ast.BlockStmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	for _, c := range body.List {
-		out = append(out, c.(*ast.CaseClause).Body)
-	}
-	return out
-}
-
-// switchHasDefault reports whether a switch body has a default clause.
-func switchHasDefault(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if c.(*ast.CaseClause).List == nil {
-			return true
-		}
-	}
-	return false
-}
+func (*pairRule) acquire(*ast.CallExpr, string, string, []heldLock) {}

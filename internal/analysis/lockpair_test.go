@@ -228,3 +228,31 @@ func (x *c) halfReleased(cond bool) {
 	findings := checkSrc(t, "rwp/internal/fix", src, LockPair)
 	wantFindings(t, findings, "lockpair", 11)
 }
+
+func TestLockPairUnlockAroundLoopWork(t *testing.T) {
+	// Dropping the lock around blocking work and re-taking it before
+	// the next iteration leaves the lock as the loop found it.
+	src := `package fix
+
+import "sync"
+
+type Loader func(key string) []byte
+
+type shard struct {
+	mu     sync.Mutex
+	loader Loader
+}
+
+func (s *shard) refill(keys []string) {
+	s.mu.Lock()
+	for range keys {
+		s.mu.Unlock()
+		s.loader("k")
+		s.mu.Lock()
+	}
+	s.mu.Unlock()
+}
+`
+	findings := checkSrc(t, "rwp/internal/fix", src, LockPair)
+	wantFindings(t, findings, "lockpair")
+}
