@@ -1,8 +1,11 @@
 // Command rwpstat loads run journals written by `rwpexp -metrics-dir`
 // (canonical JSONL, schema internal/probe) and renders them as tables:
-// per-run headline results, run-level cache-event aggregates split by
-// request class and partition, and (with -series) the per-interval time
-// series of IPC, read misses and partition occupancy.
+// per-run headline results, run-level cache events split by partition,
+// and (with -series) the per-interval time series of IPC, read misses
+// and partition occupancy. A journal carries each core's sim.Result;
+// the events row is derived from the first core's LLC counts (a mix's
+// cores all carry the shared LLC's): clean hits are hits minus dirty
+// hits, clean evictions are evictions minus dirty evictions.
 //
 // Examples:
 //
@@ -19,6 +22,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,11 +30,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
 	"time"
 
+	"rwp/internal/cache"
 	"rwp/internal/probe"
 	"rwp/internal/report"
+	"rwp/internal/sim"
 )
 
 func main() {
@@ -93,10 +98,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// namedJournal pairs a decoded journal with its display label.
+// namedJournal pairs a decoded journal and its per-core results with
+// its display label.
 type namedJournal struct {
-	label string
-	j     *probe.Journal
+	label   string
+	j       *probe.Journal
+	results []sim.Result
 }
 
 // journalPaths merges explicit files with a directory listing. The
@@ -131,11 +138,17 @@ func loadJournal(path string) (*namedJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	results := make([]sim.Result, len(j.Results))
+	for i, raw := range j.Results {
+		if err := json.Unmarshal(raw, &results[i]); err != nil {
+			return nil, fmt.Errorf("%s: result %d: %w", path, i, err)
+		}
+	}
 	label := j.Header.Desc
 	if label == "" {
 		label = filepath.Base(path)
 	}
-	return &namedJournal{label: label, j: j}, nil
+	return &namedJournal{label: label, j: j, results: results}, nil
 }
 
 // render writes the results table, the cache-events table, and (when
@@ -144,7 +157,7 @@ func render(w io.Writer, journals []*namedJournal, series bool) error {
 	res := report.New("run results",
 		"journal", "workload", "policy", "IPC", "rdMPKI", "totMPKI", "WBPKI")
 	for _, nj := range journals {
-		for _, r := range nj.j.Results {
+		for _, r := range nj.results {
 			res.AddRow(nj.label, r.Workload, r.Policy,
 				report.F(r.IPC, 3), report.F(r.ReadMPKI, 2),
 				report.F(r.TotalMPKI, 2), report.F(r.WBPKI, 2))
@@ -159,22 +172,18 @@ func render(w io.Writer, journals []*namedJournal, series bool) error {
 		"journal", "accesses", "hits", "hit-clean", "hit-dirty",
 		"bypasses", "evict-clean", "evict-dirty", "retargets", "final-d")
 	for _, nj := range journals {
-		var acc, hits, hitClean, hitDirty, byp uint64
-		for c := probe.Class(0); c < probe.NumClasses; c++ {
-			cc := nj.j.Classes[c]
-			acc += cc.Accesses
-			hits += cc.Hits
-			hitClean += cc.HitsClean
-			hitDirty += cc.HitsDirty
-			byp += cc.Bypasses
+		var llc cache.Stats
+		if len(nj.results) > 0 {
+			llc = nj.results[0].LLC
 		}
+		hitDirty := llc.HitsDirty[cache.DemandLoad] + llc.HitsDirty[cache.DemandStore] + llc.HitsDirty[cache.Writeback]
 		finalD := "-"
 		if d := nj.j.FinalTarget(); d >= 0 {
 			finalD = report.I(d)
 		}
-		ev.AddRow(nj.label, report.I(acc), report.I(hits),
-			report.I(hitClean), report.I(hitDirty), report.I(byp),
-			report.I(nj.j.EvictClean), report.I(nj.j.EvictDirty),
+		ev.AddRow(nj.label, report.I(llc.TotalAccesses()), report.I(llc.TotalHits()),
+			report.I(llc.TotalHits()-hitDirty), report.I(hitDirty), report.I(llc.TotalBypasses()),
+			report.I(llc.Evictions-llc.DirtyEvict), report.I(llc.DirtyEvict),
 			report.I(len(nj.j.Retargets)), finalD)
 	}
 	ev.Note = "final-d is RWP's last dirty-partition target; '-' = not an RWP-family policy"

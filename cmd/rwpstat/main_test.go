@@ -2,20 +2,28 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rwp/internal/cache"
 	"rwp/internal/probe"
+	"rwp/internal/sim"
 )
 
 // writeTestJournal synthesizes a journal through the real probe codec.
 func writeTestJournal(t *testing.T, path string) {
 	t.Helper()
-	counts := probe.Counts{EvictDirty: 1}
-	counts.Classes[probe.Load] = probe.ClassCounters{Accesses: 2, Hits: 2, HitsClean: 1, HitsDirty: 1}
-	counts.Classes[probe.Store] = probe.ClassCounters{Accesses: 1, Misses: 1, Fills: 1, FillsDirty: 1}
+	res, err := json.Marshal(sim.Result{Workload: "mcf", Policy: "rwp", IPC: 0.875,
+		ReadMPKI: 12.34, TotalMPKI: 15.5, WBPKI: 4.25, Instructions: 85_000,
+		LLC: cache.Stats{Accesses: [3]uint64{2, 1, 0}, Hits: [3]uint64{2, 0, 0},
+			Misses: [3]uint64{0, 1, 0}, HitsDirty: [3]uint64{1, 0, 0},
+			FillsDirty: [3]uint64{0, 1, 0}, Evictions: 1, DirtyEvict: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := probe.NewRecorder(50_000)
 	rec.Retarget(probe.RetargetEvent{Interval: 1, Target: 5, Accesses: 100_000})
 	rec.IntervalEnd(probe.IntervalEvent{Index: 0, EndAccess: 50_000, Instructions: 40_000,
@@ -27,12 +35,7 @@ func writeTestJournal(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	err = probe.WriteJournal(f,
-		probe.Header{Kind: "single", Desc: "mcf/rwp"},
-		[]probe.ResultRecord{{Workload: "mcf", Policy: "rwp", IPC: 0.875,
-			ReadMPKI: 12.34, TotalMPKI: 15.5, WBPKI: 4.25, Instructions: 85_000}},
-		counts, rec)
-	if err != nil {
+	if err := probe.WriteJournal(f, probe.Header{Kind: "single", Desc: "mcf/rwp"}, []json.RawMessage{res}, rec); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,5 +112,36 @@ func TestRunErrors(t *testing.T) {
 	}
 	if code := run([]string{bad}, &out, &errb); code != 1 {
 		t.Errorf("malformed journal: exit %d, want 1", code)
+	}
+}
+
+// TestRenderPinnedJournals renders the runner's pinned journals
+// (internal/runner/testdata), with and without -series, against
+// renderings of the same runs made by an earlier rwpstat from that
+// commit's journals: a change to the journal's encoding or to how
+// rwpstat reads it must leave the tables as they were.
+func TestRenderPinnedJournals(t *testing.T) {
+	journals, err := filepath.Glob(filepath.Join("..", "..", "internal", "runner", "testdata", "journal-*.jsonl"))
+	if err != nil || len(journals) != 5 {
+		t.Fatalf("pinned journals: %v (%d files, want 5)", err, len(journals))
+	}
+	for _, tc := range []struct {
+		golden string
+		flags  []string
+	}{
+		{"pinned.txt", nil},
+		{"pinned-series.txt", []string{"-series"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run(append(tc.flags, journals...), &out, &errb); code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", tc.golden, code, errb.String())
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("rendering differs from testdata/%s:\n%s", tc.golden, out.String())
+		}
 	}
 }

@@ -15,6 +15,16 @@ type heldLock struct {
 	deferred bool      // a deferred unlock releases it at function exit
 }
 
+// lockState is the lock state on one path: the acquisitions
+// outstanding, and the deferred unlocks left pending by an explicit
+// unlock of the acquisition they were marking. A pending deferred
+// unlock still runs at function exit, so the next acquisition of the
+// same receiver by the same method is deferred too.
+type lockState struct {
+	held    []heldLock
+	pending []heldLock // receiver and acquiring method of each pending deferred unlock
+}
+
 // unlockOf maps an acquiring method to the one that releases it: RLock
 // is matched only by RUnlock and Lock only by Unlock.
 var unlockOf = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
@@ -54,8 +64,8 @@ func walkLockFlow(pass *Pass, rule lockRule) {
 				body = fn.Body
 			}
 			if body != nil {
-				if held, term := w.stmts(body.List, nil); !term {
-					rule.exit(held, body.Rbrace)
+				if st, term := w.stmts(body.List, lockState{}); !term {
+					rule.exit(st.held, body.Rbrace)
 				}
 			}
 			return true // nested FuncLits are visited (and walked) separately
@@ -66,7 +76,8 @@ func walkLockFlow(pass *Pass, rule lockRule) {
 // lockFlow is the path-sensitive statement walk of one function body.
 // A lock is held from its Lock()/RLock() statement until the matching
 // unlock statement on the same receiver expression; a `defer Unlock()`
-// (direct, or in a deferred function literal) marks it deferred. Each
+// (direct, or in a deferred function literal) marks it deferred, and a
+// deferred unlock outlives an explicit one (lockState.pending). Each
 // branch is walked from the incoming state, and where branches join, an
 // acquisition outstanding on any path reaching the join is outstanding
 // after it. A path ends at a return, a panic or a break/continue/goto
@@ -77,95 +88,95 @@ type lockFlow struct {
 	rule lockRule
 }
 
-// stmts walks a statement list. It returns the locks outstanding at
-// fall-through, and whether every path through the list ends inside it.
-func (w lockFlow) stmts(list []ast.Stmt, held []heldLock) ([]heldLock, bool) {
+// stmts walks a statement list. It returns the state at fall-through,
+// and whether every path through the list ends inside it.
+func (w lockFlow) stmts(list []ast.Stmt, st lockState) (lockState, bool) {
 	for _, s := range list {
 		var term bool
-		if held, term = w.stmt(s, held); term {
-			return held, true
+		if st, term = w.stmt(s, st); term {
+			return st, true
 		}
 	}
-	return held, false
+	return st, false
 }
 
-func (w lockFlow) stmt(s ast.Stmt, held []heldLock) ([]heldLock, bool) {
+func (w lockFlow) stmt(s ast.Stmt, st lockState) (lockState, bool) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		call, isCall := s.X.(*ast.CallExpr)
 		if !isCall {
-			w.rule.eval(s, held)
-			return held, false
+			w.rule.eval(s, st.held)
+			return st, false
 		}
 		if expr, op, isMu := mutexOp(w.pass, call); isMu {
 			if _, acquires := unlockOf[op]; acquires {
-				w.rule.acquire(call, expr, op, held)
-				return append(held[:len(held):len(held)], heldLock{expr: expr, op: op, pos: call.Pos()}), false
+				w.rule.acquire(call, expr, op, st.held)
+				return acquire(st, heldLock{expr: expr, op: op, pos: call.Pos()}), false
 			}
-			return release(held, expr, op, false), false
+			return release(st, expr, op, false), false
 		}
-		w.rule.eval(s, held)
+		w.rule.eval(s, st.held)
 		id, isIdent := call.Fun.(*ast.Ident)
-		return held, isIdent && id.Name == "panic" // crash-stop: only defers run
+		return st, isIdent && id.Name == "panic" // crash-stop: only defers run
 	case *ast.SendStmt, *ast.AssignStmt, *ast.DeclStmt, *ast.IncDecStmt:
-		w.rule.eval(s, held)
-		return held, false
+		w.rule.eval(s, st.held)
+		return st, false
 	case *ast.ReturnStmt:
-		w.rule.eval(s, held)
-		w.rule.exit(held, s.Pos())
-		return held, true
+		w.rule.eval(s, st.held)
+		w.rule.exit(st.held, s.Pos())
+		return st, true
 	case *ast.BranchStmt:
-		return held, true
+		return st, true
 	case *ast.DeferStmt:
-		w.evalOperands(s.Call, held)
-		return w.deferUnlocks(s.Call, held), false
+		w.evalOperands(s.Call, st.held)
+		return w.deferUnlocks(s.Call, st), false
 	case *ast.GoStmt:
-		w.evalOperands(s.Call, held)
-		return held, false
+		w.evalOperands(s.Call, st.held)
+		return st, false
 	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
+		return w.stmt(s.Stmt, st)
 	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
+		return w.stmts(s.List, st)
 	case *ast.IfStmt:
-		held = w.init(s.Init, held)
-		w.rule.eval(s.Cond, held)
+		st = w.init(s.Init, st)
+		w.rule.eval(s.Cond, st.held)
 		if s.Else == nil {
-			return w.join(held, [][]ast.Stmt{s.Body.List}, false)
+			return w.join(st, [][]ast.Stmt{s.Body.List}, false)
 		}
-		return w.join(held, [][]ast.Stmt{s.Body.List, {s.Else}}, true)
+		return w.join(st, [][]ast.Stmt{s.Body.List, {s.Else}}, true)
 	case *ast.SwitchStmt:
-		held = w.init(s.Init, held)
-		w.rule.eval(s.Tag, held)
+		st = w.init(s.Init, st)
+		w.rule.eval(s.Tag, st.held)
 		bodies, exhaustive := clauses(s.Body)
-		return w.join(held, bodies, exhaustive)
+		return w.join(st, bodies, exhaustive)
 	case *ast.TypeSwitchStmt:
-		held = w.init(s.Init, held)
-		w.rule.eval(s.Assign, held)
+		st = w.init(s.Init, st)
+		w.rule.eval(s.Assign, st.held)
 		bodies, exhaustive := clauses(s.Body)
-		return w.join(held, bodies, exhaustive)
+		return w.join(st, bodies, exhaustive)
 	case *ast.SelectStmt:
-		w.rule.eval(s, held)
+		w.rule.eval(s, st.held)
 		bodies, exhaustive := clauses(s.Body)
-		return w.join(held, bodies, exhaustive)
+		return w.join(st, bodies, exhaustive)
 	case *ast.ForStmt:
-		held = w.init(s.Init, held)
-		w.rule.eval(s.Cond, held)
-		w.loop(held, s.Body.List, s.Post)
-		return held, false
+		st = w.init(s.Init, st)
+		w.rule.eval(s.Cond, st.held)
+		w.loop(st, s.Body.List, s.Post)
+		return st, false
 	case *ast.RangeStmt:
-		w.rule.eval(s, held)
-		w.loop(held, s.Body.List, nil)
-		return held, false
+		w.rule.eval(s, st.held)
+		w.loop(st, s.Body.List, nil)
+		return st, false
 	}
-	return held, false
+	return st, false
 }
 
 // init walks the optional init statement of an if, for or switch.
-func (w lockFlow) init(s ast.Stmt, held []heldLock) []heldLock {
+func (w lockFlow) init(s ast.Stmt, st lockState) lockState {
 	if s != nil {
-		held, _ = w.stmt(s, held)
+		st, _ = w.stmt(s, st)
 	}
-	return held
+	return st
 }
 
 // evalOperands evaluates what a defer or go statement evaluates on the
@@ -178,49 +189,49 @@ func (w lockFlow) evalOperands(call *ast.CallExpr, held []heldLock) {
 	}
 }
 
-// join walks each branch from held and merges the states of those that
-// fall through. exhaustive says one branch always runs, so held itself
+// join walks each branch from st and merges the states of those that
+// fall through. exhaustive says one branch always runs, so st itself
 // does not reach the join; when no path does, the join ends the path.
-func (w lockFlow) join(held []heldLock, branches [][]ast.Stmt, exhaustive bool) ([]heldLock, bool) {
-	var outs [][]heldLock
+func (w lockFlow) join(st lockState, branches [][]ast.Stmt, exhaustive bool) (lockState, bool) {
+	var outs []lockState
 	for _, b := range branches {
-		if out, term := w.stmts(b, held); !term {
+		if out, term := w.stmts(b, st); !term {
 			outs = append(outs, out)
 		}
 	}
 	if !exhaustive {
-		outs = append(outs, held)
+		outs = append(outs, st)
 	}
 	if len(outs) == 0 {
-		return held, true
+		return st, true
 	}
-	return union(outs), false
+	return merge(outs), false
 }
 
 // loop walks a loop body once, from the state at loop entry, and hands
 // a body that falls through to the rule's loopEnd. The state after the
 // loop is the state at entry: lockpair's loop rule holds a body to
 // releasing what it acquires.
-func (w lockFlow) loop(entry []heldLock, body []ast.Stmt, post ast.Stmt) {
+func (w lockFlow) loop(entry lockState, body []ast.Stmt, post ast.Stmt) {
 	out, term := w.stmts(body, entry)
 	if !term && post != nil {
 		out, term = w.stmt(post, out)
 	}
 	if !term {
-		w.rule.loopEnd(entry, out)
+		w.rule.loopEnd(entry.held, out.held)
 	}
 }
 
 // deferUnlocks marks deferred the locks a deferred call releases:
 // either a direct `defer mu.Unlock()` or unlock calls inside a deferred
 // function literal.
-func (w lockFlow) deferUnlocks(call *ast.CallExpr, held []heldLock) []heldLock {
+func (w lockFlow) deferUnlocks(call *ast.CallExpr, st lockState) lockState {
 	if expr, op, isMu := mutexOp(w.pass, call); isMu {
-		return release(held, expr, op, true)
+		return release(st, expr, op, true)
 	}
 	lit, isLit := call.Fun.(*ast.FuncLit)
 	if !isLit {
-		return held
+		return st
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if _, isInner := n.(*ast.FuncLit); isInner {
@@ -228,12 +239,12 @@ func (w lockFlow) deferUnlocks(call *ast.CallExpr, held []heldLock) []heldLock {
 		}
 		if call, isCall := n.(*ast.CallExpr); isCall {
 			if expr, op, isMu := mutexOp(w.pass, call); isMu {
-				held = release(held, expr, op, true)
+				st = release(st, expr, op, true)
 			}
 		}
 		return true
 	})
-	return held
+	return st
 }
 
 // clauses returns the clause bodies of a switch, type switch or select,
@@ -253,40 +264,68 @@ func clauses(body *ast.BlockStmt) (bodies [][]ast.Stmt, exhaustive bool) {
 	return bodies, exhaustive
 }
 
+// acquire adds h to the held locks, deferred when a deferred unlock of
+// the same receiver and method is pending; that unlock now marks h.
+// States are not mutated in place: branches share them.
+func acquire(st lockState, h heldLock) lockState {
+	var pending []heldLock
+	for _, p := range st.pending {
+		if p.expr == h.expr && p.op == h.op {
+			h.deferred = true
+		} else {
+			pending = append(pending, p)
+		}
+	}
+	return lockState{held: append(st.held[:len(st.held):len(st.held)], h), pending: pending}
+}
+
 // release applies an unlock of expr by unlockOp to every acquisition it
 // matches: a deferred unlock marks them deferred, any other removes
-// them. Matching acquisitions are the same lock reached along different
-// paths (re-acquiring a held mutex is lockheld's self-deadlock).
-// Acquisitions are not mutated in place: branches share them.
-func release(held []heldLock, expr, unlockOp string, deferred bool) []heldLock {
-	var out []heldLock
-	for _, h := range held {
+// them, leaving the deferred unlock of one it removes pending. Matching
+// acquisitions are the same lock reached along different paths
+// (re-acquiring a held mutex is lockheld's self-deadlock).
+func release(st lockState, expr, unlockOp string, deferred bool) lockState {
+	out := lockState{pending: st.pending}
+	for _, h := range st.held {
 		if h.expr == expr && unlockOf[h.op] == unlockOp {
 			if !deferred {
+				if h.deferred && !holding(out.pending, h.expr, h.op) {
+					out.pending = append(out.pending[:len(out.pending):len(out.pending)], heldLock{expr: h.expr, op: h.op})
+				}
 				continue
 			}
 			h.deferred = true
 		}
-		out = append(out, h)
+		out.held = append(out.held, h)
 	}
 	return out
 }
 
-// union merges the states reaching a join in first-seen order. An
-// acquisition is deferred after the join only if it was deferred on
-// every path that holds it.
-func union(states [][]heldLock) []heldLock {
-	var out []heldLock
+// merge joins the states reaching a join. The held locks are their
+// union in first-seen order, an acquisition deferred after the join
+// only if it was deferred on every path that holds it; a deferred
+// unlock is pending after the join only if it was on every path.
+func merge(states []lockState) lockState {
+	var out lockState
 	for _, st := range states {
 	next:
-		for _, h := range st {
-			for i := range out {
-				if out[i].pos == h.pos {
-					out[i].deferred = out[i].deferred && h.deferred
+		for _, h := range st.held {
+			for i := range out.held {
+				if out.held[i].pos == h.pos {
+					out.held[i].deferred = out.held[i].deferred && h.deferred
 					continue next
 				}
 			}
-			out = append(out, h)
+			out.held = append(out.held, h)
+		}
+	}
+	for _, p := range states[0].pending {
+		onEvery := true
+		for _, st := range states[1:] {
+			onEvery = onEvery && holding(st.pending, p.expr, p.op)
+		}
+		if onEvery {
+			out.pending = append(out.pending, p)
 		}
 	}
 	return out

@@ -17,7 +17,8 @@ import (
 // path-sensitive within one function: branches are explored
 // separately, early returns are checked where they occur, and a `defer
 // Unlock()` — direct, or an unlock inside a deferred function literal —
-// releases the lock for the exit check. A lock acquired inside a loop body must be released
+// releases the lock for the exit check, and still releases it when the
+// lock is unlocked explicitly and taken again by the same method. A lock acquired inside a loop body must be released
 // by the end of that body (the next iteration's Lock would
 // self-deadlock), unless the same lock was already held, by the same
 // method, when the loop started: unlocking around blocking work and

@@ -256,3 +256,64 @@ func (s *shard) refill(keys []string) {
 	findings := checkSrc(t, "rwp/internal/fix", src, LockPair)
 	wantFindings(t, findings, "lockpair")
 }
+
+func TestLockPairDeferredUnlockCoversReacquire(t *testing.T) {
+	// The deferred unlock is still pending after the explicit one, so
+	// it releases the lock re-taken after the unlocked work.
+	src := `package fix
+
+import "sync"
+
+type c struct {
+	mu sync.Mutex
+	n  int
+}
+
+func work() {}
+
+func (x *c) dropAround() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.mu.Unlock()
+	work()
+	x.mu.Lock()
+	return x.n
+}
+`
+	findings := checkSrc(t, "rwp/internal/fix", src, LockPair)
+	wantFindings(t, findings, "lockpair")
+}
+
+func TestLockPairPendingDeferMatchesItsLockOnly(t *testing.T) {
+	// A pending deferred Unlock does not release a re-taken RLock, nor a
+	// Lock re-taken after a join where only one branch deferred.
+	src := `package fix
+
+import "sync"
+
+type c struct {
+	mu sync.RWMutex
+	n  int
+}
+
+func (x *c) otherMethod() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.mu.Unlock()
+	x.mu.RLock()
+	return x.n
+}
+
+func (x *c) oneBranchDeferred(cond bool) int {
+	x.mu.Lock()
+	if cond {
+		defer x.mu.Unlock()
+	}
+	x.mu.Unlock()
+	x.mu.Lock()
+	return x.n
+}
+`
+	findings := checkSrc(t, "rwp/internal/fix", src, LockPair)
+	wantFindings(t, findings, "lockpair", 14, 24)
+}

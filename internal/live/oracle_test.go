@@ -9,7 +9,6 @@ import (
 
 	"rwp/internal/live"
 	"rwp/internal/live/loadgen"
-	"rwp/internal/probe"
 	"rwp/internal/snap"
 )
 
@@ -40,15 +39,21 @@ var oracleRuns = []struct {
 	{"selftest_advscan_neg.json", loadgen.AdvScan, func(c *live.Config) { c.Coalesce, c.NegOps = true, 64 }, false},
 }
 
+// classCounters is one request class's counts in a golden's probe
+// section.
+type classCounters struct {
+	Accesses, Hits, Misses, HitsClean, HitsDirty, Fills, FillsDirty, Bypasses uint64
+}
+
 // recordedDoc is a golden's shape: the stats document without the four
 // partition hit splits, plus the recorders' probe section.
 type recordedDoc struct {
 	live.StatsPayload
 	Probe struct {
-		Load       probe.ClassCounters `json:"load"`
-		Store      probe.ClassCounters `json:"store"`
-		EvictClean uint64              `json:"evictClean"`
-		EvictDirty uint64              `json:"evictDirty"`
+		Load       classCounters `json:"load"`
+		Store      classCounters `json:"store"`
+		EvictClean uint64        `json:"evictClean"`
+		EvictDirty uint64        `json:"evictDirty"`
 	} `json:"probe"`
 }
 

@@ -4,22 +4,17 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 )
 
 // JournalSchema versions the run-journal encoding. Bump it whenever a
 // record's meaning or layout changes so old journals are rejected
 // instead of misread.
-const JournalSchema = "rwp-journal-v1"
+const JournalSchema = "rwp-journal-v2"
 
-// A run journal is a JSONL stream: one flat JSON object per line, each
-// carrying a "t" discriminator. Lines are canonical — object keys are
-// sorted and floats use Go's shortest round-trip encoding — so two
-// journals of the same run are byte-identical, which check.sh and the
-// runner tests enforce with cmp/bytes.Equal. Record order is fixed:
-// header, results (one per core), classes, evictions, retargets,
-// policy counters, intervals.
+// A run journal is canonical JSONL (jsonl.go) whose record order is
+// fixed: the header, one result per core, then the Recorder's
+// retargets, policy counters and intervals.
 
 // Header identifies the job a journal belongs to.
 type Header struct {
@@ -30,39 +25,13 @@ type Header struct {
 	Window uint64 `json:"window"`
 }
 
-// ResultRecord is one core's headline result, copied from sim.Result
-// by the journal writer so a row of an experiment table can be
-// re-derived from the journal alone.
-type ResultRecord struct {
-	T            string  `json:"t"` // "result"
-	Workload     string  `json:"workload"`
-	Policy       string  `json:"policy"`
-	IPC          float64 `json:"ipc"`
-	ReadMPKI     float64 `json:"read_mpki"`
-	TotalMPKI    float64 `json:"total_mpki"`
-	WBPKI        float64 `json:"wbpki"`
-	Instructions uint64  `json:"instructions"`
-}
-
-// classRecord is one request class's run-level counters.
-type classRecord struct {
-	T          string `json:"t"` // "class"
-	Class      string `json:"class"`
-	Accesses   uint64 `json:"accesses"`
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	HitsClean  uint64 `json:"hits_clean"`
-	HitsDirty  uint64 `json:"hits_dirty"`
-	Fills      uint64 `json:"fills"`
-	FillsDirty uint64 `json:"fills_dirty"`
-	Bypasses   uint64 `json:"bypasses"`
-}
-
-// evictRecord is the eviction split by source partition.
-type evictRecord struct {
-	T     string `json:"t"` // "evictions"
-	Clean uint64 `json:"clean"`
-	Dirty uint64 `json:"dirty"`
+// resultRecord is one core's result: the simulator's per-core result in
+// the JSON encoding the runner's result cache stores, carried as is.
+// The package imports nothing from the simulator, so it neither builds
+// nor reads that object; cmd/rwpstat decodes it.
+type resultRecord struct {
+	T      string          `json:"t"` // "result"
+	Result json.RawMessage `json:"result"`
 }
 
 // retargetRecord is one predictor decision.
@@ -97,9 +66,10 @@ type intervalRecord struct {
 
 // Journal is a fully decoded run journal.
 type Journal struct {
-	Header  Header
-	Results []ResultRecord
-	Counts
+	Header Header
+	// Results holds each core's result object, in core order, as the
+	// journal carries it.
+	Results   []json.RawMessage
 	Retargets []RetargetEvent
 	Policies  []PolicyCount
 	Intervals []IntervalEvent
@@ -114,37 +84,9 @@ func (j *Journal) FinalTarget() int {
 	return j.Retargets[len(j.Retargets)-1].Target
 }
 
-// canonicalLine marshals a flat record with sorted object keys. The
-// struct is marshaled once for the values, re-read as raw fields so
-// integers keep their exact text, and marshaled again as a map (Go
-// sorts map keys), yielding one canonical line per record.
-func canonicalLine(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, err
-	}
-	return json.Marshal(m)
-}
-
-// writeCanonical appends v's canonical line and its newline to bw.
-func writeCanonical(bw *bufio.Writer, v any) error {
-	line, err := canonicalLine(v)
-	if err != nil {
-		return err
-	}
-	if _, err := bw.Write(line); err != nil {
-		return err
-	}
-	return bw.WriteByte('\n')
-}
-
-// WriteJournal serializes one run — its identity, per-core results, the
-// LLC's counts and the recorder's events — as canonical JSONL.
-func WriteJournal(w io.Writer, h Header, results []ResultRecord, counts Counts, rec *Recorder) error {
+// WriteJournal serializes one run — its identity, each core's result
+// object and the recorder's events — as canonical JSONL.
+func WriteJournal(w io.Writer, h Header, results []json.RawMessage, rec *Recorder) error {
 	bw := bufio.NewWriter(w)
 	h.T = "header"
 	h.Schema = JournalSchema
@@ -154,24 +96,9 @@ func WriteJournal(w io.Writer, h Header, results []ResultRecord, counts Counts, 
 		return err
 	}
 	for _, r := range results {
-		r.T = "result"
-		if err := emit(r); err != nil {
+		if err := emit(resultRecord{T: "result", Result: r}); err != nil {
 			return err
 		}
-	}
-	for c := Class(0); c < NumClasses; c++ {
-		cc := counts.Classes[c]
-		if err := emit(classRecord{
-			T: "class", Class: c.String(),
-			Accesses: cc.Accesses, Hits: cc.Hits, Misses: cc.Misses,
-			HitsClean: cc.HitsClean, HitsDirty: cc.HitsDirty,
-			Fills: cc.Fills, FillsDirty: cc.FillsDirty, Bypasses: cc.Bypasses,
-		}); err != nil {
-			return err
-		}
-	}
-	if err := emit(evictRecord{T: "evictions", Clean: counts.EvictClean, Dirty: counts.EvictDirty}); err != nil {
-		return err
 	}
 	for _, rt := range rec.Retargets {
 		if err := emit(retargetRecord{T: "retarget", Interval: rt.Interval, Target: rt.Target, Accesses: rt.Accesses}); err != nil {
@@ -196,115 +123,44 @@ func WriteJournal(w io.Writer, h Header, results []ResultRecord, counts Counts, 
 	return bw.Flush()
 }
 
-// headerOrder is the header rule every journal reader keeps: the first
-// record is the header, and only the first. isHeader describes the
-// record at hand, sawHeader whether one came before it.
-func headerOrder(isHeader, sawHeader bool) error {
-	switch {
-	case isHeader && sawHeader:
-		return errors.New("second header")
-	case !isHeader && !sawHeader:
-		return errors.New("no header before this record")
-	}
-	return nil
-}
-
-// classIndex maps a class name back to its index.
-func classIndex(name string) (Class, error) {
-	for c := Class(0); c < NumClasses; c++ {
-		if c.String() == name {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("probe: unknown class %q", name)
-}
-
-// ReadJournal decodes a canonical JSONL journal. It rejects unknown
-// schemas and malformed lines; unknown record types are an error too,
-// and so is a header that is missing, late or repeated, and a class or
-// evictions record that is repeated — a journal is versioned data, not
-// a log to be skimmed.
+// ReadJournal decodes a canonical JSONL journal under readJSONL's rules.
+// A result record must carry a JSON object; what is in it is the
+// caller's to decode.
 func ReadJournal(r io.Reader) (*Journal, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var j Journal
-	sawHeader, sawEvictions := false, false
-	var sawClass [NumClasses]bool
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var disc struct {
-			T string `json:"t"`
-		}
-		if err := json.Unmarshal(line, &disc); err != nil {
-			return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
-		}
-		if err := headerOrder(disc.T == "header", sawHeader); err != nil {
-			return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
-		}
-		switch disc.T {
-		case "header":
-			sawHeader = true
-			if err := json.Unmarshal(line, &j.Header); err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
-			}
-			if j.Header.Schema != JournalSchema {
-				return nil, fmt.Errorf("probe: journal schema %q, want %q", j.Header.Schema, JournalSchema)
-			}
-		case "result":
-			var rec ResultRecord
+	err := readJSONL(r, "journal", JournalSchema, map[string]func([]byte) error{
+		"header": func(line []byte) error { return json.Unmarshal(line, &j.Header) },
+		"result": func(line []byte) error {
+			var rec resultRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
+				return err
 			}
-			j.Results = append(j.Results, rec)
-		case "class":
-			var rec classRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
+			if len(rec.Result) == 0 || rec.Result[0] != '{' {
+				return errors.New("result record carries no result object")
 			}
-			c, err := classIndex(rec.Class)
-			if err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
-			}
-			if sawClass[c] {
-				return nil, fmt.Errorf("probe: journal line %d: second %q class record", lineNo, rec.Class)
-			}
-			sawClass[c] = true
-			j.Classes[c] = ClassCounters{
-				Accesses: rec.Accesses, Hits: rec.Hits, Misses: rec.Misses,
-				HitsClean: rec.HitsClean, HitsDirty: rec.HitsDirty,
-				Fills: rec.Fills, FillsDirty: rec.FillsDirty, Bypasses: rec.Bypasses,
-			}
-		case "evictions":
-			var rec evictRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
-			}
-			if sawEvictions {
-				return nil, fmt.Errorf("probe: journal line %d: second evictions record", lineNo)
-			}
-			sawEvictions = true
-			j.EvictClean, j.EvictDirty = rec.Clean, rec.Dirty
-		case "retarget":
+			j.Results = append(j.Results, rec.Result)
+			return nil
+		},
+		"retarget": func(line []byte) error {
 			var rec retargetRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
+				return err
 			}
 			j.Retargets = append(j.Retargets, RetargetEvent{Interval: rec.Interval, Target: rec.Target, Accesses: rec.Accesses})
-		case "policy":
+			return nil
+		},
+		"policy": func(line []byte) error {
 			var rec policyRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
+				return err
 			}
 			j.Policies = append(j.Policies, PolicyCount{Policy: rec.Policy, Kind: rec.Kind, Count: rec.Count, Last: rec.Last})
-		case "interval":
+			return nil
+		},
+		"interval": func(line []byte) error {
 			var rec intervalRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("probe: journal line %d: %w", lineNo, err)
+				return err
 			}
 			j.Intervals = append(j.Intervals, IntervalEvent{
 				Index: rec.Index, EndAccess: rec.EndAccess,
@@ -312,15 +168,11 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 				LLCReadMisses: rec.ReadMisses, DirtyTarget: rec.DirtyTarget,
 				DirtyLines: rec.DirtyLines, ValidLines: rec.ValidLines,
 			})
-		default:
-			return nil, fmt.Errorf("probe: journal line %d: unknown record type %q", lineNo, disc.T)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("probe: reading journal: %w", err)
-	}
-	if j.Header.Schema == "" {
-		return nil, fmt.Errorf("probe: journal has no header")
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &j, nil
 }

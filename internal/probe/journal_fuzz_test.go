@@ -11,12 +11,18 @@ import (
 // FuzzReadJournal holds ReadJournal to its contract on arbitrary input:
 // it never panics, and whatever it accepts keeps the header rules — the
 // first record is a header of the current schema and no other record
-// is one. (WriteJournal encodes counts and a Recorder, not a decoded
-// Journal, so there is no writer to round-trip through.) The seed corpus
-// (testdata/fuzz/FuzzReadJournal) holds a small recorded journal, a
-// truncated one, one whose header comes after a record, and one with
-// two headers.
+// is one. (WriteJournal encodes result objects and a Recorder, not a
+// decoded Journal, so there is no writer to round-trip through.) The
+// seed corpus (testdata/fuzz/FuzzReadJournal) holds a small recorded
+// journal of the first schema, a truncated one, one whose header comes
+// after a record, and one with two headers; the added seed is a
+// journal of the current schema.
 func FuzzReadJournal(f *testing.F) {
+	f.Add([]byte(validHeader +
+		`{"result":{"Workload":"mcf","IPC":0.5},"t":"result"}` + "\n" +
+		`{"accesses":100,"interval":1,"t":"retarget","target":5}` + "\n" +
+		`{"count":2,"kind":"bypass","last":1,"policy":"rrp","t":"policy"}` + "\n" +
+		`{"cycles":9,"dirty_lines":1,"dirty_target":5,"end_access":100,"index":0,"instructions":4,"read_misses":2,"t":"interval","valid_lines":8}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, err := ReadJournal(bytes.NewReader(data))
 		if err != nil {

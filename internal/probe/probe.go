@@ -6,10 +6,9 @@
 // (interval boundaries with occupancy snapshots). The concrete
 // Recorder keeps them as a retarget history, policy counters and a
 // per-interval time series, and journal.go serializes a Recorder,
-// together with the LLC's per-class counts, as a canonical JSONL "run
-// journal" that cmd/rwpstat can load and render. The caches emit no
-// events: what they count is cache.Stats, which the journal writer
-// takes as an argument.
+// after each core's result, as a canonical JSONL "run journal" that
+// cmd/rwpstat can load and render. The caches emit no events: what they
+// count is cache.Stats, which travels inside each core's result.
 //
 // Two guarantees, both enforced by tier-1 tests:
 //
@@ -29,8 +28,7 @@
 package probe
 
 // Class mirrors cache.Class (demand load, demand store, writeback)
-// without importing internal/cache; the numeric values are identical
-// and NumClasses bounds the journal's per-class arrays.
+// without importing internal/cache; the numeric values are identical.
 type Class uint8
 
 const (
@@ -40,8 +38,6 @@ const (
 	Store
 	// WB is a writeback arriving from the level above (cache.Writeback).
 	WB
-	// NumClasses sizes per-class arrays.
-	NumClasses
 )
 
 // String implements fmt.Stringer.

@@ -9,17 +9,9 @@ import (
 	"testing"
 )
 
-// testCounts is a small, self-consistent set of LLC counts for a
-// journal's class and evictions records.
-var testCounts = Counts{
-	Classes: [NumClasses]ClassCounters{
-		Load:  {Accesses: 3, Hits: 2, Misses: 1, HitsClean: 1, HitsDirty: 1, Fills: 1},
-		Store: {Accesses: 1, Misses: 1, Bypasses: 1},
-		WB:    {Accesses: 2, Hits: 1, Misses: 1, HitsDirty: 1, Fills: 1, FillsDirty: 1},
-	},
-	EvictClean: 1,
-	EvictDirty: 1,
-}
+// testResult stands for one core's result object: the journal carries
+// it without reading it.
+var testResult = json.RawMessage(`{"Workload":"gcc","Policy":"rwp","IPC":1.25,"LLC":{"Hits":[2,0,1]}}`)
 
 // fill populates a recorder with a small, representative event stream.
 func fill(r *Recorder) {
@@ -66,12 +58,7 @@ func journalBytes(t *testing.T) []byte {
 	r := NewRecorder(100_000)
 	fill(r)
 	var buf bytes.Buffer
-	err := WriteJournal(&buf,
-		Header{Kind: "single", Desc: "gcc/rwp"},
-		[]ResultRecord{{Workload: "gcc", Policy: "rwp", IPC: 1.25, ReadMPKI: 3.5,
-			TotalMPKI: 5.0, WBPKI: 1.75, Instructions: 180_000}},
-		testCounts, r)
-	if err != nil {
+	if err := WriteJournal(&buf, Header{Kind: "single", Desc: "gcc/rwp"}, []json.RawMessage{testResult}, r); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -89,14 +76,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if j.Header.Window != 100_000 {
 		t.Errorf("window = %d", j.Header.Window)
 	}
-	if len(j.Results) != 1 || j.Results[0].Workload != "gcc" || j.Results[0].IPC != 1.25 { //rwplint:allow floateq — exact JSON round-trip is the property under test
-		t.Errorf("results = %+v", j.Results)
+	if len(j.Results) != 1 || !bytes.Equal(j.Results[0], testResult) {
+		t.Errorf("results = %s", j.Results)
 	}
 	want := NewRecorder(100_000)
 	fill(want)
-	if j.Counts != testCounts {
-		t.Errorf("counts:\n got %+v\nwant %+v", j.Counts, testCounts)
-	}
 	if !reflect.DeepEqual(j.Retargets, want.Retargets) {
 		t.Errorf("retargets = %+v", j.Retargets)
 	}
@@ -116,8 +100,9 @@ func TestJournalCanonical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same run journal differ")
 	}
-	// Every line must be a flat JSON object with sorted keys — the
-	// "canonical" in canonical JSONL.
+	// Every line must be a JSON object with sorted top-level keys — the
+	// "canonical" in canonical JSONL. A result object nested in a line
+	// keeps its own encoding.
 	for i, line := range strings.Split(strings.TrimRight(string(a), "\n"), "\n") {
 		var m map[string]json.RawMessage
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
@@ -144,23 +129,5 @@ func TestJournalCanonical(t *testing.T) {
 		if !sort.StringsAreSorted(keys) {
 			t.Errorf("line %d keys not sorted: %v", i+1, keys)
 		}
-	}
-}
-
-func TestJournalRejectsDefects(t *testing.T) {
-	if _, err := ReadJournal(strings.NewReader("")); err == nil {
-		t.Error("empty journal accepted")
-	}
-	if _, err := ReadJournal(strings.NewReader(`{"t":"header","schema":"rwp-journal-v999"}`)); err == nil {
-		t.Error("unknown schema accepted")
-	}
-	if _, err := ReadJournal(strings.NewReader(`{"t":"martian"}`)); err == nil {
-		t.Error("unknown record type accepted")
-	}
-	if _, err := ReadJournal(strings.NewReader("not json")); err == nil {
-		t.Error("malformed line accepted")
-	}
-	if _, err := ReadJournal(strings.NewReader(`{"t":"class","class":"warp"}`)); err == nil {
-		t.Error("unknown class name accepted")
 	}
 }

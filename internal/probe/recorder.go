@@ -6,19 +6,6 @@ package probe
 // decision.
 const DefaultWindow = 100_000
 
-// ClassCounters is one request class's counts at the LLC over the
-// measured region: a journal's class record.
-type ClassCounters struct {
-	Accesses   uint64
-	Hits       uint64
-	Misses     uint64
-	HitsClean  uint64 // hits on clean lines (clean-partition hits)
-	HitsDirty  uint64 // hits on dirty lines (dirty-partition hits)
-	Fills      uint64
-	FillsDirty uint64 // fills installing a dirty line
-	Bypasses   uint64
-}
-
 // PolicyCount is one (policy, kind) decision counter plus the last
 // observed value.
 type PolicyCount struct {
@@ -26,18 +13,6 @@ type PolicyCount struct {
 	Kind   string
 	Count  uint64
 	Last   int64
-}
-
-// Counts is the LLC's measured-region counts a journal carries beside
-// the Recorder's events: its class records and its evictions record.
-// The runner derives them from the run's cache.Stats.
-type Counts struct {
-	// Classes is indexed by Class.
-	Classes [NumClasses]ClassCounters
-
-	// EvictClean/EvictDirty count evictions by source partition.
-	EvictClean uint64
-	EvictDirty uint64
 }
 
 // Recorder is the concrete Probe: it keeps the retarget history, the

@@ -161,50 +161,25 @@ func (w *ReqLogWriter) Count() uint64 {
 	return w.seq
 }
 
-// ReadReqLog decodes a request journal. It is strict the way every
-// journal reader here is — unknown schemas, unknown record types,
-// malformed lines, a header that is missing, late or repeated, gaps in
-// the sequence, and op/class disagreements are all errors, because a
+// ReadReqLog decodes a request journal under readJSONL's rules, and
+// refuses gaps in the sequence and op/class disagreements too: a
 // journal is versioned data whose replay must reproduce a run exactly
 // or not at all.
 func ReadReqLog(r io.Reader) (desc string, evs []ReqEvent, err error) {
-	sc := bufio.NewScanner(r)
-	// Values can reach the transport's 1 MiB cap, which doubles in hex.
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	sawHeader := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var disc struct {
-			T string `json:"t"`
-		}
-		if err := json.Unmarshal(line, &disc); err != nil {
-			return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)
-		}
-		if err := headerOrder(disc.T == "header", sawHeader); err != nil {
-			return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)
-		}
-		switch disc.T {
-		case "header":
+	err = readJSONL(r, "reqlog", ReqLogSchema, map[string]func([]byte) error{
+		"header": func(line []byte) error {
 			var h reqHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)
-			}
-			if h.Schema != ReqLogSchema {
-				return "", nil, fmt.Errorf("probe: reqlog schema %q, want %q", h.Schema, ReqLogSchema)
-			}
-			desc, sawHeader = h.Desc, true
-		case "req":
+			err := json.Unmarshal(line, &h)
+			desc = h.Desc
+			return err
+		},
+		"req": func(line []byte) error {
 			var rec reqRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return "", nil, fmt.Errorf("probe: reqlog line %d: %w", lineNo, err)
+				return err
 			}
 			if rec.Seq != uint64(len(evs)) {
-				return "", nil, fmt.Errorf("probe: reqlog line %d: seq %d, want %d (journal truncated or reordered)", lineNo, rec.Seq, len(evs))
+				return fmt.Errorf("seq %d, want %d (journal truncated or reordered)", rec.Seq, len(evs))
 			}
 			ev := ReqEvent{Key: rec.Key, Set: rec.Set, Outcome: rec.Outcome, Cost: rec.Cost}
 			switch {
@@ -213,22 +188,18 @@ func ReadReqLog(r io.Reader) (desc string, evs []ReqEvent, err error) {
 				ev.Put = true
 				v, err := hex.DecodeString(rec.Value)
 				if err != nil {
-					return "", nil, fmt.Errorf("probe: reqlog line %d: value: %w", lineNo, err)
+					return fmt.Errorf("value: %w", err)
 				}
 				ev.Value = v
 			default:
-				return "", nil, fmt.Errorf("probe: reqlog line %d: op %q / class %q disagree", lineNo, rec.Op, rec.Class)
+				return fmt.Errorf("op %q / class %q disagree", rec.Op, rec.Class)
 			}
 			evs = append(evs, ev)
-		default:
-			return "", nil, fmt.Errorf("probe: reqlog line %d: unknown record type %q", lineNo, disc.T)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", nil, fmt.Errorf("probe: reading reqlog: %w", err)
-	}
-	if !sawHeader {
-		return "", nil, fmt.Errorf("probe: reqlog has no header")
+			return nil
+		},
+	})
+	if err != nil {
+		return "", nil, err
 	}
 	return desc, evs, nil
 }

@@ -92,30 +92,22 @@ func TestReqLogClassDerivation(t *testing.T) {
 	}
 }
 
+// TestReqLogRejectsBadInput runs the shared reader rules, then the rows
+// only a request journal has: sequence gaps, op/class disagreement and
+// a Put value that is not hex.
 func TestReqLogRejectsBadInput(t *testing.T) {
+	checkReaderRules(t, "reqlog")
 	header := `{"desc":"","schema":"rwp-reqlog-v1","t":"header"}`
 	rec0 := `{"class":"load","cost":1,"key":"k","op":"get","outcome":"hit","seq":0,"set":0,"t":"req"}`
 	cases := map[string]string{
-		"no header":             rec0,
-		"late header":           rec0 + "\n" + header,
-		"second header":         header + "\n" + header + "\n" + rec0,
-		"header after a record": header + "\n" + rec0 + "\n" + header,
-		"wrong schema":          `{"desc":"","schema":"rwp-journal-v1","t":"header"}`,
-		"unknown type":          header + "\n" + `{"t":"mystery"}`,
-		"malformed json":        header + "\n" + `{"t":"req"`,
-		"seq gap":               header + "\n" + strings.Replace(rec0, `"seq":0`, `"seq":1`, 1),
-		"op/class clash":        header + "\n" + strings.Replace(rec0, `"class":"load"`, `"class":"store"`, 1),
-		"bad value hex":         header + "\n" + `{"class":"store","cost":2,"key":"k","op":"put","outcome":"insert","seq":0,"set":0,"t":"req","value":"zz"}`,
+		"seq gap":        header + "\n" + strings.Replace(rec0, `"seq":0`, `"seq":1`, 1),
+		"op/class clash": header + "\n" + strings.Replace(rec0, `"class":"load"`, `"class":"store"`, 1),
+		"bad value hex":  header + "\n" + `{"class":"store","cost":2,"key":"k","op":"put","outcome":"insert","seq":0,"set":0,"t":"req","value":"zz"}`,
 	}
 	for name, in := range cases {
-		if _, _, err := ReadReqLog(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, _, err := ReadReqLog(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: error %v, want one at line 2", name, err)
 		}
-	}
-	// The unmodified pair must parse — otherwise the rejection cases
-	// above prove nothing.
-	if _, evs, err := ReadReqLog(strings.NewReader(header + "\n" + rec0)); err != nil || len(evs) != 1 {
-		t.Fatalf("control journal failed to parse: %v (%d events)", err, len(evs))
 	}
 }
 

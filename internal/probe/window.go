@@ -3,7 +3,6 @@ package probe
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -122,59 +121,31 @@ func (ww *WindowWriter) Close() error {
 	return ww.bw.Flush()
 }
 
-// ReadShardWindows decodes a shard-window journal, rejecting unknown
-// schemas and record types and a header that is missing, late or
-// repeated — like the run journals, it is versioned data, not a log to
-// be skimmed.
+// ReadShardWindows decodes a shard-window journal under readJSONL's
+// rules.
 func ReadShardWindows(r io.Reader) (desc string, windowOps int, ws []ShardWindow, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	sawHeader := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var disc struct {
-			T string `json:"t"`
-		}
-		if err := json.Unmarshal(line, &disc); err != nil {
-			return "", 0, nil, fmt.Errorf("probe: windows line %d: %w", lineNo, err)
-		}
-		if err := headerOrder(disc.T == "header", sawHeader); err != nil {
-			return "", 0, nil, fmt.Errorf("probe: windows line %d: %w", lineNo, err)
-		}
-		switch disc.T {
-		case "header":
+	err = readJSONL(r, "windows", WindowSchema, map[string]func([]byte) error{
+		"header": func(line []byte) error {
 			var h windowHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return "", 0, nil, fmt.Errorf("probe: windows line %d: %w", lineNo, err)
-			}
-			if h.Schema != WindowSchema {
-				return "", 0, nil, fmt.Errorf("probe: windows schema %q, want %q", h.Schema, WindowSchema)
-			}
-			desc, windowOps, sawHeader = h.Desc, h.WindowOps, true
-		case "window":
+			err := json.Unmarshal(line, &h)
+			desc, windowOps = h.Desc, h.WindowOps
+			return err
+		},
+		"window": func(line []byte) error {
 			var rec windowRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return "", 0, nil, fmt.Errorf("probe: windows line %d: %w", lineNo, err)
+				return err
 			}
 			ws = append(ws, ShardWindow{
 				Window: rec.Window, Shard: rec.Shard,
 				Reads: rec.Reads, Writes: rec.Writes,
 				P99Cost: rec.P99Cost, Replicas: rec.Replicas,
 			})
-		default:
-			return "", 0, nil, fmt.Errorf("probe: windows line %d: unknown record type %q", lineNo, disc.T)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", 0, nil, fmt.Errorf("probe: reading windows: %w", err)
-	}
-	if !sawHeader {
-		return "", 0, nil, fmt.Errorf("probe: windows journal has no header")
+			return nil
+		},
+	})
+	if err != nil {
+		return "", 0, nil, err
 	}
 	return desc, windowOps, ws, nil
 }

@@ -211,42 +211,8 @@ func TestShardWindowsCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestShardWindowsHeaderRules: the header is the first record and the
-// only one. A late header, or a second one, used to decode with the
-// last header winning.
-func TestShardWindowsHeaderRules(t *testing.T) {
-	const (
-		win = `{"p99_cost":1,"reads":3,"replicas":1,"shard":0,"t":"window","window":0,"writes":2}` + "\n"
-		a   = `{"desc":"a","schema":"` + WindowSchema + `","t":"header","window_ops":5}` + "\n"
-		b   = `{"desc":"b","schema":"` + WindowSchema + `","t":"header","window_ops":7}` + "\n"
-	)
-	for _, tc := range []struct{ name, in, want string }{
-		{"late headers", win + a + b, "line 1: no header"},
-		{"second header", a + win + b, "line 3: second header"},
-		{"repeated header", a + a + win, "line 2: second header"},
-	} {
-		desc, ops, ws, err := ReadShardWindows(strings.NewReader(tc.in))
-		if err == nil {
-			t.Errorf("%s: decoded as desc %q, %d ops, %d windows", tc.name, desc, ops, len(ws))
-		} else if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-	if desc, ops, ws, err := ReadShardWindows(strings.NewReader(a + win)); err != nil || desc != "a" || ops != 5 || len(ws) != 1 {
-		t.Errorf("header then window: desc %q, %d ops, %d windows, %v", desc, ops, len(ws), err)
-	}
-}
-
+// TestShardWindowsRejectsBadInput: a shard-window journal has no rule
+// of its own beyond the shared reader rules.
 func TestShardWindowsRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"no header":      `{"t":"window","window":0,"shard":0,"reads":1,"writes":0,"p99_cost":1,"replicas":1}`,
-		"unknown type":   `{"schema":"rwp-cluster-windows-v1","t":"header","window_ops":8,"desc":""}` + "\n" + `{"t":"mystery"}`,
-		"wrong schema":   `{"schema":"rwp-journal-v1","t":"header","window_ops":8,"desc":""}`,
-		"malformed json": `{"t":"header"`,
-	}
-	for name, in := range cases {
-		if _, _, _, err := ReadShardWindows(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
+	checkReaderRules(t, "windows")
 }

@@ -45,7 +45,7 @@ func (e *Engine) Single(bench string, opt sim.Options) *Future[sim.Result] {
 		if err != nil {
 			return res, err
 		}
-		e.writeJournal(key, []probe.ResultRecord{resultRecord(res)}, res.LLC, rec)
+		e.writeJournal(key, []sim.Result{res}, rec)
 		return res, nil
 	})
 }
@@ -75,12 +75,7 @@ func (e *Engine) Multi(benches []string, opt sim.Options) *Future[sim.MultiResul
 		if err != nil {
 			return res, err
 		}
-		records := make([]probe.ResultRecord, len(res.PerCore))
-		for i, r := range res.PerCore {
-			records[i] = resultRecord(r)
-		}
-		// Every core's LLC is the shared LLC's measured-region delta.
-		e.writeJournal(key, records, res.PerCore[0].LLC, rec)
+		e.writeJournal(key, res.PerCore, rec)
 		return res, nil
 	})
 }

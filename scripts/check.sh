@@ -186,6 +186,19 @@ for j in "$smoke/m1"/*.jsonl; do
         exit 1
     }
 done
+# ... and read back: rwpstat renders both sets of journals, series
+# included, and the two renderings are the same bytes.
+echo '>> journal smoke: rwpstat -series reads both runs back identically'
+for m in m1 m2; do
+    go run ./cmd/rwpstat -dir "$smoke/$m" -series >"$smoke/$m.stat" || {
+        echo "check.sh: FAIL: rwpstat could not read the journals in $smoke/$m" >&2
+        exit 1
+    }
+done
+cmp "$smoke/m1.stat" "$smoke/m2.stat" || {
+    echo 'check.sh: FAIL: rwpstat renders the two runs differently' >&2
+    exit 1
+}
 
 # The live smokes below run the two live binaries, built once: a
 # `go run` per invocation would relink each time, and flatten exit codes.
