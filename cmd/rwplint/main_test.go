@@ -12,8 +12,7 @@ import (
 // packages that violate the rules sit two levels up.
 const (
 	fixtureDir = "../../internal/analysis/testdata/stats"
-	// locksDir violates the concurrency/hot-path rules: lockheld,
-	// lockpair, hotalloc.
+	// locksDir violates the concurrency rules: lockheld, lockpair.
 	locksDir = "../../internal/analysis/testdata/locks"
 )
 
@@ -41,7 +40,7 @@ func TestRunFindingsOnLocksFixture(t *testing.T) {
 		t.Fatalf("run(locks fixture) = %d, want 1; stderr: %s", code, errbuf.String())
 	}
 	s := out.String()
-	for _, rule := range []string{"lockheld", "lockpair", "hotalloc"} {
+	for _, rule := range []string{"lockheld", "lockpair"} {
 		if !strings.Contains(s, " "+rule+": ") {
 			t.Errorf("fixture finding for rule %s missing:\n%s", rule, s)
 		}
@@ -118,7 +117,7 @@ func TestRunReport(t *testing.T) {
 	}
 	// Every suite rule appears, zeros included; the violated ones show
 	// non-zero finding counts.
-	for _, rule := range []string{"norand", "nowallclock", "maporder", "floateq", "ctrwidth", "probesafe", "lockheld", "lockpair", "hotalloc", "directive"} {
+	for _, rule := range []string{"norand", "nowallclock", "maporder", "floateq", "ctrwidth", "lockheld", "lockpair", "directive"} {
 		if !strings.Contains(s, rule) {
 			t.Errorf("report missing rule row %q:\n%s", rule, s)
 		}

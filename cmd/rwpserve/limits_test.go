@@ -28,6 +28,12 @@ func limitServerFrame(t *testing.T, c *live.Cache, conns int, write, frame time.
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveLimits(t, ln, c, conns, write, frame), ln.Addr().String()
+}
+
+// serveLimits starts a tcpServer over c on ln with the given limits.
+func serveLimits(t *testing.T, ln net.Listener, c *live.Cache, conns int, write, frame time.Duration) *tcpServer {
+	t.Helper()
 	tsrv := newTCPServer(ln, c, io.Discard)
 	if tsrv.maxConns != maxConns || tsrv.writeTimeout != writeTimeout || tsrv.frameTimeout != frameTimeout {
 		t.Fatalf("newTCPServer limits %d conns, %v writes, %v frames; want the constants %d, %v, %v",
@@ -36,7 +42,7 @@ func limitServerFrame(t *testing.T, c *live.Cache, conns int, write, frame time.
 	tsrv.maxConns, tsrv.writeTimeout, tsrv.frameTimeout = conns, write, frame
 	go tsrv.serve()
 	t.Cleanup(func() { tsrv.shutdownNow() })
-	return tsrv, ln.Addr().String()
+	return tsrv
 }
 
 // served returns how many connections tsrv is serving.
@@ -121,6 +127,94 @@ func TestConnectionCap(t *testing.T) {
 	roundTrip(t, clis[1], "still")
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stallListener accepts its first connection as it is and wraps every
+// later one in a stallConn.
+type stallListener struct {
+	net.Listener
+	accepted int
+	// stalled receives when a stallConn's Write starts waiting; release
+	// ends every wait.
+	stalled, release chan struct{}
+}
+
+func (l *stallListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if l.accepted++; l.accepted == 1 {
+		return conn, nil
+	}
+	return &stallConn{Conn: conn, l: l}, nil
+}
+
+// stallConn is a peer that reads nothing: a Write waits until its write
+// deadline (or the listener's release) and then fails.
+type stallConn struct {
+	net.Conn
+	l        *stallListener
+	deadline time.Time
+}
+
+func (c *stallConn) SetWriteDeadline(t time.Time) error {
+	c.deadline = t
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *stallConn) Write([]byte) (int, error) {
+	select {
+	case c.l.stalled <- struct{}{}:
+	default:
+	}
+	select {
+	case <-time.After(time.Until(c.deadline)):
+	case <-c.l.release:
+	}
+	return 0, os.ErrDeadlineExceeded
+}
+
+// TestConnectionCapRefusalWithoutLock: the ERR write to a connection
+// past the cap may wait out the whole write deadline. It waits without
+// the server's lock, so the connection inside the cap is served while
+// the write is stalled, and its close is accounted for at once. A
+// refusal written under the lock would hold every connection's close
+// behind the refused peer.
+func TestConnectionCapRefusalWithoutLock(t *testing.T) {
+	c := diffCache(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := &stallListener{Listener: ln, stalled: make(chan struct{}, 1), release: make(chan struct{})}
+	tsrv := serveLimits(t, sl, c, 1, 5*time.Second, frameTimeout)
+	t.Cleanup(func() { close(sl.release) }) // before the server's shutdown
+	addr := ln.Addr().String()
+
+	conn, cli := dialClient(t, addr)
+	roundTrip(t, cli, "inside the cap")
+	dialClient(t, addr) // past the cap: refused, and the ERR write stalls
+	select {
+	case <-sl.stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection past the cap was never written its ERR frame")
+	}
+	roundTrip(t, cli, "during the refusal")
+
+	conn.Close()
+	released := make(chan struct{})
+	go func() {
+		for tsrv.served() != 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		close(released)
+	}()
+	select {
+	case <-released:
+	case <-time.After(time.Second):
+		t.Fatal("a closed connection was still held 1 s later, behind the stalled refusal: the refusal holds the server's lock")
 	}
 }
 

@@ -87,10 +87,8 @@ func Default() []*Analyzer {
 		MapOrder,
 		FloatEq,
 		CtrWidth,
-		Probesafe,
 		LockHeld,
 		LockPair,
-		HotAlloc,
 	}
 }
 
@@ -160,12 +158,6 @@ func Unsuppressed(findings []Finding) []Finding {
 // The reason may be separated by an em/en dash or given directly.
 var directiveRE = regexp.MustCompile(`^rwplint:allow\s+([A-Za-z0-9_-]+)\s*(?:[—–:-]+\s*)?(.*)$`)
 
-// hotpathRE matches the "rwplint:hotpath" function directive (an
-// optional dash-separated note may follow). It is consumed by the
-// hotalloc analyzer, which requires it to sit in a function's doc
-// comment; parseDirectives only has to recognize it as well-formed.
-var hotpathRE = regexp.MustCompile(`^rwplint:hotpath\s*(?:[—–:-]+\s*(.*))?$`)
-
 // directive is one parsed //rwplint:allow comment.
 type directive struct {
 	rule   string
@@ -187,16 +179,13 @@ func parseDirectives(fset *token.FileSet, file *ast.File, report func(Finding)) 
 			if !strings.HasPrefix(text, "rwplint:") {
 				continue
 			}
-			if hotpathRE.MatchString(text) {
-				continue // function directive; hotalloc owns placement checks
-			}
 			m := directiveRE.FindStringSubmatch(text)
 			pos := fset.Position(c.Pos())
 			if m == nil || strings.TrimSpace(m[2]) == "" {
 				report(Finding{
 					Pos:     pos,
 					Rule:    "directive",
-					Message: "malformed rwplint directive: want //rwplint:allow <rule> — <reason> or //rwplint:hotpath",
+					Message: "malformed rwplint directive: want //rwplint:allow <rule> — <reason>",
 				})
 				continue
 			}

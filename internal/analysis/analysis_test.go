@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -176,41 +177,38 @@ var X = 1
 	}
 }
 
-func TestHotpathDirectiveNotMalformed(t *testing.T) {
-	// The function-scoped hotpath directive must parse cleanly as a
-	// directive (placement checks belong to hotalloc, which is not
-	// running here).
-	src := `package fix
-
-//rwplint:hotpath — fast path
-func F(n int) int { return n * 2 }
-`
-	findings := checkSrc(t, "rwp/internal/fix", src, NoRand)
-	if len(findings) != 0 {
-		t.Fatalf("hotpath directive misparsed: %v", findings)
-	}
-}
-
 func TestMalformedDirectiveReported(t *testing.T) {
-	src := `package fix
+	cases := []struct {
+		name, src string
+		want      []string // the unsuppressed findings' rules, sorted
+	}{
+		{"allow without a reason", `package fix
 
 //rwplint:allow norand
 import "math/rand"
 
 var _ = rand.Int
-`
-	findings := checkSrc(t, "rwp/internal/fix", src, NoRand)
-	un := Unsuppressed(findings)
-	if len(un) != 2 {
-		t.Fatalf("want norand + directive findings, got %v", un)
+`, []string{"directive", "norand"}},
+		// There is no hot-path directive: a leftover one marks nothing
+		// and is reported like any other malformed directive.
+		{"hotpath", `package fix
+
+//rwplint:hotpath — fast path
+func F(n int) int { return n * 2 }
+`, []string{"directive"}},
 	}
-	var rules []string
-	for _, f := range un {
-		rules = append(rules, f.Rule)
-	}
-	joined := strings.Join(rules, ",")
-	if !strings.Contains(joined, "directive") || !strings.Contains(joined, "norand") {
-		t.Fatalf("reason-less directive must not suppress and must be reported: %v", un)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			un := Unsuppressed(checkSrc(t, "rwp/internal/fix", c.src, NoRand))
+			var rules []string
+			for _, f := range un {
+				rules = append(rules, f.Rule)
+			}
+			slices.Sort(rules)
+			if !slices.Equal(rules, c.want) {
+				t.Fatalf("findings %v, want rules %v", un, c.want)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package locks (a testdata fixture) deliberately violates the
-// concurrency and hot-path rules: lockheld, lockpair, and hotalloc.
+// concurrency rules: lockheld (three findings, in Fill) and lockpair
+// (one, in Peek).
 // It lives under testdata/ so the module walker skips it; the CLI
 // regression tests lint it explicitly and assert rwplint exits
 // non-zero with a finding for each rule.
 package locks
 
 import (
-	"fmt"
 	"sync"
 )
 
@@ -46,15 +46,4 @@ func (s *Shard) Peek(key string) ([]byte, bool) {
 	}
 	s.mu.Unlock()
 	return v, true
-}
-
-// Render trips hotalloc: a declared-hot function that allocates per
-// call.
-//
-//rwplint:hotpath — fixture
-func (s *Shard) Render(key string) string {
-	v := s.m[key]
-	out := make([]byte, len(v)) // hotalloc: make per call
-	copy(out, v)
-	return fmt.Sprintf("%s=%s", key, out) // hotalloc: fmt on the hot path
 }

@@ -387,8 +387,6 @@ func (c *Cache) fingerprint(line mem.LineAddr) uint8 {
 // line's fingerprint|flagValid, and loads a tag only where a byte
 // matched. An invalid way's flags are zero and never match, which also
 // keeps line 0 from hitting an invalid way's zero tag.
-//
-//rwplint:hotpath — the tag scan of every simulated access at every level
 func (c *Cache) Lookup(line mem.LineAddr) (set, way int, ok bool) {
 	set = c.SetIndex(line)
 	ways := c.cfg.Ways
@@ -413,8 +411,6 @@ func (c *Cache) Lookup(line mem.LineAddr) (set, way int, ok bool) {
 // applying write-allocate on demand-store misses and allocate-on-writeback
 // for writeback misses (non-inclusive victim-style handling: a writeback
 // that misses is installed dirty).
-//
-//rwplint:hotpath — one call per level per simulated access
 func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Result {
 	ai := AccessInfo{Line: line, PC: pc, Class: class, Core: core}
 	dirtying := class == Writeback || (class == DemandStore && !c.cfg.StoreFillsClean)

@@ -349,8 +349,7 @@ func TestTagStoreGeometriesMatchReference(t *testing.T) {
 
 // TestAccessDoesNotAllocate pins the layout's other promise: once a cache
 // is built, an access (hit, miss, eviction, writeback) allocates nothing,
-// under the baseline and under the paper's policy. The hotalloc lint
-// cannot see growth through `s = append(s, …)`, so this is the real guard.
+// under the baseline and under the paper's policy.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	for _, name := range []string{"lru", "rwp"} {
 		cfg := cache.Config{Name: "LLC", SizeBytes: 64 * 16 * 64, Ways: 16, LineSize: 64}

@@ -474,8 +474,6 @@ func (c *Client) Put(key string, val []byte) (bool, error) {
 // reply scratch (NodeConn.Flush), which the window boundary's range
 // operations leave intact. In the steady state a call allocates
 // nothing (pinned by TestRouterMGetAllocs).
-//
-//rwplint:hotpath — one call per routed batch read
 func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 	if err := c.flushAll(); err != nil {
 		return nil, err
@@ -496,7 +494,6 @@ func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 	// has given back reachable.
 	clear(c.gets)
 	if cap(c.gets) < len(keys) {
-		//rwplint:allow hotalloc — scratch growth: to the largest batch, then reused
 		c.gets = make([]proto.GetResult, len(keys))
 	}
 	c.gets = c.gets[:len(keys)]
@@ -521,8 +518,6 @@ func (c *Client) MGet(keys []string) ([]proto.GetResult, error) {
 // MPut fans a batch write to every involved replica in one frame per
 // node, merging inserted flags (from each key's primary) into request
 // order. The flags are the router's scratch, like MGet's results.
-//
-//rwplint:hotpath — one call per routed batch write
 func (c *Client) MPut(kvs []proto.KV) ([]bool, error) {
 	if err := c.flushAll(); err != nil {
 		return nil, err
@@ -545,7 +540,6 @@ func (c *Client) MPut(kvs []proto.KV) ([]bool, error) {
 	}
 	// Every slot is written below: each key has one primary.
 	if cap(c.ins) < len(kvs) {
-		//rwplint:allow hotalloc — scratch growth: to the largest batch, then reused
 		c.ins = make([]bool, len(kvs))
 	}
 	c.ins = c.ins[:len(kvs)]

@@ -264,7 +264,8 @@ func TestBatchFanout(t *testing.T) {
 // 64-key MGet of resident 64-byte values through two nodes. The
 // router's merged result, the nodes' replies and values and the
 // servers' responses are all scratch. AllocsPerRun counts the server
-// goroutines too.
+// goroutines too. The routed batch write of the same 64 keys, each an
+// overwrite of a same-size value, allocates nothing either.
 func TestRouterMGetAllocs(t *testing.T) {
 	// The nodes are proto.ServeConn over net.Pipe, as every harness
 	// node is; the subtest names that transport.
@@ -295,12 +296,22 @@ func TestRouterMGetAllocs(t *testing.T) {
 				}
 			}
 		}
-		for i := 0; i < 200; i++ { // grow every scratch, cross window boundaries
-			mget()
+		mput := func() {
+			if _, err := cl.MPut(kvs); err != nil {
+				t.Fatal(err)
+			}
 		}
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
-		if allocs := testing.AllocsPerRun(200, mget); allocs != 0 {
-			t.Errorf("64-key MGet allocates %.0f objects per call, want 0", allocs)
+		for _, op := range []struct {
+			name string
+			call func()
+		}{{"MGet", mget}, {"MPut", mput}} {
+			for i := 0; i < 200; i++ { // grow every scratch, cross window boundaries
+				op.call()
+			}
+			//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
+			if allocs := testing.AllocsPerRun(200, op.call); allocs != 0 {
+				t.Errorf("64-key %s allocates %.0f objects per call, want 0", op.name, allocs)
+			}
 		}
 	})
 }

@@ -142,8 +142,6 @@ func (c *Core) Now() uint64 { return c.cycle }
 
 // advanceTo issues instructions up to dynamic count target, honoring the
 // issue width and the reorder window behind incomplete loads.
-//
-//rwplint:hotpath — runs once per simulated access; the rings never grow
 func (c *Core) advanceTo(target uint64) {
 	width, window := uint64(c.cfg.Width), uint64(c.cfg.Window)
 	for c.issued < target {
@@ -187,8 +185,6 @@ func (c *Core) retireOldestLoad() {
 // `latency` cycles after issue. The caller obtains latency from the
 // memory hierarchy using the cycle returned by Now *after* calling
 // AdvanceTo(ic) — see Run in internal/sim for the canonical sequence.
-//
-//rwplint:hotpath — once per simulated load
 func (c *Core) Load(ic uint64, latency uint64) {
 	c.advanceTo(ic)
 	// MSHR full: the miss cannot even be issued until one frees up.
@@ -206,8 +202,6 @@ func (c *Core) AdvanceTo(ic uint64) { c.advanceTo(ic) }
 // Store records a store at instruction ic that completes (leaves the
 // store buffer) `latency` cycles after issue. Stores only stall when the
 // buffer is full.
-//
-//rwplint:hotpath — once per simulated store
 func (c *Core) Store(ic uint64, latency uint64) {
 	c.advanceTo(ic)
 	if c.stores.n >= c.cfg.StoreBuffer {

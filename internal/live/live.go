@@ -394,8 +394,6 @@ func (g *group) InvalidWay(set int) int {
 // the valid bit and the key itself still decide: an invalid way never
 // matches whatever its tag holds, and two keys sharing all 64 hash bits
 // stay two keys.
-//
-//rwplint:hotpath — linear probe on every Get/Put; must stay allocation-free
 func (s *lset) find(key string, tag mem.LineAddr) int {
 	for w, t := range s.tags {
 		if t != tag {
@@ -424,15 +422,12 @@ const (
 // Reuse is safe because nobody outside the shard lock holds kv — every
 // reader of an entry (get, miss's coalesced join, snapSet) copies the
 // bytes out under the lock.
-//
-//rwplint:hotpath — every overwrite and fill; allocates only when the way's buffer cannot be reused
 func (e *entry) reserve(keep, need int) []byte {
 	kv := e.kv[:keep]
 	if cap(kv) < need || cap(kv) > max(retainFactor*need, retainMin) {
 		// Every allocator size class is a multiple of 8 bytes, so the
 		// rounded capacity costs no heap and lets a key or value a few
 		// bytes longer reuse the buffer later.
-		//rwplint:allow hotalloc — the way's one buffer, only when it cannot be reused; pinned by TestFillAllocs
 		kv = make([]byte, keep, (need+7)&^7)
 		copy(kv, e.kv[:keep])
 	}
@@ -440,8 +435,6 @@ func (e *entry) reserve(keep, need int) []byte {
 }
 
 // setVal replaces the entry's value, leaving the key bytes in place.
-//
-//rwplint:hotpath — every Put overwrite; must stay allocation-free over a buffer that fits
 func (e *entry) setVal(val []byte) {
 	kv := e.reserve(int(e.klen), int(e.klen)+len(val))
 	kv = append(kv, val...)
@@ -453,8 +446,6 @@ func (e *entry) setVal(val []byte) {
 // setVal. The set has storage (its caller grew it). The key's bytes are
 // copied, so a borrowed key may be passed. Occupancy counts and the
 // policy callbacks are the caller's (fill, restoreGroup).
-//
-//rwplint:hotpath — every fill
 func (s *lset) install(way int, key string, tag mem.LineAddr, val []byte, dirty bool) {
 	e := &s.entries[way]
 	s.tags[way] = tag
@@ -714,16 +705,12 @@ func (c *Cache) getInto(dst []byte, key string) (val []byte, hit bool) {
 // its own wherever it retains the key (see borrowString), so the caller
 // may overwrite the bytes as soon as GetAppend returns. A hit into a
 // dst with room allocates nothing.
-//
-//rwplint:hotpath — the wire server's read entry point
 func (c *Cache) GetAppend(dst, key []byte) (out []byte, hit, found bool) {
 	return c.get(dst, borrowString(key), true)
 }
 
 // PutBytes is Put with a borrowed byte key, under GetAppend's lifetime
 // rule. An overwrite that fits the entry's buffer allocates nothing.
-//
-//rwplint:hotpath — the wire server's write entry point
 func (c *Cache) PutBytes(key, val []byte) (inserted bool) {
 	return c.put(borrowString(key), val, true)
 }
@@ -752,8 +739,6 @@ func ownedKey(key string, borrowed bool) string {
 // owned by the caller's string) and GetAppend (the caller's buffer, key
 // borrowed from a request buffer). Every value it serves, hit or fill,
 // is appended to dst; found reports whether one was.
-//
-//rwplint:hotpath — the serving read path; every allocation here is a written-down decision
 func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, found bool) {
 	h := HashKey(key)
 	set := int(h & c.mask)
@@ -836,8 +821,6 @@ func (c *Cache) Put(key string, val []byte) (inserted bool) {
 }
 
 // put is the one Put implementation, behind Put and PutBytes.
-//
-//rwplint:hotpath — the serving write path; an overwrite must stay allocation-free
 func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	h := HashKey(key)
 	set := int(h & c.mask)
@@ -885,8 +868,6 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 // grows its storage first, outside this function's allocation rule.
 // Called with the shard lock held. It reports whether the fill evicted a
 // dirty entry — the cost model's writeback surcharge trigger.
-//
-//rwplint:hotpath — every Loader fill and Put insert; allocation-free over a victim whose buffer fits
 func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
 	if ls.entries == nil {
 		ls.grow()
@@ -919,8 +900,6 @@ func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (e
 // HashKey is the deterministic 64-bit key hash used for set selection
 // and as the policy-visible line identity: FNV-1a with a SplitMix64
 // finalizer so the low bits (the set index) are well mixed.
-//
-//rwplint:hotpath — hashed once per operation; pure arithmetic, zero allocations
 func HashKey(key string) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(key); i++ {

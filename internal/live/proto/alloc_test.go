@@ -25,11 +25,9 @@ func (l *loopReader) Read(p []byte) (int, error) {
 
 // TestReadFrameAllocs pins ReadFrame at zero heap allocations per
 // frame in the steady state: the scratch buffer is warmed to the
-// high-water payload by the first read and reused after that. This is
-// the runtime half of the hotalloc lint on ReadFrame — every
-// allocation left in that function is suppressed as one-time,
-// amortized, or error-path, and this test proves the happy path really
-// hits none of them.
+// high-water payload by the first read and reused after that. Every
+// allocation left in ReadFrame is one-time, amortized, or on an error
+// path, and this test proves the happy path hits none of them.
 func TestReadFrameAllocs(t *testing.T) {
 	frame := AppendFrame(nil, OpGet, bytes.Repeat([]byte("k"), 512))
 	r := NewReader(&loopReader{frame: frame})

@@ -136,8 +136,6 @@ func (c *Client) queueBuilt(req request, payload []byte, err error) error {
 // next Flush. nil stays nil and a zero-length value stays non-nil (the
 // Value-nil-iff-miss rule). Each value's capacity ends where its bytes
 // do, so appending to one cannot reach its neighbour.
-//
-//rwplint:hotpath — once per GET reply and per MGET element
 func (c *Client) keep(v []byte) []byte {
 	switch {
 	case v == nil:
@@ -206,8 +204,6 @@ func (c *Client) Depth() int { return len(c.pending) }
 // valid until the next call on the client (the rule Reader.ReadFrame
 // states for its payload; see Reply). In the steady state a Flush
 // allocates nothing (pinned by TestClientFlushAllocs).
-//
-//rwplint:hotpath — every pipelined burst and every synchronous call
 func (c *Client) Flush() ([]Reply, error) {
 	if err := c.check(); err != nil {
 		return nil, err
@@ -234,11 +230,9 @@ func (c *Client) Flush() ([]Reply, error) {
 			return c.replies, c.fail(err)
 		}
 		if op == OpErr {
-			//rwplint:allow hotalloc — error path: the connection is unusable from here
 			return c.replies, c.fail(wireErrf(ErrPayload, "server error: %s", payload))
 		}
 		if op != sent.op {
-			//rwplint:allow hotalloc — error path: the connection is unusable from here
 			return c.replies, c.fail(wireErrf(ErrOp, "reply op %v for %v request", op, sent.op))
 		}
 		rep := Reply{Op: op}
@@ -266,7 +260,6 @@ func (c *Client) Flush() ([]Reply, error) {
 		}
 		// One element per key or pair requested; the other ops carry none.
 		if n := len(rep.Gets) + len(rep.Inserts); err == nil && n != sent.n {
-			//rwplint:allow hotalloc — error path: the connection is unusable from here
 			err = wireErrf(ErrPayload, "%v reply has %d elements for %d requested", op, n, sent.n)
 		}
 		if err != nil {

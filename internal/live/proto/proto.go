@@ -167,8 +167,6 @@ func wireErrf(kind error, format string, args ...any) error {
 // and returns the extended slice. It panics if payload exceeds
 // MaxPayload — callers construct payloads through the Encode helpers,
 // which enforce the limits with errors first.
-//
-//rwplint:hotpath — runs once per frame on the serving path; appends amortize into dst
 func AppendFrame(dst []byte, op Op, payload []byte) []byte {
 	if len(payload) > MaxPayload {
 		panic("proto: AppendFrame payload exceeds MaxPayload")
@@ -301,8 +299,6 @@ func (r *Reader) frameBuffered() bool {
 // Steady state it allocates nothing (pinned by TestReadFrameAllocs):
 // the buffer changes size only when a frame outgrows it or the frames
 // have become small next to it (see fill).
-//
-//rwplint:hotpath — runs once per frame on the serving path
 func (r *Reader) ReadFrame() (Op, []byte, error) {
 	for {
 		b := r.buf[r.off:]
@@ -317,7 +313,6 @@ func (r *Reader) ReadFrame() (Op, []byte, error) {
 			body := frame[:size-crcSize]
 			want := binary.LittleEndian.Uint32(frame[size-crcSize:])
 			if got := crc32.Checksum(body, castagnoli); got != want {
-				//rwplint:allow hotalloc — error path: the connection is about to close
 				return 0, nil, wireErrf(ErrCRC, "got %#08x, want %#08x", got, want)
 			}
 			return Op(frame[3]), body[start:], nil
@@ -351,7 +346,6 @@ func (r *Reader) fill(size int) error {
 	rest := r.buf[r.off:]
 	r.pos += int64(r.off) // rest moves to the front of the buffer
 	if need := max(size, r.last[0], r.last[1]); cap(r.buf) < max(size, readMin) || cap(r.buf) > max(retainFactor*need, readMin) {
-		//rwplint:allow hotalloc — the connection's one read buffer, replaced only when it cannot be reused
 		buf := make([]byte, len(rest), max(need, readMin))
 		copy(buf, rest)
 		r.buf = buf

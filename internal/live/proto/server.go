@@ -123,8 +123,6 @@ type connServer struct {
 
 // get serves one key, appending its outcome element (status, then the
 // value unless miss) to the response payload.
-//
-//rwplint:hotpath — once per GET and per MGET key
 func (s *connServer) get(key []byte) {
 	var hit, found bool
 	s.val, hit, found = s.b.GetAppend(s.val[:0], key)
@@ -144,8 +142,6 @@ func (s *connServer) get(key []byte) {
 // malformed element anywhere applies nothing. With apply true it issues
 // the per-key Gets/Puts in request order (the semantics contract),
 // encoding each outcome as it goes.
-//
-//rwplint:hotpath — once per batch element, twice over
 func (s *connServer) batch(op Op, req []byte, apply bool) error {
 	p := parser{req}
 	n, err := p.count()

@@ -18,9 +18,8 @@
 //   - A nil probe costs nothing on the hot path: every emission site
 //     is guarded by an `if p != nil` check and constructs its event
 //     struct only inside the guard, so the disabled path is a single
-//     predictable branch and allocation-free. The rwplint `probesafe`
-//     rule machine-checks the guard at every call site under
-//     internal/.
+//     predictable branch and allocation-free. Each emitting package's
+//     tests run it with a nil probe, so an unguarded call panics there.
 //
 // The package deliberately imports nothing from the simulator so that
 // every layer (policy, sim, runner) can emit events without import

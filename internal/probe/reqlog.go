@@ -55,8 +55,7 @@ func (e ReqEvent) Class() Class {
 }
 
 // ReqProbe consumes request events. Like Probe, call sites in
-// instrumented code must be nil-guarded (the probesafe lint enforces
-// the naming convention: any interface named *Probe is held to it).
+// instrumented code must be nil-guarded.
 type ReqProbe interface {
 	ReqEvent(ev ReqEvent)
 }

@@ -78,8 +78,6 @@ func (t *Table) row(set int) []uint8 {
 // word's last byte carried in, and the word holding it moves only the
 // positions up to the way's. A way that is already MRU (the common case
 // on L1/L2 hits) rewrites the first word unchanged.
-//
-//rwplint:hotpath — every hit and fill of every recency-ordered policy
 func (t *Table) Touch(set, way int) {
 	if uint(way) >= uint(t.ways) {
 		missing(set, way)

@@ -73,9 +73,10 @@ else
     # Even the short gate race-checks the packages built for
     # concurrency: the live cache's multi-goroutine stress test, the
     # binary-protocol server under concurrent pipelined clients, and
-    # the server's listener limits (the connection cap, the write
-    # deadline that drops a peer that stops reading, the frame deadline
-    # that drops a peer stalled inside a frame, one staged RESTORE), and
+    # the server's listener limits (the connection cap and a refusal
+    # past it that stalls outside the server's lock, the write deadline
+    # that drops a peer that stops reading, the frame deadline that
+    # drops a peer stalled inside a frame, one staged RESTORE), and
     # a coalesced leader's Get result, which its caller writes while a
     # waiter copies the shared fill.
     echo '>> go test -race -short -run Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore|CoalescedLeaderResultIsPrivate ./internal/live/... ./cmd/rwpserve'
@@ -84,47 +85,6 @@ else
     # between two goroutines (the read-ahead stage in internal/trace).
     echo '>> go test -race -short ./internal/sim/ ./internal/trace/'
     go test -race -short ./internal/sim/ ./internal/trace/
-    # Router plateau (ROADMAP 2b): the cluster router's heap must not
-    # grow with the ops it has routed. The test skips itself under
-    # -short, so it is named here without it: however this path's test
-    # steps are trimmed, the plateau is gated before every PR. (After
-    # the `go test ./...` above it is a cached result.)
-    echo '>> go test -run RouterMemoryPlateaus ./internal/cluster/'
-    go test -run 'RouterMemoryPlateaus' ./internal/cluster/
-    # Entry footprint: the heap a resident entry costs, what an
-    # untouched cache costs and what a reset range gives back (lazy way
-    # storage), and the set clock that NegOps and LeaseOps windows run on
-    # surviving a ResetStats. With them, the cache's allocation pins: a
-    # Get hit's copy-out in the caller's frame (0, escaping 1 or 2, and 0
-    # on a restored cache), the wire's byte-key Get and Put (0), and what
-    # a fill costs per way state. Named here for the same reason as the
-    # plateau.
-    echo '>> go test -run EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock|GetHitAllocs|ByteKeyAllocs|FillAllocs|RestoredGetHitAllocs ./internal/live/'
-    go test -run 'EntryFootprint|NewFootprint|ResetRangeReleasesStorage|ResetStatsClock|GetHitAllocs|ByteKeyAllocs|FillAllocs|RestoredGetHitAllocs' ./internal/live/
-    # Allocation pins of the wire reply path: the client's and the
-    # router's reply scratch, values included (0 per burst, 0 per MGet),
-    # chunked SNAP/RESTORE transfers, a TCP get hit end to end, and the
-    # clears that keep stale replies from pinning a given-back value
-    # buffer. With them, the reply lifetime (Scratch: values reused by
-    # the next Flush; SurviveWindow: a window boundary's range ops leave
-    # an MGet's values intact), and the wire's memory and framing pins: a
-    # connection's buffers and value scratch after a burst (Footprint),
-    # and frames decoding the same however the bytes are split
-    # (Chunking, EOFRules, MidFrame). Named here for the same reason.
-    echo '>> go test -run Allocs|ClearsStale|Scratch|SurviveWindow|Footprint|Chunking|EOFRules|MidFrame ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/'
-    go test -run 'Allocs|ClearsStale|Scratch|SurviveWindow|Footprint|Chunking|EOFRules|MidFrame' ./internal/live/proto/ ./internal/live/drive/ ./internal/cluster/
-    # The simulator's set kernels work a word at a time: the recency
-    # table against its byte-loop reference at 1-256 ways, and Lookup's
-    # fingerprint scan against the reference cache, fingerprint
-    # collisions and odd widths included. Named for the same reason.
-    echo '>> go test -run Match(es)?Reference ./internal/recency/ ./internal/cache/'
-    go test -run 'Match(es)?Reference' ./internal/recency/ ./internal/cache/
-    # A simulated way keeps only what something reads: what building the
-    # default hierarchy allocates, UCP's own owner cores held to the
-    # owner rule, and its victim choice allocating nothing. Named for
-    # the same reason.
-    echo '>> go test -run HierarchyFootprint|OwnerRule|VictimDoesNotAllocate ./internal/hier/ ./internal/ucp/'
-    go test -run 'HierarchyFootprint|OwnerRule|VictimDoesNotAllocate' ./internal/hier/ ./internal/ucp/
 fi
 
 # Engine smoke: run one experiment twice against the same cache dir.
