@@ -15,11 +15,13 @@ test:
 lint:
 	go run ./cmd/rwplint ./...
 
-# The pre-PR gate: build, vet, rwplint, tests, race tests.
+# The pre-PR gate: build, vet, gofmt, tests (rwplint and every
+# end-to-end contract included), the bench module, -race, benchrec -head.
 check:
 	scripts/check.sh
 
-# Same gate without the -race pass (for quick iteration).
+# Same gate for quick iteration: -race over the concurrent packages
+# only, and no benchrec -head.
 check-short:
 	scripts/check.sh -short
 

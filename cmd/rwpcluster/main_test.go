@@ -91,26 +91,29 @@ func TestSelftestMatchesSingleNode(t *testing.T) {
 }
 
 // TestWindowsOutJournal: -windows-out produces a parseable shard-window
-// journal that is byte-identical across reruns, and — the journal being
-// streamed as windows close, a function of the ops routed so far and
-// nothing later — the journal of a run is, through its last whole
-// window, a byte prefix of the journal of a ten times longer run of the
-// same stream.
+// journal that is byte-identical across reruns, as is the managed run's
+// stats document, and — the journal being streamed as windows close, a
+// function of the ops routed so far and nothing later — the journal of
+// a run is, through its last whole window, a byte prefix of the journal
+// of a ten times longer run of the same stream.
 func TestWindowsOutJournal(t *testing.T) {
 	dir := t.TempDir()
+	var stdout string // the last run's stats document
 	journal := func(name string, args ...string) []byte {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		clusterOut(t, append(args, "-windows-out", path)...)
+		stdout = clusterOut(t, append(args, "-windows-out", path)...)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-	managed := []string{"-manager", "-window", "512", "-hot", "64", "-cold", "8"}
+	// -hot 32 replicates a few shards for a few windows each.
+	managed := []string{"-manager", "-window", "512", "-hot", "32", "-cold", "8"}
 
 	first := journal("windows.jsonl", baseArgs(managed...)...)
+	firstDoc := stdout
 	desc, windowOps, ws, err := probe.ReadShardWindows(bytes.NewReader(first))
 	if err != nil {
 		t.Fatalf("journal does not parse: %v", err)
@@ -118,8 +121,14 @@ func TestWindowsOutJournal(t *testing.T) {
 	if len(ws) == 0 || windowOps != 512 {
 		t.Fatalf("journal desc=%q windowOps=%d windows=%d, want 512-op windows", desc, windowOps, len(ws))
 	}
+	if !slices.ContainsFunc(ws, func(w probe.ShardWindow) bool { return w.Replicas > 1 }) {
+		t.Fatal("the managed run never replicated a shard: the rerun checks below would not see the replica path")
+	}
 	if second := journal("windows2.jsonl", baseArgs(managed...)...); !bytes.Equal(first, second) {
 		t.Error("windows journal differs across reruns")
+	}
+	if stdout != firstDoc {
+		t.Errorf("managed stats document differs across reruns:\n%s\nvs\n%s", stdout, firstDoc)
 	}
 
 	// 8000 ops are 15 whole 512-op windows and a tail: the header and the
@@ -304,42 +313,48 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestBadArgs pins the flag-surface failure modes.
+// TestBadArgs pins the flag-surface failure modes: the exit code, and
+// where a row names one, the text stderr must carry.
 func TestBadArgs(t *testing.T) {
 	journal, _ := recordJournal(t)
 	for _, tc := range []struct {
-		name string
-		args []string
-		want int
+		name   string
+		args   []string
+		want   int
+		stderr string
 	}{
-		{"bad flag", []string{"-nope"}, 2},
-		{"positional args", []string{"-selftest", "10", "extra"}, 2},
-		{"nothing to do", []string{}, 2},
-		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2},
-		{"ring shards do not divide sets", []string{"-selftest", "10", "-ring-shards", "3"}, 2},
-		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2},
-		{"bad manager window", []string{"-selftest", "10", "-manager", "-window", "0"}, 2},
-		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2},
-		{"bad adversarial profile", []string{"-selftest", "10", "-profile", "adv:nope"}, 2},
-		{"deleted -vnodes", []string{"-selftest", "10", "-vnodes", "8"}, 2},
-		{"deleted -hot-p99", []string{"-selftest", "10", "-manager", "-hot-p99", "4"}, 2},
-		{"deleted -max-replicas", []string{"-selftest", "10", "-manager", "-max-replicas", "2"}, 2},
-		{"deleted -journal-dir", []string{"-selftest", "10", "-journal-dir", "jd"}, 2},
-		{"deleted -mode", []string{"-selftest", "10", "-mode", "pipe"}, 2},
-		{"-connect with -nodes", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-nodes", "2"}, 2},
-		{"-connect trailing comma", []string{"-selftest", "10", "-connect", "127.0.0.1:1,"}, 2},
-		{"-connect blank entry", []string{"-selftest", "10", "-connect", "127.0.0.1:1, ,127.0.0.1:2"}, 2},
-		{"-connect blank", []string{"-selftest", "10", "-connect", " "}, 2},
-		{"-in with -selftest", []string{"-in", journal, "-selftest", "10"}, 2},
-		{"-in with -profile", []string{"-in", journal, "-profile", "mcf"}, 2},
-		{"-in with -seed", []string{"-in", journal, "-seed", "0"}, 2},
-		{"-in with deleted -vnodes", []string{"-in", journal, "-vnodes", "8"}, 2},
-		{"-in with -record", []string{"-in", journal, "-record", "x.jsonl"}, 2},
-		{"-in missing journal", []string{"-in", filepath.Join(t.TempDir(), "nope.jsonl")}, 1},
+		{"bad flag", []string{"-nope"}, 2, ""},
+		{"positional args", []string{"-selftest", "10", "extra"}, 2, ""},
+		{"nothing to do", []string{}, 2, ""},
+		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2, ""},
+		{"ring shards do not divide sets", []string{"-selftest", "10", "-ring-shards", "3"}, 2, ""},
+		{"ring range splits a policy group", []string{"-selftest", "1", "-sets", "256", "-ring-shards", "64"}, 2, "8-set policy group"},
+		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2, ""},
+		{"bad manager window", []string{"-selftest", "10", "-manager", "-window", "0"}, 2, ""},
+		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2, ""},
+		{"bad adversarial profile", []string{"-selftest", "10", "-profile", "adv:nope"}, 2, ""},
+		{"deleted -vnodes", []string{"-selftest", "10", "-vnodes", "8"}, 2, ""},
+		{"deleted -hot-p99", []string{"-selftest", "10", "-manager", "-hot-p99", "4"}, 2, ""},
+		{"deleted -max-replicas", []string{"-selftest", "10", "-manager", "-max-replicas", "2"}, 2, ""},
+		{"deleted -journal-dir", []string{"-selftest", "10", "-journal-dir", "jd"}, 2, ""},
+		{"deleted -mode", []string{"-selftest", "10", "-mode", "pipe"}, 2, ""},
+		{"-connect with -nodes", []string{"-selftest", "10", "-connect", "127.0.0.1:1", "-nodes", "2"}, 2, ""},
+		{"-connect trailing comma", []string{"-selftest", "10", "-connect", "127.0.0.1:1,"}, 2, ""},
+		{"-connect blank entry", []string{"-selftest", "10", "-connect", "127.0.0.1:1, ,127.0.0.1:2"}, 2, ""},
+		{"-connect blank", []string{"-selftest", "10", "-connect", " "}, 2, ""},
+		{"-in with -selftest", []string{"-in", journal, "-selftest", "10"}, 2, ""},
+		{"-in with -profile", []string{"-in", journal, "-profile", "mcf"}, 2, ""},
+		{"-in with -seed", []string{"-in", journal, "-seed", "0"}, 2, ""},
+		{"-in with deleted -vnodes", []string{"-in", journal, "-vnodes", "8"}, 2, ""},
+		{"-in with -record", []string{"-in", journal, "-record", "x.jsonl"}, 2, ""},
+		{"-in missing journal", []string{"-in", filepath.Join(t.TempDir(), "nope.jsonl")}, 1, ""},
 	} {
 		var out, errbuf bytes.Buffer
 		if code := run(tc.args, &out, &errbuf); code != tc.want {
 			t.Errorf("%s: run = %d, want %d (stderr: %s)", tc.name, code, tc.want, errbuf.String())
+		}
+		if !strings.Contains(errbuf.String(), tc.stderr) {
+			t.Errorf("%s: stderr does not name %q: %s", tc.name, tc.stderr, errbuf.String())
 		}
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -37,24 +39,86 @@ func TestRunFlagErrors(t *testing.T) {
 }
 
 // TestRunSingleExperiment exercises the whole wiring — engine, suite,
-// table render, CSV output — on the smallest real experiment slice.
+// table render, CSV output, result cache, run journals — on the
+// smallest real experiment slice. A rerun against the warm -cache-dir
+// executes nothing and prints the same table; a cold rerun at another
+// -j writes the same journals into its -metrics-dir, byte for byte.
 func TestRunSingleExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	csvDir := t.TempDir()
-	var out, errbuf bytes.Buffer
-	args := []string{"-exp", "E3", "-scale", "quick", "-benches", "mcf,xalancbmk", "-csv", csvDir}
-	if code := run(args, &out, &errbuf); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, errbuf.String())
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	exp := func(extra ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errbuf bytes.Buffer
+		args := append([]string{"-exp", "E3", "-scale", "quick", "-benches", "mcf,xalancbmk"}, extra...)
+		if code := run(args, &out, &errbuf); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr: %s", args, code, errbuf.String())
+		}
+		return out.String(), errbuf.String()
 	}
-	s := out.String()
+
+	cold, errs := exp("-j", "4", "-csv", filepath.Join(dir, "csv"), "-cache-dir", cacheDir,
+		"-metrics-dir", filepath.Join(dir, "m4"))
 	for _, want := range []string{"mcf", "xalancbmk"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("table missing %q:\n%s", want, s)
+		if !strings.Contains(cold, want) {
+			t.Errorf("table missing %q:\n%s", want, cold)
 		}
 	}
-	if !strings.Contains(errbuf.String(), "engine:") {
-		t.Errorf("engine summary missing from stderr:\n%s", errbuf.String())
+	if !strings.Contains(errs, "engine:") || strings.Contains(errs, " executed=0 ") {
+		t.Errorf("cold run: engine summary missing or nothing executed:\n%s", errs)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "csv", "e3.csv")); err != nil {
+		t.Errorf("-csv: %v", err)
+	}
+
+	warm, errs := exp("-j", "4", "-cache-dir", cacheDir)
+	if !strings.Contains(errs, " executed=0 ") {
+		t.Errorf("warm-cache run re-executed jobs:\n%s", errs)
+	}
+	if warm != cold {
+		t.Errorf("warm-cache table differs from the cold run's:\n%s\nvs\n%s", warm, cold)
+	}
+
+	exp("-j", "1", "-metrics-dir", filepath.Join(dir, "m1"))
+	journals, err := filepath.Glob(filepath.Join(dir, "m4", "*.jsonl"))
+	if err != nil || len(journals) == 0 {
+		t.Fatalf("-metrics-dir wrote no journals (err %v)", err)
+	}
+	for _, j4 := range journals {
+		j1 := filepath.Join(dir, "m1", filepath.Base(j4))
+		a, err := os.ReadFile(j4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := os.ReadFile(j1); err != nil || !bytes.Equal(a, b) {
+			t.Errorf("journal %s differs between -j 4 and -j 1 (err %v)", filepath.Base(j4), err)
+		}
+	}
+}
+
+// TestQuickTablesMatchResults holds the paper-facing quick-scale tables
+// — E3's single-core speedup, E5's state overhead, E7's 4-core
+// throughput — to results/quick/ byte for byte, so an unexplained move
+// fails here. A deliberate change to the simulator's behaviour
+// regenerates the files with `rwpexp -scale quick -exp E3 >
+// results/quick/E3.txt` (and E5, E7) and says so in CHANGES.md.
+func TestQuickTablesMatchResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	for _, id := range []string{"E3", "E5", "E7"} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", "quick", id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errbuf bytes.Buffer
+		if code := run([]string{"-scale", "quick", "-exp", id}, &out, &errbuf); code != 0 {
+			t.Fatalf("%s: run = %d, stderr: %s", id, code, errbuf.String())
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("rwpexp -scale quick -exp %s moved against results/quick/%s.txt:\n%s\nwant:\n%s", id, id, out.String(), want)
+		}
 	}
 }

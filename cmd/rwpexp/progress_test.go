@@ -54,10 +54,9 @@ func TestEngineLineFormat(t *testing.T) {
 		t.Fatalf("engine line:\n got %q\nwant %q", got, want)
 	}
 	// The "executed=N " token (trailing space included) is what
-	// scripts/check.sh greps on warm-cache runs; a format change here
-	// must update check.sh in the same commit.
+	// TestRunSingleExperiment looks for in a warm-cache run's stderr.
 	if !strings.Contains(engineLine(1, runner.Stats{}), " executed=0 ") {
-		t.Fatal("engine line lost the ' executed=N ' token check.sh relies on")
+		t.Fatal("engine line lost the ' executed=N ' token TestRunSingleExperiment relies on")
 	}
 }
 

@@ -31,12 +31,20 @@ func recordRun(t *testing.T) (journal string, stats string) {
 	return journal, stats
 }
 
-// TestReplayEquivalence: a recorded journal replayed under -in through
-// either transport, at several shard counts and frame shapes,
-// reproduces the recorded run's stats document and its snapshot, byte
-// for byte.
+// TestReplayEquivalence: recording leaves a run's stats document as it
+// is, and the recorded journal replayed under -in through either
+// transport, at several shard counts and frame shapes, reproduces the
+// recorded run's stats document and its snapshot, byte for byte.
 func TestReplayEquivalence(t *testing.T) {
 	journal, want := recordRun(t)
+	// Capture does not perturb the run it records.
+	plain, errb, code := runCLI(t, append(replayGeometry("4"), "-selftest", "4000", "-profile", "mcf")...)
+	if code != 0 {
+		t.Fatalf("unrecorded run = %d, stderr: %s", code, errb)
+	}
+	if plain != want {
+		t.Errorf("-record perturbed the run: recorded stats differ from the unrecorded run's:\n%s\nvs\n%s", want, plain)
+	}
 	for _, tc := range []struct {
 		name string
 		args []string

@@ -9,6 +9,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"rwp/internal/live"
+	"rwp/internal/live/loadgen"
 )
 
 // TestStatsEndpoint pins the operator surface: GET and HEAD /stats
@@ -63,14 +66,18 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestSelftestShardInvariance is the acceptance criterion in miniature:
 // the -selftest JSON is byte-identical across repeated runs and across
-// shard counts.
+// shard counts, with the stampede defenses on or off. Fill coalescing
+// collapses only concurrent misses, so a single-goroutine run with
+// -coalesce prints the undefended bytes; negative caching changes an
+// adversarial scan's run — that is its job — but not across shard
+// counts, since a verdict expires on its set's op-count clock.
 func TestSelftestShardInvariance(t *testing.T) {
-	out := func(shards string) string {
+	out := func(shards string, extra ...string) string {
 		var buf, errbuf bytes.Buffer
-		args := []string{"-selftest", "5000", "-sets", "128", "-ways", "4",
-			"-interval", "32", "-profile", "mcf", "-shards", shards}
+		args := append([]string{"-selftest", "5000", "-sets", "128", "-ways", "4",
+			"-interval", "32", "-profile", "mcf", "-shards", shards}, extra...)
 		if code := run(context.Background(), args, &buf, &errbuf); code != 0 {
-			t.Fatalf("run(shards=%s) = %d, stderr: %s", shards, code, errbuf.String())
+			t.Fatalf("run(%v) = %d, stderr: %s", args, code, errbuf.String())
 		}
 		return buf.String()
 	}
@@ -78,9 +85,66 @@ func TestSelftestShardInvariance(t *testing.T) {
 	if !strings.Contains(base, "\"Retargets\"") || strings.Contains(base, "\"Retargets\": 0,") {
 		t.Fatalf("selftest output shows no retargets:\n%s", base)
 	}
+	for _, split := range []string{"GetHitsClean", "GetHitsDirty", "PutHitsClean", "PutHitsDirty"} {
+		if !strings.Contains(base, "\""+split+"\": ") {
+			t.Errorf("selftest output has no partition hit split %s:\n%s", split, base)
+		}
+	}
 	for _, shards := range []string{"1", "4", "16"} {
 		if got := out(shards); got != base {
 			t.Errorf("selftest output differs for shards=%s:\n%s\nvs base:\n%s", shards, got, base)
+		}
+		if got := out(shards, "-coalesce", "-lease-ops", "64"); got != base {
+			t.Errorf("-coalesce -lease-ops 64 perturbed the selftest at shards=%s:\n%s\nvs base:\n%s", shards, got, base)
+		}
+	}
+
+	scan := []string{"-profile", loadgen.AdvScan, "-coalesce", "-neg-ops", "64"}
+	neg := out("1", scan...)
+	if strings.Contains(neg, "\"NegInserts\": 0,") || !strings.Contains(neg, "\"NegInserts\"") {
+		t.Errorf("%v recorded no absence verdicts:\n%s", scan, neg)
+	}
+	for _, shards := range []string{"1", "4", "16"} {
+		if got := out(shards, scan...); got != neg {
+			t.Errorf("%v output differs for shards=%s:\n%s\nvs shards=1:\n%s", scan, shards, got, neg)
+		}
+	}
+}
+
+// TestSelftestMatchesLibraryRun: the -selftest document is the one a
+// cache built from live.DefaultConfig at the flags' geometry, with
+// loadgen's absent-keyspace backing store, prints after loadgen.Run of
+// the same stream. rwpcluster's TestSelftestMatchesSingleNode holds the
+// merged cluster document to the same construction, at the same
+// geometry, so the two binaries print the same bytes — adv:scan, the
+// profile whose keys the backing store does not have, included.
+func TestSelftestMatchesLibraryRun(t *testing.T) {
+	for _, profile := range []string{"mcf", loadgen.AdvScan} {
+		got, errb, code := runCLI(t, "-selftest", "8000", "-sets", "256", "-ways", "4",
+			"-shards", "4", "-interval", "16", "-profile", profile)
+		if code != 0 {
+			t.Fatalf("%s: run = %d, stderr: %s", profile, code, errb)
+		}
+
+		cfg := live.DefaultConfig()
+		cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
+		cfg.RWP.Interval = 16
+		cfg.Loader = loadgen.AbsentLoader(0)
+		c, err := live.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := loadgen.NewStream(profile, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadgen.Run(c, g, 8000)
+		want, err := c.StatsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: rwpserve -selftest differs from the library run:\n%s\nvs\n%s", profile, got, want)
 		}
 	}
 }
@@ -129,24 +193,31 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors pins the usage errors: the exit code, and where a
+// row names one, the text stderr must carry.
 func TestRunFlagErrors(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		args []string
-		want int
+		name   string
+		args   []string
+		want   int
+		stderr string
 	}{
-		{"bad flag", []string{"-nope"}, 2},
-		{"positional args", []string{"extra"}, 2},
-		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2},
-		{"bad geometry", []string{"-selftest", "10", "-sets", "100"}, 2},
-		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2},
-		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2},
-		{"bad transport", []string{"-selftest", "10", "-transport", "carrier-pigeon"}, 2},
-		{"http transport", []string{"-selftest", "10", "-transport", "http"}, 2},
+		{"bad flag", []string{"-nope"}, 2, ""},
+		{"positional args", []string{"extra"}, 2, ""},
+		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2, ""},
+		{"bad geometry", []string{"-selftest", "10", "-sets", "100"}, 2, ""},
+		{"shards split a policy group", []string{"-selftest", "1", "-sets", "256", "-shards", "64"}, 2, "8-set policy group"},
+		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2, ""},
+		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2, ""},
+		{"bad transport", []string{"-selftest", "10", "-transport", "carrier-pigeon"}, 2, ""},
+		{"http transport", []string{"-selftest", "10", "-transport", "http"}, 2, ""},
 	} {
 		var out, errbuf bytes.Buffer
 		if code := run(context.Background(), tc.args, &out, &errbuf); code != tc.want {
 			t.Errorf("%s: run = %d, want %d (stderr: %s)", tc.name, code, tc.want, errbuf.String())
+		}
+		if !strings.Contains(errbuf.String(), tc.stderr) {
+			t.Errorf("%s: stderr does not name %q: %s", tc.name, tc.stderr, errbuf.String())
 		}
 	}
 }

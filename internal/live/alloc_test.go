@@ -63,14 +63,31 @@ func TestGetZeroLengthValue(t *testing.T) {
 	}
 	c := mustNew(t, cfg)
 	c.Put("empty", []byte{})
+	assertUnlocked(t, c)
 	if v, hit := c.Get("empty"); !hit || v == nil || len(v) != 0 {
 		t.Errorf("hit on an empty value = (%q, nil %v, %v), want a non-nil empty slice and a hit", v, v == nil, hit)
 	}
+	assertUnlocked(t, c)
 	if v, hit := c.Get("fill"); hit || v == nil || len(v) != 0 {
 		t.Errorf("fill of an empty value = (%q, nil %v, %v), want a non-nil empty slice and no hit", v, v == nil, hit)
 	}
+	assertUnlocked(t, c)
 	if v, hit := c.Get("absent"); hit || v != nil {
 		t.Errorf("miss = (%q, %v), want (nil, false)", v, hit)
+	}
+	assertUnlocked(t, c)
+}
+
+// assertUnlocked fails the test at its caller's line if any shard lock
+// is held. A lock leaked by one call would otherwise show only as the
+// next call on that shard hanging until the test binary times out.
+func assertUnlocked(t *testing.T, c *Cache) {
+	t.Helper()
+	for i, sh := range c.shards {
+		if !sh.mu.TryLock() {
+			t.Fatalf("shard %d's lock is held", i)
+		}
+		sh.mu.Unlock()
 	}
 }
 
@@ -255,6 +272,9 @@ func TestReentrantLoader(t *testing.T) {
 	cfg := tinyConfig("rwp")
 	cfg.Loader = func(key string) []byte {
 		loads++
+		// The fetch runs with no shard lock held: a Loader called under
+		// one would deadlock on the reentrant Put below.
+		assertUnlocked(t, c)
 		// Reentrant write of the same key: the cache must survive it,
 		// and the resident entry it installs must win the race.
 		c.Put(key, []byte("from-put"))

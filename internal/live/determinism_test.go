@@ -142,8 +142,8 @@ func TestDeterministicSeedSensitivity(t *testing.T) {
 // genuinely concurrent misses, so a single-goroutine run with Coalesce
 // on is bit-identical — every counter, every cost histogram — to the
 // same run with it off, at every shard count. This is the determinism
-// contract that lets the bit-identity gates in scripts/check.sh keep
-// running with the defense enabled.
+// contract that lets the live binaries' bit-identity tests (rwpserve's
+// TestSelftestShardInvariance) run with the defense enabled.
 func TestCoalesceSingleGoroutineIdentical(t *testing.T) {
 	const n = 20_000
 	coalesce := func(cfg *live.Config) { cfg.Coalesce = true; cfg.LeaseOps = 64 }
