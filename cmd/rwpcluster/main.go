@@ -30,12 +30,13 @@
 //
 // With the manager off the merged document is byte-identical to
 // `rwpserve -selftest` (or `rwpserve -in`) at the same geometry and
-// source — the cluster and replay smokes in scripts/check.sh compare
-// them with cmp. With the manager on it is the primary view: each set
-// counted once, at its shard's primary. Replica reads and replicated
-// writes are in the -windows-out journal (reads, replicas × writes)
-// and in each node's own document. All wall-clock concerns live here
-// in cmd/; internal/cluster is clocked purely by operation counts.
+// source — TestSelftestMatchesSingleNode and TestReplayEquivalence
+// compare them byte for byte. With the manager on it is the primary
+// view: each set counted once, at its shard's primary. Replica reads
+// and replicated writes are in the -windows-out journal (reads,
+// replicas × writes) and in each node's own document. All wall-clock
+// concerns live here in cmd/; internal/cluster is clocked purely by
+// operation counts.
 package main
 
 import (

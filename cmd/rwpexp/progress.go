@@ -50,8 +50,8 @@ func etaLine(done, total int, elapsed time.Duration) string {
 }
 
 // engineLine renders the end-of-run engine summary. The "executed=N "
-// token is load-bearing: scripts/check.sh greps it to verify warm-cache
-// runs execute nothing.
+// token is load-bearing: TestRunSingleExperiment greps it to verify
+// warm-cache runs execute nothing.
 func engineLine(workers int, st runner.Stats) string {
 	return fmt.Sprintf("rwpexp: engine: workers=%d submitted=%d coalesced=%d executed=%d done=%d disk-hits=%d disk-puts=%d disk-errors=%d max-queue=%d exec-time=%v",
 		workers, st.Submitted, st.Coalesced, st.Executed, st.Done,

@@ -105,7 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *selftestSkip < 0 || *selftestSkip > len(r.Ops) {
 		// skip == selftest is allowed on purpose: it restores, replays
 		// zero ops, prints stats, and re-snapshots — the fixed-point
-		// probe the restart smoke in scripts/check.sh runs.
+		// probe TestSelftestRestartEquivalence runs.
 		return fail(2, fmt.Errorf("-selftest-skip must be in [0, -selftest]"))
 	}
 

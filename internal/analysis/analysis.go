@@ -242,8 +242,8 @@ func applyDirectives(pkg *Package, findings *[]Finding, known map[string]bool) [
 }
 
 // underInternal reports whether an import path has an "internal" path
-// segment — the scope of the determinism rules (cmd/ and examples/ may
-// talk to the OS; the simulator core may not).
+// segment — the scope of the determinism rules (cmd/ may talk to the
+// OS; the simulator core may not).
 func underInternal(path string) bool {
 	for _, seg := range strings.Split(path, "/") {
 		if seg == "internal" {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"testing"
 )
@@ -157,14 +158,22 @@ func TestFillAcrossRetargetAllocs(t *testing.T) {
 // TestFillAllocs pins what a fill costs inside the cache, per way state:
 // into an invalid way exactly one allocation (the way's first value
 // buffer), over a valid victim none — Put insert and Loader fill alike,
-// the Loader's own value aside (it hands back a shared slice here). Keys
-// are built up front; one set, so every fill lands where the test says.
+// the Loader's own value aside (it hands back a shared slice here). A
+// victim's buffer is its allocation's whole size class, so a refill a
+// few bytes longer than what the way held reuses it too: a 6-byte key
+// with a 64-byte value (need 70) leaves an 80-byte buffer that a 9-byte
+// key's fill (need 73) fits. Keys are built up front; one set, so every
+// fill lands where the test says.
 func TestFillAllocs(t *testing.T) {
 	const runs = 100 // 2*(runs+1) ways must fit recency.MaxWays
-	val := []byte("value-bytes")
+	val, val64 := []byte("value-bytes"), make([]byte, 64)
 	keys := make([]string, 2*(runs+1))
+	short, long := make([]string, runs+1), make([]string, runs+1)
 	for i := range keys {
 		keys[i] = "k" + strconv.Itoa(i)
+	}
+	for i := range short {
+		short[i], long[i] = fmt.Sprintf("h%05d", i), fmt.Sprintf("c%08d", i)
 	}
 	for _, pol := range []string{"lru", "rwp"} {
 		cfg := tinyConfig(pol)
@@ -189,6 +198,23 @@ func TestFillAllocs(t *testing.T) {
 		}
 		if s := full.Stats(); s.Evictions != uint64(len(keys)) {
 			t.Fatalf("%s: full cache did not evict on every fill: %+v", pol, s.Counters)
+		}
+
+		cfg.Ways = len(short)
+		grown := mustNew(t, cfg)
+		for _, k := range short {
+			grown.Put(k, val64)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			grown.Put(long[next], val64)
+			next++
+		})
+		if got := int(allocs); got != 0 {
+			t.Errorf("%s: a Put insert needing 73 bytes over victims that held 70 allocates %d objects, want 0 (the size class has room)", pol, got)
+		}
+		if s := grown.Stats(); s.Evictions != uint64(len(long)) || s.Entries != len(long) {
+			t.Fatalf("%s: the longer keys did not each replace a shorter one: %+v", pol, s)
 		}
 	}
 }

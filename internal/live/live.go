@@ -416,6 +416,13 @@ const (
 	retainMin    = 256
 )
 
+// zeros is what reserve grows a fresh buffer from: an append to nil gets
+// the allocation's whole size class as capacity, free room for a key or
+// value a few bytes longer later. A make gets only the bytes asked for,
+// and an append of a make allocates twice under -race. Past 32 KiB, the
+// largest size class, a make serves.
+var zeros [32 << 10]byte
+
 // reserve returns the way's buffer cut to its first keep bytes, with
 // room for need bytes in all: kv itself when it fits without hoarding,
 // otherwise a fresh allocation holding a copy of those keep bytes.
@@ -425,10 +432,11 @@ const (
 func (e *entry) reserve(keep, need int) []byte {
 	kv := e.kv[:keep]
 	if cap(kv) < need || cap(kv) > max(retainFactor*need, retainMin) {
-		// Every allocator size class is a multiple of 8 bytes, so the
-		// rounded capacity costs no heap and lets a key or value a few
-		// bytes longer reuse the buffer later.
-		kv = make([]byte, keep, (need+7)&^7)
+		if need <= len(zeros) {
+			kv = append([]byte(nil), zeros[:need]...)[:keep]
+		} else {
+			kv = make([]byte, keep, need)
+		}
 		copy(kv, e.kv[:keep])
 	}
 	return kv

@@ -13,8 +13,8 @@ import "encoding/json"
 // Every field is an order-independent aggregate, so the payload is
 // shard-count invariant for a deterministic operation stream. Note:
 // the lock-shard count is deliberately absent — it is a lock layout
-// detail, and keeping it out lets the determinism smokes compare
-// payloads across shard counts byte for byte.
+// detail, and keeping it out lets rwpserve's TestSelftestShardInvariance
+// compare payloads across shard counts byte for byte.
 type StatsPayload struct {
 	Policy   string `json:"policy"`
 	Sets     int    `json:"sets"`

@@ -16,7 +16,7 @@ import (
 // content hash, so journals are addressed exactly like cached results;
 // the content is a pure function of the key, so two runs of the same job
 // — at any worker count — produce byte-identical files (enforced by
-// TestJournalByteIdentityAcrossWorkers and the check.sh smoke).
+// TestJournalByteIdentityAcrossWorkers and TestJournalPinned).
 
 // JournalPath returns the journal file a job would write under dir.
 func JournalPath(dir string, k Key) string {

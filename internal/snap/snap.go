@@ -118,10 +118,11 @@ var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
 // Encode renders s in the canonical rwp-snap-v5 byte form. The
 // encoding is a pure function of s: identical snapshots encode to
-// identical bytes, which is what lets check.sh cmp-gate the
-// re-snapshot fixed point. A group's predictor is written where it is
-// present; Decode reads one per group exactly when the policy is "rwp",
-// so a snapshot that contradicts its policy does not decode.
+// identical bytes, which is what lets rwpserve's
+// TestSelftestRestartEquivalence compare the re-snapshot fixed point
+// byte for byte. A group's predictor is written where it is present;
+// Decode reads one per group exactly when the policy is "rwp", so a
+// snapshot that contradicts its policy does not decode.
 func Encode(s *Snapshot) []byte {
 	b := make([]byte, 0, 1<<12)
 	b = append(b, Magic...)

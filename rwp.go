@@ -15,8 +15,8 @@
 //	base, err := rwp.Run("mcf", rwp.Config{Policy: "lru"})
 //	fmt.Printf("speedup: %.2fx\n", res.IPC/base.IPC)
 //
-// See examples/ for runnable programs and cmd/rwpexp for the full
-// reproduction of the paper's tables and figures.
+// The package's Examples run under go test with their output pinned;
+// cmd/rwpexp is the full reproduction of the paper's tables and figures.
 package rwp
 
 import (
