@@ -1,19 +1,16 @@
 # Convenience targets; scripts/check.sh is the source of truth for the
 # pre-PR gate.
 
-.PHONY: build test lint check check-short exps paper bench
+.PHONY: build test check check-short exps paper bench
 
 build:
 	go build ./...
 
+# Includes rwplint, the repo's lock-rule static analysis: `go test
+# ./internal/analysis` lints the whole module (selfcheck_test.go) and
+# prints each finding.
 test:
 	go test ./...
-
-# rwplint: the repo's determinism/correctness static analysis. Also
-# enforced inside `make test` by internal/analysis/selfcheck_test.go;
-# run it directly for per-finding output.
-lint:
-	go run ./cmd/rwplint ./...
 
 # The pre-PR gate: build, vet, gofmt, tests (rwplint and every
 # end-to-end contract included), the bench module, -race, benchrec -head.

@@ -12,10 +12,11 @@ import (
 // progress is the experiment driver's wall-clock progress reporter.
 // It is the only place in the repo (outside tests' harness) that may
 // read the host clock: the simulator under internal/ runs purely on
-// simulated cycle counters, and the rwplint nowallclock rule keeps it
-// that way. Anything new that needs wall-clock timing belongs behind a
-// helper like this one, under cmd/ — internal/runner observes per-job
-// timing only through its injected Clock interface, implemented here.
+// simulated cycle counters, and the pinned journals and golden results
+// fail if a host time reaches one (DESIGN.md §7, D2). Anything new that
+// needs wall-clock timing belongs behind a helper like this one, under
+// cmd/ — internal/runner observes per-job timing only through its
+// injected Clock interface, implemented here.
 //
 // Progress goes to stderr: stdout carries only the rendered tables, so
 // it is byte-identical across -j values, repeated runs, and warm-cache

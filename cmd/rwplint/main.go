@@ -1,21 +1,18 @@
-// Command rwplint runs rwp's determinism-and-correctness static
-// analysis (internal/analysis) over the module and reports findings as
+// Command rwplint runs rwp's lock-rule static analysis
+// (internal/analysis) over the module and reports findings as
 //
 //	file:line rule: message
 //
 // relative to the module root. Usage:
 //
-//	rwplint [-v] [-json] [-report] [packages]
+//	rwplint [-v] [-report] [packages]
 //
 // With no arguments or "./..." it checks every package in the module.
 // Explicit directory arguments (e.g. ./internal/cache) check just those
 // packages; this is also the only way to lint a testdata fixture.
 //
-// -json emits every finding — suppressed ones included, marked — as one
-// canonical JSON object per line (keys sorted, no indentation), byte-
-// stable across runs for CI annotation. -report appends a per-rule
-// summary table (finding and suppression counts for every rule in the
-// suite) after any findings.
+// -report appends a per-rule summary table (finding and suppression
+// counts for every rule in the suite) after any findings.
 //
 // Exit status: 0 clean, 1 unsuppressed findings, 2 load/usage error.
 // Suppress a finding with "//rwplint:allow <rule> — <reason>" on the
@@ -23,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -43,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rwplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "also list suppressed findings and their count")
-	jsonOut := fs.Bool("json", false, "emit findings as canonical JSON, one object per line (suppressed included)")
 	report := fs.Bool("report", false, "append a per-rule finding/suppression count table")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -71,24 +66,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	findings := analysis.Run(analysis.Default(), pkgs)
 	unsuppressed := analysis.Unsuppressed(findings)
 	suppressed := len(findings) - len(unsuppressed)
-	switch {
-	case *jsonOut:
-		if err := writeJSON(stdout, loader.Root, findings); err != nil {
-			fmt.Fprintf(stderr, "rwplint: %v\n", err)
-			return 2
-		}
-	default:
-		for _, f := range unsuppressed {
-			fmt.Fprintf(stdout, "%s:%d %s: %s\n", relPath(loader.Root, f.Pos.Filename), f.Pos.Line, f.Rule, f.Message)
-		}
-		if *verbose {
-			for _, f := range findings {
-				if f.Suppressed {
-					fmt.Fprintf(stdout, "%s:%d %s: suppressed: %s\n", relPath(loader.Root, f.Pos.Filename), f.Pos.Line, f.Rule, f.Message)
-				}
+	for _, f := range unsuppressed {
+		fmt.Fprintf(stdout, "%s:%d %s: %s\n", relPath(loader.Root, f.Pos.Filename), f.Pos.Line, f.Rule, f.Message)
+	}
+	if *verbose {
+		for _, f := range findings {
+			if f.Suppressed {
+				fmt.Fprintf(stdout, "%s:%d %s: suppressed: %s\n", relPath(loader.Root, f.Pos.Filename), f.Pos.Line, f.Rule, f.Message)
 			}
-			fmt.Fprintf(stdout, "rwplint: %d packages, %d findings (%d suppressed)\n", len(pkgs), len(findings), suppressed)
 		}
+		fmt.Fprintf(stdout, "rwplint: %d packages, %d findings (%d suppressed)\n", len(pkgs), len(findings), suppressed)
 	}
 	if *report {
 		writeReport(stdout, len(pkgs), findings)
@@ -97,40 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// jsonFinding is one finding in -json output. Fields are declared in
-// alphabetical order so the canonical encoding has sorted keys; no
-// position or message field is optional, making the byte stream stable
-// across runs on the same tree.
-type jsonFinding struct {
-	Col        int    `json:"col"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Message    string `json:"message"`
-	Rule       string `json:"rule"`
-	Suppressed bool   `json:"suppressed"`
-}
-
-// writeJSON emits every finding — suppressed ones marked, not hidden —
-// as one canonical JSON object per line, in analysis.Run's sorted
-// order.
-func writeJSON(w io.Writer, root string, findings []analysis.Finding) error {
-	enc := json.NewEncoder(w)
-	for _, f := range findings {
-		jf := jsonFinding{
-			Col:        f.Pos.Column,
-			File:       filepath.ToSlash(relPath(root, f.Pos.Filename)),
-			Line:       f.Pos.Line,
-			Message:    f.Message,
-			Rule:       f.Rule,
-			Suppressed: f.Suppressed,
-		}
-		if err := enc.Encode(jf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writeReport prints the per-rule finding/suppression count table. All

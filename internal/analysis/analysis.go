@@ -1,14 +1,15 @@
 // Package analysis is rwp's repo-specific static-analysis framework:
 // a small, stdlib-only analogue of golang.org/x/tools/go/analysis that
-// machine-checks the simulator's determinism and correctness invariants
-// (see DESIGN.md "Determinism guarantees").
+// machine-checks the module's lock discipline (DESIGN.md §7, D9 and
+// D10): no blocking work while a mutex is held, and every lock released
+// on every exit path. Each Analyzer encodes one invariant as a
+// syntactic/type-based rule; the suite runs over every package in the
+// module both from the cmd/rwplint CLI and from the tier-1 test gate
+// (selfcheck_test.go), so a violation fails `go test ./...`.
 //
-// The headline guarantee — the same sim.Options produce bit-identical
-// Results — is only as strong as its weakest code path. Each Analyzer
-// encodes one invariant as a syntactic/type-based rule; the full suite
-// runs over every package in the module both from the cmd/rwplint CLI
-// and from the tier-1 test gate (selfcheck_test.go), so a violation
-// fails `go test ./...` before it can corrupt recorded results.
+// The determinism invariants (D1–D5) have no rule here: a planted bug
+// of each class fails a runtime golden or a unit test at a line
+// (DESIGN.md §7, "Audit: the determinism rules").
 //
 // Findings can be suppressed, one line at a time, with a justified
 // directive comment:
@@ -58,10 +59,7 @@ type Analyzer struct {
 // A Pass carries one type-checked package through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
-	// Path is the package's import path (e.g. "rwp/internal/cache").
-	// External test packages get the conventional "_test" suffix.
-	Path string
-	Fset *token.FileSet
+	Fset     *token.FileSet
 	// Files are the package's parsed files, comments included.
 	Files []*ast.File
 	Pkg   *types.Package
@@ -82,11 +80,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Default returns the full analyzer suite in reporting order.
 func Default() []*Analyzer {
 	return []*Analyzer{
-		NoRand,
-		NoWallClock,
-		MapOrder,
-		FloatEq,
-		CtrWidth,
 		LockHeld,
 		LockPair,
 	}
@@ -113,7 +106,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
-				Path:     pkg.Path,
 				Fset:     pkg.Fset,
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
@@ -239,29 +231,4 @@ func applyDirectives(pkg *Package, findings *[]Finding, known map[string]bool) [
 		}
 	}
 	return extra
-}
-
-// underInternal reports whether an import path has an "internal" path
-// segment — the scope of the determinism rules (cmd/ may talk to the
-// OS; the simulator core may not).
-func underInternal(path string) bool {
-	for _, seg := range strings.Split(path, "/") {
-		if seg == "internal" {
-			return true
-		}
-	}
-	return false
-}
-
-// internalPkg returns the path portion after the first "internal/"
-// segment ("rwp/internal/cache" → "cache"), or "" when the path is not
-// under internal/.
-func internalPkg(path string) string {
-	segs := strings.Split(path, "/")
-	for i, seg := range segs {
-		if seg == "internal" && i+1 < len(segs) {
-			return strings.Join(segs[i+1:], "/")
-		}
-	}
-	return ""
 }

@@ -54,14 +54,26 @@ func wantFindings(t *testing.T, findings []Finding, rule string, lines ...int) {
 	}
 }
 
-func TestSuppressionSameLine(t *testing.T) {
-	src := `package fix
+// underLock is a fixture whose function holds mu from line 8 on; body
+// starts at line 10, where a channel send trips lockheld.
+func underLock(body string) string {
+	return `package fix
 
-import "math/rand" //rwplint:allow norand — fixture exercising same-line suppression
+import "sync"
 
-var _ = rand.Int
+var mu sync.Mutex
+
+func F(ch chan int) {
+	mu.Lock()
+	defer mu.Unlock()
+` + body + `
+}
 `
-	findings := checkSrc(t, "rwp/internal/fix", src, NoRand)
+}
+
+func TestSuppressionSameLine(t *testing.T) {
+	src := underLock("\tch <- 1 //rwplint:allow lockheld — fixture exercising same-line suppression")
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
 	if len(Unsuppressed(findings)) != 0 {
 		t.Fatalf("same-line directive did not suppress: %v", findings)
 	}
@@ -71,42 +83,28 @@ var _ = rand.Int
 }
 
 func TestSuppressionPrecedingLine(t *testing.T) {
-	src := `package fix
-
-//rwplint:allow norand — fixture exercising preceding-line suppression
-import "math/rand"
-
-var _ = rand.Int
-`
-	findings := checkSrc(t, "rwp/internal/fix", src, NoRand)
+	src := underLock("\t//rwplint:allow lockheld — fixture exercising preceding-line suppression\n\tch <- 1")
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
 	if len(Unsuppressed(findings)) != 0 {
 		t.Fatalf("preceding-line directive did not suppress: %v", findings)
 	}
 }
 
 func TestSuppressionWrongRuleDoesNotApply(t *testing.T) {
-	src := `package fix
-
-import "math/rand" //rwplint:allow floateq — wrong rule on purpose
-
-var _ = rand.Int
-`
-	findings := checkSrc(t, "rwp/internal/fix", src, NoRand)
-	wantFindings(t, findings, "norand", 3)
+	src := underLock("\tch <- 1 //rwplint:allow lockpair — wrong rule on purpose")
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
+	wantFindings(t, findings, "lockheld", 10)
 }
 
 func TestSuppressionAdjacentRules(t *testing.T) {
-	// One line trips two rules; the preceding-line directive suppresses
-	// one, the same-line directive the other. Adjacent directives must
-	// not shadow or consume each other.
-	src := `package fix
-
-import "time"
-
-//rwplint:allow nowallclock — fixture: first of two rules on the next line
-var _ = float64(time.Now().Unix()) == 0.5 //rwplint:allow floateq — fixture: second rule, same line
-`
-	findings := checkSrc(t, "rwp/internal/fix", src, NoWallClock, FloatEq)
+	// One line trips two rules: a second lock taken while mu is held
+	// (lockheld) and never released (lockpair). The preceding-line
+	// directive suppresses one, the same-line directive the other.
+	// Adjacent directives must not shadow or consume each other.
+	src := underLock(`	var other sync.Mutex
+	//rwplint:allow lockheld — fixture: first of two rules on the next line
+	other.Lock() //rwplint:allow lockpair — fixture: second rule, same line`)
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld, LockPair)
 	if un := Unsuppressed(findings); len(un) != 0 {
 		t.Fatalf("adjacent directives did not both apply: %v", un)
 	}
@@ -116,7 +114,7 @@ var _ = float64(time.Now().Unix()) == 0.5 //rwplint:allow floateq — fixture: s
 			byRule[f.Rule] = true
 		}
 	}
-	if !byRule["nowallclock"] || !byRule["floateq"] {
+	if !byRule["lockheld"] || !byRule["lockpair"] {
 		t.Fatalf("want both rules suppressed (retained), got %v", findings)
 	}
 }
@@ -124,21 +122,16 @@ var _ = float64(time.Now().Unix()) == 0.5 //rwplint:allow floateq — fixture: s
 func TestSuppressionMultiLineStatement(t *testing.T) {
 	// A directive above a statement that spans several lines covers the
 	// finding, which is reported at the statement's first line.
-	src := `package fix
-
-import "time"
-
-//rwplint:allow nowallclock — fixture: statement below spans three lines
-var _ = time.Now().
-	Add(time.Second).
-	Unix()
-`
-	findings := checkSrc(t, "rwp/internal/fix", src, NoWallClock)
+	src := underLock(`	//rwplint:allow lockheld — fixture: statement below spans three lines
+	ch <- len(
+		"abc",
+	)`)
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
 	if un := Unsuppressed(findings); len(un) != 0 {
 		t.Fatalf("directive above a multi-line statement did not suppress: %v", un)
 	}
 	if len(findings) == 0 {
-		t.Fatal("fixture produced no findings at all; it should violate norand")
+		t.Fatal("fixture produced no findings at all; it should violate lockheld")
 	}
 }
 
@@ -152,7 +145,7 @@ func TestSuppressionUnknownRuleReported(t *testing.T) {
 //rwplint:allow nosuchrule — fixture: rule name matches no analyzer
 var X = 1
 `
-	findings := checkSrc(t, "rwp/internal/fix", src, NoRand)
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
 	un := Unsuppressed(findings)
 	if len(un) != 1 || un[0].Rule != "directive" {
 		t.Fatalf("unknown-rule directive should yield one directive finding, got %v", un)
@@ -165,13 +158,13 @@ var X = 1
 func TestSuppressionKnowsDefaultSuite(t *testing.T) {
 	// The unknown-rule check must recognize every Default-suite rule
 	// even when only a subset of analyzers is running — a lockpair
-	// suppression is not a typo just because this pass runs norand.
+	// suppression is not a typo just because this pass runs lockheld.
 	src := `package fix
 
 //rwplint:allow lockpair — fixture: valid rule, not in the running subset
 var X = 1
 `
-	findings := checkSrc(t, "rwp/internal/fix", src, NoRand)
+	findings := checkSrc(t, "rwp/internal/fix", src, LockHeld)
 	if len(Unsuppressed(findings)) != 0 {
 		t.Fatalf("suite-rule directive flagged as unknown: %v", findings)
 	}
@@ -182,13 +175,8 @@ func TestMalformedDirectiveReported(t *testing.T) {
 		name, src string
 		want      []string // the unsuppressed findings' rules, sorted
 	}{
-		{"allow without a reason", `package fix
-
-//rwplint:allow norand
-import "math/rand"
-
-var _ = rand.Int
-`, []string{"directive", "norand"}},
+		{"allow without a reason", underLock("\t//rwplint:allow lockheld\n\tch <- 1"),
+			[]string{"directive", "lockheld"}},
 		// There is no hot-path directive: a leftover one marks nothing
 		// and is reported like any other malformed directive.
 		{"hotpath", `package fix
@@ -199,7 +187,7 @@ func F(n int) int { return n * 2 }
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			un := Unsuppressed(checkSrc(t, "rwp/internal/fix", c.src, NoRand))
+			un := Unsuppressed(checkSrc(t, "rwp/internal/fix", c.src, LockHeld))
 			var rules []string
 			for _, f := range un {
 				rules = append(rules, f.Rule)
@@ -215,32 +203,10 @@ func F(n int) int { return n * 2 }
 func TestFindingString(t *testing.T) {
 	f := Finding{
 		Pos:     token.Position{Filename: "internal/x/x.go", Line: 7},
-		Rule:    "norand",
+		Rule:    "lockheld",
 		Message: "boom",
 	}
-	if got, want := f.String(), "internal/x/x.go:7 norand: boom"; got != want {
+	if got, want := f.String(), "internal/x/x.go:7 lockheld: boom"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestPathScopeHelpers(t *testing.T) {
-	cases := []struct {
-		path  string
-		under bool
-		sub   string
-	}{
-		{"rwp/internal/cache", true, "cache"},
-		{"rwp/internal/analysis/testdata/badpkg", true, "analysis/testdata/badpkg"},
-		{"rwp/cmd/rwpexp", false, ""},
-		{"rwp", false, ""},
-		{"internal/x", true, "x"},
-	}
-	for _, c := range cases {
-		if underInternal(c.path) != c.under {
-			t.Errorf("underInternal(%q) = %v, want %v", c.path, !c.under, c.under)
-		}
-		if got := internalPkg(c.path); got != c.sub {
-			t.Errorf("internalPkg(%q) = %q, want %q", c.path, got, c.sub)
-		}
 	}
 }

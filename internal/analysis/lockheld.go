@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // LockHeld flags blocking or out-of-shard work performed while a
@@ -245,6 +246,16 @@ func namedOf(t types.Type) *types.Named {
 func hasDefaultClause(clauses []ast.Stmt) bool {
 	for _, c := range clauses {
 		if comm, isComm := c.(*ast.CommClause); isComm && comm.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// hasPrefixAny reports whether s starts with any of the prefixes.
+func hasPrefixAny(s string, prefixes ...string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(s, p) {
 			return true
 		}
 	}

@@ -4,10 +4,9 @@ import "testing"
 
 // TestSelfCheck runs the full analyzer suite over the whole module and
 // fails on any unsuppressed finding. This is the enforcement point that
-// makes the determinism rules part of the tier-1 gate: `go test ./...`
-// cannot pass while internal/ imports math/rand, reads the wall clock,
-// iterates a map into an ordered result, compares floats exactly, or
-// narrows a 64-bit counter — unless the site carries a justified
+// makes the lock rules part of the tier-1 gate: `go test ./...` cannot
+// pass while a function does blocking work under a held mutex or leaks
+// a lock past an exit — unless the site carries a justified
 // //rwplint:allow directive.
 func TestSelfCheck(t *testing.T) {
 	loader, err := NewLoader(".")

@@ -334,7 +334,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) LineShift() uint { return c.shift }
 
 // NumSets implements StateReader.
-func (c *Cache) NumSets() int { return int(c.mask) + 1 } //rwplint:allow ctrwidth — bounded: mask = Sets()-1 and Sets is an int
+func (c *Cache) NumSets() int { return int(c.mask) + 1 }
 
 // Ways implements StateReader.
 func (c *Cache) Ways() int { return c.cfg.Ways }
@@ -374,12 +374,12 @@ func (c *Cache) TotalValid() int {
 }
 
 // SetIndex maps a line address to its set.
-func (c *Cache) SetIndex(line mem.LineAddr) int { return int(uint64(line) & c.mask) } //rwplint:allow ctrwidth — bounded: masked to [0, NumSets)
+func (c *Cache) SetIndex(line mem.LineAddr) int { return int(uint64(line) & c.mask) }
 
 // fingerprint returns line's fingerprint in flag bits 2–7: the top six
 // bits of a multiplicative hash of the tag bits above the set index.
 func (c *Cache) fingerprint(line mem.LineAddr) uint8 {
-	return uint8((uint64(line)>>c.setBits)*fpMul>>56) &^ (flagValid | flagDirty) //rwplint:allow ctrwidth — a hash fingerprint, not a counter
+	return uint8((uint64(line)>>c.setBits)*fpMul>>56) &^ (flagValid | flagDirty)
 }
 
 // Lookup reports whether line is present, without updating any state.

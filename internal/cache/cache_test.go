@@ -280,12 +280,18 @@ func TestClassPredicates(t *testing.T) {
 
 func TestMissRatio(t *testing.T) {
 	var s Stats
-	if s.MissRatio(DemandLoad) != 0 { //rwplint:allow floateq — exact: zero-access ratio is exactly 0
+	if s.MissRatio(DemandLoad) != 0 {
 		t.Fatal("zero-access miss ratio must be 0")
 	}
 	s.Accesses[DemandLoad] = 4
 	s.Misses[DemandLoad] = 1
-	if s.MissRatio(DemandLoad) != 0.25 { //rwplint:allow floateq — exact: 1/4 is exactly representable
+	if s.MissRatio(DemandLoad) != 0.25 {
 		t.Fatalf("MissRatio = %v", s.MissRatio(DemandLoad))
+	}
+	// Counters past 2^32 (a long campaign) count in full.
+	s.Accesses[DemandLoad] = 1 << 33
+	s.Misses[DemandLoad] = 1 << 32
+	if s.MissRatio(DemandLoad) != 0.5 {
+		t.Fatalf("MissRatio at 2^32 misses = %v, want 0.5", s.MissRatio(DemandLoad))
 	}
 }

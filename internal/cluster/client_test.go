@@ -308,7 +308,6 @@ func TestRouterMGetAllocs(t *testing.T) {
 			for i := 0; i < 200; i++ { // grow every scratch, cross window boundaries
 				op.call()
 			}
-			//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 			if allocs := testing.AllocsPerRun(200, op.call); allocs != 0 {
 				t.Errorf("64-key %s allocates %.0f objects per call, want 0", op.name, allocs)
 			}

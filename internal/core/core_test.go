@@ -154,6 +154,11 @@ func TestBestDirtyWaysCorners(t *testing.T) {
 	if d := BestDirtyWays([]uint64{10, 10, 0, 0}, []uint64{0, 0, 0, 10}); d != 0 {
 		t.Fatalf("near-clean far-dirty → d = %d, want 0", d)
 	}
+	// Counts past 2^32 are summed in full: 2^32 clean hits outweigh one
+	// dirty hit.
+	if d := BestDirtyWays([]uint64{1 << 32, 0, 0, 0}, []uint64{0, 0, 0, 1}); d != 0 {
+		t.Fatalf("2^32 clean hits vs 1 dirty → d = %d, want 0", d)
+	}
 }
 
 func TestTargetWithinRangeAlways(t *testing.T) {

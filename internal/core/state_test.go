@@ -58,7 +58,7 @@ func drive(p *RWP, r *stateReader, n int, seed uint64) {
 	x := seed
 	for i := 0; i < n; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
-		set := int(x>>33) % r.sets //rwplint:allow ctrwidth — PRNG bits folded into a tiny set index; truncation is the point
+		set := int(x>>33) % r.sets
 		line := mem.LineAddr(x >> 8)
 		class := cache.DemandLoad
 		if x&3 == 0 {

@@ -33,7 +33,7 @@ func TestIdealIPCWithoutMemory(t *testing.T) {
 	if st.Cycles != 1000 {
 		t.Fatalf("4000 instructions at width 4 took %d cycles, want 1000", st.Cycles)
 	}
-	if ipc := st.IPC(); ipc != 4.0 { //rwplint:allow floateq — exact: 4000/1000 divides exactly
+	if ipc := st.IPC(); ipc != 4.0 {
 		t.Fatalf("IPC = %v, want 4", ipc)
 	}
 }
@@ -163,7 +163,7 @@ func TestStatsSnapshot(t *testing.T) {
 	if st.Loads != 1 || st.Stores != 1 {
 		t.Fatalf("snapshot = %+v", st)
 	}
-	if (Stats{}).IPC() != 0 { //rwplint:allow floateq — exact: idle-core IPC is exactly 0
+	if (Stats{}).IPC() != 0 {
 		t.Fatal("IPC of idle core must be 0")
 	}
 }

@@ -29,7 +29,6 @@ func TestGetHitAllocs(t *testing.T) {
 				t.Fatal("Get missed inside AllocsPerRun")
 			}
 		})
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 		if allocs != 0 {
 			t.Errorf("%s: Get hit allocates %.1f objects/op, want 0 (the copy-out stays in the caller's frame)", pol, allocs)
 		}
@@ -43,7 +42,6 @@ func TestGetHitAllocs(t *testing.T) {
 					t.Fatal("Get missed inside AllocsPerRun")
 				}
 			})
-			//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 			if allocs != tc.want {
 				t.Errorf("%s: escaping Get hit of %d B allocates %.1f objects/op, want %.0f", pol, len(getSink), allocs, tc.want)
 			}
@@ -112,7 +110,6 @@ func TestByteKeyAllocs(t *testing.T) {
 				t.Fatal("PutBytes of a resident key reported an insert")
 			}
 		})
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 		if allocs != 0 {
 			t.Errorf("%s: GetAppend hit + PutBytes overwrite allocate %.1f objects, want 0", pol, allocs)
 		}
@@ -185,11 +182,9 @@ func TestFillAllocs(t *testing.T) {
 		full.Put("a", val)
 		full.Put("b", val)
 
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 		if got := fillAllocs(t, cold, keys, val); got != 2 {
 			t.Errorf("%s: a Put insert + a Loader fill into invalid ways allocate %.1f objects, want 2 (one value buffer each)", pol, got)
 		}
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 		if got := fillAllocs(t, full, keys, val); got != 0 {
 			t.Errorf("%s: a Put insert + a Loader fill over valid victims allocate %.1f objects, want 0", pol, got)
 		}
@@ -282,7 +277,6 @@ func TestGetMissNoLoaderAllocs(t *testing.T) {
 			t.Fatal("unexpected hit for absent key")
 		}
 	})
-	//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 	if allocs != 0 {
 		t.Errorf("Get miss (no loader) allocates %.1f objects/op, want 0", allocs)
 	}

@@ -262,75 +262,96 @@ func leaseCache(t *testing.T, leaseOps uint64) (c *live.Cache, calls *atomic.Uin
 // TestLeaseExpiry: a leader whose Loader call outlives LeaseOps set
 // operations is deposed — the next miss fetches for itself — and the
 // deposed leader's late install demotes to a LoadRace, exactly as a
-// lost install race does on the undefended path.
+// lost install race does on the undefended path. The leader's miss and
+// the deposing miss count as operations, so ops = lease-1 further ops
+// is the first count that deposes (TestLeaseHolds has lease-2). A lease
+// read off a clock lands on the wrong side of that boundary at a lease
+// of 2 ops or of 1000.
 func TestLeaseExpiry(t *testing.T) {
-	c, calls, entered, release := leaseCache(t, 5)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var stale []byte
-	go func() { defer wg.Done(); stale, _ = c.Get("k") }()
-	<-entered // leader stuck in the Loader, lease clock at op 1
-	// Advance the set's op-count past the lease while the fetch hangs.
-	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
-		c.Put(k, []byte("x"))
-	}
-	// This miss finds the in-flight fill over-lease, deposes it, and
-	// fetches for itself — without blocking on the stuck leader.
-	fresh, _ := c.Get("k")
-	if !bytes.Equal(fresh, []byte("fresh")) {
-		t.Fatalf("deposing Get returned %q, want the fresh fetch", fresh)
-	}
-	close(release)
-	wg.Wait()
-	if !bytes.Equal(stale, []byte("stale")) {
-		t.Fatalf("deposed leader returned %q, want its own fetch", stale)
-	}
+	for _, tc := range []struct{ lease, ops int }{{5, 6}, {2, 1}, {1000, 999}} {
+		c, calls, entered, release := leaseCache(t, uint64(tc.lease))
+		var wg sync.WaitGroup
+		wg.Add(1)
+		var stale []byte
+		go func() { defer wg.Done(); stale, _ = c.Get("k") }()
+		<-entered // leader stuck in the Loader, lease clock at op 1
+		// Advance the set's op-count past the lease while the fetch hangs.
+		for i := range tc.ops {
+			c.Put(strconv.Itoa(i), []byte("x"))
+		}
+		// This miss finds the in-flight fill over-lease, deposes it, and
+		// fetches for itself — without blocking on the stuck leader. Had
+		// it judged the lease live, it would wait on the leader; the
+		// counters tell the two apart without a clock.
+		got := make(chan []byte, 1)
+		go func() { v, _ := c.Get("k"); got <- v }()
+		for s := c.Stats(); s.LeaseExpires+s.CoalescedLoads == 0; s = c.Stats() {
+			runtime.Gosched()
+		}
+		if s := c.Stats(); s.CoalescedLoads != 0 {
+			close(release)
+			wg.Wait()
+			t.Fatalf("lease %d: the miss waited on the stuck leader (coalesced %d) instead of deposing it after %d ops",
+				tc.lease, s.CoalescedLoads, tc.ops)
+		}
+		fresh := <-got
+		if !bytes.Equal(fresh, []byte("fresh")) {
+			t.Fatalf("lease %d: deposing Get returned %q, want the fresh fetch", tc.lease, fresh)
+		}
+		close(release)
+		wg.Wait()
+		if !bytes.Equal(stale, []byte("stale")) {
+			t.Fatalf("lease %d: deposed leader returned %q, want its own fetch", tc.lease, stale)
+		}
 
-	s := c.Stats()
-	if calls.Load() != 2 || s.LeaseExpires != 1 || s.Loads != 1 || s.LoadRaces != 1 || s.CoalescedLoads != 0 {
-		t.Fatalf("calls %d, lease expires %d, loads %d, races %d, coalesced %d; want 2/1/1/1/0",
-			calls.Load(), s.LeaseExpires, s.Loads, s.LoadRaces, s.CoalescedLoads)
-	}
-	assertLaw(t, s)
-	// The fresh value, not the deposed leader's, is resident.
-	if v, hit := c.Get("k"); !hit || !bytes.Equal(v, []byte("fresh")) {
-		t.Fatalf("resident value %q (hit=%v), want the deposing fetch's", v, hit)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		s := c.Stats()
+		if calls.Load() != 2 || s.LeaseExpires != 1 || s.Loads != 1 || s.LoadRaces != 1 || s.CoalescedLoads != 0 {
+			t.Fatalf("lease %d: calls %d, lease expires %d, loads %d, races %d, coalesced %d; want 2/1/1/1/0",
+				tc.lease, calls.Load(), s.LeaseExpires, s.Loads, s.LoadRaces, s.CoalescedLoads)
+		}
+		assertLaw(t, s)
+		// The fresh value, not the deposed leader's, is resident.
+		if v, hit := c.Get("k"); !hit || !bytes.Equal(v, []byte("fresh")) {
+			t.Fatalf("lease %d: resident value %q (hit=%v), want the deposing fetch's", tc.lease, v, hit)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestLeaseHolds is the control: the same choreography inside the
 // lease window coalesces instead of deposing.
 func TestLeaseHolds(t *testing.T) {
-	c, calls, entered, release := leaseCache(t, 100)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var got [2][]byte
-	go func() { defer wg.Done(); got[0], _ = c.Get("k") }()
-	<-entered
-	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
-		c.Put(k, []byte("x"))
-	}
-	go func() { defer wg.Done(); got[1], _ = c.Get("k") }()
-	for c.Stats().CoalescedLoads == 0 {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-
-	s := c.Stats()
-	if calls.Load() != 1 || s.LeaseExpires != 0 || s.CoalescedLoads != 1 {
-		t.Fatalf("calls %d, lease expires %d, coalesced %d; want 1/0/1 inside the lease window",
-			calls.Load(), s.LeaseExpires, s.CoalescedLoads)
-	}
-	for i, v := range got {
-		if !bytes.Equal(v, []byte("stale")) {
-			t.Fatalf("client %d got %q, want the leader's result", i, v)
+	for _, tc := range []struct{ lease, ops int }{{100, 6}, {2, 0}, {1000, 998}} {
+		c, calls, entered, release := leaseCache(t, uint64(tc.lease))
+		var wg sync.WaitGroup
+		wg.Add(2)
+		var got [2][]byte
+		go func() { defer wg.Done(); got[0], _ = c.Get("k") }()
+		<-entered
+		for i := range tc.ops {
+			c.Put(strconv.Itoa(i), []byte("x"))
 		}
+		go func() { defer wg.Done(); got[1], _ = c.Get("k") }()
+		for s := c.Stats(); s.CoalescedLoads+s.LeaseExpires == 0; s = c.Stats() {
+			runtime.Gosched()
+		}
+		close(release)
+		wg.Wait()
+
+		s := c.Stats()
+		if calls.Load() != 1 || s.LeaseExpires != 0 || s.CoalescedLoads != 1 {
+			t.Fatalf("lease %d after %d ops: calls %d, lease expires %d, coalesced %d; want 1/0/1 inside the lease window",
+				tc.lease, tc.ops, calls.Load(), s.LeaseExpires, s.CoalescedLoads)
+		}
+		for i, v := range got {
+			if !bytes.Equal(v, []byte("stale")) {
+				t.Fatalf("lease %d: client %d got %q, want the leader's result", tc.lease, i, v)
+			}
+		}
+		assertLaw(t, s)
 	}
-	assertLaw(t, s)
 }
 
 // TestResetStatsClockLease: ResetStats clears the ledger, not the set

@@ -244,11 +244,9 @@ func TestFirstFillAllocs(t *testing.T) {
 				next++
 			})
 		}
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 		if got := run(first); got != tc.group {
 			t.Errorf("%s: a first fill into an untouched group allocates %.1f objects, want %.0f", tc.pol, got, tc.group)
 		}
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 		if got := run(second); got != tc.second {
 			t.Errorf("%s: a first fill into an untouched set of a touched group allocates %.1f objects, want %.0f", tc.pol, got, tc.second)
 		}

@@ -41,7 +41,6 @@ func TestReadFrameAllocs(t *testing.T) {
 			t.Fatalf("ReadFrame = (%v, %d bytes, %v)", op, len(payload), err)
 		}
 	})
-	//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 	if allocs != 0 {
 		t.Errorf("steady-state ReadFrame allocates %.1f objects/frame, want 0", allocs)
 	}
@@ -103,7 +102,6 @@ func TestChunkedTransferAllocs(t *testing.T) {
 	pin := func(t *testing.T, transfer func()) {
 		transfer() // warm the readers' scratch to a whole chunk frame
 		allocs := testing.AllocsPerRun(10, transfer)
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 		if allocs != 0 {
 			t.Errorf("a %d-chunk transfer allocates %.0f objects, want 0", chunks, allocs)
 		}
@@ -178,7 +176,6 @@ func TestAppendFrameAllocs(t *testing.T) {
 			t.Fatal("empty frame")
 		}
 	})
-	//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 	if allocs != 0 {
 		t.Errorf("AppendFrame into a sized buffer allocates %.1f objects/frame, want 0", allocs)
 	}

@@ -36,9 +36,8 @@
 // allocate unboundedly (the fuzz targets pin this down).
 //
 // Determinism: this package is pure codec + blocking I/O — no wall
-// clock, no randomness, no map iteration — so it is rwplint-clean
-// under the same rules as the rest of internal/ and adds nothing to
-// the nondeterminism surface beyond the sockets it reads.
+// clock, no randomness, no map iteration — so it adds nothing to the
+// nondeterminism surface beyond the sockets it reads.
 package proto
 
 import (

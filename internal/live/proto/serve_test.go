@@ -92,7 +92,6 @@ func TestServeConnAllocs(t *testing.T) {
 			})
 		}
 		once, twice := serve(1), serve(2)
-		//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 		if once != twice {
 			t.Errorf("%s: serving 256 more requests allocates %.0f more objects (%.0f vs %.0f per connection), want 0",
 				tc.name, twice-once, twice, once)
@@ -132,7 +131,6 @@ func TestClientFlushAllocs(t *testing.T) {
 		}
 	}
 	burst() // grow the scratch
-	//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
 		t.Errorf("QueueGet x%d + Flush allocates %.1f objects, want 0", depth, allocs)
 	}

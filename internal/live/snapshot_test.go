@@ -294,7 +294,6 @@ func TestRestoredGetHitAllocs(t *testing.T) {
 			t.Fatal("Get missed inside AllocsPerRun")
 		}
 	})
-	//rwplint:allow floateq — AllocsPerRun yields an exact small-integer float; the pin is exact by design
 	if allocs != 0 {
 		t.Errorf("restored Get hit allocates %.1f objects/op, want 0", allocs)
 	}

@@ -1,6 +1,7 @@
 package overhead
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestLiveRWPPerGroup(t *testing.T) {
 	if got := perGroup.TotalBits(); got != 128*1209 {
 		t.Errorf("one predictor per 8 sets: %d bits, want %d", got, 128*1209)
 	}
-	//rwplint:allow floateq — exact: both totals are multiples of the same per-predictor cost
+	// Exact: both totals are multiples of the same per-predictor cost.
 	if r := Ratio(perGroup, perSet); r != 0.125 {
 		t.Errorf("per-group / per-set state = %v, want exactly 1/8", r)
 	}
@@ -105,6 +106,21 @@ func TestBreakdownString(t *testing.T) {
 	if !strings.Contains(s, "rwp:") || !strings.Contains(s, "histograms") {
 		t.Fatalf("breakdown rendering incomplete:\n%s", s)
 	}
+	// One line per item, in declaration order (rwp.StateOverhead returns
+	// this text). Sixteen items, so an order taken from a map would show.
+	b := Breakdown{Name: "x"}
+	for i := range 16 {
+		b.Items = append(b.Items, Item{What: fmt.Sprintf("item %02d", i), Bits: uint64(i)})
+	}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 1+len(b.Items) {
+		t.Fatalf("%d lines for %d items:\n%s", len(lines), len(b.Items), b.String())
+	}
+	for i, it := range b.Items {
+		if got := strings.Fields(lines[i+1]); got[0]+" "+got[1] != it.What {
+			t.Fatalf("line %d = %q, want item %q:\n%s", i+1, lines[i+1], it.What, b.String())
+		}
+	}
 }
 
 func TestTotalBytesRoundsUp(t *testing.T) {
@@ -115,7 +131,7 @@ func TestTotalBytesRoundsUp(t *testing.T) {
 }
 
 func TestRatioZeroDenominator(t *testing.T) {
-	if Ratio(Breakdown{}, Breakdown{}) != 0 { //rwplint:allow floateq — exact: zero-denominator ratio is exactly 0
+	if Ratio(Breakdown{}, Breakdown{}) != 0 {
 		t.Fatal("Ratio with empty denominator must be 0")
 	}
 }

@@ -5,12 +5,13 @@
 // crash-safe atomic writes.
 //
 // Determinism argument: every job is a pure function of its key (the
-// simulator guarantees bit-identical Results for identical Options; see
-// internal/sim and the rwplint rules), jobs share no mutable state, and
-// callers aggregate results over their own deterministic key sets —
-// never in completion order. Worker count and scheduling therefore
-// affect wall-clock only; the value delivered for a key is the same at
-// -j 1 and -j N, from a cold run, a coalesced duplicate, or a disk hit.
+// simulator guarantees bit-identical Results for identical Options;
+// internal/sim's TestRunTwiceBitIdentical and TestResultsGolden hold
+// it), jobs share no mutable state, and callers aggregate results over
+// their own deterministic key sets — never in completion order. Worker
+// count and scheduling therefore affect wall-clock only; the value
+// delivered for a key is the same at -j 1 and -j N, from a cold run, a
+// coalesced duplicate, or a disk hit.
 package runner
 
 import (

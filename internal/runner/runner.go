@@ -10,8 +10,9 @@ import (
 )
 
 // Clock abstracts the wall clock so per-job timing can be observed from
-// cmd/ without internal/ ever reading the host clock (the rwplint
-// nowallclock rule). The default engine clock returns the zero time:
+// cmd/ without internal/ ever reading the host clock (a host time that
+// reached a journal fails TestJournalPinned). The default engine clock
+// returns the zero time:
 // durations are then zero and results are unaffected either way — the
 // clock feeds observability only, never control flow.
 type Clock interface {

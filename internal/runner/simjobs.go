@@ -11,7 +11,8 @@ import (
 // The standard job kinds: single- and multi-core simulations, keyed by
 // the full sim.Options plus the benchmark name(s). Everything the
 // simulator's behavior depends on is in the Options struct (the
-// determinism contract machine-checked by rwplint), so the key is a
+// determinism contract that internal/sim's bit-identity and golden
+// tests hold), so the key is a
 // complete content address for the result.
 
 // singlePayload is the hashed identity of a single-core run.

@@ -36,10 +36,11 @@ func runBitIdentityExp(t *testing.T, e bitIdentityExp) Result {
 	return res
 }
 
-// TestRunTwiceBitIdentical is the runtime counterpart of the rwplint
-// static determinism rules: the same Options must produce bit-identical
-// full Results — every counter, not just headline metrics — regardless
-// of how many times or in which order the experiments are evaluated.
+// TestRunTwiceBitIdentical is a runtime gate of the determinism
+// invariants (DESIGN.md §7, D1–D5 and D7): the same Options must produce
+// bit-identical full Results — every counter, not just headline metrics
+// — regardless of how many times or in which order the experiments are
+// evaluated.
 func TestRunTwiceBitIdentical(t *testing.T) {
 	first := make([]Result, len(bitIdentityExps))
 	for i, e := range bitIdentityExps {

@@ -74,7 +74,7 @@ func TestIntervalsAggregateMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.IPC != withIv.IPC || plain.ReadMPKI != withIv.ReadMPKI { //rwplint:allow floateq — exact: bit-identity determinism check
+	if plain.IPC != withIv.IPC || plain.ReadMPKI != withIv.ReadMPKI {
 		t.Fatalf("interval run diverged: IPC %v vs %v", plain.IPC, withIv.IPC)
 	}
 }

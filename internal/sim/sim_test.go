@@ -50,7 +50,7 @@ func TestRunSingleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.IPC != b.IPC || a.LLC != b.LLC || a.Core != b.Core { //rwplint:allow floateq — exact: bit-identity determinism check
+	if a.IPC != b.IPC || a.LLC != b.LLC || a.Core != b.Core {
 		t.Fatal("same-options runs differ")
 	}
 }
@@ -163,7 +163,7 @@ func TestRunMultiDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.IPCs {
-		if a.IPCs[i] != b.IPCs[i] { //rwplint:allow floateq — exact: bit-identity determinism check
+		if a.IPCs[i] != b.IPCs[i] {
 			t.Fatal("multi-core run not deterministic")
 		}
 	}

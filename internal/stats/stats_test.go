@@ -30,7 +30,7 @@ func TestEmptyMeans(t *testing.T) {
 	}{{"AMean", AMean}, {"GeoMean", GeoMean}, {"HMean", HMean}} {
 		name, mean := m.name, m.mean
 		for _, xs := range [][]float64{nil, {}} {
-			if got := mean(xs); got != EmptyMean { //rwplint:allow floateq — exact: the empty sentinel is exactly EmptyMean
+			if got := mean(xs); got != EmptyMean {
 				t.Errorf("%s(%v) = %v, want EmptyMean (%v)", name, xs, got, EmptyMean)
 			}
 		}
@@ -53,12 +53,16 @@ func TestMeanInequality(t *testing.T) {
 }
 
 func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
+	for _, x := range []float64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("GeoMean of %v: no panic", x)
+				}
+			}()
+			GeoMean([]float64{1, x})
+		}()
+	}
 }
 
 func TestSpeedup(t *testing.T) {
@@ -77,8 +81,12 @@ func TestPerKilo(t *testing.T) {
 	if !almost(PerKilo(5, 1000), 5) {
 		t.Errorf("PerKilo = %v", PerKilo(5, 1000))
 	}
-	if PerKilo(5, 0) != 0 { //rwplint:allow floateq — exact: zero-instruction MPKI is exactly 0
+	if PerKilo(5, 0) != 0 {
 		t.Error("PerKilo with zero instructions must be 0")
+	}
+	// A long campaign's counters pass 2^32; none of it may be dropped.
+	if got := PerKilo(1<<32+5, 1000); got != 1<<32+5 {
+		t.Errorf("PerKilo(2^32+5, 1000) = %v", got)
 	}
 }
 

@@ -207,7 +207,7 @@ func TestSummarize(t *testing.T) {
 	if st.Instructions != 21 {
 		t.Fatalf("instructions = %d, want 21", st.Instructions)
 	}
-	if got := st.ReadRatio(); got != 0.6 { //rwplint:allow floateq — exact: one correctly-rounded division of small ints
+	if got := st.ReadRatio(); got != 0.6 {
 		t.Fatalf("read ratio = %v, want 0.6", got)
 	}
 	if st.FootprintBytes() != 3*64 {
@@ -220,7 +220,7 @@ func TestSummarizeEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Accesses != 0 || st.ReadRatio() != 0 { //rwplint:allow floateq — exact: empty-trace ratio is exactly 0
+	if st.Accesses != 0 || st.ReadRatio() != 0 {
 		t.Fatalf("empty stats wrong: %+v", st)
 	}
 }

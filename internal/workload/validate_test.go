@@ -62,7 +62,7 @@ func TestWithSeedChangesStreamOnly(t *testing.T) {
 	if shifted.Seed != base.Seed+5 {
 		t.Fatal("seed not offset")
 	}
-	if shifted.Name != base.Name || shifted.MemIntensity != base.MemIntensity { //rwplint:allow floateq — exact: copied field, bitwise identity
+	if shifted.Name != base.Name || shifted.MemIntensity != base.MemIntensity {
 		t.Fatal("WithSeed changed profile identity")
 	}
 	// Different concrete streams.
@@ -84,7 +84,7 @@ func TestWithSeedChangesStreamOnly(t *testing.T) {
 	// Mutating the copy's components must not touch the registry.
 	shifted.Components[0].Weight = 999
 	again, _ := Get("gcc")
-	if again.Components[0].Weight == 999 { //rwplint:allow floateq — exact: assigned sentinel constant, no arithmetic
+	if again.Components[0].Weight == 999 {
 		t.Fatal("WithSeed aliased the registered component slice")
 	}
 }

@@ -118,7 +118,7 @@ func TestRunMix(t *testing.T) {
 		t.Fatalf("bad mix result: %+v", res)
 	}
 	alone := []float64{1, 1, 1, 1}
-	if ws := res.WeightedSpeedup(alone); ws != res.Throughput { //rwplint:allow floateq — exact: same summation order, division by 1 is exact
+	if ws := res.WeightedSpeedup(alone); ws != res.Throughput {
 		t.Fatalf("weighted speedup with unit alone IPCs %.3f != throughput %.3f", ws, res.Throughput)
 	}
 }
@@ -238,7 +238,7 @@ func TestRunTraceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.IPC != replayed.IPC || direct.ReadMPKI != replayed.ReadMPKI { //rwplint:allow floateq — exact: bit-identity replay check
+	if direct.IPC != replayed.IPC || direct.ReadMPKI != replayed.ReadMPKI {
 		t.Fatalf("replay diverged: IPC %v vs %v, MPKI %v vs %v",
 			direct.IPC, replayed.IPC, direct.ReadMPKI, replayed.ReadMPKI)
 	}
@@ -333,7 +333,7 @@ func TestSeedRobustness(t *testing.T) {
 		}
 		ipcs = append(ipcs, res.IPC)
 	}
-	if ipcs[0] == ipcs[1] && ipcs[1] == ipcs[2] { //rwplint:allow floateq — exact: detecting bit-identical results is the point
+	if ipcs[0] == ipcs[1] && ipcs[1] == ipcs[2] {
 		t.Fatal("seed offsets did not change the stream")
 	}
 }

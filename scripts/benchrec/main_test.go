@@ -48,7 +48,7 @@ func TestExactnessComesFromTheBenchmark(t *testing.T) {
 func TestQuantile(t *testing.T) {
 	runs := []float64{4, 1, 3, 2}
 	for q, want := range map[float64]float64{0.25: 1.75, 0.5: 2.5, 0.75: 3.25} {
-		//rwplint:allow floateq — the interpolation is exact on these small integers
+		// The interpolation is exact on these small integers.
 		if got := quantile(runs, q); got != want {
 			t.Errorf("quantile(%v, %v) = %v, want %v", runs, q, got, want)
 		}
