@@ -12,20 +12,35 @@ import (
 // levels up.
 const fixtureDir = "../../internal/analysis/testdata/locks"
 
+// TestRunFindingsOnFixture checks the exit code and that every finding
+// line is rooted at the module, so editors can jump to it.
 func TestRunFindingsOnFixture(t *testing.T) {
 	var out, errbuf bytes.Buffer
 	if code := run([]string{fixtureDir}, &out, &errbuf); code != 1 {
 		t.Fatalf("run(fixture) = %d, want 1; stderr: %s", code, errbuf.String())
 	}
 	s := out.String()
-	for _, rule := range []string{"lockheld", "lockpair"} {
-		if !strings.Contains(s, " "+rule+": ") {
-			t.Errorf("fixture finding for rule %s missing:\n%s", rule, s)
-		}
+	if strings.TrimSpace(s) == "" {
+		t.Fatalf("run(fixture) printed no findings")
 	}
 	for _, line := range strings.Split(strings.TrimSpace(s), "\n") {
 		if !strings.HasPrefix(line, "internal/analysis/testdata/locks/bad.go:") {
 			t.Errorf("finding line not rooted at the module: %q", line)
+		}
+	}
+}
+
+// TestRunFindingsOnLocksFixture checks that each lock rule the fixture
+// violates reports a finding.
+func TestRunFindingsOnLocksFixture(t *testing.T) {
+	var out, errbuf bytes.Buffer
+	if code := run([]string{fixtureDir}, &out, &errbuf); code != 1 {
+		t.Fatalf("run(locks fixture) = %d, want 1; stderr: %s", code, errbuf.String())
+	}
+	s := out.String()
+	for _, rule := range []string{"lockheld", "lockpair"} {
+		if !strings.Contains(s, " "+rule+": ") {
+			t.Errorf("fixture finding for rule %s missing:\n%s", rule, s)
 		}
 	}
 }
