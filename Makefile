@@ -27,14 +27,17 @@ exps:
 	go run ./cmd/rwpexp -scale quick
 
 # The paper gate: rerun every experiment at full scale and cmp each of
-# the 15 CSVs against results/. Run it on any change to the simulator
-# or a policy; a deliberate move regenerates results/ with -csv results.
+# the 15 CSVs against results/, naming every one that differs. Run it at
+# each re-anchor; a deliberate move regenerates results/ with -csv
+# results. Per change, go test holds every table: internal/exps pins each
+# CSV at tiny scale (DESIGN.md §7, "Audit: the paper gate").
 paper:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	go run ./cmd/rwpexp -scale full -j 2 -csv "$$tmp" -cache-dir "$$tmp/cache" >/dev/null && \
-	n=0 && for f in results/*.csv; do \
-		cmp "$$tmp/$${f#results/}" "$$f" || exit 1; n=$$((n+1)); \
+	n=0 && bad=0 && for f in results/*.csv; do \
+		cmp "$$tmp/$${f#results/}" "$$f" || bad=$$((bad+1)); n=$$((n+1)); \
 	done && \
+	if [ "$$bad" -ne 0 ]; then echo "paper: $$bad of $$n CSVs differ from results/"; exit 1; fi && \
 	test "$$n" -eq 15 && echo "paper: all $$n CSVs match results/"
 
 # The repo's one measuring instrument (BENCHMARK.json): builds bench/

@@ -48,6 +48,9 @@ func TestE1Shape(t *testing.T) {
 	if !strings.Contains(tb.String(), "write-only") {
 		t.Error("table missing write-only column")
 	}
+	// The whole suite's eviction counts, held to their file: a profile
+	// outside the pinned scope that changes its stream shows here.
+	checkPinned(t, "e1-suite", tb)
 }
 
 func TestE2CriticalityShape(t *testing.T) {
@@ -88,10 +91,11 @@ func TestE3HeadlineDirection(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := NewSuite(tiny)
-	_, res, err := s.E3()
+	tb, res, err := s.E3()
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "e3-suite", tb)
 	if res.GeoSensitive <= 1.02 {
 		t.Fatalf("sensitive geomean %.4f; RWP must clearly beat LRU", res.GeoSensitive)
 	}
@@ -104,6 +108,18 @@ func TestE3HeadlineDirection(t *testing.T) {
 	}
 	if len(res.Rows) != len(s.allBenches()) {
 		t.Fatalf("%d rows for %d benches", len(res.Rows), len(s.allBenches()))
+	}
+}
+
+// TestFullScaleMatchesResults pins the run lengths that results/ was
+// recorded at: every simulated table there comes from Full, and no test
+// runs at full scale, so a changed length would move the next `make
+// paper` with tier-1 green. A deliberate change regenerates results/
+// with `rwpexp -scale full -csv results` and updates this row.
+func TestFullScaleMatchesResults(t *testing.T) {
+	want := Scale{Name: "full", Warmup: 400_000, Measure: 1_600_000, Mixes: 10, E8Phase: 1_500_000}
+	if Full != want {
+		t.Fatalf("Full = %+v, want %+v, the scale results/ was recorded at", Full, want)
 	}
 }
 

@@ -3,54 +3,40 @@ package exps
 import (
 	"testing"
 
+	"rwp/internal/report"
 	"rwp/internal/runner"
 )
 
-// parallelBenches is the restricted scope for the worker-count sweep:
-// two sensitive and two insensitive benchmarks, as in the full-path
-// test.
-var parallelBenches = []string{"sphinx3", "gcc", "povray", "lbm"}
-
-// e3Table renders E3 on a suite executing over the given engine.
-func e3Table(t *testing.T, eng *runner.Engine) string {
+// e3Table renders E3 over the pinned scope on the given engine.
+func e3Table(t *testing.T, eng *runner.Engine) *report.Table {
 	t.Helper()
-	s := NewSuiteEngine(tiny, eng)
-	s.Benches = parallelBenches
-	tb, _, err := s.E3()
+	tb, _, err := pinSuite(eng).E3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb.String()
+	return tb
 }
 
 // TestTablesBitIdenticalAcrossWorkers runs a representative experiment
-// at -j 1, -j 4 and -j 8 and asserts byte-identical rendered tables:
+// at -j 1, -j 4 and -j 8 and holds each table to the pinned E3 CSV:
 // worker count and completion order must never leak into results.
 func TestTablesBitIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	var base string
-	for i, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 4, 8} {
 		eng, err := runner.New(runner.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := e3Table(t, eng)
-		if i == 0 {
-			base = got
-			continue
-		}
-		if got != base {
-			t.Errorf("-j %d table differs from -j 1:\n-j 1:\n%s\n-j %d:\n%s", workers, base, workers, got)
-		}
+		checkPinned(t, "e3", e3Table(t, eng))
 	}
 }
 
 // TestTablesBitIdenticalAfterResume renders the same experiment from a
 // cold cache and again from the warm cache (a crash-resume in
-// miniature): the resumed run must execute nothing and render the
-// byte-identical table.
+// miniature): the resumed run must execute nothing, and both tables
+// must match the pinned E3 CSV.
 func TestTablesBitIdenticalAfterResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -60,7 +46,7 @@ func TestTablesBitIdenticalAfterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := e3Table(t, cold)
+	checkPinned(t, "e3", e3Table(t, cold))
 	if st := cold.Stats(); st.Executed == 0 || st.DiskPuts != st.Executed {
 		t.Fatalf("cold run stats %+v: every executed job must be persisted", st)
 	}
@@ -68,11 +54,8 @@ func TestTablesBitIdenticalAfterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e3Table(t, warm)
+	checkPinned(t, "e3", e3Table(t, warm))
 	if st := warm.Stats(); st.Executed != 0 {
 		t.Fatalf("resumed run executed %d jobs, want 0 (full cache hit); stats %+v", st.Executed, st)
-	}
-	if got != base {
-		t.Errorf("resumed table differs:\ncold:\n%s\nwarm:\n%s", base, got)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"unicode/utf8"
 
 	"rwp/internal/cache"
 	"rwp/internal/core"
@@ -46,12 +47,18 @@ func (b Breakdown) TotalBits() uint64 {
 // TotalBytes is TotalBits rounded up to bytes.
 func (b Breakdown) TotalBytes() uint64 { return (b.TotalBits() + 7) / 8 }
 
-// String renders a human-readable account.
+// String renders a human-readable account: one line per item, each
+// description padded to the widest one's rune count, so every bit count
+// ends in the same column.
 func (b Breakdown) String() string {
+	width := 0
+	for _, it := range b.Items {
+		width = max(width, utf8.RuneCountInString(it.What))
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s: %d bits (%.1f KiB)\n", b.Name, b.TotalBits(), float64(b.TotalBits())/8192)
 	for _, it := range b.Items {
-		fmt.Fprintf(&sb, "  %-44s %12d bits\n", it.What, it.Bits)
+		fmt.Fprintf(&sb, "  %-*s %12d bits\n", width, it.What, it.Bits)
 	}
 	return sb.String()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"rwp/internal/cache"
 	"rwp/internal/core"
@@ -105,6 +106,15 @@ func TestBreakdownString(t *testing.T) {
 	s := RWP(paperLLC(), core.DefaultConfig()).String()
 	if !strings.Contains(s, "rwp:") || !strings.Contains(s, "histograms") {
 		t.Fatalf("breakdown rendering incomplete:\n%s", s)
+	}
+	// Every item's bit count ends in one column, however long its
+	// description (the sampler's is the widest, at 55 runes).
+	items := strings.Split(strings.TrimSuffix(s, "\n"), "\n")[1:]
+	end := utf8.RuneCountInString(items[0])
+	for _, l := range items {
+		if !strings.HasSuffix(l, " bits") || utf8.RuneCountInString(l) != end {
+			t.Fatalf("item line %q ends at rune %d, want %d:\n%s", l, utf8.RuneCountInString(l), end, s)
+		}
 	}
 	// One line per item, in declaration order (rwp.StateOverhead returns
 	// this text). Sixteen items, so an order taken from a map would show.

@@ -7,11 +7,12 @@
 #            module's own vet + tests, -race, the counted-metrics record
 #
 # Each end-to-end contract (shard, transport, cluster and restart
-# invariance, the snapshot fixed point, byte-identical replay, the
-# quick-scale paper tables) is a Go test, and so is the rwplint suite
-# (internal/analysis/selfcheck_test.go): `go test ./...` runs them all,
-# fuzz seed corpora included, and caches what did not change. DESIGN.md
-# §7 "Audit: the check.sh smokes" maps each contract to its test.
+# invariance, the snapshot fixed point, byte-identical replay, every
+# paper table's CSV at tiny scale) is a Go test, and so is the rwplint
+# suite (internal/analysis/selfcheck_test.go): `go test ./...` runs them
+# all, fuzz seed corpora included, and caches what did not change.
+# DESIGN.md §7 "Audit: the check.sh smokes" maps each contract to its
+# test, and "Audit: the paper gate" each table to its pin.
 #
 # Usage: scripts/check.sh [-short]   (-short races only the concurrent packages)
 set -eu
