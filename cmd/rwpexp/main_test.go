@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"rwp/internal/workload"
 )
 
 func TestRunList(t *testing.T) {
@@ -39,20 +42,30 @@ func TestRunFlagErrors(t *testing.T) {
 }
 
 // TestRunSingleExperiment exercises the whole wiring — engine, suite,
-// table render, CSV output, result cache, run journals — on the
-// smallest real experiment slice. A rerun against the warm -cache-dir
-// executes nothing and prints the same table; a cold rerun at another
-// -j writes the same journals into its -metrics-dir, byte for byte.
+// table render, CSV output, result cache, run journals — on a small
+// real experiment slice. The cold table lists its rows in suite order,
+// and a rerun against the warm -cache-dir executes nothing and prints
+// the same table; a cold rerun at another -j writes the same journals
+// into its -metrics-dir, byte for byte. The slice has ten benchmarks,
+// eight of them cheap: a map of two often keeps its insertion order, so
+// a table ranged from one would pass over two by chance.
 func TestRunSingleExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
+	}
+	benches := []string{"xalancbmk", "mcf", "tonto", "povray", "namd", "hmmer", "h264ref", "gromacs", "gamess", "calculix"}
+	var inSuite []string
+	for _, name := range workload.Names() {
+		if slices.Contains(benches, name) {
+			inSuite = append(inSuite, name)
+		}
 	}
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")
 	exp := func(extra ...string) (stdout, stderr string) {
 		t.Helper()
 		var out, errbuf bytes.Buffer
-		args := append([]string{"-exp", "E3", "-scale", "quick", "-benches", "mcf,xalancbmk"}, extra...)
+		args := append([]string{"-exp", "E3", "-scale", "quick", "-benches", strings.Join(benches, ",")}, extra...)
 		if code := run(args, &out, &errbuf); code != 0 {
 			t.Fatalf("run(%v) = %d, stderr: %s", args, code, errbuf.String())
 		}
@@ -61,10 +74,8 @@ func TestRunSingleExperiment(t *testing.T) {
 
 	cold, errs := exp("-j", "4", "-csv", filepath.Join(dir, "csv"), "-cache-dir", cacheDir,
 		"-metrics-dir", filepath.Join(dir, "m4"))
-	for _, want := range []string{"mcf", "xalancbmk"} {
-		if !strings.Contains(cold, want) {
-			t.Errorf("table missing %q:\n%s", want, cold)
-		}
+	if rows := tableRows(cold); !slices.Equal(rows, inSuite) {
+		t.Errorf("table rows %v, want the suite order %v:\n%s", rows, inSuite, cold)
 	}
 	if !strings.Contains(errs, "engine:") || strings.Contains(errs, " executed=0 ") {
 		t.Errorf("cold run: engine summary missing or nothing executed:\n%s", errs)
@@ -96,4 +107,20 @@ func TestRunSingleExperiment(t *testing.T) {
 			t.Errorf("journal %s differs between -j 4 and -j 1 (err %v)", filepath.Base(j4), err)
 		}
 	}
+}
+
+// tableRows returns the first column of a table's body: the lines
+// between its two dashed rules.
+func tableRows(table string) []string {
+	var rows []string
+	rules := 0
+	for _, line := range strings.Split(table, "\n") {
+		switch {
+		case strings.HasPrefix(line, "---"):
+			rules++
+		case rules == 1 && line != "":
+			rows = append(rows, strings.Fields(line)[0])
+		}
+	}
+	return rows
 }

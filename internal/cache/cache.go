@@ -8,6 +8,11 @@
 // loads, demand stores, or writebacks arriving from an upper level; the
 // distinction matters because the paper's whole premise is that lines that
 // serve loads are critical while lines that only absorb writes are not.
+//
+// The same tag store serves the live key-value cache (internal/live):
+// each of its policy groups owns one Cache whose line is a key's hash,
+// calls Lookup, then Hit or Fill — the halves Access is made of — and
+// keeps the payloads beside it.
 package cache
 
 import (
@@ -252,6 +257,8 @@ type Result struct {
 	WritebackPC mem.Addr
 	// Writeback is true when the fill evicted a dirty line.
 	Writeback bool
+	// Evicted is true when the fill replaced a valid line, dirty or not.
+	Evicted bool
 }
 
 // Per-way flag bits of the packed tag store. Bits 2–7 of a valid way's
@@ -410,39 +417,63 @@ func (c *Cache) Lookup(line mem.LineAddr) (set, way int, ok bool) {
 // Access performs one reference of the given class against the cache,
 // applying write-allocate on demand-store misses and allocate-on-writeback
 // for writeback misses (non-inclusive victim-style handling: a writeback
-// that misses is installed dirty).
+// that misses is installed dirty). It is Lookup, then Hit or Fill.
 func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Result {
 	ai := AccessInfo{Line: line, PC: pc, Class: class, Core: core}
-	dirtying := class == Writeback || (class == DemandStore && !c.cfg.StoreFillsClean)
-	c.stats.Accesses[class]++
 	set, way, ok := c.Lookup(line)
 	if ok {
-		c.stats.Hits[class]++
-		i := set*c.cfg.Ways + way
-		if c.flags[i]&flagDirty != 0 {
-			c.stats.HitsDirty[class]++
-		} else if dirtying {
-			c.dirty[set]++
-			c.flags[i] |= flagDirty
-		}
-		if dirtying && c.pcs != nil {
-			c.pcs[i] = pc
-		}
-		c.policy.OnHit(set, way, ai)
+		c.Hit(set, way, ai)
 		return Result{Hit: true}
 	}
-	c.stats.Misses[class]++
+	_, res := c.Fill(set, ai)
+	return res
+}
+
+// dirtying reports whether an access of class writes the line here.
+func (c *Cache) dirtying(class Class) bool {
+	return class == Writeback || (class == DemandStore && !c.cfg.StoreFillsClean)
+}
+
+// Hit is Access's hit half: ai hits way of set, where Lookup found
+// ai.Line. It counts the hit, dirties the way if ai writes it, and
+// tells the policy. It reports whether the way was dirty before.
+func (c *Cache) Hit(set, way int, ai AccessInfo) (wasDirty bool) {
+	c.stats.Accesses[ai.Class]++
+	c.stats.Hits[ai.Class]++
+	i := set*c.cfg.Ways + way
+	dirtying := c.dirtying(ai.Class)
+	if c.flags[i]&flagDirty != 0 {
+		wasDirty = true
+		c.stats.HitsDirty[ai.Class]++
+	} else if dirtying {
+		c.dirty[set]++
+		c.flags[i] |= flagDirty
+	}
+	if dirtying && c.pcs != nil {
+		c.pcs[i] = ai.PC
+	}
+	c.policy.OnHit(set, way, ai)
+	return wasDirty
+}
+
+// Fill is Access's miss half: ai.Line misses in set, where Lookup did
+// not find it. It counts the miss and installs the line in the way the
+// policy picks, evicting the line there. It returns that way, or -1 if
+// the policy bypassed.
+func (c *Cache) Fill(set int, ai AccessInfo) (way int, res Result) {
+	c.stats.Accesses[ai.Class]++
+	c.stats.Misses[ai.Class]++
 	victim, bypass := c.policy.Victim(set, ai)
 	if bypass {
-		c.stats.Bypasses[class]++
-		return Result{Bypassed: true}
+		c.stats.Bypasses[ai.Class]++
+		return -1, Result{Bypassed: true}
 	}
 	if victim < 0 || victim >= c.cfg.Ways {
 		c.badVictim(victim)
 	}
-	var res Result
 	i := set*c.cfg.Ways + victim
 	if old := c.flags[i]; old&flagValid != 0 {
+		res.Evicted = true
 		c.stats.Evictions++
 		if old&flagDirty != 0 {
 			c.stats.DirtyEvict++
@@ -457,19 +488,19 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 	} else {
 		c.valid[set]++
 	}
-	c.tags[i] = line
+	c.tags[i] = ai.Line
 	if c.pcs != nil {
-		c.pcs[i] = pc
+		c.pcs[i] = ai.PC
 	}
-	c.flags[i] = c.fingerprint(line) | flagValid
-	if dirtying {
+	c.flags[i] = c.fingerprint(ai.Line) | flagValid
+	if c.dirtying(ai.Class) {
 		c.flags[i] |= flagDirty
 		c.dirty[set]++
-		c.stats.FillsDirty[class]++
+		c.stats.FillsDirty[ai.Class]++
 	}
 	c.stats.Fills++
 	c.policy.OnFill(set, victim, ai)
-	return res
+	return victim, res
 }
 
 // badVictim is Access's crash path, kept out of line so the hot function

@@ -106,10 +106,11 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 	i := set*c.cfg.Ways + victim
 	ls := &c.lines[i]
 	if ls.Valid {
+		res.Evicted = true
 		c.stats.Evictions++
 		if ls.Dirty {
 			c.stats.DirtyEvict++
-			res = cache.Result{Writeback: true, WritebackLine: ls.Tag}
+			res = cache.Result{Writeback: true, WritebackLine: ls.Tag, Evicted: true}
 			if c.cfg.CarryWritebackPC {
 				res.WritebackPC = c.pcs[i]
 			}

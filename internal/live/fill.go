@@ -236,7 +236,7 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai ca
 	default:
 		g.ops.Loads++
 		ls.negDelete(key)
-		if ls.fill(key, v, ai, false) {
+		if ls.fill(key, v, ai) {
 			class = classMissEvict
 		}
 	}

@@ -3,115 +3,13 @@ package live
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"rwp/internal/cache"
-	"rwp/internal/core"
 	"rwp/internal/mem"
 	"rwp/internal/snap"
-	"rwp/internal/xrand"
 )
-
-// TestGroupMatchesSimulatorCache proves the two set engines agree on a
-// group: one seeded Get/Put stream confined to a single group runs
-// through a live cache, and the equivalent (line, class) stream through
-// an 8-set simulator cache under the configuration the group's own
-// predictor runs under. After every op the two must have made the same
-// decision — hit or miss, the way filled, whether the victim was dirty —
-// and hold the same predictor: retarget count, dirty target, and at the
-// end every histogram bucket and shadow-stack entry.
-func TestGroupMatchesSimulatorCache(t *testing.T) {
-	const ops, keyspace, first = 30_000, 72, 16 // the group at global sets [16, 24)
-	cfg := DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 64, 4, 2
-	cfg.RWP.Interval = 16
-	cfg.Loader = func(key string) []byte { return []byte("ld:" + key) }
-	c := mustNew(t, cfg)
-	gs := GroupSets(cfg.Sets)
-	g := c.shards[0].sets[first].grp
-	if g != &c.shards[0].groups[first/gs] || len(g.sets) != gs {
-		t.Fatalf("sets [%d,%d) are not one group", first, first+gs)
-	}
-
-	simRWP := core.New(groupRWPConfig(cfg.RWP, gs))
-	sim, err := cache.New(cache.Config{Name: "group", SizeBytes: gs * cfg.Ways * 64, Ways: cfg.Ways, LineSize: 64}, simRWP)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var keys []string
-	for i := 0; len(keys) < keyspace; i++ {
-		key := fmt.Sprintf("key-%05d", i)
-		if set := int(HashKey(key) & c.mask); set >= first && set < first+gs {
-			keys = append(keys, key)
-		}
-	}
-	rng := xrand.New(24)
-	var dirtyEvictions, retargets uint64
-	for i := 0; i < ops; i++ {
-		key := keys[rng.Intn(len(keys))]
-		// The line is the key hash on both sides; first is a multiple of
-		// the group size, so the simulator's set index (the line's low
-		// bits) is the set's index in its group.
-		line := mem.LineAddr(HashKey(key))
-		_, ls := c.locate(uint64(line))
-		var hit bool
-		var res cache.Result
-		if rng.Intn(100) < 62 {
-			_, hit = c.Get(key)
-			res = sim.Access(line, 0, cache.DemandLoad, 0)
-		} else {
-			hit = !c.Put(key, []byte("v"))
-			res = sim.Access(line, 0, cache.DemandStore, 0)
-		}
-		if hit != res.Hit {
-			t.Fatalf("op %d %q: live hit %v, simulator hit %v", i, key, hit, res.Hit)
-		}
-		set, way, ok := sim.Lookup(line)
-		if lway := ls.find(key, line); !ok || set != ls.idx || way != lway {
-			t.Fatalf("op %d %q: live holds it at set %d way %d, simulator at set %d way %d (present %v)", i, key, ls.idx, lway, set, way, ok)
-		}
-		if res.Writeback {
-			dirtyEvictions++
-		}
-		if got := c.StatsRange(first, first+gs).DirtyEvictions; got != dirtyEvictions {
-			t.Fatalf("op %d %q: live has evicted %d dirty entries, simulator %d", i, key, got, dirtyEvictions)
-		}
-		if g.rwp.Intervals() != simRWP.Intervals() || g.rwp.TargetDirty() != simRWP.TargetDirty() {
-			t.Fatalf("op %d: live at retarget %d target %d, simulator at retarget %d target %d",
-				i, g.rwp.Intervals(), g.rwp.TargetDirty(), simRWP.Intervals(), simRWP.TargetDirty())
-		}
-		if n := g.rwp.Intervals(); n != retargets {
-			// The group clock: every Interval ops per set, counted over the group.
-			if at := uint64(i + 1); n != retargets+1 || at%(cfg.RWP.Interval*uint64(gs)) != 0 {
-				t.Fatalf("op %d: retarget %d fired off the Interval x %d group clock", i, n, gs)
-			}
-			retargets = n
-		}
-	}
-	for set := 0; set < gs; set++ {
-		for way := 0; way < cfg.Ways; way++ {
-			if l, s := g.State(set, way), sim.State(set, way); l.Tag != s.Tag || l.Valid != s.Valid || l.Dirty != s.Dirty {
-				t.Errorf("set %d way %d: live %+v, simulator %+v", set, way, l, s)
-			}
-		}
-	}
-	if l, s := g.rwp.ExportState(), simRWP.ExportState(); !reflect.DeepEqual(l, s) {
-		t.Errorf("predictor state differs:\nlive      %+v\nsimulator %+v", l, s)
-	}
-	up, down, _ := g.rwp.RetargetDirs()
-	if retargets < 100 || up == 0 || down == 0 || dirtyEvictions == 0 {
-		t.Errorf("stream is vacuous: %d retargets (%d up, %d down), %d dirty evictions", retargets, up, down, dirtyEvictions)
-	}
-	if s := c.Stats(); s.Retargets != retargets {
-		t.Errorf("a stream confined to one group retargeted another: %d in all, %d in the group", s.Retargets, retargets)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestCheckInvariantsHoldsWrittenBits: a way whose RWP written bit has
 // drifted from its entry's dirty bit — here a clean resident entry the
@@ -126,7 +24,7 @@ func TestCheckInvariantsHoldsWrittenBits(t *testing.T) {
 	}
 	_, ls := c.locate(HashKey("a"))
 	way := ls.find("a", mem.LineAddr(HashKey("a")))
-	if way < 0 || ls.entries[way].dirty {
+	if way < 0 || ls.grp.tags.State(ls.idx, way).Dirty {
 		t.Fatalf("key a: way %d, want a clean resident entry", way)
 	}
 	ls.grp.rwp.OnHit(ls.idx, way, cache.AccessInfo{Class: cache.DemandStore})

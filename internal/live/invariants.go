@@ -3,11 +3,11 @@ package live
 import "fmt"
 
 // CheckInvariants recounts every set's structural state from scratch
-// and compares it with the incrementally maintained counters, the RWP
-// partition among them: a way's written bit is its entry's dirty bit,
-// which restore-by-replay (DESIGN.md §15) relies on. It takes
-// every shard lock, so it is safe (if slow) on a live cache; the
-// stress and determinism tests — including cmd/rwpserve's TCP race
+// and compares it with the incrementally maintained counters of its
+// group's tag store, the RWP partition among them: a way's written bit
+// is its dirty bit, which restore-by-replay (DESIGN.md §15) relies on.
+// It takes every shard lock, so it is safe (if slow) on a live cache;
+// the stress and determinism tests — including cmd/rwpserve's TCP race
 // stress — call it after hammering the cache.
 func (c *Cache) CheckInvariants() error {
 	gs := GroupSets(c.cfg.Sets)
@@ -29,56 +29,20 @@ func (c *Cache) CheckInvariants() error {
 					return fmt.Errorf("group at set %d: %w", global, err)
 				}
 			}
-			// A set has all its ways or none (grow), and ways only under
-			// its group's policy, which every fill that grew them went
-			// through.
-			if ls.entries != nil && (len(ls.entries) != c.cfg.Ways || len(ls.tags) != c.cfg.Ways || g.pol == nil) ||
-				ls.entries == nil && ls.tags != nil {
+			// A set has all its payloads or none (grow), and payloads only
+			// under its group's tag store, which every fill that grew them
+			// went through; a valid way has a payload.
+			if ls.entries != nil && (len(ls.entries) != c.cfg.Ways || g.tags == nil) {
 				sh.mu.Unlock()
-				return fmt.Errorf("set %d: storage of %d entries and %d tags (policy %v), want none or %d ways under a policy",
-					global, len(ls.entries), len(ls.tags), g.pol != nil, c.cfg.Ways)
+				return fmt.Errorf("set %d: %d entries (tag store %v), want none or %d under a tag store",
+					global, len(ls.entries), g.tags != nil, c.cfg.Ways)
 			}
-			valid, dirty := 0, 0
 			seen := map[string]bool{}
-			for w := range ls.entries {
-				e := &ls.entries[w]
-				if g.rwp != nil && g.rwp.Written(ls.idx, w) != (e.valid && e.dirty) {
+			if g.tags != nil {
+				if err := checkWays(global, ls, seen, c.mask); err != nil {
 					sh.mu.Unlock()
-					return fmt.Errorf("set %d way %d: RWP written bit %v, entry valid=%v dirty=%v",
-						global, w, g.rwp.Written(ls.idx, w), e.valid, e.dirty)
+					return err
 				}
-				if !e.valid {
-					continue
-				}
-				valid++
-				if e.dirty {
-					dirty++
-				}
-				key := e.key()
-				if seen[key] {
-					sh.mu.Unlock()
-					return fmt.Errorf("set %d: duplicate key %q", global, key)
-				}
-				seen[key] = true
-				h := HashKey(key)
-				if got := int(h & c.mask); got != global {
-					sh.mu.Unlock()
-					return fmt.Errorf("set %d holds key %q that hashes to set %d", global, key, got)
-				}
-				// find probes the tag first: a wrong one hides a resident key.
-				if uint64(ls.tags[w]) != h {
-					sh.mu.Unlock()
-					return fmt.Errorf("set %d way %d key %q: stale tag %#x", global, w, key, uint64(ls.tags[w]))
-				}
-			}
-			if valid != ls.validCount || dirty != ls.dirtyCount {
-				sh.mu.Unlock()
-				return fmt.Errorf("set %d: counted valid=%d dirty=%d, cached valid=%d dirty=%d",
-					global, valid, dirty, ls.validCount, ls.dirtyCount)
-			}
-			if g.rwp != nil && g.rwp.WrittenWays(ls.idx) != dirty {
-				sh.mu.Unlock()
-				return fmt.Errorf("set %d: RWP counts %d written ways, set holds %d dirty", global, g.rwp.WrittenWays(ls.idx), dirty)
 			}
 			if err := checkNegs(global, ls, seen, c.cfg.Ways, c.mask); err != nil {
 				sh.mu.Unlock()
@@ -86,6 +50,58 @@ func (c *Cache) CheckInvariants() error {
 			}
 		}
 		sh.mu.Unlock()
+	}
+	return nil
+}
+
+// checkWays holds one set's ways in its group's tag store to their
+// payloads, under the shard lock: a valid way has an entry whose key
+// hashes to the set, with the way's tag, which Lookup finds at this way
+// (so no other way shares it); the store's valid and dirty counts are
+// the ways' own; RWP's written bit is the way's dirty bit, which
+// restore-by-replay relies on. It records every resident key in seen.
+func checkWays(global int, ls *lset, seen map[string]bool, mask uint64) error {
+	g := ls.grp
+	valid, dirty := 0, 0
+	for w := 0; w < g.tags.Ways(); w++ {
+		st := g.tags.State(ls.idx, w)
+		if g.rwp != nil && g.rwp.Written(ls.idx, w) != (st.Valid && st.Dirty) {
+			return fmt.Errorf("set %d way %d: RWP written bit %v, way valid=%v dirty=%v",
+				global, w, g.rwp.Written(ls.idx, w), st.Valid, st.Dirty)
+		}
+		if !st.Valid {
+			continue
+		}
+		if ls.entries == nil {
+			return fmt.Errorf("set %d way %d: valid with no entry", global, w)
+		}
+		valid++
+		if st.Dirty {
+			dirty++
+		}
+		key := ls.entries[w].key()
+		if seen[key] {
+			return fmt.Errorf("set %d: duplicate key %q", global, key)
+		}
+		seen[key] = true
+		h := HashKey(key)
+		if got := int(h & mask); got != global {
+			return fmt.Errorf("set %d holds key %q that hashes to set %d", global, key, got)
+		}
+		// find probes the tag first: a wrong one hides a resident key.
+		if uint64(st.Tag) != h {
+			return fmt.Errorf("set %d way %d key %q: stale tag %#x", global, w, key, uint64(st.Tag))
+		}
+		if _, way, _ := g.tags.Lookup(st.Tag); way != w {
+			return fmt.Errorf("set %d way %d key %q: its tag is found at way %d", global, w, key, way)
+		}
+	}
+	if valid != g.tags.ValidWays(ls.idx) || dirty != g.tags.DirtyWays(ls.idx) {
+		return fmt.Errorf("set %d: counted valid=%d dirty=%d, tag store valid=%d dirty=%d",
+			global, valid, dirty, g.tags.ValidWays(ls.idx), g.tags.DirtyWays(ls.idx))
+	}
+	if g.rwp != nil && g.rwp.WrittenWays(ls.idx) != dirty {
+		return fmt.Errorf("set %d: RWP counts %d written ways, set holds %d dirty", global, g.rwp.WrittenWays(ls.idx), dirty)
 	}
 	return nil
 }

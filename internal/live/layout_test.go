@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"rwp/internal/cache"
 	"rwp/internal/mem"
 	"rwp/internal/snap"
 	"rwp/internal/xrand"
@@ -18,7 +20,7 @@ import (
 // with on every lookup.
 func refFind(s *lset, key string) int {
 	for w := range s.entries {
-		if e := &s.entries[w]; e.valid && e.key() == key {
+		if e := &s.entries[w]; s.grp.tags.State(s.idx, w).Valid && e.key() == key {
 			return w
 		}
 	}
@@ -141,46 +143,90 @@ func TestFindMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSameTagResolvesByKey: the tag narrows the probe, the key decides.
-// Two different keys installed under one 64-bit tag in one set (a full
-// hash collision, forced white-box) each resolve to their own way, a
-// third key with that tag misses, and an invalid way matches nothing —
-// not even the (key "", tag 0) a freshly cleared way holds, the case
-// cache.Lookup pins for line 0 in the simulator.
+// TestSameTagResolvesByKey: the tag narrows the probe, the key decides,
+// and one tag is one way. A key forged under another resident key's
+// line through the fill path — a full 64-bit hash collision, counted as
+// the Put it stands for — displaces the first key: an eviction (a dirty
+// one, since the first key was Put), no second valid way under the tag,
+// the ledger laws intact. A Get of the first key then misses and never
+// serves the second key's value; with a Loader it fills back and
+// displaces the forged key in turn. Before any fill no key is found, not
+// even the (key "", line 0) of a never-filled way.
 func TestSameTagResolvesByKey(t *testing.T) {
-	cfg := tinyConfig("lru")
+	cfg := tinyConfig("rwp")
 	cfg.Sets, cfg.Ways = 1, 4
+	loads := 0
+	cfg.Loader = func(key string) []byte {
+		loads++
+		return []byte("ld:" + key)
+	}
 	c := mustNew(t, cfg)
-	ls := &c.shards[0].sets[0]
+	sh, ls := c.shards[0], &c.shards[0].sets[0]
 	if w := ls.find("", 0); w != -1 {
 		t.Fatalf(`find("", 0) on an empty set = way %d, want -1`, w)
 	}
-	// A set has no ways until its first fill: one Put grows them, into
-	// way 0, and leaves ways 1-3 cleared.
+	c.Put("alpha", []byte("a"))
 	c.Put("x", []byte("x"))
 	if w := ls.find("", 0); w != -1 {
 		t.Fatalf(`find("", 0) over cleared ways = way %d, want -1`, w)
 	}
-	const tag = mem.LineAddr(0xfeedface)
-	ls.install(1, "alpha", tag, []byte("a"), false)
-	ls.install(2, "bravo", tag, []byte("b"), true)
-	for key, want := range map[string]int{"alpha": 1, "bravo": 2, "gamma": -1} {
-		if w := ls.find(key, tag); w != want {
-			t.Errorf("find(%q) under a shared tag = way %d, want %d", key, w, want)
-		}
+	line := mem.LineAddr(HashKey("alpha"))
+	way := ls.find("alpha", line)
+	// What put does for an insert, with alpha's line in place of bravo's.
+	sh.mu.Lock()
+	g := ls.grp
+	g.ops.Puts++
+	g.ops.PutInserts++
+	class := classInsert
+	if ls.fill("bravo", []byte("b"), cache.AccessInfo{Line: line, Class: cache.DemandStore}) {
+		class = classInsertEvict
 	}
-	if w := ls.find("alpha", tag+1); w != -1 {
-		t.Errorf("find under the wrong tag = way %d, want -1 (the probe is tag-first)", w)
+	g.costs[partDirty][class]++
+	sh.mu.Unlock()
+
+	if class != classInsertEvict {
+		t.Error("displacing a dirty key was not charged a dirty eviction")
 	}
-	ls.entries[1].valid = false
-	if w := ls.find("alpha", tag); w != -1 {
-		t.Errorf("find matched invalid way %d", w)
+	if w := ls.find("bravo", line); w != way {
+		t.Errorf("the forged key is at way %d, want alpha's way %d", w, way)
+	}
+	if w := ls.find("alpha", line); w != -1 {
+		t.Errorf("the displaced key is still found, at way %d", w)
+	}
+	s := c.Stats()
+	if s.Entries != 2 || s.Fills != 3 || s.Evictions != 1 || s.DirtyEvictions != 1 || s.Entries != int(s.Fills-s.Evictions) {
+		t.Errorf("after the collision: %d entries, %d fills, %d evictions (%d dirty); want 2, 3, 1 (1)",
+			s.Entries, s.Fills, s.Evictions, s.DirtyEvictions)
+	}
+	if err := g.ops.check(); err != nil {
+		t.Errorf("ledger after the collision: %v", err)
+	}
+	// bravo's tag is not its own hash, so CheckInvariants calls it stale.
+	// Get undoes the forgery: alpha misses, loads, and displaces bravo.
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "stale tag") {
+		t.Errorf("CheckInvariants over the forged key = %v, want a stale-tag error", err)
+	}
+	v, hit := c.Get("alpha")
+	if hit || string(v) != "ld:alpha" || loads != 1 {
+		t.Errorf("Get(alpha) over the forged key = (%q, hit %v) after %d loads, want (ld:alpha, miss) after 1", v, hit, loads)
+	}
+	if w := ls.find("bravo", line); w != -1 {
+		t.Errorf("the forged key survived the refill of its line, at way %d", w)
+	}
+	s = c.Stats()
+	if s.Entries != 2 || s.Evictions != 2 || s.DirtyEvictions != 2 || s.Entries != int(s.Fills-s.Evictions) {
+		t.Errorf("after the refill: %d entries, %d fills, %d evictions (%d dirty); want 2, 4, 2 (2)",
+			s.Entries, s.Fills, s.Evictions, s.DirtyEvictions)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestStaleTagIsAnInvariantViolation: a valid way whose tag is not its
-// key's hash hides a resident key from find, so CheckInvariants must
-// reject it — whatever the stale value is, zero included.
+// TestStaleTagIsAnInvariantViolation: a valid way whose tag in the group
+// tag store is not its key's hash hides a resident key from find, so
+// CheckInvariants must reject it — whatever the stale value is, zero
+// included. The stale tag is forged through the store's own fill half.
 func TestStaleTagIsAnInvariantViolation(t *testing.T) {
 	for _, stale := range []mem.LineAddr{0, 1, ^mem.LineAddr(0)} {
 		c := mustNew(t, tinyConfig("rwp"))
@@ -190,9 +236,13 @@ func TestStaleTagIsAnInvariantViolation(t *testing.T) {
 		}
 		h := HashKey("k")
 		_, ls := c.locate(h)
-		ls.tags[ls.find("k", mem.LineAddr(h))] = stale
-		if err := c.CheckInvariants(); err == nil {
-			t.Errorf("CheckInvariants accepted stale tag %#x", uint64(stale))
+		tags := ls.grp.tags
+		tags.Invalidate(mem.LineAddr(h))
+		if way, _ := tags.Fill(ls.idx, cache.AccessInfo{Line: stale, Class: cache.DemandStore}); ls.entries[way].key() != "k" {
+			t.Fatalf("the forged tag landed in way %d, which holds %q", way, ls.entries[way].key())
+		}
+		if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "stale tag") {
+			t.Errorf("CheckInvariants over stale tag %#x = %v, want a stale-tag error", uint64(stale), err)
 		}
 	}
 }
@@ -238,11 +288,12 @@ func TestValueBuffersNeverAlias(t *testing.T) {
 
 // TestEntryFootprint pins what a resident entry costs. A way's payload
 // is one 32-byte entry and one buffer holding key and value together,
-// and the ledger lives on the group, not on every set. The default
-// cache after 16 384 inserts of 64-byte values under "k:<i>" keys —
-// 14 740 resident — holds 2 158 592 bytes of heap (146 B per entry);
-// with a key object beside a value buffer in a 48-byte entry and a
-// ledger per set it held 2 654 064 (180 B per entry).
+// its tag and flags are in the group's tag store, and the ledger lives
+// on the group, not on every set. The default cache after 16 384
+// inserts of 64-byte values under "k:<i>" keys — 14 740 resident —
+// holds 2 182 528 bytes of heap (148 B per entry); with tags and counts
+// per set it held 2 166 848 (147 B), and with a key object beside a
+// value buffer in a 48-byte entry and a ledger per set 2 654 064 (180 B).
 func TestEntryFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(entry{}); got != 32 {
 		t.Errorf("entry is %d bytes, want 32", got)

@@ -6,15 +6,17 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"unsafe"
 
+	"rwp/internal/cache"
 	"rwp/internal/xrand"
 )
 
-// This file pins lazy way storage: a set gets its tags and entries at
-// its first fill, a group its policy at the first fill into any of its
-// sets, and ResetRange hands both back.
+// This file pins lazy way storage: a set gets its entries at its first
+// fill, a group its tag store and policy at the first fill into any of
+// its sets, and ResetRange hands both back.
 
-// eager gives every set of c its storage and every group its policy —
+// eager gives every set of c its storage and every group its tag store —
 // the layout New built when nothing was lazy. The oracle below keeps
 // that layout as the reference the lazy one is checked against; it is
 // reapplied after every reset and restore, which release storage.
@@ -131,11 +133,12 @@ func sameEverywhere(t *testing.T, op int, caches []*Cache) {
 
 // TestNewFootprint pins what an untouched cache costs: at the default
 // 1024 × 16 geometry, New holds the lsets, the group ledgers, the shard
-// locks and one fresh predictor — no way storage and no policy per
-// group. Building every set's storage and every group's policy up front
-// took 948 976 B.
+// locks and one fresh predictor on its tag store — no way storage and no
+// tag store per group: 117 968 B, where 72-byte lsets had 112 bytes
+// (per-set tags and counts) and took 177 136 B. Building every set's
+// storage and every group's policy up front took 948 976 B.
 func TestNewFootprint(t *testing.T) {
-	const limit = 192 << 10
+	const limit = 128 << 10
 	before := heapNow()
 	c, err := New(DefaultConfig())
 	if err != nil {
@@ -176,19 +179,20 @@ func TestResetRangeReleasesStorage(t *testing.T) {
 		t.Fatal("ResetRange purged nothing")
 	}
 	dropped := int64(before) - int64(heapNow())
-	// Per set: 16 tags and 16 entries (640 B), before the entries' value
-	// buffers and the groups' policies.
-	storage := int64(touched) * int64(cfg.Ways) * (8 + 32)
+	// Per set: 16 entries and, in its group's tag store, 16 tags and 16
+	// flag bytes (656 B); per group the store itself. That is before the
+	// entries' value buffers and the groups' policies.
+	storage := int64(touched)*int64(cfg.Ways)*(8+1+32) + int64(touched/GroupSets(cfg.Sets))*int64(unsafe.Sizeof(cache.Cache{}))
 	t.Logf("ResetRange of %d touched sets dropped %d B of heap (way storage alone is %d B)", touched, dropped, storage)
 	if dropped < storage {
 		t.Errorf("ResetRange of %d touched sets dropped %d B of heap, want at least their %d B of way storage", touched, dropped, storage)
 	}
 	c.eachGroup(lo, hi, func(g *group, base int) {
-		if g.pol != nil {
-			t.Errorf("group at set %d kept its policy across ResetRange", base)
+		if g.tags != nil {
+			t.Errorf("group at set %d kept its tag store across ResetRange", base)
 		}
 		for i := range g.sets {
-			if g.sets[i].entries != nil || g.sets[i].tags != nil {
+			if g.sets[i].entries != nil {
 				t.Errorf("set %d kept its storage across ResetRange", base+i)
 			}
 		}
@@ -202,17 +206,18 @@ func TestResetRangeReleasesStorage(t *testing.T) {
 }
 
 // TestFirstFillAllocs pins what a first fill costs in allocations: into
-// an untouched set of an untouched group, the set's tags and entries,
-// the group's policy and the way's value buffer; into an untouched set
-// of a touched group, the policy's share drops out.
+// an untouched set of an untouched group, the group's tag store (five:
+// the Cache, its tags, flags, valid and dirty counts) and policy, the
+// set's entries and the way's value buffer; into an untouched set of a
+// touched group, the entries and the buffer alone.
 func TestFirstFillAllocs(t *testing.T) {
 	const runs = 16
 	for _, tc := range []struct {
 		pol           string
 		group, second float64 // first fill into a group; into its second set
 	}{
-		{"lru", 6, 3},
-		{"rwp", 12, 3},
+		{"lru", 10, 2},
+		{"rwp", 16, 2},
 	} {
 		cfg := DefaultConfig()
 		cfg.Policy = tc.pol

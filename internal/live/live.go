@@ -277,14 +277,13 @@ func (c Config) Validate() error {
 }
 
 // entry is one way's payload: the resident key and value in one
-// buffer, kv[:klen] the key and kv[klen:] the value, and the way's
-// state bits. The way's tag — the key hash find probes first, and the
-// policy's line identity — lives apart from it, packed in lset.tags.
+// buffer, kv[:klen] the key and kv[klen:] the value. Everything else
+// about the way — its tag (the key hash), valid and dirty bits, its
+// place in the policy's state — is in the group's tag store. A way the
+// store holds invalid keeps its buffer for the next fill.
 type entry struct {
-	kv    []byte
-	klen  uint32
-	valid bool
-	dirty bool // written at fill or since (RWP's partition criterion)
+	kv   []byte
+	klen uint32
 }
 
 // key views the entry's key bytes as a string: valid only while the
@@ -295,30 +294,20 @@ func (e *entry) key() string { return borrowString(e.kv[:e.klen]) }
 // copies them out before releasing the shard lock.
 func (e *entry) val() []byte { return e.kv[e.klen:] }
 
-// lset is one cache set; its replacement policy and its ledger belong
-// to its group.
+// lset is one cache set: the payloads of its ways, and what a tag
+// store cannot hold. Its tags, state bits, occupancy counts and
+// replacement policy are set idx of its group's tag store, and its
+// ledger is the group's.
 //
-// The layout is the simulator's (cache.Cache): tags packed by way, the
-// payload beside them. A probe scans the tags — two host cache lines at
-// 16 ways — and reads an entry only on a tag match. install is the one
-// place that writes a way, so a valid way's tag is always its key's
-// HashKey (CheckInvariants holds it to that).
-//
-// A set owns no way storage until its first fill (grow): a set no key
-// ever reaches costs its lset and nothing more, so a cluster node's
-// memory follows the ring ranges it serves. find over the nil slices
-// matches nothing, which keeps the hit path free of a storage check.
+// A set owns no payload storage until its first fill (grow): a set no
+// key ever reaches costs its lset and nothing more, so a cluster node's
+// memory follows the ring ranges it serves.
 type lset struct {
-	// tags[w] is HashKey of entries[w].key(). Meaningful only while
-	// entries[w].valid. Both are nil until the set's first fill and again
-	// after a reset, and Ways long otherwise.
-	tags    []mem.LineAddr
+	// entries is nil until the set's first fill and again after a reset,
+	// and Ways long otherwise.
 	entries []entry
-	// grp owns the set's replacement policy, which knows the set as idx.
-	grp        *group
-	idx        int
-	validCount int
-	dirtyCount int
+	grp     *group
+	idx     int
 	// clock is the set's operation count — every Get and Put that
 	// probes it — on which NegOps verdicts and LeaseOps leases are
 	// measured. It is not history: ResetStats and ResetRange leave it
@@ -331,19 +320,19 @@ type lset struct {
 	negs []negEntry
 }
 
-// group is GroupSets consecutive sets and the one policy instance they
-// share. It implements cache.StateReader over them, so the simulator's
-// policies attach to it exactly as they attach to a cache: core.RWP
-// with SamplerSets 1 shadows set 0 of the view, and every callback
-// names a set by its index in the group.
+// group is GroupSets consecutive sets and the one tag store they
+// share: a GroupSets-set cache.Cache, the simulator's, whose line is a
+// key's HashKey. Its set index (the hash's low bits) is a set's index in
+// the group, and its policy is the group's: core.RWP with SamplerSets 1
+// shadows set 0.
 type group struct {
 	sets []lset  // a window of the shard's sets
 	cfg  *Config // the cache's; the group's geometry and policy choice
-	// pol is nil until the first fill into any of the group's sets: a
-	// Get that misses without filling calls no policy method, so a policy
-	// attached at the first fill is the one New would have built.
-	pol cache.Policy
-	rwp *core.RWP // non-nil iff pol is RWP
+	// tags is nil until the first fill into any of the group's sets: a
+	// Get that misses without filling calls no policy method, so a tag
+	// store built at the first fill is the one New would have built.
+	tags *cache.Cache
+	rwp  *core.RWP // the policy of tags under rwp, else nil
 	// ops and costs are the group's ledger — all an operation writes
 	// besides the entries themselves: ops once per event, costs one cell
 	// per completed Get/Put. A group never spans a lock shard or a
@@ -354,53 +343,14 @@ type group struct {
 	costs costTable
 }
 
-// NumSets implements cache.StateReader.
-func (g *group) NumSets() int { return len(g.sets) }
-
-// Ways implements cache.StateReader. It is the configured associativity,
-// not len(entries): a set without storage still has its ways.
-func (g *group) Ways() int { return g.cfg.Ways }
-
-// State implements cache.StateReader.
-func (g *group) State(set, way int) cache.LineState {
-	s := &g.sets[set]
-	e := &s.entries[way]
-	return cache.LineState{Tag: s.tags[way], Valid: e.valid, Dirty: e.dirty}
-}
-
-// ValidWays implements cache.StateReader.
-func (g *group) ValidWays(set int) int { return g.sets[set].validCount }
-
-// DirtyWays implements cache.StateReader.
-func (g *group) DirtyWays(set int) int { return g.sets[set].dirtyCount }
-
-// InvalidWay implements cache.StateReader.
-func (g *group) InvalidWay(set int) int {
-	s := &g.sets[set]
-	if s.validCount >= len(s.entries) {
-		return -1
-	}
-	for w := range s.entries {
-		if !s.entries[w].valid {
-			return w
-		}
-	}
-	return -1
-}
-
-// find returns the way holding key, or -1. tag is HashKey(key), which
-// the caller already computed to pick the set. The packed tags are
-// scanned first; an entry is read only where the tag matches, and there
-// the valid bit and the key itself still decide: an invalid way never
-// matches whatever its tag holds, and two keys sharing all 64 hash bits
-// stay two keys.
-func (s *lset) find(key string, tag mem.LineAddr) int {
-	for w, t := range s.tags {
-		if t != tag {
-			continue
-		}
-		if e := &s.entries[w]; e.valid && e.key() == key {
-			return w
+// find returns the way holding key, or -1. line is HashKey(key), which
+// the caller already computed to pick the set. The tag store finds the
+// one way holding line, and the key there decides: a key whose full
+// 64-bit hash equals a resident key's misses.
+func (s *lset) find(key string, line mem.LineAddr) int {
+	if t := s.grp.tags; t != nil {
+		if _, way, ok := t.Lookup(line); ok && s.entries[way].key() == key {
+			return way
 		}
 	}
 	return -1
@@ -449,19 +399,15 @@ func (e *entry) setVal(val []byte) {
 	e.kv = kv
 }
 
-// install writes (key, val) into way: tag, payload and state bits
-// together, the only writer of any of them besides a Put overwrite's
-// setVal. The set has storage (its caller grew it). The key's bytes are
-// copied, so a borrowed key may be passed. Occupancy counts and the
-// policy callbacks are the caller's (fill, restoreGroup).
-func (s *lset) install(way int, key string, tag mem.LineAddr, val []byte, dirty bool) {
-	e := &s.entries[way]
-	s.tags[way] = tag
+// install writes (key, val) into the way's payload, the only writer of
+// it besides a Put overwrite's setVal; the tag store's fill (fill,
+// restoreSet) has just given the way its tag. The key's bytes are
+// copied, so a borrowed key may be passed.
+func (e *entry) install(key string, val []byte) {
 	kv := e.reserve(0, len(key)+len(val))
 	kv = append(kv, key...)
 	kv = append(kv, val...)
 	e.kv, e.klen = kv, uint32(len(key))
-	e.valid, e.dirty = true, dirty
 }
 
 // shard is one lock domain: a contiguous run of sets — whole groups —
@@ -540,50 +486,53 @@ func groupRWPConfig(cfg core.Config, groupSets int) core.Config {
 	return cfg
 }
 
-// attach gives the group a brand-new policy instance.
+// attach gives the group a brand-new tag store and policy instance.
 func (g *group) attach() {
+	var pol cache.Policy
 	switch g.cfg.Policy {
 	case "rwp":
 		g.rwp = core.New(groupRWPConfig(g.cfg.RWP, len(g.sets)))
-		g.pol = g.rwp
+		pol = g.rwp
 	default: // "lru", by Validate
-		g.pol = policy.NewLRU()
+		pol = policy.NewLRU()
 	}
-	g.pol.Attach(g)
+	// One line per key hash: the line size is 1.
+	tags, err := cache.New(cache.Config{Name: "live", SizeBytes: len(g.sets) * g.cfg.Ways, Ways: g.cfg.Ways, LineSize: 1}, pol)
+	if err != nil {
+		panic("live: group tag store: " + err.Error()) // Validate admits only valid geometries
+	}
+	g.tags = tags
 }
 
-// grow gives a set its way storage at its first fill, and its group a
-// policy at the group's first. Storage is allocated per set, not per
-// group: at 16 ways a set's entries take 512 B, the largest size class
-// with no malloc header, where a group's 4 KiB array of pointerful
+// grow gives a set its payload storage at its first fill, and its group
+// a tag store at the group's first. Payloads are allocated per set, not
+// per group: at 16 ways a set's entries take 512 B, the largest size
+// class with no malloc header, where a group's 4 KiB array of pointerful
 // entries would land in a 4 864 B class.
 func (ls *lset) grow() {
-	if ls.grp.pol == nil {
+	if ls.grp.tags == nil {
 		ls.grp.attach()
 	}
-	ways := ls.grp.cfg.Ways
-	ls.tags = make([]mem.LineAddr, ways)
-	ls.entries = make([]entry, ways)
+	ls.entries = make([]entry, ls.grp.cfg.Ways)
 }
 
-// initGroup returns one group to its freshly-constructed state — no way
-// storage, zero occupancy in every set, no policy — and reports how many
-// entries that dropped. Storage and policy are released, not cleared, so
-// a purged range costs nothing until it refills. The group's ledger is
+// initGroup returns one group to its freshly-constructed state — no
+// payload storage, no tag store, no policy — and reports how many
+// entries that dropped. Storage is released, not cleared, so a purged
+// range costs nothing until it refills. The group's ledger is
 // deliberately left untouched — it is cumulative history, and ResetRange
 // must not un-count work that happened — and so are the sets' clocks.
 func initGroup(g *group) (purged int) {
+	if g.tags != nil {
+		purged = g.tags.TotalValid()
+	}
 	for i := range g.sets {
-		ls := &g.sets[i]
-		purged += ls.validCount
-		ls.tags, ls.entries = nil, nil
-		ls.validCount, ls.dirtyCount = 0, 0
 		// The negative cache is content, not history: a reset set starts
 		// cold on both sides (ResetRange's read-your-write rule would be
 		// violated by a stale "absent" verdict outliving a purge).
-		ls.negs = nil
+		g.sets[i].entries, g.sets[i].negs = nil, nil
 	}
-	g.pol, g.rwp = nil, nil
+	g.tags, g.rwp = nil, nil
 	return purged
 }
 
@@ -757,21 +706,19 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 	g := ls.grp
 	g.ops.Gets++
 	if way := ls.find(key, ai.Line); way >= 0 {
-		e := &ls.entries[way]
 		g.ops.GetHits++
-		if e.dirty {
+		if g.tags.Hit(ls.idx, way, ai) {
 			g.ops.GetHitsDirty++
 			g.costs[partDirty][classHit]++
 		} else {
 			g.ops.GetHitsClean++
 			g.costs[partClean][classHit]++
 		}
-		g.pol.OnHit(ls.idx, way, ai)
 		// Copy while the entry is stable, then release before returning:
 		// the caller must never see bytes a later Put could overwrite.
 		// A dst with room — Get's caller-frame buffer, GetAppend's
 		// reused one — makes this copy allocation-free.
-		dst = append(dst, e.val()...)
+		dst = append(dst, ls.entries[way].val()...)
 		sh.mu.Unlock()
 		c.logGet(key, borrowed, set, probe.OutcomeHit, CostHit)
 		return dst, true, true
@@ -839,18 +786,14 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	g := ls.grp
 	g.ops.Puts++
 	if way := ls.find(key, ai.Line); way >= 0 {
-		e := &ls.entries[way]
 		g.ops.PutHits++
-		if e.dirty {
+		if g.tags.Hit(ls.idx, way, ai) {
 			g.ops.PutHitsDirty++
 		} else {
 			g.ops.PutHitsClean++
-			e.dirty = true
-			ls.dirtyCount++
 		}
-		e.setVal(val)
+		ls.entries[way].setVal(val)
 		g.costs[partDirty][classHit]++
-		g.pol.OnHit(ls.idx, way, ai)
 		sh.mu.Unlock()
 		c.logPut(key, borrowed, val, set, probe.OutcomeOverwrite, CostHit)
 		return false
@@ -861,7 +804,7 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	// Neither retains the key: the fill copies its bytes.
 	ls.negDelete(key)
 	class := classInsert
-	if ls.fill(key, val, ai, true) {
+	if ls.fill(key, val, ai) {
 		class = classInsertEvict
 	}
 	g.costs[partDirty][class]++
@@ -870,38 +813,43 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	return true
 }
 
-// fill installs (key, val) into the set under tag ai.Line, evicting the
-// policy's victim if the set is full; the key and value are copied into
-// the victim way's buffer where install can reuse it. A set's first fill
-// grows its storage first, outside this function's allocation rule.
-// Called with the shard lock held. It reports whether the fill evicted a
-// dirty entry — the cost model's writeback surcharge trigger.
-func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo, dirty bool) (evictedDirty bool) {
+// fill installs (key, val) into the set under line ai.Line, clean for
+// a Get (DemandLoad) and dirty for a Put (DemandStore), through the tag
+// store's fill half: the policy's victim is evicted, and the key and
+// value are copied into the victim way's buffer where install can reuse
+// it. A set's first fill grows its storage first, outside this
+// function's allocation rule. Called with the shard lock held. It
+// reports whether the fill evicted a dirty entry — the cost model's
+// writeback surcharge trigger.
+func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo) (evictedDirty bool) {
 	if ls.entries == nil {
 		ls.grow()
 	}
-	// Neither LRU nor RWP ever asks to bypass a fill.
-	g, pol := ls.grp, ls.grp.pol
-	way, _ := pol.Victim(ls.idx, ai)
-	e := &ls.entries[way]
-	if e.valid {
+	g := ls.grp
+	// A full 64-bit hash collision: the line is resident under another
+	// key (find compared the keys). That key goes first, as an eviction,
+	// so no two valid ways ever share a tag.
+	if dirty, ok := g.tags.Invalidate(ai.Line); ok {
 		g.ops.Evictions++
-		if e.dirty {
+		if dirty {
 			evictedDirty = true
 			g.ops.DirtyEvictions++
-			ls.dirtyCount--
 		}
-		pol.OnEvict(ls.idx, way, ai)
-	} else {
-		ls.validCount++
 	}
-	ls.install(way, key, ai.Line, val, dirty)
+	// Neither LRU nor RWP ever asks to bypass a fill.
+	way, res := g.tags.Fill(ls.idx, ai)
+	if res.Evicted {
+		g.ops.Evictions++
+		if res.Writeback {
+			evictedDirty = true
+			g.ops.DirtyEvictions++
+		}
+	}
+	ls.entries[way].install(key, val)
 	g.ops.Fills++
-	if dirty {
-		ls.dirtyCount++
+	if ai.Class == cache.DemandStore {
 		g.ops.FillsDirty++
 	}
-	pol.OnFill(ls.idx, way, ai)
 	return evictedDirty
 }
 

@@ -2,7 +2,10 @@ package live_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,10 +36,17 @@ var oracleRuns = []struct {
 	// deliberately not snapshotted (DESIGN.md §16), so a restored run
 	// re-asks the backend for a few keys.
 	restartExact bool
+	// snapSHA256 pins snap.Encode of the cache at the end of the run:
+	// every resident key, value, dirty bit and recency position, every
+	// predictor and every ledger, byte for byte.
+	snapSHA256 string
 }{
-	{"selftest_mcf_lru.json", "mcf", func(c *live.Config) { c.Policy = "lru" }, true},
-	{"selftest_mcf_rwp.json", "mcf", func(*live.Config) {}, true},
-	{"selftest_advscan_neg.json", loadgen.AdvScan, func(c *live.Config) { c.Coalesce, c.NegOps = true, 64 }, false},
+	{"selftest_mcf_lru.json", "mcf", func(c *live.Config) { c.Policy = "lru" }, true,
+		"cc1f5232c0810378e76f0d63462ed8ee8e9f6c981df92f41ab74d381ca9f0bf5"},
+	{"selftest_mcf_rwp.json", "mcf", func(*live.Config) {}, true,
+		"98b32112ca197f6a028b49213902e4b0f5104157b880c5ce6d2ca3818e0b398a"},
+	{"selftest_advscan_neg.json", loadgen.AdvScan, func(c *live.Config) { c.Coalesce, c.NegOps = true, 64 }, false,
+		"4370ceb788ff8f625c984eee41b68439a96085b6e4d136f17e02fdf4487dfced"},
 }
 
 // classCounters is one request class's counts in a golden's probe
@@ -138,6 +148,7 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 			if got := statsJSON(t, c); !bytes.Equal(got, want) {
 				t.Errorf("%s at %d shards: document differs from the recorded one\ngot  %s\nwant %s", run.file, shards, got, want)
 			}
+			checkSnapPin(t, run.file, fmt.Sprintf("at %d shards", shards), c, run.snapSHA256)
 		}
 		if !run.restartExact {
 			continue
@@ -156,6 +167,16 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 		if got := statsJSON(t, c); !bytes.Equal(got, want) {
 			t.Errorf("%s through a restore at op %d: document differs from the recorded one\ngot  %s\nwant %s", run.file, cut, got, want)
 		}
+		checkSnapPin(t, run.file, fmt.Sprintf("through a restore at op %d", cut), c, run.snapSHA256)
+	}
+}
+
+// checkSnapPin fails unless the SHA-256 of c's encoded snapshot is pin.
+func checkSnapPin(t *testing.T, file, when string, c *live.Cache, pin string) {
+	t.Helper()
+	sum := sha256.Sum256(snap.Encode(c.Snapshot()))
+	if got := hex.EncodeToString(sum[:]); got != pin {
+		t.Errorf("%s %s: snapshot SHA-256 %s, pinned %s", file, when, got, pin)
 	}
 }
 

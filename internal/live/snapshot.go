@@ -6,7 +6,6 @@ import (
 	"rwp/internal/cache"
 	"rwp/internal/core"
 	"rwp/internal/mem"
-	"rwp/internal/policy"
 	"rwp/internal/recency"
 	"rwp/internal/snap"
 )
@@ -44,13 +43,12 @@ import (
 // counter-conserving (never stale) otherwise; see DESIGN.md §16.
 //
 // Why the format can omit way indices: every fill (LRU's and RWP's
-// Victim alike) takes the lowest invalid way first, so a set holding K
-// entries has exactly ways 0..K-1 valid, and restore can replay the
-// recorded MRU→LRU entries as OnFill calls into ways 0..K-1 (LRU
-// first). OnFill bypasses the policy's observe() — the group's interval
-// clock and sampler state transfer via core.State instead — and the
-// fill class (DemandStore for dirty entries) reproduces RWP's written
-// bits, which the live cache keeps equal to the entry dirty bits.
+// Victim alike) takes the lowest invalid way first, so restore can
+// replay the recorded MRU→LRU entries, LRU first, as ordinary fills of
+// the group's tag store into ways 0..K-1. The fill class (DemandStore
+// for dirty entries) reproduces the dirty bits and RWP's written bits;
+// what the replay feeds the predictor's interval clock and sampler is
+// then overwritten by the recorded core.State.
 
 // Sets returns the global set count.
 func (c *Cache) Sets() int { return c.cfg.Sets }
@@ -96,19 +94,21 @@ func snapSet(global int, ls *lset) snap.SetRecord {
 	if ls.entries == nil {
 		return r
 	}
+	tags := ls.grp.tags
 	tab := ls.grp.recency()
 	for pos := 0; pos < len(ls.entries); pos++ {
 		way := tab.At(ls.idx, pos)
-		e := &ls.entries[way]
-		if !e.valid {
+		st := tags.State(ls.idx, way)
+		if !st.Valid {
 			// Invalid ways sit together at the recency bottom; nothing
 			// valid follows.
 			break
 		}
+		e := &ls.entries[way]
 		r.Entries = append(r.Entries, snap.Entry{
 			Key:   string(e.kv[:e.klen]),
 			Value: append([]byte(nil), e.val()...),
-			Dirty: e.dirty,
+			Dirty: st.Dirty,
 		})
 	}
 	return r
@@ -125,12 +125,10 @@ func snapGroup(g *group, rwp *core.RWP) snap.GroupRecord {
 	return r
 }
 
-// recency exposes the group's recency table for snapshot iteration.
+// recency exposes the recency table of the group's policy, LRU's or
+// RWP's, for snapshot iteration.
 func (g *group) recency() *recency.Table {
-	if g.rwp != nil {
-		return g.rwp.Recency()
-	}
-	return g.pol.(*policy.LRU).Recency()
+	return g.tags.Policy().(interface{ Recency() *recency.Table }).Recency()
 }
 
 // RestoreSnapshot performs a full warm restart from a whole-cache
@@ -165,7 +163,7 @@ func (c *Cache) RestoreRange(s *snap.Snapshot) (purged int, err error) {
 
 // checkSnapshot validates s against this cache completely — config
 // match, whole-group coverage, per-set entry counts, key-to-set hashing,
-// key uniqueness, one group record per group with a ledger vector of the
+// hash uniqueness, one group record per group with a ledger vector of the
 // right length that obeys the conservation laws, and under RWP a
 // well-shaped predictor state in each — before any mutation. snap.Decode
 // already enforces the format's self-contained invariants for
@@ -197,12 +195,14 @@ func (c *Cache) checkSnapshot(s *snap.Snapshot) error {
 		}
 		for j := range r.Entries {
 			e := &r.Entries[j]
-			if g := int(HashKey(e.Key) & c.mask); g != r.Set {
+			h := HashKey(e.Key)
+			if g := int(h & c.mask); g != r.Set {
 				return fmt.Errorf("live: key %q hashes to set %d but was recorded in set %d", e.Key, g, r.Set)
 			}
+			// One tag, one way: equal keys, or a full 64-bit collision.
 			for k := 0; k < j; k++ {
-				if r.Entries[k].Key == e.Key {
-					return fmt.Errorf("live: duplicate key %q in set %d", e.Key, r.Set)
+				if HashKey(r.Entries[k].Key) == h {
+					return fmt.Errorf("live: keys %q and %q in set %d share one hash", r.Entries[k].Key, e.Key, r.Set)
 				}
 			}
 		}
@@ -274,24 +274,22 @@ func restoreGroup(g *group, recs []snap.SetRecord, gr *snap.GroupRecord, full bo
 	return purged
 }
 
-// restoreSet replays one record into a freshly grown set.
+// restoreSet replays one record into a freshly grown set, LRU entry
+// first, through the tag store's fill half: into an empty set every
+// policy's victim is the lowest invalid way, so the entries land in ways
+// 0..K-1, each touched MRU as it lands, dirty ones filled by a store
+// (RWP's written bits). What the replay feeds the predictor — its
+// clock, its sampler — restoreGroup overwrites with the recorded state,
+// and the ledger is not counted: those transfer as state.
 func restoreSet(ls *lset, r *snap.SetRecord) {
-	n := len(r.Entries)
-	for i := n - 1; i >= 0; i-- {
-		way := n - 1 - i
+	for i := len(r.Entries) - 1; i >= 0; i-- {
 		e := &r.Entries[i]
-		tag := mem.LineAddr(HashKey(e.Key))
-		ls.install(way, e.Key, tag, e.Value, e.Dirty)
-		ls.validCount++
 		class := cache.DemandLoad
 		if e.Dirty {
-			ls.dirtyCount++
 			class = cache.DemandStore
 		}
-		// OnFill, not fill(): policy bookkeeping (recency touch, RWP
-		// written bits) without advancing the interval clock or
-		// counting ops — those transfer as state.
-		ls.grp.pol.OnFill(ls.idx, way, cache.AccessInfo{Line: tag, Class: class})
+		way, _ := ls.grp.tags.Fill(ls.idx, cache.AccessInfo{Line: mem.LineAddr(HashKey(e.Key)), Class: class})
+		ls.entries[way].install(e.Key, e.Value)
 	}
 }
 

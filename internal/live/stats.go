@@ -216,9 +216,9 @@ func (s *Stats) Add(o Stats) {
 func (s *Stats) addGroup(g *group, rwp *core.RWP, costs *costTable) {
 	s.Counters.add(g.ops)
 	costs.add(&g.costs)
-	for i := range g.sets {
-		s.Entries += g.sets[i].validCount
-		s.DirtyEntries += g.sets[i].dirtyCount
+	if g.tags != nil {
+		s.Entries += g.tags.TotalValid()
+		s.DirtyEntries += g.tags.TotalDirty()
 	}
 	if rwp != nil {
 		s.Retargets += rwp.Intervals()
