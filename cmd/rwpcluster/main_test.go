@@ -31,7 +31,7 @@ func clusterOut(t *testing.T, args ...string) string {
 // large enough that the RWP policy retargets.
 func baseArgs(extra ...string) []string {
 	args := []string{"-selftest", "8000", "-sets", "256", "-ways", "4",
-		"-shards", "4", "-interval", "16", "-profile", "mcf", "-ring-shards", "16"}
+		"-interval", "16", "-profile", "mcf", "-ring-shards", "16"}
 	return append(args, extra...)
 }
 
@@ -68,7 +68,7 @@ func TestSelftestMatchesSingleNode(t *testing.T) {
 		got := clusterOut(t, baseArgs("-profile", profile)...)
 
 		cfg := live.DefaultConfig()
-		cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
+		cfg.Sets, cfg.Ways = 256, 4
 		cfg.RWP.Interval = 16 // baseArgs' -interval
 		cfg.Loader = loadgen.AbsentLoader(0)
 		c, err := live.New(cfg)
@@ -152,7 +152,7 @@ func TestWindowsOutJournal(t *testing.T) {
 	// The -connect leg streams one too, manager and all.
 	addrs := startServers(t, 2)
 	wired := journal("windows-connect.jsonl", "-selftest", "4000", "-sets", "256", "-ways", "4",
-		"-shards", "4", "-ring-shards", "16", "-connect", strings.Join(addrs, ","),
+		"-ring-shards", "16", "-connect", strings.Join(addrs, ","),
 		"-manager", "-window", "512", "-hot", "64", "-cold", "8")
 	if _, windowOps, ws, err = probe.ReadShardWindows(bytes.NewReader(wired)); err != nil || windowOps != 512 || len(ws) != 8*16 {
 		t.Errorf("-connect journal: windowOps=%d records=%d err=%v, want 8 windows x 16 shards of 512 ops", windowOps, len(ws), err)
@@ -189,7 +189,7 @@ func TestConnectMode(t *testing.T) {
 	addrs := startServers(t, 2)
 	windows := filepath.Join(t.TempDir(), "windows.jsonl")
 	out := clusterOut(t, "-selftest", "4000", "-sets", "256", "-ways", "4",
-		"-shards", "4", "-ring-shards", "16", "-connect", strings.Join(addrs, ","),
+		"-ring-shards", "16", "-connect", strings.Join(addrs, ","),
 		"-window", "512", "-windows-out", windows)
 	f, err := os.Open(windows)
 	if err != nil {
@@ -216,7 +216,7 @@ func TestConnectMode(t *testing.T) {
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
+	cfg.Sets, cfg.Ways = 256, 4
 	cfg.Loader = loadgen.Loader(0)
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -251,7 +251,7 @@ func TestConnectTrimsAddresses(t *testing.T) {
 	addrs := startServers(t, 2)
 	out := func(list string) string {
 		return clusterOut(t, "-selftest", "4000", "-sets", "256", "-ways", "4",
-			"-shards", "4", "-ring-shards", "16", "-connect", list)
+			"-ring-shards", "16", "-connect", list)
 	}
 	bare := out(strings.Join(addrs, ","))
 	if spaced := out(" " + strings.Join(addrs, " , ") + " "); spaced != bare {
@@ -266,7 +266,7 @@ func TestConnectTrimsAddresses(t *testing.T) {
 func TestConnectManaged(t *testing.T) {
 	addrs := startServers(t, 3)
 	out := clusterOut(t, "-selftest", "8000", "-sets", "256", "-ways", "4",
-		"-shards", "4", "-ring-shards", "16", "-connect", strings.Join(addrs, ","),
+		"-ring-shards", "16", "-connect", strings.Join(addrs, ","),
 		"-manager", "-window", "512", "-hot", "24", "-cold", "4")
 	if !strings.Contains(out, "== catchup ==") {
 		t.Fatalf("managed connect output missing catchup summary:\n%s", out)
@@ -295,7 +295,7 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"cold", "connect", "hot", "in", "interval", "manager",
 		"no-loader", "nodes", "pipeline", "policy", "profile",
-		"ring-shards", "seed", "selftest", "sets", "shards", "value-size",
+		"ring-shards", "seed", "selftest", "sets", "value-size",
 		"ways", "window", "windows-out",
 	}
 	var out, errbuf bytes.Buffer
@@ -372,7 +372,7 @@ func recordJournal(t *testing.T) (journal string, stats []byte) {
 		t.Fatal(err)
 	}
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 4
+	cfg.Sets, cfg.Ways = 128, 4
 	cfg.RWP.Interval = 32
 	cfg.Loader = loadgen.Loader(8)
 	cfg.ReqLog = log
@@ -403,7 +403,7 @@ func recordJournal(t *testing.T) (journal string, stats []byte) {
 // single-cache run's stats document byte for byte.
 func TestReplayEquivalence(t *testing.T) {
 	journal, want := recordJournal(t)
-	geometry := []string{"-in", journal, "-sets", "128", "-ways", "4", "-shards", "4",
+	geometry := []string{"-in", journal, "-sets", "128", "-ways", "4",
 		"-interval", "32", "-value-size", "8", "-ring-shards", "16"}
 	for _, tc := range []struct {
 		name string

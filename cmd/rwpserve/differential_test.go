@@ -22,7 +22,7 @@ import (
 func diffCache(t *testing.T) *live.Cache {
 	t.Helper()
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 4
+	cfg.Sets, cfg.Ways = 128, 4
 	cfg.RWP.Interval = 32
 	cfg.Loader = loadgen.Loader(8)
 	c, err := live.New(cfg)
@@ -138,7 +138,7 @@ func TestServeTCPEndToEnd(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-tcp", "127.0.0.1:0",
-			"-sets", "64", "-ways", "4", "-shards", "4"}, &out, &errb)
+			"-sets", "64", "-ways", "4"}, &out, &errb)
 	}()
 	httpAddr := waitAddr(t, &out, "http")
 	tcpAddr := waitAddr(t, &out, "tcp")

@@ -24,15 +24,15 @@
 // The binary listener is the one data wire: the frame protocol
 // documented in internal/live/proto, pipelined
 // GET/PUT/MGET/MPUT/STATS/PING. HTTP is the operator's read-only view:
-// GET /stats returns the JSON aggregate (shard-count invariant), the
-// same bytes a STATS frame carries.
+// GET /stats returns the JSON aggregate, the same bytes a STATS frame
+// carries.
 //
 // The cache geometry and the op source (-selftest -profile -seed -in)
 // are the flag group rwpcluster registers too (drive.Flags). All
 // wall-clock concerns (HTTP, shutdown signals) live here in cmd/;
 // internal/live itself is clocked purely by operation counts, so a
-// driven run's output is bit-identical across runs, across -shards,
-// and across -transport.
+// driven run's output is bit-identical across runs and across
+// -transport.
 package main
 
 import (
@@ -111,9 +111,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var closeLog func() error
 	if *recordPath != "" {
-		// The description deliberately omits the shard count (a lock
-		// layout detail) so journals are byte-identical across -shards,
-		// and a journal this binary wrote re-records to itself under -in.
+		// The description names the geometry alone, so a journal this
+		// binary wrote re-records to itself under -in.
 		desc := fmt.Sprintf("rwpserve policy=%s sets=%d ways=%d", cfg.Policy, cfg.Sets, cfg.Ways)
 		log, cl, err := openReqLog(*recordPath, desc)
 		if err != nil {
@@ -188,8 +187,8 @@ func openReqLog(path, desc string) (*probe.ReqLogWriter, func() error, error) {
 // runSelftest drives ops — a seeded loadgen stream, or a recorded
 // journal's — single-goroutine against c through the chosen transport
 // and prints the stats payload fetched through that same transport.
-// Deterministic: the output is bit-identical across repeated runs,
-// across shard counts, and across transports — the differential tests
+// Deterministic: the output is bit-identical across repeated runs and
+// across transports — the differential tests
 // compare these bytes directly, and a journal replays to the recorded
 // run's bytes.
 //

@@ -11,9 +11,8 @@ import (
 
 // replayGeometry is the cache both the recorded run and every replay
 // below are built at.
-func replayGeometry(shards string) []string {
-	return []string{"-sets", "128", "-ways", "4", "-shards", shards,
-		"-interval", "32", "-value-size", "8"}
+func replayGeometry() []string {
+	return []string{"-sets", "128", "-ways", "4", "-interval", "32", "-value-size", "8"}
 }
 
 // recordRun records a seeded selftest through -record (and -snapshot)
@@ -23,7 +22,7 @@ func recordRun(t *testing.T) (journal string, stats string) {
 	t.Helper()
 	dir := t.TempDir()
 	journal = filepath.Join(dir, "reqs.jsonl")
-	stats, errb, code := runCLI(t, append(replayGeometry("4"), "-selftest", "4000", "-profile", "mcf",
+	stats, errb, code := runCLI(t, append(replayGeometry(), "-selftest", "4000", "-profile", "mcf",
 		"-record", journal, "-snapshot", filepath.Join(dir, "recorded.snap"))...)
 	if code != 0 {
 		t.Fatalf("recorded run = %d, stderr: %s", code, errb)
@@ -33,12 +32,12 @@ func recordRun(t *testing.T) (journal string, stats string) {
 
 // TestReplayEquivalence: recording leaves a run's stats document as it
 // is, and the recorded journal replayed under -in through either
-// transport, at several shard counts and frame shapes, reproduces the
+// transport, at several frame shapes, reproduces the
 // recorded run's stats document and its snapshot, byte for byte.
 func TestReplayEquivalence(t *testing.T) {
 	journal, want := recordRun(t)
 	// Capture does not perturb the run it records.
-	plain, errb, code := runCLI(t, append(replayGeometry("4"), "-selftest", "4000", "-profile", "mcf")...)
+	plain, errb, code := runCLI(t, append(replayGeometry(), "-selftest", "4000", "-profile", "mcf")...)
 	if code != 0 {
 		t.Fatalf("unrecorded run = %d, stderr: %s", code, errb)
 	}
@@ -49,11 +48,9 @@ func TestReplayEquivalence(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"direct", replayGeometry("4")},
-		{"direct-shards-1", replayGeometry("1")},
-		{"direct-shards-16", replayGeometry("16")},
-		{"tcp", append(replayGeometry("4"), "-transport", "tcp", "-batch", "16", "-pipeline", "4")},
-		{"tcp-degenerate", append(replayGeometry("8"), "-transport", "tcp", "-batch", "1", "-pipeline", "1")},
+		{"direct", replayGeometry()},
+		{"tcp", append(replayGeometry(), "-transport", "tcp", "-batch", "16", "-pipeline", "4")},
+		{"tcp-degenerate", append(replayGeometry(), "-transport", "tcp", "-batch", "1", "-pipeline", "1")},
 	} {
 		got, errb, code := runCLI(t, append([]string{"-in", journal}, tc.args...)...)
 		if code != 0 {
@@ -65,7 +62,7 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 
 	replayed := filepath.Join(t.TempDir(), "replayed.snap")
-	if _, errb, code := runCLI(t, append(replayGeometry("16"), "-in", journal, "-snapshot", replayed)...); code != 0 {
+	if _, errb, code := runCLI(t, append(replayGeometry(), "-in", journal, "-snapshot", replayed)...); code != 0 {
 		t.Fatalf("replay with -snapshot = %d, stderr: %s", code, errb)
 	}
 	a, err := os.ReadFile(filepath.Join(filepath.Dir(journal), "recorded.snap"))
@@ -81,7 +78,7 @@ func TestReplayEquivalence(t *testing.T) {
 // observability fields (retarget direction split, cost histogram).
 func TestReplayCarriesTelemetry(t *testing.T) {
 	journal, _ := recordRun(t)
-	out, errb, code := runCLI(t, append(replayGeometry("4"), "-in", journal)...)
+	out, errb, code := runCLI(t, append(replayGeometry(), "-in", journal)...)
 	if code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errb)
 	}
@@ -93,27 +90,25 @@ func TestReplayCarriesTelemetry(t *testing.T) {
 }
 
 // TestReRecordByteIdentity: replaying with -record reproduces the
-// input journal exactly, at any shard count — the capture clock is op
-// order and the desc is the geometry, so a journal rwpserve wrote is a
-// fixed point of record→replay→record.
+// input journal exactly — the capture clock is op order and the desc is
+// the geometry, so a journal rwpserve wrote is a fixed point of
+// record→replay→record.
 func TestReRecordByteIdentity(t *testing.T) {
 	journal, _ := recordRun(t)
 	want, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []string{"1", "4", "16"} {
-		out := filepath.Join(t.TempDir(), "rerec.jsonl")
-		if _, errb, code := runCLI(t, append(replayGeometry(shards), "-in", journal, "-record", out)...); code != 0 {
-			t.Fatalf("shards=%s: run = %d, stderr: %s", shards, code, errb)
-		}
-		got, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("shards=%s: re-recorded journal differs from input", shards)
-		}
+	out := filepath.Join(t.TempDir(), "rerec.jsonl")
+	if _, errb, code := runCLI(t, append(replayGeometry(), "-in", journal, "-record", out)...); code != 0 {
+		t.Fatalf("run = %d, stderr: %s", code, errb)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("re-recorded journal differs from input")
 	}
 }
 
@@ -129,7 +124,7 @@ func TestReplayRejectsCorruptJournal(t *testing.T) {
 	if err := os.WriteFile(cut, data[:len(data)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, errb, code := runCLI(t, append(replayGeometry("4"), "-in", cut)...)
+	out, errb, code := runCLI(t, append(replayGeometry(), "-in", cut)...)
 	if code != 1 || out != "" {
 		t.Fatalf("truncated journal: run = %d with %d bytes of output, want 1 and none (stderr: %s)", code, len(out), errb)
 	}

@@ -64,24 +64,24 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSelftestShardInvariance is the acceptance criterion in miniature:
-// the -selftest JSON is byte-identical across repeated runs and across
-// shard counts, with the stampede defenses on or off. Fill coalescing
-// collapses only concurrent misses, so a single-goroutine run with
-// -coalesce prints the undefended bytes; negative caching changes an
-// adversarial scan's run — that is its job — but not across shard
-// counts, since a verdict expires on its set's op-count clock.
-func TestSelftestShardInvariance(t *testing.T) {
-	out := func(shards string, extra ...string) string {
+// TestSelftestUnderDefenses: the -selftest JSON shows retargets and the
+// partition hit splits, and is byte-identical across repeated runs with
+// the stampede defenses on or off. Fill coalescing collapses only
+// concurrent misses, so a single-goroutine run with -coalesce prints the
+// undefended bytes; negative caching changes an adversarial scan's run —
+// that is its job — but the same way every time, since a verdict
+// expires on its set's op-count clock.
+func TestSelftestUnderDefenses(t *testing.T) {
+	out := func(extra ...string) string {
 		var buf, errbuf bytes.Buffer
 		args := append([]string{"-selftest", "5000", "-sets", "128", "-ways", "4",
-			"-interval", "32", "-profile", "mcf", "-shards", shards}, extra...)
+			"-interval", "32", "-profile", "mcf"}, extra...)
 		if code := run(context.Background(), args, &buf, &errbuf); code != 0 {
 			t.Fatalf("run(%v) = %d, stderr: %s", args, code, errbuf.String())
 		}
 		return buf.String()
 	}
-	base := out("1")
+	base := out()
 	if !strings.Contains(base, "\"Retargets\"") || strings.Contains(base, "\"Retargets\": 0,") {
 		t.Fatalf("selftest output shows no retargets:\n%s", base)
 	}
@@ -90,24 +90,20 @@ func TestSelftestShardInvariance(t *testing.T) {
 			t.Errorf("selftest output has no partition hit split %s:\n%s", split, base)
 		}
 	}
-	for _, shards := range []string{"1", "4", "16"} {
-		if got := out(shards); got != base {
-			t.Errorf("selftest output differs for shards=%s:\n%s\nvs base:\n%s", shards, got, base)
-		}
-		if got := out(shards, "-coalesce", "-lease-ops", "64"); got != base {
-			t.Errorf("-coalesce -lease-ops 64 perturbed the selftest at shards=%s:\n%s\nvs base:\n%s", shards, got, base)
-		}
+	if got := out(); got != base {
+		t.Errorf("selftest output differs across identical runs:\n%s\nvs base:\n%s", got, base)
+	}
+	if got := out("-coalesce", "-lease-ops", "64"); got != base {
+		t.Errorf("-coalesce -lease-ops 64 perturbed the selftest:\n%s\nvs base:\n%s", got, base)
 	}
 
 	scan := []string{"-profile", loadgen.AdvScan, "-coalesce", "-neg-ops", "64"}
-	neg := out("1", scan...)
+	neg := out(scan...)
 	if strings.Contains(neg, "\"NegInserts\": 0,") || !strings.Contains(neg, "\"NegInserts\"") {
 		t.Errorf("%v recorded no absence verdicts:\n%s", scan, neg)
 	}
-	for _, shards := range []string{"1", "4", "16"} {
-		if got := out(shards, scan...); got != neg {
-			t.Errorf("%v output differs for shards=%s:\n%s\nvs shards=1:\n%s", scan, shards, got, neg)
-		}
+	if got := out(scan...); got != neg {
+		t.Errorf("%v output differs across identical runs:\n%s\nvs\n%s", scan, got, neg)
 	}
 }
 
@@ -121,13 +117,13 @@ func TestSelftestShardInvariance(t *testing.T) {
 func TestSelftestMatchesLibraryRun(t *testing.T) {
 	for _, profile := range []string{"mcf", loadgen.AdvScan} {
 		got, errb, code := runCLI(t, "-selftest", "8000", "-sets", "256", "-ways", "4",
-			"-shards", "4", "-interval", "16", "-profile", profile)
+			"-interval", "16", "-profile", profile)
 		if code != 0 {
 			t.Fatalf("%s: run = %d, stderr: %s", profile, code, errb)
 		}
 
 		cfg := live.DefaultConfig()
-		cfg.Sets, cfg.Ways, cfg.Shards = 256, 4, 4
+		cfg.Sets, cfg.Ways = 256, 4
 		cfg.RWP.Interval = 16
 		cfg.Loader = loadgen.AbsentLoader(0)
 		c, err := live.New(cfg)
@@ -175,7 +171,7 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "batch", "coalesce", "in", "interval", "lease-ops", "neg-ops",
 		"no-loader", "pipeline", "policy", "profile", "record", "restore",
-		"seed", "selftest", "selftest-skip", "sets", "shards", "snap-every",
+		"seed", "selftest", "selftest-skip", "sets", "snap-every",
 		"snapshot", "tcp", "transport", "value-size", "ways",
 	}
 	var out, errbuf bytes.Buffer
@@ -206,7 +202,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"positional args", []string{"extra"}, 2, ""},
 		{"bad policy", []string{"-selftest", "10", "-policy", "bogus"}, 2, ""},
 		{"bad geometry", []string{"-selftest", "10", "-sets", "100"}, 2, ""},
-		{"shards split a policy group", []string{"-selftest", "1", "-sets", "256", "-shards", "64"}, 2, "8-set policy group"},
 		{"too many ways", []string{"-selftest", "10", "-ways", "300"}, 2, ""},
 		{"bad profile", []string{"-selftest", "10", "-profile", "nope"}, 2, ""},
 		{"bad transport", []string{"-selftest", "10", "-transport", "carrier-pigeon"}, 2, ""},

@@ -305,8 +305,8 @@ func serve(ctx context.Context, httpAddr, tcpAddr string, c *live.Cache, snapPat
 		return err
 	}
 	cfg := c.Config()
-	fmt.Fprintf(stdout, "rwpserve: policy=%s sets=%d ways=%d shards=%d listening on http://%s\n",
-		cfg.Policy, cfg.Sets, cfg.Ways, cfg.Shards, ln.Addr())
+	fmt.Fprintf(stdout, "rwpserve: policy=%s sets=%d ways=%d listening on http://%s\n",
+		cfg.Policy, cfg.Sets, cfg.Ways, ln.Addr())
 	fmt.Fprintf(stdout, "rwpserve: binary protocol listening on tcp://%s\n", tln.Addr())
 
 	var backend proto.Backend = c

@@ -87,7 +87,7 @@ func (s *snapCache) checkpoint() {
 	go func() {
 		defer s.wg.Done()
 		defer s.busy.Store(false)
-		// Snapshot() locks one shard at a time, so serving continues
+		// Snapshot() locks one group at a time, so serving continues
 		// while the checkpoint is captured; WriteFile is atomic
 		// (temp+rename), so a crash mid-write keeps the previous one.
 		if err := snap.WriteFile(s.path, s.Cache.Snapshot()); err != nil {

@@ -33,40 +33,36 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 // TestSelftestRestartEquivalence is the acceptance criterion through
 // the real flag surface: snapshot a 12k-op selftest, resume it with
-// -restore/-selftest-skip to op 20k — at a different shard count — and
-// the printed stats JSON must be byte-identical to one uninterrupted
-// 20k-op run.
+// -restore/-selftest-skip to op 20k, and the printed stats JSON must be
+// byte-identical to one uninterrupted 20k-op run.
 func TestSelftestRestartEquivalence(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "warm.snap")
 
-	base, errb, code := runCLI(t, selftestArgs("-selftest", "20000", "-shards", "1")...)
+	base, errb, code := runCLI(t, selftestArgs("-selftest", "20000")...)
 	if code != 0 {
 		t.Fatalf("baseline run = %d, stderr: %s", code, errb)
 	}
-	_, errb, code = runCLI(t, selftestArgs("-selftest", "12000", "-shards", "4", "-snapshot", snapPath)...)
+	_, errb, code = runCLI(t, selftestArgs("-selftest", "12000", "-snapshot", snapPath)...)
 	if code != 0 {
 		t.Fatalf("warm run = %d, stderr: %s", code, errb)
 	}
-	for _, shards := range []string{"1", "4", "16"} {
-		got, errb, code := runCLI(t, selftestArgs("-selftest", "20000", "-selftest-skip", "12000",
-			"-shards", shards, "-restore", snapPath)...)
-		if code != 0 {
-			t.Fatalf("resumed run (shards=%s) = %d, stderr: %s", shards, code, errb)
-		}
-		if strings.Contains(errb, "starting cold") {
-			t.Fatalf("resumed run (shards=%s) fell back to cold: %s", shards, errb)
-		}
-		if got != base {
-			t.Errorf("resumed output (shards=%s) differs from uninterrupted run:\n%s\nvs\n%s", shards, got, base)
-		}
+	resumed, errb, code := runCLI(t, selftestArgs("-selftest", "20000", "-selftest-skip", "12000",
+		"-restore", snapPath)...)
+	if code != 0 {
+		t.Fatalf("resumed run = %d, stderr: %s", code, errb)
+	}
+	if strings.Contains(errb, "starting cold") {
+		t.Fatalf("resumed run fell back to cold: %s", errb)
+	}
+	if resumed != base {
+		t.Errorf("resumed output differs from uninterrupted run:\n%s\nvs\n%s", resumed, base)
 	}
 
 	// Fixed point through the CLI: skip == selftest restores, replays
-	// nothing, and re-snapshots; the file must reproduce byte-for-byte
-	// even at a different shard count.
+	// nothing, and re-snapshots; the file must reproduce byte-for-byte.
 	again := filepath.Join(filepath.Dir(snapPath), "again.snap")
 	_, errb, code = runCLI(t, selftestArgs("-selftest", "12000", "-selftest-skip", "12000",
-		"-shards", "16", "-restore", snapPath, "-snapshot", again)...)
+		"-restore", snapPath, "-snapshot", again)...)
 	if code != 0 {
 		t.Fatalf("fixed-point run = %d, stderr: %s", code, errb)
 	}

@@ -27,7 +27,7 @@ func TestStressConcurrentTCP(t *testing.T) {
 	}
 
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 8
+	cfg.Sets, cfg.Ways = 128, 4
 	cfg.Loader = loadgen.Loader(0)
 	c, err := live.New(cfg)
 	if err != nil {

@@ -35,7 +35,7 @@ func (s *statsSeq) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func snapshots(t *testing.T) (before, after []byte) {
 	t.Helper()
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 128, 4, 4
+	cfg.Sets, cfg.Ways = 128, 4
 	cfg.RWP.Interval = 32
 	cfg.Coalesce = true
 	cfg.NegOps = 64

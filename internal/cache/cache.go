@@ -510,14 +510,15 @@ func (c *Cache) badVictim(victim int) {
 		c.cfg.Name, c.policy.Name(), victim, c.cfg.Ways))
 }
 
-// Invalidate removes the line if present, returning whether it was dirty.
+// Invalidate removes the valid line in (set, way) — a way Lookup found
+// — returning whether it was dirty; an invalid way is left as it is.
 // The policy sees an OnEvict with a zero-class AccessInfo.
-func (c *Cache) Invalidate(line mem.LineAddr) (wasDirty, wasPresent bool) {
-	set, way, ok := c.Lookup(line)
-	if !ok {
-		return false, false
-	}
+func (c *Cache) Invalidate(set, way int) (wasDirty bool) {
 	i := set*c.cfg.Ways + way
+	if c.flags[i]&flagValid == 0 {
+		return false
+	}
+	line := c.tags[i]
 	dirty := c.flags[i]&flagDirty != 0
 	c.stats.Evictions++
 	if dirty {
@@ -527,7 +528,7 @@ func (c *Cache) Invalidate(line mem.LineAddr) (wasDirty, wasPresent bool) {
 	c.valid[set]--
 	c.policy.OnEvict(set, way, AccessInfo{Line: line})
 	c.tags[i], c.flags[i] = 0, 0
-	return dirty, true
+	return dirty
 }
 
 // DirtyWays implements StateReader: the number of valid dirty lines in

@@ -165,16 +165,18 @@ func TestBypass(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := testCacheSingleSet(t, 2, &fifoPolicy{})
 	c.Access(1, 0, DemandStore, 0)
-	dirty, present := c.Invalidate(1)
-	if !present || !dirty {
-		t.Fatalf("Invalidate = (%v, %v), want (true, true)", dirty, present)
+	set, way, ok := c.Lookup(1)
+	if !ok {
+		t.Fatal("line absent before invalidate")
+	}
+	if dirty := c.Invalidate(set, way); !dirty {
+		t.Fatal("Invalidate of a stored line reported it clean")
 	}
 	if _, _, ok := c.Lookup(1); ok {
 		t.Fatal("line present after invalidate")
 	}
-	dirty, present = c.Invalidate(1)
-	if present || dirty {
-		t.Fatal("invalidating an absent line reported presence")
+	if dirty := c.Invalidate(set, way); dirty || c.ValidWays(set) != 0 || c.Stats().Evictions != 1 {
+		t.Fatalf("invalidating an invalid way changed state: dirty %v, valid %d, %+v", dirty, c.ValidWays(set), c.Stats())
 	}
 }
 

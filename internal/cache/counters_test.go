@@ -37,7 +37,9 @@ func TestIncrementalCountersMatchRecountQuick(t *testing.T) {
 			line := mem.LineAddr(op % 256)
 			switch op % 5 {
 			case 4:
-				c.Invalidate(line)
+				if set, way, ok := c.Lookup(line); ok {
+					c.Invalidate(set, way)
+				}
 			default:
 				c.Access(line, mem.Addr(op), Class(op%3), 0)
 			}

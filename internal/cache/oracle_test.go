@@ -266,7 +266,11 @@ func runOracle(t *testing.T, cfg cache.Config, name string, ops int, seed uint64
 		line := next(rng, op)
 		set := got.SetIndex(line)
 		if rng.Intn(16) == 0 || (line == 0 && rng.Intn(4) == 0) {
-			gd, gp := got.Invalidate(line)
+			var gd bool
+			s, w, gp := got.Lookup(line)
+			if gp {
+				gd = got.Invalidate(s, w)
+			}
 			wd, wp := want.invalidate(set, line)
 			if gd != wd || gp != wp {
 				t.Fatalf("op %d: Invalidate(%v) = (%v,%v), reference (%v,%v)", op, line, gd, gp, wd, wp)

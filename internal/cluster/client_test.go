@@ -38,7 +38,7 @@ func (l *collectLog) Command(cmd Command) error {
 // document exercises every section.
 func testCacheConfig() live.Config {
 	return live.Config{
-		Sets: 256, Ways: 4, Shards: 4,
+		Sets: 256, Ways: 4,
 		Policy: "rwp", RWP: live.DefaultRWPConfig(),
 		Loader: loadgen.Loader(32),
 	}

@@ -219,7 +219,7 @@ func BestDirtyWays(cleanHist, dirtyHist []uint64) int {
 	// h walks hits(d) = Σ clean[0, ways-d) + Σ dirty[0, d) from d = 0
 	// up: each step gives one way from the clean partition's far end to
 	// the dirty partition's. No scratch arrays — a retarget runs under
-	// the live cache's shard lock.
+	// the live cache's group lock.
 	var h uint64
 	for _, n := range cleanHist {
 		h += n

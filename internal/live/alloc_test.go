@@ -77,16 +77,17 @@ func TestGetZeroLengthValue(t *testing.T) {
 	assertUnlocked(t, c)
 }
 
-// assertUnlocked fails the test at its caller's line if any shard lock
+// assertUnlocked fails the test at its caller's line if any group lock
 // is held. A lock leaked by one call would otherwise show only as the
-// next call on that shard hanging until the test binary times out.
+// next call on that group hanging until the test binary times out.
 func assertUnlocked(t *testing.T, c *Cache) {
 	t.Helper()
-	for i, sh := range c.shards {
-		if !sh.mu.TryLock() {
-			t.Fatalf("shard %d's lock is held", i)
+	for i := range c.groups {
+		g := &c.groups[i]
+		if !g.mu.TryLock() {
+			t.Fatalf("group %d's lock is held", i)
 		}
-		sh.mu.Unlock()
+		g.mu.Unlock()
 	}
 }
 
@@ -283,16 +284,16 @@ func TestGetMissNoLoaderAllocs(t *testing.T) {
 }
 
 // TestReentrantLoader locks in the new Loader contract: the fetch runs
-// with no shard lock held, so a Loader may call back into the cache —
-// even installing the very key it was asked to load. Before the
-// Loader-outside-lock refactor this deadlocked on the shard mutex.
+// with no lock held, so a Loader may call back into the cache — even
+// installing the very key it was asked to load. Before the
+// Loader-outside-lock refactor this deadlocked on the cache's mutex.
 func TestReentrantLoader(t *testing.T) {
 	var c *Cache
 	loads := 0
 	cfg := tinyConfig("rwp")
 	cfg.Loader = func(key string) []byte {
 		loads++
-		// The fetch runs with no shard lock held: a Loader called under
+		// The fetch runs with no group lock held: a Loader called under
 		// one would deadlock on the reentrant Put below.
 		assertUnlocked(t, c)
 		// Reentrant write of the same key: the cache must survive it,

@@ -53,7 +53,7 @@ func TestMapStoreCopies(t *testing.T) {
 // happens when a shard replica is re-added.
 func TestReadYourWriteThroughCache(t *testing.T) {
 	s := NewMap()
-	c, err := live.New(live.Config{Sets: 64, Ways: 4, Shards: 4, Policy: "lru", Loader: s.Loader()})
+	c, err := live.New(live.Config{Sets: 64, Ways: 4, Policy: "lru", Loader: s.Loader()})
 	if err != nil {
 		t.Fatal(err)
 	}

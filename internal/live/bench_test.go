@@ -99,3 +99,16 @@ func BenchmarkPutInsert(b *testing.B) {
 		b.Fatalf("cyclic pass overwrote on %d of %d Puts; this measures inserts", s.PutHits, s.Puts)
 	}
 }
+
+// BenchmarkStats: one Stats sweep of a full cache — every group locked,
+// its ledger and occupancy summed — the cost of the range operations
+// (Stats, SnapshotRange, ResetRange, CheckInvariants) that walk every
+// group lock.
+func BenchmarkStats(b *testing.B) {
+	c, _ := benchCache(b, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Stats()
+	}
+}

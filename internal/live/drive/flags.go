@@ -26,7 +26,7 @@ type Run struct {
 }
 
 // Flags registers the flag group the live binaries share on fs — the
-// cache geometry (-policy -sets -ways -shards -interval -value-size
+// cache geometry (-policy -sets -ways -interval -value-size
 // -no-loader) and the op source (-selftest -profile -seed -in) — and
 // returns the function that resolves them once fs is parsed. A usage
 // error is reported with exit code 2, an unreadable journal with 1.
@@ -39,7 +39,6 @@ func Flags(fs *flag.FlagSet) func() (Run, int, error) {
 	policy := fs.String("policy", "rwp", "replacement policy: lru or rwp")
 	sets := fs.Int("sets", 1024, "total sets per cache (power of two)")
 	ways := fs.Int("ways", 16, "ways per set")
-	shards := fs.Int("shards", 8, "lock shards per cache (must divide sets into whole 8-set policy groups; behavior-invariant)")
 	interval := fs.Uint64("interval", 0, "RWP repartition interval: ops per set between retargets, counted over each 8-set policy group (0: default)")
 	valueSize := fs.Int("value-size", 0, "synthetic value size in bytes (0: default); match the recorded run under -in")
 	noLoader := fs.Bool("no-loader", false, "disable the synthetic backing store (Get misses answer miss)")
@@ -50,7 +49,7 @@ func Flags(fs *flag.FlagSet) func() (Run, int, error) {
 
 	return func() (Run, int, error) {
 		cfg := live.DefaultConfig()
-		cfg.Sets, cfg.Ways, cfg.Shards = *sets, *ways, *shards
+		cfg.Sets, cfg.Ways = *sets, *ways
 		cfg.Policy = *policy
 		if *interval > 0 {
 			cfg.RWP.Interval = *interval

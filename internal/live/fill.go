@@ -13,7 +13,7 @@ import (
 // shield. Three mechanisms close it:
 //
 //   - Singleflight coalescing (Coalesce): the first miss on a key
-//     registers a fillCall in its shard's fills map and becomes the
+//     registers a fillCall in its group's fills map and becomes the
 //     leader — the only goroutine that calls the Loader. Misses that
 //     arrive while the call is in flight block on the fillCall's done
 //     channel and share its result (counted CoalescedLoads). A miss
@@ -26,7 +26,7 @@ import (
 //     the window are answered locally (NegHits). A Put of the key, or
 //     a Loader fill, invalidates the entry immediately, so negative
 //     answers never shadow a write. The op-count clock — never wall
-//     clock — keeps expiry deterministic and shard-count invariant.
+//     clock — keeps expiry deterministic.
 //   - Lease tokens (LeaseOps): a fillCall's registration op-count is
 //     its lease. If the leader's Loader call outlives LeaseOps set
 //     operations (stuck backend, dead goroutine), the next missing Get
@@ -52,7 +52,7 @@ import (
 // and only collapse genuinely concurrent work, so a single-goroutine
 // run with Coalesce on is bit-identical to one with it off; negative
 // caching changes behavior (that is its job) but deterministically —
-// same stream in, same counters out, at any shard count.
+// same stream in, same counters out.
 //
 // Reentrancy caveat: with Coalesce on, a Loader that reentrantly Gets
 // the key it was asked to load would wait on its own fillCall —
@@ -74,8 +74,7 @@ type negEntry struct {
 }
 
 // Both windows run on lset.clock, the set's count of started Gets and
-// Puts: pure set-local state, so everything timed by it is shard-count
-// invariant by construction, and apart from the ledger, so ResetStats
+// Puts: pure set-local state, and apart from the ledger, so ResetStats
 // does not rewind it.
 
 // negLookup reports whether key is negatively cached right now, lazily
@@ -131,21 +130,21 @@ func (s *lset) negDelete(key string) {
 }
 
 // miss finishes a Get miss when a Loader is configured. get has already
-// counted the miss (Gets, GetMisses) and released the shard lock; this
+// counted the miss (Gets, GetMisses) and released the group lock; this
 // function owns the rest of the operation — it takes and releases the
 // lock itself and does all remaining accounting. key is already owned
 // (get copied a borrowed one before coming here); values are handed
 // back through dst exactly as on get's own paths.
 //
 // The Loader call runs outside the lock: a slow backing store stalls
-// only this Get, not every key in the shard (and a reentrant Loader
+// only this Get, not every key in the group (and a reentrant Loader
 // does not self-deadlock).
-func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai cache.AccessInfo) (out []byte, hit, found bool) {
+func (c *Cache) miss(dst []byte, ls *lset, key string, set int, ai cache.AccessInfo) (out []byte, hit, found bool) {
 	g := ls.grp
 	var fc *fillCall
 	if c.cfg.Coalesce || c.cfg.NegOps > 0 {
-		sh.mu.Lock()
-		if way := ls.find(key, ai.Line); way >= 0 {
+		g.mu.Lock()
+		if way, ok := ls.find(key, ai.Line); ok {
 			// The key landed between get's miss probe and here — a writer
 			// or another miss's fill. Join the just-landed fill instead of
 			// fetching again: this is the tail of a storm. Unreachable
@@ -154,29 +153,29 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai ca
 			g.ops.CoalescedLoads++
 			g.costs[partClean][classHit]++
 			dst = append(dst, ls.entries[way].val()...)
-			sh.mu.Unlock()
+			g.mu.Unlock()
 			c.logGet(key, false, set, probe.OutcomeFill, CostCoalesced)
 			return dst, false, true
 		}
 		if c.cfg.NegOps > 0 && ls.negLookup(key) {
 			g.ops.NegHits++
 			g.costs[partClean][classHit]++
-			sh.mu.Unlock()
+			g.mu.Unlock()
 			c.logGet(key, false, set, probe.OutcomeMiss, CostNegHit)
 			return dst, false, false
 		}
 		if c.cfg.Coalesce {
-			if lead, ok := sh.fills[key]; ok {
+			if lead, ok := g.fills[key]; ok {
 				if c.cfg.LeaseOps == 0 || ls.clock-lead.born < c.cfg.LeaseOps {
 					// A fill for this key is in flight and its lease is
 					// live: wait for the leader's result instead of issuing
 					// a second backend call.
 					g.ops.CoalescedLoads++
-					sh.mu.Unlock()
+					g.mu.Unlock()
 					<-lead.done
-					sh.mu.Lock()
+					g.mu.Lock()
 					g.costs[partClean][classHit]++
-					sh.mu.Unlock()
+					g.mu.Unlock()
 					if lead.val == nil {
 						// Absent for the leader, absent for every waiter.
 						c.logGet(key, false, set, probe.OutcomeMiss, CostCoalesced)
@@ -196,24 +195,25 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai ca
 				g.ops.LeaseExpires++
 			}
 			fc = &fillCall{born: ls.clock, done: make(chan struct{})}
-			sh.fills[key] = fc
+			g.fills[key] = fc
 		}
-		sh.mu.Unlock()
+		g.mu.Unlock()
 	}
 	v := c.cfg.Loader(key)
-	sh.mu.Lock()
+	g.mu.Lock()
 	if fc != nil {
 		// Publish before waking waiters: the val write is ordered
 		// before close(done), and nothing writes val afterwards.
 		fc.val = v
-		if sh.fills[key] == fc {
-			delete(sh.fills, key)
+		if g.fills[key] == fc {
+			delete(g.fills, key)
 		}
 		close(fc.done)
 	}
 	class, outcome := classMiss, probe.OutcomeFill
+	way, resident := ls.find(key, ai.Line)
 	switch {
-	case ls.find(key, ai.Line) >= 0:
+	case resident:
 		// Lost the install race: a concurrent writer (or the leader that
 		// replaced an expired lease of ours) installed the key while we
 		// were loading. Keep the resident entry (it may hold a newer
@@ -236,12 +236,12 @@ func (c *Cache) miss(dst []byte, sh *shard, ls *lset, key string, set int, ai ca
 	default:
 		g.ops.Loads++
 		ls.negDelete(key)
-		if ls.fill(key, v, ai) {
+		if ls.fill(key, v, way, ai) {
 			class = classMissEvict
 		}
 	}
 	g.costs[partClean][class]++
-	sh.mu.Unlock()
+	g.mu.Unlock()
 	c.logGet(key, false, set, outcome, classCost[class])
 	return loaded(dst, v)
 }

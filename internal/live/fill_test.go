@@ -19,13 +19,12 @@ import (
 // counters — so every assertion is exact, not statistical, and all of
 // them hold under -race (scripts/check.sh runs them so).
 
-// defendedConfig is the shared starting point: small, single-shard by
-// default so choreography is simple, LRU so Sets=1 is legal.
+// defendedConfig is the shared starting point: small so choreography
+// is simple, LRU so Sets=1 is legal.
 func defendedConfig() live.Config {
 	cfg := live.DefaultConfig()
 	cfg.Sets = 64
 	cfg.Ways = 4
-	cfg.Shards = 1
 	cfg.Policy = "lru"
 	return cfg
 }
@@ -44,7 +43,7 @@ func assertLaw(t *testing.T, s live.Stats) {
 // TestStormSingleLoad is the acceptance test for the tentpole: a flash
 // crowd of 8 concurrent clients missing on one cold key issues exactly
 // one Loader call. The loader refuses to return until the other seven
-// misses have coalesced (CoalescedLoads is incremented under the shard
+// misses have coalesced (CoalescedLoads is incremented under the group
 // lock before a waiter blocks), so the storm is total by construction:
 // all eight Gets are in flight on the same key at once.
 func TestStormSingleLoad(t *testing.T) {
@@ -425,7 +424,7 @@ func TestResetStatsClockNegVerdict(t *testing.T) {
 	}
 }
 
-// negCache builds a single-shard cache whose loader counts calls and
+// negCache builds a small cache whose loader counts calls and
 // reports keys under "absent:" missing; everything else loads "present".
 func negCache(t *testing.T, cfg live.Config) (*live.Cache, *atomic.Uint64) {
 	t.Helper()

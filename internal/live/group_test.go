@@ -22,9 +22,9 @@ func TestCheckInvariantsHoldsWrittenBits(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	_, ls := c.locate(HashKey("a"))
-	way := ls.find("a", mem.LineAddr(HashKey("a")))
-	if way < 0 || ls.grp.tags.State(ls.idx, way).Dirty {
+	ls := c.locate(HashKey("a"))
+	way, ok := ls.find("a", mem.LineAddr(HashKey("a")))
+	if !ok || ls.grp.tags.State(ls.idx, way).Dirty {
 		t.Fatalf("key a: way %d, want a clean resident entry", way)
 	}
 	ls.grp.rwp.OnHit(ls.idx, way, cache.AccessInfo{Class: cache.DemandStore})
@@ -84,16 +84,14 @@ func TestRangesTakeWholeGroups(t *testing.T) {
 	}
 }
 
-// TestValidateGroupGeometry: a shard must hold whole groups, and the
-// predictor's sampler count is not a second knob.
+// TestValidateGroupGeometry: the predictor's sampler count is not a
+// second knob, and the group clock cannot overflow.
 func TestValidateGroupGeometry(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mut  func(c *Config)
 		want string
 	}{
-		{"shards splitting a group", func(c *Config) { c.Sets, c.Shards = 256, 64 }, "4 sets per shard, not a multiple of the 8-set policy group"},
-		{"a shard per set", func(c *Config) { c.Sets, c.Shards = 4, 4 }, "1 sets per shard, not a multiple of the 4-set policy group"},
 		{"two samplers", func(c *Config) { c.RWP.SamplerSets = 2 }, "SamplerSets 2 must be 1"},
 		{"interval overflowing the group clock", func(c *Config) { c.RWP.Interval = 1 << 62 }, "overflows the group clock"},
 	} {
@@ -111,7 +109,7 @@ func TestValidateGroupGeometry(t *testing.T) {
 		t.Errorf("lru with an unused RWP config: %v", err)
 	}
 	cfg = tinyConfig("rwp")
-	if c := mustNew(t, cfg); len(c.shards[0].groups) != 1 || len(c.shards[0].groups[0].sets) != cfg.Sets {
+	if c := mustNew(t, cfg); len(c.groups) != 1 || len(c.groups[0].sets) != cfg.Sets {
 		t.Errorf("a %d-set cache is not one group", cfg.Sets)
 	}
 }

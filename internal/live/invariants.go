@@ -6,56 +6,62 @@ import "fmt"
 // and compares it with the incrementally maintained counters of its
 // group's tag store, the RWP partition among them: a way's written bit
 // is its dirty bit, which restore-by-replay (DESIGN.md §15) relies on.
-// It takes every shard lock, so it is safe (if slow) on a live cache;
-// the stress and determinism tests — including cmd/rwpserve's TCP race
+// It takes each group lock in turn, so it is safe (if slow) on a live
+// cache; the stress and determinism tests — including cmd/rwpserve's TCP race
 // stress — call it after hammering the cache.
 func (c *Cache) CheckInvariants() error {
 	gs := GroupSets(c.cfg.Sets)
-	for si, sh := range c.shards {
-		sh.mu.Lock()
-		for i := range sh.sets {
-			ls := &sh.sets[i]
-			global := si*c.perShard + i
-			// The policy knows the set as idx of grp: a wrong pair steers
-			// every callback at another set's recency and partition state.
-			g := &sh.groups[i/gs]
-			if ls.grp != g || ls.idx != i%gs || len(g.sets) != gs || &g.sets[ls.idx] != ls {
-				sh.mu.Unlock()
-				return fmt.Errorf("set %d: not set %d of its shard's group %d", global, i%gs, i/gs)
-			}
-			if ls.idx == 0 {
-				if err := g.ops.check(); err != nil {
-					sh.mu.Unlock()
-					return fmt.Errorf("group at set %d: %w", global, err)
-				}
-			}
-			// A set has all its payloads or none (grow), and payloads only
-			// under its group's tag store, which every fill that grew them
-			// went through; a valid way has a payload.
-			if ls.entries != nil && (len(ls.entries) != c.cfg.Ways || g.tags == nil) {
-				sh.mu.Unlock()
-				return fmt.Errorf("set %d: %d entries (tag store %v), want none or %d under a tag store",
-					global, len(ls.entries), g.tags != nil, c.cfg.Ways)
-			}
-			seen := map[string]bool{}
-			if g.tags != nil {
-				if err := checkWays(global, ls, seen, c.mask); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-			}
-			if err := checkNegs(global, ls, seen, c.cfg.Ways, c.mask); err != nil {
-				sh.mu.Unlock()
+	for gi := range c.groups {
+		g := &c.groups[gi]
+		g.mu.Lock()
+		err := c.checkGroup(g, gi*gs)
+		g.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkGroup checks one group, whose first set is global set base, under
+// its lock.
+func (c *Cache) checkGroup(g *group, base int) error {
+	gs := GroupSets(c.cfg.Sets)
+	if len(g.sets) != gs {
+		return fmt.Errorf("group at set %d: %d sets, want %d", base, len(g.sets), gs)
+	}
+	if err := g.ops.check(); err != nil {
+		return fmt.Errorf("group at set %d: %w", base, err)
+	}
+	for i := range g.sets {
+		ls, global := &g.sets[i], base+i
+		// The policy knows the set as idx of grp: a wrong pair steers
+		// every callback at another set's recency and partition state.
+		if ls.grp != g || ls.idx != i || &c.sets[global] != ls {
+			return fmt.Errorf("set %d: not set %d of group %d", global, i, base/gs)
+		}
+		// A set has all its payloads or none (grow), and payloads only
+		// under its group's tag store, which every fill that grew them
+		// went through; a valid way has a payload.
+		if ls.entries != nil && (len(ls.entries) != c.cfg.Ways || g.tags == nil) {
+			return fmt.Errorf("set %d: %d entries (tag store %v), want none or %d under a tag store",
+				global, len(ls.entries), g.tags != nil, c.cfg.Ways)
+		}
+		seen := map[string]bool{}
+		if g.tags != nil {
+			if err := checkWays(global, ls, seen, c.mask); err != nil {
 				return err
 			}
 		}
-		sh.mu.Unlock()
+		if err := checkNegs(global, ls, seen, c.cfg.Ways, c.mask); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // checkWays holds one set's ways in its group's tag store to their
-// payloads, under the shard lock: a valid way has an entry whose key
+// payloads, under the group lock: a valid way has an entry whose key
 // hashes to the set, with the way's tag, which Lookup finds at this way
 // (so no other way shares it); the store's valid and dirty counts are
 // the ways' own; RWP's written bit is the way's dirty bit, which
@@ -107,7 +113,7 @@ func checkWays(global int, ls *lset, seen map[string]bool, mask uint64) error {
 }
 
 // checkNegs verifies one set's negative-cache structure, under the
-// shard lock.
+// group lock.
 func checkNegs(global int, ls *lset, resident map[string]bool, ways int, mask uint64) error {
 	if len(ls.negs) > ways {
 		return fmt.Errorf("set %d: negative cache holds %d entries, cap is %d ways", global, len(ls.negs), ways)

@@ -27,13 +27,21 @@ func refFind(s *lset, key string) int {
 	return -1
 }
 
+// keyWay is find's way when the key there matched, else -1.
+func keyWay(way int, match bool) int {
+	if match {
+		return way
+	}
+	return -1
+}
+
 // probeBoth looks key up with both probes and fails on a disagreement.
-// Single-goroutine tests only: it reads the set without the shard lock.
+// Single-goroutine tests only: it reads the set without the group lock.
 func probeBoth(t *testing.T, c *Cache, key string) (way int) {
 	t.Helper()
 	h := HashKey(key)
-	_, ls := c.locate(h)
-	way = ls.find(key, mem.LineAddr(h))
+	ls := c.locate(h)
+	way = keyWay(ls.find(key, mem.LineAddr(h)))
 	if ref := refFind(ls, key); way != ref {
 		t.Fatalf("find(%q) = way %d, key-only reference scan = way %d", key, way, ref)
 	}
@@ -53,7 +61,7 @@ func TestFindMatchesReference(t *testing.T) {
 	for _, pol := range []string{"lru", "rwp"} {
 		t.Run(pol, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Sets, cfg.Ways, cfg.Shards, cfg.Policy = 16, 4, 2, pol
+			cfg.Sets, cfg.Ways, cfg.Policy = 16, 4, pol
 			cfg.RWP.Interval = 16
 			cfg.Loader = func(key string) []byte { return []byte("ld:" + key) }
 			c := mustNew(t, cfg)
@@ -161,36 +169,41 @@ func TestSameTagResolvesByKey(t *testing.T) {
 		return []byte("ld:" + key)
 	}
 	c := mustNew(t, cfg)
-	sh, ls := c.shards[0], &c.shards[0].sets[0]
-	if w := ls.find("", 0); w != -1 {
+	ls := &c.sets[0]
+	if w := keyWay(ls.find("", 0)); w != -1 {
 		t.Fatalf(`find("", 0) on an empty set = way %d, want -1`, w)
 	}
 	c.Put("alpha", []byte("a"))
 	c.Put("x", []byte("x"))
-	if w := ls.find("", 0); w != -1 {
+	if w := keyWay(ls.find("", 0)); w != -1 {
 		t.Fatalf(`find("", 0) over cleared ways = way %d, want -1`, w)
 	}
 	line := mem.LineAddr(HashKey("alpha"))
-	way := ls.find("alpha", line)
-	// What put does for an insert, with alpha's line in place of bravo's.
-	sh.mu.Lock()
+	way := keyWay(ls.find("alpha", line))
+	// What put does for an insert, with alpha's line in place of bravo's:
+	// find reports alpha's way, whose key is not bravo.
 	g := ls.grp
+	g.mu.Lock()
+	same, match := ls.find("bravo", line)
+	if same != way || match {
+		t.Fatalf(`find("bravo") on alpha's line = (way %d, match %v), want (%d, false)`, same, match, way)
+	}
 	g.ops.Puts++
 	g.ops.PutInserts++
 	class := classInsert
-	if ls.fill("bravo", []byte("b"), cache.AccessInfo{Line: line, Class: cache.DemandStore}) {
+	if ls.fill("bravo", []byte("b"), same, cache.AccessInfo{Line: line, Class: cache.DemandStore}) {
 		class = classInsertEvict
 	}
 	g.costs[partDirty][class]++
-	sh.mu.Unlock()
+	g.mu.Unlock()
 
 	if class != classInsertEvict {
 		t.Error("displacing a dirty key was not charged a dirty eviction")
 	}
-	if w := ls.find("bravo", line); w != way {
+	if w := keyWay(ls.find("bravo", line)); w != way {
 		t.Errorf("the forged key is at way %d, want alpha's way %d", w, way)
 	}
-	if w := ls.find("alpha", line); w != -1 {
+	if w := keyWay(ls.find("alpha", line)); w != -1 {
 		t.Errorf("the displaced key is still found, at way %d", w)
 	}
 	s := c.Stats()
@@ -210,7 +223,7 @@ func TestSameTagResolvesByKey(t *testing.T) {
 	if hit || string(v) != "ld:alpha" || loads != 1 {
 		t.Errorf("Get(alpha) over the forged key = (%q, hit %v) after %d loads, want (ld:alpha, miss) after 1", v, hit, loads)
 	}
-	if w := ls.find("bravo", line); w != -1 {
+	if w := keyWay(ls.find("bravo", line)); w != -1 {
 		t.Errorf("the forged key survived the refill of its line, at way %d", w)
 	}
 	s = c.Stats()
@@ -235,9 +248,10 @@ func TestStaleTagIsAnInvariantViolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := HashKey("k")
-		_, ls := c.locate(h)
+		ls := c.locate(h)
 		tags := ls.grp.tags
-		tags.Invalidate(mem.LineAddr(h))
+		_, w, _ := tags.Lookup(mem.LineAddr(h))
+		tags.Invalidate(ls.idx, w)
 		if way, _ := tags.Fill(ls.idx, cache.AccessInfo{Line: stale, Class: cache.DemandStore}); ls.entries[way].key() != "k" {
 			t.Fatalf("the forged tag landed in way %d, which holds %q", way, ls.entries[way].key())
 		}
@@ -341,7 +355,7 @@ func TestRetainedCapacityIsBounded(t *testing.T) {
 	bound := max(retainFactor*(len("a")+len(small)), retainMin)
 
 	c.Put("a", big) // the set's first fill grows its one way
-	e := &c.shards[0].sets[0].entries[0]
+	e := &c.sets[0].entries[0]
 	if cap(e.kv) < 1+len(big) {
 		t.Fatalf("stored %d bytes in a %d-byte buffer", 1+len(big), cap(e.kv))
 	}

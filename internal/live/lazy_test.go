@@ -40,21 +40,23 @@ func heapNow() uint64 {
 }
 
 // TestEagerOracle drives one seeded stream through a cache laid out
-// eagerly and two lazy ones, under both policies and at 1 and 8 shards.
+// eagerly and two lazy ones, under both policies.
 // The key space widens as the stream runs, so groups are touched one
 // after another; the Loader reports some keys absent, so some sets take
 // misses long before their first fill. Midway a range is reset on all
-// three, and the second lazy cache takes a whole-cache RestoreBytes of
-// the first (catch-up keeps its own counters, which the shared stream
-// made equal). After every step the stats document and the snapshot are
-// byte-identical across the three, and every invariant holds.
+// three, and the second lazy cache takes a whole-cache transfer of the
+// first (catch-up keeps its own counters, which the shared stream made
+// equal): one SnapBytes/RestoreBytes per ring shard, as the cluster
+// layer moves them, so one at shards=1 and eight at shards=8. After
+// every step the stats document and the snapshot are byte-identical
+// across the three, and every invariant holds.
 func TestEagerOracle(t *testing.T) {
 	const ops, sets = 2000, 128
 	for _, pol := range []string{"lru", "rwp"} {
 		for _, shards := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/shards=%d", pol, shards), func(t *testing.T) {
 				cfg := DefaultConfig()
-				cfg.Sets, cfg.Ways, cfg.Shards, cfg.Policy = sets, 4, shards, pol
+				cfg.Sets, cfg.Ways, cfg.Policy = sets, 4, pol
 				cfg.RWP.Interval = 8
 				cfg.Loader = func(key string) []byte {
 					if HashKey(key)%5 == 0 {
@@ -83,12 +85,14 @@ func TestEagerOracle(t *testing.T) {
 						}
 						eager(ref)
 					case ops / 3, 3 * ops / 4:
-						b, err := lazy.SnapBytes(0, sets)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := restored.RestoreBytes(b); err != nil {
-							t.Fatal(err)
+						for lo := 0; lo < sets; lo += sets / shards {
+							b, err := lazy.SnapBytes(lo, lo+sets/shards)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if _, err := restored.RestoreBytes(b); err != nil {
+								t.Fatal(err)
+							}
 						}
 					}
 					sameEverywhere(t, i, caches)
@@ -132,11 +136,12 @@ func sameEverywhere(t *testing.T, op int, caches []*Cache) {
 }
 
 // TestNewFootprint pins what an untouched cache costs: at the default
-// 1024 × 16 geometry, New holds the lsets, the group ledgers, the shard
-// locks and one fresh predictor on its tag store — no way storage and no
-// tag store per group: 117 968 B, where 72-byte lsets had 112 bytes
-// (per-set tags and counts) and took 177 136 B. Building every set's
-// storage and every group's policy up front took 948 976 B.
+// 1024 × 16 geometry, New holds the lsets, the groups with their ledgers
+// and locks, and one fresh predictor on its tag store — no way storage
+// and no tag store per group: 117 392 B (117 968 B with eight lock
+// shards), where 72-byte lsets had 112 bytes (per-set tags and counts)
+// and took 177 136 B. Building every set's storage and every group's
+// policy up front took 948 976 B.
 func TestNewFootprint(t *testing.T) {
 	const limit = 128 << 10
 	before := heapNow()

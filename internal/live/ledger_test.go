@@ -67,8 +67,8 @@ func TestCountersCoverage(t *testing.T) {
 	}
 
 	c := mustNew(t, tinyConfig("rwp"))
-	c.shards[0].groups[0].ops = want
-	c.shards[0].groups[0].costs = wantCosts
+	c.groups[0].ops = want
+	c.groups[0].costs = wantCosts
 
 	if got := c.Stats().Counters; got != want {
 		t.Errorf("Stats dropped a counter:\ngot  %+v\nwant %+v", got, want)
@@ -172,7 +172,7 @@ func TestCountersLaws(t *testing.T) {
 func TestRestoreRejectsBrokenLaws(t *testing.T) {
 	src := mustNew(t, tinyConfig("rwp"))
 	src.Put("k", []byte("v"))
-	src.shards[0].groups[0].ops = lawAbiding
+	src.groups[0].ops = lawAbiding
 
 	target := mustNew(t, tinyConfig("rwp"))
 	if _, err := target.RestoreBytes(snap.Encode(src.Snapshot())); err != nil {

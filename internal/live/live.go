@@ -1,4 +1,4 @@
-// Package live is a sharded, thread-safe, set-associative in-memory
+// Package live is a thread-safe, set-associative in-memory
 // key-value cache whose per-set replacement policy is the repo's RWP
 // mechanism (internal/core) — the paper's clean/dirty partitioning,
 // lifted out of the trace-driven simulator and put in front of real
@@ -13,29 +13,26 @@
 //   - Put is a demand store. A hit overwrites the value and dirties
 //     the line; a miss installs the line dirty (write-allocate).
 //
-// Sharding vs determinism. The cache is split into Shards independent
-// lock domains, but the unit of replacement is the *set* and the unit
-// of RWP's predictor is the *group*: GroupSets consecutive sets share
-// one policy instance (one sampled set's shadow stacks, the histograms,
-// the dirty-partition target) whose interval clock is the group's own
-// operation count — never the wall clock, never a global counter. A key
-// maps to a global set index by hash, a shard is just a contiguous run
-// of whole groups sharing one mutex, and the group size is a function
-// of Sets alone. Consequently a single-goroutine run is bit-identical
-// across repeated runs AND across shard counts: resharding moves lock
-// boundaries, not behavior.
-// Under concurrent load the per-shard locks serialize each set's
-// stream, so all structural invariants hold (stress-tested with
-// -race); only the interleaving — and therefore the exact counter
+// Locking vs determinism. The unit of replacement is the *set* and the
+// unit of RWP's predictor is the *group*: GroupSets consecutive sets
+// share one policy instance (one sampled set's shadow stacks, the
+// histograms, the dirty-partition target) whose interval clock is the
+// group's own operation count — never the wall clock, never a global
+// counter. No state is shared across groups, so each group is its own
+// lock domain: one mutex guards its sets, its policy and its ledger. A
+// key maps to a global set index by hash, and the group size is a
+// function of Sets alone, so a single-goroutine run is bit-identical
+// across repeated runs. Under concurrent load the group locks serialize
+// each set's stream, so all structural invariants hold (stress-tested
+// with -race); only the interleaving — and therefore the exact counter
 // values — is scheduling-dependent, as for any concurrent cache.
 //
 // Accounting is one ledger per group: an operation writes its group's
 // Counters block and charges one cell of the group's cost table, under
-// the shard lock, and nothing else. Every reported view — Stats, the
+// the group lock, and nothing else. Every reported view — Stats, the
 // stats document, merged cluster documents, snapshots — is derived from
 // those per-group sums when somebody reads, so all of them are
-// order-independent and the /stats payload served by cmd/rwpserve is
-// shard-count invariant.
+// order-independent.
 package live
 
 import (
@@ -55,25 +52,21 @@ import (
 
 // Loader fetches the backing-store value for a key (read-allocate on
 // Get misses). It must be deterministic and safe for concurrent use.
-// It is called with no shard lock held — a slow backing store stalls
-// only the Gets that actually miss, never the whole shard — so a
-// Loader may itself call back into the cache (e.g. warm a sibling
-// key). If another writer installs the key while the Loader runs, the
+// It is called with no lock held — a slow backing store stalls only
+// the Gets that actually miss, never the whole group — so a Loader may
+// itself call back into the cache (e.g. warm a sibling key). If
+// another writer installs the key while the Loader runs, the
 // fetched value is still returned but not installed (see Get and the
 // LoadRaces counter).
 type Loader func(key string) []byte
 
 // Config parameterizes a live cache.
 type Config struct {
-	// Sets is the total number of sets across all shards (a power of
-	// two; capacity = Sets*Ways entries).
+	// Sets is the total number of sets (a power of two; capacity =
+	// Sets*Ways entries).
 	Sets int
 	// Ways is the associativity of every set.
 	Ways int
-	// Shards is the number of independent lock domains; it must divide
-	// Sets into runs of whole groups (see GroupSets). More shards means
-	// less lock contention, identical behavior.
-	Shards int
 	// Policy selects the replacement mechanism: "lru" or "rwp".
 	Policy string
 	// RWP configures the per-group predictor when Policy is "rwp".
@@ -86,7 +79,7 @@ type Config struct {
 	Loader Loader
 	// ReqLog, when non-nil, receives one probe.ReqEvent per completed
 	// Get/Put — the request-stream recorder behind rwpserve -record.
-	// Events are emitted with no shard lock held, after the operation's
+	// Events are emitted with no lock held, after the operation's
 	// outcome is decided; batch ops (MGET/MPUT) arrive decomposed into
 	// per-key events, which is what makes recorded journals
 	// transport-invariant. The sink must not retain event values.
@@ -95,8 +88,8 @@ type Config struct {
 	// several Gets miss on one key concurrently, exactly one calls the
 	// Loader and the rest wait for its result (counted CoalescedLoads).
 	// Coalescing only collapses genuinely concurrent fills, so
-	// single-goroutine behavior — and its bit-identity across runs and
-	// shard counts — is unchanged. Requires a Loader to matter.
+	// single-goroutine behavior — and its bit-identity across runs — is
+	// unchanged. Requires a Loader to matter.
 	Coalesce bool
 	// NegOps enables negative caching of Loader misses: a key the
 	// Loader reported absent (nil) is remembered for NegOps operations
@@ -104,7 +97,7 @@ type Config struct {
 	// Gets inside that window are answered without consulting the
 	// backend (counted NegHits). A Put of the key invalidates the entry
 	// immediately. 0 disables; the clock choice keeps expiry
-	// deterministic and shard-count invariant.
+	// deterministic.
 	NegOps uint64
 	// LeaseOps bounds a coalesced fill's lease: once a leader's Loader
 	// call has been in flight for LeaseOps operations on its set, the
@@ -116,8 +109,8 @@ type Config struct {
 
 // Modeled per-operation service costs, in abstract backend-work units.
 // They are a pure function of the op's outcome and the victim's dirty
-// bit — set-level state — so cost streams are deterministic and
-// shard-count invariant, and they encode the paper's asymmetry: a read
+// bit — set-level state — so cost streams are deterministic, and they
+// encode the paper's asymmetry: a read
 // miss pays a backing-store round trip, a write allocates locally, and
 // evicting a dirty line adds a writeback. RWP's larger read-hit rate
 // therefore shows up directly in the cost percentiles /stats reports.
@@ -209,8 +202,8 @@ func (t *costTable) hist(part int) probe.CostHist {
 const maxGroupSets = 8
 
 // GroupSets returns the policy group size of a cache with the given set
-// count: a function of Sets alone, so behavior stays shard-count
-// invariant. Lock shards and cluster ring ranges must hold whole groups.
+// count: a function of Sets alone. A group is also the cache's lock
+// domain, and cluster ring ranges must hold whole groups.
 func GroupSets(sets int) int { return min(maxGroupSets, sets) }
 
 // DefaultRWPConfig returns the per-group predictor configuration: the
@@ -227,12 +220,11 @@ func DefaultRWPConfig() core.Config {
 	}
 }
 
-// DefaultConfig returns a 16k-entry RWP cache split into 8 shards.
+// DefaultConfig returns a 16k-entry RWP cache.
 func DefaultConfig() Config {
 	return Config{
 		Sets:   1024,
 		Ways:   16,
-		Shards: 8,
 		Policy: "rwp",
 		RWP:    DefaultRWPConfig(),
 	}
@@ -248,12 +240,6 @@ func (c Config) Validate() error {
 	}
 	if c.Ways > recency.MaxWays {
 		return fmt.Errorf("live: Ways %d exceeds the supported maximum %d", c.Ways, recency.MaxWays)
-	}
-	if c.Shards <= 0 || c.Sets%c.Shards != 0 {
-		return fmt.Errorf("live: Shards %d must be positive and divide Sets %d", c.Shards, c.Sets)
-	}
-	if g := GroupSets(c.Sets); c.Sets/c.Shards%g != 0 {
-		return fmt.Errorf("live: Shards %d leaves %d sets per shard, not a multiple of the %d-set policy group", c.Shards, c.Sets/c.Shards, g)
 	}
 	switch c.Policy {
 	case "lru":
@@ -287,11 +273,11 @@ type entry struct {
 }
 
 // key views the entry's key bytes as a string: valid only while the
-// shard lock is held and the way is not rewritten.
+// group lock is held and the way is not rewritten.
 func (e *entry) key() string { return borrowString(e.kv[:e.klen]) }
 
 // val is the entry's value bytes, under the same rule as key: a reader
-// copies them out before releasing the shard lock.
+// copies them out before releasing the group lock.
 func (e *entry) val() []byte { return e.kv[e.klen:] }
 
 // lset is one cache set: the payloads of its ways, and what a tag
@@ -324,9 +310,11 @@ type lset struct {
 // share: a GroupSets-set cache.Cache, the simulator's, whose line is a
 // key's HashKey. Its set index (the hash's low bits) is a set's index in
 // the group, and its policy is the group's: core.RWP with SamplerSets 1
-// shadows set 0.
+// shadows set 0. A group is a lock domain: mu guards everything below
+// and the sets' own state.
 type group struct {
-	sets []lset  // a window of the shard's sets
+	mu   sync.Mutex
+	sets []lset  // a window of the cache's sets
 	cfg  *Config // the cache's; the group's geometry and policy choice
 	// tags is nil until the first fill into any of the group's sets: a
 	// Get that misses without filling calls no policy method, so a tag
@@ -335,25 +323,31 @@ type group struct {
 	rwp  *core.RWP // the policy of tags under rwp, else nil
 	// ops and costs are the group's ledger — all an operation writes
 	// besides the entries themselves: ops once per event, costs one cell
-	// per completed Get/Put. A group never spans a lock shard or a
-	// cluster ring range, so StatsRange still attributes them to
-	// ring-shard set ranges exactly. Both are cumulative history:
-	// ResetRange preserves them, ResetStats clears them.
+	// per completed Get/Put. A group never spans a cluster ring range,
+	// so StatsRange attributes them to ring-shard set ranges exactly.
+	// Both are cumulative history: ResetRange preserves them, ResetStats
+	// clears them.
 	ops   Counters
 	costs costTable
+	// fills tracks in-flight coalesced Loader calls by key (fill.go).
+	// Nil unless Config.Coalesce. Per group, not per set: entries are
+	// keyed lookups only (never iterated), so the coarser map costs
+	// nothing in determinism.
+	fills map[string]*fillCall
 }
 
-// find returns the way holding key, or -1. line is HashKey(key), which
-// the caller already computed to pick the set. The tag store finds the
-// one way holding line, and the key there decides: a key whose full
-// 64-bit hash equals a resident key's misses.
-func (s *lset) find(key string, line mem.LineAddr) int {
+// find returns the way holding line, or -1, and whether the key there
+// is key. line is HashKey(key), which the caller already computed to
+// pick the set. The tag store finds the one way holding line, and the
+// key there decides: a key whose full 64-bit hash equals a resident
+// key's misses, and fill evicts that way.
+func (s *lset) find(key string, line mem.LineAddr) (way int, match bool) {
 	if t := s.grp.tags; t != nil {
-		if _, way, ok := t.Lookup(line); ok && s.entries[way].key() == key {
-			return way
+		if _, w, ok := t.Lookup(line); ok {
+			return w, s.entries[w].key() == key
 		}
 	}
-	return -1
+	return -1, false
 }
 
 // A way keeps its buffer across overwrites and refills, so the steady
@@ -376,7 +370,7 @@ var zeros [32 << 10]byte
 // reserve returns the way's buffer cut to its first keep bytes, with
 // room for need bytes in all: kv itself when it fits without hoarding,
 // otherwise a fresh allocation holding a copy of those keep bytes.
-// Reuse is safe because nobody outside the shard lock holds kv — every
+// Reuse is safe because nobody outside the group lock holds kv — every
 // reader of an entry (get, miss's coalesced join, snapSet) copies the
 // bytes out under the lock.
 func (e *entry) reserve(keep, need int) []byte {
@@ -410,25 +404,12 @@ func (e *entry) install(key string, val []byte) {
 	e.kv, e.klen = kv, uint32(len(key))
 }
 
-// shard is one lock domain: a contiguous run of sets — whole groups —
-// all guarded by mu.
-type shard struct {
-	mu     sync.Mutex
+// Cache is the live key-value cache.
+type Cache struct {
+	cfg    Config
+	mask   uint64
 	sets   []lset
 	groups []group // groups[i] is sets[i*G : (i+1)*G]
-	// fills tracks in-flight coalesced Loader calls by key (fill.go).
-	// Guarded by mu like everything else; nil unless Config.Coalesce.
-	// Per shard, not per set: entries are keyed lookups only (never
-	// iterated), so the coarser map costs nothing in determinism.
-	fills map[string]*fillCall
-}
-
-// Cache is the sharded live key-value cache.
-type Cache struct {
-	cfg      Config
-	mask     uint64
-	perShard int
-	shards   []*shard
 	// fresh is a never-used RWP predictor (nil under LRU): what a group
 	// without a policy reports to Stats and SnapshotRange. Read-only.
 	fresh *core.RWP
@@ -439,26 +420,22 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{
-		cfg:      cfg,
-		mask:     uint64(cfg.Sets - 1),
-		perShard: cfg.Sets / cfg.Shards,
-		shards:   make([]*shard, cfg.Shards),
-	}
 	gs := GroupSets(cfg.Sets)
-	for si := range c.shards {
-		sh := &shard{sets: make([]lset, c.perShard), groups: make([]group, c.perShard/gs)}
+	c := &Cache{
+		cfg:    cfg,
+		mask:   uint64(cfg.Sets - 1),
+		sets:   make([]lset, cfg.Sets),
+		groups: make([]group, cfg.Sets/gs),
+	}
+	for gi := range c.groups {
+		g := &c.groups[gi]
+		g.sets, g.cfg = c.sets[gi*gs:(gi+1)*gs], &c.cfg
 		if cfg.Coalesce {
-			sh.fills = make(map[string]*fillCall)
+			g.fills = make(map[string]*fillCall)
 		}
-		for gi := range sh.groups {
-			g := &sh.groups[gi]
-			g.sets, g.cfg = sh.sets[gi*gs:(gi+1)*gs], &c.cfg
-			for i := range g.sets {
-				g.sets[i].grp, g.sets[i].idx = g, i
-			}
+		for i := range g.sets {
+			g.sets[i].grp, g.sets[i].idx = g, i
 		}
-		c.shards[si] = sh
 	}
 	if cfg.Policy == "rwp" {
 		fresh := &group{sets: make([]lset, gs), cfg: &c.cfg}
@@ -550,24 +527,17 @@ func (c *Cache) CheckRange(lo, hi int) error {
 	return nil
 }
 
-// eachGroup calls fn, under its shard's lock, for every policy group of
+// eachGroup calls fn, under the group's lock, for every policy group of
 // the global range [lo, hi), which the caller has checked holds whole
 // groups (CheckRange), in ascending set order: base is the global index
-// of the group's first set. Each shard is locked once for all its
-// groups in the range.
+// of the group's first set.
 func (c *Cache) eachGroup(lo, hi int, fn func(g *group, base int)) {
 	gs := GroupSets(c.cfg.Sets)
-	for si, sh := range c.shards {
-		first := si * c.perShard
-		from, to := max(lo, first), min(hi, first+c.perShard)
-		if from >= to {
-			continue
-		}
-		sh.mu.Lock()
-		for gi := (from - first) / gs; gi < (to-first)/gs; gi++ {
-			fn(&sh.groups[gi], first+gi*gs)
-		}
-		sh.mu.Unlock()
+	for base := lo; base < hi; base += gs {
+		g := &c.groups[base/gs]
+		g.mu.Lock()
+		fn(g, base)
+		g.mu.Unlock()
 	}
 }
 
@@ -598,23 +568,19 @@ func (c *Cache) Config() Config { return c.cfg }
 // Capacity returns the number of entries the cache can hold.
 func (c *Cache) Capacity() int { return c.cfg.Sets * c.cfg.Ways }
 
-// locate maps a key hash to its shard and set.
-func (c *Cache) locate(h uint64) (*shard, *lset) {
-	global := int(h & c.mask)
-	sh := c.shards[global/c.perShard]
-	return sh, &sh.sets[global%c.perShard]
-}
+// locate maps a key hash to its set.
+func (c *Cache) locate(h uint64) *lset { return &c.sets[h&c.mask] }
 
 // Get looks up key, returning a copy of the value and whether it was
 // resident. On a miss with a Loader configured, the value is fetched —
-// with no shard lock held — and installed as a clean fill
+// with no lock held — and installed as a clean fill
 // (read-allocate) before returning, so the returned value is non-nil
 // but hit is false. If a concurrent writer (or the Loader itself,
 // reentrantly) installs the key during the fetch, the resident entry
 // wins: the fetched value is returned but not installed, and the event
 // is counted as a LoadRace. Single-goroutine runs with a
 // non-reentrant Loader never race, so their behavior and counters are
-// bit-identical across runs and shard counts.
+// bit-identical across runs.
 //
 // The miss-with-Loader path is miss (fill.go), with or without the
 // stampede defenses (Config.Coalesce / NegOps): they only add a prelude
@@ -655,7 +621,7 @@ func (c *Cache) getInto(dst []byte, key string) (val []byte, hit bool) {
 }
 
 // GetAppend is Get for callers that bring their own buffers — the wire
-// server. The value is appended to dst under the shard lock and the
+// server. The value is appended to dst under the group lock and the
 // extended slice returned; found reports whether a value was appended
 // (a hit, or a Loader backfill with hit false). key is only borrowed:
 // the cache reads it for the duration of the call and keeps a copy of
@@ -674,7 +640,7 @@ func (c *Cache) PutBytes(key, val []byte) (inserted bool) {
 
 // borrowString views b as a string without copying it. The string is
 // valid only while b's bytes are unchanged — the current call, for
-// GetAppend and PutBytes; the shard lock's hold, for an entry's key. It
+// GetAppend and PutBytes; the group lock's hold, for an entry's key. It
 // may be hashed, compared, copied into a way's buffer and used as a map
 // lookup key; anything that outlives the call (a negs or fills key, the
 // Loader argument, a ReqLog event) takes ownedKey's copy instead. This
@@ -699,13 +665,13 @@ func ownedKey(key string, borrowed bool) string {
 func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, found bool) {
 	h := HashKey(key)
 	set := int(h & c.mask)
-	sh, ls := c.locate(h)
+	ls := c.locate(h)
 	ai := cache.AccessInfo{Line: mem.LineAddr(h), Class: cache.DemandLoad}
-	sh.mu.Lock()
-	ls.clock++
 	g := ls.grp
+	g.mu.Lock()
+	ls.clock++
 	g.ops.Gets++
-	if way := ls.find(key, ai.Line); way >= 0 {
+	if way, ok := ls.find(key, ai.Line); ok {
 		g.ops.GetHits++
 		if g.tags.Hit(ls.idx, way, ai) {
 			g.ops.GetHitsDirty++
@@ -719,25 +685,25 @@ func (c *Cache) get(dst []byte, key string, borrowed bool) (out []byte, hit, fou
 		// A dst with room — Get's caller-frame buffer, GetAppend's
 		// reused one — makes this copy allocation-free.
 		dst = append(dst, ls.entries[way].val()...)
-		sh.mu.Unlock()
+		g.mu.Unlock()
 		c.logGet(key, borrowed, set, probe.OutcomeHit, CostHit)
 		return dst, true, true
 	}
 	g.ops.GetMisses++
 	if c.cfg.Loader == nil {
 		g.costs[partClean][classMiss]++
-		sh.mu.Unlock()
+		g.mu.Unlock()
 		c.logGet(key, borrowed, set, probe.OutcomeMiss, CostMiss)
 		return dst, false, false
 	}
-	sh.mu.Unlock()
+	g.mu.Unlock()
 	// The rest of the miss — defenses, the Loader call, the install and
 	// its accounting — is miss (fill.go), which takes the lock back
 	// itself (no helper ever inherits a held lock across the call
 	// boundary). It may retain the key — the Loader, the fills map, negs
 	// — so a borrowed key is copied once here, on the path that is about
 	// to pay a backend round trip.
-	return c.miss(dst, sh, ls, ownedKey(key, borrowed), set, ai)
+	return c.miss(dst, ls, ownedKey(key, borrowed), set, ai)
 }
 
 // loaded hands a Loader result back the way get hands back a value:
@@ -752,7 +718,7 @@ func loaded(dst, v []byte) (out []byte, hit, found bool) {
 }
 
 // logGet emits one Get capture event; a no-op without a recorder. It
-// runs with no shard lock held (the reqlog sink does its own I/O). The
+// runs with no lock held (the reqlog sink does its own I/O). The
 // event outlives the call, so a borrowed key is copied for it.
 func (c *Cache) logGet(key string, borrowed bool, set int, outcome string, cost int) {
 	if c.cfg.ReqLog != nil {
@@ -779,13 +745,14 @@ func (c *Cache) Put(key string, val []byte) (inserted bool) {
 func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	h := HashKey(key)
 	set := int(h & c.mask)
-	sh, ls := c.locate(h)
+	ls := c.locate(h)
 	ai := cache.AccessInfo{Line: mem.LineAddr(h), Class: cache.DemandStore}
-	sh.mu.Lock()
-	ls.clock++
 	g := ls.grp
+	g.mu.Lock()
+	ls.clock++
 	g.ops.Puts++
-	if way := ls.find(key, ai.Line); way >= 0 {
+	way, ok := ls.find(key, ai.Line)
+	if ok {
 		g.ops.PutHits++
 		if g.tags.Hit(ls.idx, way, ai) {
 			g.ops.PutHitsDirty++
@@ -794,7 +761,7 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 		}
 		ls.entries[way].setVal(val)
 		g.costs[partDirty][classHit]++
-		sh.mu.Unlock()
+		g.mu.Unlock()
 		c.logPut(key, borrowed, val, set, probe.OutcomeOverwrite, CostHit)
 		return false
 	}
@@ -804,11 +771,11 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 	// Neither retains the key: the fill copies its bytes.
 	ls.negDelete(key)
 	class := classInsert
-	if ls.fill(key, val, ai) {
+	if ls.fill(key, val, way, ai) {
 		class = classInsertEvict
 	}
 	g.costs[partDirty][class]++
-	sh.mu.Unlock()
+	g.mu.Unlock()
 	c.logPut(key, borrowed, val, set, probe.OutcomeInsert, classCost[class])
 	return true
 }
@@ -817,21 +784,22 @@ func (c *Cache) put(key string, val []byte, borrowed bool) (inserted bool) {
 // a Get (DemandLoad) and dirty for a Put (DemandStore), through the tag
 // store's fill half: the policy's victim is evicted, and the key and
 // value are copied into the victim way's buffer where install can reuse
-// it. A set's first fill grows its storage first, outside this
-// function's allocation rule. Called with the shard lock held. It
+// it. same is the way find reported holding ai.Line under another key,
+// or -1. A set's first fill grows its storage first, outside this
+// function's allocation rule. Called with the group lock held. It
 // reports whether the fill evicted a dirty entry — the cost model's
 // writeback surcharge trigger.
-func (ls *lset) fill(key string, val []byte, ai cache.AccessInfo) (evictedDirty bool) {
+func (ls *lset) fill(key string, val []byte, same int, ai cache.AccessInfo) (evictedDirty bool) {
 	if ls.entries == nil {
 		ls.grow()
 	}
 	g := ls.grp
 	// A full 64-bit hash collision: the line is resident under another
-	// key (find compared the keys). That key goes first, as an eviction,
-	// so no two valid ways ever share a tag.
-	if dirty, ok := g.tags.Invalidate(ai.Line); ok {
+	// key. That key goes first, as an eviction, so no two valid ways ever
+	// share a tag.
+	if same >= 0 {
 		g.ops.Evictions++
-		if dirty {
+		if g.tags.Invalidate(ls.idx, same) {
 			evictedDirty = true
 			g.ops.DirtyEvictions++
 		}

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// tinyConfig is a 2-set × 2-way single-shard cache for semantics tests.
+// tinyConfig is a 2-set × 2-way cache for semantics tests.
 func tinyConfig(policy string) Config {
 	cfg := DefaultConfig()
 	cfg.Sets = 2
 	cfg.Ways = 2
-	cfg.Shards = 1
 	cfg.Policy = policy
 	return cfg
 }
@@ -26,15 +25,13 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Sets: 0, Ways: 2, Shards: 1, Policy: "lru"},
-		{Sets: 3, Ways: 2, Shards: 1, Policy: "lru"},
-		{Sets: 4, Ways: 0, Shards: 1, Policy: "lru"},
-		{Sets: 8, Ways: 300, Shards: 1, Policy: "lru"}, // wider than a recency row
-		{Sets: 8, Ways: 257, Shards: 1, Policy: "rwp", RWP: DefaultRWPConfig()},
-		{Sets: 4, Ways: 2, Shards: 0, Policy: "lru"},
-		{Sets: 4, Ways: 2, Shards: 3, Policy: "lru"},
-		{Sets: 4, Ways: 2, Shards: 1, Policy: "bogus"},
-		{Sets: 4, Ways: 2, Shards: 1, Policy: "rwp"}, // zero RWP config
+		{Sets: 0, Ways: 2, Policy: "lru"},
+		{Sets: 3, Ways: 2, Policy: "lru"},
+		{Sets: 4, Ways: 0, Policy: "lru"},
+		{Sets: 8, Ways: 300, Policy: "lru"}, // wider than a recency row
+		{Sets: 8, Ways: 257, Policy: "rwp", RWP: DefaultRWPConfig()},
+		{Sets: 4, Ways: 2, Policy: "bogus"},
+		{Sets: 4, Ways: 2, Policy: "rwp"}, // zero RWP config
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -135,7 +132,7 @@ func TestReturnedValueIsACopy(t *testing.T) {
 
 func TestEvictionAccounting(t *testing.T) {
 	cfg := tinyConfig("lru")
-	cfg.Sets, cfg.Shards = 1, 1 // one set of two ways: third insert evicts
+	cfg.Sets = 1 // one set of two ways: third insert evicts
 	c := mustNew(t, cfg)
 	for i := 0; i < 5; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
@@ -161,7 +158,7 @@ func TestEvictionAccounting(t *testing.T) {
 
 func TestRWPRetargetsByOperationCount(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 16, 4, 2
+	cfg.Sets, cfg.Ways = 16, 4
 	cfg.RWP.Interval = 64
 	cfg.Loader = func(key string) []byte { return []byte(key) }
 	c := mustNew(t, cfg)

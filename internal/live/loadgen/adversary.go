@@ -14,7 +14,7 @@ import (
 // scoring the stampede defenses (live.Config.Coalesce / NegOps) and
 // RWP-vs-LRU under hostile skew. Like every generator in this package,
 // each stream is a pure function of (profile, seed): bit-identical on
-// every run, at every shard count, on every host.
+// every run, on every host.
 //
 // The four profiles:
 //

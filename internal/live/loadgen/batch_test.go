@@ -72,7 +72,7 @@ func TestRunsPartition(t *testing.T) {
 func TestApplyAllMatchesRun(t *testing.T) {
 	mk := func() *live.Cache {
 		cfg := live.DefaultConfig()
-		cfg.Sets, cfg.Ways, cfg.Shards = 64, 4, 4
+		cfg.Sets, cfg.Ways = 64, 4
 		cfg.Loader = loadgen.Loader(8)
 		c, err := live.New(cfg)
 		if err != nil {

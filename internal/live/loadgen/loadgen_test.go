@@ -124,7 +124,7 @@ func TestLoaderMatchesPut(t *testing.T) {
 
 func TestApplyAndRun(t *testing.T) {
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 64, 4, 4
+	cfg.Sets, cfg.Ways = 64, 4
 	cfg.Loader = Loader(0)
 	c, err := live.New(cfg)
 	if err != nil {

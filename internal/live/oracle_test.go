@@ -121,9 +121,9 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 	const total, cut = 20_000, 12_000
 	for _, run := range oracleRuns {
 		want := recordedDocument(t, run.file)
-		newCache := func(shards int) *live.Cache {
+		newCache := func() *live.Cache {
 			cfg := live.DefaultConfig()
-			cfg.Sets, cfg.Ways, cfg.Shards = 256, 8, shards
+			cfg.Sets, cfg.Ways = 256, 8
 			cfg.Loader = loadgen.AbsentLoader(0)
 			run.cfg(&cfg)
 			c, err := live.New(cfg)
@@ -142,24 +142,22 @@ func TestDerivedEqualsRecorded(t *testing.T) {
 			}
 			return s
 		}
-		for _, shards := range []int{1, 32} {
-			c := newCache(shards)
-			loadgen.Run(c, stream(0), total)
-			if got := statsJSON(t, c); !bytes.Equal(got, want) {
-				t.Errorf("%s at %d shards: document differs from the recorded one\ngot  %s\nwant %s", run.file, shards, got, want)
-			}
-			checkSnapPin(t, run.file, fmt.Sprintf("at %d shards", shards), c, run.snapSHA256)
+		c := newCache()
+		loadgen.Run(c, stream(0), total)
+		if got := statsJSON(t, c); !bytes.Equal(got, want) {
+			t.Errorf("%s: document differs from the recorded one\ngot  %s\nwant %s", run.file, got, want)
 		}
+		checkSnapPin(t, run.file, "uninterrupted", c, run.snapSHA256)
 		if !run.restartExact {
 			continue
 		}
-		warm := newCache(4)
+		warm := newCache()
 		loadgen.Run(warm, stream(0), cut)
 		s, err := snap.Decode(snap.Encode(warm.Snapshot()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newCache(32)
+		c = newCache()
 		if err := c.RestoreSnapshot(s); err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +186,7 @@ func checkSnapPin(t *testing.T, file, when string, c *live.Cache, pin string) {
 // histogram varint widths.
 func TestSnapshotSizeIndependentOfUptime(t *testing.T) {
 	run := func(rounds int) (*live.Cache, int) {
-		cfg := snapTestConfig(2)
+		cfg := snapTestConfig()
 		cfg.Sets, cfg.Ways = 16, 4
 		c, err := live.New(cfg)
 		if err != nil {

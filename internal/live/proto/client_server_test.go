@@ -34,7 +34,7 @@ func (failingStats) StatsJSON() ([]byte, error) { return nil, errors.New("stats 
 func newLiveBackend(t *testing.T, loader bool) liveBackend {
 	t.Helper()
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 64, 4, 4
+	cfg.Sets, cfg.Ways = 64, 4
 	if loader {
 		cfg.Loader = func(key string) []byte { return []byte("fill:" + key) }
 	}

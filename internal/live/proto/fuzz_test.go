@@ -246,7 +246,7 @@ func FuzzServeConn(f *testing.F) {
 // anything would show in its stats.
 func restoreCache(tb testing.TB, seed int) *live.Cache {
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 16, 2, 1
+	cfg.Sets, cfg.Ways = 16, 2
 	cfg.RWP.Interval = 2
 	c, err := live.New(cfg)
 	if err != nil {

@@ -256,7 +256,7 @@ func mixedStream(t *testing.T) []byte {
 func TestByteAndStringBackendsAgree(t *testing.T) {
 	stream := mixedStream(t)
 	cfg := live.DefaultConfig()
-	cfg.Sets, cfg.Ways, cfg.Shards = 8, 2, 1 // 16 entries for 97 keys: evictions
+	cfg.Sets, cfg.Ways = 8, 2 // 16 entries for 97 keys: evictions
 	cfg.Loader = func(key string) []byte {
 		switch {
 		case len(key) > 0 && key[len(key)-1] == '7':

@@ -7,7 +7,7 @@ import (
 
 func rangeTestConfig() Config {
 	return Config{
-		Sets: 64, Ways: 4, Shards: 4,
+		Sets: 64, Ways: 4,
 		Policy: "rwp", RWP: DefaultRWPConfig(),
 	}
 }
@@ -28,8 +28,7 @@ func fillRangeTest(c *Cache, ops int) {
 // TestStatsRangePartition pins the identity the cluster's merged
 // document rests on: summing StatsRange over any partition of [0,
 // Sets) into whole policy groups reproduces Stats() exactly, whatever
-// the partition's grain and however it aligns with the lock shards
-// (16 sets each here).
+// the partition's grain.
 func TestStatsRangePartition(t *testing.T) {
 	c, err := New(rangeTestConfig())
 	if err != nil {

@@ -94,12 +94,14 @@ func byRecency(c *cache.Cache, set int) []mem.LineAddr {
 }
 
 // TestCacheMatchesReferenceModel drives seeded Get/Put streams through
-// a live cache and through the reference model, under lru and rwp, at 1
-// and 8 shards, without a Loader and with one that reports some keys
+// a live cache and through the reference model, under lru and rwp,
+// without a Loader and with one that reports some keys
 // absent behind Coalesce and NegOps. The keys span every group. Midway
 // a range is reset on both sides, and elsewhere a range is captured with
 // SnapBytes and restored into the live cache with RestoreBytes — a fixed
-// point, so the reference does nothing. The reference sees an access
+// point, so the reference does nothing. Each range is a run of whole
+// ring shards, as the cluster layer hands them to a node: at shards=1
+// the one shard is the whole cache, at shards=8 each is one group. The reference sees an access
 // only where the live cache hit or filled, never on a miss that
 // installed nothing. After every op the two agree on hit or miss, on
 // the evicted key and its dirty bit, on every set's valid and dirty
@@ -113,7 +115,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 			for _, loader := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/shards=%d/loader=%v", pol, shards, loader), func(t *testing.T) {
 					cfg := DefaultConfig()
-					cfg.Sets, cfg.Ways, cfg.Shards, cfg.Policy = 64, 4, shards, pol
+					cfg.Sets, cfg.Ways, cfg.Policy = 64, 4, pol
 					cfg.RWP.Interval = 8
 					if loader {
 						cfg.Loader = func(key string) []byte {
@@ -124,32 +126,37 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 						}
 						cfg.Coalesce, cfg.NegOps = true, 32
 					}
-					checkAgainstReference(t, cfg, ops, keyspace)
+					checkAgainstReference(t, cfg, shards, ops, keyspace)
 				})
 			}
 		}
 	}
 }
 
-func checkAgainstReference(t *testing.T, cfg Config, ops, keyspace int) {
+// checkAgainstReference runs the comparison; every range op covers a
+// random run of whole ring shards of a ring of the given shard count.
+func checkAgainstReference(t *testing.T, cfg Config, shards, ops, keyspace int) {
 	c, m := mustNew(t, cfg), newRefModel(t, cfg)
 	rng := xrand.New(54)
-	groups := cfg.Sets / m.gs
-	groupRange := func() (lo, hi int) {
-		lo = rng.Intn(groups)
-		return lo * m.gs, (lo + 1 + rng.Intn(groups-lo)) * m.gs
+	groups, perShard := cfg.Sets/m.gs, cfg.Sets/shards
+	if perShard%m.gs != 0 {
+		t.Fatalf("%d ring shards split the %d-set groups", shards, m.gs)
+	}
+	shardRange := func() (lo, hi int) {
+		lo = rng.Intn(shards)
+		return lo * perShard, (lo + 1 + rng.Intn(shards-lo)) * perShard
 	}
 	var hits, fills, evictions, dirtyEvictions int
 	for i := 0; i < ops; i++ {
 		switch i {
 		case ops / 2:
-			lo, hi := groupRange()
+			lo, hi := shardRange()
 			c.ResetRange(lo, hi)
 			m.reset(t, lo, hi)
 			compareCounts(t, i, c, m)
 			continue
 		case ops / 3, 5 * ops / 6:
-			data, err := c.SnapBytes(groupRange())
+			data, err := c.SnapBytes(shardRange())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +169,7 @@ func checkAgainstReference(t *testing.T, cfg Config, ops, keyspace int) {
 		key := fmt.Sprintf("k%04d", rng.Intn(keyspace))
 		h := HashKey(key)
 		line := mem.LineAddr(h)
-		_, ls := c.locate(h)
+		ls := c.locate(h)
 		ref, set := m.group(h), int(h&uint64(m.gs-1))
 		before := liveResidents(ls)
 		put := rng.Chance(0.4)
@@ -219,7 +226,7 @@ func checkAgainstReference(t *testing.T, cfg Config, ops, keyspace int) {
 
 	for gi := 0; gi < groups; gi++ {
 		base := gi * m.gs
-		_, ls := c.locate(uint64(base))
+		ls := c.locate(uint64(base))
 		rec := c.SnapshotRange(base, base+m.gs)
 		for s := 0; s < m.gs; s++ {
 			var lines []mem.LineAddr
@@ -253,7 +260,7 @@ func checkAgainstReference(t *testing.T, cfg Config, ops, keyspace int) {
 func compareCounts(t *testing.T, op int, c *Cache, m *refModel) {
 	t.Helper()
 	for global := 0; global < c.cfg.Sets; global++ {
-		_, ls := c.locate(uint64(global))
+		ls := c.locate(uint64(global))
 		ref, set := m.groups[global/m.gs], global%m.gs
 		lv, ld := liveCounts(ls)
 		if rv, rd := ref.ValidWays(set), ref.DirtyWays(set); lv != rv || ld != rd {

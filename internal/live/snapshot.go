@@ -57,7 +57,7 @@ func (c *Cache) Sets() int { return c.cfg.Sets }
 // (The stats document is StatsSnapshot.)
 func (c *Cache) Snapshot() *snap.Snapshot { return c.SnapshotRange(0, c.cfg.Sets) }
 
-// SnapshotRange captures the global sets [lo, hi). It locks one shard
+// SnapshotRange captures the global sets [lo, hi). It locks one group
 // at a time; under concurrent load the snapshot is a consistent
 // per-set composite, not a global atomic point. It panics if the range
 // is out of bounds or splits a policy group.
@@ -77,8 +77,8 @@ func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
 		s.Records = make([]snap.SetRecord, 0, hi-lo)
 		s.Groups = make([]snap.GroupRecord, 0, (hi-lo)/GroupSets(c.cfg.Sets))
 	}
-	// Shards are contiguous ascending set ranges, so this emits set and
-	// group records in ascending global-set order — the canonical order.
+	// eachGroup walks groups in ascending set order, so this emits set
+	// and group records in the canonical order.
 	c.eachGroup(lo, hi, func(g *group, base int) {
 		for i := range g.sets {
 			s.Records = append(s.Records, snapSet(base+i, &g.sets[i]))
@@ -88,7 +88,7 @@ func (c *Cache) SnapshotRange(lo, hi int) *snap.Snapshot {
 	return s
 }
 
-// snapSet captures one set's entries under its shard lock.
+// snapSet captures one set's entries under its group lock.
 func snapSet(global int, ls *lset) snap.SetRecord {
 	r := snap.SetRecord{Set: global}
 	if ls.entries == nil {

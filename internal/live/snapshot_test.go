@@ -13,19 +13,18 @@ import (
 // snapTestConfig is the restart-equivalence geometry: small enough for
 // fast tests, busy enough that RWP repartitions many times over the
 // stream (interval 32 ≈ 78 ops/set at 20k ops over 256 sets).
-func snapTestConfig(shards int) live.Config {
+func snapTestConfig() live.Config {
 	cfg := live.DefaultConfig()
 	cfg.Sets = 256
 	cfg.Ways = 8
-	cfg.Shards = shards
 	cfg.RWP.Interval = 32
 	cfg.Loader = loadgen.Loader(0)
 	return cfg
 }
 
-func newSnapCache(t testing.TB, shards int) *live.Cache {
+func newSnapCache(t testing.TB) *live.Cache {
 	t.Helper()
-	c, err := live.New(snapTestConfig(shards))
+	c, err := live.New(snapTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +55,14 @@ func statsJSON(t testing.TB, c *live.Cache) []byte {
 }
 
 // TestRestartEquivalence is the tentpole contract: kill a run at op
-// 12000, snapshot, restore into a fresh cache — possibly with a
-// different shard count — and replay the rest of the stream. The final
-// stats document must be byte-identical to a never-restarted run.
+// 12000, snapshot, restore into a fresh cache and replay the rest of
+// the stream. The final stats document must be byte-identical to a
+// never-restarted run.
 func TestRestartEquivalence(t *testing.T) {
 	const total, cut = 20_000, 12_000
 
 	// Never-restarted reference.
-	base := newSnapCache(t, 1)
+	base := newSnapCache(t)
 	g, err := loadgen.New("mcf", 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -71,38 +70,32 @@ func TestRestartEquivalence(t *testing.T) {
 	loadgen.Run(base, g, total)
 	baseJSON := statsJSON(t, base)
 
-	// The "killed" run: first half on a 4-shard cache, then a wire
-	// round trip of its snapshot.
-	warm := newSnapCache(t, 4)
+	// The "killed" run: the first part, then a wire round trip of its
+	// snapshot.
+	warm := newSnapCache(t)
 	loadgen.Run(warm, skippedGen(t, 0), cut)
-	data := snap.Encode(warm.Snapshot())
-
-	for _, shards := range []int{1, 4, 32} {
-		s, err := snap.Decode(data)
-		if err != nil {
-			t.Fatalf("shards=%d: decode: %v", shards, err)
-		}
-		c := newSnapCache(t, shards)
-		if err := c.RestoreSnapshot(s); err != nil {
-			t.Fatalf("shards=%d: restore: %v", shards, err)
-		}
-		loadgen.Run(c, skippedGen(t, cut), total-cut)
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("shards=%d: invariants after restored tail: %v", shards, err)
-		}
-		if got := statsJSON(t, c); !bytes.Equal(got, baseJSON) {
-			t.Errorf("shards=%d: restored run's stats differ from the never-restarted run\ngot  %s\nwant %s",
-				shards, got, baseJSON)
-		}
+	s, err := snap.Decode(snap.Encode(warm.Snapshot()))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	c := newSnapCache(t)
+	if err := c.RestoreSnapshot(s); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	loadgen.Run(c, skippedGen(t, cut), total-cut)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after restored tail: %v", err)
+	}
+	if got := statsJSON(t, c); !bytes.Equal(got, baseJSON) {
+		t.Errorf("restored run's stats differ from the never-restarted run\ngot  %s\nwant %s", got, baseJSON)
 	}
 }
 
 // TestSnapshotFixedPoint: re-snapshotting a restored cache reproduces
-// the input snapshot byte for byte, across a shard-count change — the
-// format is set-indexed, never shard-indexed, and restore loses
-// nothing the snapshot records.
+// the input snapshot byte for byte — restore loses nothing the
+// snapshot records.
 func TestSnapshotFixedPoint(t *testing.T) {
-	warm := newSnapCache(t, 4)
+	warm := newSnapCache(t)
 	loadgen.Run(warm, skippedGen(t, 0), 12_000)
 	data := snap.Encode(warm.Snapshot())
 
@@ -110,7 +103,7 @@ func TestSnapshotFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newSnapCache(t, 32)
+	c := newSnapCache(t)
 	if err := c.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +117,10 @@ func TestSnapshotFixedPoint(t *testing.T) {
 // cache is refused up front, and a refused restore leaves the cache
 // byte-identical — never partially restored.
 func TestRestoreSnapshotRejects(t *testing.T) {
-	warm := newSnapCache(t, 4)
+	warm := newSnapCache(t)
 	loadgen.Run(warm, skippedGen(t, 0), 3000)
 
-	target := newSnapCache(t, 4)
+	target := newSnapCache(t)
 	loadgen.Run(target, skippedGen(t, 0), 500)
 	before := statsJSON(t, target)
 
@@ -210,10 +203,10 @@ func TestRestoreSnapshotRejects(t *testing.T) {
 // the cluster's merged document sums every node, so copying the
 // primary's counters would double-count.
 func TestRestoreRangePreservesCounters(t *testing.T) {
-	primary := newSnapCache(t, 4)
+	primary := newSnapCache(t)
 	loadgen.Run(primary, skippedGen(t, 0), 8000)
 
-	target := newSnapCache(t, 4)
+	target := newSnapCache(t)
 	g, err := loadgen.New("xalancbmk", 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -268,11 +261,11 @@ func TestRestoreRangePreservesCounters(t *testing.T) {
 // path — a Get hit on a restored cache allocates nothing, same as
 // TestGetHitAllocs pins for a cold cache.
 func TestRestoredGetHitAllocs(t *testing.T) {
-	warm := newSnapCache(t, 4)
+	warm := newSnapCache(t)
 	loadgen.Run(warm, skippedGen(t, 0), 4000)
 	s := warm.Snapshot()
 
-	c := newSnapCache(t, 4)
+	c := newSnapCache(t)
 	if err := c.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +295,7 @@ func TestRestoredGetHitAllocs(t *testing.T) {
 // BenchmarkSnapshotEncode measures capturing + encoding a warm cache —
 // the checkpoint write path minus the fsync.
 func BenchmarkSnapshotEncode(b *testing.B) {
-	c := newSnapCache(b, 4)
+	c := newSnapCache(b)
 	loadgen.Run(c, skippedGen(b, 0), 12_000)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -316,10 +309,10 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 // BenchmarkRestoreSnapshot measures decode + full restore into a fresh
 // cache — the warm-restart startup cost.
 func BenchmarkRestoreSnapshot(b *testing.B) {
-	warm := newSnapCache(b, 4)
+	warm := newSnapCache(b)
 	loadgen.Run(warm, skippedGen(b, 0), 12_000)
 	data := snap.Encode(warm.Snapshot())
-	c := newSnapCache(b, 4)
+	c := newSnapCache(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,7 @@ import (
 // Counters are the per-group operation counters: the one block a live
 // cache operation writes. Every field is a sum over events, so
 // aggregating them across groups is order-independent — the root of
-// the shard-count invariance guarantee. Everything else the cache
+// the stats document's determinism. Everything else the cache
 // reports (merged documents, snapshots) is derived from these and the
 // group's cost table when somebody reads.
 //
@@ -212,7 +212,7 @@ func (s *Stats) Add(o Stats) {
 
 // addGroup accumulates one group's ledger, its sets' occupancy and its
 // predictor rwp (Cache.predictor; nil under LRU) into s, and its cost
-// table into costs. Called with the group's shard lock held.
+// table into costs. Called with the group's lock held.
 func (s *Stats) addGroup(g *group, rwp *core.RWP, costs *costTable) {
 	s.Counters.add(g.ops)
 	costs.add(&g.costs)
@@ -231,7 +231,7 @@ func (s *Stats) addGroup(g *group, rwp *core.RWP, costs *costTable) {
 }
 
 // Stats aggregates the per-group ledgers and policy state. It locks one
-// shard at a time, so under concurrent load the aggregate is a
+// group at a time, so under concurrent load the aggregate is a
 // consistent sum of per-group snapshots, not a global atomic snapshot.
 func (c *Cache) Stats() Stats { return c.StatsRange(0, c.cfg.Sets) }
 

@@ -10,11 +10,9 @@ import "encoding/json"
 // struct, so a replication-factor-1 cluster run over a stream produces
 // the same bytes as a single-node run.
 //
-// Every field is an order-independent aggregate, so the payload is
-// shard-count invariant for a deterministic operation stream. Note:
-// the lock-shard count is deliberately absent — it is a lock layout
-// detail, and keeping it out lets rwpserve's TestSelftestShardInvariance
-// compare payloads across shard counts byte for byte.
+// Every field is an order-independent aggregate of per-group ledgers,
+// so the payload is the same bytes for a deterministic operation stream
+// whichever surface serves it; no field names the cache's lock layout.
 type StatsPayload struct {
 	Policy   string `json:"policy"`
 	Sets     int    `json:"sets"`

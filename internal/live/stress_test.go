@@ -22,7 +22,6 @@ func TestStressConcurrent(t *testing.T) {
 			cfg := live.DefaultConfig()
 			cfg.Sets = 128
 			cfg.Ways = 4
-			cfg.Shards = 8
 			cfg.Policy = pol
 			cfg.Loader = loadgen.Loader(0)
 			c, err := live.New(cfg)
@@ -114,7 +113,6 @@ func TestStressConcurrentDefended(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Sets = 128
 	cfg.Ways = 4
-	cfg.Shards = 8
 	cfg.Coalesce = true
 	cfg.NegOps = 64
 	cfg.LeaseOps = 1 << 20 // present but never expiring: loads here are fast

@@ -13,10 +13,9 @@ import (
 // capture of every Get/Put it served, one canonical JSONL line per
 // operation. Like the run journal it is op-count clocked — records are
 // numbered by a sequence counter, never timestamped — so recording the
-// same deterministic stream twice (or at a different lock-shard count)
-// yields byte-identical journals, and replaying one reproduces the
-// original run's stats byte for byte (`rwpserve -in` and `rwpcluster
-// -in` close that loop).
+// same deterministic stream twice yields byte-identical journals, and
+// replaying one reproduces the original run's stats byte for byte
+// (`rwpserve -in` and `rwpcluster -in` close that loop).
 const ReqLogSchema = "rwp-reqlog-v1"
 
 // Request outcomes, as the live cache classifies them: a Get is a hit,

@@ -6,8 +6,8 @@
 #   extras:  go vet, gofmt, the net/http boundary, the benchmark
 #            module's own vet + tests, -race, the counted-metrics record
 #
-# Each end-to-end contract (shard, transport, cluster and restart
-# invariance, the snapshot fixed point, byte-identical replay, every
+# Each end-to-end contract (transport, cluster and restart invariance,
+# the snapshot fixed point, byte-identical replay, every
 # paper table's CSV at tiny scale) is a Go test, and so is the rwplint
 # suite (internal/analysis/selfcheck_test.go): `go test ./...` runs them
 # all, fuzz seed corpora included, and caches what did not change.
