@@ -243,18 +243,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result reports what an access did.
+// Result reports what an access did. Its flags sit in the embedded
+// Outcome, so Result is three fields and 24 bytes: the compiler passes a
+// struct in registers only when each level has at most four fields and
+// the whole fits in four words, and a Result returned through the stack
+// is written with narrow stores and read back with wide loads that the
+// CPU cannot forward from them (DESIGN.md §17). TestResultIsRegisterSized
+// holds the shape.
 type Result struct {
-	// Hit is true if the line was present.
-	Hit bool
-	// Bypassed is true if the policy declined to cache a missing line.
-	Bypassed bool
 	// WritebackLine holds the evicted dirty line when Writeback is true;
 	// the caller (hierarchy) forwards it to the level below.
 	WritebackLine mem.LineAddr
 	// WritebackPC is the PC that filled or last wrote the evicted dirty
 	// line when the level has Config.CarryWritebackPC, zero otherwise.
 	WritebackPC mem.Addr
+	Outcome
+}
+
+// Outcome holds Result's flags.
+type Outcome struct {
+	// Hit is true if the line was present.
+	Hit bool
+	// Bypassed is true if the policy declined to cache a missing line.
+	Bypassed bool
 	// Writeback is true when the fill evicted a dirty line.
 	Writeback bool
 	// Evicted is true when the fill replaced a valid line, dirty or not.
@@ -423,7 +434,7 @@ func (c *Cache) Access(line mem.LineAddr, pc mem.Addr, class Class, core int) Re
 	set, way, ok := c.Lookup(line)
 	if ok {
 		c.Hit(set, way, ai)
-		return Result{Hit: true}
+		return Result{Outcome: Outcome{Hit: true}}
 	}
 	_, res := c.Fill(set, ai)
 	return res
@@ -466,7 +477,7 @@ func (c *Cache) Fill(set int, ai AccessInfo) (way int, res Result) {
 	victim, bypass := c.policy.Victim(set, ai)
 	if bypass {
 		c.stats.Bypasses[ai.Class]++
-		return -1, Result{Bypassed: true}
+		return -1, Result{Outcome: Outcome{Bypassed: true}}
 	}
 	if victim < 0 || victim >= c.cfg.Ways {
 		c.badVictim(victim)

@@ -94,13 +94,13 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 			ls.Dirty, c.pcs[i] = true, pc
 		}
 		c.policy.OnHit(set, way, ai)
-		return cache.Result{Hit: true}
+		return cache.Result{Outcome: cache.Outcome{Hit: true}}
 	}
 	c.stats.Misses[class]++
 	victim, bypass := c.policy.Victim(set, ai)
 	if bypass {
 		c.stats.Bypasses[class]++
-		return cache.Result{Bypassed: true}
+		return cache.Result{Outcome: cache.Outcome{Bypassed: true}}
 	}
 	var res cache.Result
 	i := set*c.cfg.Ways + victim
@@ -110,7 +110,7 @@ func (c *refCache) access(set int, line mem.LineAddr, pc mem.Addr, class cache.C
 		c.stats.Evictions++
 		if ls.Dirty {
 			c.stats.DirtyEvict++
-			res = cache.Result{Writeback: true, WritebackLine: ls.Tag, Evicted: true}
+			res = cache.Result{WritebackLine: ls.Tag, Outcome: cache.Outcome{Writeback: true, Evicted: true}}
 			if c.cfg.CarryWritebackPC {
 				res.WritebackPC = c.pcs[i]
 			}

@@ -76,8 +76,9 @@ func (c Config) Validate() error {
 type RWP struct {
 	cfg Config
 
-	r   cache.StateReader
-	tab *recency.Table
+	r    cache.StateReader
+	ways int // r.Ways(), read once in Attach
+	tab  *recency.Table
 
 	// Dirty-partition target in ways, shared by all sets.
 	targetDirty int
@@ -130,6 +131,7 @@ func (p *RWP) Name() string { return "rwp" }
 func (p *RWP) Attach(r cache.StateReader) {
 	p.r = r
 	sets, ways := r.NumSets(), r.Ways()
+	p.ways = ways
 	p.tab = recency.NewTable(sets, ways)
 	n := p.cfg.SamplerSets
 	if n > sets {
@@ -239,7 +241,7 @@ func (p *RWP) OnHit(set, way int, ai cache.AccessInfo) {
 	p.observe(set, ai)
 	p.tab.Touch(set, way)
 	if ai.Class.IsWrite() {
-		i := set*p.r.Ways() + way
+		i := set*p.ways + way
 		if !p.written[i] {
 			p.written[i] = true
 			p.writtenCount[set]++
@@ -253,9 +255,8 @@ func (p *RWP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 	if w := p.r.InvalidWay(set); w >= 0 {
 		return w, false
 	}
-	ways := p.r.Ways()
 	dirtyWays := int(p.writtenCount[set])
-	base := set * ways
+	base := set * p.ways
 	dirty := func(w int) bool { return p.written[base+w] }
 	clean := func(w int) bool { return !p.written[base+w] }
 	if dirtyWays >= p.targetDirty {
@@ -275,7 +276,7 @@ func (p *RWP) Victim(set int, ai cache.AccessInfo) (int, bool) {
 
 // OnEvict implements cache.Policy.
 func (p *RWP) OnEvict(set, way int, _ cache.AccessInfo) {
-	i := set*p.r.Ways() + way
+	i := set*p.ways + way
 	if p.written[i] {
 		p.written[i] = false
 		p.writtenCount[set]--
@@ -286,7 +287,7 @@ func (p *RWP) OnEvict(set, way int, _ cache.AccessInfo) {
 // membership decided by the filling access class.
 func (p *RWP) OnFill(set, way int, ai cache.AccessInfo) {
 	p.tab.Touch(set, way)
-	i := set*p.r.Ways() + way
+	i := set*p.ways + way
 	if ai.Class.IsWrite() {
 		if !p.written[i] {
 			p.written[i] = true
@@ -300,7 +301,7 @@ func (p *RWP) OnFill(set, way int, ai cache.AccessInfo) {
 
 // Written reports whether the line in way of set is in the dirty
 // partition (it was filled by a write or written while resident).
-func (p *RWP) Written(set, way int) bool { return p.written[set*p.r.Ways()+way] }
+func (p *RWP) Written(set, way int) bool { return p.written[set*p.ways+way] }
 
 // WrittenWays returns how many lines of set are in the dirty partition,
 // as counted incrementally for victim selection.

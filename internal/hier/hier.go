@@ -238,29 +238,24 @@ func (h *Hierarchy) l2Access(now uint64, core int, line mem.LineAddr, pc mem.Add
 // Load performs a demand load for core at cycle now, returning the load-
 // to-use latency in cycles.
 func (h *Hierarchy) Load(core int, now uint64, addr mem.Addr, pc mem.Addr) uint64 {
-	line := addr.Line(h.shift)
-	p := &h.priv[core]
-	res := p.l1.Access(line, pc, cache.DemandLoad, core)
-	if res.Hit {
-		return h.cfg.L1Lat
-	}
-	lat := h.cfg.L1Lat + h.l2Access(now+h.cfg.L1Lat, core, line, pc, cache.DemandLoad)
-	if res.Writeback {
-		h.l2Access(now+lat, core, res.WritebackLine, res.WritebackPC, cache.Writeback)
-	}
-	return lat
+	return h.access(core, now, addr, pc, cache.DemandLoad)
 }
 
 // Store performs a demand store for core at cycle now, returning the
 // cycles until the store leaves the store buffer.
 func (h *Hierarchy) Store(core int, now uint64, addr mem.Addr, pc mem.Addr) uint64 {
+	return h.access(core, now, addr, pc, cache.DemandStore)
+}
+
+// access is Load and Store: a demand access of class through core's L1D,
+// forwarding a miss and the L1D's dirty victim to the L2.
+func (h *Hierarchy) access(core int, now uint64, addr mem.Addr, pc mem.Addr, class cache.Class) uint64 {
 	line := addr.Line(h.shift)
-	p := &h.priv[core]
-	res := p.l1.Access(line, pc, cache.DemandStore, core)
+	res := h.priv[core].l1.Access(line, pc, class, core)
 	if res.Hit {
 		return h.cfg.L1Lat
 	}
-	lat := h.cfg.L1Lat + h.l2Access(now+h.cfg.L1Lat, core, line, pc, cache.DemandStore)
+	lat := h.cfg.L1Lat + h.l2Access(now+h.cfg.L1Lat, core, line, pc, class)
 	if res.Writeback {
 		h.l2Access(now+lat, core, res.WritebackLine, res.WritebackPC, cache.Writeback)
 	}

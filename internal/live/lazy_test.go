@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"testing"
@@ -138,19 +139,26 @@ func sameEverywhere(t *testing.T, op int, caches []*Cache) {
 // TestNewFootprint pins what an untouched cache costs: at the default
 // 1024 × 16 geometry, New holds the lsets, the groups with their ledgers
 // and locks, and one fresh predictor on its tag store — no way storage
-// and no tag store per group: 117 392 B (117 968 B with eight lock
-// shards), where 72-byte lsets had 112 bytes (per-set tags and counts)
-// and took 177 136 B. Building every set's storage and every group's
-// policy up front took 948 976 B.
+// and no tag store per group: 117 424 B, where 72-byte lsets had 112
+// bytes (per-set tags and counts) and took 177 136 B. Building every
+// set's storage and every group's policy up front took 948 976 B.
+// A single heap delta has read a few KB high in a full package run
+// (122 752 B against 117 392 B from the same binary); noise only adds
+// bytes, so the smallest of three deltas is the steady reading.
 func TestNewFootprint(t *testing.T) {
 	const limit = 128 << 10
-	before := heapNow()
-	c, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	var caches [3]*Cache
+	grown := int64(math.MaxInt64)
+	for i := range caches {
+		before := heapNow()
+		c, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[i] = c
+		grown = min(grown, int64(heapNow())-int64(before))
 	}
-	grown := int64(heapNow()) - int64(before)
-	runtime.KeepAlive(c)
+	runtime.KeepAlive(caches)
 	t.Logf("New(DefaultConfig()) grew the heap %d B", grown)
 	if grown > limit {
 		t.Errorf("New(DefaultConfig()) grew the heap %d B, want at most %d", grown, limit)
