@@ -6,14 +6,13 @@
 build:
 	go build ./...
 
-# Includes rwplint, the repo's lock-rule static analysis: `go test
-# ./internal/analysis` lints the whole module (selfcheck_test.go) and
-# prints each finding.
+# Tier-1: every unit, property and end-to-end test, the paper-table
+# pins and the lock rules' tests included.
 test:
 	go test ./...
 
-# The pre-PR gate: build, vet, gofmt, tests (rwplint and every
-# end-to-end contract included), the bench module, -race, benchrec -head.
+# The pre-PR gate: build, vet, gofmt, tests (every end-to-end contract
+# included), the bench module, -race, benchrec -head.
 check:
 	scripts/check.sh
 

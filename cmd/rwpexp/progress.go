@@ -121,7 +121,6 @@ func (o *jobObserver) JobStart(k runner.Key) {
 	defer o.mu.Unlock()
 	// Writing under o.mu is the point: the mutex exists only to keep
 	// concurrent workers' progress lines from interleaving on stderr.
-	//rwplint:allow lockheld — the lock's sole job is serializing this stream write
 	fmt.Fprintln(o.w, jobStartLine(k))
 }
 
@@ -132,6 +131,5 @@ func (o *jobObserver) JobDone(k runner.Key, d time.Duration, fromCache bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	// See JobStart: the mutex exists to serialize this stream write.
-	//rwplint:allow lockheld — the lock's sole job is serializing this stream write
 	fmt.Fprintln(o.w, jobDoneLine(k, d, fromCache))
 }

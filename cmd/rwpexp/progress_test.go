@@ -74,4 +74,24 @@ func TestJobLines(t *testing.T) {
 	if got, want := jobDoneLine(k, 10*time.Millisecond, true), "  done  single mcf/rwp (cache hit, 10ms)"; got != want {
 		t.Errorf("cache-hit line %q, want %q", got, want)
 	}
+
+	// The -v observer prints the same lines, and each call releases the
+	// lock that orders the engine's workers' lines.
+	var buf bytes.Buffer
+	o := &jobObserver{w: &buf, verbose: true}
+	for _, call := range []func(){
+		func() { o.JobStart(k) },
+		func() { o.JobDone(k, 1234*time.Millisecond, false) },
+		func() { o.JobDone(k, 10*time.Millisecond, true) },
+	} {
+		call()
+		if !o.mu.TryLock() {
+			t.Fatal("the observer's lock is held after a call")
+		}
+		o.mu.Unlock()
+	}
+	want := jobStartLine(k) + "\n" + jobDoneLine(k, 1234*time.Millisecond, false) + "\n" + jobDoneLine(k, 10*time.Millisecond, true) + "\n"
+	if buf.String() != want {
+		t.Errorf("observer printed %q, want %q", buf.String(), want)
+	}
 }

@@ -223,7 +223,6 @@ func TestTCPServerLogsBadPeer(t *testing.T) {
 	var errb syncBuf
 	tsrv := newTCPServer(ln, diffCache(t), &errb)
 	go tsrv.serve()
-	defer tsrv.shutdownNow()
 
 	bad, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -237,6 +236,7 @@ func TestTCPServerLogsBadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad.Close()
+	waitUnserved(t, tsrv)
 
 	// A well-formed client still works on a fresh connection.
 	good, err := net.Dial("tcp", ln.Addr().String())
@@ -247,6 +247,9 @@ func TestTCPServerLogsBadPeer(t *testing.T) {
 	if _, err := proto.NewClient(good).Ping([]byte("ok")); err != nil {
 		t.Fatal(err)
 	}
+	// Deferred after good.Close, so it runs first: shutdownNow closes a
+	// connection it is serving and waits for it to go.
+	defer stopWithin(t, tsrv)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for !strings.Contains(errb.String(), "rwpserve: tcp") {
@@ -282,6 +285,47 @@ func TestShutdownClosesIdleConns(t *testing.T) {
 	defer cancel()
 	if err := tsrv.shutdown(sctx); err != nil {
 		t.Fatalf("shutdown with an idle conn = %v, want nil", err)
+	}
+}
+
+// stopWithin runs tsrv.shutdownNow aside and fails the test if it has
+// not returned within 5 s. A shutdownNow that waited for its
+// connections while holding the server's lock, which each exiting
+// connection takes, would otherwise hang until the test binary times
+// out.
+func stopWithin(t *testing.T, tsrv *tcpServer) {
+	t.Helper()
+	stopped := make(chan struct{})
+	go func() {
+		tsrv.shutdownNow()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shutdownNow had not returned 5 s after it closed every connection")
+	}
+}
+
+// waitUnserved waits until tsrv serves no connection and its lock is
+// free, and fails the test if that has not happened within 5 s. A
+// connection whose exit kept the lock would otherwise show only as the
+// next accept hanging.
+func waitUnserved(t *testing.T, tsrv *tcpServer) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if tsrv.mu.TryLock() {
+			n := len(tsrv.conns)
+			tsrv.mu.Unlock()
+			if n == 0 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("5 s after its last peer left, the server still holds a connection or its lock")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -344,7 +388,68 @@ func TestShutdownForcesStragglers(t *testing.T) {
 
 	sctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := tsrv.shutdown(sctx); err != context.DeadlineExceeded {
-		t.Fatalf("shutdown = %v, want context.DeadlineExceeded", err)
+	// shutdown runs aside, so one that waits for the drain while holding
+	// the server's lock (which the exiting connection needs) fails here
+	// and does not hang until the test binary times out.
+	errc := make(chan error, 1)
+	go func() { errc <- tsrv.shutdown(sctx) }()
+	select {
+	case err := <-errc:
+		if err != context.DeadlineExceeded {
+			t.Fatalf("shutdown = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("shutdown had not returned 5 s after its 50 ms drain deadline")
 	}
+}
+
+// lateListener hands out its one connection only once the server has
+// begun shutting down: Accept blocks until Close, which shutdown calls
+// after it has set closed, and then returns conn.
+type lateListener struct {
+	*fakeListener
+	conn net.Conn
+	once sync.Once
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	<-l.closed
+	var conn net.Conn
+	l.once.Do(func() { conn = l.conn })
+	if conn == nil {
+		return nil, net.ErrClosed
+	}
+	return conn, nil
+}
+
+// TestServeDropsConnAcceptedDuringShutdown: a connection accepted after
+// shutdown has begun is closed unserved, the accept loop returns nil,
+// and the server's lock is free afterwards.
+func TestServeDropsConnAcceptedDuringShutdown(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	ln := &lateListener{fakeListener: newFakeListener(), conn: server}
+	tsrv := newTCPServer(ln, diffCache(t), io.Discard)
+	served := make(chan error, 1)
+	go func() { served <- tsrv.serve() }()
+
+	if err := tsrv.shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown = %v, want nil", err)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve had not returned 5 s after shutdown")
+	}
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read from the late connection = %v, want io.EOF (closed unserved)", err)
+	}
+	if !tsrv.mu.TryLock() {
+		t.Fatal("the server's lock is held after serve returned")
+	}
+	tsrv.mu.Unlock()
 }

@@ -224,7 +224,6 @@ func (s *tcpServer) shutdown(ctx context.Context) error {
 		for conn := range s.conns {
 			// Hard-close of stragglers at shutdown; the lock only guards
 			// the conns map, and Close on a TCP conn does not block.
-			//rwplint:allow lockheld — shutdown hard-close; nothing else contends for s.mu anymore
 			conn.Close() // unblocks ServeConn reads; order irrelevant
 		}
 		s.mu.Unlock()
@@ -243,7 +242,6 @@ func (s *tcpServer) shutdownNow() error {
 	for conn := range s.conns {
 		// Teardown hard-close; the lock only guards the conns map, and
 		// Close on a TCP conn does not block.
-		//rwplint:allow lockheld — teardown hard-close; nothing else contends for s.mu anymore
 		conn.Close()
 	}
 	s.mu.Unlock()

@@ -3,9 +3,139 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 )
+
+// TestEveryPathReleasesItsLock takes each operation down each of its
+// paths once, without, with and defended behind a Loader, and checks
+// after every step that the step returned and left every group lock
+// free. A leaked lock would otherwise show only as a later call hanging
+// until the test binary times out, and a lock taken twice as the call
+// itself hanging. It is the first test of the package's first file, so
+// it runs before any test such a bug would hang.
+func TestEveryPathReleasesItsLock(t *testing.T) {
+	loader := func(key string) []byte {
+		if strings.HasPrefix(key, "absent") {
+			return nil
+		}
+		return []byte("ld:" + key)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"no loader", func(*Config) {}},
+		{"loader", func(cfg *Config) { cfg.Loader = loader }},
+		{"defended", func(cfg *Config) {
+			cfg.Loader, cfg.Coalesce, cfg.NegOps = loader, true, 64
+		}},
+	} {
+		cfg := tinyConfig("rwp")
+		tc.mutate(&cfg)
+		c := mustNew(t, cfg)
+		for _, st := range []struct {
+			op string
+			fn func()
+		}{
+			{"put insert", func() { c.Put("a", []byte("1")) }},
+			{"put overwrite", func() { c.Put("a", []byte("2")) }},
+			{"get hit", func() { c.Get("a") }},
+			{"get fill", func() { c.Get("b") }},
+			{"get absent", func() { c.Get("absent") }},
+			{"get absent again", func() { c.Get("absent") }},
+			{"put inserts evicting dirty entries", func() {
+				for i := range 4 * cfg.Sets * cfg.Ways {
+					c.Put("k"+strconv.Itoa(i), []byte("v"))
+				}
+			}},
+			{"stats", func() { c.Stats() }},
+			{"check invariants", func() {
+				if err := c.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+			}},
+			{"reset range", func() { c.ResetRange(0, cfg.Sets) }},
+		} {
+			returns(t, tc.name+", "+st.op, st.fn)
+			assertUnlocked(t, c)
+		}
+	}
+}
+
+// TestCoalescedWaiterParksUnlocked: a Get that coalesces onto a fill in
+// flight waits for the leader without the group lock, which the leader
+// needs to publish its result, and the leader calls its Loader without
+// it. Every group lock must be free while the Loader runs, and again
+// once the waiter is seen parked, before the Loader is released; a
+// waiter that parked holding the lock would deadlock with the leader.
+func TestCoalescedWaiterParksUnlocked(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	cfg := tinyConfig("rwp")
+	cfg.Coalesce = true
+	cfg.Loader = func(key string) []byte {
+		close(entered) // one Loader call: the waiter coalesces
+		<-release
+		return []byte("ld:" + key)
+	}
+	c := mustNew(t, cfg)
+	done := make(chan []byte, 2)
+	go func() { v, _ := c.Get("k"); done <- v }()
+	<-entered
+	assertUnlocked(t, c)
+	go func() { v, _ := c.Get("k"); done <- v }()
+	for !parkedIn("rwp/internal/live.(*Cache).miss(") {
+		runtime.Gosched()
+	}
+	assertUnlocked(t, c)
+	close(release)
+	for range 2 {
+		if v := <-done; string(v) != "ld:k" {
+			t.Errorf("Get = %q, want ld:k", v)
+		}
+	}
+}
+
+// parkedIn reports whether some goroutine is parked on a channel
+// receive in the function whose traceback line starts with fn.
+func parkedIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		header, frames, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[chan receive") && strings.HasPrefix(frames, fn) {
+			return true
+		}
+	}
+	return false
+}
+
+// returns runs fn on a goroutine of its own and fails the test at the
+// caller's line if fn blocks on a mutex instead of returning. No other
+// goroutine holds a lock of this package while a test waits here, so a
+// goroutine parked on one waits on a lock that fn leaked or holds
+// itself. It reads no clock: it polls the goroutines' states.
+func returns(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	buf := make([]byte, 1<<20)
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if n := runtime.Stack(buf, true); bytes.Contains(buf[:n], []byte(" [sync.Mutex.Lock")) {
+			t.Fatalf("%s: blocked on a lock:\n%s", what, buf[:n])
+		}
+		runtime.Gosched()
+	}
+}
 
 // getSink keeps a Get result past its call, so the result escapes.
 var getSink []byte

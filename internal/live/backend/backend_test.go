@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"rwp/internal/live"
@@ -12,21 +13,66 @@ func TestMapStoreBasics(t *testing.T) {
 	if got := s.Get("missing"); got != nil {
 		t.Fatalf("Get on empty store = %q, want nil", got)
 	}
+	assertUnlocked(t, s)
 	s.Put("k", []byte("v1"))
+	assertUnlocked(t, s)
 	if got := s.Get("k"); !bytes.Equal(got, []byte("v1")) {
 		t.Fatalf("Get = %q, want v1", got)
 	}
+	assertUnlocked(t, s)
 	s.Put("k", []byte("v2"))
 	if got := s.Get("k"); !bytes.Equal(got, []byte("v2")) {
 		t.Fatalf("Get after overwrite = %q, want v2", got)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	var n int
+	returns(t, func() { n = s.Len() })
+	if n != 1 {
+		t.Fatalf("Len = %d, want 1", n)
 	}
+	assertUnlocked(t, s)
 	s.Delete("k")
+	assertUnlocked(t, s)
 	if got := s.Get("k"); got != nil {
 		t.Fatalf("Get after Delete = %q, want nil", got)
 	}
+	assertUnlocked(t, s)
+}
+
+// returns runs fn on a goroutine of its own and fails the test at the
+// caller's line if fn blocks on a mutex instead of returning. No other
+// goroutine holds the store's lock while a test waits here, so a
+// goroutine parked on a mutex waits on a lock that fn holds itself. It
+// reads no clock: it polls the goroutines' states.
+func returns(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	buf := make([]byte, 1<<20)
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if n := runtime.Stack(buf, true); bytes.Contains(buf[:n], []byte(" [sync.Mutex.Lock")) {
+			t.Fatalf("blocked on a lock:\n%s", buf[:n])
+		}
+		runtime.Gosched()
+	}
+}
+
+// assertUnlocked fails the test at its caller's line if the store's
+// lock is held. A call that leaked it would otherwise show only as the
+// next call hanging until the test binary times out.
+func assertUnlocked(t *testing.T, s *Map) {
+	t.Helper()
+	if !s.mu.TryLock() {
+		t.Fatal("the store's lock is held")
+	}
+	s.mu.Unlock()
 }
 
 // TestMapStoreCopies pins the aliasing contract: the store never

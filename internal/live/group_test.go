@@ -31,6 +31,7 @@ func TestCheckInvariantsHoldsWrittenBits(t *testing.T) {
 	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "written bit") {
 		t.Fatalf("CheckInvariants with a drifted written bit = %v, want a written-bit error", err)
 	}
+	assertUnlocked(t, c)
 }
 
 // TestRangesTakeWholeGroups: a range that splits a policy group is

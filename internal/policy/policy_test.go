@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -43,8 +45,44 @@ func TestRegistryKnowsAllPolicies(t *testing.T) {
 			t.Errorf("New(%q).Name() = %q", n, p.Name())
 		}
 	}
-	if _, err := New("bogus"); err == nil {
+	// Every path out of the registry releases its lock. A leaked one
+	// would otherwise show only as the next New or Names hanging until
+	// the test binary times out, and one still held when the unknown
+	// name's error lists Names() as New itself hanging.
+	var err error
+	returns(t, func() { _, err = New("bogus") })
+	if err == nil {
 		t.Error("unknown policy accepted")
+	}
+	if !regMu.TryLock() {
+		t.Fatal("the registry lock is held after New")
+	}
+	regMu.Unlock()
+}
+
+// returns runs fn on a goroutine of its own and fails the test at the
+// caller's line if fn blocks on a mutex instead of returning. No other
+// goroutine holds the registry lock while a test waits here, so a
+// goroutine parked on a mutex waits on a lock that fn holds itself. It
+// reads no clock: it polls the goroutines' states.
+func returns(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	buf := make([]byte, 1<<20)
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if n := runtime.Stack(buf, true); bytes.Contains(buf[:n], []byte(" [sync.Mutex.Lock")) {
+			t.Fatalf("blocked on a lock:\n%s", buf[:n])
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -132,7 +132,6 @@ func (w *ReqLogWriter) ReqEvent(ev ReqEvent) {
 	}
 	// The mutex exists to order record emission; the write belongs
 	// inside it or concurrent events would interleave bytes.
-	//rwplint:allow lockheld — the journal writer's lock is what serializes the I/O
 	if _, err := w.bw.Write(append(line, '\n')); err != nil {
 		w.err = err
 		return
@@ -148,7 +147,6 @@ func (w *ReqLogWriter) Close() error {
 	if w.err != nil {
 		return w.err
 	}
-	//rwplint:allow lockheld — final flush under the same ordering lock as every record write
 	return w.bw.Flush()
 }
 

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,12 +76,56 @@ func TestReqLogWriterCount(t *testing.T) {
 	}
 	w.ReqEvent(ReqEvent{Key: "k", Outcome: OutcomeMiss, Cost: 16})
 	w.ReqEvent(ReqEvent{Put: true, Key: "k", Outcome: OutcomeInsert, Cost: 2})
+	assertUnlocked(t, w)
 	if w.Count() != 2 {
 		t.Fatalf("Count = %d", w.Count())
 	}
+	assertUnlocked(t, w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	assertUnlocked(t, w)
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestReqLogWriterKeepsFirstError: once a write fails, the writer drops
+// every later event, Close returns that first error, and no call keeps
+// the writer's lock.
+func TestReqLogWriterKeepsFirstError(t *testing.T) {
+	w, err := NewReqLogWriter(failWriter{}, "")
+	if err != nil {
+		t.Fatal(err) // the header is still buffered
+	}
+	ev := ReqEvent{Put: true, Key: "k", Value: bytes.Repeat([]byte("v"), 1024), Outcome: OutcomeInsert, Cost: 2}
+	for w.err == nil {
+		w.ReqEvent(ev) // until the buffer spills into failWriter
+		assertUnlocked(t, w)
+	}
+	n := w.Count()
+	w.ReqEvent(ev)
+	assertUnlocked(t, w)
+	if w.Count() != n {
+		t.Errorf("Count moved from %d to %d after a failed write", n, w.Count())
+	}
+	if err := w.Close(); err == nil || err.Error() != "disk full" {
+		t.Errorf("Close = %v, want the first write error", err)
+	}
+	assertUnlocked(t, w)
+}
+
+// assertUnlocked fails the test at its caller's line if the writer's
+// lock is held. A call that leaked it would otherwise show only as the
+// next call hanging until the test binary times out.
+func assertUnlocked(t *testing.T, w *ReqLogWriter) {
+	t.Helper()
+	if !w.mu.TryLock() {
+		t.Fatal("the writer's lock is held")
+	}
+	w.mu.Unlock()
 }
 
 func TestReqLogClassDerivation(t *testing.T) {

@@ -3,9 +3,12 @@ package runner
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rwp/internal/sim"
 )
@@ -55,17 +58,47 @@ func TestSingleflightCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var executions atomic.Int64
+	job := func() (int, error) {
+		executions.Add(1)
+		return 42, nil
+	}
 	const submitters = 32
 	futs := make([]*Future[int], submitters)
+	// The first duplicate arrives while the job runs and must return at
+	// once, leaving the engine lock free. A coalesced Submit that waited
+	// for the job, or kept the lock, fails here at a line, and not as the
+	// submitters below hanging until the test binary times out.
+	started, release := make(chan struct{}), make(chan struct{})
+	futs[0] = Submit(e, key, func() (int, error) {
+		close(started)
+		<-release
+		return job()
+	})
+	<-started
+	submitted := make(chan struct{})
+	go func() {
+		futs[1] = Submit(e, key, job)
+		close(submitted)
+	}()
+	for waiting := true; waiting; {
+		select {
+		case <-submitted:
+			waiting = false
+		default:
+			if parkedIn("rwp/internal/runner.Submit[") {
+				t.Fatal("a duplicate Submit waits for the job it coalesces onto")
+			}
+			runtime.Gosched()
+		}
+	}
+	assertUnlocked(t, e)
+	close(release)
 	var wg sync.WaitGroup
-	for i := range futs {
+	for i := 2; i < submitters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			futs[i] = Submit(e, key, func() (int, error) {
-				executions.Add(1)
-				return 42, nil
-			})
+			futs[i] = Submit(e, key, job)
 		}(i)
 	}
 	wg.Wait()
@@ -85,6 +118,71 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if st.Submitted != submitters || st.Executed != 1 || st.Coalesced != submitters-1 {
 		t.Fatalf("stats %+v: want submitted=%d executed=1 coalesced=%d", st, submitters, submitters-1)
 	}
+}
+
+// lockedObserver records, for each event, whether the engine's lock
+// was free when the event arrived.
+type lockedObserver struct {
+	e      *Engine
+	events []bool
+}
+
+func (o *lockedObserver) JobStart(Key)                     { o.record() }
+func (o *lockedObserver) JobDone(Key, time.Duration, bool) { o.record() }
+
+func (o *lockedObserver) record() {
+	free := o.e.mu.TryLock()
+	if free {
+		o.e.mu.Unlock()
+	}
+	o.events = append(o.events, free)
+}
+
+// TestObserverCalledUnlocked: the engine calls its Observer without its
+// own lock. rwpexp's -v observer writes a line to stderr per event, and
+// under the engine's lock that write would stall every Submit behind
+// it. One job on one worker: nothing else takes the lock meanwhile.
+func TestObserverCalledUnlocked(t *testing.T) {
+	obs := &lockedObserver{}
+	e, err := New(Config{Workers: 1, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.e = e
+	key, err := NewKey("observed", "", struct{}{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Submit(e, key, func() (int, error) { return 1, nil }).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, true}; !reflect.DeepEqual(obs.events, want) {
+		t.Fatalf("engine lock free at JobStart, JobDone = %v, want %v", obs.events, want)
+	}
+}
+
+// assertUnlocked fails the test at its caller's line if the engine's
+// lock is held.
+func assertUnlocked(t *testing.T, e *Engine) {
+	t.Helper()
+	if !e.mu.TryLock() {
+		t.Fatal("the engine's lock is held")
+	}
+	e.mu.Unlock()
+}
+
+// parkedIn reports whether some goroutine is parked on a channel
+// receive in the function whose traceback line starts with fn. It reads
+// no clock: it polls the goroutines' states.
+func parkedIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		header, frames, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[chan receive") && strings.HasPrefix(frames, fn) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestErrorPropagates(t *testing.T) {

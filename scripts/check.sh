@@ -8,9 +8,10 @@
 #
 # Each end-to-end contract (transport, cluster and restart invariance,
 # the snapshot fixed point, byte-identical replay, every
-# paper table's CSV at tiny scale) is a Go test, and so is the rwplint
-# suite (internal/analysis/selfcheck_test.go): `go test ./...` runs them
-# all, fuzz seed corpora included, and caches what did not change.
+# paper table's CSV at tiny scale) is a Go test, and so is each lock
+# rule (a leaked lock or a blocking call under one fails a test at a
+# line): `go test ./...` runs them all, fuzz seed corpora included, and
+# caches what did not change.
 # DESIGN.md §7 "Audit: the check.sh smokes" maps each contract to its
 # test, and "Audit: the paper gate" each table to its pin.
 #
@@ -22,11 +23,8 @@ cd "$(dirname "$0")/.."
 short=0
 [ "${1:-}" = "-short" ] && short=1
 
-# -buildvcs=false: VCS stamping runs git, which touches .git and so
-# changes the repo root's listing, an input of the rwplint selfcheck's
-# module walk; with stamping, internal/analysis never hits the test cache.
-echo '>> go build -buildvcs=false ./...'
-go build -buildvcs=false ./...
+echo '>> go build ./...'
+go build ./...
 
 echo '>> go vet ./...'
 go vet ./...
@@ -73,11 +71,12 @@ else
     # the server's listener limits (the connection cap and a refusal
     # past it that stalls outside the server's lock, the write deadline
     # that drops a peer that stops reading, the frame deadline that
-    # drops a peer stalled inside a frame, one staged RESTORE), and
-    # a coalesced leader's Get result, which its caller writes while a
-    # waiter copies the shared fill.
-    echo '>> go test -race -short -run Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore|CoalescedLeaderResultIsPrivate ./internal/live/... ./cmd/rwpserve'
-    go test -race -short -run 'Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore|CoalescedLeaderResultIsPrivate' ./internal/live/... ./cmd/rwpserve
+    # drops a peer stalled inside a frame, one staged RESTORE, a
+    # connection accepted during shutdown), and a coalesced leader's Get
+    # result, which its caller writes while a waiter copies the shared
+    # fill.
+    echo '>> go test -race -short -run Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore|ConnAcceptedDuringShutdown|CoalescedLeaderResultIsPrivate ./internal/live/... ./cmd/rwpserve'
+    go test -race -short -run 'Stress|ConnectionCap|WriteDeadline|FrameDeadline|StagedRestore|ConnAcceptedDuringShutdown|CoalescedLeaderResultIsPrivate' ./internal/live/... ./cmd/rwpserve
     # ... and the simulator, whose every run hands its access stream
     # between two goroutines (the read-ahead stage in internal/trace).
     echo '>> go test -race -short ./internal/sim/ ./internal/trace/'
